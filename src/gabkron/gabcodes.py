@@ -8,11 +8,15 @@ n - k + 1 and unique decoding up to t = floor((n - k) / 2) rank errors.
 
 Decoding works on syndromes: writing the error as e_i = sum_p E_p Y_{p,i}
 with independent values E_p and GF(2) locations Y_p, the syndromes satisfy
-s_j = sum_p E_p X_p^[j] with X_p = sum_i Y_{p,i} h_i.  A linearized
-annihilator of the value space is found from a small linear system, its
-root space yields the E_p, and two more solves recover X_p and Y_p.  Any
-output is re-checked against every syndrome, so a returned pair is always
-a valid decoding within the radius.
+s_j = sum_p E_p X_p^[j] with X_p = sum_i Y_{p,i} h_i.  The key equation
+for a monic annihilator of q-degree t of the values has rows
+(s_j, s_{j-1}^[1], ..., s_{j-t}^[t]), j >= t, each built by squaring the
+previous one; the root space of the annihilator yields the E_p.  Raising
+the first w syndrome equations to powers [w-1-j] gives W_p = X_p^[w-1],
+and as Y is binary, W_p = sum_i Y_{p,i} h_i^[w-1] locates the error
+against row w-1 of the parity-check matrix.  One packed product then
+re-checks every syndrome, so a returned pair is always a valid decoding
+within the radius.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .ranklinalg import (
     RankVector,
     SingularMatrixError,
     _packed,
-    _rref_packed,
+    _solve_packed,
     bit_kernel,
     information_set,
     partial_circulant,
@@ -50,12 +54,6 @@ class LinearizedPoly:
     def __init__(self, ctx: FieldCtx, coeffs):
         self.ctx = ctx
         self.coeffs = [ctx.check(c) for c in coeffs]
-
-    def qdegree(self):
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[i]:
-                return i
-        return -1
 
     def evaluate(self, x):
         ctx = self.ctx
@@ -89,8 +87,11 @@ class LinearizedPoly:
 
     def kernel_basis(self):
         """F_2-basis of the root space {x : self(x) = 0}."""
-        m = self.ctx.m
-        cols = _qpoly_action_columns(self.ctx, self.coeffs)
+        ctx = self.ctx
+        m = ctx.m
+        frob = ctx.frobenius_power_rows(len(self.coeffs) - 1)
+        # column i = self(x^i): the F_2-linear action on the polynomial basis
+        cols = _packed(ctx, m).lincomb(self.coeffs, frob)
         rows = [0] * m
         for i, col in enumerate(cols):
             b = 0
@@ -101,21 +102,6 @@ class LinearizedPoly:
                 v >>= 1
                 b += 1
         return bit_kernel(BitMatrix(m, m, rows))
-
-
-def _qpoly_action_columns(ctx, coeffs):
-    """Column i = poly(x^i): the F_2-linear action on the polynomial basis."""
-    m = ctx.m
-    pk = _packed(ctx, m)
-    cur = [1 << i for i in range(m)]
-    acc = 0
-    last = len(coeffs) - 1
-    for u, c in enumerate(coeffs):
-        if c:
-            acc ^= pk.scal(pk.pack(cur), c)
-        if u != last:
-            cur = [ctx.sqr(v) for v in cur]
-    return pk.unpack(pk.fold(acc))
 
 
 def moore_matrix(g: RankVector, nrows: int) -> RankMatrix:
@@ -151,6 +137,7 @@ class GabidulinCode:
         self._lead_inv = self.generator.submatrix(0, 0, k, k).invert()
         self._packed_gen = None
         self._packed_hcols = None
+        self._hbits = {}  # w -> GF(2) expansion of h^[w-1]
 
     def _dual_vector(self):
         """Vector h whose Moore matrix is a parity check for this code.
@@ -166,16 +153,12 @@ class GabidulinCode:
         base = [ctx.frobenius(v, lo) for v in self.g.values]
         A = moore_matrix(RankVector(ctx, base), n - 1)
         pk = _packed(ctx, n)
-        rows = [pk.pack(r) for r in A.rows]
-        pivots = _rref_packed(ctx, rows, n)
-        if len(pivots) != n - 1:
+        # the leading n-1 columns form a square Moore matrix of independent
+        # values, so they are the pivots and h_{n-1} = 1 fixes the kernel
+        pivots, h = _solve_packed(ctx, [pk.pack(r) for r in A.rows], n)
+        if pivots != list(range(n - 1)):
             raise SingularMatrixError("degenerate generator vector")
-        free = next(j for j in range(n) if j not in set(pivots))
-        h = [0] * n
-        h[free] = 1
-        for ri, col in enumerate(pivots):
-            h[col] = pk.entry(rows[ri], free)
-        hv = RankVector(ctx, h)
+        hv = RankVector(ctx, h + [1])
         if hv.rank_weight() != n:
             raise SingularMatrixError("parity vector lacks full rank weight")
         return hv, moore_matrix(hv, n - k)
@@ -201,19 +184,11 @@ class GabidulinCode:
         if len(vals) != self.k:
             raise ValueError(f"message length {len(vals)} != k={self.k}")
         pk, prows = self._gen_packed()
-        acc = 0
-        for v, p in zip(vals, prows):
-            if v:
-                acc ^= pk.scal(p, v)
-        return RankVector(self.ctx, pk.unpack(pk.fold(acc)))
+        return RankVector(self.ctx, pk.lincomb(vals, prows))
 
     def syndromes(self, y_vals):
         pk, cols = self._hcols_packed()
-        acc = 0
-        for v, p in zip(y_vals, cols):
-            if v:
-                acc ^= pk.scal(p, v)
-        return pk.unpack(pk.fold(acc))
+        return pk.lincomb(y_vals, cols)
 
     def _message_of_codeword(self, c_vals):
         return self._lead_inv.left_mul_values(c_vals[: self.k])
@@ -246,41 +221,39 @@ class GabidulinCode:
         E = self._error_value_space(s, t)
         if E is None:
             raise DecodeFailure("no annihilator of the error values")
-        X = self._error_coordinates(s, E)
-        if X is None:
+        W = self._error_coordinates(s, E)
+        if W is None:
             raise DecodeFailure("error values inconsistent with the syndromes")
-        e_vals = self._locate(E, X)
+        e_vals = self._locate(E, W)
         if e_vals is None:
             raise DecodeFailure("error support does not lie in the code space")
+        # every syndrome must match, not just the w solved for.  Same product
+        # as syndromes(), whose calls perfbench counts as received blocks.
+        pk, cols = self._hcols_packed()
+        if pk.lincomb(e_vals, cols) != s:
+            raise DecodeFailure("error values inconsistent with the syndromes")
         c_vals = [a ^ b for a, b in zip(y_vals, e_vals)]
         return c_vals, e_vals
 
     def _error_value_space(self, s, t):
         """Solve for a monic annihilator of q-degree t; return its root basis."""
         ctx = self.ctx
-        d1 = len(s)
-        # sf[j][u] = s_j^[u]
-        sf = []
-        for v in s:
-            row = [v]
-            for _ in range(t):
-                row.append(ctx.sqr(row[-1]))
-            sf.append(row)
+        sqr = ctx.sqr
         pk = _packed(ctx, t + 1)
+        # row j = (s_j, s_{j-1}^[1], ..., s_{j-t}^[t]); rows j >= t enter the system
         rows = []
-        for j in range(t, d1):
-            rows.append(pk.pack([sf[j - u][u] for u in range(t)] + [sf[j - t][t]]))
-        pivots = _rref_packed(ctx, rows, t + 1)
-        if pivots and pivots[-1] == t:
+        row = []
+        for j, sj in enumerate(s):
+            row = [sj] + [sqr(v) for v in row[:t]]
+            if j >= t:
+                rows.append(pk.pack(row))
+        _, gamma = _solve_packed(ctx, rows, t + 1)
+        if gamma is None:
             return None  # inconsistent: more than t independent error values
-        gamma = [0] * (t + 1)
-        gamma[t] = 1
-        for ri, col in enumerate(pivots):
-            gamma[col] = pk.entry(rows[ri], t)
-        return LinearizedPoly(ctx, gamma).kernel_basis()
+        return LinearizedPoly(ctx, gamma + [1]).kernel_basis()
 
     def _error_coordinates(self, s, E):
-        """Solve s_j = sum_p E_p X_p^[j] for the X_p; verify every syndrome."""
+        """Solve s_j = sum_p E_p X_p^[j], j < w, for W_p = X_p^[w-1]."""
         ctx = self.ctx
         w = len(E)
         if w == 0 or w > self.radius:
@@ -295,29 +268,19 @@ class GabidulinCode:
             if sh:
                 efr = [ctx.sqr(x) for x in efr]
             rows[j] = pk.pack(efr + [ctx.frobenius(s[j], sh)])
-        pivots = _rref_packed(ctx, rows, w + 1)
+        pivots, W = _solve_packed(ctx, rows, w + 1)
         if pivots != list(range(w)):
             return None
-        W = [pk.entry(rows[i], w) for i in range(w)]
-        X = W
-        for _ in range(w - 1):
-            X = [ctx.sqrt(x) for x in X]
-        # all syndromes must match, not just the w used above
-        xp = list(X)
-        for j, sj in enumerate(s):
-            if j:
-                xp = [ctx.sqr(x) for x in xp]
-            acc = 0
-            for ep, x in zip(E, xp):
-                acc ^= ctx.mul(ep, x)
-            if acc != sj:
-                return None
-        return X
+        return W
 
-    def _locate(self, E, X):
-        """Recover GF(2) locations from X_p = sum_i Y_{p,i} h_i, then e."""
-        hbits = self.h.expand_over_base()
-        sols = solve_gf2(hbits, X)
+    def _locate(self, E, W):
+        """Recover GF(2) locations from W_p = sum_i Y_{p,i} h_i^[w-1], then e."""
+        w = len(E)
+        hbits = self._hbits.get(w)
+        if hbits is None:
+            hbits = RankVector(self.ctx, self.parity_check.rows[w - 1]).expand_over_base()
+            self._hbits[w] = hbits
+        sols = solve_gf2(hbits, W)
         if any(y is None for y in sols):
             return None
         e = [0] * self.n
@@ -420,11 +383,7 @@ class KroneckerCode:
         if self._packed_G is None:
             self._packed_G = self.G.packed_rows()
         pk, prows = self._packed_G
-        acc = 0
-        for v, p in zip(vals, prows):
-            if v:
-                acc ^= pk.scal(p, v)
-        return RankVector(self.ctx, pk.unpack(pk.fold(acc)))
+        return RankVector(self.ctx, pk.lincomb(vals, prows))
 
     def subcode_membership(self, c) -> bool:
         """True iff c lies in the row space of the Gabidulin-block factor."""
@@ -508,7 +467,3 @@ class KroneckerCode:
             out.extend(row)
         return RankVector(self.ctx, out)
 
-
-def kron_product(G1: RankMatrix, C2: GabidulinCode, G2: RankMatrix | None = None) -> KroneckerCode:
-    """Assemble the product code generated by G1 and the inner code."""
-    return KroneckerCode(G1, C2, G2)

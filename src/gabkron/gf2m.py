@@ -152,6 +152,7 @@ class FieldCtx:
         self._red_shifts = tuple(i for i in range(m) if red >> i & 1)
         self._frob_cols: list[int] | None = None
         self._sqrt_cols: list[int] | None = None
+        self._frob_rows: tuple[int, ...] = ()
 
     def __repr__(self):
         return f"FieldCtx(m={self.m}, modulus={self.modulus:#x})"
@@ -280,6 +281,27 @@ class FieldCtx:
             cols = self._frobenius_columns()
             self._sqrt_cols = _invert_bit_columns(cols, self.m)
         return self._sqrt_cols
+
+    def frobenius_power_rows(self, t: int) -> tuple[int, ...]:
+        """Row u = (x^i)^[u] for i < m, u = 0..t, packed as in ranklinalg.
+
+        One 2m-bit slot per entry, slot i at bit 2m*i.  The cache grows by
+        whole-tuple assignment, so concurrent readers see complete rows.
+        """
+        rows = self._frob_rows
+        if len(rows) <= t:
+            slot = 2 * self.m
+            grown = list(rows)
+            if grown:
+                vals = [grown[-1] >> (slot * i) & self.mask for i in range(self.m)]
+            else:
+                vals = [1 << i for i in range(self.m)]
+            while len(grown) <= t:
+                if grown:
+                    vals = [self.sqr(v) for v in vals]
+                grown.append(sum(v << (slot * i) for i, v in enumerate(vals)))
+            rows = self._frob_rows = tuple(grown)
+        return rows
 
     def sqrt(self, a: int) -> int:
         """Unique square root in characteristic 2 (inverse Frobenius)."""

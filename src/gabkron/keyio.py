@@ -182,6 +182,8 @@ def parse_secret_key(data: bytes):
         count = 1 + p.n1 * p.n1 * p.n2 + p.k1 * p.n1
         vals = unpack_elements(payload, p.m, count)
         alpha = vals[0]
+        if not ctx.is_normal(alpha):
+            raise FormatError("alpha is not a normal element")
         pos = 1
         rows = [[0] * p.n for _ in range(p.n)]
         for i in range(p.n1):

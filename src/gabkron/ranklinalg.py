@@ -110,6 +110,15 @@ class _Packed:
             hi = (p >> m) & lo_mask
         return p
 
+    def lincomb(self, coeffs, prows):
+        """sum_i coeffs[i] * prows[i] over reduced packed rows, unpacked."""
+        scal = self.scal
+        acc = 0
+        for v, p in zip(coeffs, prows):
+            if v:
+                acc ^= scal(p, v)
+        return self.unpack(self.fold(acc))
+
     def rotate(self, p, r, n):
         """Cyclic slot rotation by r positions (slot u <- slot (u-r) mod n)."""
         r %= n
@@ -132,8 +141,11 @@ def _packed(ctx: FieldCtx, nslots: int) -> _Packed:
     return ops
 
 
-def _rref_packed(ctx, rows, ncols):
-    """In-place reduced row echelon form on packed rows; returns pivot cols."""
+def _echelon_packed(ctx, rows, ncols):
+    """In-place row echelon form with unit pivots; returns pivot cols.
+
+    _rref_packed runs this first, so the two always agree on the pivots.
+    """
     pk = _packed(ctx, ncols)
     nrows = len(rows)
     pivots = []
@@ -153,15 +165,51 @@ def _rref_packed(ctx, rows, ncols):
         if pv != 1:
             rows[r] = pk.fold(pk.scal(rows[r], ctx.inv(pv)))
         prow = rows[r]
-        for i in range(nrows):
-            if i == r:
-                continue
+        for i in range(r + 1, nrows):
             f = pk.entry(rows[i], col)
             if f:
                 rows[i] = pk.fold(rows[i] ^ pk.scal(prow, f))
         pivots.append(col)
         r += 1
     return pivots
+
+
+def _rref_packed(ctx, rows, ncols):
+    """In-place reduced row echelon form on packed rows; returns pivot cols."""
+    pk = _packed(ctx, ncols)
+    pivots = _echelon_packed(ctx, rows, ncols)
+    for r in range(len(pivots) - 1, 0, -1):
+        col = pivots[r]
+        prow = rows[r]
+        for i in range(r):
+            f = pk.entry(rows[i], col)
+            if f:
+                rows[i] = pk.fold(rows[i] ^ pk.scal(prow, f))
+    return pivots
+
+
+def _solve_packed(ctx, rows, ncols):
+    """Solve packed augmented rows whose last column is the right-hand side.
+
+    Echelon form, then back-substitution for the last column only.  Returns
+    the pivots and the ncols - 1 unknowns with free variables zero, or None
+    for the unknowns when the last column is a pivot (no solution).
+    """
+    pk = _packed(ctx, ncols)
+    pivots = _echelon_packed(ctx, rows, ncols)
+    rhs = ncols - 1
+    if pivots and pivots[-1] == rhs:
+        return pivots, None
+    mul = ctx.mul
+    x = [0] * rhs
+    for r in range(len(pivots) - 1, -1, -1):
+        vals = pk.unpack(rows[r])
+        acc = vals[rhs]
+        for c in pivots[r + 1 :]:
+            if x[c] and vals[c]:
+                acc ^= mul(vals[c], x[c])
+        x[pivots[r]] = acc
+    return pivots, x
 
 
 # ---------------------------------------------------------------------------
@@ -580,11 +628,7 @@ class RankMatrix:
     def left_mul_values(self, vals):
         """values (length nrows) times self, returning a plain list."""
         pk = _packed(self.ctx, self.ncols)
-        acc = 0
-        for v, row in zip(vals, self.rows):
-            if v:
-                acc ^= pk.scal(pk.pack(row), v)
-        return pk.unpack(pk.fold(acc))
+        return pk.lincomb(vals, map(pk.pack, self.rows))
 
     def packed_rows(self):
         pk = _packed(self.ctx, self.ncols)
@@ -595,30 +639,9 @@ class RankMatrix:
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
         pk, prows = other.packed_rows()
-        out = []
-        for row in self.rows:
-            acc = 0
-            for v, p in zip(row, prows):
-                if v:
-                    acc ^= pk.scal(p, v)
-            out.append(pk.unpack(pk.fold(acc)))
-        return RankMatrix(self.ctx, out)
+        return RankMatrix(self.ctx, [pk.lincomb(row, prows) for row in self.rows])
 
     __matmul__ = mul
-
-    def mul_vector(self, vals):
-        """self times a column vector, returning a plain list."""
-        if len(vals) != self.ncols:
-            raise ValueError("dimension mismatch")
-        mul = self.ctx.mul
-        out = []
-        for row in self.rows:
-            acc = 0
-            for a, b in zip(row, vals):
-                if a and b:
-                    acc ^= mul(a, b)
-            out.append(acc)
-        return out
 
     # -- elimination --------------------------------------------------------
 
@@ -788,11 +811,7 @@ def cyc_mul(ctx, a, b):
         raise ValueError("length mismatch")
     pk = _packed(ctx, n)
     pb = pk.pack(b)
-    acc = 0
-    for r, av in enumerate(a):
-        if av:
-            acc ^= pk.scal(pk.rotate(pb, r, n), av)
-    return pk.unpack(pk.fold(acc))
+    return pk.lincomb(a, (pk.rotate(pb, r, n) for r in range(n)))
 
 
 def _poly_deg(p):

@@ -375,11 +375,7 @@ class _Decrypter:
 
     def decrypt(self, c_vals):
         pk, prows = self.P_packed
-        acc = 0
-        for v, pr in zip(c_vals, prows):
-            if v:
-                acc ^= pk.scal(pr, v)
-        c_prime = pk.unpack(pk.fold(acc))
+        c_prime = pk.lincomb(c_vals, prows)
         try:
             mu = self.code.block_decode(c_prime)
         except DecodeFailure as exc:
@@ -449,11 +445,7 @@ def encrypt(message, pk: PublicKey, p: ParamSet, rng, error=None) -> Ciphertext:
         raise ValueError(f"message length {len(vals)} != k={p.k}")
     ctx = pk.matrix.ctx
     pko, prows = pk.packed_rows()
-    acc = 0
-    for v, pr in zip(vals, prows):
-        if v:
-            acc ^= pko.scal(pr, v)
-    c = pko.unpack(pko.fold(acc))
+    c = pko.lincomb(vals, prows)
     if error is None:
         e = sample_rank_error(ctx, p.n, p.t, rng)
     else:

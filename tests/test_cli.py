@@ -112,6 +112,30 @@ def test_truncated_ciphertext_is_parse_error(keydir, tmp_path):
     assert rc == 4
 
 
+def test_non_normal_alpha_is_parse_error(keydir, tmp_path, capsys):
+    # alpha = 1 has a one-element Frobenius orbit: never a normal basis
+    data = (keydir / "sk.bin").read_bytes()
+    header = 4 + 2 + 13 * 4
+    m = keyio.parse_secret_key(data).params.m
+    payload = int.from_bytes(data[header:], "little")
+    payload = (payload >> m << m) | 1
+    (tmp_path / "bad_sk").write_bytes(
+        data[:header] + payload.to_bytes(len(data) - header, "little")
+    )
+    (tmp_path / "m").write_bytes(b"x")
+    assert main([
+        "encrypt", "--pk", str(keydir / "pk.bin"),
+        "--in", str(tmp_path / "m"), "--out", str(tmp_path / "c"), "--seed", SEED,
+    ]) == 0
+    rc = main([
+        "decrypt", "--sk", str(tmp_path / "bad_sk"),
+        "--in", str(tmp_path / "c"), "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 4
+    assert "normal" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_input_file(keydir, tmp_path):
     rc = main([
         "encrypt", "--pk", str(keydir / "pk.bin"),

@@ -44,6 +44,29 @@ def test_generator_requires_full_rank_weight(ctx4):
         GabidulinCode(RankVector(FieldCtx(4), [1, 2, 4, 8, 3]), 2)  # n > m
 
 
+@pytest.mark.parametrize("m,n,k", [(8, 8, 4), (8, 5, 2), (12, 10, 4), (48, 48, 12)])
+def test_dual_vector_matches_full_rref(m, n, k):
+    ctx = FieldCtx(m)
+    code = GabidulinCode(full_rank_vector(ctx, n, fresh_rng(b"dual%d-%d" % (m, n))), k)
+    lo = -(n - k - 1) % m
+    A = gc.moore_matrix(RankVector(ctx, [ctx.frobenius(v, lo) for v in code.g.values]), n - 1)
+    # the kernel vector as the full reduced echelon form reads it off
+    R, pivots = A.rref()
+    free = next(j for j in range(n) if j not in pivots)
+    h = [0] * n
+    h[free] = 1
+    for ri, col in enumerate(pivots):
+        h[col] = R.rows[ri][free]
+    assert code.h.values == h
+    # independently: the one-dimensional kernel of A, normalised at h_{n-1}
+    assert h[n - 1] == 1
+    for row in A.rows:
+        acc = 0
+        for a, v in zip(row, h):
+            acc ^= ctx.mul(a, v)
+        assert acc == 0
+
+
 def test_parity_check_annihilates_generator(small_code):
     prod = small_code.parity_check.mul(small_code.generator.transpose())
     assert prod == RankMatrix.zero(small_code.ctx, 4, 4)
@@ -98,6 +121,40 @@ def test_decode_round_trips_500(m, n, k):
         ud, ed = code.decode(y)
         assert ud == u
         assert ed == e
+
+
+@pytest.mark.parametrize(
+    "m,n,k", [(6, 6, 2), (8, 8, 2), (8, 6, 2), (10, 7, 1), (12, 12, 4), (12, 9, 3)]
+)
+def test_decode_property_every_rank(m, n, k):
+    ctx = FieldCtx(m)
+    rng = fresh_rng(b"decprop-%d-%d-%d" % (m, n, k))
+    code = GabidulinCode(full_rank_vector(ctx, n, rng), k)
+    t = code.radius
+    G = code.generator.rows
+    beyond = {"failed": 0, "decoded": 0}
+    for trial in range(40 * (t + 3)):
+        r = trial % (t + 3)
+        u = RankVector.random(ctx, k, rng)
+        e = sample_rank_error(ctx, n, r, rng)
+        y = code.encode(u).add(e)
+        if r <= t:
+            assert code.decode(y) == (u, e)
+            continue
+        try:
+            ud, ed = code.decode(y)
+        except DecodeFailure:
+            beyond["failed"] += 1
+            continue
+        beyond["decoded"] += 1
+        # schoolbook u·G, independent of the packed encoder
+        c = [0] * n
+        for i, ui in enumerate(ud.values):
+            for j in range(n):
+                c[j] ^= ctx.mul(ui, G[i][j])
+        assert [a ^ b for a, b in zip(c, ed.values)] == y.values
+        assert ed.rank_weight() <= t
+    assert beyond["failed"] > 0
 
 
 def test_decode_beyond_radius_differs_or_fails(tiny_code):
@@ -165,6 +222,20 @@ def test_linearized_poly_helpers(ctx8):
     # kernel members evaluate to zero
     for v in a.kernel_basis():
         assert a.evaluate(v) == 0
+
+
+def test_kernel_basis_spans_every_root(ctx8):
+    rng = fresh_rng(b"kerroots")
+    for deg in range(6):
+        for _ in range(6):
+            coeffs = [rng.element(8) if rng.randrange(3) else 0 for _ in range(deg)]
+            a = LinearizedPoly(ctx8, coeffs + [rng.element(8)])
+            basis = a.kernel_basis()
+            span = {0}
+            for v in basis:
+                span |= {x ^ v for x in span}
+            assert len(span) == 2 ** len(basis)
+            assert span == {x for x in range(256) if a.evaluate(x) == 0}
 
 
 def test_orbit_circulant_presentation():

@@ -75,6 +75,21 @@ def test_inverse_and_frobenius_properties(m):
         assert ctx.sqr(ctx.sqrt(a)) == a
 
 
+@pytest.mark.parametrize("m,t", [(4, 4), (12, 12), (90, 6)])
+def test_frobenius_power_rows_match_repeated_squaring(m, t):
+    ctx = FieldCtx(m)
+    slot = 2 * m
+    short = ctx.frobenius_power_rows(1)
+    rows = ctx.frobenius_power_rows(t)
+    assert len(rows) == t + 1 and rows[:2] == short
+    assert ctx.frobenius_power_rows(t - 1) is rows
+    vals = [1 << i for i in range(m)]
+    for row in rows:
+        assert row >> (slot * m) == 0
+        assert [row >> (slot * i) & ((1 << slot) - 1) for i in range(m)] == vals
+        vals = [ctx.sqr(v) for v in vals]
+
+
 def test_frobenius_rejects_negative(ctx4):
     with pytest.raises(ValueError):
         ctx4.frobenius(1, -1)

@@ -142,6 +142,38 @@ def test_rref_pivots_and_rank(ctx4):
     assert RankMatrix(ctx4, [[0, 1, 2], [0, 2, 4]]).rank() == 1
 
 
+def test_solve_packed_matches_rref(ctx4):
+    rng = fresh_rng(b"solvepacked")
+    seen = {"inconsistent": 0, "free": 0, "unique": 0}
+    for _ in range(400):
+        nrows, ncols = rng.randrange(5) + 1, rng.randrange(5) + 2
+        # sparse entries make rank defects and inconsistent systems common
+        M = [
+            [rng.element(4) if rng.randrange(3) else 0 for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        pk = rl._packed(ctx4, ncols)
+        ref = [pk.pack(r) for r in M]
+        ref_pivots = rl._rref_packed(ctx4, ref, ncols)
+        pivots, x = rl._solve_packed(ctx4, [pk.pack(r) for r in M], ncols)
+        assert pivots == ref_pivots
+        if ref_pivots and ref_pivots[-1] == ncols - 1:
+            assert x is None
+            seen["inconsistent"] += 1
+            continue
+        expect = [0] * (ncols - 1)
+        for ri, col in enumerate(ref_pivots):
+            expect[col] = pk.entry(ref[ri], ncols - 1)
+        assert x == expect
+        for row in M:
+            acc = 0
+            for a, v in zip(row, x):
+                acc ^= ctx4.mul(a, v)
+            assert acc == row[-1]
+        seen["free" if len(pivots) < ncols - 1 else "unique"] += 1
+    assert min(seen.values()) >= 20
+
+
 def test_matmul_against_schoolbook(ctx8):
     rng = fresh_rng(b"matmul")
     A = RankMatrix.random(ctx8, 3, 4, rng)
