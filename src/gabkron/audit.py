@@ -17,6 +17,7 @@ from .gf2m import FieldCtx
 from .gabcodes import GabidulinCode, KroneckerCode
 from .params import REGISTRY, ParamSet, setup
 from .ranklinalg import (
+    CirculantGrid,
     RankMatrix,
     RankVector,
     SingularMatrixError,
@@ -303,6 +304,22 @@ class LemmaReport:
         }
 
 
+def left_factor(K: KroneckerCode) -> RankMatrix:
+    """Gbar1 = G1 (x) I_k2, the left factor of K.G = Gbar1 Gbar2."""
+    ident = RankMatrix.identity(K.ctx, K.k2)
+    return RankMatrix.from_blocks(
+        [[ident.scalar_mul(K.G1.rows[i][j]) for j in range(K.n1)] for i in range(K.k1)]
+    )
+
+
+def right_factor(K: KroneckerCode) -> RankMatrix:
+    """Gbar2 = I_n1 (x) G2, the block-diagonal right factor."""
+    zero = RankMatrix.zero(K.ctx, K.k2, K.n2)
+    return RankMatrix.from_blocks(
+        [[K.G2 if i == j else zero for j in range(K.n1)] for i in range(K.n1)]
+    )
+
+
 def _random_circulant(ctx, n, rng):
     return circulant(RankVector.random(ctx, n, rng))
 
@@ -314,25 +331,9 @@ def _random_invertible_circulant(ctx, n, rng):
             return circulant(gen)
 
 
-def _random_circulant_block(ctx, n1, n2, rng, invertible=False):
-    while True:
-        grid = [[_random_circulant(ctx, n2, rng) for _ in range(n1)] for _ in range(n1)]
-        A = RankMatrix.from_blocks(grid)
-        if not invertible:
-            return A
-        try:
-            circulant_block_invert(A, n1, n2)
-            return A
-        except SingularMatrixError:
-            continue
-
-
-def _random_pc_block(ctx, k1, n1, k2, n2, rng):
-    grid = [
-        [partial_circulant(RankVector.random(ctx, n2, rng), k2) for _ in range(n1)]
-        for _ in range(k1)
-    ]
-    return RankMatrix.from_blocks(grid)
+def _random_grid(ctx, nrows, ncols, k, n, rng) -> CirculantGrid:
+    gens = [[RankVector.random(ctx, n, rng).values for _ in range(ncols)] for _ in range(nrows)]
+    return CirculantGrid(ctx, gens, k)
 
 
 def verify_structure_lemmas(rng, trials: int = 100) -> LemmaReport:
@@ -358,7 +359,8 @@ def verify_structure_lemmas(rng, trials: int = 100) -> LemmaReport:
             if g.rank_weight() == 6:
                 break
         K = KroneckerCode(G1, GabidulinCode(g, 2))
-        if K.Gbar1.rank() == K.k and K.G == K.Gbar1.mul(K.Gbar2):
+        Gbar1 = left_factor(K)
+        if Gbar1.rank() == K.k and K.G == Gbar1.mul(right_factor(K)):
             passes += 1
     report.results["factor-rank"] = (passes, trials)
 
@@ -376,9 +378,14 @@ def verify_structure_lemmas(rng, trials: int = 100) -> LemmaReport:
 
     passes = 0
     for _ in range(trials):
-        A = _random_circulant_block(ctx4, 2, 3, rng, invertible=True)
-        Ainv = circulant_block_invert(A, 2, 3)
-        if is_circulant_block(Ainv, 2, 3) and A.mul(Ainv) == RankMatrix.identity(ctx4, 6):
+        while True:
+            A = _random_grid(ctx4, 2, 2, 3, 3, rng)
+            try:
+                Ainv = circulant_block_invert(A).dense()
+                break
+            except SingularMatrixError:
+                continue
+        if is_circulant_block(Ainv, 2, 3) and A.dense().mul(Ainv) == RankMatrix.identity(ctx4, 6):
             passes += 1
     report.results["block-inverse"] = (passes, trials)
 
@@ -393,10 +400,10 @@ def verify_structure_lemmas(rng, trials: int = 100) -> LemmaReport:
 
     passes = 0
     for _ in range(trials):
-        B = _random_pc_block(ctx4, 2, 2, 2, 3, rng)
-        A = _random_circulant_block(ctx4, 2, 3, rng)
-        prod = circulant_block_compose(B, A, 2, 2, 2, 3)
-        if is_partial_circulant_block(prod, 2, 2, 2, 3) and prod == B.mul(A):
+        B = _random_grid(ctx4, 2, 2, 2, 3, rng)
+        A = _random_grid(ctx4, 2, 2, 3, 3, rng)
+        prod = circulant_block_compose(B, A).dense()
+        if is_partial_circulant_block(prod, 2, 2, 2, 3) and prod == B.dense().mul(A.dense()):
             passes += 1
     report.results["block-product"] = (passes, trials)
 

@@ -121,6 +121,7 @@ def cmd_encrypt(args) -> int:
 def cmd_decrypt(args) -> int:
     try:
         sk = keyio.parse_secret_key(_read(args.sk))
+        sk.decrypter()  # an inconsistent secret tuple fails here
         ct = keyio.parse_ciphertext(_read(args.infile))
     except (keyio.FormatError, ValueError) as exc:
         print(f"error: bad input file: {exc}", file=sys.stderr)

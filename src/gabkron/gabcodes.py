@@ -22,6 +22,7 @@ within the radius.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 from .gf2m import FieldCtx
 from .ranklinalg import (
@@ -350,38 +351,26 @@ class KroneckerCode:
         self.k2, self.n2 = C2.k, C2.n
         self.k = k1 * self.k2
         self.n = n1 * self.n2
-        self.G = RankMatrix.from_blocks(
-            [[G2.scalar_mul(G1.rows[i][j]) for j in range(n1)] for i in range(k1)]
-        )
-        self.Gbar1 = self._left_factor()
-        self.Gbar2 = self._right_factor()
-        if self.Gbar1.rank() != self.k:
-            raise SingularMatrixError("left factor rank defect (full-rank outer matrix expected)")
         self.I = information_set(G1)
         self._I2 = information_set(G2)
         self._G2_inv_at_I2 = G2.take_columns(self._I2).invert()
-        self._packed_G = None
 
-    def _left_factor(self):
-        ctx, k1, n1, k2 = self.ctx, self.k1, self.n1, self.k2
-        ident = RankMatrix.identity(ctx, k2)
+    @cached_property
+    def G(self) -> RankMatrix:
+        """The dense k x n generator G1 (x) G2, built on first use only."""
+        G1, G2 = self.G1, self.G2
         return RankMatrix.from_blocks(
-            [[ident.scalar_mul(self.G1.rows[i][j]) for j in range(n1)] for i in range(k1)]
+            [[G2.scalar_mul(G1.rows[i][j]) for j in range(self.n1)] for i in range(self.k1)]
         )
 
-    def _right_factor(self):
-        ctx, n1, k2, n2 = self.ctx, self.n1, self.k2, self.n2
-        zero = RankMatrix.zero(ctx, k2, n2)
-        return RankMatrix.from_blocks(
-            [[self.G2 if i == j else zero for j in range(n1)] for i in range(n1)]
-        )
+    @cached_property
+    def _packed_G(self):
+        return self.G.packed_rows()
 
     def encode(self, m_vals) -> RankVector:
         vals = m_vals.values if isinstance(m_vals, RankVector) else list(m_vals)
         if len(vals) != self.k:
             raise ValueError(f"message length {len(vals)} != k={self.k}")
-        if self._packed_G is None:
-            self._packed_G = self.G.packed_rows()
         pk, prows = self._packed_G
         return RankVector(self.ctx, pk.lincomb(vals, prows))
 

@@ -3,9 +3,8 @@
 Field elements are plain Python ints whose bits are the coefficients of a
 polynomial over GF(2): bit i is the coefficient of x^i.  All arithmetic is
 performed modulo an irreducible polynomial of degree m held by a FieldCtx.
-Working on raw ints keeps the hot loops cheap; the FieldElement wrapper
-carries its context for callers that want operator syntax and context
-checking.
+Working on raw ints keeps the hot loops cheap; containers in ranklinalg
+carry the context and check that operands share it.
 
 The modulus for each extension degree is the lexicographically smallest
 irreducible polynomial of minimal weight (trinomial if one exists, else
@@ -348,9 +347,6 @@ class FieldCtx:
             raise ValueError("non-zero padding bits above degree m-1")
         return v
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(self, self.check(value))
-
 
 def _bit_rank(rows) -> int:
     """Rank over GF(2) of rows given as bitmask ints."""
@@ -396,82 +392,3 @@ def _invert_bit_columns(cols, n):
                 out_cols[j] |= 1 << i
     return out_cols
 
-
-class FieldElement:
-    """A field value bound to its FieldCtx.
-
-    Thin wrapper over the int representation; mixing elements from
-    different contexts raises ContextMismatchError.
-    """
-
-    __slots__ = ("ctx", "value")
-
-    def __init__(self, ctx: FieldCtx, value: int):
-        self.ctx = ctx
-        self.value = ctx.check(value)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.ctx != self.ctx:
-                raise ContextMismatchError(
-                    f"cannot combine elements of {self.ctx} and {other.ctx}"
-                )
-            return other.value
-        if isinstance(other, int):
-            return self.ctx.check(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.ctx, self.value ^ v)
-
-    __radd__ = __add__
-    __sub__ = __add__
-    __rsub__ = __add__
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.mul(self.value, v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.div(self.value, v))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.ctx, self.ctx.inv(self.value))
-
-    def frobenius(self, i: int) -> "FieldElement":
-        return FieldElement(self.ctx, self.ctx.frobenius(self.value, i))
-
-    def is_normal(self) -> bool:
-        return self.ctx.is_normal(self.value)
-
-    def to_bytes(self) -> bytes:
-        return self.ctx.to_bytes(self.value)
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.ctx == other.ctx and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ctx, self.value))
-
-    def __bool__(self):
-        return bool(self.value)
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"FieldElement({self.value:#x} in GF(2^{self.ctx.m}))"

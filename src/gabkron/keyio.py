@@ -8,6 +8,12 @@ key for new-GabKron-128 occupy exactly its advertised 4050 payload bytes.
 The modulus is not stored: it is the registry polynomial for the degree m
 in the header.
 
+The improved variant's G_pub and P are partial-circulant-block matrices
+and travel as the first row of every block, blocks in row-major order.
+Row 0 of Cir_k(a) is reflect(a) = (a_0, a_{n-1}, ..., a_1), an involution,
+so parsing and serializing map those rows to and from the in-memory
+CirculantGrid of generators by slicing alone.
+
 Messages for encryption are arbitrary byte strings up to the capacity
 floor(k*m/8) - 4; a 4-byte big-endian length prefix travels inside the
 first field elements so decryption can strip the padding.
@@ -17,7 +23,7 @@ from __future__ import annotations
 
 from .gf2m import FieldCtx
 from .params import ParamSet, ParameterError, setup
-from .ranklinalg import RankMatrix, RankVector
+from .ranklinalg import CirculantGrid, RankMatrix, RankVector, reflect
 from .scheme import (
     Ciphertext,
     ImprovedSecretKey,
@@ -39,24 +45,30 @@ class FormatError(ValueError):
 # bit-level element packing
 
 
+# eight m-bit values fill exactly m bytes, so both directions work on
+# independent m-byte chunks and take time linear in the element count
 def pack_elements(vals, m: int) -> bytes:
-    acc = 0
-    for i, v in enumerate(vals):
-        acc |= v << (i * m)
-    nbytes = (len(vals) * m + 7) // 8
-    return acc.to_bytes(nbytes, "little")
+    chunks = []
+    for c in range(0, len(vals), 8):
+        acc = 0
+        for i, v in enumerate(vals[c : c + 8]):
+            acc |= v << (i * m)
+        chunks.append(acc.to_bytes(m, "little"))
+    return b"".join(chunks)[: (len(vals) * m + 7) // 8]
 
 
 def unpack_elements(data: bytes, m: int, count: int) -> list:
     nbytes = (count * m + 7) // 8
     if len(data) != nbytes:
         raise FormatError(f"payload is {len(data)} bytes, expected {nbytes}")
-    acc = int.from_bytes(data, "little")
     mask = (1 << m) - 1
-    vals = [(acc >> (i * m)) & mask for i in range(count)]
-    if acc >> (count * m):
+    vals = []
+    for c in range(0, nbytes, m):
+        acc = int.from_bytes(data[c : c + m], "little")
+        vals.extend((acc >> (i * m)) & mask for i in range(8))
+    if any(vals[count:]):
         raise FormatError("non-zero padding bits in payload")
-    return vals
+    return vals[:count]
 
 
 # ---------------------------------------------------------------------------
@@ -106,18 +118,24 @@ def _ctx(p: ParamSet) -> FieldCtx:
 # public keys
 
 
+def _first_rows(grid: CirculantGrid) -> list:
+    return [v for row in grid.gens for a in row for v in reflect(a)]
+
+
+def _grid(ctx, vals, nrows, ncols, n, k) -> CirculantGrid:
+    """Grid of nrows x ncols blocks from their consecutive first rows."""
+    firsts = [vals[i : i + n] for i in range(0, nrows * ncols * n, n)]
+    gens = [[reflect(f) for f in firsts[i * ncols : (i + 1) * ncols]] for i in range(nrows)]
+    return CirculantGrid(ctx, gens, k)
+
+
 def serialize_public_key(pk: PublicKey) -> bytes:
     p = pk.params
-    vals = []
     if p.variant == "improved":
-        # one first row per k2 x n2 block, blocks in row-major order
-        for i in range(p.k1):
-            for j in range(p.n1):
-                vals.extend(pk.matrix.rows[i * p.k2][j * p.n2 : (j + 1) * p.n2])
+        vals = _first_rows(pk.matrix)
     else:
         # systematic form: only the non-identity part N
-        for row in pk.matrix.rows:
-            vals.extend(row[p.k :])
+        vals = [v for row in pk.matrix.rows for v in row[p.k :]]
     return _header(p) + pack_elements(vals, p.m)
 
 
@@ -125,20 +143,8 @@ def parse_public_key(data: bytes) -> PublicKey:
     p, payload = _parse_header(data)
     ctx = _ctx(p)
     if p.variant == "improved":
-        count = p.k1 * p.n1 * p.n2
-        vals = unpack_elements(payload, p.m, count)
-        rows = [[0] * p.n for _ in range(p.k)]
-        pos = 0
-        for i in range(p.k1):
-            for j in range(p.n1):
-                first = vals[pos : pos + p.n2]
-                pos += p.n2
-                for r in range(p.k2):
-                    base = i * p.k2 + r
-                    off = j * p.n2
-                    for c in range(p.n2):
-                        rows[base][off + c] = first[(c - r) % p.n2]
-        return PublicKey(p, RankMatrix(ctx, rows))
+        vals = unpack_elements(payload, p.m, p.k1 * p.n1 * p.n2)
+        return PublicKey(p, _grid(ctx, vals, p.k1, p.n1, p.n2, p.k2))
     count = p.k * (p.n - p.k)
     vals = unpack_elements(payload, p.m, count)
     rows = []
@@ -158,9 +164,7 @@ def serialize_secret_key(sk) -> bytes:
     vals = []
     if isinstance(sk, ImprovedSecretKey):
         vals.append(sk.alpha)
-        for i in range(p.n1):
-            for j in range(p.n1):
-                vals.extend(sk.P.rows[i * p.n2][j * p.n2 : (j + 1) * p.n2])
+        vals.extend(_first_rows(sk.P))
         for row in sk.G1.rows:
             vals.extend(row)
     elif isinstance(sk, RepairedSecretKey):
@@ -184,18 +188,8 @@ def parse_secret_key(data: bytes):
         alpha = vals[0]
         if not ctx.is_normal(alpha):
             raise FormatError("alpha is not a normal element")
-        pos = 1
-        rows = [[0] * p.n for _ in range(p.n)]
-        for i in range(p.n1):
-            for j in range(p.n1):
-                first = vals[pos : pos + p.n2]
-                pos += p.n2
-                for r in range(p.n2):
-                    base = i * p.n2 + r
-                    off = j * p.n2
-                    for c in range(p.n2):
-                        rows[base][off + c] = first[(c - r) % p.n2]
-        P = RankMatrix(ctx, rows)
+        P = _grid(ctx, vals[1:], p.n1, p.n1, p.n2, p.n2)
+        pos = 1 + p.n1 * p.n1 * p.n2
         G1 = RankMatrix(
             ctx, [vals[pos + i * p.n1 : pos + (i + 1) * p.n1] for i in range(p.k1)]
         )

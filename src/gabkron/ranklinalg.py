@@ -11,17 +11,22 @@ products never spill between slots.  The packed form is internal; the
 public API speaks lists of ints.
 
 Circulant conventions follow the right-shift rule: the k-partial circulant
-of a = (a_0, ..., a_{n-1}) has row 0 = (a_0, a_{n-1}, ..., a_1) and every
-row is the right cyclic shift of the one above, i.e. M[i][j] = a[(i-j) % n].
-Circulant n x n matrices multiply like polynomials mod z^n - 1, which is
-what the closure and inversion routines exploit.
+of a = (a_0, ..., a_{n-1}) has row 0 = reflect(a) = (a_0, a_{n-1}, ..., a_1)
+and every row is the right cyclic shift of the one above, i.e.
+M[i][j] = a[(i-j) % n].  Circulant n x n matrices multiply like polynomials
+mod z^n - 1, so Cir_k(b) Cir(a) = Cir_k(b a) in that ring.  A matrix made
+of such blocks is held as a CirculantGrid of block generators; products
+and inverses of grids run in the ring, and the dense matrix is built only
+as a test oracle (CirculantGrid.dense).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from dataclasses import dataclass
 
-from .gf2m import ContextMismatchError, FieldCtx, FieldElement, _bit_rank
+from .gf2m import ContextMismatchError, FieldCtx, _bit_rank
 
 
 class SingularMatrixError(ValueError):
@@ -34,14 +39,6 @@ class SingularMatrixError(ValueError):
 
 class StructureError(ValueError):
     """Input violates a required circulant / block structure."""
-
-
-def _value(ctx, x):
-    if isinstance(x, FieldElement):
-        if x.ctx != ctx:
-            raise ContextMismatchError("element bound to a different field")
-        return x.value
-    return ctx.check(x)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +420,7 @@ class RankVector:
 
     def __init__(self, ctx: FieldCtx, values):
         self.ctx = ctx
-        self.values = [_value(ctx, v) for v in values]
+        self.values = [ctx.check(v) for v in values]
 
     @classmethod
     def zero(cls, ctx, n):
@@ -466,7 +463,7 @@ class RankVector:
     __sub__ = add
 
     def scalar_mul(self, lam) -> "RankVector":
-        lam = _value(self.ctx, lam)
+        lam = self.ctx.check(lam)
         mul = self.ctx.mul
         return RankVector(self.ctx, [mul(lam, v) for v in self.values])
 
@@ -521,7 +518,7 @@ class RankMatrix:
 
     def __init__(self, ctx: FieldCtx, rows):
         self.ctx = ctx
-        self.rows = [[_value(ctx, v) for v in row] for row in rows]
+        self.rows = [[ctx.check(v) for v in row] for row in rows]
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
         for row in self.rows:
@@ -553,7 +550,7 @@ class RankMatrix:
         n = len(diag)
         M = cls.zero(ctx, n, n)
         for i, v in enumerate(diag):
-            M.rows[i][i] = _value(ctx, v)
+            M.rows[i][i] = ctx.check(v)
         return M
 
     def __eq__(self, other):
@@ -592,7 +589,7 @@ class RankMatrix:
     __sub__ = add
 
     def scalar_mul(self, lam) -> "RankMatrix":
-        lam = _value(self.ctx, lam)
+        lam = self.ctx.check(lam)
         mul = self.ctx.mul
         return RankMatrix(self.ctx, [[mul(lam, v) for v in row] for row in self.rows])
 
@@ -772,13 +769,16 @@ def is_circulant(M: RankMatrix) -> bool:
     return M.nrows == M.ncols and is_partial_circulant(M)
 
 
+def reflect(v):
+    """(v_0, v_{n-1}, ..., v_1): row 0 of Cir(v), and v again from that row."""
+    return v[:1] + v[:0:-1]
+
+
 def circulant_generator(M: RankMatrix) -> RankVector:
     """Recover a with M = Cir_k(a) from the first row; checks the structure."""
     if not is_partial_circulant(M):
         raise StructureError("matrix is not partial circulant")
-    n = M.ncols
-    first = M.rows[0]
-    return RankVector(M.ctx, [first[(n - r) % n] for r in range(n)])
+    return RankVector(M.ctx, reflect(M.rows[0]))
 
 
 def is_circulant_block(M: RankMatrix, n1: int, n2: int) -> bool:
@@ -905,41 +905,57 @@ def circulant_mul_closure(P: RankMatrix, Q: RankMatrix) -> RankMatrix:
     return partial_circulant(RankVector(P.ctx, c), P.nrows)
 
 
-def _block_generators(M: RankMatrix, br, bc, k2, n2):
-    """Generator vectors of every (k2 x n2) block of a block-structured matrix."""
-    gens = []
-    for i in range(br):
-        row = []
-        for j in range(bc):
-            row.append(circulant_generator(M.submatrix(i * k2, j * n2, k2, n2)).values)
-        gens.append(row)
-    return gens
+@dataclass
+class CirculantGrid:
+    """Block matrix held by its block generators.
+
+    Block (i, j) is Cir_k(gens[i][j]): the first k rows of the circulant of
+    an n-vector, k the same for every block (k = n for circulant blocks).
+    """
+
+    ctx: FieldCtx
+    gens: list  # gens[i][j]: list of n ints
+    k: int
+
+    def packed_rows(self):
+        """(packer, rows) exactly as RankMatrix.packed_rows of dense()."""
+        n = len(self.gens[0][0])
+        pk = _packed(self.ctx, n)
+        width = n * pk.S
+        rows = []
+        for grow in self.gens:
+            firsts = [pk.pack(reflect(a)) for a in grow]
+            for r in range(self.k):
+                acc = 0
+                for j, p in enumerate(firsts):
+                    acc |= pk.rotate(p, r, n) << (j * width)
+                rows.append(acc)
+        return _packed(self.ctx, len(grow) * n), rows
+
+    def dense(self) -> RankMatrix:
+        """The expanded matrix; an oracle for tests and the audit."""
+        return RankMatrix.from_blocks(
+            [[partial_circulant(RankVector(self.ctx, a), self.k) for a in row]
+             for row in self.gens]
+        )
 
 
-def circulant_block_compose(B: RankMatrix, A: RankMatrix, k1, n1, k2, n2) -> RankMatrix:
+def circulant_block_compose(B: CirculantGrid, A: CirculantGrid) -> CirculantGrid:
     """Product of a partial-circulant-block B by a circulant-block A.
 
-    Runs blockwise in the circulant ring, so the result carries its
-    partial-circulant-block structure by construction.
+    Block (i, j) of the product has generator sum_l B[i][l] A[l][j] in the
+    circulant ring, so the result is a grid of B's row count by construction.
     """
-    if not is_partial_circulant_block(B, k1, n1, k2, n2):
-        raise StructureError("left factor is not partial-circulant-block")
-    if not is_circulant_block(A, n1, n2):
-        raise StructureError("right factor is not circulant-block")
+    if len(B.gens[0]) != len(A.gens):
+        raise ValueError("dimension mismatch")
     ctx = B.ctx
-    bg = _block_generators(B, k1, n1, k2, n2)
-    ag = _block_generators(A, n1, n1, n2, n2)
-    grid = []
-    for i in range(k1):
-        row = []
-        for j in range(n1):
-            acc = [0] * n2
-            for l in range(n1):
-                term = cyc_mul(ctx, bg[i][l], ag[l][j])
-                acc = [x ^ y for x, y in zip(acc, term)]
-            row.append(partial_circulant(RankVector(ctx, acc), k2))
-        grid.append(row)
-    return RankMatrix.from_blocks(grid)
+    cols = list(zip(*A.gens))
+    gens = [
+        [functools.reduce(_poly_add, (cyc_mul(ctx, b, a) for b, a in zip(brow, col)))
+         for col in cols]
+        for brow in B.gens
+    ]
+    return CirculantGrid(ctx, gens, B.k)
 
 
 def _ring_det(ctx, gens, n1, n2):
@@ -957,14 +973,13 @@ def _ring_det(ctx, gens, n1, n2):
     return det
 
 
-def circulant_block_invert(A: RankMatrix, n1: int, n2: int) -> RankMatrix:
-    """Inverse of a circulant-block matrix, again circulant-block."""
-    if not is_circulant_block(A, n1, n2):
-        raise StructureError("matrix is not circulant-block")
+def circulant_block_invert(A: CirculantGrid) -> CirculantGrid:
+    """Inverse of a circulant-block matrix: adjugate over the determinant."""
     ctx = A.ctx
-    gens = _block_generators(A, n1, n1, n2, n2)
-    det = _ring_det(ctx, gens, n1, n2)
-    det_inv = cyc_inv(ctx, det)
+    gens = A.gens
+    n1 = len(gens)
+    n2 = len(gens[0][0])
+    det_inv = cyc_inv(ctx, _ring_det(ctx, gens, n1, n2))
     if det_inv is None:
         raise SingularMatrixError("circulant-block matrix is singular")
     one = [0] * n2
@@ -982,6 +997,6 @@ def circulant_block_invert(A: RankMatrix, n1: int, n2: int) -> RankMatrix:
                     if r != j
                 ]
                 cof = _ring_det(ctx, minor, n1 - 1, n2)
-            row.append(circulant(RankVector(ctx, cyc_mul(ctx, det_inv, cof))))
+            row.append(cyc_mul(ctx, det_inv, cof))
         grid.append(row)
-    return RankMatrix.from_blocks(grid)
+    return CirculantGrid(ctx, grid, n2)

@@ -4,6 +4,11 @@ Both variants disguise the product-code generator G as
 G_pub = S (G + X) P^{-1} (repaired; S makes it systematic) or
 G_pub = (G + X) P^{-1} (improved; everything partial-circulant-block).
 
+In the improved variant G, X, P and G_pub are held as CirculantGrids, one
+generator per block, from key generation to the decrypter: block (i, j)
+of G is Cir_k2(G1[i][j] g2), so G_pub's generators come from one product
+in the circulant ring, and the dense matrices are never built.
+
 X is built so that any message combination of an in-information-set
 column block keeps rank at most t1: each such block factors through one
 shared GF(2) transform, and its rows follow the shift recursion
@@ -23,16 +28,17 @@ from .gabcodes import DecodeFailure, GabidulinCode, KroneckerCode, from_normal_o
 from .params import ParamSet
 from .ranklinalg import (
     BitMatrix,
+    CirculantGrid,
     RankMatrix,
     RankVector,
     SingularMatrixError,
     circulant,
+    circulant_block_compose,
     circulant_block_invert,
     circulant_inverse,
     column_rank_q,
     field_vec_times_bitmatrix,
-    is_partial_circulant_block,
-    partial_circulant,
+    reflect,
 )
 
 
@@ -133,7 +139,7 @@ class XBlockWitness:
 
 @dataclass
 class XWitness:
-    X: RankMatrix
+    X: RankMatrix | CirculantGrid  # repaired | improved
     blocks: dict  # column block index -> XBlockWitness (in-set blocks only)
 
 
@@ -192,8 +198,9 @@ def construct_X(p: ParamSet, info_set, rng, ctx: FieldCtx) -> XWitness:
     """Disguise matrix X per variant; see the module docstring.
 
     Improved: per column block, in-set blocks share one transform and have
-    column rank t1; out-of-set blocks are random partial circulants.
-    Repaired: one full-width block with the same recursion.
+    column rank t1; out-of-set blocks are random partial circulants; X is
+    the grid of block generators.  Repaired: one dense full-width block
+    with the same recursion.
     """
     if p.variant == "repaired":
         blocks, wit = _low_colrank_block(ctx, [p.k], p.n, p.t1, rng)
@@ -207,14 +214,13 @@ def construct_X(p: ParamSet, info_set, rng, ctx: FieldCtx) -> XWitness:
                 ctx, [p.k2] * p.k1, p.n2, p.t1, rng
             )
             for i in range(p.k1):
-                grid[i][j] = col_blocks[i]
+                grid[i][j] = reflect(col_blocks[i].rows[0])
             if wit is not None:
                 witnesses[j] = wit
         else:
             for i in range(p.k1):
-                gen = RankVector(ctx, [rng.element(ctx.m) for _ in range(p.n2)])
-                grid[i][j] = partial_circulant(gen, p.k2)
-    return XWitness(X=RankMatrix.from_blocks(grid), blocks=witnesses)
+                grid[i][j] = [rng.element(ctx.m) for _ in range(p.n2)]
+    return XWitness(X=CirculantGrid(ctx, grid, p.k2), blocks=witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +231,9 @@ def construct_P(p: ParamSet, spec: SubspaceSpec, info_set, rng, ctx: FieldCtx,
                 tries: int = 64):
     """Invertible right scrambler; returns (P, P_inverse, generator-or-None).
 
-    Improved: circulant-block, column block i drawn from U_i (i in the
-    information set) or V.  Repaired: one circulant generated by a vector
-    over V, returned as the third element for the secret key.
+    Improved: a circulant-block grid, column block i drawn from U_i (i in
+    the information set) or V.  Repaired: one dense circulant generated by
+    a vector over V, returned as the third element for the secret key.
     """
     if p.variant == "repaired":
         for _ in range(tries):
@@ -240,17 +246,14 @@ def construct_P(p: ParamSet, spec: SubspaceSpec, info_set, rng, ctx: FieldCtx,
             return P, Pinv, b
         raise GenerationError("no invertible circulant P found")
     for _ in range(tries):
-        grid = []
-        for jr in range(p.n1):
-            row = []
-            for ic in range(p.n1):
-                elems = spec.span_for_block(ic)
-                gen = RankVector(ctx, [spec.member(elems, rng) for _ in range(p.n2)])
-                row.append(circulant(gen))
-            grid.append(row)
-        P = RankMatrix.from_blocks(grid)
+        grid = [
+            [[spec.member(spec.span_for_block(ic), rng) for _ in range(p.n2)]
+             for ic in range(p.n1)]
+            for _ in range(p.n1)
+        ]
+        P = CirculantGrid(ctx, grid, p.n2)
         try:
-            Pinv = circulant_block_invert(P, p.n1, p.n2)
+            Pinv = circulant_block_invert(P)
         except SingularMatrixError:
             continue
         return P, Pinv, None
@@ -294,7 +297,7 @@ def sample_rank_error(ctx: FieldCtx, n: int, t: int, rng) -> RankVector:
 @dataclass
 class PublicKey:
     params: ParamSet
-    matrix: RankMatrix  # G_pub
+    matrix: RankMatrix | CirculantGrid  # G_pub: repaired | improved
     _packed: tuple = field(default=None, repr=False, compare=False)
 
     def packed_rows(self):
@@ -307,7 +310,7 @@ class PublicKey:
 class ImprovedSecretKey:
     params: ParamSet
     alpha: int
-    P: RankMatrix
+    P: CirculantGrid
     G1: RankMatrix
     _dec: object = field(default=None, repr=False, compare=False)
 
@@ -341,7 +344,7 @@ class KeyPair:
     x_witness: XWitness | None = None
     subspace: SubspaceSpec | None = None
     code: KroneckerCode | None = None
-    P: RankMatrix | None = None
+    P: RankMatrix | CirculantGrid | None = None
 
 
 @dataclass
@@ -353,7 +356,8 @@ class Ciphertext:
 class _Decrypter:
     """Decoder state rebuilt from the secret tuple alone."""
 
-    def __init__(self, code: KroneckerCode, P: RankMatrix, S_inv: RankMatrix | None):
+    def __init__(self, code: KroneckerCode, P: RankMatrix | CirculantGrid,
+                 S_inv: RankMatrix | None):
         self.code = code
         self.P_packed = P.packed_rows()
         self.S_inv = S_inv
@@ -406,10 +410,14 @@ def _keygen_improved(p: ParamSet, rng, ctx) -> KeyPair:
     xw = construct_X(p, code.I, rng, ctx)
     spec = SubspaceSpec.sample(ctx, p.lam, p.lam_p, code.I, rng)
     P, Pinv, _ = construct_P(p, spec, code.I, rng, ctx)
-    Gpub = code.G.add(xw.X).mul(Pinv)
-    if not is_partial_circulant_block(Gpub, p.k1, p.n1, p.k2, p.n2):
-        raise AssertionError("public key lost its block structure (bug)")
-    pk = PublicKey(p, Gpub)
+    # generators of G + X: block (i, j) of G is Cir_k2(G1[i][j] g2)
+    g2 = reflect(G2.rows[0])
+    GX = [
+        [[ctx.mul(G1.rows[i][j], v) ^ x for v, x in zip(g2, xw.X.gens[i][j])]
+         for j in range(p.n1)]
+        for i in range(p.k1)
+    ]
+    pk = PublicKey(p, circulant_block_compose(CirculantGrid(ctx, GX, p.k2), Pinv))
     sk = ImprovedSecretKey(p, alpha=alpha, P=P, G1=G1)
     return KeyPair(pk=pk, sk=sk, x_witness=xw, subspace=spec, code=code, P=P)
 

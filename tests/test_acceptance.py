@@ -143,13 +143,14 @@ def test_criterion_5_rank_budget_property():
     ctx = kp.pk.matrix.ctx
     rng = fresh_rng(b"accept-5-draws")
     budget = p.t1 + p.lam_p * p.t
+    X, P = kp.x_witness.X.dense(), kp.P.dense()
     violations = 0
     for _ in range(200):
         m = RankVector.random(ctx, p.k, rng)
         e = sample_rank_error(ctx, p.n, p.t, rng)
         for i in kp.code.I:
-            X_ci = kp.x_witness.X.submatrix(0, i * p.n2, p.k, p.n2)
-            P_ci = kp.P.submatrix(0, i * p.n2, p.n, p.n2)
+            X_ci = X.submatrix(0, i * p.n2, p.k, p.n2)
+            P_ci = P.submatrix(0, i * p.n2, p.n, p.n2)
             eff = m.mul_matrix(X_ci).add(e.mul_matrix(P_ci))
             if eff.rank_weight() > budget:
                 violations += 1

@@ -1,11 +1,15 @@
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
-from gabkron import keyio
+from gabkron import keyio, scheme
 from gabkron.cli import main
+from gabkron.params import setup
+from gabkron.prng import SeededRng
+from gabkron.ranklinalg import RankMatrix, RankVector
 
 SEED = "ab" * 32
 SET = "new-gabkron-128"
@@ -134,6 +138,52 @@ def test_non_normal_alpha_is_parse_error(keydir, tmp_path, capsys):
     assert rc == 4
     assert "normal" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def _decrypt_with_bad_key(sk, pk, tmp_path, capsys):
+    """CLI decrypt of a valid ciphertext under an inconsistent secret key."""
+    (tmp_path / "pk").write_bytes(keyio.serialize_public_key(pk))
+    (tmp_path / "sk").write_bytes(keyio.serialize_secret_key(sk))
+    (tmp_path / "m").write_bytes(b"x")
+    assert main([
+        "encrypt", "--pk", str(tmp_path / "pk"),
+        "--in", str(tmp_path / "m"), "--out", str(tmp_path / "c"), "--seed", SEED,
+    ]) == 0
+    rc = main([
+        "decrypt", "--sk", str(tmp_path / "sk"),
+        "--in", str(tmp_path / "c"), "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 4
+    assert "bad input file" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_rank_deficient_g1_improved_is_parse_error(keydir, tmp_path, capsys):
+    sk = keyio.parse_secret_key((keydir / "sk.bin").read_bytes())
+    pk = keyio.parse_public_key((keydir / "pk.bin").read_bytes())
+    G1 = RankMatrix.zero(sk.G1.ctx, sk.G1.nrows, sk.G1.ncols)
+    _decrypt_with_bad_key(dataclasses.replace(sk, G1=G1), pk, tmp_path, capsys)
+
+
+@pytest.fixture(scope="module")
+def toy_repaired_kp():
+    p = setup(variant="repaired", m=24, n1=2, k1=2, n2=12, k2=4, t1=2, lam=2)
+    return scheme.keygen(p, SeededRng(b"cli-repaired"))
+
+
+def _bad_repaired(sk, field):
+    ctx = sk.G1.ctx
+    if field == "S":  # singular scrambler
+        return dataclasses.replace(sk, S=RankMatrix.zero(ctx, sk.S.nrows, sk.S.ncols))
+    if field == "g2":  # rank weight 1, not a Gabidulin generator
+        return dataclasses.replace(sk, g2=RankVector(ctx, [1] * len(sk.g2)))
+    return dataclasses.replace(sk, G1=RankMatrix.zero(ctx, sk.G1.nrows, sk.G1.ncols))
+
+
+@pytest.mark.parametrize("field", ["S", "g2", "G1"])
+def test_inconsistent_repaired_key_is_parse_error(toy_repaired_kp, field, tmp_path, capsys):
+    kp = toy_repaired_kp
+    _decrypt_with_bad_key(_bad_repaired(kp.sk, field), kp.pk, tmp_path, capsys)
 
 
 def test_missing_input_file(keydir, tmp_path):

@@ -1,6 +1,7 @@
 import pytest
 
 from gabkron.gf2m import FieldCtx
+from gabkron import audit
 from gabkron import gabcodes as gc
 from gabkron.gabcodes import DecodeFailure, GabidulinCode, KroneckerCode, LinearizedPoly
 from gabkron.ranklinalg import RankMatrix, RankVector, SingularMatrixError
@@ -285,8 +286,9 @@ def test_kron_identity_outer_factor(ctx6):
 def test_kron_left_factor_rank_is_k(ctx6):
     rng = fresh_rng(b"lemma1")
     K = kron_fixture(ctx6, rng)
-    assert K.Gbar1.rank() == 4 == K.k
-    assert K.G == K.Gbar1.mul(K.Gbar2)
+    Gbar1 = audit.left_factor(K)
+    assert Gbar1.rank() == 4 == K.k
+    assert K.G == Gbar1.mul(audit.right_factor(K))
 
 
 def test_kron_rejects_rank_deficient_outer(ctx6):

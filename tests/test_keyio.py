@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 
 from gabkron import keyio, scheme as sc
+from gabkron.gf2m import FieldCtx
 from gabkron.params import setup
 from gabkron.prng import SeededRng
 from gabkron.ranklinalg import RankVector
@@ -38,6 +41,11 @@ def test_unpack_rejects_bad_padding_and_length():
         keyio.unpack_elements(b"\xff", 4, 1)  # padding bits set
     with pytest.raises(keyio.FormatError):
         keyio.unpack_elements(b"\x01\x02", 4, 1)
+    # the top pad bit in the second m-byte chunk: 9 * 211 bits in 238 bytes
+    data = bytearray(keyio.pack_elements([1] * 9, 211))
+    data[-1] |= 0x80
+    with pytest.raises(keyio.FormatError):
+        keyio.unpack_elements(bytes(data), 211, 9)
 
 
 def test_public_key_round_trip_improved(improved_pair):
@@ -140,3 +148,90 @@ def test_unpack_message_rejects_bogus_length(improved_pair):
     vals = [((1 << p.m) - 1)] + vals[1:]  # clobber the length prefix
     with pytest.raises(keyio.FormatError):
         keyio.unpack_message(vals, p)
+
+
+# SHA-256 of the serialized pk, sk and ct under fixed seeds: any change to
+# key generation, encryption or the file format shows up here
+GOLDEN = {
+    "toy-improved": (
+        dict(variant="improved", m=12, n1=2, k1=2, n2=12, k2=4, t=1, t1=1, lam=3, lam_p=2),
+        "96920e72d9fa4ad0ff95f7edf3fbec8e9c0d53627f30a5d123341866d5ee612c",
+        "3d9caccf3d09bb7861b158af88cbf1d6926109eb72628bacd171a3121aed315d",
+        "b42fa969213ca766320289e37cdc3a326966d5e15fb01a596490f08aded82a6c",
+    ),
+    "toy-repaired": (
+        dict(variant="repaired", m=24, n1=2, k1=2, n2=12, k2=4, t1=2, lam=2),
+        "abe1e3ea86aaf78d9e70fa79ecfdaec80f5fd9891b3066c819229c4e62cd9ac5",
+        "9db0a399fe3532edb91e4dc495ca8a44b97c91724dc501fd72bf799f1e9e6843",
+        "b925d236ef28413e01c789a21edcee12a581d87658bbbd84a1a8cef09b9ffe7c",
+    ),
+    "new-gabkron-128": (
+        None,
+        "f5d59e02c302f87fad7dac195ce40c32189af838d11fb2b5ded2e79199add417",
+        "9b29e503dae9df710a4461dc5742452985cdd2eeb2a8cc6fb4adb6a49075e86c",
+        "40c1a15208f997eed2ee3df67d41fc67cc6d5e9667cc9770d946cf3bc3afc178",
+    ),
+}
+
+
+@pytest.mark.parametrize("label", list(GOLDEN))
+def test_golden_digests(label):
+    fields, pk_sha, sk_sha, ct_sha = GOLDEN[label]
+    p = setup(label) if fields is None else setup(**fields)
+    kp = sc.keygen(p, SeededRng(b"golden-" + label.encode()))
+    m = RankVector.random(FieldCtx(p.m, p.modulus), p.k, SeededRng(b"golden-m"))
+    ct = sc.encrypt(m, kp.pk, p, SeededRng(b"golden-e"))
+    assert sc.decrypt(ct, kp.sk, p) == m
+
+    def digest(blob):
+        return hashlib.sha256(blob).hexdigest()
+
+    assert digest(keyio.serialize_public_key(kp.pk)) == pk_sha
+    assert digest(keyio.serialize_secret_key(kp.sk)) == sk_sha
+    assert digest(keyio.serialize_ciphertext(ct)) == ct_sha
+
+
+def _pack_referee(vals, m):
+    # the original one-big-int packer, quadratic in the element count
+    acc = 0
+    for i, v in enumerate(vals):
+        acc |= v << (i * m)
+    return acc.to_bytes((len(vals) * m + 7) // 8, "little")
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 9, 13, 100, 1003])
+def test_pack_elements_matches_referee(count):
+    m = 211
+    rng = fresh_rng(b"pack%d" % count)
+    vals = [rng.element(m) for _ in range(count)]
+    if vals:
+        vals[-1] = (1 << m) - 1  # a full-width last value
+    data = keyio.pack_elements(vals, m)
+    assert data == _pack_referee(vals, m)
+    assert keyio.unpack_elements(data, m, count) == vals
+
+
+def test_improved_key_handling_builds_no_full_width_matrix(improved_pair, monkeypatch):
+    # keygen, parsing and the decrypter work on block generators: no RankMatrix
+    # as wide as the whole code (n1 * n2 columns) is ever built
+    from gabkron.ranklinalg import RankMatrix
+
+    p, kp = improved_pair
+    pk_blob = keyio.serialize_public_key(kp.pk)
+    sk_blob = keyio.serialize_secret_key(kp.sk)
+    shapes = []
+    init = RankMatrix.__init__
+
+    def recording_init(self, ctx, rows):
+        init(self, ctx, rows)
+        shapes.append((self.nrows, self.ncols))
+
+    monkeypatch.setattr(RankMatrix, "__init__", recording_init)
+    kp2 = sc.keygen(p, SeededRng(b"io-improved"))
+    keyio.parse_public_key(pk_blob)
+    sk = keyio.parse_secret_key(sk_blob)
+    sk.decrypter()
+    monkeypatch.undo()
+    assert keyio.serialize_public_key(kp2.pk) == pk_blob
+    assert shapes and all(ncols < p.n for _, ncols in shapes)
+    assert max(ncols for _, ncols in shapes) == p.n2

@@ -283,48 +283,73 @@ def test_circulant_inverse_structure(ctx4):
         done += 1
 
 
+def random_grid(ctx, nrows, ncols, k, n, rng):
+    gens = [[RankVector.random(ctx, n, rng).values for _ in range(ncols)] for _ in range(nrows)]
+    return rl.CirculantGrid(ctx, gens, k)
+
+
+def test_circulant_grid_dense_layout(ctx4):
+    rng = fresh_rng(b"grid")
+    G = random_grid(ctx4, 2, 3, 2, 4, rng)
+    D = G.dense()
+    assert (D.nrows, D.ncols) == (4, 12)
+    for i in range(2):
+        for j in range(3):
+            a = G.gens[i][j]
+            for r in range(2):
+                assert D.rows[i * 2 + r][j * 4 : (j + 1) * 4] == [a[(r - c) % 4] for c in range(4)]
+    assert rl.reflect(D.rows[2][4:8]) == G.gens[1][1]
+    assert rl.reflect(rl.reflect(G.gens[0][2])) == G.gens[0][2]
+
+
+@pytest.mark.parametrize("m,shape", [(4, (2, 3, 2, 4)), (211, (3, 2, 5, 7)), (12, (2, 2, 12, 12))])
+def test_circulant_grid_packed_rows_match_dense(m, shape):
+    ctx = FieldCtx(m)
+    nrows, ncols, k, n = shape
+    G = random_grid(ctx, nrows, ncols, k, n, fresh_rng(b"gridpack%d" % m))
+    pk, rows = G.packed_rows()
+    dpk, drows = G.dense().packed_rows()
+    assert rows == drows
+    assert (pk.L, pk.S) == (dpk.L, dpk.S)
+
+
 def test_circulant_block_invert_closure(ctx4):
     rng = fresh_rng(b"lemma3")
     done = 0
     while done < 100:
-        grid = [
-            [rl.circulant(RankVector.random(ctx4, 3, rng)) for _ in range(2)]
-            for _ in range(2)
-        ]
-        A = RankMatrix.from_blocks(grid)
+        A = random_grid(ctx4, 2, 2, 3, 3, rng)
         try:
-            Ainv = rl.circulant_block_invert(A, 2, 3)
+            Ainv = rl.circulant_block_invert(A)
         except SingularMatrixError:
             continue
-        assert rl.is_circulant_block(Ainv, 2, 3)
-        assert A.mul(Ainv) == RankMatrix.identity(ctx4, 6)
+        assert Ainv.k == 3
+        assert rl.is_circulant_block(Ainv.dense(), 2, 3)
+        assert A.dense().mul(Ainv.dense()) == RankMatrix.identity(ctx4, 6)
         done += 1
 
 
+def test_circulant_block_invert_singular(ctx4):
+    # equal block rows: the determinant in the ring is zero
+    a, b = [1, 2, 3], [5, 0, 7]
+    with pytest.raises(SingularMatrixError):
+        rl.circulant_block_invert(rl.CirculantGrid(ctx4, [[a, b], [a, b]], 3))
+
+
 def test_circulant_block_invert_identity(ctx4):
-    I = RankMatrix.identity(ctx4, 6)
-    assert rl.circulant_block_invert(I, 2, 3) == I
-    assert rl.is_circulant_block(I, 2, 3)
+    one, zero = [1, 0, 0], [0, 0, 0]
+    I = rl.CirculantGrid(ctx4, [[one, zero], [zero, one]], 3)
+    assert rl.circulant_block_invert(I) == I
+    assert I.dense() == RankMatrix.identity(ctx4, 6)
 
 
 def test_circulant_block_compose_closure(ctx4):
     rng = fresh_rng(b"lemma5")
     for _ in range(100):
-        B = RankMatrix.from_blocks(
-            [
-                [rl.partial_circulant(RankVector.random(ctx4, 3, rng), 2) for _ in range(2)]
-                for _ in range(2)
-            ]
-        )
-        A = RankMatrix.from_blocks(
-            [
-                [rl.circulant(RankVector.random(ctx4, 3, rng)) for _ in range(2)]
-                for _ in range(2)
-            ]
-        )
-        Q = rl.circulant_block_compose(B, A, 2, 2, 2, 3)
-        assert Q == B.mul(A)
-        assert rl.is_partial_circulant_block(Q, 2, 2, 2, 3)
+        B = random_grid(ctx4, 2, 2, 2, 3, rng)
+        A = random_grid(ctx4, 2, 2, 3, 3, rng)
+        Q = rl.circulant_block_compose(B, A)
+        assert Q.dense() == B.dense().mul(A.dense())
+        assert rl.is_partial_circulant_block(Q.dense(), 2, 2, 2, 3)
 
 
 def test_information_set_examples(ctx4):

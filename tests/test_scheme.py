@@ -82,7 +82,7 @@ def test_rank_error_range_check():
 
 def test_construct_x_improved_structure(toy_kp):
     p, kp = toy_kp
-    X = kp.x_witness.X
+    X = kp.x_witness.X.dense()
     assert is_partial_circulant_block(X, p.k1, p.n1, p.k2, p.n2)
     I = kp.code.I
     for j in I:
@@ -94,7 +94,7 @@ def test_construct_x_message_rank_bound(toy_kp):
     p, kp = toy_kp
     rng = fresh_rng(b"xmsg")
     ctx = kp.pk.matrix.ctx
-    X = kp.x_witness.X
+    X = kp.x_witness.X.dense()
     for j in kp.code.I:
         block = x_column_block(p, X, j)
         for _ in range(100):
@@ -115,13 +115,13 @@ def test_construct_x_witness_factorization(toy_kp):
             rebuilt = [
                 sc.field_vec_times_bitmatrix(ctx, row, W) for row in padded
             ]
-            got = kp.x_witness.X.submatrix(i * p.k2, j * p.n2, p.k2, p.n2)
+            got = kp.x_witness.X.dense().submatrix(i * p.k2, j * p.n2, p.k2, p.n2)
             assert rebuilt == got.rows
 
 
 def test_construct_x_out_of_set_blocks_are_partial_circulant(toy_kp):
     p, kp = toy_kp
-    X = kp.x_witness.X
+    X = kp.x_witness.X.dense()
     for j in range(p.n1):
         for i in range(p.k1):
             blk = X.submatrix(i * p.k2, j * p.n2, p.k2, p.n2)
@@ -135,7 +135,7 @@ def test_construct_x_zero_t1_edge():
     zeroed = type(p)(**{**p.__dict__, "t1": 0})
     ctx = FieldCtx(12)
     xw = construct_X(zeroed, (0, 1), fresh_rng(b"x0"), ctx)
-    assert xw.X == RankMatrix.zero(ctx, p.k, p.n)
+    assert xw.X.dense() == RankMatrix.zero(ctx, p.k, p.n)
     assert xw.blocks == {}
 
 
@@ -158,13 +158,14 @@ def test_construct_x_repaired_full_width(toy_rep_kp):
 
 def test_construct_p_improved_structure(toy_kp):
     p, kp = toy_kp
-    P = kp.P
+    P = kp.P.dense()
     spec = kp.subspace
     assert is_circulant_block(P, p.n1, p.n2)
     from gabkron.ranklinalg import circulant_block_invert
 
-    Pinv = circulant_block_invert(P, p.n1, p.n2)
+    Pinv = circulant_block_invert(kp.P).dense()
     assert is_circulant_block(Pinv, p.n1, p.n2)
+    assert P.mul(Pinv) == RankMatrix.identity(P.ctx, p.n)
     for i in range(p.n1):
         elems = spec.span_for_block(i)
         if i in kp.code.I:
@@ -180,7 +181,7 @@ def test_construct_p_error_rank_bound(toy_kp):
     ctx = kp.pk.matrix.ctx
     rng = fresh_rng(b"perr")
     for i in kp.code.I:
-        block = p_column_block(p, kp.P, i)
+        block = p_column_block(p, kp.P.dense(), i)
         for _ in range(100):
             e = sample_rank_error(ctx, p.n, p.t, rng)
             assert e.mul_matrix(block).rank_weight() <= p.lam_p * p.t
@@ -218,12 +219,14 @@ def test_keygen_deterministic(toy_kp):
 
 def test_key_equation(toy_kp):
     p, kp = toy_kp
-    assert kp.pk.matrix.mul(kp.P) == kp.code.G.add(kp.x_witness.X)
+    # the ring product against the dense one: G_pub P = G + X
+    G_pub = kp.pk.matrix.dense()
+    assert G_pub.mul(kp.P.dense()) == kp.code.G.add(kp.x_witness.X.dense())
 
 
 def test_improved_pk_structure(toy_kp):
     p, kp = toy_kp
-    assert is_partial_circulant_block(kp.pk.matrix, p.k1, p.n1, p.k2, p.n2)
+    assert is_partial_circulant_block(kp.pk.matrix.dense(), p.k1, p.n1, p.k2, p.n2)
 
 
 def test_repaired_pk_systematic(toy_rep_kp):
@@ -242,12 +245,13 @@ def test_rank_budget_per_block(toy_kp):
     ctx = kp.pk.matrix.ctx
     rng = fresh_rng(b"budget")
     budget = p.t1 + p.lam_p * p.t
+    X, P = kp.x_witness.X.dense(), kp.P.dense()
     for _ in range(200):
         m = RankVector.random(ctx, p.k, rng)
         e = sample_rank_error(ctx, p.n, p.t, rng)
         for i in kp.code.I:
-            eff = m.mul_matrix(x_column_block(p, kp.x_witness.X, i)).add(
-                e.mul_matrix(p_column_block(p, kp.P, i))
+            eff = m.mul_matrix(x_column_block(p, X, i)).add(
+                e.mul_matrix(p_column_block(p, P, i))
             )
             assert eff.rank_weight() <= budget
 
@@ -281,7 +285,7 @@ def test_encrypt_error_override_noiseless(toy_kp):
     rng = fresh_rng(b"noiseless")
     m = RankVector.random(ctx, p.k, rng)
     ct = sc.encrypt(m, kp.pk, p, rng, error=RankVector.zero(ctx, p.n))
-    assert ct.values == m.mul_matrix(kp.pk.matrix)
+    assert ct.values == m.mul_matrix(kp.pk.matrix.dense())
     assert sc.decrypt(ct, kp.sk, p) == m
 
 
@@ -307,7 +311,7 @@ def test_encrypt_error_has_exact_rank(toy_kp):
     rng = fresh_rng(b"erank")
     m = RankVector.random(ctx, p.k, rng)
     ct = sc.encrypt(m, kp.pk, p, rng)
-    e = ct.values.add(m.mul_matrix(kp.pk.matrix))
+    e = ct.values.add(m.mul_matrix(kp.pk.matrix.dense()))
     assert e.rank_weight() == p.t
 
 
