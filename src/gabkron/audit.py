@@ -25,7 +25,6 @@ from .ranklinalg import (
     circulant_block_compose,
     circulant_block_invert,
     circulant_inverse,
-    circulant_mul_closure,
     cyc_inv,
     is_circulant,
     is_circulant_block,
@@ -238,9 +237,7 @@ def _original_pipeline_matrix(p: ParamSet, rng, ctx) -> RankMatrix:
         raise ValueError("the original pipeline uses repaired-shape parameters")
     while True:
         alpha = ctx.find_normal_element(rng)
-        g1 = RankVector(
-            ctx, [ctx.frobenius(alpha, (p.n1 - 1 - j) % ctx.m) for j in range(p.n1)]
-        )
+        g1 = RankVector(ctx, ctx.frobenius_orbit(alpha, p.n1))
         G1 = partial_circulant(g1, p.k1)
         if G1.rank() != p.k1:
             continue
@@ -320,10 +317,6 @@ def right_factor(K: KroneckerCode) -> RankMatrix:
     )
 
 
-def _random_circulant(ctx, n, rng):
-    return circulant(RankVector.random(ctx, n, rng))
-
-
 def _random_invertible_circulant(ctx, n, rng):
     while True:
         gen = RankVector.random(ctx, n, rng)
@@ -391,10 +384,10 @@ def verify_structure_lemmas(rng, trials: int = 100) -> LemmaReport:
 
     passes = 0
     for _ in range(trials):
-        P = partial_circulant(RankVector.random(ctx4, 6, rng), 2)
-        Q = _random_circulant(ctx4, 6, rng)
-        prod = circulant_mul_closure(P, Q)
-        if is_partial_circulant(prod) and prod == P.mul(Q):
+        P = _random_grid(ctx4, 1, 1, 2, 6, rng)
+        Q = _random_grid(ctx4, 1, 1, 6, 6, rng)
+        prod = circulant_block_compose(P, Q).dense()
+        if is_partial_circulant(prod) and prod == P.dense().mul(Q.dense()):
             passes += 1
     report.results["partial-product"] = (passes, trials)
 

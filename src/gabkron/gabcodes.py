@@ -322,7 +322,7 @@ def from_normal_orbit(ctx: FieldCtx, alpha: int, n2: int, k2: int):
     """
     if not ctx.is_normal(alpha):
         raise ValueError("alpha must be a normal element")
-    g2 = RankVector(ctx, [ctx.frobenius(alpha, (n2 - 1 - j) % ctx.m) for j in range(n2)])
+    g2 = RankVector(ctx, ctx.frobenius_orbit(alpha, n2))
     G2 = partial_circulant(g2, k2)
     gamma = RankVector(ctx, G2.rows[k2 - 1])
     code = GabidulinCode(gamma, k2)

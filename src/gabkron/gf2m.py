@@ -266,6 +266,13 @@ class FieldCtx:
             a = self.sqr(a)
         return a
 
+    def frobenius_orbit(self, a: int, n: int) -> list[int]:
+        """(a^[n-1], ..., a^[1], a) from n - 1 squarings."""
+        out = [a]
+        for _ in range(n - 1):
+            out.append(self.sqr(out[-1]))
+        return out[::-1]
+
     # -- base-field structure --------------------------------------------
 
     def _frobenius_columns(self) -> list[int]:

@@ -12,7 +12,9 @@ The improved variant's G_pub and P are partial-circulant-block matrices
 and travel as the first row of every block, blocks in row-major order.
 Row 0 of Cir_k(a) is reflect(a) = (a_0, a_{n-1}, ..., a_1), an involution,
 so parsing and serializing map those rows to and from the in-memory
-CirculantGrid of generators by slicing alone.
+CirculantGrid of generators by slicing alone.  The repaired secret key
+stores b itself, the generator of its one-block grid P = Cir(b).  Parsing
+rejects a singular P in either variant.
 
 Messages for encryption are arbitrary byte strings up to the capacity
 floor(k*m/8) - 4; a 4-byte big-endian length prefix travels inside the
@@ -159,6 +161,11 @@ def parse_public_key(data: bytes) -> PublicKey:
 # secret keys
 
 
+def _check_invertible(P: CirculantGrid) -> None:
+    if P.det_inverse() is None:
+        raise FormatError("P is singular")
+
+
 def serialize_secret_key(sk) -> bytes:
     p = sk.params
     vals = []
@@ -171,7 +178,7 @@ def serialize_secret_key(sk) -> bytes:
         for row in sk.G1.rows:
             vals.extend(row)
         vals.extend(sk.g2.values)
-        vals.extend(sk.b.values)
+        vals.extend(sk.P.gens[0][0])
         for row in sk.S.rows:
             vals.extend(row)
     else:
@@ -189,6 +196,7 @@ def parse_secret_key(data: bytes):
         if not ctx.is_normal(alpha):
             raise FormatError("alpha is not a normal element")
         P = _grid(ctx, vals[1:], p.n1, p.n1, p.n2, p.n2)
+        _check_invertible(P)
         pos = 1 + p.n1 * p.n1 * p.n2
         G1 = RankMatrix(
             ctx, [vals[pos + i * p.n1 : pos + (i + 1) * p.n1] for i in range(p.k1)]
@@ -201,12 +209,13 @@ def parse_secret_key(data: bytes):
     pos += p.k1 * p.n1
     g2 = RankVector(ctx, vals[pos : pos + p.n2])
     pos += p.n2
-    b = RankVector(ctx, vals[pos : pos + p.n])
+    P = CirculantGrid(ctx, [[vals[pos : pos + p.n]]], p.n)
     pos += p.n
     S = RankMatrix(
         ctx, [vals[pos + i * p.k : pos + (i + 1) * p.k] for i in range(p.k)]
     )
-    return RepairedSecretKey(p, G1=G1, g2=g2, b=b, S=S)
+    _check_invertible(P)
+    return RepairedSecretKey(p, G1=G1, g2=g2, P=P, S=S)
 
 
 # ---------------------------------------------------------------------------

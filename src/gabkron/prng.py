@@ -2,8 +2,9 @@
 
 SeededRng is a splitmix64 stream used wherever reproducibility matters
 (test vectors, --seed on the command line).  SystemRng draws from the
-operating system and is the default for key generation.  Both expose the
-same small interface; anything accepting an `rng` takes either.
+operating system and is the default for key generation; it subclasses
+SeededRng and replaces only the entropy source, so anything accepting an
+`rng` takes either.
 """
 
 from __future__ import annotations
@@ -75,8 +76,11 @@ class SeededRng:
         return out
 
 
-class SystemRng:
-    """OS-entropy source with the SeededRng interface."""
+class SystemRng(SeededRng):
+    """OS-entropy source: SeededRng with the splitmix64 stream replaced."""
+
+    def __init__(self):
+        """No stream state: every draw reads os.urandom."""
 
     def u64(self) -> int:
         return int.from_bytes(os.urandom(8), "big")
@@ -85,28 +89,5 @@ class SystemRng:
         nbytes = (nbits + 7) // 8
         return int.from_bytes(os.urandom(nbytes), "little") & ((1 << nbits) - 1)
 
-    def element(self, m: int) -> int:
-        return self.bits(((m + 63) // 64) * 64) & ((1 << m) - 1)
-
-    def nonzero_element(self, m: int) -> int:
-        while True:
-            v = self.element(m)
-            if v:
-                return v
-
     def bytes(self, n: int) -> bytes:
         return os.urandom(n)
-
-    def randrange(self, bound: int) -> int:
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        return self.bits(bound.bit_length() + 64) % bound
-
-    def sample(self, seq, count: int) -> list:
-        pool = list(seq)
-        if count > len(pool):
-            raise ValueError("sample larger than population")
-        out = []
-        for _ in range(count):
-            out.append(pool.pop(self.randrange(len(pool))))
-        return out

@@ -15,9 +15,12 @@ of a = (a_0, ..., a_{n-1}) has row 0 = reflect(a) = (a_0, a_{n-1}, ..., a_1)
 and every row is the right cyclic shift of the one above, i.e.
 M[i][j] = a[(i-j) % n].  Circulant n x n matrices multiply like polynomials
 mod z^n - 1, so Cir_k(b) Cir(a) = Cir_k(b a) in that ring.  A matrix made
-of such blocks is held as a CirculantGrid of block generators; products
-and inverses of grids run in the ring, and the dense matrix is built only
-as a test oracle (CirculantGrid.dense).
+of such blocks, a single circulant included (a 1 x 1 grid), is held as a
+CirculantGrid of block generators; products and inverses of grids run in
+the ring, and the dense matrix is built only as a test oracle
+(CirculantGrid.dense).  Ring elements live in packed rows, slot i holding
+the coefficient of z^i, so cyc_mul and cyc_inv use the same scal/fold
+kernel as the matrices.
 """
 
 from __future__ import annotations
@@ -774,13 +777,6 @@ def reflect(v):
     return v[:1] + v[:0:-1]
 
 
-def circulant_generator(M: RankMatrix) -> RankVector:
-    """Recover a with M = Cir_k(a) from the first row; checks the structure."""
-    if not is_partial_circulant(M):
-        raise StructureError("matrix is not partial circulant")
-    return RankVector(M.ctx, reflect(M.rows[0]))
-
-
 def is_circulant_block(M: RankMatrix, n1: int, n2: int) -> bool:
     if M.nrows != n1 * n2 or M.ncols != n1 * n2:
         return False
@@ -814,63 +810,34 @@ def cyc_mul(ctx, a, b):
     return pk.lincomb(a, (pk.rotate(pb, r, n) for r in range(n)))
 
 
-def _poly_deg(p):
-    for i in range(len(p) - 1, -1, -1):
-        if p[i]:
-            return i
-    return -1
-
-
-def _poly_divmod(ctx, a, b):
-    db = _poly_deg(b)
-    if db < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = ctx.inv(b[db])
-    rem = list(a)
-    quot = [0] * max(len(a) - db, 1)
-    for i in range(_poly_deg(rem), db - 1, -1):
-        if rem[i]:
-            f = ctx.mul(rem[i], inv_lead)
-            quot[i - db] = f
-            for j in range(db + 1):
-                if b[j]:
-                    rem[i - db + j] ^= ctx.mul(f, b[j])
-    return quot, rem[:db] if db > 0 else [0]
-
-
-def _poly_mul(ctx, a, b):
-    da, db = _poly_deg(a), _poly_deg(b)
-    if da < 0 or db < 0:
-        return [0]
-    out = [0] * (da + db + 1)
-    for i in range(da + 1):
-        if a[i]:
-            for j in range(db + 1):
-                if b[j]:
-                    out[i + j] ^= ctx.mul(a[i], b[j])
-    return out
-
-
 def cyc_inv(ctx, a):
-    """Inverse of a in GF(2^m)[z]/(z^n - 1), or None if a is not a unit."""
+    """Inverse of a in GF(2^m)[z]/(z^n - 1), or None if a is not a unit.
+
+    Extended Euclid on packed rows, slot i holding the coefficient of z^i:
+    each division step clears the leading slot of r0 with one scal of r1
+    and applies the same step to the Bezout row s0.
+    """
     n = len(a)
-    modp = [0] * (n + 1)
-    modp[0] = 1
-    modp[n] = 1
-    # extended Euclid: r0 = modulus, r1 = a
-    r0, r1 = modp, list(a)
-    s0, s1 = [0], [1]
-    while _poly_deg(r1) > 0:
-        q, rem = _poly_divmod(ctx, r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _poly_add(s0, _poly_mul(ctx, q, s1))
-    if _poly_deg(r1) < 0:
+    pk = _packed(ctx, n + 1)
+    S = pk.S
+    # invariant: r_i = s_i a mod z^n - 1; r0 = z^n + 1 and r1 = a to start
+    r0, r1 = 1 | 1 << (n * S), pk.pack(a)
+    s0, s1 = 0, 1
+    while r1 >> S:  # deg r1 > 0
+        d1 = (r1.bit_length() - 1) // S
+        inv_lead = ctx.inv(pk.entry(r1, d1))
+        d0 = (r0.bit_length() - 1) // S
+        while d0 >= d1:  # d0 is -1 once r0 is zero
+            f = ctx.mul(pk.entry(r0, d0), inv_lead)
+            sh = (d0 - d1) * S
+            r0 = pk.fold(r0 ^ pk.scal(r1, f) << sh)
+            s0 = pk.fold(s0 ^ pk.scal(s1, f) << sh)
+            d0 = (r0.bit_length() - 1) // S
+        r0, r1, s0, s1 = r1, r0, s1, s0
+    if not r1:
         return None  # gcd has positive degree: a shares a factor with z^n - 1
-    c = ctx.inv(r1[0])
-    inv = [ctx.mul(c, v) for v in s1]
-    _, inv = _poly_divmod(ctx, inv, modp) if _poly_deg(inv) >= n else (None, inv)
-    inv = list(inv) + [0] * (n - len(inv))
-    return inv[:n]
+    # r1 is the constant gcd, and deg s1 < n
+    return pk.unpack(pk.fold(pk.scal(s1, ctx.inv(r1))))[:n]
 
 
 def _poly_add(a, b):
@@ -884,25 +851,12 @@ def _poly_add(a, b):
 
 def circulant_inverse(M: RankMatrix) -> RankMatrix:
     """Inverse of a circulant matrix, computed and returned in circulant form."""
-    gen = circulant_generator(M)
-    inv = cyc_inv(M.ctx, gen.values)
+    if not is_circulant(M):
+        raise StructureError("matrix is not circulant")
+    inv = cyc_inv(M.ctx, reflect(M.rows[0]))
     if inv is None:
         raise SingularMatrixError("circulant matrix is singular")
     return circulant(RankVector(M.ctx, inv))
-
-
-def circulant_mul_closure(P: RankMatrix, Q: RankMatrix) -> RankMatrix:
-    """Product of a k-partial circulant by a circulant; stays k-partial circulant."""
-    if not is_partial_circulant(P):
-        raise StructureError("left factor is not partial circulant")
-    if not is_circulant(Q):
-        raise StructureError("right factor is not circulant")
-    if P.ncols != Q.nrows:
-        raise ValueError("dimension mismatch")
-    a = circulant_generator(P)
-    b = circulant_generator(Q)
-    c = cyc_mul(P.ctx, a.values, b.values)
-    return partial_circulant(RankVector(P.ctx, c), P.nrows)
 
 
 @dataclass
@@ -931,6 +885,12 @@ class CirculantGrid:
                     acc |= pk.rotate(p, r, n) << (j * width)
                 rows.append(acc)
         return _packed(self.ctx, len(grow) * n), rows
+
+    def det_inverse(self):
+        """Inverse of the ring determinant of a square grid, or None when the
+        grid is singular."""
+        n1 = len(self.gens)
+        return cyc_inv(self.ctx, _ring_det(self.ctx, self.gens, n1, len(self.gens[0][0])))
 
     def dense(self) -> RankMatrix:
         """The expanded matrix; an oracle for tests and the audit."""
@@ -975,28 +935,24 @@ def _ring_det(ctx, gens, n1, n2):
 
 def circulant_block_invert(A: CirculantGrid) -> CirculantGrid:
     """Inverse of a circulant-block matrix: adjugate over the determinant."""
+    det_inv = A.det_inverse()
+    if det_inv is None:
+        raise SingularMatrixError("circulant-block matrix is singular")
     ctx = A.ctx
     gens = A.gens
     n1 = len(gens)
-    n2 = len(gens[0][0])
-    det_inv = cyc_inv(ctx, _ring_det(ctx, gens, n1, n2))
-    if det_inv is None:
-        raise SingularMatrixError("circulant-block matrix is singular")
-    one = [0] * n2
-    one[0] = 1
+    n2 = len(det_inv)
+    if n1 == 1:
+        return CirculantGrid(ctx, [[det_inv]], n2)
     grid = []
     for i in range(n1):
         row = []
         for j in range(n1):
-            if n1 == 1:
-                cof = one
-            else:
-                minor = [
-                    [gens[r][c] for c in range(n1) if c != i]
-                    for r in range(n1)
-                    if r != j
-                ]
-                cof = _ring_det(ctx, minor, n1 - 1, n2)
-            row.append(cyc_mul(ctx, det_inv, cof))
+            minor = [
+                [gens[r][c] for c in range(n1) if c != i]
+                for r in range(n1)
+                if r != j
+            ]
+            row.append(cyc_mul(ctx, det_inv, _ring_det(ctx, minor, n1 - 1, n2)))
         grid.append(row)
     return CirculantGrid(ctx, grid, n2)

@@ -4,8 +4,11 @@ Both variants disguise the product-code generator G as
 G_pub = S (G + X) P^{-1} (repaired; S makes it systematic) or
 G_pub = (G + X) P^{-1} (improved; everything partial-circulant-block).
 
-In the improved variant G, X, P and G_pub are held as CirculantGrids, one
-generator per block, from key generation to the decrypter: block (i, j)
+Both variants hold P as a CirculantGrid, one generator per block: n1 x n1
+blocks in the improved variant, the single block Cir(b) in the repaired
+one.  Its inverse comes from the circulant ring, and the decrypter reads
+P's packed rows straight from the grid.  In the improved variant G, X and
+G_pub are grids too, from key generation to the decrypter: block (i, j)
 of G is Cir_k2(G1[i][j] g2), so G_pub's generators come from one product
 in the circulant ring, and the dense matrices are never built.
 
@@ -32,10 +35,8 @@ from .ranklinalg import (
     RankMatrix,
     RankVector,
     SingularMatrixError,
-    circulant,
     circulant_block_compose,
     circulant_block_invert,
-    circulant_inverse,
     column_rank_q,
     field_vec_times_bitmatrix,
     reflect,
@@ -229,34 +230,24 @@ def construct_X(p: ParamSet, info_set, rng, ctx: FieldCtx) -> XWitness:
 
 def construct_P(p: ParamSet, spec: SubspaceSpec, info_set, rng, ctx: FieldCtx,
                 tries: int = 64):
-    """Invertible right scrambler; returns (P, P_inverse, generator-or-None).
+    """Invertible right scrambler as a circulant-block grid; returns (P, P^-1).
 
-    Improved: a circulant-block grid, column block i drawn from U_i (i in
-    the information set) or V.  Repaired: one dense circulant generated by
-    a vector over V, returned as the third element for the secret key.
+    Improved: n1 x n1 blocks of size n2, column block i drawn from U_i (i in
+    the information set) or V.  Repaired: the single block Cir(b), b of
+    length n drawn from V.
     """
-    if p.variant == "repaired":
-        for _ in range(tries):
-            b = RankVector(ctx, [spec.member(spec.basis, rng) for _ in range(p.n)])
-            P = circulant(b)
-            try:
-                Pinv = circulant_inverse(P)
-            except SingularMatrixError:
-                continue
-            return P, Pinv, b
-        raise GenerationError("no invertible circulant P found")
+    nb, size = (1, p.n) if p.variant == "repaired" else (p.n1, p.n2)
     for _ in range(tries):
         grid = [
-            [[spec.member(spec.span_for_block(ic), rng) for _ in range(p.n2)]
-             for ic in range(p.n1)]
-            for _ in range(p.n1)
+            [[spec.member(spec.span_for_block(ic), rng) for _ in range(size)]
+             for ic in range(nb)]
+            for _ in range(nb)
         ]
-        P = CirculantGrid(ctx, grid, p.n2)
+        P = CirculantGrid(ctx, grid, size)
         try:
-            Pinv = circulant_block_invert(P)
+            return P, circulant_block_invert(P)
         except SingularMatrixError:
             continue
-        return P, Pinv, None
     raise GenerationError("no invertible circulant-block P found")
 
 
@@ -325,7 +316,7 @@ class RepairedSecretKey:
     params: ParamSet
     G1: RankMatrix
     g2: RankVector
-    b: RankVector  # generator of P = Cir_n(b)
+    P: CirculantGrid  # one block, Cir_n(b)
     S: RankMatrix
     _dec: object = field(default=None, repr=False, compare=False)
 
@@ -344,7 +335,7 @@ class KeyPair:
     x_witness: XWitness | None = None
     subspace: SubspaceSpec | None = None
     code: KroneckerCode | None = None
-    P: RankMatrix | CirculantGrid | None = None
+    P: CirculantGrid | None = None
 
 
 @dataclass
@@ -356,8 +347,7 @@ class Ciphertext:
 class _Decrypter:
     """Decoder state rebuilt from the secret tuple alone."""
 
-    def __init__(self, code: KroneckerCode, P: RankMatrix | CirculantGrid,
-                 S_inv: RankMatrix | None):
+    def __init__(self, code: KroneckerCode, P: CirculantGrid, S_inv: RankMatrix | None):
         self.code = code
         self.P_packed = P.packed_rows()
         self.S_inv = S_inv
@@ -375,7 +365,7 @@ class _Decrypter:
         p = sk.params
         C2 = GabidulinCode(sk.g2, p.k2)
         code = KroneckerCode(sk.G1, C2)
-        return cls(code, circulant(sk.b), sk.S.invert())
+        return cls(code, sk.P, sk.S.invert())
 
     def decrypt(self, c_vals):
         pk, prows = self.P_packed
@@ -409,7 +399,7 @@ def _keygen_improved(p: ParamSet, rng, ctx) -> KeyPair:
     code = KroneckerCode(G1, C2, G2)
     xw = construct_X(p, code.I, rng, ctx)
     spec = SubspaceSpec.sample(ctx, p.lam, p.lam_p, code.I, rng)
-    P, Pinv, _ = construct_P(p, spec, code.I, rng, ctx)
+    P, Pinv = construct_P(p, spec, code.I, rng, ctx)
     # generators of G + X: block (i, j) of G is Cir_k2(G1[i][j] g2)
     g2 = reflect(G2.rows[0])
     GX = [
@@ -426,22 +416,21 @@ def _keygen_repaired(p: ParamSet, rng, ctx, tries: int) -> KeyPair:
     for _ in range(tries):
         G1 = RankMatrix.random_full_rank(ctx, p.k1, p.n1, rng)
         alpha = ctx.find_normal_element(rng)
-        g2 = RankVector(
-            ctx, [ctx.frobenius(alpha, (p.n2 - 1 - j) % ctx.m) for j in range(p.n2)]
-        )
+        g2 = RankVector(ctx, ctx.frobenius_orbit(alpha, p.n2))
         C2 = GabidulinCode(g2, p.k2)
         code = KroneckerCode(G1, C2)
         xw = construct_X(p, code.I, rng, ctx)
         spec = SubspaceSpec.sample(ctx, p.lam, None, code.I, rng)
-        P, Pinv, b = construct_P(p, spec, code.I, rng, ctx)
-        M0 = code.G.add(xw.X).mul(Pinv)
+        P, Pinv = construct_P(p, spec, code.I, rng, ctx)
+        pinv, pinv_rows = Pinv.packed_rows()
+        M0 = RankMatrix(ctx, [pinv.lincomb(row, pinv_rows) for row in code.G.add(xw.X).rows])
         try:
             S = M0.submatrix(0, 0, p.k, p.k).invert()
         except SingularMatrixError:
             continue  # leading minor singular: fresh randomness
         Gpub = S.mul(M0)
         pk = PublicKey(p, Gpub)
-        sk = RepairedSecretKey(p, G1=G1, g2=g2, b=b, S=S)
+        sk = RepairedSecretKey(p, G1=G1, g2=g2, P=P, S=S)
         return KeyPair(pk=pk, sk=sk, x_witness=xw, subspace=spec, code=code, P=P)
     raise GenerationError("could not reach a systematic public key")
 

@@ -90,6 +90,13 @@ def test_frobenius_power_rows_match_repeated_squaring(m, t):
         vals = [ctx.sqr(v) for v in vals]
 
 
+@pytest.mark.parametrize("m,n", [(4, 1), (4, 3), (4, 9), (12, 12), (90, 90), (211, 210)])
+def test_frobenius_orbit_matches_powers(m, n):
+    ctx = FieldCtx(m)
+    a = fresh_rng(b"orbit").element(m)
+    assert ctx.frobenius_orbit(a, n) == [ctx.frobenius(a, (n - 1 - j) % m) for j in range(n)]
+
+
 def test_frobenius_rejects_negative(ctx4):
     with pytest.raises(ValueError):
         ctx4.frobenius(1, -1)

@@ -80,7 +80,7 @@ def test_secret_key_round_trip_repaired(repaired_pair):
     again = keyio.parse_secret_key(blob)
     assert again.G1 == kp.sk.G1
     assert again.g2 == kp.sk.g2
-    assert again.b == kp.sk.b
+    assert again.P.dense() == kp.sk.P.dense()
     assert again.S == kp.sk.S
 
 

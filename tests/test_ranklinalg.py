@@ -225,10 +225,11 @@ def test_circulant_generator_round_trip(ctx8):
     rng = fresh_rng(b"gen")
     a = RankVector.random(ctx8, 6, rng)
     C = rl.circulant(a)
-    assert rl.circulant_generator(C) == a
+    assert rl.CirculantGrid(ctx8, [[a.values]], 6).dense() == C
+    assert rl.reflect(C.rows[0]) == a.values
     assert rl.is_circulant(C)
     with pytest.raises(StructureError):
-        rl.circulant_generator(RankMatrix.random(ctx8, 3, 3, rng))
+        rl.circulant_inverse(RankMatrix.random(ctx8, 3, 3, rng))
 
 
 def test_circulant_product_matches_generic(ctx4):
@@ -241,31 +242,39 @@ def test_circulant_product_matches_generic(ctx4):
         assert Ca.mul(Cb) == via_ring
 
 
+def one_block(ctx, a, k):
+    return rl.CirculantGrid(ctx, [[a.values]], k)
+
+
 def test_circulant_mul_closure_oracle(ctx4):
     rng = fresh_rng(b"lemma4")
     for _ in range(200):
-        P = rl.partial_circulant(RankVector.random(ctx4, 3, rng), 2)
-        Q = rl.circulant(RankVector.random(ctx4, 3, rng))
-        prod = rl.circulant_mul_closure(P, Q)
-        assert prod == P.mul(Q)
+        P = one_block(ctx4, RankVector.random(ctx4, 3, rng), 2)
+        Q = one_block(ctx4, RankVector.random(ctx4, 3, rng), 3)
+        prod = rl.circulant_block_compose(P, Q).dense()
+        assert prod == P.dense().mul(Q.dense())
         assert rl.is_partial_circulant(prod)
 
 
 def test_circulant_mul_closure_identity(ctx4):
     rng = fresh_rng(b"lemma4id")
-    P = rl.partial_circulant(RankVector.random(ctx4, 4, rng), 2)
-    e_first = rl.circulant(RankVector(ctx4, [1, 0, 0, 0]))
-    assert rl.circulant_mul_closure(P, e_first) == P
+    P = one_block(ctx4, RankVector.random(ctx4, 4, rng), 2)
+    e_first = one_block(ctx4, RankVector(ctx4, [1, 0, 0, 0]), 4)
+    assert rl.circulant_block_compose(P, e_first) == P
 
 
 def test_circulant_mul_closure_rejects_bad_structure(ctx4):
     rng = fresh_rng(b"lemma4bad")
-    good = rl.circulant(RankVector.random(ctx4, 3, rng))
-    bad = RankMatrix.random(ctx4, 3, 3, rng)
+    good = one_block(ctx4, RankVector.random(ctx4, 3, rng), 3)
+    wide = rl.CirculantGrid(ctx4, [[[1, 0, 0], [0, 1, 0]]], 3)
+    with pytest.raises(ValueError):
+        rl.circulant_block_compose(wide, good)
+    with pytest.raises(ValueError):
+        rl.circulant_block_compose(good, one_block(ctx4, RankVector.random(ctx4, 4, rng), 4))
     with pytest.raises(StructureError):
-        rl.circulant_mul_closure(bad, good)
+        rl.circulant_inverse(RankMatrix.random(ctx4, 3, 3, rng))
     with pytest.raises(StructureError):
-        rl.circulant_mul_closure(rl.partial_circulant(RankVector.random(ctx4, 3, rng), 2), bad)
+        rl.circulant_inverse(rl.partial_circulant(RankVector.random(ctx4, 3, rng), 2))
 
 
 def test_circulant_inverse_structure(ctx4):
@@ -281,6 +290,37 @@ def test_circulant_inverse_structure(ctx4):
         assert rl.is_circulant(Ci)
         assert C.mul(Ci) == RankMatrix.identity(ctx4, 5)
         done += 1
+
+
+@pytest.mark.parametrize("m,n", [(4, 6), (8, 5)])
+def test_cyc_inv_matches_dense_inverse(m, n):
+    ctx = FieldCtx(m)
+    rng = fresh_rng(b"cycinv%d" % m)
+    inputs = [[0] * n, [1] * n, [1] + [0] * (n - 1)]
+    for trial in range(150):
+        # every third input is sparse, so zero divisors and zero show up
+        if trial % 3:
+            inputs.append(RankVector.random(ctx, n, rng).values)
+        else:
+            inputs.append([rng.element(m) if rng.randrange(4) == 0 else 0 for _ in range(n)])
+    units = 0
+    for a in inputs:
+        inv = rl.cyc_inv(ctx, a)
+        try:
+            dense = rl.circulant(RankVector(ctx, a)).invert()
+        except SingularMatrixError:
+            assert inv is None
+            continue
+        assert rl.circulant(RankVector(ctx, inv)) == dense
+        units += 1
+    assert 0 < units < len(inputs)
+
+
+def test_cyc_inv_full_size():
+    ctx = FieldCtx(211)
+    a = RankVector.random(ctx, 210, fresh_rng(b"cycinv211")).values
+    inv = rl.cyc_inv(ctx, a)
+    assert rl.cyc_mul(ctx, a, inv) == [1] + [0] * 209
 
 
 def random_grid(ctx, nrows, ncols, k, n, rng):

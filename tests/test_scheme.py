@@ -189,10 +189,10 @@ def test_construct_p_error_rank_bound(toy_kp):
 
 def test_construct_p_repaired_entries_in_v(toy_rep_kp):
     p, kp = toy_rep_kp
-    P = kp.P
+    P = kp.P.dense()
     assert is_circulant(P)
     basis = kp.subspace.basis
-    for v in kp.sk.b.values:
+    for v in kp.sk.P.dense().rows[0]:
         assert sc.in_span(v, basis)
 
 
@@ -234,9 +234,9 @@ def test_repaired_pk_systematic(toy_rep_kp):
     ctx = kp.pk.matrix.ctx
     assert kp.pk.matrix.submatrix(0, 0, p.k, p.k) == RankMatrix.identity(ctx, p.k)
     # S undoes the row transform: S_pub = S (G+X) P^{-1}
-    from gabkron.ranklinalg import circulant_inverse, circulant
+    from gabkron.ranklinalg import circulant_inverse
 
-    M0 = kp.code.G.add(kp.x_witness.X).mul(circulant_inverse(circulant(kp.sk.b)))
+    M0 = kp.code.G.add(kp.x_witness.X).mul(circulant_inverse(kp.sk.P.dense()))
     assert kp.sk.S.mul(M0) == kp.pk.matrix
 
 
