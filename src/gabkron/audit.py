@@ -310,10 +310,10 @@ def left_factor(K: KroneckerCode) -> RankMatrix:
 
 
 def right_factor(K: KroneckerCode) -> RankMatrix:
-    """Gbar2 = I_n1 (x) G2, the block-diagonal right factor."""
+    """Gbar2 = I_n1 (x) C2.generator, the block-diagonal right factor."""
     zero = RankMatrix.zero(K.ctx, K.k2, K.n2)
     return RankMatrix.from_blocks(
-        [[K.G2 if i == j else zero for j in range(K.n1)] for i in range(K.n1)]
+        [[K.C2.generator if i == j else zero for j in range(K.n1)] for i in range(K.n1)]
     )
 
 

@@ -17,6 +17,13 @@ and as Y is binary, W_p = sum_i Y_{p,i} h_i^[w-1] locates the error
 against row w-1 of the parity-check matrix.  One packed product then
 re-checks every syndrome, so a returned pair is always a valid decoding
 within the radius.
+
+Each code owns the presentation its messages are written in: the Moore
+matrix of g by default, the partial circulant of a normal orbit for the
+improved variant (from_normal_orbit).  The parity check h, the packed
+generator and parity columns, and the inverse that reads messages off a
+codeword are built on first use, so key generation and decrypter builds
+do none of that work and the first decode pays for it once.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ from .ranklinalg import (
     _solve_packed,
     bit_kernel,
     information_set,
-    partial_circulant,
     solve_gf2,
 )
 
@@ -115,9 +121,16 @@ def moore_matrix(g: RankVector, nrows: int) -> RankMatrix:
 
 
 class GabidulinCode:
-    """[n, k] Gabidulin code over GF(2^m), n <= m."""
+    """[n, k] Gabidulin code over GF(2^m), n <= m.
 
-    def __init__(self, g: RankVector, k: int):
+    `generator` is the k x n matrix whose rows present the code: messages
+    are written in it (encode) and read back from it (decode).  It defaults
+    to the Moore matrix of g and must span the same code; decoding checks
+    every message it returns against it.  The parity check and the other
+    decoder state are built on first decode.
+    """
+
+    def __init__(self, g: RankVector, k: int, generator: RankMatrix | None = None):
         ctx = g.ctx
         n = len(g)
         if n > ctx.m:
@@ -126,30 +139,32 @@ class GabidulinCode:
             raise ValueError("generator vector must have full rank weight")
         if not 1 <= k <= n:
             raise ValueError(f"dimension {k} out of range [1, {n}]")
+        if generator is None:
+            generator = moore_matrix(g, k)
+        elif generator.ctx != ctx or (generator.nrows, generator.ncols) != (k, n):
+            raise ValueError(f"generator must be a {k} x {n} matrix over the code's field")
         self.ctx = ctx
         self.g = g
         self.n = n
         self.k = k
         self.radius = (n - k) // 2
-        self.generator = moore_matrix(g, k)
-        self.h, self.parity_check = self._dual_vector()
-        # message recovery: the leading k columns of a Moore matrix of a
-        # full-rank-weight vector are always invertible
-        self._lead_inv = self.generator.submatrix(0, 0, k, k).invert()
-        self._packed_gen = None
-        self._packed_hcols = None
+        self.generator = generator
         self._hbits = {}  # w -> GF(2) expansion of h^[w-1]
 
-    def _dual_vector(self):
+    @cached_property
+    def h(self) -> RankVector:
         """Vector h whose Moore matrix is a parity check for this code.
 
         h must satisfy sum_i h_i g_i^[d] = 0 for the n-1 exponents
         d = -(n-k-1), ..., k-1; those rows form a Moore matrix of rank n-1,
         so the kernel is one-dimensional.
         """
+        return self._dual_vector()
+
+    def _dual_vector(self):
         ctx, n, k = self.ctx, self.n, self.k
         if n == k:
-            return RankVector(ctx, []), RankMatrix(ctx, [])
+            return RankVector(ctx, [])
         lo = -(n - k - 1) % ctx.m
         base = [ctx.frobenius(v, lo) for v in self.g.values]
         A = moore_matrix(RankVector(ctx, base), n - 1)
@@ -162,40 +177,57 @@ class GabidulinCode:
         hv = RankVector(ctx, h + [1])
         if hv.rank_weight() != n:
             raise SingularMatrixError("parity vector lacks full rank weight")
-        return hv, moore_matrix(hv, n - k)
+        return hv
 
-    def _gen_packed(self):
-        if self._packed_gen is None:
-            self._packed_gen = self.generator.packed_rows()
-        return self._packed_gen
+    @cached_property
+    def parity_check(self) -> RankMatrix:
+        """(n-k) x n Moore matrix of h."""
+        if self.n == self.k:
+            return RankMatrix(self.ctx, [])
+        return moore_matrix(self.h, self.n - self.k)
 
-    def _hcols_packed(self):
-        if self._packed_hcols is None:
-            d1 = self.n - self.k
-            pk = _packed(self.ctx, d1)
-            cols = [
-                pk.pack([self.parity_check.rows[r][i] for r in range(d1)])
-                for i in range(self.n)
-            ]
-            self._packed_hcols = (pk, cols)
-        return self._packed_hcols
+    @cached_property
+    def _packed_generator(self):
+        return self.generator.packed_rows()
+
+    @cached_property
+    def _packed_hcols(self):
+        d1 = self.n - self.k
+        pk = _packed(self.ctx, d1)
+        H = self.parity_check
+        return pk, [pk.pack([H.rows[r][i] for r in range(d1)]) for i in range(self.n)]
+
+    @cached_property
+    def _lead_inv(self) -> RankMatrix:
+        # the leading k columns of a generator of an MRD code are an
+        # information set, so this inverse exists for any valid presentation
+        return self.generator.submatrix(0, 0, self.k, self.k).invert()
 
     def encode(self, u) -> RankVector:
         vals = u.values if isinstance(u, RankVector) else list(u)
         if len(vals) != self.k:
             raise ValueError(f"message length {len(vals)} != k={self.k}")
-        pk, prows = self._gen_packed()
+        pk, prows = self._packed_generator
         return RankVector(self.ctx, pk.lincomb(vals, prows))
 
     def syndromes(self, y_vals):
-        pk, cols = self._hcols_packed()
+        pk, cols = self._packed_hcols
         return pk.lincomb(y_vals, cols)
 
     def _message_of_codeword(self, c_vals):
-        return self._lead_inv.left_mul_values(c_vals[: self.k])
+        """u with u·generator = c, read off the leading k coordinates.
+
+        Raises DecodeFailure when re-encoding u does not give c back: c is
+        not spanned by the presentation.
+        """
+        u = self._lead_inv.left_mul_values(c_vals[: self.k])
+        pk, prows = self._packed_generator
+        if pk.lincomb(u, prows) != list(c_vals):
+            raise DecodeFailure("codeword is not spanned by the presentation")
+        return u
 
     def decode(self, y):
-        """Recover (u, e) with y = u·G + e and rk(e) <= radius.
+        """Recover (u, e) with y = u·generator + e and rk(e) <= radius.
 
         Raises DecodeFailure when no codeword lies within the radius.  The
         returned pair always satisfies the stated relation exactly.
@@ -230,7 +262,7 @@ class GabidulinCode:
             raise DecodeFailure("error support does not lie in the code space")
         # every syndrome must match, not just the w solved for.  Same product
         # as syndromes(), whose calls perfbench counts as received blocks.
-        pk, cols = self._hcols_packed()
+        pk, cols = self._packed_hcols
         if pk.lincomb(e_vals, cols) != s:
             raise DecodeFailure("error values inconsistent with the syndromes")
         c_vals = [a ^ b for a, b in zip(y_vals, e_vals)]
@@ -314,51 +346,47 @@ class GabidulinCode:
         return u, e
 
 
-def from_normal_orbit(ctx: FieldCtx, alpha: int, n2: int, k2: int):
+def from_normal_orbit(ctx: FieldCtx, alpha: int, n2: int, k2: int) -> GabidulinCode:
     """Gabidulin code presented by the partial circulant of the orbit vector.
 
-    Returns (code, G2) where G2 = Cir_{k2}(alpha^[n2-1], ..., alpha) and the
-    code's Moore generator spans the same rows (G2 lists them in reverse).
+    With orbit = (alpha^[n2-1], ..., alpha), the code is Gab_k2(gamma) for
+    gamma = row k2-1 of Cir_k2(orbit), presented by the row-reversed Moore
+    matrix of gamma.  When n2 = m (the improved variant) that presentation
+    is Cir_k2(orbit) itself, so it spans the code by construction.
     """
     if not ctx.is_normal(alpha):
         raise ValueError("alpha must be a normal element")
-    g2 = RankVector(ctx, ctx.frobenius_orbit(alpha, n2))
-    G2 = partial_circulant(g2, k2)
-    gamma = RankVector(ctx, G2.rows[k2 - 1])
-    code = GabidulinCode(gamma, k2)
-    return code, G2
+    orbit = ctx.frobenius_orbit(alpha, n2)
+    gamma = RankVector(ctx, [orbit[(k2 - 1 - j) % n2] for j in range(n2)])
+    return GabidulinCode(gamma, k2, RankMatrix(ctx, moore_matrix(gamma, k2).rows[::-1]))
 
 
 class KroneckerCode:
-    """[n1*n2, k1*k2] product code of an outer matrix with a Gabidulin code."""
+    """[n1*n2, k1*k2] product code of an outer matrix with a Gabidulin code.
 
-    def __init__(self, G1: RankMatrix, C2: GabidulinCode, G2: RankMatrix | None = None):
+    The inner code presents itself: block messages are written in
+    C2.generator, so the product generator is G1 (x) C2.generator.  The
+    inner decoder state is built on the first block decode.
+    """
+
+    def __init__(self, G1: RankMatrix, C2: GabidulinCode):
         ctx = G1.ctx
         if ctx != C2.ctx:
             raise ValueError("outer matrix and inner code use different fields")
-        if G2 is None:
-            G2 = C2.generator
-        if (G2.nrows, G2.ncols) != (C2.k, C2.n):
-            raise ValueError("inner generator shape mismatch")
-        k1, n1 = G1.nrows, G1.ncols
-        if G1.rank() != k1:
-            raise SingularMatrixError("outer matrix must have full row rank")
         self.ctx = ctx
         self.G1 = G1
         self.C2 = C2
-        self.G2 = G2
-        self.k1, self.n1 = k1, n1
+        self.k1, self.n1 = G1.nrows, G1.ncols
         self.k2, self.n2 = C2.k, C2.n
-        self.k = k1 * self.k2
-        self.n = n1 * self.n2
+        self.k = self.k1 * self.k2
+        self.n = self.n1 * self.n2
+        # raises SingularMatrixError unless G1 has full row rank
         self.I = information_set(G1)
-        self._I2 = information_set(G2)
-        self._G2_inv_at_I2 = G2.take_columns(self._I2).invert()
 
     @cached_property
     def G(self) -> RankMatrix:
-        """The dense k x n generator G1 (x) G2, built on first use only."""
-        G1, G2 = self.G1, self.G2
+        """The dense k x n generator G1 (x) C2.generator, built on first use only."""
+        G1, G2 = self.G1, self.C2.generator
         return RankMatrix.from_blocks(
             [[G2.scalar_mul(G1.rows[i][j]) for j in range(self.n1)] for i in range(self.k1)]
         )
@@ -375,30 +403,14 @@ class KroneckerCode:
         return RankVector(self.ctx, pk.lincomb(vals, prows))
 
     def subcode_membership(self, c) -> bool:
-        """True iff c lies in the row space of the Gabidulin-block factor."""
+        """True iff every block of c is a codeword of the inner code."""
         vals = c.values if isinstance(c, RankVector) else list(c)
         if len(vals) != self.n:
             raise ValueError(f"length {len(vals)} != n={self.n}")
-        for j in range(self.n1):
-            block = vals[j * self.n2 : (j + 1) * self.n2]
-            if self._block_message(block) is None:
-                return False
-        return True
-
-    def _block_message(self, block_vals):
-        """u with u·G2 = block, or None when the block is not a codeword."""
-        u = self._G2_inv_at_I2.left_mul_values([block_vals[j] for j in self._I2])
-        if self.G2.left_mul_values(u) != list(block_vals):
-            return None
-        return u
-
-    def _decode_block(self, block_vals):
-        """Message (w.r.t. G2) of the unique codeword within the block radius."""
-        c_vals, _ = self.C2._decode_codeword(block_vals)
-        u = self._block_message(c_vals)
-        if u is None:
-            raise DecodeFailure("decoded block is not spanned by the presentation")
-        return u
+        n2 = self.n2
+        return not any(
+            any(self.C2.syndromes(vals[j * n2 : (j + 1) * n2])) for j in range(self.n1)
+        )
 
     def block_decode(self, y):
         """Blockwise decoding through the inner code over an information set.
@@ -411,14 +423,16 @@ class KroneckerCode:
         if len(y_vals) != self.n:
             raise ValueError(f"received length {len(y_vals)} != n={self.n}")
         blocks = [y_vals[j * self.n2 : (j + 1) * self.n2] for j in range(self.n1)]
-        decoded: dict[int, list] = {}
+        C2 = self.C2
+        decoded: dict[int, list] = {}  # j -> message of block j w.r.t. C2.generator
         failed: set[int] = set()
 
         def try_block(j):
             if j in decoded or j in failed:
                 return j in decoded
             try:
-                decoded[j] = self._decode_block(blocks[j])
+                c_vals, _ = C2._decode_codeword(blocks[j])
+                decoded[j] = C2._message_of_codeword(c_vals)
                 return True
             except DecodeFailure:
                 failed.add(j)
@@ -432,19 +446,20 @@ class KroneckerCode:
         for cand in itertools.combinations(usable, self.k1):
             if cand == self.I:
                 continue
-            sub = self.G1.take_columns(cand)
             try:
-                sub.invert()
+                return self._solve_outer(cand, decoded)
             except SingularMatrixError:
                 continue
-            return self._solve_outer(cand, decoded)
         raise DecodeFailure(
             f"no decodable information set (failed blocks: {sorted(failed)})",
             failed_blocks=sorted(failed),
         )
 
     def _solve_outer(self, cols, decoded):
-        """Solve u_j = sum_l G1[l][j] m_l over the chosen information set."""
+        """Solve u_j = sum_l G1[l][j] m_l over the chosen column set.
+
+        Raises SingularMatrixError when those columns of G1 are dependent.
+        """
         A = RankMatrix(
             self.ctx, [[self.G1.rows[l][j] for l in range(self.k1)] for j in cols]
         )

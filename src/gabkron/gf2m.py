@@ -149,8 +149,6 @@ class FieldCtx:
         # bit positions of x^m mod modulus, used to fold products
         red = modulus ^ (1 << m)
         self._red_shifts = tuple(i for i in range(m) if red >> i & 1)
-        self._frob_cols: list[int] | None = None
-        self._sqrt_cols: list[int] | None = None
         self._frob_rows: tuple[int, ...] = ()
 
     def __repr__(self):
@@ -275,19 +273,6 @@ class FieldCtx:
 
     # -- base-field structure --------------------------------------------
 
-    def _frobenius_columns(self) -> list[int]:
-        """Column i = coefficients of x^(2i) mod f: squaring as an F_2 map."""
-        if self._frob_cols is None:
-            self._frob_cols = [self.sqr(1 << i) for i in range(self.m)]
-        return self._frob_cols
-
-    def _sqrt_columns(self) -> list[int]:
-        """Columns of the inverse of the squaring map (square roots)."""
-        if self._sqrt_cols is None:
-            cols = self._frobenius_columns()
-            self._sqrt_cols = _invert_bit_columns(cols, self.m)
-        return self._sqrt_cols
-
     def frobenius_power_rows(self, t: int) -> tuple[int, ...]:
         """Row u = (x^i)^[u] for i < m, u = 0..t, packed as in ranklinalg.
 
@@ -310,16 +295,8 @@ class FieldCtx:
         return rows
 
     def sqrt(self, a: int) -> int:
-        """Unique square root in characteristic 2 (inverse Frobenius)."""
-        cols = self._sqrt_columns()
-        r = 0
-        i = 0
-        while a:
-            if a & 1:
-                r ^= cols[i]
-            a >>= 1
-            i += 1
-        return r
+        """Unique square root in characteristic 2: a^[m-1], as a^[m] = a."""
+        return self.frobenius(a, self.m - 1)
 
     def is_normal(self, a: int) -> bool:
         """True iff the Frobenius orbit of a is an F_2-basis of the field."""
@@ -369,33 +346,3 @@ def _bit_rank(rows) -> int:
             pivots.sort(reverse=True)
             rank += 1
     return rank
-
-
-def _invert_bit_columns(cols, n):
-    """Invert an n x n F_2 matrix given as column bitmasks."""
-    rows = [0] * n
-    for j, c in enumerate(cols):
-        for i in range(n):
-            if c >> i & 1:
-                rows[i] |= 1 << j
-    aug = [(rows[i] << n) | (1 << i) for i in range(n)]
-    # forward + back substitution on [M | I] bit rows (identity in low bits)
-    pos = 0
-    for col in range(n):
-        bit = 1 << (n + col)
-        piv = next((i for i in range(pos, n) if aug[i] & bit), None)
-        if piv is None:
-            raise ZeroDivisionError("bit matrix is singular")
-        aug[pos], aug[piv] = aug[piv], aug[pos]
-        for i in range(n):
-            if i != pos and aug[i] & bit:
-                aug[i] ^= aug[pos]
-        pos += 1
-    inv_rows = [r & ((1 << n) - 1) for r in aug]
-    out_cols = [0] * n
-    for i, r in enumerate(inv_rows):
-        for j in range(n):
-            if r >> j & 1:
-                out_cols[j] |= 1 << i
-    return out_cols
-

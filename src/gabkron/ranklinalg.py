@@ -291,17 +291,10 @@ class BitMatrix:
         if self.nrows != self.ncols:
             raise SingularMatrixError("only square bit matrices invert")
         n = self.nrows
-        aug = [(self.rows[i]) | (1 << (n + i)) for i in range(n)]
-        r = 0
-        for col in range(n):
-            piv = next((i for i in range(r, n) if aug[i] >> col & 1), None)
-            if piv is None:
-                raise SingularMatrixError("bit matrix is singular", rank=r)
-            aug[r], aug[piv] = aug[piv], aug[r]
-            for i in range(n):
-                if i != r and aug[i] >> col & 1:
-                    aug[i] ^= aug[r]
-            r += 1
+        aug = [row | (1 << (n + i)) for i, row in enumerate(self.rows)]
+        rank = len(_bit_gauss_jordan(aug, n))
+        if rank < n:
+            raise SingularMatrixError("bit matrix is singular", rank=rank)
         return BitMatrix(n, n, [row >> n for row in aug])
 
     def cyclic_col_shift(self):
@@ -324,13 +317,16 @@ class BitMatrix:
         return f"BitMatrix({self.nrows}x{self.ncols})"
 
 
-def bit_kernel(mat: BitMatrix):
-    """Basis of the right kernel of a GF(2) matrix, as column bitmasks."""
-    n = mat.ncols
-    rows = list(mat.rows)
+def _bit_gauss_jordan(rows, ncols):
+    """In-place reduced row echelon form over GF(2) on the low ncols bits.
+
+    Bits above ncols ride along (an augmented right-hand side).  Returns the
+    pivot columns; row r holds the pivot of column pivots[r], and the rows
+    below the last pivot are zero in their low ncols bits.
+    """
     r = 0
     pivots = []
-    for col in range(n):
+    for col in range(ncols):
         piv = next((i for i in range(r, len(rows)) if rows[i] >> col & 1), None)
         if piv is None:
             continue
@@ -340,6 +336,14 @@ def bit_kernel(mat: BitMatrix):
                 rows[i] ^= rows[r]
         pivots.append(col)
         r += 1
+    return pivots
+
+
+def bit_kernel(mat: BitMatrix):
+    """Basis of the right kernel of a GF(2) matrix, as column bitmasks."""
+    n = mat.ncols
+    rows = list(mat.rows)
+    pivots = _bit_gauss_jordan(rows, n)
     pivot_set = set(pivots)
     basis = []
     for free in range(n):
@@ -360,30 +364,21 @@ def solve_gf2(mat: BitMatrix, rhs_cols):
     system is inconsistent.  Free variables are set to zero.
     """
     n = mat.ncols
-    w = len(rhs_cols)
     rows = []
     for i in range(mat.nrows):
         ext = mat.rows[i]
         for t, b in enumerate(rhs_cols):
             ext |= (b >> i & 1) << (n + t)
         rows.append(ext)
-    r = 0
-    pivots = []
-    for col in range(n):
-        piv = next((i for i in range(r, len(rows)) if rows[i] >> col & 1), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i] >> col & 1:
-                rows[i] ^= rows[r]
-        pivots.append(col)
-        r += 1
+    pivots = _bit_gauss_jordan(rows, n)
+    # rows past the last pivot have a zero left side: any rhs bit there is
+    # an inconsistency
+    inconsistent = 0
+    for row in rows[len(pivots):]:
+        inconsistent |= row >> n
     sols = []
-    for t in range(w):
-        # inconsistent iff some zero-lhs row has this rhs bit set
-        bad = any(rows[i] & ((1 << n) - 1) == 0 and rows[i] >> (n + t) & 1 for i in range(r, len(rows)))
-        if bad:
+    for t in range(len(rhs_cols)):
+        if inconsistent >> t & 1:
             sols.append(None)
             continue
         y = 0

@@ -12,6 +12,13 @@ G_pub are grids too, from key generation to the decrypter: block (i, j)
 of G is Cir_k2(G1[i][j] g2), so G_pub's generators come from one product
 in the circulant ring, and the dense matrices are never built.
 
+The inner Gabidulin code carries its own presentation, and block messages
+are written in it: Cir_k2 of the normal orbit of alpha in the improved
+variant (gabcodes.from_normal_orbit), the Moore matrix of g2 in the
+repaired one.  Key generation never builds the decoder; a decrypter build
+makes the codes and P's packed rows, and the inner code's parity check and
+message inverse are built on the first decrypt.
+
 X is built so that any message combination of an in-information-set
 column block keeps rank at most t1: each such block factors through one
 shared GF(2) transform, and its rows follow the shift recursion
@@ -356,8 +363,7 @@ class _Decrypter:
     def for_improved(cls, sk: ImprovedSecretKey):
         p = sk.params
         ctx = sk.G1.ctx
-        C2, G2 = from_normal_orbit(ctx, sk.alpha, p.n2, p.k2)
-        code = KroneckerCode(sk.G1, C2, G2)
+        code = KroneckerCode(sk.G1, from_normal_orbit(ctx, sk.alpha, p.n2, p.k2))
         return cls(code, sk.P, None)
 
     @classmethod
@@ -395,13 +401,12 @@ def keygen(p: ParamSet, rng, tries: int = 64) -> KeyPair:
 def _keygen_improved(p: ParamSet, rng, ctx) -> KeyPair:
     G1 = RankMatrix.random_full_rank(ctx, p.k1, p.n1, rng)
     alpha = ctx.find_normal_element(rng)
-    C2, G2 = from_normal_orbit(ctx, alpha, p.n2, p.k2)
-    code = KroneckerCode(G1, C2, G2)
+    code = KroneckerCode(G1, from_normal_orbit(ctx, alpha, p.n2, p.k2))
     xw = construct_X(p, code.I, rng, ctx)
     spec = SubspaceSpec.sample(ctx, p.lam, p.lam_p, code.I, rng)
     P, Pinv = construct_P(p, spec, code.I, rng, ctx)
     # generators of G + X: block (i, j) of G is Cir_k2(G1[i][j] g2)
-    g2 = reflect(G2.rows[0])
+    g2 = reflect(code.C2.generator.rows[0])
     GX = [
         [[ctx.mul(G1.rows[i][j], v) ^ x for v, x in zip(g2, xw.X.gens[i][j])]
          for j in range(p.n1)]

@@ -4,7 +4,7 @@ from gabkron.gf2m import FieldCtx
 from gabkron import audit
 from gabkron import gabcodes as gc
 from gabkron.gabcodes import DecodeFailure, GabidulinCode, KroneckerCode, LinearizedPoly
-from gabkron.ranklinalg import RankMatrix, RankVector, SingularMatrixError
+from gabkron.ranklinalg import RankMatrix, RankVector, SingularMatrixError, partial_circulant
 from gabkron.scheme import sample_rank_error
 
 from conftest import fresh_rng
@@ -243,16 +243,54 @@ def test_orbit_circulant_presentation():
     ctx = FieldCtx(8)
     rng = fresh_rng(b"orbit8")
     alpha = ctx.find_normal_element(rng)
-    C2, G2 = gc.from_normal_orbit(ctx, alpha, 8, 3)
+    C2 = gc.from_normal_orbit(ctx, alpha, 8, 3)
+    G2 = C2.generator
+    # the presentation is the partial circulant of the orbit vector
+    assert G2 == partial_circulant(RankVector(ctx, ctx.frobenius_orbit(alpha, 8)), 3)
     # reversed rows form the Moore generator
-    assert list(reversed(G2.rows)) == C2.generator.rows
+    assert list(reversed(G2.rows)) == gc.moore_matrix(C2.g, 3).rows
     # successive rows step down one Frobenius power
     for i in range(G2.nrows - 1):
         assert [ctx.sqr(v) for v in G2.rows[i + 1]] == G2.rows[i]
     # same row space: every presentation row is a codeword
     for row in G2.rows:
+        assert not any(C2.syndromes(row))
         u = C2._message_of_codeword(row)
         assert C2.encode(u).values == row
+
+
+def test_non_moore_presentation_round_trip(ctx8):
+    rng = fresh_rng(b"present")
+    g = full_rank_vector(ctx8, 8, rng)
+    moore = gc.moore_matrix(g, 3)
+    while True:
+        A = RankMatrix.random(ctx8, 3, 3, rng)
+        if A.rank() == 3:
+            break
+    C = GabidulinCode(g, 3, A.mul(moore))
+    assert C.generator == A.mul(moore)
+    for w in range(C.radius + 1):
+        u = RankVector.random(ctx8, 3, rng)
+        c = C.encode(u)
+        assert c == u.mul_matrix(A).mul_matrix(moore)
+        e = sample_rank_error(ctx8, 8, w, rng)
+        assert C.decode(c + e) == (u, e)
+
+
+def test_presentation_is_checked(ctx8):
+    rng = fresh_rng(b"presshape")
+    g = full_rank_vector(ctx8, 8, rng)
+    with pytest.raises(ValueError):
+        GabidulinCode(g, 3, gc.moore_matrix(g, 4))
+    with pytest.raises(ValueError):
+        GabidulinCode(g, 3, RankMatrix.zero(ctx8, 3, 7))
+    with pytest.raises(ValueError):
+        GabidulinCode(g, 3, RankMatrix.zero(FieldCtx(9), 3, 8))
+    # a matrix of the right shape that spans another code: decoding refuses
+    # to write a codeword in it
+    C = GabidulinCode(g, 3, RankMatrix.random_full_rank(ctx8, 3, 8, rng))
+    with pytest.raises(DecodeFailure):
+        C.decode(gc.moore_matrix(g, 3).row(0))
 
 
 # -- Kronecker product --------------------------------------------------------
@@ -306,12 +344,20 @@ def test_subcode_membership(ctx6):
         msg = RankVector.random(ctx6, K.k, rng)
         assert K.subcode_membership(K.encode(msg))
     assert K.subcode_membership(RankVector.zero(ctx6, K.n))
-    # the solver itself is the referee for random vectors
-    for _ in range(20):
+    # referee for random vectors: re-encoding each block's message gives the
+    # block back
+    C2 = K.C2
+    for trial in range(40):
         y = RankVector.random(ctx6, K.n, rng)
+        if trial % 2:
+            # a codeword with one block replaced
+            vals = list(K.encode(RankVector.random(ctx6, K.k, rng)).values)
+            j = trial // 2 % K.n1
+            vals[j * K.n2 : (j + 1) * K.n2] = y.values[j * K.n2 : (j + 1) * K.n2]
+            y = RankVector(ctx6, vals)
+        blocks = [y.values[j * K.n2 : (j + 1) * K.n2] for j in range(K.n1)]
         expected = all(
-            K._block_message(y.values[j * K.n2 : (j + 1) * K.n2]) is not None
-            for j in range(K.n1)
+            C2.encode(C2._lead_inv.left_mul_values(b[: C2.k])).values == b for b in blocks
         )
         assert K.subcode_membership(y) == expected
 

@@ -455,3 +455,35 @@ def test_solve_gf2_consistency():
     B = BitMatrix.from_entries([[1, 1], [1, 1]])
     assert rl.solve_gf2(B, [0b01])[0] is None
     assert rl.solve_gf2(B, [0b11])[0] is not None
+
+
+def test_gf2_elimination_against_bruteforce():
+    # the kernel, solutions and inverse from the shared elimination, refereed
+    # by evaluating every vector of GF(2)^ncols
+    rng = fresh_rng(b"gf2brute")
+    for nrows in range(1, 6):
+        for ncols in range(1, 6):
+            for _ in range(12):
+                A = BitMatrix.random(nrows, ncols, rng)
+                images = {y: _bitmat_apply(A, y) for y in range(1 << ncols)}
+                kernel = {y for y, b in images.items() if b == 0}
+                span = {0}
+                for v in rl.bit_kernel(A):
+                    assert v not in span
+                    span |= {x ^ v for x in span}
+                assert span == kernel
+                targets = [rng.bits(nrows) for _ in range(3)] + [images[rng.bits(ncols)]]
+                for b, y in zip(targets, rl.solve_gf2(A, targets)):
+                    if b in images.values():
+                        assert y is not None and images[y] == b
+                    else:
+                        assert y is None
+                if nrows != ncols:
+                    continue
+                if len(kernel) == 1:
+                    inv = A.inverse()
+                    assert inv.mul(A) == A.mul(inv) == BitMatrix.identity(nrows)
+                else:
+                    with pytest.raises(SingularMatrixError) as exc:
+                        A.inverse()
+                    assert exc.value.rank == nrows - (len(kernel).bit_length() - 1)

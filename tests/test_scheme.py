@@ -3,6 +3,7 @@ import pytest
 from gabkron.gf2m import FieldCtx, _bit_rank
 from gabkron import scheme as sc
 from gabkron import keyio
+from gabkron.gabcodes import GabidulinCode
 from gabkron.params import setup
 from gabkron.prng import SeededRng
 from gabkron.ranklinalg import (
@@ -357,3 +358,46 @@ def test_wide_outer_matrix_round_trip():
         m = RankVector.random(ctx, p.k, rng)
         ct = sc.encrypt(m, kp.pk, p, rng)
         assert sc.decrypt(ct, kp.sk, p) == m
+
+
+@pytest.mark.parametrize("pair", ["toy_kp", "toy_rep_kp"])
+def test_decrypter_inverts_inner_code_once(pair, request, monkeypatch):
+    # the inner code is inverted once, for its message inverse, on the first
+    # decrypt; the decrypter build itself inverts no k2 x k2 matrix
+    p, kp = request.getfixturevalue(pair)
+    ctx = kp.pk.matrix.ctx
+    sk = keyio.parse_secret_key(keyio.serialize_secret_key(kp.sk))
+    shapes = []
+    invert = RankMatrix.invert
+
+    def recording_invert(self):
+        shapes.append((self.nrows, self.ncols))
+        return invert(self)
+
+    monkeypatch.setattr(RankMatrix, "invert", recording_invert)
+    sk.decrypter()
+    assert (p.k2, p.k2) not in shapes
+    rng = fresh_rng(b"inner-inverts")
+    for _ in range(3):
+        m = RankVector.random(ctx, p.k, rng)
+        assert sc.decrypt(sc.encrypt(m, kp.pk, p, rng), sk, p) == m
+    assert shapes.count((p.k2, p.k2)) == 1
+
+
+@pytest.mark.parametrize("params", ["toy_improved", "toy_repaired"])
+def test_keygen_computes_no_dual_vector(params, request, monkeypatch):
+    p = request.getfixturevalue(params)
+    calls = []
+    dual_vector = GabidulinCode._dual_vector
+
+    def recording_dual_vector(self):
+        calls.append(self)
+        return dual_vector(self)
+
+    monkeypatch.setattr(GabidulinCode, "_dual_vector", recording_dual_vector)
+    kp = sc.keygen(p, SeededRng(b"no-dual-vector"))
+    assert calls == []
+    rng = fresh_rng(b"no-dual-vector")
+    m = RankVector.random(kp.pk.matrix.ctx, p.k, rng)
+    assert sc.decrypt(sc.encrypt(m, kp.pk, p, rng), kp.sk, p) == m
+    assert len(calls) == 1  # built by the first decrypt
