@@ -24,6 +24,12 @@ improved variant (from_normal_orbit).  The parity check h, the packed
 generator and parity columns, and the inverse that reads messages off a
 codeword are built on first use, so key generation and decrypter builds
 do none of that work and the first decode pays for it once.
+
+A code of length n < m solves a Moore system for h (_dual_vector).  When
+n = m and the code comes from the orbit of a normal element alpha, as in
+the improved variant, the parity check is the trace-dual orbit instead:
+h_j = beta^[j] for the trace dual beta of alpha (one GF(2) solve), and
+row r of the parity check is h rotated left by r.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from .ranklinalg import (
     _solve_packed,
     bit_kernel,
     information_set,
+    partial_circulant,
     solve_gf2,
 )
 
@@ -346,19 +353,47 @@ class GabidulinCode:
         return u, e
 
 
+class _NormalOrbitCode(GabidulinCode):
+    """Gab_k(gamma) of full length n = m with gamma_j = alpha^[j-k], alpha normal.
+
+    With beta the trace dual of alpha, h_j = beta^[j] is a parity vector:
+    sum_j h_j gamma_j^[d] = Tr(beta alpha^[d-k]), which vanishes for the
+    exponents d = -(n-k-1), ..., k-1 because d-k is then non-zero mod m.
+    It is _dual_vector() up to a scalar, which the decoder's output does
+    not depend on, and row r of its Moore matrix is h rotated left by r.
+    """
+
+    def __init__(self, gamma: RankVector, k: int, generator: RankMatrix, alpha: int):
+        super().__init__(gamma, k, generator)
+        self.alpha = alpha
+
+    @cached_property
+    def h(self) -> RankVector:
+        beta = self.ctx.trace_dual(self.alpha)
+        return RankVector(self.ctx, self.ctx.frobenius_orbit(beta, self.n)[::-1])
+
+    @cached_property
+    def parity_check(self) -> RankMatrix:
+        h = self.h.values
+        return RankMatrix(self.ctx, [h[r:] + h[:r] for r in range(self.n - self.k)])
+
+
 def from_normal_orbit(ctx: FieldCtx, alpha: int, n2: int, k2: int) -> GabidulinCode:
     """Gabidulin code presented by the partial circulant of the orbit vector.
 
     With orbit = (alpha^[n2-1], ..., alpha), the code is Gab_k2(gamma) for
     gamma = row k2-1 of Cir_k2(orbit), presented by the row-reversed Moore
     matrix of gamma.  When n2 = m (the improved variant) that presentation
-    is Cir_k2(orbit) itself, so it spans the code by construction.
+    is Cir_k2(orbit) itself, which takes no squaring to build, and the
+    parity check comes from the trace-dual orbit (_NormalOrbitCode).
     """
     if not ctx.is_normal(alpha):
         raise ValueError("alpha must be a normal element")
     orbit = ctx.frobenius_orbit(alpha, n2)
     gamma = RankVector(ctx, [orbit[(k2 - 1 - j) % n2] for j in range(n2)])
-    return GabidulinCode(gamma, k2, RankMatrix(ctx, moore_matrix(gamma, k2).rows[::-1]))
+    if n2 < ctx.m:
+        return GabidulinCode(gamma, k2, RankMatrix(ctx, moore_matrix(gamma, k2).rows[::-1]))
+    return _NormalOrbitCode(gamma, k2, partial_circulant(RankVector(ctx, orbit), k2), alpha)
 
 
 class KroneckerCode:

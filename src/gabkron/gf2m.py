@@ -309,6 +309,55 @@ class FieldCtx:
             v = self.sqr(v)
         return _bit_rank(rows) == self.m
 
+    def trace_vector(self) -> int:
+        """Bit i is Tr(x^i) for i < m, so Tr(a) is the parity of a & trace_vector().
+
+        Tr(x^i) is the i-th power sum p_i of the modulus's roots.  Newton's
+        identities give it from the coefficients: with e_j the coefficient
+        of x^(m-j), p_i = e_1 p_{i-1} + ... + e_{i-1} p_1 + i e_i over GF(2),
+        and p_0 = m.
+        """
+        m = self.m
+        e = 0  # bit j = e_j
+        for j in range(1, m + 1):
+            e |= (self.modulus >> (m - j) & 1) << j
+        tv = m & 1
+        prev = 0  # bit j = p_{i-j} for 0 < j < i
+        for i in range(1, m):
+            p = ((prev & e).bit_count() + (i & 1) * (e >> i & 1)) & 1
+            tv |= p << i
+            prev = (prev | p) << 1
+        return tv
+
+    def trace_dual(self, alpha: int) -> int:
+        """The beta with Tr(alpha^[i] beta^[j]) = 1 if i = j else 0, for i, j < m.
+
+        Writing beta = sum_j b_j alpha^[j], the conditions reduce by Frobenius
+        invariance of the trace to the circulant GF(2) system
+        sum_j b_j c_{j-l} = [l = 0] with c_d = Tr(alpha alpha^[d]).  Its
+        matrix is the Gram matrix of the trace form on alpha's orbit, so it
+        is invertible exactly when alpha is normal; the orbit of beta is then
+        the dual normal basis.  Raises ValueError otherwise.
+        """
+        from .ranklinalg import BitMatrix, solve_gf2  # ranklinalg imports this module
+
+        m = self.m
+        tv = self.trace_vector()
+        orbit = self.frobenius_orbit(alpha, m)[::-1]  # orbit[j] = alpha^[j]
+        if _bit_rank(orbit) < m:
+            raise ValueError("alpha is not a normal element")
+        c = 0
+        for d, a in enumerate(orbit):
+            c |= ((self.mul(alpha, a) & tv).bit_count() & 1) << d
+        # row l holds c_{j-l} at bit j: c rotated left by l
+        rows = [((c << l) | (c >> (m - l))) & self.mask for l in range(m)]
+        (b,) = solve_gf2(BitMatrix(m, m, rows), [1])
+        beta = 0
+        for j, a in enumerate(orbit):
+            if b >> j & 1:
+                beta ^= a
+        return beta
+
     def find_normal_element(self, rng) -> int:
         """First normal element drawn from rng; deterministic for seeded rng."""
         for _ in range(4096):

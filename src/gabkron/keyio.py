@@ -6,7 +6,9 @@ bit-packed at an m-bit stride in little-endian bit order and the whole
 payload is zero-padded to a byte boundary; that is what makes the public
 key for new-GabKron-128 occupy exactly its advertised 4050 payload bytes.
 The modulus is not stored: it is the registry polynomial for the degree m
-in the header.
+in the header.  Parsers check the payload length the header implies before
+they build the field, which at an untabulated m means searching for its
+modulus.
 
 The improved variant's G_pub and P are partial-circulant-block matrices
 and travel as the first row of every block, blocks in row-major order.
@@ -143,12 +145,12 @@ def serialize_public_key(pk: PublicKey) -> bytes:
 
 def parse_public_key(data: bytes) -> PublicKey:
     p, payload = _parse_header(data)
-    ctx = _ctx(p)
     if p.variant == "improved":
         vals = unpack_elements(payload, p.m, p.k1 * p.n1 * p.n2)
-        return PublicKey(p, _grid(ctx, vals, p.k1, p.n1, p.n2, p.k2))
+        return PublicKey(p, _grid(_ctx(p), vals, p.k1, p.n1, p.n2, p.k2))
     count = p.k * (p.n - p.k)
     vals = unpack_elements(payload, p.m, count)
+    ctx = _ctx(p)
     rows = []
     w = p.n - p.k
     for i in range(p.k):
@@ -162,7 +164,7 @@ def parse_public_key(data: bytes) -> PublicKey:
 
 
 def _check_invertible(P: CirculantGrid) -> None:
-    if P.det_inverse() is None:
+    if not P.is_invertible():
         raise FormatError("P is singular")
 
 
@@ -188,10 +190,10 @@ def serialize_secret_key(sk) -> bytes:
 
 def parse_secret_key(data: bytes):
     p, payload = _parse_header(data)
-    ctx = _ctx(p)
     if p.variant == "improved":
         count = 1 + p.n1 * p.n1 * p.n2 + p.k1 * p.n1
         vals = unpack_elements(payload, p.m, count)
+        ctx = _ctx(p)
         alpha = vals[0]
         if not ctx.is_normal(alpha):
             raise FormatError("alpha is not a normal element")
@@ -204,6 +206,7 @@ def parse_secret_key(data: bytes):
         return ImprovedSecretKey(p, alpha=alpha, P=P, G1=G1)
     count = p.k1 * p.n1 + p.n2 + p.n + p.k * p.k
     vals = unpack_elements(payload, p.m, count)
+    ctx = _ctx(p)
     pos = 0
     G1 = RankMatrix(ctx, [vals[i * p.n1 : (i + 1) * p.n1] for i in range(p.k1)])
     pos += p.k1 * p.n1

@@ -805,19 +805,20 @@ def cyc_mul(ctx, a, b):
     return pk.lincomb(a, (pk.rotate(pb, r, n) for r in range(n)))
 
 
-def cyc_inv(ctx, a):
-    """Inverse of a in GF(2^m)[z]/(z^n - 1), or None if a is not a unit.
+def _cyc_euclid(ctx, a, bezout):
+    """Euclid on z^n - 1 and a over packed rows, slot i the coefficient of z^i.
 
-    Extended Euclid on packed rows, slot i holding the coefficient of z^i:
-    each division step clears the leading slot of r0 with one scal of r1
-    and applies the same step to the Bezout row s0.
+    Each division step clears the leading slot of r0 with one scal of r1.
+    Returns (pk, r, s): r is the constant gcd when a is a unit and 0
+    otherwise.  With bezout set, the same steps run on s, so that
+    r = s a mod z^n - 1 and deg s < n; without it, s is 0.
     """
     n = len(a)
     pk = _packed(ctx, n + 1)
     S = pk.S
     # invariant: r_i = s_i a mod z^n - 1; r0 = z^n + 1 and r1 = a to start
     r0, r1 = 1 | 1 << (n * S), pk.pack(a)
-    s0, s1 = 0, 1
+    s0, s1 = 0, int(bezout)
     while r1 >> S:  # deg r1 > 0
         d1 = (r1.bit_length() - 1) // S
         inv_lead = ctx.inv(pk.entry(r1, d1))
@@ -826,13 +827,19 @@ def cyc_inv(ctx, a):
             f = ctx.mul(pk.entry(r0, d0), inv_lead)
             sh = (d0 - d1) * S
             r0 = pk.fold(r0 ^ pk.scal(r1, f) << sh)
-            s0 = pk.fold(s0 ^ pk.scal(s1, f) << sh)
+            if bezout:
+                s0 = pk.fold(s0 ^ pk.scal(s1, f) << sh)
             d0 = (r0.bit_length() - 1) // S
         r0, r1, s0, s1 = r1, r0, s1, s0
-    if not r1:
+    return pk, r1, s1
+
+
+def cyc_inv(ctx, a):
+    """Inverse of a in GF(2^m)[z]/(z^n - 1), or None if a is not a unit."""
+    pk, r, s = _cyc_euclid(ctx, a, True)
+    if not r:
         return None  # gcd has positive degree: a shares a factor with z^n - 1
-    # r1 is the constant gcd, and deg s1 < n
-    return pk.unpack(pk.fold(pk.scal(s1, ctx.inv(r1))))[:n]
+    return pk.unpack(pk.fold(pk.scal(s, ctx.inv(r))))[: len(a)]
 
 
 def _poly_add(a, b):
@@ -881,11 +888,20 @@ class CirculantGrid:
                 rows.append(acc)
         return _packed(self.ctx, len(grow) * n), rows
 
+    def _det(self):
+        return _ring_det(self.ctx, self.gens, len(self.gens), len(self.gens[0][0]))
+
+    def is_invertible(self) -> bool:
+        """True iff a square grid is invertible: gcd(det, z^n - 1) = 1.
+
+        Runs the Euclid loop of det_inverse without its Bezout row.
+        """
+        return bool(_cyc_euclid(self.ctx, self._det(), False)[1])
+
     def det_inverse(self):
         """Inverse of the ring determinant of a square grid, or None when the
         grid is singular."""
-        n1 = len(self.gens)
-        return cyc_inv(self.ctx, _ring_det(self.ctx, self.gens, n1, len(self.gens[0][0])))
+        return cyc_inv(self.ctx, self._det())
 
     def dense(self) -> RankMatrix:
         """The expanded matrix; an oracle for tests and the audit."""

@@ -1,6 +1,7 @@
 import pytest
 
 from gabkron.gf2m import FieldCtx
+from gabkron.params import setup
 from gabkron import audit
 from gabkron import gabcodes as gc
 from gabkron.gabcodes import DecodeFailure, GabidulinCode, KroneckerCode, LinearizedPoly
@@ -257,6 +258,55 @@ def test_orbit_circulant_presentation():
         assert not any(C2.syndromes(row))
         u = C2._message_of_codeword(row)
         assert C2.encode(u).values == row
+
+
+@pytest.mark.parametrize(
+    "params", ["toy_improved", "new-gabkron-128", "new-gabkron-192", "new-gabkron-256"]
+)
+def test_trace_dual_parity_vector(params, request):
+    if params.startswith("toy"):
+        p = request.getfixturevalue(params)
+    else:
+        p = setup(params)
+    ctx = FieldCtx(p.m)
+    alpha = ctx.find_normal_element(fresh_rng(b"trace-dual-h-" + params.encode()))
+    C2 = gc.from_normal_orbit(ctx, alpha, p.n2, p.k2)
+    h = C2.h.values
+    # the Moore-matrix solve, normalised at h_{n-1} = 1, is the referee
+    ref = C2._dual_vector().values
+    assert h == [ctx.mul(h[-1], v) for v in ref]
+    assert C2.parity_check == gc.moore_matrix(C2.h, p.n2 - p.k2)
+
+
+@pytest.mark.parametrize(
+    "m,k",
+    [(4, 1), (4, 2), (5, 1), (5, 2), (6, 2), (6, 3), (7, 2), (7, 3),
+     (8, 2), (8, 4), (9, 3), (10, 4), (11, 3), (12, 4), (12, 6)],
+)
+def test_trace_dual_decoder_matches_moore_solve(m, k):
+    # the same code decoded with h from the trace-dual orbit and with h from
+    # _dual_vector: same pair, or a DecodeFailure from both
+    ctx = FieldCtx(m)
+    rng = fresh_rng(b"trace-dual-decode-%d-%d" % (m, k))
+    C = gc.from_normal_orbit(ctx, ctx.find_normal_element(rng), m, k)
+    ref = GabidulinCode(C.g, k, C.generator)
+    t = C.radius
+    failures = 0
+    for trial in range(12 * (t + 3)):
+        r = min(trial % (t + 3), m)
+        y = C.encode(RankVector.random(ctx, k, rng)).add(sample_rank_error(ctx, m, r, rng))
+        try:
+            got = C.decode(y)
+        except DecodeFailure:
+            got = None
+        try:
+            want = ref.decode(y)
+        except DecodeFailure:
+            want = None
+        assert got == want
+        failures += got is None
+    assert "h" in C.__dict__ and "h" in ref.__dict__ and C.h != ref.h
+    assert failures > 0
 
 
 def test_non_moore_presentation_round_trip(ctx8):

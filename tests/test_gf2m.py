@@ -131,6 +131,52 @@ def test_find_normal_element_orbit_rank():
     assert gf2m._bit_rank(orbit) == 4
 
 
+def naive_trace_vector(ctx):
+    """Bit i is x^i + (x^i)^[1] + ... + (x^i)^[m-1], summed by squaring."""
+    tv = 0
+    for i in range(ctx.m):
+        a, t = 1 << i, 0
+        for _ in range(ctx.m):
+            t ^= a
+            a = ctx.sqr(a)
+        assert t in (0, 1)
+        tv |= t << i
+    return tv
+
+
+@pytest.mark.parametrize("m", sorted(gf2m.MODULI))
+def test_trace_vector_matches_naive_traces(m):
+    ctx = FieldCtx(m)
+    assert ctx.trace_vector() == naive_trace_vector(ctx)
+
+
+@pytest.mark.parametrize("m", [12, 90])
+def test_trace_dual_is_dual_basis(m):
+    ctx = FieldCtx(m)
+    tv = naive_trace_vector(ctx)
+    for label in (b"a", b"b"):
+        alpha = ctx.find_normal_element(fresh_rng(b"trace-dual-%d" % m + label))
+        beta = ctx.trace_dual(alpha)
+        A = ctx.frobenius_orbit(alpha, m)[::-1]  # A[i] = alpha^[i]
+        B = ctx.frobenius_orbit(beta, m)[::-1]
+        for i, a in enumerate(A):
+            traces = [(ctx.mul(a, b) & tv).bit_count() & 1 for b in B]
+            assert traces == [int(i == j) for j in range(m)]
+
+
+def test_trace_dual_rejects_non_normal():
+    ctx = FieldCtx(12)
+    rng = fresh_rng(b"trace-dual-non-normal")
+    non_normal = [0, 1]
+    while len(non_normal) < 6:
+        a = rng.element(12)
+        if not ctx.is_normal(a):
+            non_normal.append(a)
+    for a in non_normal:
+        with pytest.raises(ValueError):
+            ctx.trace_dual(a)
+
+
 @pytest.mark.parametrize("m", [4, 8, 90, 211])
 def test_element_bytes_round_trip(m):
     ctx = FieldCtx(m)

@@ -1,9 +1,10 @@
 import hashlib
+import time
 
 import pytest
 
 from gabkron import keyio, scheme as sc
-from gabkron.gf2m import FieldCtx
+from gabkron.gf2m import FieldCtx, modulus_for_degree
 from gabkron.params import setup
 from gabkron.prng import SeededRng
 from gabkron.ranklinalg import RankVector
@@ -116,6 +117,26 @@ def test_parse_rejects_malformed(improved_pair):
     ct_blob = keyio.serialize_ciphertext(sc.encrypt(m, kp.pk, p, rng))
     with pytest.raises(keyio.FormatError):
         keyio.parse_public_key(ct_blob)
+
+
+@pytest.mark.parametrize("m", [509, 512])
+@pytest.mark.parametrize("variant", ["improved", "repaired"])
+def test_wrong_length_rejected_before_field_search(variant, m):
+    # neither degree is tabulated, so building its field searches for the
+    # modulus (about a second); a short payload must fail before that
+    if variant == "improved":
+        p = setup(variant="improved", m=m, n1=2, k1=2, n2=m, k2=m - 8,
+                  t=1, t1=1, lam=3, lam_p=2)
+    else:
+        p = setup(variant="repaired", m=m, n1=2, k1=2, n2=12, k2=4, t1=2, lam=2)
+    data = keyio._header(p) + bytes(64)
+    assert len(data) == 122
+    for parse in (keyio.parse_public_key, keyio.parse_secret_key, keyio.parse_ciphertext):
+        modulus_for_degree.cache_clear()
+        start = time.perf_counter()
+        with pytest.raises(keyio.FormatError):
+            parse(data)
+        assert time.perf_counter() - start < 0.2, parse.__name__
 
 
 def test_header_constraint_validation(improved_pair):

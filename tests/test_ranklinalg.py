@@ -306,6 +306,8 @@ def test_cyc_inv_matches_dense_inverse(m, n):
     units = 0
     for a in inputs:
         inv = rl.cyc_inv(ctx, a)
+        # the parse-time check runs the same Euclid loop without the Bezout row
+        assert rl.CirculantGrid(ctx, [[a]], n).is_invertible() == (inv is not None)
         try:
             dense = rl.circulant(RankVector(ctx, a)).invert()
         except SingularMatrixError:
@@ -371,13 +373,16 @@ def test_circulant_block_invert_closure(ctx4):
 def test_circulant_block_invert_singular(ctx4):
     # equal block rows: the determinant in the ring is zero
     a, b = [1, 2, 3], [5, 0, 7]
+    A = rl.CirculantGrid(ctx4, [[a, b], [a, b]], 3)
+    assert not A.is_invertible()
     with pytest.raises(SingularMatrixError):
-        rl.circulant_block_invert(rl.CirculantGrid(ctx4, [[a, b], [a, b]], 3))
+        rl.circulant_block_invert(A)
 
 
 def test_circulant_block_invert_identity(ctx4):
     one, zero = [1, 0, 0], [0, 0, 0]
     I = rl.CirculantGrid(ctx4, [[one, zero], [zero, one]], 3)
+    assert I.is_invertible()
     assert rl.circulant_block_invert(I) == I
     assert I.dense() == RankMatrix.identity(ctx4, 6)
 
