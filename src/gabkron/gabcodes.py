@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .gf2m import FieldCtx
+from .gf2m import FieldCtx, _bit_rank
 from .ranklinalg import (
     BitMatrix,
     RankMatrix,
@@ -363,13 +363,13 @@ class _NormalOrbitCode(GabidulinCode):
     not depend on, and row r of its Moore matrix is h rotated left by r.
     """
 
-    def __init__(self, gamma: RankVector, k: int, generator: RankMatrix, alpha: int):
+    def __init__(self, gamma: RankVector, k: int, generator: RankMatrix, orbit):
         super().__init__(gamma, k, generator)
-        self.alpha = alpha
+        self.orbit = orbit  # frobenius_orbit(alpha, m), checked normal by the caller
 
     @cached_property
     def h(self) -> RankVector:
-        beta = self.ctx.trace_dual(self.alpha)
+        beta = self.ctx._trace_dual_of_orbit(self.orbit)
         return RankVector(self.ctx, self.ctx.frobenius_orbit(beta, self.n)[::-1])
 
     @cached_property
@@ -385,15 +385,18 @@ def from_normal_orbit(ctx: FieldCtx, alpha: int, n2: int, k2: int) -> GabidulinC
     gamma = row k2-1 of Cir_k2(orbit), presented by the row-reversed Moore
     matrix of gamma.  When n2 = m (the improved variant) that presentation
     is Cir_k2(orbit) itself, which takes no squaring to build, and the
-    parity check comes from the trace-dual orbit (_NormalOrbitCode).
+    parity check comes from the trace-dual orbit (_NormalOrbitCode).  The
+    full orbit of alpha is computed once, for both its normality check and
+    the code.
     """
-    if not ctx.is_normal(alpha):
+    full = ctx.frobenius_orbit(alpha, ctx.m)
+    if _bit_rank(full) < ctx.m:
         raise ValueError("alpha must be a normal element")
-    orbit = ctx.frobenius_orbit(alpha, n2)
+    orbit = full[ctx.m - n2 :]  # frobenius_orbit(alpha, n2)
     gamma = RankVector(ctx, [orbit[(k2 - 1 - j) % n2] for j in range(n2)])
     if n2 < ctx.m:
         return GabidulinCode(gamma, k2, RankMatrix(ctx, moore_matrix(gamma, k2).rows[::-1]))
-    return _NormalOrbitCode(gamma, k2, partial_circulant(RankVector(ctx, orbit), k2), alpha)
+    return _NormalOrbitCode(gamma, k2, partial_circulant(RankVector(ctx, orbit), k2), full)
 
 
 class KroneckerCode:
@@ -450,59 +453,49 @@ class KroneckerCode:
     def block_decode(self, y):
         """Blockwise decoding through the inner code over an information set.
 
-        Decodes the blocks of the lexicographically first information set of
-        the outer matrix; on failure, retries every information set whose
-        blocks all decode, in lexicographic order.
+        Decodes every block, then solves the outer code over the information
+        sets of decoded blocks in lexicographic order; the first is self.I
+        when its blocks decode.  A solved message is returned only if it
+        re-encodes to every decoded block outside its set, so a miscorrected
+        block makes its sets fail the check instead of yielding a wrong
+        message.
         """
         y_vals = y.values if isinstance(y, RankVector) else list(y)
         if len(y_vals) != self.n:
             raise ValueError(f"received length {len(y_vals)} != n={self.n}")
-        blocks = [y_vals[j * self.n2 : (j + 1) * self.n2] for j in range(self.n1)]
         C2 = self.C2
         decoded: dict[int, list] = {}  # j -> message of block j w.r.t. C2.generator
-        failed: set[int] = set()
-
-        def try_block(j):
-            if j in decoded or j in failed:
-                return j in decoded
-            try:
-                c_vals, _ = C2._decode_codeword(blocks[j])
-                decoded[j] = C2._message_of_codeword(c_vals)
-                return True
-            except DecodeFailure:
-                failed.add(j)
-                return False
-
-        if all(try_block(j) for j in self.I):
-            return self._solve_outer(self.I, decoded)
+        failed = []
         for j in range(self.n1):
-            try_block(j)
-        usable = sorted(decoded)
-        for cand in itertools.combinations(usable, self.k1):
-            if cand == self.I:
-                continue
             try:
-                return self._solve_outer(cand, decoded)
+                c_vals, _ = C2._decode_codeword(y_vals[j * self.n2 : (j + 1) * self.n2])
+                decoded[j] = C2._message_of_codeword(c_vals)
+            except DecodeFailure:
+                failed.append(j)
+        for cand in itertools.combinations(decoded, self.k1):
+            try:
+                M = self._solve_outer(cand, decoded)
             except SingularMatrixError:
                 continue
+            if all(
+                M.left_mul_values(self.G1.column(j)) == u
+                for j, u in decoded.items()
+                if j not in cand
+            ):
+                return RankVector(self.ctx, [v for row in M.rows for v in row])
         raise DecodeFailure(
-            f"no decodable information set (failed blocks: {sorted(failed)})",
-            failed_blocks=sorted(failed),
+            f"no information set of decoded blocks agrees with the others "
+            f"(failed blocks: {failed})",
+            failed_blocks=failed,
         )
 
     def _solve_outer(self, cols, decoded):
-        """Solve u_j = sum_l G1[l][j] m_l over the chosen column set.
+        """The k1 x k2 matrix M with u_j = sum_l G1[l][j] M[l] over cols.
 
         Raises SingularMatrixError when those columns of G1 are dependent.
         """
         A = RankMatrix(
             self.ctx, [[self.G1.rows[l][j] for l in range(self.k1)] for j in cols]
         )
-        Ainv = A.invert()
-        U = RankMatrix(self.ctx, [decoded[j] for j in cols])
-        M = Ainv.mul(U)
-        out = []
-        for row in M.rows:
-            out.extend(row)
-        return RankVector(self.ctx, out)
+        return A.invert().mul(RankMatrix(self.ctx, [decoded[j] for j in cols]))
 

@@ -339,13 +339,19 @@ class FieldCtx:
         is invertible exactly when alpha is normal; the orbit of beta is then
         the dual normal basis.  Raises ValueError otherwise.
         """
+        orbit = self.frobenius_orbit(alpha, self.m)
+        if _bit_rank(orbit) < self.m:
+            raise ValueError("alpha is not a normal element")
+        return self._trace_dual_of_orbit(orbit)
+
+    def _trace_dual_of_orbit(self, orbit) -> int:
+        """trace_dual(alpha) from frobenius_orbit(alpha, m) of a normal alpha."""
         from .ranklinalg import BitMatrix, solve_gf2  # ranklinalg imports this module
 
         m = self.m
         tv = self.trace_vector()
-        orbit = self.frobenius_orbit(alpha, m)[::-1]  # orbit[j] = alpha^[j]
-        if _bit_rank(orbit) < m:
-            raise ValueError("alpha is not a normal element")
+        orbit = orbit[::-1]  # orbit[j] = alpha^[j]
+        alpha = orbit[0]
         c = 0
         for d, a in enumerate(orbit):
             c |= ((self.mul(alpha, a) & tv).bit_count() & 1) << d

@@ -10,6 +10,14 @@ is then a handful of shift/xor operations on one integer, and carry-less
 products never spill between slots.  The packed form is internal; the
 public API speaks lists of ints.
 
+Elimination builds the 4-bit window table of each pivot row once and
+applies it to every row it updates.  Between folds a slot holds an XOR of
+products of two reduced elements, so it stays below 2m bits and fold
+reduces it exactly; only the slot being read is reduced, and a row is
+folded when it becomes a pivot.  In the forward pass the rows below the
+pivot are held shifted right by one slot per finished column, so the
+work per update shrinks with the remaining width.
+
 Circulant conventions follow the right-shift rule: the k-partial circulant
 of a = (a_0, ..., a_{n-1}) has row 0 = reflect(a) = (a_0, a_{n-1}, ..., a_1)
 and every row is the right cyclic shift of the one above, i.e.
@@ -56,6 +64,7 @@ class _Packed:
         self.L = nslots
         self.S = 2 * ctx.m
         self.elem_mask = ctx.mask
+        self.slot_mask = (1 << self.S) - 1
         lo = 0
         for i in range(nslots):
             lo |= ctx.mask << (i * self.S)
@@ -82,20 +91,7 @@ class _Packed:
             return 0
         if lam == 1:
             return p
-        t2 = p << 1
-        t4 = p << 2
-        t8 = p << 3
-        tab = [0, p, t2, t2 ^ p, t4, t4 ^ p, t4 ^ t2, t4 ^ t2 ^ p]
-        tab += [x ^ t8 for x in tab]
-        r = 0
-        sh = 0
-        while lam:
-            w = lam & 15
-            if w:
-                r ^= tab[w] << sh
-            sh += 4
-            lam >>= 4
-        return r
+        return _window_mul(_window_table(p), lam)
 
     def fold(self, p):
         """Reduce every slot modulo the field polynomial."""
@@ -141,74 +137,131 @@ def _packed(ctx: FieldCtx, nslots: int) -> _Packed:
     return ops
 
 
+def _window_table(p):
+    """p times each of the 16 polynomials of degree < 4, for _window_mul."""
+    t2 = p << 1
+    t4 = p << 2
+    t8 = p << 3
+    tab = [0, p, t2, t2 ^ p, t4, t4 ^ p, t4 ^ t2, t4 ^ t2 ^ p]
+    return tab + [x ^ t8 for x in tab]
+
+
+def _window_mul(tab, lam):
+    """Carry-less product of lam by the row whose _window_table is tab."""
+    r = 0
+    sh = 0
+    while lam:
+        w = lam & 15
+        if w:
+            r ^= tab[w] << sh
+        sh += 4
+        lam >>= 4
+    return r
+
+
 def _echelon_packed(ctx, rows, ncols):
     """In-place row echelon form with unit pivots; returns pivot cols.
 
+    On return every row is reduced and in full layout, and rows past the
+    last pivot are 0.  While column col is eliminated, the rows not yet
+    chosen as pivots are held shifted right by col slots, because their
+    finished slots are 0 mod the field polynomial, and their slots stay
+    unreduced below 2m bits until they become pivots (module docstring).
     _rref_packed runs this first, so the two always agree on the pivots.
     """
     pk = _packed(ctx, ncols)
+    S = pk.S
+    smask = pk.slot_mask
+    reduce = ctx.reduce
     nrows = len(rows)
     pivots = []
     r = 0
     for col in range(ncols):
         if r == nrows:
             break
-        piv = None
-        for i in range(r, nrows):
-            if pk.entry(rows[i], col):
-                piv = i
-                break
-        if piv is None:
+        piv = r
+        while piv < nrows and not reduce(rows[piv] & smask):
+            piv += 1
+        if piv == nrows:
+            for i in range(r, nrows):
+                rows[i] >>= S
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        pv = pk.entry(rows[r], col)
+        prow = pk.fold(rows[r])
+        pv = prow & smask
         if pv != 1:
-            rows[r] = pk.fold(pk.scal(rows[r], ctx.inv(pv)))
-        prow = rows[r]
+            prow = pk.fold(pk.scal(prow, ctx.inv(pv)))
+        rows[r] = prow << (col * S)
+        # the pivot slot itself is not multiplied: it would only cancel the
+        # slot that the shift drops
+        tab = _window_table(prow >> S)
         for i in range(r + 1, nrows):
-            f = pk.entry(rows[i], col)
-            if f:
-                rows[i] = pk.fold(rows[i] ^ pk.scal(prow, f))
+            row = rows[i]
+            f = reduce(row & smask)
+            row >>= S
+            rows[i] = row ^ _window_mul(tab, f) if f else row
         pivots.append(col)
         r += 1
     return pivots
 
 
 def _rref_packed(ctx, rows, ncols):
-    """In-place reduced row echelon form on packed rows; returns pivot cols."""
+    """In-place reduced row echelon form on packed rows; returns pivot cols.
+
+    The upward pass clears each pivot column in the rows above it with one
+    window table per pivot and lazy folds, as in _echelon_packed: a row is
+    folded before it becomes the multiplier, and row 0 at the end.
+    """
     pk = _packed(ctx, ncols)
+    S = pk.S
+    smask = pk.slot_mask
+    reduce = ctx.reduce
     pivots = _echelon_packed(ctx, rows, ncols)
     for r in range(len(pivots) - 1, 0, -1):
-        col = pivots[r]
-        prow = rows[r]
+        sh = pivots[r] * S
+        prow = rows[r] = pk.fold(rows[r])
+        # the table holds the part of the row past its pivot, from its
+        # lowest set bit on; the target's pivot slot is cleared instead
+        rest = prow >> (sh + S)
+        low = (rest & -rest).bit_length() - 1 if rest else 0
+        tab = _window_table(rest >> low)
+        keep = ~(smask << sh)
+        up = sh + S + low
         for i in range(r):
-            f = pk.entry(rows[i], col)
+            row = rows[i]
+            f = reduce(row >> sh & smask)
             if f:
-                rows[i] = pk.fold(rows[i] ^ pk.scal(prow, f))
+                rows[i] = (row & keep) ^ (_window_mul(tab, f) << up)
+    if pivots:
+        rows[0] = pk.fold(rows[0])
     return pivots
 
 
 def _solve_packed(ctx, rows, ncols):
     """Solve packed augmented rows whose last column is the right-hand side.
 
-    Echelon form, then back-substitution for the last column only.  Returns
-    the pivots and the ncols - 1 unknowns with free variables zero, or None
-    for the unknowns when the last column is a pivot (no solution).
+    Echelon form, then back-substitution for the last column only: slot r
+    of one packed accumulator holds the right-hand side of row r less the
+    unknowns found so far, unreduced, and each unknown subtracts its
+    packed pivot column with one scal.  Returns the pivots and the
+    ncols - 1 unknowns with free variables zero, or None for the unknowns
+    when the last column is a pivot (no solution).
     """
     pk = _packed(ctx, ncols)
     pivots = _echelon_packed(ctx, rows, ncols)
     rhs = ncols - 1
     if pivots and pivots[-1] == rhs:
         return pivots, None
-    mul = ctx.mul
+    S = pk.S
+    smask = pk.slot_mask
+    entry = pk.entry
     x = [0] * rhs
+    acc = pk.pack([entry(row, rhs) for row in rows[: len(pivots)]])
     for r in range(len(pivots) - 1, -1, -1):
-        vals = pk.unpack(rows[r])
-        acc = vals[rhs]
-        for c in pivots[r + 1 :]:
-            if x[c] and vals[c]:
-                acc ^= mul(vals[c], x[c])
-        x[pivots[r]] = acc
+        col = pivots[r]
+        v = x[col] = ctx.reduce(acc >> (r * S) & smask)
+        if v and r:
+            acc ^= pk.scal(pk.pack([entry(row, col) for row in rows[:r]]), v)
     return pivots, x
 
 

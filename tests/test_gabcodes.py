@@ -467,3 +467,22 @@ def test_block_decode_failure_diagnostics(ctx6):
         # garbage can still be within radius of some codeword; accept silently
     except DecodeFailure as exc:
         assert 0 in exc.failed_blocks
+
+
+def test_block_decode_rejects_miscorrected_block(ctx6):
+    # n1 = 3, k1 = 2: one block moved onto another inner codeword decodes,
+    # within the radius, to a wrong block message.  Each information set then
+    # disagrees with the one block outside it, so no message may be returned.
+    rng = fresh_rng(b"kmiscorrect")
+    K = kron_fixture(ctx6, rng, n1=3, k1=2)
+    for j in range(K.n1):
+        m = RankVector.random(ctx6, K.k, rng)
+        y = list(K.encode(m).values)
+        wrong = K.C2.encode(RankVector.random(ctx6, K.k2, rng))
+        assert any(wrong.values)
+        e = sample_rank_error(ctx6, K.n2, 1, rng)
+        for i in range(K.n2):
+            y[j * K.n2 + i] ^= wrong.values[i] ^ e.values[i]
+        with pytest.raises(DecodeFailure) as exc:
+            K.block_decode(y)
+        assert exc.value.failed_blocks == []

@@ -142,36 +142,167 @@ def test_rref_pivots_and_rank(ctx4):
     assert RankMatrix(ctx4, [[0, 1, 2], [0, 2, 4]]).rank() == 1
 
 
-def test_solve_packed_matches_rref(ctx4):
-    rng = fresh_rng(b"solvepacked")
-    seen = {"inconsistent": 0, "free": 0, "unique": 0}
-    for _ in range(400):
-        nrows, ncols = rng.randrange(5) + 1, rng.randrange(5) + 2
-        # sparse entries make rank defects and inconsistent systems common
-        M = [
-            [rng.element(4) if rng.randrange(3) else 0 for _ in range(ncols)]
-            for _ in range(nrows)
-        ]
-        pk = rl._packed(ctx4, ncols)
-        ref = [pk.pack(r) for r in M]
-        ref_pivots = rl._rref_packed(ctx4, ref, ncols)
-        pivots, x = rl._solve_packed(ctx4, [pk.pack(r) for r in M], ncols)
-        assert pivots == ref_pivots
-        if ref_pivots and ref_pivots[-1] == ncols - 1:
-            assert x is None
-            seen["inconsistent"] += 1
+# -- referee for the packed elimination kernel --------------------------------
+# The straightforward elimination: every row update multiplies with scal,
+# which builds the pivot row's window table again, and folds the whole row;
+# back-substitution makes one field mul per entry.
+
+
+def oracle_echelon(ctx, rows, ncols):
+    pk = rl._packed(ctx, ncols)
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if pk.entry(rows[i], col)), None)
+        if piv is None:
             continue
-        expect = [0] * (ncols - 1)
-        for ri, col in enumerate(ref_pivots):
-            expect[col] = pk.entry(ref[ri], ncols - 1)
-        assert x == expect
-        for row in M:
-            acc = 0
-            for a, v in zip(row, x):
-                acc ^= ctx4.mul(a, v)
-            assert acc == row[-1]
-        seen["free" if len(pivots) < ncols - 1 else "unique"] += 1
-    assert min(seen.values()) >= 20
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pv = pk.entry(rows[r], col)
+        if pv != 1:
+            rows[r] = pk.fold(pk.scal(rows[r], ctx.inv(pv)))
+        for i in range(r + 1, nrows):
+            f = pk.entry(rows[i], col)
+            if f:
+                rows[i] = pk.fold(rows[i] ^ pk.scal(rows[r], f))
+        pivots.append(col)
+        r += 1
+    return pivots
+
+
+def oracle_rref(ctx, rows, ncols):
+    pk = rl._packed(ctx, ncols)
+    pivots = oracle_echelon(ctx, rows, ncols)
+    for r in range(len(pivots) - 1, 0, -1):
+        for i in range(r):
+            f = pk.entry(rows[i], pivots[r])
+            if f:
+                rows[i] = pk.fold(rows[i] ^ pk.scal(rows[r], f))
+    return pivots
+
+
+def oracle_solve(ctx, rows, ncols):
+    pk = rl._packed(ctx, ncols)
+    pivots = oracle_echelon(ctx, rows, ncols)
+    rhs = ncols - 1
+    if pivots and pivots[-1] == rhs:
+        return pivots, None
+    x = [0] * rhs
+    for r in range(len(pivots) - 1, -1, -1):
+        vals = pk.unpack(rows[r])
+        acc = vals[rhs]
+        for c in pivots[r + 1 :]:
+            acc ^= ctx.mul(vals[c], x[c])
+        x[pivots[r]] = acc
+    return pivots, x
+
+
+def kernel_case(ctx, kind, nrows, ncols, rng):
+    """A matrix of the given kind; the last column doubles as a right-hand side."""
+    def el():
+        return rng.element(ctx.m)
+
+    if kind in ("rank-deficient", "inconsistent"):
+        nrows = max(nrows, 3)
+    if kind == "sparse":
+        return [[el() if rng.randrange(4) == 0 else 0 for _ in range(ncols)]
+                for _ in range(nrows)]
+    M = [[el() for _ in range(ncols)] for _ in range(nrows)]
+    if kind == "zero-column":
+        for j in rng.sample(range(ncols), max(1, ncols // 3)):
+            for row in M:
+                row[j] = 0
+    elif kind in ("rank-deficient", "inconsistent"):
+        # later rows combine the first two, so the rank is at most 2; an
+        # inconsistent system then has a right-hand side outside that span
+        a, b = M[0], M[1 % nrows]
+        for row in M[2:]:
+            x, y = el(), el()
+            row[:] = [ctx.mul(x, u) ^ ctx.mul(y, v) for u, v in zip(a, b)]
+        if kind == "inconsistent":
+            M[-1][-1] ^= 1 + el() % ctx.mask
+    return M
+
+
+KERNEL_KINDS = ("random", "sparse", "zero-column", "rank-deficient", "inconsistent")
+
+
+def assert_kernel_matches_oracle(ctx, M):
+    """Same pivots and rows from both eliminations, same unknowns from the
+    solve; returns the unknowns (None when inconsistent)."""
+    ncols = len(M[0])
+    pk = rl._packed(ctx, ncols)
+    for kernel, oracle in ((rl._echelon_packed, oracle_echelon),
+                           (rl._rref_packed, oracle_rref),
+                           (rl._solve_packed, oracle_solve)):
+        got, want = [pk.pack(r) for r in M], [pk.pack(r) for r in M]
+        result = kernel(ctx, got, ncols)
+        assert result == oracle(ctx, want, ncols), (kernel.__name__, M)
+        assert got == want, (kernel.__name__, M)
+    return result[1]
+
+
+# m = 4, 12 and 90 have trinomial moduli, m = 8 and 211 pentanomials
+@pytest.mark.parametrize("m,trials,size", [(4, 60, 7), (8, 60, 7), (12, 40, 8),
+                                           (90, 12, 10), (211, 8, 10)])
+def test_kernel_matches_oracle(m, trials, size):
+    ctx = FieldCtx(m)
+    rng = fresh_rng(b"kernel-oracle-%d" % m)
+    solved = {"none": 0, "solution": 0}
+    for trial in range(trials * len(KERNEL_KINDS)):
+        kind = KERNEL_KINDS[trial % len(KERNEL_KINDS)]
+        nrows, ncols = rng.randrange(size) + 1, rng.randrange(size) + 2
+        x = assert_kernel_matches_oracle(ctx, kernel_case(ctx, kind, nrows, ncols, rng))
+        solved["none" if x is None else "solution"] += 1
+    assert min(solved.values()) >= trials // 2
+
+
+@pytest.mark.parametrize("m,shape", [(211, (30, 31)), (211, (12, 24)), (90, (24, 20))])
+def test_kernel_matches_oracle_full_width(m, shape):
+    # wide rows at full field size, the inverse's [A | I] layout included
+    ctx = FieldCtx(m)
+    rng = fresh_rng(b"kernel-oracle-wide-%d-%d" % shape)
+    nrows, ncols = shape
+    M = [[rng.element(m) for _ in range(ncols)] for _ in range(nrows)]
+    if ncols == 2 * nrows:
+        M = [row[:nrows] + [int(i == j) for j in range(nrows)] for i, row in enumerate(M)]
+    assert_kernel_matches_oracle(ctx, M)
+
+
+def test_solve_packed_matches_rref():
+    for m in (4, 8, 90, 211):
+        ctx = FieldCtx(m)
+        rng = fresh_rng(b"solvepacked" + (b"-%d" % m if m != 4 else b""))
+        seen = {"inconsistent": 0, "free": 0, "unique": 0}
+        for _ in range(400):
+            nrows, ncols = rng.randrange(5) + 1, rng.randrange(5) + 2
+            # sparse entries make rank defects and inconsistent systems common
+            M = [
+                [rng.element(m) if rng.randrange(3) else 0 for _ in range(ncols)]
+                for _ in range(nrows)
+            ]
+            pk = rl._packed(ctx, ncols)
+            ref = [pk.pack(r) for r in M]
+            ref_pivots = rl._rref_packed(ctx, ref, ncols)
+            pivots, x = rl._solve_packed(ctx, [pk.pack(r) for r in M], ncols)
+            assert pivots == ref_pivots
+            if ref_pivots and ref_pivots[-1] == ncols - 1:
+                assert x is None
+                seen["inconsistent"] += 1
+                continue
+            expect = [0] * (ncols - 1)
+            for ri, col in enumerate(ref_pivots):
+                expect[col] = pk.entry(ref[ri], ncols - 1)
+            assert x == expect
+            for row in M:
+                acc = 0
+                for a, v in zip(row, x):
+                    acc ^= ctx.mul(a, v)
+                assert acc == row[-1]
+            seen["free" if len(pivots) < ncols - 1 else "unique"] += 1
+        assert min(seen.values()) >= 20
 
 
 def test_matmul_against_schoolbook(ctx8):

@@ -405,3 +405,25 @@ def test_keygen_computes_no_dual_vector(params, request, monkeypatch):
     assert sc.decrypt(sc.encrypt(m, kp.pk, p, rng), kp.sk, p) == m
     assert len(calls) == decrypt_calls
     assert "h" in kp.sk.decrypter().code.C2.__dict__  # built by the first decrypt
+
+
+def test_improved_decrypter_squares_one_orbit_of_alpha(monkeypatch):
+    # building the decrypter and its parity check squares alpha's orbit once,
+    # for the normality check and the code, and beta's orbit once, for h
+    p = setup("new-gabkron-128")
+    kp = sc.keygen(p, SeededRng(b"orbit-count"))
+    sk = keyio.parse_secret_key(keyio.serialize_secret_key(kp.sk))
+    calls = []
+    sqr = FieldCtx.sqr
+
+    def counting_sqr(self, a):
+        calls.append(a)
+        return sqr(self, a)
+
+    monkeypatch.setattr(FieldCtx, "sqr", counting_sqr)
+    h = sk.decrypter().code.C2.h.values
+    monkeypatch.undo()
+    assert len(calls) == 2 * (p.m - 1)
+    # the same h as from the trace dual of alpha
+    ctx = FieldCtx(p.m, p.modulus)
+    assert h == ctx.frobenius_orbit(ctx.trace_dual(sk.alpha), p.n2)[::-1]
