@@ -98,15 +98,6 @@ class FeasibilityReport:
     def feasible(self) -> bool:
         return not self.violations
 
-    def as_dict(self):
-        return {
-            "name": self.name,
-            "claimed_t": self.claimed_t,
-            "bound": self.bound,
-            "feasible": self.feasible,
-            "violations": self.violations,
-        }
-
 
 def key_sizes(fields, formula: str, name: str = "") -> SizeReport:
     """Exact key sizes under the chosen accounting.

@@ -35,6 +35,16 @@ def _seed_type(text: str) -> bytes:
     return raw
 
 
+def _trials_type(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"trials is not an integer: {text!r}") from exc
+    if n < 1:
+        raise argparse.ArgumentTypeError("trials must be at least 1")
+    return n
+
+
 def _rng(args):
     return SeededRng(args.seed) if args.seed is not None else SystemRng()
 
@@ -204,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     au.add_argument("--prop1", action="store_true",
                     help="hunt for circulant scramblers over the original pipeline")
     au.add_argument("--lemmas", action="store_true", help="run the structure suites")
-    au.add_argument("--trials", type=int, default=100)
+    au.add_argument("--trials", type=_trials_type, default=100)
     au.add_argument("--seed", type=_seed_type, help="32 hex-encoded bytes")
     au.add_argument("--format", choices=("text", "json"), default="text")
     au.add_argument("--out", help="also write the report to this path")

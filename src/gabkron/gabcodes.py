@@ -25,11 +25,16 @@ generator and parity columns, and the inverse that reads messages off a
 codeword are built on first use, so key generation and decrypter builds
 do none of that work and the first decode pays for it once.
 
-A code of length n < m solves a Moore system for h (_dual_vector).  When
-n = m and the code comes from the orbit of a normal element alpha, as in
-the improved variant, the parity check is the trace-dual orbit instead:
+A code given only by g, such as the repaired variant's inner code of
+length n < m, solves a Moore system for h (_dual_vector).  The improved
+variant's inner code has length m and comes from the orbit of a normal
+element alpha (from_normal_orbit), so its parity check is the trace-dual
+orbit instead:
 h_j = beta^[j] for the trace dual beta of alpha (one GF(2) solve), and
 row r of the parity check is h rotated left by r.
+
+The public methods take a RankVector or a list of ints and pass it through
+checked_values, which checks its length and every entry once.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from .ranklinalg import (
     _packed,
     _solve_packed,
     bit_kernel,
+    checked_values,
     information_set,
     partial_circulant,
     solve_gf2,
@@ -60,62 +66,22 @@ class DecodeFailure(Exception):
         self.failed_blocks = failed_blocks or []
 
 
-class LinearizedPoly:
-    """Internal q-polynomial: coeffs[i] weights the term x^(2^i)."""
-
-    __slots__ = ("ctx", "coeffs")
-
-    def __init__(self, ctx: FieldCtx, coeffs):
-        self.ctx = ctx
-        self.coeffs = [ctx.check(c) for c in coeffs]
-
-    def evaluate(self, x):
-        ctx = self.ctx
-        acc = 0
-        for c in self.coeffs:
-            if c:
-                acc ^= ctx.mul(c, x)
-            x = ctx.sqr(x)
-        return acc
-
-    def add(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] ^= v
-        return LinearizedPoly(self.ctx, out)
-
-    def compose(self, other):
-        """self(other(x)); q-degrees add under symbolic composition."""
-        ctx = self.ctx
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] ^= ctx.mul(a, ctx.frobenius(b, i))
-        return LinearizedPoly(ctx, out)
-
-    def kernel_basis(self):
-        """F_2-basis of the root space {x : self(x) = 0}."""
-        ctx = self.ctx
-        m = ctx.m
-        frob = ctx.frobenius_power_rows(len(self.coeffs) - 1)
-        # column i = self(x^i): the F_2-linear action on the polynomial basis
-        cols = _packed(ctx, m).lincomb(self.coeffs, frob)
-        rows = [0] * m
-        for i, col in enumerate(cols):
-            b = 0
-            v = col
-            while v:
-                if v & 1:
-                    rows[b] |= 1 << i
-                v >>= 1
-                b += 1
-        return bit_kernel(BitMatrix(m, m, rows))
+def _root_space(ctx: FieldCtx, coeffs):
+    """F_2-basis of the roots of sum_i coeffs[i] x^(2^i), as ints."""
+    m = ctx.m
+    frob = ctx.frobenius_power_rows(len(coeffs) - 1)
+    # column i = the polynomial at x^i: its F_2-linear action on the basis
+    cols = _packed(ctx, m).lincomb(coeffs, frob)
+    rows = [0] * m
+    for i, col in enumerate(cols):
+        b = 0
+        v = col
+        while v:
+            if v & 1:
+                rows[b] |= 1 << i
+            v >>= 1
+            b += 1
+    return bit_kernel(BitMatrix(m, m, rows))
 
 
 def moore_matrix(g: RankVector, nrows: int) -> RankMatrix:
@@ -211,9 +177,7 @@ class GabidulinCode:
         return self.generator.submatrix(0, 0, self.k, self.k).invert()
 
     def encode(self, u) -> RankVector:
-        vals = u.values if isinstance(u, RankVector) else list(u)
-        if len(vals) != self.k:
-            raise ValueError(f"message length {len(vals)} != k={self.k}")
+        vals = checked_values(self.ctx, u, self.k, "message")
         pk, prows = self._packed_generator
         return RankVector(self.ctx, pk.lincomb(vals, prows))
 
@@ -239,11 +203,8 @@ class GabidulinCode:
         Raises DecodeFailure when no codeword lies within the radius.  The
         returned pair always satisfies the stated relation exactly.
         """
-        y_vals = y.values if isinstance(y, RankVector) else list(y)
-        if len(y_vals) != self.n:
-            raise ValueError(f"received length {len(y_vals)} != n={self.n}")
         ctx = self.ctx
-        c_vals, e_vals = self._decode_codeword(y_vals)
+        c_vals, e_vals = self._decode_codeword(checked_values(ctx, y, self.n, "received"))
         u = RankVector(ctx, self._message_of_codeword(c_vals))
         return u, RankVector(ctx, e_vals)
 
@@ -290,7 +251,7 @@ class GabidulinCode:
         _, gamma = _solve_packed(ctx, rows, t + 1)
         if gamma is None:
             return None  # inconsistent: more than t independent error values
-        return LinearizedPoly(ctx, gamma + [1]).kernel_basis()
+        return _root_space(ctx, gamma + [1])
 
     def _error_coordinates(self, s, E):
         """Solve s_j = sum_p E_p X_p^[j], j < w, for W_p = X_p^[w-1]."""
@@ -336,8 +297,8 @@ class GabidulinCode:
 
     def decode_bruteforce(self, y):
         """Exhaustive nearest-codeword search; the referee for tiny codes."""
-        y_vals = y.values if isinstance(y, RankVector) else list(y)
         ctx = self.ctx
+        y_vals = checked_values(ctx, y, self.n, "received")
         best = None
         total = 1 << (ctx.m * self.k)
         for idx in range(total):
@@ -378,25 +339,23 @@ class _NormalOrbitCode(GabidulinCode):
         return RankMatrix(self.ctx, [h[r:] + h[:r] for r in range(self.n - self.k)])
 
 
-def from_normal_orbit(ctx: FieldCtx, alpha: int, n2: int, k2: int) -> GabidulinCode:
-    """Gabidulin code presented by the partial circulant of the orbit vector.
+def from_normal_orbit(ctx: FieldCtx, alpha: int, k2: int) -> GabidulinCode:
+    """The length-m Gabidulin code presented by Cir_k2 of alpha's orbit.
 
-    With orbit = (alpha^[n2-1], ..., alpha), the code is Gab_k2(gamma) for
-    gamma = row k2-1 of Cir_k2(orbit), presented by the row-reversed Moore
-    matrix of gamma.  When n2 = m (the improved variant) that presentation
-    is Cir_k2(orbit) itself, which takes no squaring to build, and the
-    parity check comes from the trace-dual orbit (_NormalOrbitCode).  The
-    full orbit of alpha is computed once, for both its normality check and
-    the code.
+    With orbit = (alpha^[m-1], ..., alpha), the code is Gab_k2(gamma) for
+    gamma = row k2-1 of Cir_k2(orbit), and Cir_k2(orbit) is the Moore
+    matrix of gamma with its rows reversed, so the presentation takes no
+    squaring to build.  The parity check comes from the trace-dual orbit
+    (_NormalOrbitCode).  The orbit is computed once, for both its normality
+    check and the code.  This is the improved variant's inner code, whose
+    length n2 = m setup enforces.
     """
-    full = ctx.frobenius_orbit(alpha, ctx.m)
-    if _bit_rank(full) < ctx.m:
+    m = ctx.m
+    orbit = ctx.frobenius_orbit(alpha, m)
+    if _bit_rank(orbit) < m:
         raise ValueError("alpha must be a normal element")
-    orbit = full[ctx.m - n2 :]  # frobenius_orbit(alpha, n2)
-    gamma = RankVector(ctx, [orbit[(k2 - 1 - j) % n2] for j in range(n2)])
-    if n2 < ctx.m:
-        return GabidulinCode(gamma, k2, RankMatrix(ctx, moore_matrix(gamma, k2).rows[::-1]))
-    return _NormalOrbitCode(gamma, k2, partial_circulant(RankVector(ctx, orbit), k2), full)
+    gamma = RankVector(ctx, [orbit[(k2 - 1 - j) % m] for j in range(m)])
+    return _NormalOrbitCode(gamma, k2, partial_circulant(RankVector(ctx, orbit), k2), orbit)
 
 
 class KroneckerCode:
@@ -434,17 +393,13 @@ class KroneckerCode:
         return self.G.packed_rows()
 
     def encode(self, m_vals) -> RankVector:
-        vals = m_vals.values if isinstance(m_vals, RankVector) else list(m_vals)
-        if len(vals) != self.k:
-            raise ValueError(f"message length {len(vals)} != k={self.k}")
+        vals = checked_values(self.ctx, m_vals, self.k, "message")
         pk, prows = self._packed_G
         return RankVector(self.ctx, pk.lincomb(vals, prows))
 
     def subcode_membership(self, c) -> bool:
         """True iff every block of c is a codeword of the inner code."""
-        vals = c.values if isinstance(c, RankVector) else list(c)
-        if len(vals) != self.n:
-            raise ValueError(f"length {len(vals)} != n={self.n}")
+        vals = checked_values(self.ctx, c, self.n, "word")
         n2 = self.n2
         return not any(
             any(self.C2.syndromes(vals[j * n2 : (j + 1) * n2])) for j in range(self.n1)
@@ -460,9 +415,7 @@ class KroneckerCode:
         block makes its sets fail the check instead of yielding a wrong
         message.
         """
-        y_vals = y.values if isinstance(y, RankVector) else list(y)
-        if len(y_vals) != self.n:
-            raise ValueError(f"received length {len(y_vals)} != n={self.n}")
+        y_vals = checked_values(self.ctx, y, self.n, "received")
         C2 = self.C2
         decoded: dict[int, list] = {}  # j -> message of block j w.r.t. C2.generator
         failed = []

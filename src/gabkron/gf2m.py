@@ -142,10 +142,8 @@ class FieldCtx:
         if not is_irreducible(modulus, m):
             raise ValueError(f"modulus {modulus:#x} is not irreducible of degree {m}")
         self.m = m
-        self.q = 2
         self.modulus = modulus
         self.mask = (1 << m) - 1
-        self.nbytes = (m + 7) // 8
         # bit positions of x^m mod modulus, used to fold products
         red = modulus ^ (1 << m)
         self._red_shifts = tuple(i for i in range(m) if red >> i & 1)
@@ -170,11 +168,6 @@ class FieldCtx:
         if a >> self.m:
             raise ValueError(f"value {a:#x} has degree >= m={self.m}")
         return a
-
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
-    sub = add
 
     def reduce(self, v: int) -> int:
         """Reduce a polynomial of any degree to the canonical m-bit form."""
@@ -241,20 +234,6 @@ class FieldCtx:
             u ^= v << sh
             s ^= t << sh
         return self.reduce(s)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.sqr(a)
-            e >>= 1
-        return r
 
     def frobenius(self, a: int, i: int) -> int:
         """a^(2^i); the bracket power a^[i].  frobenius(a, m) == a."""
@@ -371,20 +350,6 @@ class FieldCtx:
             if self.is_normal(a):
                 return a
         raise RuntimeError("no normal element in 4096 draws (implementation bug)")
-
-    # -- serialization -----------------------------------------------------
-
-    def to_bytes(self, a: int) -> bytes:
-        """ceil(m/8) bytes, little-endian bit order (x^0 is bit 0 of byte 0)."""
-        return self.check(a).to_bytes(self.nbytes, "little")
-
-    def from_bytes(self, data: bytes) -> int:
-        if len(data) != self.nbytes:
-            raise ValueError(f"expected {self.nbytes} bytes, got {len(data)}")
-        v = int.from_bytes(data, "little")
-        if v >> self.m:
-            raise ValueError("non-zero padding bits above degree m-1")
-        return v
 
 
 def _bit_rank(rows) -> int:

@@ -285,38 +285,8 @@ class BitMatrix:
         self.rows = [r & mask for r in rows]
 
     @classmethod
-    def identity(cls, n):
-        return cls(n, n, [1 << i for i in range(n)])
-
-    @classmethod
     def random(cls, nrows, ncols, rng):
         return cls(nrows, ncols, [rng.bits(ncols) for _ in range(nrows)])
-
-    @classmethod
-    def from_entries(cls, grid):
-        nrows = len(grid)
-        ncols = len(grid[0]) if nrows else 0
-        rows = []
-        for row in grid:
-            v = 0
-            for j, e in enumerate(row):
-                if e not in (0, 1):
-                    raise ValueError("entries must be 0 or 1")
-                v |= e << j
-            rows.append(v)
-        return cls(nrows, ncols, rows)
-
-    def entry(self, i, j):
-        return self.rows[i] >> j & 1
-
-    def column(self, j):
-        v = 0
-        for i, r in enumerate(self.rows):
-            v |= (r >> j & 1) << i
-        return v
-
-    def transpose(self):
-        return BitMatrix(self.ncols, self.nrows, [self.column(j) for j in range(self.ncols)])
 
     def rank(self):
         return _bit_rank(self.rows)
@@ -484,12 +454,6 @@ class RankVector:
     def __len__(self):
         return len(self.values)
 
-    def __getitem__(self, i):
-        return self.values[i]
-
-    def __iter__(self):
-        return iter(self.values)
-
     def __eq__(self, other):
         return (
             isinstance(other, RankVector)
@@ -513,15 +477,6 @@ class RankVector:
     __add__ = add
     __sub__ = add
 
-    def scalar_mul(self, lam) -> "RankVector":
-        lam = self.ctx.check(lam)
-        mul = self.ctx.mul
-        return RankVector(self.ctx, [mul(lam, v) for v in self.values])
-
-    def frobenius(self, i: int) -> "RankVector":
-        f = self.ctx.frobenius
-        return RankVector(self.ctx, [f(v, i) for v in self.values])
-
     def expand_over_base(self) -> BitMatrix:
         """m x n matrix over GF(2); column j holds the coefficients of entry j."""
         m = self.ctx.m
@@ -539,27 +494,21 @@ class RankVector:
         """rk_q: GF(2)-rank of the base-field expansion."""
         return _bit_rank(self.values)
 
-    def mul_matrix(self, M: "RankMatrix") -> "RankVector":
-        self._same_ctx(M)
-        if len(self) != M.nrows:
-            raise ValueError("dimension mismatch")
-        return RankVector(self.ctx, M.left_mul_values(self.values))
 
-    def to_bytes(self) -> bytes:
-        out = [len(self.values).to_bytes(4, "big")]
-        out += [self.ctx.to_bytes(v) for v in self.values]
-        return b"".join(out)
+def checked_values(ctx: FieldCtx, x, n: int, what: str) -> list:
+    """The entries of x, a RankVector or a sequence of ints, as a list.
 
-    @classmethod
-    def from_bytes(cls, ctx, data: bytes) -> "RankVector":
-        if len(data) < 4:
-            raise ValueError("truncated vector")
-        n = int.from_bytes(data[:4], "big")
-        nb = ctx.nbytes
-        if len(data) != 4 + n * nb:
-            raise ValueError("vector byte length mismatch")
-        vals = [ctx.from_bytes(data[4 + i * nb : 4 + (i + 1) * nb]) for i in range(n)]
-        return cls(ctx, vals)
+    Raises ValueError unless x has n entries, each an element of ctx.  List
+    input reaches the packed kernel through here: a negative entry would
+    never finish a window product, and one of degree >= m would spill into
+    the next slot.
+    """
+    vals = x.values if isinstance(x, RankVector) else list(x)
+    if len(vals) != n:
+        raise ValueError(f"{what} length {len(vals)} != {n}")
+    for v in vals:
+        ctx.check(v)
+    return vals
 
 
 class RankMatrix:
@@ -589,20 +538,12 @@ class RankMatrix:
         return cls(ctx, [[rng.element(ctx.m) for _ in range(c)] for _ in range(r)])
 
     @classmethod
-    def random_full_rank(cls, ctx, r, c, rng, tries=256):
-        for _ in range(tries):
+    def random_full_rank(cls, ctx, r, c, rng):
+        for _ in range(256):
             M = cls.random(ctx, r, c, rng)
             if M.rank() == min(r, c):
                 return M
         raise RuntimeError("failed to sample a full-rank matrix")
-
-    @classmethod
-    def diagonal(cls, ctx, diag):
-        n = len(diag)
-        M = cls.zero(ctx, n, n)
-        for i, v in enumerate(diag):
-            M.rows[i][i] = ctx.check(v)
-        return M
 
     def __eq__(self, other):
         return (
@@ -617,12 +558,6 @@ class RankMatrix:
     def _same_ctx(self, other):
         if self.ctx != other.ctx:
             raise ContextMismatchError("matrices from different field contexts")
-
-    def entry(self, i, j):
-        return self.rows[i][j]
-
-    def row(self, i) -> RankVector:
-        return RankVector(self.ctx, self.rows[i])
 
     def column(self, j):
         return [r[j] for r in self.rows]
@@ -644,14 +579,8 @@ class RankMatrix:
         mul = self.ctx.mul
         return RankMatrix(self.ctx, [[mul(lam, v) for v in row] for row in self.rows])
 
-    def transpose(self) -> "RankMatrix":
-        return RankMatrix(self.ctx, [list(col) for col in zip(*self.rows)] if self.rows else [])
-
     def submatrix(self, i0, j0, r, c) -> "RankMatrix":
         return RankMatrix(self.ctx, [row[j0 : j0 + c] for row in self.rows[i0 : i0 + r]])
-
-    def take_columns(self, cols) -> "RankMatrix":
-        return RankMatrix(self.ctx, [[row[j] for j in cols] for row in self.rows])
 
     @classmethod
     def from_blocks(cls, grid):
@@ -721,49 +650,6 @@ class RankMatrix:
             )
         inv_rows = [pk.unpack(r)[n:] for r in rows[:n]]
         return RankMatrix(self.ctx, inv_rows)
-
-    def solve_left(self, target):
-        """Any x with x · self = target, or None if no solution exists."""
-        vals = target.values if isinstance(target, RankVector) else list(target)
-        if len(vals) != self.ncols:
-            raise ValueError("dimension mismatch")
-        # transpose the system: self^T · x^T = target^T
-        n = self.nrows
-        pk = _packed(self.ctx, n + 1)
-        rows = []
-        for j in range(self.ncols):
-            rows.append(pk.pack([self.rows[i][j] for i in range(n)] + [vals[j]]))
-        pivots = _rref_packed(self.ctx, rows, n + 1)
-        if pivots and pivots[-1] == n:
-            return None
-        x = [0] * n
-        for ri, col in enumerate(pivots):
-            x[col] = pk.entry(rows[ri], n)
-        return x
-
-    # -- serialization --------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        out = [self.nrows.to_bytes(4, "big"), self.ncols.to_bytes(4, "big")]
-        to_b = self.ctx.to_bytes
-        for row in self.rows:
-            out.extend(to_b(v) for v in row)
-        return b"".join(out)
-
-    @classmethod
-    def from_bytes(cls, ctx, data: bytes) -> "RankMatrix":
-        if len(data) < 8:
-            raise ValueError("truncated matrix")
-        r = int.from_bytes(data[:4], "big")
-        c = int.from_bytes(data[4:8], "big")
-        nb = ctx.nbytes
-        if len(data) != 8 + r * c * nb:
-            raise ValueError("matrix byte length mismatch")
-        vals = [
-            ctx.from_bytes(data[8 + i * nb : 8 + (i + 1) * nb]) for i in range(r * c)
-        ]
-        return cls(ctx, [vals[i * c : (i + 1) * c] for i in range(r)])
-
 
 def column_rank_q(M: RankMatrix) -> int:
     """colrk_q: GF(2)-dimension of the span of the columns of M."""

@@ -26,7 +26,14 @@ y_{r+1} = y_r T' T^{-1}, which makes the block a partial circulant whose
 row pattern repeats with period t1.  P draws its entries from small
 GF(2)-subspaces so that e P_Ci has rank at most lam' * t (improved, blocks
 in the information set) or lam * t (repaired), keeping every decoded block
-inside the Gabidulin radius t2.
+inside the Gabidulin radius t2.  Each randomized construction retries up
+to a fixed budget and raises GenerationError past it.  Key pairs keep the
+X factorization (XWitness) and the subspaces in memory as evidence for
+property checks; the tests check them.
+
+encrypt and decrypt take messages and ciphertext values as a RankVector
+or a list of ints, and check the length and every entry once, on entry
+(ranklinalg.checked_values).
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from .ranklinalg import (
     RankMatrix,
     RankVector,
     SingularMatrixError,
+    checked_values,
     circulant_block_compose,
     circulant_block_invert,
     column_rank_q,
@@ -94,16 +102,12 @@ class SubspaceSpec:
         return v
 
 
-def sample_subspace_basis(ctx: FieldCtx, lam: int, rng, tries: int = 256) -> tuple:
-    for _ in range(tries):
+def sample_subspace_basis(ctx: FieldCtx, lam: int, rng) -> tuple:
+    for _ in range(256):
         cand = [rng.nonzero_element(ctx.m) for _ in range(lam)]
         if _bit_rank(cand) == lam:
             return tuple(cand)
     raise GenerationError("could not sample an independent subspace basis")
-
-
-def in_span(value: int, elems) -> bool:
-    return _bit_rank(list(elems) + [value]) == _bit_rank(list(elems))
 
 
 # ---------------------------------------------------------------------------
@@ -118,32 +122,6 @@ class XBlockWitness:
     T: BitMatrix
     T_shift: BitMatrix
 
-    def w_top(self, ncols: int) -> BitMatrix:
-        """Top t1 rows of the GF(2) transform W: the block [T | T | ... | T]."""
-        t1 = self.T.nrows
-        reps = ncols // t1
-        rows = []
-        for r in self.T.rows:
-            v = 0
-            for i in range(reps):
-                v |= r << (i * t1)
-            rows.append(v)
-        return BitMatrix(t1, ncols, rows)
-
-    def full_w(self, ncols: int) -> BitMatrix:
-        """An invertible completion of W below the [T | ... | T] top rows."""
-        top = self.w_top(ncols)
-        rows = list(top.rows)
-        for b in range(ncols):
-            if len(rows) == ncols:
-                break
-            cand = rows + [1 << b]
-            if _bit_rank(cand) == len(cand):
-                rows.append(1 << b)
-        if len(rows) != ncols:
-            raise GenerationError("could not complete W to an invertible matrix")
-        return BitMatrix(ncols, ncols, rows)
-
 
 @dataclass
 class XWitness:
@@ -151,9 +129,9 @@ class XWitness:
     blocks: dict  # column block index -> XBlockWitness (in-set blocks only)
 
 
-def _sample_shift_pair(t1: int, rng, tries: int = 1024):
+def _sample_shift_pair(t1: int, rng):
     """Invertible T over GF(2) whose right cyclic column shift is invertible."""
-    for _ in range(tries):
+    for _ in range(1024):
         T = BitMatrix.random(t1, t1, rng)
         if not T.is_invertible():
             continue
@@ -175,7 +153,7 @@ def _periodic_block(ctx, Z: RankMatrix, ncols: int) -> RankMatrix:
     return RankMatrix(ctx, [row * reps for row in Z.rows])
 
 
-def _low_colrank_block(ctx, rows, width, t1, rng, tries=64):
+def _low_colrank_block(ctx, rows, width, t1, rng):
     """Stacked partial circulants of width `width`, sharing one transform.
 
     rows = list of row counts per stacked block; returns (blocks, witness)
@@ -184,7 +162,7 @@ def _low_colrank_block(ctx, rows, width, t1, rng, tries=64):
     if t1 == 0:
         blocks = [RankMatrix.zero(ctx, r, width) for r in rows]
         return blocks, None
-    for _ in range(tries):
+    for _ in range(64):
         T, Ts = _sample_shift_pair(t1, rng)
         R = Ts.mul(T.inverse())
         Ys, blocks = [], []
@@ -235,8 +213,7 @@ def construct_X(p: ParamSet, info_set, rng, ctx: FieldCtx) -> XWitness:
 # construction of P
 
 
-def construct_P(p: ParamSet, spec: SubspaceSpec, info_set, rng, ctx: FieldCtx,
-                tries: int = 64):
+def construct_P(p: ParamSet, spec: SubspaceSpec, info_set, rng, ctx: FieldCtx):
     """Invertible right scrambler as a circulant-block grid; returns (P, P^-1).
 
     Improved: n1 x n1 blocks of size n2, column block i drawn from U_i (i in
@@ -244,7 +221,7 @@ def construct_P(p: ParamSet, spec: SubspaceSpec, info_set, rng, ctx: FieldCtx,
     length n drawn from V.
     """
     nb, size = (1, p.n) if p.variant == "repaired" else (p.n1, p.n2)
-    for _ in range(tries):
+    for _ in range(64):
         grid = [
             [[spec.member(spec.span_for_block(ic), rng) for _ in range(size)]
              for ic in range(nb)]
@@ -363,7 +340,7 @@ class _Decrypter:
     def for_improved(cls, sk: ImprovedSecretKey):
         p = sk.params
         ctx = sk.G1.ctx
-        code = KroneckerCode(sk.G1, from_normal_orbit(ctx, sk.alpha, p.n2, p.k2))
+        code = KroneckerCode(sk.G1, from_normal_orbit(ctx, sk.alpha, p.k2))
         return cls(code, sk.P, None)
 
     @classmethod
@@ -389,19 +366,19 @@ class _Decrypter:
 # keygen / encrypt / decrypt
 
 
-def keygen(p: ParamSet, rng, tries: int = 64) -> KeyPair:
+def keygen(p: ParamSet, rng) -> KeyPair:
     ctx = FieldCtx(p.m, p.modulus)
     if p.variant == "improved":
         return _keygen_improved(p, rng, ctx)
     if p.variant == "repaired":
-        return _keygen_repaired(p, rng, ctx, tries)
+        return _keygen_repaired(p, rng, ctx)
     raise ValueError(f"unsupported variant {p.variant!r}")
 
 
 def _keygen_improved(p: ParamSet, rng, ctx) -> KeyPair:
     G1 = RankMatrix.random_full_rank(ctx, p.k1, p.n1, rng)
     alpha = ctx.find_normal_element(rng)
-    code = KroneckerCode(G1, from_normal_orbit(ctx, alpha, p.n2, p.k2))
+    code = KroneckerCode(G1, from_normal_orbit(ctx, alpha, p.k2))
     xw = construct_X(p, code.I, rng, ctx)
     spec = SubspaceSpec.sample(ctx, p.lam, p.lam_p, code.I, rng)
     P, Pinv = construct_P(p, spec, code.I, rng, ctx)
@@ -417,8 +394,8 @@ def _keygen_improved(p: ParamSet, rng, ctx) -> KeyPair:
     return KeyPair(pk=pk, sk=sk, x_witness=xw, subspace=spec, code=code, P=P)
 
 
-def _keygen_repaired(p: ParamSet, rng, ctx, tries: int) -> KeyPair:
-    for _ in range(tries):
+def _keygen_repaired(p: ParamSet, rng, ctx) -> KeyPair:
+    for _ in range(64):
         G1 = RankMatrix.random_full_rank(ctx, p.k1, p.n1, rng)
         alpha = ctx.find_normal_element(rng)
         g2 = RankVector(ctx, ctx.frobenius_orbit(alpha, p.n2))
@@ -440,26 +417,17 @@ def _keygen_repaired(p: ParamSet, rng, ctx, tries: int) -> KeyPair:
     raise GenerationError("could not reach a systematic public key")
 
 
-def encrypt(message, pk: PublicKey, p: ParamSet, rng, error=None) -> Ciphertext:
-    """c = m G_pub + e with rk(e) = t; `error` is a test-only override."""
-    vals = message.values if isinstance(message, RankVector) else list(message)
-    if len(vals) != p.k:
-        raise ValueError(f"message length {len(vals)} != k={p.k}")
+def encrypt(message, pk: PublicKey, p: ParamSet, rng) -> Ciphertext:
+    """c = m G_pub + e with rk(e) = t."""
     ctx = pk.matrix.ctx
+    vals = checked_values(ctx, message, p.k, "message")
     pko, prows = pk.packed_rows()
     c = pko.lincomb(vals, prows)
-    if error is None:
-        e = sample_rank_error(ctx, p.n, p.t, rng)
-    else:
-        e = error if isinstance(error, RankVector) else RankVector(ctx, error)
-        if len(e) != p.n:
-            raise ValueError("error length mismatch")
+    e = sample_rank_error(ctx, p.n, p.t, rng)
     return Ciphertext(p, RankVector(ctx, [a ^ b for a, b in zip(c, e.values)]))
 
 
 def decrypt(ct: Ciphertext, sk, p: ParamSet) -> RankVector:
     """Invert the disguise and block-decode; raises DecryptFailure."""
-    vals = ct.values.values if isinstance(ct, Ciphertext) else list(ct)
-    if len(vals) != p.n:
-        raise ValueError(f"ciphertext length {len(vals)} != n={p.n}")
+    vals = checked_values(sk.G1.ctx, ct.values, p.n, "ciphertext")
     return sk.decrypter().decrypt(vals)

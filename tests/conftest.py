@@ -3,6 +3,7 @@ import pytest
 from gabkron.gf2m import FieldCtx
 from gabkron.params import setup
 from gabkron.prng import SeededRng
+from gabkron.ranklinalg import RankVector
 
 
 @pytest.fixture
@@ -27,6 +28,13 @@ def rng():
 
 def fresh_rng(label: bytes) -> SeededRng:
     return SeededRng(b"gabkron-tests/" + label)
+
+
+def vec_mat(u, M):
+    """The product u·M of a RankVector by a RankMatrix, as a RankVector."""
+    if len(u) != M.nrows:
+        raise ValueError("dimension mismatch")
+    return RankVector(M.ctx, M.left_mul_values(u.values))
 
 
 @pytest.fixture

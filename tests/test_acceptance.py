@@ -14,7 +14,7 @@ from gabkron.prng import SeededRng
 from gabkron.ranklinalg import RankMatrix, RankVector, circulant
 from gabkron.scheme import sample_rank_error
 
-from conftest import fresh_rng
+from conftest import fresh_rng, vec_mat
 
 
 def _line(n, desc):
@@ -151,7 +151,7 @@ def test_criterion_5_rank_budget_property():
         for i in kp.code.I:
             X_ci = X.submatrix(0, i * p.n2, p.k, p.n2)
             P_ci = P.submatrix(0, i * p.n2, p.n, p.n2)
-            eff = m.mul_matrix(X_ci).add(e.mul_matrix(P_ci))
+            eff = vec_mat(m, X_ci).add(vec_mat(e, P_ci))
             if eff.rank_weight() > budget:
                 violations += 1
     assert violations == 0

@@ -278,6 +278,15 @@ def test_bad_seed_rejected():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["--trials", "-3", "--lemmas"], ["--trials", "0", "--prop1"]])
+def test_audit_trials_below_one_rejected(argv, capsys):
+    # both used to run: -3 reported a mismatch, 0 passed after checking nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["audit"] + argv)
+    assert exc.value.code == 2
+    assert "trials must be at least 1" in capsys.readouterr().err
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "gabkron.cli", "audit", "--all"],

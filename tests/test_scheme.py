@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 from gabkron.gf2m import FieldCtx, _bit_rank
@@ -7,6 +10,7 @@ from gabkron.gabcodes import GabidulinCode
 from gabkron.params import setup
 from gabkron.prng import SeededRng
 from gabkron.ranklinalg import (
+    BitMatrix,
     RankMatrix,
     RankVector,
     column_rank_q,
@@ -22,7 +26,7 @@ from gabkron.scheme import (
     sample_rank_error,
 )
 
-from conftest import fresh_rng
+from conftest import fresh_rng, vec_mat
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +48,21 @@ def x_column_block(p, X, i):
 
 def p_column_block(p, P, i):
     return P.submatrix(0, i * p.n2, p.n, p.n2)
+
+
+def in_span(value, elems):
+    return _bit_rank(list(elems) + [value]) == _bit_rank(list(elems))
+
+
+def full_w(wit, ncols):
+    """An invertible GF(2) transform W whose top t1 rows are [T | T | ... | T]."""
+    t1 = wit.T.nrows
+    rows = [sum(r << (i * t1) for i in range(ncols // t1)) for r in wit.T.rows]
+    for b in range(ncols):
+        if _bit_rank(rows + [1 << b]) == len(rows) + 1:
+            rows.append(1 << b)
+    assert len(rows) == ncols
+    return BitMatrix(ncols, ncols, rows)
 
 
 # -- sample_rank_error ---------------------------------------------------------
@@ -100,7 +119,7 @@ def test_construct_x_message_rank_bound(toy_kp):
         block = x_column_block(p, X, j)
         for _ in range(100):
             u = RankVector.random(ctx, p.k, rng)
-            assert u.mul_matrix(block).rank_weight() <= p.t1
+            assert vec_mat(u, block).rank_weight() <= p.t1
 
 
 def test_construct_x_witness_factorization(toy_kp):
@@ -108,7 +127,7 @@ def test_construct_x_witness_factorization(toy_kp):
     p, kp = toy_kp
     ctx = kp.pk.matrix.ctx
     for j, wit in kp.x_witness.blocks.items():
-        W = wit.full_w(p.n2)
+        W = full_w(wit, p.n2)
         assert W.is_invertible()
         assert wit.T.is_invertible() and wit.T_shift.is_invertible()
         for i, Y in enumerate(wit.Y):
@@ -151,7 +170,7 @@ def test_construct_x_repaired_full_width(toy_rep_kp):
         u = RankVector.random(ctx, p.k, rng)
         for i in range(p.n1):
             blk = x_column_block(p, X, i)
-            assert u.mul_matrix(blk).rank_weight() <= p.t1
+            assert vec_mat(u, blk).rank_weight() <= p.t1
 
 
 # -- construct_P ---------------------------------------------------------------
@@ -174,7 +193,7 @@ def test_construct_p_improved_structure(toy_kp):
         block = p_column_block(p, P, i)
         for row in block.rows:
             for v in row:
-                assert sc.in_span(v, elems)
+                assert in_span(v, elems)
 
 
 def test_construct_p_error_rank_bound(toy_kp):
@@ -185,7 +204,7 @@ def test_construct_p_error_rank_bound(toy_kp):
         block = p_column_block(p, kp.P.dense(), i)
         for _ in range(100):
             e = sample_rank_error(ctx, p.n, p.t, rng)
-            assert e.mul_matrix(block).rank_weight() <= p.lam_p * p.t
+            assert vec_mat(e, block).rank_weight() <= p.lam_p * p.t
 
 
 def test_construct_p_repaired_entries_in_v(toy_rep_kp):
@@ -194,7 +213,7 @@ def test_construct_p_repaired_entries_in_v(toy_rep_kp):
     assert is_circulant(P)
     basis = kp.subspace.basis
     for v in kp.sk.P.dense().rows[0]:
-        assert sc.in_span(v, basis)
+        assert in_span(v, basis)
 
 
 def test_subspace_spec_sampling():
@@ -251,8 +270,8 @@ def test_rank_budget_per_block(toy_kp):
         m = RankVector.random(ctx, p.k, rng)
         e = sample_rank_error(ctx, p.n, p.t, rng)
         for i in kp.code.I:
-            eff = m.mul_matrix(x_column_block(p, X, i)).add(
-                e.mul_matrix(p_column_block(p, P, i))
+            eff = vec_mat(m, x_column_block(p, X, i)).add(
+                vec_mat(e, p_column_block(p, P, i))
             )
             assert eff.rank_weight() <= budget
 
@@ -285,8 +304,7 @@ def test_encrypt_error_override_noiseless(toy_kp):
     ctx = kp.pk.matrix.ctx
     rng = fresh_rng(b"noiseless")
     m = RankVector.random(ctx, p.k, rng)
-    ct = sc.encrypt(m, kp.pk, p, rng, error=RankVector.zero(ctx, p.n))
-    assert ct.values == m.mul_matrix(kp.pk.matrix.dense())
+    ct = sc.Ciphertext(p, vec_mat(m, kp.pk.matrix.dense()))
     assert sc.decrypt(ct, kp.sk, p) == m
 
 
@@ -306,13 +324,53 @@ def test_encrypt_length_check(toy_kp):
         sc.encrypt(RankVector.zero(ctx, p.k + 1), kp.pk, p, fresh_rng(b"len"))
 
 
+@pytest.mark.parametrize("bad", ["top", "huge"])
+def test_entries_outside_the_field_rejected(toy_kp, bad):
+    # an entry of degree >= m used to spill into the next packed slot:
+    # encrypt accepted it and decrypt returned another message
+    p, kp = toy_kp
+    ctx = kp.pk.matrix.ctx
+    m = RankVector.random(ctx, p.k, fresh_rng(b"outside")).values
+    ct = sc.encrypt(m, kp.pk, p, fresh_rng(b"outside-e"))
+    value = 1 << p.m if bad == "top" else (1 << 3 * p.m) | 5
+    with pytest.raises(ValueError):
+        sc.encrypt([value] + m[1:], kp.pk, p, fresh_rng(b"outside-e"))
+    with pytest.raises(ValueError):
+        sc.decrypt(sc.Ciphertext(p, [value] + ct.values.values[1:]), kp.sk, p)
+    assert sc.decrypt(ct, kp.sk, p).values == m
+
+
+_NEGATIVE_ENTRY = """
+from gabkron import scheme as sc
+from gabkron.params import setup
+from gabkron.prng import SeededRng
+p = setup(variant="improved", m=12, n1=2, k1=2, n2=12, k2=4, t=1, t1=1, lam=3, lam_p=2)
+kp = sc.keygen(p, SeededRng(b"negative"))
+for call in (lambda: sc.encrypt([-1] + [0] * (p.k - 1), kp.pk, p, SeededRng(b"e")),
+             lambda: sc.decrypt(sc.Ciphertext(p, [-1] + [0] * (p.n - 1)), kp.sk, p)):
+    try:
+        call()
+    except ValueError:
+        print("rejected")
+"""
+
+
+def test_negative_entries_rejected():
+    # a negative entry used to loop forever in the window product, so the
+    # calls run in a child process that a timeout can stop
+    proc = subprocess.run([sys.executable, "-c", _NEGATIVE_ENTRY],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["rejected", "rejected"]
+
+
 def test_encrypt_error_has_exact_rank(toy_kp):
     p, kp = toy_kp
     ctx = kp.pk.matrix.ctx
     rng = fresh_rng(b"erank")
     m = RankVector.random(ctx, p.k, rng)
     ct = sc.encrypt(m, kp.pk, p, rng)
-    e = ct.values.add(m.mul_matrix(kp.pk.matrix.dense()))
+    e = ct.values.add(vec_mat(m, kp.pk.matrix.dense()))
     assert e.rank_weight() == p.t
 
 
@@ -334,11 +392,12 @@ def test_decrypt_oversized_error_may_fail_cleanly(toy_kp):
     p, kp = toy_kp
     ctx = kp.pk.matrix.ctx
     rng = fresh_rng(b"bigerr")
+    G_pub = kp.pk.matrix.dense()
     outcomes = {"ok": 0, "fail": 0, "wrong": 0}
     for _ in range(30):
         m = RankVector.random(ctx, p.k, rng)
         big = sample_rank_error(ctx, p.n, p.t2 + 3, rng)
-        ct = sc.encrypt(m, kp.pk, p, rng, error=big)
+        ct = sc.Ciphertext(p, vec_mat(m, G_pub) + big)
         try:
             got = sc.decrypt(ct, kp.sk, p)
             outcomes["ok" if got == m else "wrong"] += 1
