@@ -28,7 +28,6 @@ from .ranklinalg import (
     cyc_inv,
     is_circulant,
     is_circulant_block,
-    is_partial_circulant,
     is_partial_circulant_block,
     partial_circulant,
 )
@@ -207,14 +206,6 @@ class FlawReport:
     planted_found: int = 0
     planted_total: int = 0
 
-    def as_dict(self):
-        return {
-            "trials": self.trials,
-            "circulant_s_found": self.circulant_s_found,
-            "planted_found": self.planted_found,
-            "planted_total": self.planted_total,
-        }
-
 
 def _original_pipeline_matrix(p: ParamSet, rng, ctx) -> RankMatrix:
     """(G + X) P^{-1} as the original key generation would produce it.
@@ -233,9 +224,7 @@ def _original_pipeline_matrix(p: ParamSet, rng, ctx) -> RankMatrix:
         if G1.rank() != p.k1:
             continue
         G2 = RankMatrix.random_full_rank(ctx, p.k2, p.n2, rng)
-        G = RankMatrix.from_blocks(
-            [[G2.scalar_mul(G1.rows[i][j]) for j in range(p.n1)] for i in range(p.k1)]
-        )
+        G = G1.kron(G2)
         xw = construct_X(p, (), rng, ctx)
         basis = sample_subspace_basis(ctx, p.lam, rng)
         spec = SubspaceSpec(basis=basis, selections={})
@@ -294,18 +283,12 @@ class LemmaReport:
 
 def left_factor(K: KroneckerCode) -> RankMatrix:
     """Gbar1 = G1 (x) I_k2, the left factor of K.G = Gbar1 Gbar2."""
-    ident = RankMatrix.identity(K.ctx, K.k2)
-    return RankMatrix.from_blocks(
-        [[ident.scalar_mul(K.G1.rows[i][j]) for j in range(K.n1)] for i in range(K.k1)]
-    )
+    return K.G1.kron(RankMatrix.identity(K.ctx, K.k2))
 
 
 def right_factor(K: KroneckerCode) -> RankMatrix:
     """Gbar2 = I_n1 (x) C2.generator, the block-diagonal right factor."""
-    zero = RankMatrix.zero(K.ctx, K.k2, K.n2)
-    return RankMatrix.from_blocks(
-        [[K.C2.generator if i == j else zero for j in range(K.n1)] for i in range(K.n1)]
-    )
+    return RankMatrix.identity(K.ctx, K.n1).kron(K.C2.generator)
 
 
 def _random_invertible_circulant(ctx, n, rng):
@@ -315,9 +298,66 @@ def _random_invertible_circulant(ctx, n, rng):
             return circulant(gen)
 
 
+def _random_full_weight(ctx, n, rng) -> RankVector:
+    while True:
+        g = RankVector.random(ctx, n, rng)
+        if g.rank_weight() == n:
+            return g
+
+
 def _random_grid(ctx, nrows, ncols, k, n, rng) -> CirculantGrid:
     gens = [[RankVector.random(ctx, n, rng).values for _ in range(ncols)] for _ in range(nrows)]
     return CirculantGrid(ctx, gens, k)
+
+
+def _lemma_trials(rng):
+    """(name, trial) for each suite in report order; trial() draws one case
+    from rng and returns whether the lemma held for it.
+
+    A generator, so that a suite's shared set-up draws follow the trials of
+    the suites before it.
+    """
+    ctx4 = FieldCtx(4)
+    ctx6 = FieldCtx(6)
+
+    def factor_rank():
+        G1 = RankMatrix.random_full_rank(ctx6, 2, 2, rng)
+        K = KroneckerCode(G1, GabidulinCode(_random_full_weight(ctx6, 6, rng), 2))
+        Gbar1 = left_factor(K)
+        return Gbar1.rank() == K.k and K.G == Gbar1.mul(right_factor(K))
+
+    def block_inverse():
+        while True:
+            A = _random_grid(ctx4, 2, 2, 3, 3, rng)
+            try:
+                Ainv = circulant_block_invert(A).dense()
+                break
+            except SingularMatrixError:
+                continue
+        return (is_circulant_block(Ainv, 2, 3)
+                and A.dense().mul(Ainv) == RankMatrix.identity(ctx4, 6))
+
+    def product(nb, k, n):
+        # nb x nb blocks: Cir_k blocks times Cir blocks of size n
+        B = _random_grid(ctx4, nb, nb, k, n, rng)
+        A = _random_grid(ctx4, nb, nb, n, n, rng)
+        prod = circulant_block_compose(B, A).dense()
+        return (is_partial_circulant_block(prod, nb, nb, k, n)
+                and prod == B.dense().mul(A.dense()))
+
+    def inverse():
+        C = _random_invertible_circulant(ctx4, 5, rng)
+        Ci = circulant_inverse(C)
+        return is_circulant(Ci) and C.mul(Ci) == RankMatrix.identity(ctx4, 5)
+
+    yield "factor-rank", factor_rank
+    g = _random_full_weight(ctx6, 6, rng)
+    K = KroneckerCode(RankMatrix.random_full_rank(ctx6, 2, 2, rng), GabidulinCode(g, 2))
+    yield "subcode", lambda: K.subcode_membership(K.encode(RankVector.random(ctx6, K.k, rng)))
+    yield "block-inverse", block_inverse
+    yield "partial-product", lambda: product(1, 2, 6)
+    yield "block-product", lambda: product(2, 2, 3)
+    yield "circulant-inverse", inverse
 
 
 def verify_structure_lemmas(rng, trials: int = 100) -> LemmaReport:
@@ -332,73 +372,8 @@ def verify_structure_lemmas(rng, trials: int = 100) -> LemmaReport:
     inverses stay circulant.
     """
     report = LemmaReport()
-    ctx4 = FieldCtx(4)
-    ctx6 = FieldCtx(6)
-
-    passes = 0
-    for _ in range(trials):
-        G1 = RankMatrix.random_full_rank(ctx6, 2, 2, rng)
-        while True:
-            g = RankVector.random(ctx6, 6, rng)
-            if g.rank_weight() == 6:
-                break
-        K = KroneckerCode(G1, GabidulinCode(g, 2))
-        Gbar1 = left_factor(K)
-        if Gbar1.rank() == K.k and K.G == Gbar1.mul(right_factor(K)):
-            passes += 1
-    report.results["factor-rank"] = (passes, trials)
-
-    passes = 0
-    while True:
-        g = RankVector.random(ctx6, 6, rng)
-        if g.rank_weight() == 6:
-            break
-    K = KroneckerCode(RankMatrix.random_full_rank(ctx6, 2, 2, rng), GabidulinCode(g, 2))
-    for _ in range(trials):
-        msg = RankVector.random(ctx6, K.k, rng)
-        if K.subcode_membership(K.encode(msg)):
-            passes += 1
-    report.results["subcode"] = (passes, trials)
-
-    passes = 0
-    for _ in range(trials):
-        while True:
-            A = _random_grid(ctx4, 2, 2, 3, 3, rng)
-            try:
-                Ainv = circulant_block_invert(A).dense()
-                break
-            except SingularMatrixError:
-                continue
-        if is_circulant_block(Ainv, 2, 3) and A.dense().mul(Ainv) == RankMatrix.identity(ctx4, 6):
-            passes += 1
-    report.results["block-inverse"] = (passes, trials)
-
-    passes = 0
-    for _ in range(trials):
-        P = _random_grid(ctx4, 1, 1, 2, 6, rng)
-        Q = _random_grid(ctx4, 1, 1, 6, 6, rng)
-        prod = circulant_block_compose(P, Q).dense()
-        if is_partial_circulant(prod) and prod == P.dense().mul(Q.dense()):
-            passes += 1
-    report.results["partial-product"] = (passes, trials)
-
-    passes = 0
-    for _ in range(trials):
-        B = _random_grid(ctx4, 2, 2, 2, 3, rng)
-        A = _random_grid(ctx4, 2, 2, 3, 3, rng)
-        prod = circulant_block_compose(B, A).dense()
-        if is_partial_circulant_block(prod, 2, 2, 2, 3) and prod == B.dense().mul(A.dense()):
-            passes += 1
-    report.results["block-product"] = (passes, trials)
-
-    passes = 0
-    for _ in range(trials):
-        C = _random_invertible_circulant(ctx4, 5, rng)
-        Ci = circulant_inverse(C)
-        if is_circulant(Ci) and C.mul(Ci) == RankMatrix.identity(ctx4, 5):
-            passes += 1
-    report.results["circulant-inverse"] = (passes, trials)
-
+    for name, trial in _lemma_trials(rng):
+        report.results[name] = (sum(trial() for _ in range(trials)), trials)
     return report
 
 

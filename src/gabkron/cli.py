@@ -8,6 +8,7 @@ violation, 3 decode failure, 4 I/O or parse error, 5 audit mismatch.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -131,7 +132,6 @@ def cmd_encrypt(args) -> int:
 def cmd_decrypt(args) -> int:
     try:
         sk = keyio.parse_secret_key(_read(args.sk))
-        sk.decrypter()  # an inconsistent secret tuple fails here
         ct = keyio.parse_ciphertext(_read(args.infile))
     except (keyio.FormatError, ValueError) as exc:
         print(f"error: bad input file: {exc}", file=sys.stderr)
@@ -169,7 +169,7 @@ def cmd_audit(args) -> int:
     if args.prop1:
         p = setup(**_PROP1_TOY)
         rep = audit.demonstrate_original_flaw(p, _rng(args), args.trials)
-        report["prop1"] = rep.as_dict()
+        report["prop1"] = dataclasses.asdict(rep)
         if rep.circulant_s_found:
             failed = True
     if args.lemmas:

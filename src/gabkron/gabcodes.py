@@ -52,6 +52,7 @@ from .ranklinalg import (
     _solve_packed,
     bit_kernel,
     checked_values,
+    field_vec_times_bitmatrix,
     information_set,
     partial_circulant,
     solve_gf2,
@@ -68,20 +69,10 @@ class DecodeFailure(Exception):
 
 def _root_space(ctx: FieldCtx, coeffs):
     """F_2-basis of the roots of sum_i coeffs[i] x^(2^i), as ints."""
-    m = ctx.m
     frob = ctx.frobenius_power_rows(len(coeffs) - 1)
     # column i = the polynomial at x^i: its F_2-linear action on the basis
-    cols = _packed(ctx, m).lincomb(coeffs, frob)
-    rows = [0] * m
-    for i, col in enumerate(cols):
-        b = 0
-        v = col
-        while v:
-            if v & 1:
-                rows[b] |= 1 << i
-            v >>= 1
-            b += 1
-    return bit_kernel(BitMatrix(m, m, rows))
+    cols = _packed(ctx, ctx.m).lincomb(coeffs, frob)
+    return bit_kernel(RankVector(ctx, cols).expand_over_base())
 
 
 def moore_matrix(g: RankVector, nrows: int) -> RankMatrix:
@@ -284,16 +275,7 @@ class GabidulinCode:
         sols = solve_gf2(hbits, W)
         if any(y is None for y in sols):
             return None
-        e = [0] * self.n
-        for ep, ybits in zip(E, sols):
-            i = 0
-            v = ybits
-            while v:
-                if v & 1:
-                    e[i] ^= ep
-                v >>= 1
-                i += 1
-        return e
+        return field_vec_times_bitmatrix(self.ctx, E, BitMatrix(w, self.n, sols))
 
     def decode_bruteforce(self, y):
         """Exhaustive nearest-codeword search; the referee for tiny codes."""
@@ -383,10 +365,7 @@ class KroneckerCode:
     @cached_property
     def G(self) -> RankMatrix:
         """The dense k x n generator G1 (x) C2.generator, built on first use only."""
-        G1, G2 = self.G1, self.C2.generator
-        return RankMatrix.from_blocks(
-            [[G2.scalar_mul(G1.rows[i][j]) for j in range(self.n1)] for i in range(self.k1)]
-        )
+        return self.G1.kron(self.C2.generator)
 
     @cached_property
     def _packed_G(self):

@@ -189,21 +189,7 @@ class FieldCtx:
             return a
         if a == 1:
             return b
-        # 4-bit windowed carry-less multiply, then fold
-        t2 = a << 1
-        t4 = a << 2
-        t8 = a << 3
-        tab = [0, a, t2, t2 ^ a, t4, t4 ^ a, t4 ^ t2, t4 ^ t2 ^ a]
-        tab += [x ^ t8 for x in tab]
-        r = 0
-        sh = 0
-        while b:
-            w = b & 15
-            if w:
-                r ^= tab[w] << sh
-            sh += 4
-            b >>= 4
-        return self.reduce(r)
+        return self.reduce(_window_mul(_window_table(a), b))
 
     def sqr(self, a: int) -> int:
         r = 0
@@ -279,14 +265,7 @@ class FieldCtx:
 
     def is_normal(self, a: int) -> bool:
         """True iff the Frobenius orbit of a is an F_2-basis of the field."""
-        if a == 0:
-            return False
-        rows = []
-        v = a
-        for _ in range(self.m):
-            rows.append(v)
-            v = self.sqr(v)
-        return _bit_rank(rows) == self.m
+        return _bit_rank(self.frobenius_orbit(a, self.m)) == self.m
 
     def trace_vector(self) -> int:
         """Bit i is Tr(x^i) for i < m, so Tr(a) is the parity of a & trace_vector().
@@ -350,6 +329,32 @@ class FieldCtx:
             if self.is_normal(a):
                 return a
         raise RuntimeError("no normal element in 4096 draws (implementation bug)")
+
+
+def _window_table(p):
+    """p times each of the 16 polynomials of degree < 4, for _window_mul.
+
+    p may be one element or a row of packed slots (ranklinalg): the table
+    is carry-less, so it multiplies every slot at once.
+    """
+    t2 = p << 1
+    t4 = p << 2
+    t8 = p << 3
+    tab = [0, p, t2, t2 ^ p, t4, t4 ^ p, t4 ^ t2, t4 ^ t2 ^ p]
+    return tab + [x ^ t8 for x in tab]
+
+
+def _window_mul(tab, lam):
+    """Carry-less product of lam by the value whose _window_table is tab."""
+    r = 0
+    sh = 0
+    while lam:
+        w = lam & 15
+        if w:
+            r ^= tab[w] << sh
+        sh += 4
+        lam >>= 4
+    return r
 
 
 def _bit_rank(rows) -> int:

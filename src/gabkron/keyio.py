@@ -16,7 +16,9 @@ Row 0 of Cir_k(a) is reflect(a) = (a_0, a_{n-1}, ..., a_1), an involution,
 so parsing and serializing map those rows to and from the in-memory
 CirculantGrid of generators by slicing alone.  The repaired secret key
 stores b itself, the generator of its one-block grid P = Cir(b).  Parsing
-rejects a singular P in either variant.
+rejects a singular P in either variant, then builds the key's decrypter,
+which the key caches, so that every other inconsistent secret tuple is a
+FormatError too.
 
 Messages for encryption are arbitrary byte strings up to the capacity
 floor(k*m/8) - 4; a 4-byte big-endian length prefix travels inside the
@@ -168,6 +170,17 @@ def _check_invertible(P: CirculantGrid) -> None:
         raise FormatError("P is singular")
 
 
+def _consistent(sk):
+    """sk with its decrypter built, which rejects every other inconsistent
+    part of the tuple: a non-normal alpha, a rank-deficient G1, a g2 without
+    full rank weight, a singular S."""
+    try:
+        sk.decrypter()
+    except ValueError as exc:
+        raise FormatError(f"inconsistent secret key: {exc}") from exc
+    return sk
+
+
 def serialize_secret_key(sk) -> bytes:
     p = sk.params
     vals = []
@@ -194,16 +207,13 @@ def parse_secret_key(data: bytes):
         count = 1 + p.n1 * p.n1 * p.n2 + p.k1 * p.n1
         vals = unpack_elements(payload, p.m, count)
         ctx = _ctx(p)
-        alpha = vals[0]
-        if not ctx.is_normal(alpha):
-            raise FormatError("alpha is not a normal element")
         P = _grid(ctx, vals[1:], p.n1, p.n1, p.n2, p.n2)
         _check_invertible(P)
         pos = 1 + p.n1 * p.n1 * p.n2
         G1 = RankMatrix(
             ctx, [vals[pos + i * p.n1 : pos + (i + 1) * p.n1] for i in range(p.k1)]
         )
-        return ImprovedSecretKey(p, alpha=alpha, P=P, G1=G1)
+        return _consistent(ImprovedSecretKey(p, alpha=vals[0], P=P, G1=G1))
     count = p.k1 * p.n1 + p.n2 + p.n + p.k * p.k
     vals = unpack_elements(payload, p.m, count)
     ctx = _ctx(p)
@@ -218,7 +228,7 @@ def parse_secret_key(data: bytes):
         ctx, [vals[pos + i * p.k : pos + (i + 1) * p.k] for i in range(p.k)]
     )
     _check_invertible(P)
-    return RepairedSecretKey(p, G1=G1, g2=g2, P=P, S=S)
+    return _consistent(RepairedSecretKey(p, G1=G1, g2=g2, P=P, S=S))
 
 
 # ---------------------------------------------------------------------------

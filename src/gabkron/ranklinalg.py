@@ -11,12 +11,13 @@ products never spill between slots.  The packed form is internal; the
 public API speaks lists of ints.
 
 Elimination builds the 4-bit window table of each pivot row once and
-applies it to every row it updates.  Between folds a slot holds an XOR of
-products of two reduced elements, so it stays below 2m bits and fold
-reduces it exactly; only the slot being read is reduced, and a row is
-folded when it becomes a pivot.  In the forward pass the rows below the
-pivot are held shifted right by one slot per finished column, so the
-work per update shrinks with the remaining width.
+applies it to every row it updates; the window helpers live in gf2m,
+whose FieldCtx.mul runs them on single elements.  Between folds a slot
+holds an XOR of products of two reduced elements, so it stays below 2m
+bits and fold reduces it exactly; only the slot being read is reduced,
+and a row is folded when it becomes a pivot.  In the forward pass the
+rows below the pivot are held shifted right by one slot per finished
+column, so the work per update shrinks with the remaining width.
 
 Circulant conventions follow the right-shift rule: the k-partial circulant
 of a = (a_0, ..., a_{n-1}) has row 0 = reflect(a) = (a_0, a_{n-1}, ..., a_1)
@@ -37,7 +38,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .gf2m import ContextMismatchError, FieldCtx, _bit_rank
+from .gf2m import ContextMismatchError, FieldCtx, _bit_rank, _window_mul, _window_table
 
 
 class SingularMatrixError(ValueError):
@@ -135,28 +136,6 @@ def _packed(ctx: FieldCtx, nslots: int) -> _Packed:
         ops = _Packed(ctx, nslots)
         _packed_cache[key] = ops
     return ops
-
-
-def _window_table(p):
-    """p times each of the 16 polynomials of degree < 4, for _window_mul."""
-    t2 = p << 1
-    t4 = p << 2
-    t8 = p << 3
-    tab = [0, p, t2, t2 ^ p, t4, t4 ^ p, t4 ^ t2, t4 ^ t2 ^ p]
-    return tab + [x ^ t8 for x in tab]
-
-
-def _window_mul(tab, lam):
-    """Carry-less product of lam by the row whose _window_table is tab."""
-    r = 0
-    sh = 0
-    while lam:
-        w = lam & 15
-        if w:
-            r ^= tab[w] << sh
-        sh += 4
-        lam >>= 4
-    return r
 
 
 def _echelon_packed(ctx, rows, ncols):
@@ -574,10 +553,13 @@ class RankMatrix:
     __add__ = add
     __sub__ = add
 
-    def scalar_mul(self, lam) -> "RankMatrix":
-        lam = self.ctx.check(lam)
+    def kron(self, other: "RankMatrix") -> "RankMatrix":
+        """Kronecker product: block (i, j) is self[i][j] times other."""
+        self._same_ctx(other)
         mul = self.ctx.mul
-        return RankMatrix(self.ctx, [[mul(lam, v) for v in row] for row in self.rows])
+        rows = [[mul(a, b) for a in arow for b in brow]
+                for arow in self.rows for brow in other.rows]
+        return RankMatrix(self.ctx, rows)
 
     def submatrix(self, i0, j0, r, c) -> "RankMatrix":
         return RankMatrix(self.ctx, [row[j0 : j0 + c] for row in self.rows[i0 : i0 + r]])
@@ -879,7 +861,7 @@ def _ring_det(ctx, gens, n1, n2):
         term = None
         for i in range(n1):
             term = gens[i][perm[i]] if term is None else cyc_mul(ctx, term, gens[i][perm[i]])
-        det = [x ^ y for x, y in zip(det, term)]
+        det = _poly_add(det, term)
     return det
 
 

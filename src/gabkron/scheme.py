@@ -246,23 +246,11 @@ def sample_rank_error(ctx: FieldCtx, n: int, t: int, rng) -> RankVector:
         raise ValueError(f"t={t} out of range [0, {min(ctx.m, n)}]")
     if t == 0:
         return RankVector.zero(ctx, n)
+    betas = sample_subspace_basis(ctx, t, rng)
     while True:
-        betas = [rng.nonzero_element(ctx.m) for _ in range(t)]
-        if _bit_rank(betas) == t:
-            break
-    while True:
-        loc = [rng.bits(n) for _ in range(t)]
-        if _bit_rank(loc) == t:
-            break
-    e = [0] * n
-    for b, row in zip(betas, loc):
-        i = 0
-        while row:
-            if row & 1:
-                e[i] ^= b
-            row >>= 1
-            i += 1
-    return RankVector(ctx, e)
+        loc = BitMatrix.random(t, n, rng)
+        if loc.rank() == t:
+            return RankVector(ctx, field_vec_times_bitmatrix(ctx, betas, loc))
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +307,6 @@ class KeyPair:
     x_witness: XWitness | None = None
     subspace: SubspaceSpec | None = None
     code: KroneckerCode | None = None
-    P: CirculantGrid | None = None
 
 
 @dataclass
@@ -391,7 +378,7 @@ def _keygen_improved(p: ParamSet, rng, ctx) -> KeyPair:
     ]
     pk = PublicKey(p, circulant_block_compose(CirculantGrid(ctx, GX, p.k2), Pinv))
     sk = ImprovedSecretKey(p, alpha=alpha, P=P, G1=G1)
-    return KeyPair(pk=pk, sk=sk, x_witness=xw, subspace=spec, code=code, P=P)
+    return KeyPair(pk=pk, sk=sk, x_witness=xw, subspace=spec, code=code)
 
 
 def _keygen_repaired(p: ParamSet, rng, ctx) -> KeyPair:
@@ -413,7 +400,7 @@ def _keygen_repaired(p: ParamSet, rng, ctx) -> KeyPair:
         Gpub = S.mul(M0)
         pk = PublicKey(p, Gpub)
         sk = RepairedSecretKey(p, G1=G1, g2=g2, P=P, S=S)
-        return KeyPair(pk=pk, sk=sk, x_witness=xw, subspace=spec, code=code, P=P)
+        return KeyPair(pk=pk, sk=sk, x_witness=xw, subspace=spec, code=code)
     raise GenerationError("could not reach a systematic public key")
 
 

@@ -1,9 +1,11 @@
+import dataclasses
+
 import pytest
 
 from gabkron.gf2m import FieldCtx
 from gabkron.params import setup
 from gabkron.prng import SeededRng
-from gabkron.ranklinalg import RankVector
+from gabkron.ranklinalg import CirculantGrid, RankMatrix, RankVector
 
 
 @pytest.fixture
@@ -35,6 +37,21 @@ def vec_mat(u, M):
     if len(u) != M.nrows:
         raise ValueError("dimension mismatch")
     return RankVector(M.ctx, M.left_mul_values(u.values))
+
+
+def inconsistent_secret_key(sk, part):
+    """sk with one part of its secret tuple replaced by a degenerate one."""
+    ctx = sk.G1.ctx
+    if part == "S":  # singular scrambler
+        return dataclasses.replace(sk, S=RankMatrix.zero(ctx, sk.S.nrows, sk.S.ncols))
+    if part == "g2":  # rank weight 1, not a Gabidulin generator
+        return dataclasses.replace(sk, g2=RankVector(ctx, [1] * len(sk.g2)))
+    if part == "P":  # all-zero generators: singular right scrambler
+        gens = [[[0] * len(a) for a in row] for row in sk.P.gens]
+        return dataclasses.replace(sk, P=CirculantGrid(ctx, gens, sk.P.k))
+    if part == "G1":  # rank-deficient outer matrix
+        return dataclasses.replace(sk, G1=RankMatrix.zero(ctx, sk.G1.nrows, sk.G1.ncols))
+    raise ValueError(part)
 
 
 @pytest.fixture

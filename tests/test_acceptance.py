@@ -143,7 +143,7 @@ def test_criterion_5_rank_budget_property():
     ctx = kp.pk.matrix.ctx
     rng = fresh_rng(b"accept-5-draws")
     budget = p.t1 + p.lam_p * p.t
-    X, P = kp.x_witness.X.dense(), kp.P.dense()
+    X, P = kp.x_witness.X.dense(), kp.sk.P.dense()
     violations = 0
     for _ in range(200):
         m = RankVector.random(ctx, p.k, rng)

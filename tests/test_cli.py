@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import subprocess
 import sys
@@ -9,7 +8,8 @@ from gabkron import keyio, scheme
 from gabkron.cli import main
 from gabkron.params import setup
 from gabkron.prng import SeededRng
-from gabkron.ranklinalg import CirculantGrid, RankMatrix, RankVector
+
+from conftest import inconsistent_secret_key
 
 SEED = "ab" * 32
 SET = "new-gabkron-128"
@@ -161,19 +161,14 @@ def _decrypt_with_bad_key(sk, pk, tmp_path, capsys):
 def test_rank_deficient_g1_improved_is_parse_error(keydir, tmp_path, capsys):
     sk = keyio.parse_secret_key((keydir / "sk.bin").read_bytes())
     pk = keyio.parse_public_key((keydir / "pk.bin").read_bytes())
-    G1 = RankMatrix.zero(sk.G1.ctx, sk.G1.nrows, sk.G1.ncols)
-    _decrypt_with_bad_key(dataclasses.replace(sk, G1=G1), pk, tmp_path, capsys)
-
-
-def _zero_grid(P):
-    return CirculantGrid(P.ctx, [[[0] * len(a) for a in row] for row in P.gens], P.k)
+    _decrypt_with_bad_key(inconsistent_secret_key(sk, "G1"), pk, tmp_path, capsys)
 
 
 def test_singular_p_improved_is_parse_error(keydir, tmp_path, capsys):
     # c P = 0 would decode to the empty message: it must not get that far
     sk = keyio.parse_secret_key((keydir / "sk.bin").read_bytes())
     pk = keyio.parse_public_key((keydir / "pk.bin").read_bytes())
-    _decrypt_with_bad_key(dataclasses.replace(sk, P=_zero_grid(sk.P)), pk, tmp_path, capsys)
+    _decrypt_with_bad_key(inconsistent_secret_key(sk, "P"), pk, tmp_path, capsys)
 
 
 @pytest.fixture(scope="module")
@@ -182,21 +177,10 @@ def toy_repaired_kp():
     return scheme.keygen(p, SeededRng(b"cli-repaired"))
 
 
-def _bad_repaired(sk, field):
-    ctx = sk.G1.ctx
-    if field == "S":  # singular scrambler
-        return dataclasses.replace(sk, S=RankMatrix.zero(ctx, sk.S.nrows, sk.S.ncols))
-    if field == "g2":  # rank weight 1, not a Gabidulin generator
-        return dataclasses.replace(sk, g2=RankVector(ctx, [1] * len(sk.g2)))
-    if field == "P":  # b = 0: singular right scrambler
-        return dataclasses.replace(sk, P=_zero_grid(sk.P))
-    return dataclasses.replace(sk, G1=RankMatrix.zero(ctx, sk.G1.nrows, sk.G1.ncols))
-
-
 @pytest.mark.parametrize("field", ["S", "g2", "G1", "P"])
 def test_inconsistent_repaired_key_is_parse_error(toy_repaired_kp, field, tmp_path, capsys):
     kp = toy_repaired_kp
-    _decrypt_with_bad_key(_bad_repaired(kp.sk, field), kp.pk, tmp_path, capsys)
+    _decrypt_with_bad_key(inconsistent_secret_key(kp.sk, field), kp.pk, tmp_path, capsys)
 
 
 def test_missing_input_file(keydir, tmp_path):

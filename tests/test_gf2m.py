@@ -54,6 +54,17 @@ def test_field_axioms_random(m):
         assert ctx.mul(a, b ^ c) == ctx.mul(a, b) ^ ctx.mul(a, c)
 
 
+@pytest.mark.parametrize("m", [4, 8, 90, 211])
+def test_mul_matches_schoolbook(m):
+    # the windowed multiply against bit-by-bit shift-and-add
+    ctx = FieldCtx(m)
+    rng = fresh_rng(b"schoolbook%d" % m)
+    pairs = [(0, 1), (1, 1), (ctx.mask, ctx.mask), (1 << (m - 1), 1 << (m - 1))]
+    pairs += [(rng.element(m), rng.element(m)) for _ in range(2000)]
+    for a, b in pairs:
+        assert ctx.mul(a, b) == gf2m._poly_mulmod(a, b, ctx.modulus, m)
+
+
 @pytest.mark.parametrize("m", [4, 8, 48, 90])
 def test_inverse_and_frobenius_properties(m):
     ctx = FieldCtx(m)

@@ -9,7 +9,7 @@ from gabkron.params import setup
 from gabkron.prng import SeededRng
 from gabkron.ranklinalg import RankVector
 
-from conftest import fresh_rng
+from conftest import fresh_rng, inconsistent_secret_key
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +72,7 @@ def test_secret_key_round_trip_improved(improved_pair):
     assert again.alpha == kp.sk.alpha
     assert again.P == kp.sk.P
     assert again.G1 == kp.sk.G1
+    assert again._dec is not None  # built by the parse, cached for decrypt
     assert keyio.serialize_secret_key(again) == blob
 
 
@@ -83,6 +84,19 @@ def test_secret_key_round_trip_repaired(repaired_pair):
     assert again.g2 == kp.sk.g2
     assert again.P.dense() == kp.sk.P.dense()
     assert again.S == kp.sk.S
+    assert again._dec is not None
+
+
+@pytest.mark.parametrize("variant, part", [
+    ("repaired", "S"), ("repaired", "g2"), ("repaired", "G1"), ("repaired", "P"),
+    ("improved", "G1"),
+])
+def test_parse_rejects_inconsistent_secret_key(request, variant, part):
+    # the library parser, not only the CLI, refuses a tuple it cannot decrypt with
+    p, kp = request.getfixturevalue(f"{variant}_pair")
+    blob = keyio.serialize_secret_key(inconsistent_secret_key(kp.sk, part))
+    with pytest.raises(keyio.FormatError):
+        keyio.parse_secret_key(blob)
 
 
 def test_ciphertext_round_trip(improved_pair):

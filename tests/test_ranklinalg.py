@@ -305,6 +305,16 @@ def test_matmul_against_schoolbook(ctx8):
             assert C.rows[i][j] == acc
 
 
+def test_kron_against_entrywise(ctx8):
+    rng = fresh_rng(b"kron")
+    A = RankMatrix.random(ctx8, 2, 3, rng)
+    B = RankMatrix.random(ctx8, 3, 4, rng)
+    K = A.kron(B)
+    assert (K.nrows, K.ncols) == (6, 12)
+    for i, j, r, c in itertools.product(range(2), range(3), range(3), range(4)):
+        assert K.rows[3 * i + r][4 * j + c] == ctx8.mul(A.rows[i][j], B.rows[r][c])
+
+
 def test_context_mismatch_between_containers(ctx4):
     other = FieldCtx(4, modulus=0b11001)
     A = RankMatrix.identity(ctx4, 2)
@@ -313,6 +323,8 @@ def test_context_mismatch_between_containers(ctx4):
         A.mul(B)
     with pytest.raises(ContextMismatchError):
         A.add(B)
+    with pytest.raises(ContextMismatchError):
+        A.kron(B)
 
 
 # -- circulant structure ------------------------------------------------------

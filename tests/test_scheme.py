@@ -178,12 +178,12 @@ def test_construct_x_repaired_full_width(toy_rep_kp):
 
 def test_construct_p_improved_structure(toy_kp):
     p, kp = toy_kp
-    P = kp.P.dense()
+    P = kp.sk.P.dense()
     spec = kp.subspace
     assert is_circulant_block(P, p.n1, p.n2)
     from gabkron.ranklinalg import circulant_block_invert
 
-    Pinv = circulant_block_invert(kp.P).dense()
+    Pinv = circulant_block_invert(kp.sk.P).dense()
     assert is_circulant_block(Pinv, p.n1, p.n2)
     assert P.mul(Pinv) == RankMatrix.identity(P.ctx, p.n)
     for i in range(p.n1):
@@ -201,7 +201,7 @@ def test_construct_p_error_rank_bound(toy_kp):
     ctx = kp.pk.matrix.ctx
     rng = fresh_rng(b"perr")
     for i in kp.code.I:
-        block = p_column_block(p, kp.P.dense(), i)
+        block = p_column_block(p, kp.sk.P.dense(), i)
         for _ in range(100):
             e = sample_rank_error(ctx, p.n, p.t, rng)
             assert vec_mat(e, block).rank_weight() <= p.lam_p * p.t
@@ -209,7 +209,7 @@ def test_construct_p_error_rank_bound(toy_kp):
 
 def test_construct_p_repaired_entries_in_v(toy_rep_kp):
     p, kp = toy_rep_kp
-    P = kp.P.dense()
+    P = kp.sk.P.dense()
     assert is_circulant(P)
     basis = kp.subspace.basis
     for v in kp.sk.P.dense().rows[0]:
@@ -241,7 +241,7 @@ def test_key_equation(toy_kp):
     p, kp = toy_kp
     # the ring product against the dense one: G_pub P = G + X
     G_pub = kp.pk.matrix.dense()
-    assert G_pub.mul(kp.P.dense()) == kp.code.G.add(kp.x_witness.X.dense())
+    assert G_pub.mul(kp.sk.P.dense()) == kp.code.G.add(kp.x_witness.X.dense())
 
 
 def test_improved_pk_structure(toy_kp):
@@ -265,7 +265,7 @@ def test_rank_budget_per_block(toy_kp):
     ctx = kp.pk.matrix.ctx
     rng = fresh_rng(b"budget")
     budget = p.t1 + p.lam_p * p.t
-    X, P = kp.x_witness.X.dense(), kp.P.dense()
+    X, P = kp.x_witness.X.dense(), kp.sk.P.dense()
     for _ in range(200):
         m = RankVector.random(ctx, p.k, rng)
         e = sample_rank_error(ctx, p.n, p.t, rng)
@@ -467,11 +467,12 @@ def test_keygen_computes_no_dual_vector(params, request, monkeypatch):
 
 
 def test_improved_decrypter_squares_one_orbit_of_alpha(monkeypatch):
-    # building the decrypter and its parity check squares alpha's orbit once,
-    # for the normality check and the code, and beta's orbit once, for h
+    # parsing the key, which builds its decrypter, and the parity check square
+    # alpha's orbit once, for the normality check and the code, and beta's
+    # orbit once, for h
     p = setup("new-gabkron-128")
     kp = sc.keygen(p, SeededRng(b"orbit-count"))
-    sk = keyio.parse_secret_key(keyio.serialize_secret_key(kp.sk))
+    blob = keyio.serialize_secret_key(kp.sk)
     calls = []
     sqr = FieldCtx.sqr
 
@@ -480,6 +481,7 @@ def test_improved_decrypter_squares_one_orbit_of_alpha(monkeypatch):
         return sqr(self, a)
 
     monkeypatch.setattr(FieldCtx, "sqr", counting_sqr)
+    sk = keyio.parse_secret_key(blob)
     h = sk.decrypter().code.C2.h.values
     monkeypatch.undo()
     assert len(calls) == 2 * (p.m - 1)
