@@ -275,7 +275,7 @@ class ImprovedSecretKey:
     alpha: int
     P: CirculantGrid
     G1: RankMatrix
-    _dec: object = field(default=None, repr=False, compare=False)
+    _dec: object = field(default=None, init=False, repr=False, compare=False)
 
     def decrypter(self):
         if self._dec is None:
@@ -290,7 +290,7 @@ class RepairedSecretKey:
     g2: RankVector
     P: CirculantGrid  # one block, Cir_n(b)
     S: RankMatrix
-    _dec: object = field(default=None, repr=False, compare=False)
+    _dec: object = field(default=None, init=False, repr=False, compare=False)
 
     def decrypter(self):
         if self._dec is None:

@@ -51,6 +51,8 @@ def inconsistent_secret_key(sk, part):
         return dataclasses.replace(sk, P=CirculantGrid(ctx, gens, sk.P.k))
     if part == "G1":  # rank-deficient outer matrix
         return dataclasses.replace(sk, G1=RankMatrix.zero(ctx, sk.G1.nrows, sk.G1.ncols))
+    if part == "alpha":  # orbit of rank 1, not a normal element
+        return dataclasses.replace(sk, alpha=1)
     raise ValueError(part)
 
 

@@ -89,7 +89,7 @@ def test_secret_key_round_trip_repaired(repaired_pair):
 
 @pytest.mark.parametrize("variant, part", [
     ("repaired", "S"), ("repaired", "g2"), ("repaired", "G1"), ("repaired", "P"),
-    ("improved", "G1"),
+    ("improved", "G1"), ("improved", "alpha"),
 ])
 def test_parse_rejects_inconsistent_secret_key(request, variant, part):
     # the library parser, not only the CLI, refuses a tuple it cannot decrypt with

@@ -425,7 +425,7 @@ def test_decrypter_inverts_inner_code_once(pair, request, monkeypatch):
     # decrypt; the decrypter build itself inverts no k2 x k2 matrix
     p, kp = request.getfixturevalue(pair)
     ctx = kp.pk.matrix.ctx
-    sk = keyio.parse_secret_key(keyio.serialize_secret_key(kp.sk))
+    blob = keyio.serialize_secret_key(kp.sk)
     shapes = []
     invert = RankMatrix.invert
 
@@ -434,7 +434,8 @@ def test_decrypter_inverts_inner_code_once(pair, request, monkeypatch):
         return invert(self)
 
     monkeypatch.setattr(RankMatrix, "invert", recording_invert)
-    sk.decrypter()
+    sk = keyio.parse_secret_key(blob)  # the parse builds the decrypter
+    assert sk._dec is not None
     assert (p.k2, p.k2) not in shapes
     rng = fresh_rng(b"inner-inverts")
     for _ in range(3):
