@@ -25,13 +25,17 @@ generator and parity columns, and the inverse that reads messages off a
 codeword are built on first use, so key generation and decrypter builds
 do none of that work and the first decode pays for it once.
 
-A code given only by g, such as the repaired variant's inner code of
-length n < m, solves a Moore system for h (_dual_vector).  The improved
-variant's inner code has length m and comes from the orbit of a normal
-element alpha (from_normal_orbit), so its parity check is the trace-dual
-orbit instead:
-h_j = beta^[j] for the trace dual beta of alpha (one GF(2) solve), and
-row r of the parity check is h rotated left by r.
+Only a code built from an arbitrary g, as in the tests and the audit,
+solves a Moore system for h (_dual_vector).  The inner codes of both
+variants come from the Frobenius orbit of one element alpha:
+- the improved variant's has length m and a normal alpha
+  (from_normal_orbit), so its parity check is the trace-dual orbit:
+  h_j = beta^[j] for the trace dual beta of alpha (one GF(2) solve), and
+  row r of the parity check is h rotated left by r;
+- the repaired variant's has g = (alpha^[n-1], ..., alpha) with n <= m
+  (from_orbit), and h holds the coefficients of the subspace polynomial
+  of n - 1 consecutive Frobenius powers of alpha, built in O(n^2) field
+  operations.
 
 The public methods take a RankVector or a list of ints and pass it through
 checked_values, which checks its length and every entry once.
@@ -338,6 +342,60 @@ def from_normal_orbit(ctx: FieldCtx, alpha: int, k2: int) -> GabidulinCode:
         raise ValueError("alpha must be a normal element")
     gamma = RankVector(ctx, [orbit[(k2 - 1 - j) % m] for j in range(m)])
     return _NormalOrbitCode(gamma, k2, partial_circulant(RankVector(ctx, orbit), k2), orbit)
+
+
+class _OrbitCode(GabidulinCode):
+    """Gab_k(g) with g_j = alpha^[n-1-j], n <= m, presented by its Moore matrix.
+
+    With H(x) = sum_r h_{n-1-r} x^[r], sum_j h_j g_j^[d] = H(alpha^[d]), so
+    H vanishes on W = <alpha^[lo+i] : i < n-1>, lo = -(n-k-1) mod m, and is
+    a multiple of W's subspace polynomial.  That polynomial is built one
+    basis element v at a time, L <- L^2 + L(v) L, with v^[r] read off the
+    m-orbit of alpha; scaled to h_{n-1} = 1 it is _dual_vector() entry for
+    entry (Lidl & Niederreiter, Finite Fields, 3.4).
+    """
+
+    def __init__(self, g: RankVector, k: int, orbit):
+        super().__init__(g, k)
+        self.orbit = orbit  # frobenius_orbit(alpha, m): alpha^[e] at index -1-e mod m
+
+    @cached_property
+    def h(self) -> RankVector:
+        ctx, n, k, m = self.ctx, self.n, self.k, self.ctx.m
+        if n == k:
+            return RankVector(ctx, [])
+        mul, sqr = ctx.mul, ctx.sqr
+        lo = -(n - k - 1) % m
+        # pw[e] = alpha^[lo+e]: basis element i of W is pw[i], and its [r] is pw[i+r]
+        pw = [self.orbit[(-1 - lo - e) % m] for e in range(2 * n - 2)]
+        L = [1]  # L[r] is the coefficient of x^[r]; monic
+        for i in range(n - 1):
+            c = 0
+            for a, v in zip(L, pw[i:]):
+                c ^= mul(a, v)
+            if not c:
+                raise SingularMatrixError("degenerate generator vector")
+            L = [mul(c, L[0])] + [sqr(L[r - 1]) ^ mul(c, L[r]) for r in range(1, len(L))] + [1]
+        scale = ctx.inv(L[0])
+        hv = RankVector(ctx, [mul(scale, a) for a in reversed(L)])
+        if hv.rank_weight() != n:
+            raise SingularMatrixError("parity vector lacks full rank weight")
+        return hv
+
+
+def from_orbit(ctx: FieldCtx, g2: RankVector, k2: int) -> GabidulinCode:
+    """Gab_k2(g2) presented by its Moore matrix, for g2 = frobenius_orbit(alpha, n2).
+
+    Raises ValueError unless g2[j] == g2[j+1]^2 for every j, which the
+    m-orbit of alpha = g2[-1] shows as it is computed; h then comes from
+    that orbit (_OrbitCode) instead of a Moore solve.  This is the repaired
+    variant's inner code.
+    """
+    m, n = ctx.m, len(g2)
+    orbit = ctx.frobenius_orbit(g2.values[-1], m)
+    if n > m or orbit[m - n:] != g2.values:
+        raise ValueError("g2 must be a Frobenius orbit (alpha^[n-1], ..., alpha)")
+    return _OrbitCode(g2, k2, orbit)
 
 
 class KroneckerCode:

@@ -172,8 +172,8 @@ def _check_invertible(P: CirculantGrid) -> None:
 
 def _consistent(sk):
     """sk with its decrypter built, which rejects every other inconsistent
-    part of the tuple: a non-normal alpha, a rank-deficient G1, a g2 without
-    full rank weight, a singular S."""
+    part of the tuple: a non-normal alpha, a rank-deficient G1, a g2 that is
+    not a Frobenius orbit or lacks full rank weight, a singular S."""
     try:
         sk.decrypter()
     except ValueError as exc:

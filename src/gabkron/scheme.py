@@ -14,10 +14,13 @@ in the circulant ring, and the dense matrices are never built.
 
 The inner Gabidulin code carries its own presentation, and block messages
 are written in it: Cir_k2 of the normal orbit of alpha in the improved
-variant (gabcodes.from_normal_orbit), the Moore matrix of g2 in the
-repaired one.  Key generation never builds the decoder; a decrypter build
-makes the codes and P's packed rows, and the inner code's parity check and
-message inverse are built on the first decrypt.
+variant (gabcodes.from_normal_orbit), the Moore matrix of
+g2 = (alpha^[n2-1], ..., alpha) in the repaired one (gabcodes.from_orbit,
+which rejects a g2 that is not such an orbit).  Both take the parity
+vector h from alpha's orbit, so no decrypt solves a Moore system.  Key
+generation never builds the decoder; a decrypter build makes the codes and
+P's packed rows, and the inner code's parity check and message inverse are
+built on the first decrypt.
 
 X is built so that any message combination of an in-information-set
 column block keeps rank at most t1: each such block factors through one
@@ -41,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .gf2m import FieldCtx, _bit_rank
-from .gabcodes import DecodeFailure, GabidulinCode, KroneckerCode, from_normal_orbit
+from .gabcodes import DecodeFailure, KroneckerCode, from_normal_orbit, from_orbit
 from .params import ParamSet
 from .ranklinalg import (
     BitMatrix,
@@ -333,8 +336,7 @@ class _Decrypter:
     @classmethod
     def for_repaired(cls, sk: RepairedSecretKey):
         p = sk.params
-        C2 = GabidulinCode(sk.g2, p.k2)
-        code = KroneckerCode(sk.G1, C2)
+        code = KroneckerCode(sk.G1, from_orbit(sk.G1.ctx, sk.g2, p.k2))
         return cls(code, sk.P, sk.S.invert())
 
     def decrypt(self, c_vals):
@@ -386,8 +388,7 @@ def _keygen_repaired(p: ParamSet, rng, ctx) -> KeyPair:
         G1 = RankMatrix.random_full_rank(ctx, p.k1, p.n1, rng)
         alpha = ctx.find_normal_element(rng)
         g2 = RankVector(ctx, ctx.frobenius_orbit(alpha, p.n2))
-        C2 = GabidulinCode(g2, p.k2)
-        code = KroneckerCode(G1, C2)
+        code = KroneckerCode(G1, from_orbit(ctx, g2, p.k2))
         xw = construct_X(p, code.I, rng, ctx)
         spec = SubspaceSpec.sample(ctx, p.lam, None, code.I, rng)
         P, Pinv = construct_P(p, spec, code.I, rng, ctx)

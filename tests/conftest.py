@@ -46,6 +46,9 @@ def inconsistent_secret_key(sk, part):
         return dataclasses.replace(sk, S=RankMatrix.zero(ctx, sk.S.nrows, sk.S.ncols))
     if part == "g2":  # rank weight 1, not a Gabidulin generator
         return dataclasses.replace(sk, g2=RankVector(ctx, [1] * len(sk.g2)))
+    if part == "g2-orbit":  # two entries swapped: full rank weight, but no orbit
+        g = sk.g2.values
+        return dataclasses.replace(sk, g2=RankVector(ctx, [g[1], g[0]] + g[2:]))
     if part == "P":  # all-zero generators: singular right scrambler
         gens = [[[0] * len(a) for a in row] for row in sk.P.gens]
         return dataclasses.replace(sk, P=CirculantGrid(ctx, gens, sk.P.k))

@@ -177,7 +177,7 @@ def toy_repaired_kp():
     return scheme.keygen(p, SeededRng(b"cli-repaired"))
 
 
-@pytest.mark.parametrize("field", ["S", "g2", "G1", "P"])
+@pytest.mark.parametrize("field", ["S", "g2", "g2-orbit", "G1", "P"])
 def test_inconsistent_repaired_key_is_parse_error(toy_repaired_kp, field, tmp_path, capsys):
     kp = toy_repaired_kp
     _decrypt_with_bad_key(inconsistent_secret_key(kp.sk, field), kp.pk, tmp_path, capsys)

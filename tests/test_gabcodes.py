@@ -1,6 +1,6 @@
 import pytest
 
-from gabkron.gf2m import FieldCtx
+from gabkron.gf2m import FieldCtx, _bit_rank
 from gabkron.params import setup
 from gabkron import audit
 from gabkron import gabcodes as gc
@@ -312,6 +312,96 @@ def test_trace_dual_decoder_matches_moore_solve(m, k):
         assert got == want
         failures += got is None
     assert "h" in C.__dict__ and "h" in ref.__dict__ and C.h != ref.h
+    assert failures > 0
+
+
+def orbit_code(ctx, alpha, n, k):
+    return gc.from_orbit(ctx, RankVector(ctx, ctx.frobenius_orbit(alpha, n)), k)
+
+
+def assert_orbit_h_is_dual_vector(C):
+    # the Moore-matrix solve, normalised at h_{n-1} = 1, is the referee
+    ref = C._dual_vector()
+    assert C.h.values == ref.values
+    assert C.parity_check == gc.moore_matrix(ref, C.n - C.k)
+
+
+@pytest.mark.parametrize(
+    "m,n,k",
+    [(4, 2, 1), (5, 4, 1), (6, 3, 2), (8, 5, 2), (8, 7, 3), (8, 7, 6), (9, 4, 1),
+     (10, 6, 2), (12, 8, 4), (12, 11, 5), (16, 9, 8), (24, 12, 4), (48, 40, 12)],
+)
+def test_orbit_parity_vector_matches_moore_solve(m, n, k):
+    ctx = FieldCtx(m)
+    alpha = ctx.find_normal_element(fresh_rng(b"orbit-h-%d-%d-%d" % (m, n, k)))
+    C = orbit_code(ctx, alpha, n, k)
+    assert C.generator == gc.moore_matrix(C.g, k)
+    assert_orbit_h_is_dual_vector(C)
+
+
+@pytest.mark.parametrize("params", ["toy_repaired", "rep-gabkron-128"])
+def test_orbit_parity_vector_at_repaired_sets(params, request):
+    p = request.getfixturevalue(params) if params.startswith("toy") else setup(params)
+    ctx = FieldCtx(p.m, p.modulus)
+    alpha = ctx.find_normal_element(fresh_rng(b"orbit-h-" + params.encode()))
+    assert_orbit_h_is_dual_vector(orbit_code(ctx, alpha, p.n2, p.k2))
+
+
+def test_orbit_parity_vector_of_non_normal_alpha():
+    # an orbit of rank r < m: any r consecutive Frobenius powers stay independent
+    ctx = FieldCtx(12)
+    rng = fresh_rng(b"orbit-h-non-normal")
+    ranks = set()
+    while len(ranks) < 3:
+        alpha = rng.nonzero_element(ctx.m)
+        r = _bit_rank(ctx.frobenius_orbit(alpha, ctx.m))
+        if 3 <= r < ctx.m and r not in ranks:
+            ranks.add(r)
+            for k in (1, r // 2, r - 1):
+                assert_orbit_h_is_dual_vector(orbit_code(ctx, alpha, r, k))
+
+
+def test_from_orbit_rejects_non_orbits(ctx8):
+    alpha = ctx8.find_normal_element(fresh_rng(b"orbit-reject"))
+    g = ctx8.frobenius_orbit(alpha, 6)
+    swapped = [g[1], g[0]] + g[2:]
+    assert RankVector(ctx8, swapped).rank_weight() == 6  # still a Gabidulin generator
+    with pytest.raises(ValueError, match="Frobenius orbit"):
+        gc.from_orbit(ctx8, RankVector(ctx8, swapped), 2)
+    with pytest.raises(ValueError, match="Frobenius orbit"):
+        gc.from_orbit(ctx8, RankVector(ctx8, ctx8.frobenius_orbit(alpha, 9)), 2)  # n > m
+    with pytest.raises(ValueError, match="rank weight"):
+        gc.from_orbit(ctx8, RankVector(ctx8, [1] * 6), 2)  # 1 is its own orbit
+
+
+@pytest.mark.parametrize(
+    "m,n,k",
+    [(4, 2, 1), (5, 3, 1), (6, 5, 2), (7, 4, 2), (8, 5, 2), (8, 7, 3),
+     (9, 6, 2), (10, 7, 3), (11, 9, 3), (12, 8, 2), (12, 11, 5)],
+)
+def test_orbit_decoder_matches_moore_solve(m, n, k):
+    # the same code decoded with h from the subspace polynomial and with h
+    # from _dual_vector: same pair, or a DecodeFailure from both
+    ctx = FieldCtx(m)
+    rng = fresh_rng(b"orbit-decode-%d-%d-%d" % (m, n, k))
+    C = orbit_code(ctx, ctx.find_normal_element(rng), n, k)
+    ref = GabidulinCode(C.g, k, C.generator)
+    t = C.radius
+    failures = 0
+    for trial in range(12 * (t + 3)):
+        r = min(trial % (t + 3), n)
+        y = C.encode(RankVector.random(ctx, k, rng)).add(sample_rank_error(ctx, n, r, rng))
+        try:
+            got = C.decode(y)
+        except DecodeFailure:
+            got = None
+        try:
+            want = ref.decode(y)
+        except DecodeFailure:
+            want = None
+        assert got == want
+        failures += got is None
+    assert "h" in C.__dict__ and "h" in ref.__dict__ and C.h == ref.h
     assert failures > 0
 
 
