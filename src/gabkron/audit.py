@@ -234,7 +234,7 @@ def _original_pipeline_matrix(p: ParamSet, rng, ctx) -> RankMatrix:
             Pinv = circulant_inverse(P)
         except SingularMatrixError:
             continue
-        M0 = G.add(xw.X).mul(Pinv)
+        M0 = G.add(xw.X.dense()).mul(Pinv)
         try:
             M0.submatrix(0, 0, p.k, p.k).invert()
         except SingularMatrixError:

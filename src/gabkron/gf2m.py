@@ -127,6 +127,9 @@ def modulus_for_degree(m: int) -> int:
     return smallest_irreducible(m)
 
 
+_frob_rows_cache: dict = {}  # FieldCtx -> frobenius_power_rows tuple
+
+
 class FieldCtx:
     """GF(2^m) with an explicit irreducible modulus.
 
@@ -147,7 +150,6 @@ class FieldCtx:
         # bit positions of x^m mod modulus, used to fold products
         red = modulus ^ (1 << m)
         self._red_shifts = tuple(i for i in range(m) if red >> i & 1)
-        self._frob_rows: tuple[int, ...] = ()
 
     def __repr__(self):
         return f"FieldCtx(m={self.m}, modulus={self.modulus:#x})"
@@ -241,10 +243,11 @@ class FieldCtx:
     def frobenius_power_rows(self, t: int) -> tuple[int, ...]:
         """Row u = (x^i)^[u] for i < m, u = 0..t, packed as in ranklinalg.
 
-        One 2m-bit slot per entry, slot i at bit 2m*i.  The cache grows by
+        One 2m-bit slot per entry, slot i at bit 2m*i.  The rows are cached
+        per field, so equal contexts share them; the cache grows by
         whole-tuple assignment, so concurrent readers see complete rows.
         """
-        rows = self._frob_rows
+        rows = _frob_rows_cache.get(self, ())
         if len(rows) <= t:
             slot = 2 * self.m
             grown = list(rows)
@@ -256,7 +259,7 @@ class FieldCtx:
                 if grown:
                     vals = [self.sqr(v) for v in vals]
                 grown.append(sum(v << (slot * i) for i, v in enumerate(vals)))
-            rows = self._frob_rows = tuple(grown)
+            rows = _frob_rows_cache[self] = tuple(grown)
         return rows
 
     def sqrt(self, a: int) -> int:

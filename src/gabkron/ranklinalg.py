@@ -273,32 +273,6 @@ class BitMatrix:
     def is_invertible(self):
         return self.nrows == self.ncols and self.rank() == self.nrows
 
-    def mul(self, other):
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch")
-        out = []
-        for r in self.rows:
-            acc = 0
-            i = 0
-            v = r
-            while v:
-                if v & 1:
-                    acc ^= other.rows[i]
-                v >>= 1
-                i += 1
-            out.append(acc)
-        return BitMatrix(self.nrows, other.ncols, out)
-
-    def inverse(self):
-        if self.nrows != self.ncols:
-            raise SingularMatrixError("only square bit matrices invert")
-        n = self.nrows
-        aug = [row | (1 << (n + i)) for i, row in enumerate(self.rows)]
-        rank = len(_bit_gauss_jordan(aug, n))
-        if rank < n:
-            raise SingularMatrixError("bit matrix is singular", rank=rank)
-        return BitMatrix(n, n, [row >> n for row in aug])
-
     def cyclic_col_shift(self):
         """Columns shifted right by one position, wrapping the last to front."""
         n = self.ncols

@@ -4,13 +4,17 @@ Both variants disguise the product-code generator G as
 G_pub = S (G + X) P^{-1} (repaired; S makes it systematic) or
 G_pub = (G + X) P^{-1} (improved; everything partial-circulant-block).
 
-Both variants hold P as a CirculantGrid, one generator per block: n1 x n1
-blocks in the improved variant, the single block Cir(b) in the repaired
-one.  Its inverse comes from the circulant ring, and the decrypter reads
-P's packed rows straight from the grid.  In the improved variant G, X and
-G_pub are grids too, from key generation to the decrypter: block (i, j)
-of G is Cir_k2(G1[i][j] g2), so G_pub's generators come from one product
-in the circulant ring, and the dense matrices are never built.
+Both variants hold P and X as CirculantGrids, one generator per block.
+P has n1 x n1 blocks in the improved variant and the single block Cir(b)
+in the repaired one; its inverse comes from the circulant ring, and the
+decrypter reads P's packed rows straight from the grid.  X has k1 x n1
+blocks of k2 rows in the improved variant and one block of k rows in the
+repaired one.  In the improved variant G and G_pub are grids too, from key
+generation to the decrypter: block (i, j) of G is Cir_k2(G1[i][j] g2), so
+G_pub's generators come from one product in the circulant ring, and the
+dense matrices are never built.  The repaired variant takes X P^{-1} in
+the ring, adds it to the rows of G P^{-1}, and reads G_pub and S off one
+reduced echelon form of [(G + X) P^{-1} | I_k].
 
 The inner Gabidulin code carries its own presentation, and block messages
 are written in it: Cir_k2 of the normal orbit of alpha in the improved
@@ -23,16 +27,19 @@ P's packed rows, and the inner code's parity check and message inverse are
 built on the first decrypt.
 
 X is built so that any message combination of an in-information-set
-column block keeps rank at most t1: each such block factors through one
-shared GF(2) transform, and its rows follow the shift recursion
-y_{r+1} = y_r T' T^{-1}, which makes the block a partial circulant whose
-row pattern repeats with period t1.  P draws its entries from small
-GF(2)-subspaces so that e P_Ci has rank at most lam' * t (improved, blocks
-in the information set) or lam * t (repaired), keeping every decoded block
-inside the Gabidulin radius t2.  Each randomized construction retries up
-to a fixed budget and raises GenerationError past it.  Key pairs keep the
-X factorization (XWitness) and the subspaces in memory as evidence for
-property checks; the tests check them.
+column block keeps rank at most t1.  The paper draws y_1 and a shared GF(2)
+transform T whose right cyclic column shift T' is invertible, and sets
+row r to z_r = y_r T repeated with period t1, y_{r+1} = y_r T' T^{-1}.
+As z_{r+1} = y_r T' is z_r rotated right by one, the block is the partial
+circulant whose row 0 repeats z_0 = y_1 T; the k x t1 stack of z_0's
+rotations has the block's GF(2) column span and is what the column-rank
+check reads.  P draws its entries from small GF(2)-subspaces so that
+e P_Ci has rank at most lam' * t (improved, blocks in the information set)
+or lam * t (repaired), keeping every decoded block inside the Gabidulin
+radius t2.  Each randomized construction retries up to a fixed budget and
+raises GenerationError past it.  Key pairs keep X with its transforms
+(XWitness) and the subspaces in memory as evidence for property checks;
+the tests check them.
 
 encrypt and decrypt take messages and ciphertext values as a RankVector
 or a list of ints, and check the length and every entry once, on entry
@@ -118,98 +125,63 @@ def sample_subspace_basis(ctx: FieldCtx, lam: int, rng) -> tuple:
 
 
 @dataclass
-class XBlockWitness:
-    """Factorization evidence for one in-information-set column block."""
-
-    Y: list  # per row block: RankMatrix (rows follow the shift recursion)
-    T: BitMatrix
-    T_shift: BitMatrix
-
-
-@dataclass
 class XWitness:
-    X: RankMatrix | CirculantGrid  # repaired | improved
-    blocks: dict  # column block index -> XBlockWitness (in-set blocks only)
+    X: CirculantGrid
+    T: dict  # column block index -> shared transform T (in-set blocks only)
 
 
-def _sample_shift_pair(t1: int, rng):
+def _sample_shift_pair(t1: int, rng) -> BitMatrix:
     """Invertible T over GF(2) whose right cyclic column shift is invertible."""
     for _ in range(1024):
         T = BitMatrix.random(t1, t1, rng)
-        if not T.is_invertible():
-            continue
-        Ts = T.cyclic_col_shift()
-        if Ts.is_invertible():
-            return T, Ts
+        if T.is_invertible() and T.cyclic_col_shift().is_invertible():
+            return T
     raise GenerationError("no invertible (T, T') pair found")
 
 
-def _recursion_rows(ctx, first_row, R: BitMatrix, nrows: int):
-    rows = [list(first_row)]
-    for _ in range(nrows - 1):
-        rows.append(field_vec_times_bitmatrix(ctx, rows[-1], R))
-    return rows
+def _low_colrank_gens(ctx, nblocks, k, width, t1, rng):
+    """Generators of nblocks stacked k-row partial circulants of width `width`
+    sharing one transform T; returns (generators, T).
 
-
-def _periodic_block(ctx, Z: RankMatrix, ncols: int) -> RankMatrix:
-    reps = ncols // Z.ncols
-    return RankMatrix(ctx, [row * reps for row in Z.rows])
-
-
-def _low_colrank_block(ctx, rows, width, t1, rng):
-    """Stacked partial circulants of width `width`, sharing one transform.
-
-    rows = list of row counts per stacked block; returns (blocks, witness)
-    with the stacked column block having GF(2) column rank exactly t1.
+    Row r of a block is z_0 = y_1 T rotated right by r and repeated, so the
+    stack of each block's first k rotations of z_0 has the GF(2) column
+    span of the stacked blocks, whose column rank must be exactly t1.
     """
     if t1 == 0:
-        blocks = [RankMatrix.zero(ctx, r, width) for r in rows]
-        return blocks, None
+        return [[0] * width for _ in range(nblocks)], None
     for _ in range(64):
-        T, Ts = _sample_shift_pair(t1, rng)
-        R = Ts.mul(T.inverse())
-        Ys, blocks = [], []
-        for nrows in rows:
-            y1 = [rng.element(ctx.m) for _ in range(t1)]
-            Y = RankMatrix(ctx, _recursion_rows(ctx, y1, R, nrows))
-            Z = RankMatrix(
-                ctx, [field_vec_times_bitmatrix(ctx, rw, T) for rw in Y.rows]
-            )
-            Ys.append(Y)
-            blocks.append(_periodic_block(ctx, Z, width))
-        stacked = RankMatrix(ctx, [r for b in blocks for r in b.rows])
-        if column_rank_q(stacked) == t1:
-            return blocks, XBlockWitness(Y=Ys, T=T, T_shift=Ts)
+        T = _sample_shift_pair(t1, rng)
+        z0s = [field_vec_times_bitmatrix(ctx, [rng.element(ctx.m) for _ in range(t1)], T)
+               for _ in range(nblocks)]
+        rotations = [[z[(j - r) % t1] for j in range(t1)] for z in z0s for r in range(k)]
+        if column_rank_q(RankMatrix(ctx, rotations)) == t1:
+            return [reflect(z * (width // t1)) for z in z0s], T
     raise GenerationError("column rank t1 not reached while building X")
 
 
 def construct_X(p: ParamSet, info_set, rng, ctx: FieldCtx) -> XWitness:
-    """Disguise matrix X per variant; see the module docstring.
+    """Disguise matrix X as a grid of partial-circulant blocks.
 
-    Improved: per column block, in-set blocks share one transform and have
-    column rank t1; out-of-set blocks are random partial circulants; X is
-    the grid of block generators.  Repaired: one dense full-width block
-    with the same recursion.
+    In-set column blocks share one transform per column block and have
+    column rank t1; out-of-set blocks are random partial circulants.  The
+    improved X has k1 x n1 blocks of k2 rows and width n2, with the
+    information set of the outer code; the repaired X is one block of k
+    rows and width n, always in the set.
     """
     if p.variant == "repaired":
-        blocks, wit = _low_colrank_block(ctx, [p.k], p.n, p.t1, rng)
-        return XWitness(X=blocks[0], blocks={0: wit} if wit else {})
-    grid = [[None] * p.n1 for _ in range(p.k1)]
-    witnesses = {}
-    inset = set(info_set)
-    for j in range(p.n1):
+        row_blocks, col_blocks, k, width, inset = 1, 1, p.k, p.n, {0}
+    else:
+        row_blocks, col_blocks, k, width, inset = p.k1, p.n1, p.k2, p.n2, set(info_set)
+    cols, Ts = [], {}
+    for j in range(col_blocks):
         if j in inset:
-            col_blocks, wit = _low_colrank_block(
-                ctx, [p.k2] * p.k1, p.n2, p.t1, rng
-            )
-            for i in range(p.k1):
-                grid[i][j] = reflect(col_blocks[i].rows[0])
-            if wit is not None:
-                witnesses[j] = wit
+            gens, T = _low_colrank_gens(ctx, row_blocks, k, width, p.t1, rng)
+            if T is not None:
+                Ts[j] = T
         else:
-            for i in range(p.k1):
-                grid[i][j] = [rng.element(ctx.m) for _ in range(p.n2)]
-    return XWitness(X=CirculantGrid(ctx, grid, p.k2), blocks=witnesses)
+            gens = [[rng.element(ctx.m) for _ in range(width)] for _ in range(row_blocks)]
+        cols.append(gens)
+    return XWitness(X=CirculantGrid(ctx, [list(row) for row in zip(*cols)], k), T=Ts)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +344,7 @@ def _keygen_improved(p: ParamSet, rng, ctx) -> KeyPair:
     spec = SubspaceSpec.sample(ctx, p.lam, p.lam_p, code.I, rng)
     P, Pinv = construct_P(p, spec, code.I, rng, ctx)
     # generators of G + X: block (i, j) of G is Cir_k2(G1[i][j] g2)
-    g2 = reflect(code.C2.generator.rows[0])
+    g2 = code.C2.orbit
     GX = [
         [[ctx.mul(G1.rows[i][j], v) ^ x for v, x in zip(g2, xw.X.gens[i][j])]
          for j in range(p.n1)]
@@ -392,13 +364,19 @@ def _keygen_repaired(p: ParamSet, rng, ctx) -> KeyPair:
         xw = construct_X(p, code.I, rng, ctx)
         spec = SubspaceSpec.sample(ctx, p.lam, None, code.I, rng)
         P, Pinv = construct_P(p, spec, code.I, rng, ctx)
+        # rows of [M0 | I_k], M0 = (G + X) P^-1 with X P^-1 taken in the ring;
+        # the RREF is [S M0 | S] exactly when its pivots lead, S = M0[:, :k]^-1
         pinv, pinv_rows = Pinv.packed_rows()
-        M0 = RankMatrix(ctx, [pinv.lincomb(row, pinv_rows) for row in code.G.add(xw.X).rows])
-        try:
-            S = M0.submatrix(0, 0, p.k, p.k).invert()
-        except SingularMatrixError:
+        _, xp_rows = circulant_block_compose(xw.X, Pinv).packed_rows()
+        M0I = RankMatrix(ctx, [
+            pinv.lincomb(g + [1], pinv_rows + [xp]) + [int(i == r) for i in range(p.k)]
+            for r, (g, xp) in enumerate(zip(code.G.rows, xp_rows))
+        ])
+        R, pivots = M0I.rref()
+        if pivots != tuple(range(p.k)):
             continue  # leading minor singular: fresh randomness
-        Gpub = S.mul(M0)
+        Gpub = RankMatrix(ctx, [row[: p.n] for row in R.rows])
+        S = RankMatrix(ctx, [row[p.n :] for row in R.rows])
         pk = PublicKey(p, Gpub)
         sk = RepairedSecretKey(p, G1=G1, g2=g2, P=P, S=S)
         return KeyPair(pk=pk, sk=sk, x_witness=xw, subspace=spec, code=code)

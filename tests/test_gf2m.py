@@ -87,6 +87,7 @@ def test_inverse_and_frobenius_properties(m):
 @pytest.mark.parametrize("m,t", [(4, 4), (12, 12), (90, 6)])
 def test_frobenius_power_rows_match_repeated_squaring(m, t):
     ctx = FieldCtx(m)
+    gf2m._frob_rows_cache.pop(ctx, None)  # equal contexts share the rows
     slot = 2 * m
     short = ctx.frobenius_power_rows(1)
     rows = ctx.frobenius_power_rows(t)
@@ -97,6 +98,16 @@ def test_frobenius_power_rows_match_repeated_squaring(m, t):
         assert row >> (slot * m) == 0
         assert [row >> (slot * i) & ((1 << slot) - 1) for i in range(m)] == vals
         vals = [ctx.sqr(v) for v in vals]
+
+
+def test_frobenius_power_rows_shared_by_equal_contexts(monkeypatch):
+    # a parsed key builds a new FieldCtx, so the rows must outlive it
+    rows = FieldCtx(11).frobenius_power_rows(5)
+    squarings = []
+    sqr = FieldCtx.sqr
+    monkeypatch.setattr(FieldCtx, "sqr", lambda self, a: squarings.append(a) or sqr(self, a))
+    assert FieldCtx(11).frobenius_power_rows(5) is rows
+    assert squarings == []
 
 
 @pytest.mark.parametrize("m,n", [(4, 1), (4, 3), (4, 9), (12, 12), (90, 90), (211, 210)])

@@ -557,7 +557,6 @@ def test_bit_matrix_helpers(rng):
     # rows are bitmasks: bit j of row i is entry (i, j)
     T = BitMatrix(2, 2, [0b01, 0b11])
     assert T.is_invertible()
-    assert T.inverse().mul(T) == bit_identity(2)
     shifted = T.cyclic_col_shift()
     assert [shifted.rows[0] & 1, shifted.rows[0] >> 1 & 1] == [0, 1]
     # kernel of a rank-1 matrix in GF(2)^2
@@ -592,7 +591,7 @@ def test_solve_gf2_consistency():
 
 
 def test_gf2_elimination_against_bruteforce():
-    # the kernel, solutions and inverse from the shared elimination, refereed
+    # the kernel and solutions from the shared elimination, refereed
     # by evaluating every vector of GF(2)^ncols
     rng = fresh_rng(b"gf2brute")
     for nrows in range(1, 6):
@@ -612,12 +611,5 @@ def test_gf2_elimination_against_bruteforce():
                         assert y is not None and images[y] == b
                     else:
                         assert y is None
-                if nrows != ncols:
-                    continue
-                if len(kernel) == 1:
-                    inv = A.inverse()
-                    assert inv.mul(A) == A.mul(inv) == bit_identity(nrows)
-                else:
-                    with pytest.raises(SingularMatrixError) as exc:
-                        A.inverse()
-                    assert exc.value.rank == nrows - (len(kernel).bit_length() - 1)
+                if nrows == ncols:
+                    assert A.is_invertible() == (len(kernel) == 1)

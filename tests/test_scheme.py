@@ -11,6 +11,7 @@ from gabkron.params import setup
 from gabkron.prng import SeededRng
 from gabkron.ranklinalg import (
     BitMatrix,
+    CirculantGrid,
     RankMatrix,
     RankVector,
     column_rank_q,
@@ -18,6 +19,7 @@ from gabkron.ranklinalg import (
     is_circulant_block,
     is_partial_circulant,
     is_partial_circulant_block,
+    solve_gf2,
 )
 from gabkron.scheme import (
     DecryptFailure,
@@ -54,15 +56,19 @@ def in_span(value, elems):
     return _bit_rank(list(elems) + [value]) == _bit_rank(list(elems))
 
 
-def full_w(wit, ncols):
-    """An invertible GF(2) transform W whose top t1 rows are [T | T | ... | T]."""
-    t1 = wit.T.nrows
-    rows = [sum(r << (i * t1) for i in range(ncols // t1)) for r in wit.T.rows]
-    for b in range(ncols):
-        if _bit_rank(rows + [1 << b]) == len(rows) + 1:
-            rows.append(1 << b)
-    assert len(rows) == ncols
-    return BitMatrix(ncols, ncols, rows)
+def bit_inverse(T):
+    """T^-1 over GF(2): column c solves T x = e_c."""
+    n = T.nrows
+    cols = solve_gf2(T, [1 << c for c in range(n)])
+    return BitMatrix(n, n, [sum((x >> i & 1) << c for c, x in enumerate(cols))
+                            for i in range(n)])
+
+
+def x_block_shape(p):
+    """(row blocks, column blocks, rows, width) of the X grid."""
+    if p.variant == "repaired":
+        return 1, 1, p.k, p.n
+    return p.k1, p.n1, p.k2, p.n2
 
 
 # -- sample_rank_error ---------------------------------------------------------
@@ -122,21 +128,39 @@ def test_construct_x_message_rank_bound(toy_kp):
             assert vec_mat(u, block).rank_weight() <= p.t1
 
 
-def test_construct_x_witness_factorization(toy_kp):
-    # in-set blocks factor as [Y | 0] W with one shared invertible W
-    p, kp = toy_kp
+@pytest.mark.parametrize("pair", ["toy_kp", "toy_rep_kp"])
+def test_construct_x_rows_follow_the_recursion(pair, request):
+    # X is held as generators only; re-derive the paper's Y = Z T^-1 from
+    # the dense blocks and check y_{r+1} = y_r T' T^-1 and z_r = y_r T
+    # repeated with period t1, column rank t1 per in-set column block, and
+    # partial circulants everywhere
+    p, kp = request.getfixturevalue(pair)
     ctx = kp.pk.matrix.ctx
-    for j, wit in kp.x_witness.blocks.items():
-        W = full_w(wit, p.n2)
-        assert W.is_invertible()
-        assert wit.T.is_invertible() and wit.T_shift.is_invertible()
-        for i, Y in enumerate(wit.Y):
-            padded = [row + [0] * (p.n2 - p.t1) for row in Y.rows]
-            rebuilt = [
-                sc.field_vec_times_bitmatrix(ctx, row, W) for row in padded
-            ]
-            got = kp.x_witness.X.dense().submatrix(i * p.k2, j * p.n2, p.k2, p.n2)
-            assert rebuilt == got.rows
+    xw = kp.x_witness
+    nr, nc, k, width = x_block_shape(p)
+    assert isinstance(xw.X, CirculantGrid) and xw.X.k == k
+    assert [len(row) for row in xw.X.gens] == [nc] * nr
+    X = xw.X.dense()
+    assert (X.nrows, X.ncols) == (nr * k, nc * width)
+    assert set(xw.T) == (set(kp.code.I) if p.variant == "improved" else {0})
+    for j in range(nc):
+        column = X.submatrix(0, j * width, nr * k, width)
+        blocks = [column.submatrix(i * k, 0, k, width) for i in range(nr)]
+        assert all(is_partial_circulant(blk) for blk in blocks)
+        if j not in xw.T:
+            continue
+        T = xw.T[j]
+        Ts = T.cyclic_col_shift()
+        assert T.is_invertible() and Ts.is_invertible()
+        Tinv = bit_inverse(T)
+        assert column_rank_q(column) == p.t1
+        for blk in blocks:
+            Y = [sc.field_vec_times_bitmatrix(ctx, row[: p.t1], Tinv) for row in blk.rows]
+            for y, row in zip(Y, blk.rows):
+                assert row == sc.field_vec_times_bitmatrix(ctx, y, T) * (width // p.t1)
+            for y, y_next in zip(Y, Y[1:]):
+                y_shift = sc.field_vec_times_bitmatrix(ctx, y, Ts)
+                assert y_next == sc.field_vec_times_bitmatrix(ctx, y_shift, Tinv)
 
 
 def test_construct_x_out_of_set_blocks_are_partial_circulant(toy_kp):
@@ -156,12 +180,12 @@ def test_construct_x_zero_t1_edge():
     ctx = FieldCtx(12)
     xw = construct_X(zeroed, (0, 1), fresh_rng(b"x0"), ctx)
     assert xw.X.dense() == RankMatrix.zero(ctx, p.k, p.n)
-    assert xw.blocks == {}
+    assert xw.T == {}
 
 
 def test_construct_x_repaired_full_width(toy_rep_kp):
     p, kp = toy_rep_kp
-    X = kp.x_witness.X
+    X = kp.x_witness.X.dense()
     assert is_partial_circulant(X)
     assert column_rank_q(X) == p.t1
     ctx = kp.pk.matrix.ctx
@@ -256,7 +280,7 @@ def test_repaired_pk_systematic(toy_rep_kp):
     # S undoes the row transform: S_pub = S (G+X) P^{-1}
     from gabkron.ranklinalg import circulant_inverse
 
-    M0 = kp.code.G.add(kp.x_witness.X).mul(circulant_inverse(kp.sk.P.dense()))
+    M0 = kp.code.G.add(kp.x_witness.X.dense()).mul(circulant_inverse(kp.sk.P.dense()))
     assert kp.sk.S.mul(M0) == kp.pk.matrix
 
 
@@ -464,6 +488,24 @@ def test_keygen_computes_no_dual_vector(params, request, monkeypatch):
     assert sc.decrypt(sc.encrypt(m, kp.pk, p, rng), kp.sk, p) == m
     assert calls == []
     assert "h" in kp.sk.decrypter().code.C2.__dict__  # built by the first decrypt
+
+
+@pytest.mark.parametrize("params", ["toy_improved", "toy_repaired"])
+def test_keygen_makes_no_inverse_or_dense_product(params, request, monkeypatch):
+    # X P^-1 and G_pub's generators come from the circulant ring, and the
+    # repaired G_pub and S from one echelon form of [M0 | I_k]
+    p = request.getfixturevalue(params)
+    calls = []
+    for cls, name in ((RankMatrix, "invert"), (RankMatrix, "mul"), (CirculantGrid, "dense")):
+        orig = getattr(cls, name)
+
+        def recording(self, *args, _name=name, _orig=orig):
+            calls.append(_name)
+            return _orig(self, *args)
+
+        monkeypatch.setattr(cls, name, recording)
+    sc.keygen(p, SeededRng(b"no-dense-keygen"))
+    assert calls == []
 
 
 def test_improved_decrypter_squares_one_orbit_of_alpha(monkeypatch):
