@@ -235,9 +235,7 @@ def _original_pipeline_matrix(p: ParamSet, rng, ctx) -> RankMatrix:
         except SingularMatrixError:
             continue
         M0 = G.add(xw.X.dense()).mul(Pinv)
-        try:
-            M0.submatrix(0, 0, p.k, p.k).invert()
-        except SingularMatrixError:
+        if M0.submatrix(0, 0, p.k, p.k).rank() < p.k:
             continue
         return M0
 

@@ -21,9 +21,10 @@ within the radius.
 Each code owns the presentation its messages are written in: the Moore
 matrix of g by default, the partial circulant of a normal orbit for the
 improved variant (from_normal_orbit).  The parity check h, the packed
-generator and parity columns, and the inverse that reads messages off a
-codeword are built on first use, so key generation and decrypter builds
-do none of that work and the first decode pays for it once.
+generator and parity columns, and the factored leading block that reads
+messages off a codeword (a LeftSolver) are built on first use, so key
+generation and decrypter builds do none of that work and the first decode
+pays for it once.
 
 Only a code built from an arbitrary g, as in the tests and the audit,
 solves a Moore system for h (_dual_vector).  The inner codes of both
@@ -49,6 +50,7 @@ from functools import cached_property
 from .gf2m import FieldCtx, _bit_rank
 from .ranklinalg import (
     BitMatrix,
+    LeftSolver,
     RankMatrix,
     RankVector,
     SingularMatrixError,
@@ -166,10 +168,10 @@ class GabidulinCode:
         return pk, [pk.pack([H.rows[r][i] for r in range(d1)]) for i in range(self.n)]
 
     @cached_property
-    def _lead_inv(self) -> RankMatrix:
+    def _lead_solver(self) -> LeftSolver:
         # the leading k columns of a generator of an MRD code are an
-        # information set, so this inverse exists for any valid presentation
-        return self.generator.submatrix(0, 0, self.k, self.k).invert()
+        # information set, so this block is invertible for any valid presentation
+        return LeftSolver(self.generator.submatrix(0, 0, self.k, self.k))
 
     def encode(self, u) -> RankVector:
         vals = checked_values(self.ctx, u, self.k, "message")
@@ -186,7 +188,7 @@ class GabidulinCode:
         Raises DecodeFailure when re-encoding u does not give c back: c is
         not spanned by the presentation.
         """
-        u = self._lead_inv.left_mul_values(c_vals[: self.k])
+        u = self._lead_solver.solve(c_vals[: self.k])
         pk, prows = self._packed_generator
         if pk.lincomb(u, prows) != list(c_vals):
             raise DecodeFailure("codeword is not spanned by the presentation")
@@ -484,8 +486,8 @@ class KroneckerCode:
 
         Raises SingularMatrixError when those columns of G1 are dependent.
         """
-        A = RankMatrix(
-            self.ctx, [[self.G1.rows[l][j] for l in range(self.k1)] for j in cols]
-        )
-        return A.invert().mul(RankMatrix(self.ctx, [decoded[j] for j in cols]))
+        solver = LeftSolver(RankMatrix(self.ctx, [[row[j] for j in cols] for row in self.G1.rows]))
+        # column c of M solves x·G1[:, cols] = (u_j[c] for j in cols)
+        sols = [solver.solve([decoded[j][c] for j in cols]) for c in range(self.k2)]
+        return RankMatrix(self.ctx, [list(row) for row in zip(*sols)])
 

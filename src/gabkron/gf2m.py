@@ -140,9 +140,11 @@ class FieldCtx:
     def __init__(self, m: int, modulus: int | None = None):
         if not 2 <= m <= 512:
             raise ValueError(f"extension degree {m} out of range [2, 512]")
+        # a registry modulus is proven irreducible once, by test_gf2m for the
+        # MODULI table or by the search that found it; any other is tested
         if modulus is None:
             modulus = modulus_for_degree(m)
-        if not is_irreducible(modulus, m):
+        elif modulus != MODULI.get(m) and not is_irreducible(modulus, m):
             raise ValueError(f"modulus {modulus:#x} is not irreducible of degree {m}")
         self.m = m
         self.modulus = modulus

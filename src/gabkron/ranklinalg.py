@@ -231,17 +231,69 @@ def _solve_packed(ctx, rows, ncols):
     rhs = ncols - 1
     if pivots and pivots[-1] == rhs:
         return pivots, None
+    acc = pk.pack([pk.entry(row, rhs) for row in rows[: len(pivots)]])
+    return pivots, _back_substitute(pk, acc, pivots, _pivot_columns(pk, rows, pivots), rhs)
+
+
+def _pivot_columns(pk, rows, pivots):
+    """Packed column pivots[r] of the echelon rows above row r, for each r."""
+    entry = pk.entry
+    return [pk.pack([entry(row, col) for row in rows[:r]]) for r, col in enumerate(pivots)]
+
+
+def _back_substitute(pk, acc, pivots, cols, nunknowns):
+    """Unknowns of an echelon system with unit pivots; free variables zero.
+
+    Slot r of the packed accumulator acc holds the right-hand side of row r,
+    unreduced, and cols[r] is the packed pivot column of row r above it
+    (_pivot_columns); each unknown subtracts its column with one scal.
+    """
+    reduce = pk.ctx.reduce
     S = pk.S
     smask = pk.slot_mask
-    entry = pk.entry
-    x = [0] * rhs
-    acc = pk.pack([entry(row, rhs) for row in rows[: len(pivots)]])
+    x = [0] * nunknowns
     for r in range(len(pivots) - 1, -1, -1):
-        col = pivots[r]
-        v = x[col] = ctx.reduce(acc >> (r * S) & smask)
+        v = x[pivots[r]] = reduce(acc >> (r * S) & smask)
         if v and r:
-            acc ^= pk.scal(pk.pack([entry(row, col) for row in rows[:r]]), v)
-    return pivots, x
+            acc ^= pk.scal(cols[r], v)
+    return x
+
+
+class LeftSolver:
+    """A k x k matrix A factored once to solve x·A = b for many b.
+
+    The build runs one forward elimination of [A^T | I], with no upward
+    pass, which leaves [U | E] with U = E A^T upper triangular with a unit
+    diagonal; x·A = b is then U x^T = E b^T.  Each solve is one packed pass
+    of k scal for E b^T and the back-substitution of _solve_packed.  Raises
+    SingularMatrixError, with the rank of A, when A is singular.
+    """
+
+    def __init__(self, A: "RankMatrix"):
+        if A.nrows != A.ncols:
+            raise SingularMatrixError("only square matrices invert")
+        ctx, k = A.ctx, A.nrows
+        pk = _packed(ctx, 2 * k)
+        unit = 1 << (k * pk.S)
+        rows = [pk.pack(col) | unit << (j * pk.S) for j, col in enumerate(zip(*A.rows))]
+        pivots = _echelon_packed(ctx, rows, 2 * k)
+        rank = sum(c < k for c in pivots)
+        if rank < k:
+            raise SingularMatrixError(f"matrix is singular (rank {rank})", rank=rank)
+        entry = pk.entry
+        self._pk = pk
+        self._pivots = pivots
+        self._ucols = _pivot_columns(pk, rows, pivots)
+        self._ecols = [pk.pack([entry(row, k + j) for row in rows]) for j in range(k)]
+
+    def solve(self, b) -> list:
+        """x with x·A = b, for b a list of k reduced elements."""
+        pk = self._pk
+        acc = 0
+        for v, col in zip(b, self._ecols):
+            if v:
+                acc ^= pk.scal(col, v)
+        return _back_substitute(pk, acc, self._pivots, self._ucols, len(self._pivots))
 
 
 # ---------------------------------------------------------------------------
@@ -586,9 +638,13 @@ class RankMatrix:
         return RankMatrix(self.ctx, [pk.unpack(r) for r in rows]), tuple(pivots)
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        """Rank by forward elimination only; rref has the same pivots."""
+        pk = _packed(self.ctx, self.ncols)
+        return len(_echelon_packed(self.ctx, [pk.pack(r) for r in self.rows], self.ncols))
 
     def invert(self) -> "RankMatrix":
+        """The dense inverse; the tests' referee for LeftSolver, which every
+        program path uses instead."""
         if self.nrows != self.ncols:
             raise SingularMatrixError("only square matrices invert")
         n = self.nrows

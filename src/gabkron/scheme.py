@@ -12,9 +12,13 @@ blocks of k2 rows in the improved variant and one block of k rows in the
 repaired one.  In the improved variant G and G_pub are grids too, from key
 generation to the decrypter: block (i, j) of G is Cir_k2(G1[i][j] g2), so
 G_pub's generators come from one product in the circulant ring, and the
-dense matrices are never built.  The repaired variant takes X P^{-1} in
-the ring, adds it to the rows of G P^{-1}, and reads G_pub and S off one
-reduced echelon form of [(G + X) P^{-1} | I_k].
+dense matrices are never built.  The repaired variant never builds the
+dense G either: G P^{-1} comes row by row from alpha's orbit, since
+G = G1 (x) Moore(g2) and a rotation commutes with the circulant P^{-1}
+(_repaired_m0_rows).  It adds X P^{-1}, taken in the ring, and reads G_pub
+and S off one reduced echelon form of [(G + X) P^{-1} | I_k].  The
+repaired decrypter factors S once (ranklinalg.LeftSolver) and solves
+x S = mu on each decrypt; it never inverts S.
 
 The inner Gabidulin code carries its own presentation, and block messages
 are written in it: Cir_k2 of the normal orbit of alpha in the improved
@@ -23,8 +27,8 @@ g2 = (alpha^[n2-1], ..., alpha) in the repaired one (gabcodes.from_orbit,
 which rejects a g2 that is not such an orbit).  Both take the parity
 vector h from alpha's orbit, so no decrypt solves a Moore system.  Key
 generation never builds the decoder; a decrypter build makes the codes and
-P's packed rows, and the inner code's parity check and message inverse are
-built on the first decrypt.
+P's packed rows, and the inner code's parity check and factored leading
+block are built on the first decrypt.
 
 X is built so that any message combination of an in-information-set
 column block keeps rank at most t1.  The paper draws y_1 and a shared GF(2)
@@ -56,9 +60,12 @@ from .params import ParamSet
 from .ranklinalg import (
     BitMatrix,
     CirculantGrid,
+    LeftSolver,
     RankMatrix,
     RankVector,
     SingularMatrixError,
+    _packed,
+    _rref_packed,
     checked_values,
     circulant_block_compose,
     circulant_block_invert,
@@ -293,10 +300,10 @@ class Ciphertext:
 class _Decrypter:
     """Decoder state rebuilt from the secret tuple alone."""
 
-    def __init__(self, code: KroneckerCode, P: CirculantGrid, S_inv: RankMatrix | None):
+    def __init__(self, code: KroneckerCode, P: CirculantGrid, S: LeftSolver | None):
         self.code = code
         self.P_packed = P.packed_rows()
-        self.S_inv = S_inv
+        self.S = S
 
     @classmethod
     def for_improved(cls, sk: ImprovedSecretKey):
@@ -309,7 +316,7 @@ class _Decrypter:
     def for_repaired(cls, sk: RepairedSecretKey):
         p = sk.params
         code = KroneckerCode(sk.G1, from_orbit(sk.G1.ctx, sk.g2, p.k2))
-        return cls(code, sk.P, sk.S.invert())
+        return cls(code, sk.P, LeftSolver(sk.S))
 
     def decrypt(self, c_vals):
         pk, prows = self.P_packed
@@ -318,9 +325,9 @@ class _Decrypter:
             mu = self.code.block_decode(c_prime)
         except DecodeFailure as exc:
             raise DecryptFailure(str(exc), failed_blocks=exc.failed_blocks) from exc
-        if self.S_inv is None:
+        if self.S is None:
             return mu
-        return RankVector(mu.ctx, self.S_inv.left_mul_values(mu.values))
+        return RankVector(mu.ctx, self.S.solve(mu.values))
 
 
 # ---------------------------------------------------------------------------
@@ -364,23 +371,60 @@ def _keygen_repaired(p: ParamSet, rng, ctx) -> KeyPair:
         xw = construct_X(p, code.I, rng, ctx)
         spec = SubspaceSpec.sample(ctx, p.lam, None, code.I, rng)
         P, Pinv = construct_P(p, spec, code.I, rng, ctx)
-        # rows of [M0 | I_k], M0 = (G + X) P^-1 with X P^-1 taken in the ring;
-        # the RREF is [S M0 | S] exactly when its pivots lead, S = M0[:, :k]^-1
-        pinv, pinv_rows = Pinv.packed_rows()
-        _, xp_rows = circulant_block_compose(xw.X, Pinv).packed_rows()
-        M0I = RankMatrix(ctx, [
-            pinv.lincomb(g + [1], pinv_rows + [xp]) + [int(i == r) for i in range(p.k)]
-            for r, (g, xp) in enumerate(zip(code.G.rows, xp_rows))
-        ])
-        R, pivots = M0I.rref()
-        if pivots != tuple(range(p.k)):
+        # the RREF of [M0 | I_k] is [S M0 | S] exactly when its pivots lead,
+        # S = M0[:, :k]^-1
+        ops, rows = _repaired_m0_rows(code, xw.X, Pinv)
+        rows = [row | 1 << ((p.n + r) * ops.S) for r, row in enumerate(rows)]
+        if _rref_packed(ctx, rows, p.n + p.k) != list(range(p.k)):
             continue  # leading minor singular: fresh randomness
-        Gpub = RankMatrix(ctx, [row[: p.n] for row in R.rows])
-        S = RankMatrix(ctx, [row[p.n :] for row in R.rows])
+        unpack = _packed(ctx, p.n + p.k).unpack
+        R = [unpack(row) for row in rows]
+        Gpub = RankMatrix(ctx, [row[: p.n] for row in R])
+        S = RankMatrix(ctx, [row[p.n :] for row in R])
         pk = PublicKey(p, Gpub)
         sk = RepairedSecretKey(p, G1=G1, g2=g2, P=P, S=S)
         return KeyPair(pk=pk, sk=sk, x_witness=xw, subspace=spec, code=code)
     raise GenerationError("could not reach a systematic public key")
+
+
+def _repaired_m0_rows(code: KroneckerCode, X: CirculantGrid, Pinv: CirculantGrid):
+    """Packed rows of M0 = (G + X) P^-1 for the repaired G = G1 (x) Moore(g2).
+
+    g2 = (alpha^[n2-1], ..., alpha), so [g2^[r+1] | 0] is [g2^[r] | 0]
+    rotated right by one slot, plus alpha^[n2+r] at slot 0 and minus the
+    alpha^[r] rotated into slot n2.  A rotation commutes with the
+    circulant P^-1, so y_r = [g2^[r] | 0] P^-1 follows
+    y_{r+1} = rot(y_r, 1) + alpha^[n2+r] row_0(P^-1) + alpha^[r] row_n2(P^-1),
+    and row (i, r) of G P^-1 is sum_j G1[i][j] rot(y_r, j n2): about
+    n2 + 2 k2 + n1 k scal instead of the k n of a dense product.  X P^-1
+    comes from the circulant ring.  Returns (packer, rows), rows reduced.
+    """
+    ctx, n, n2 = code.ctx, code.n, code.n2
+    C2 = code.C2
+    m = ctx.m
+
+    def frob(e):  # alpha^[e], read off the m-orbit (alpha^[e] at index -1-e mod m)
+        return C2.orbit[(-1 - e) % m]
+
+    pk, pinv_rows = Pinv.packed_rows()
+    scal, fold, rotate = pk.scal, pk.fold, pk.rotate
+    y = 0
+    for v, row in zip(C2.g.values, pinv_rows):
+        y ^= scal(row, v)
+    ys = [fold(y)]
+    for r in range(code.k2 - 1):
+        ys.append(fold(rotate(ys[-1], 1, n) ^ scal(pinv_rows[0], frob(n2 + r))
+                       ^ scal(pinv_rows[n2 % n], frob(r))))
+    blocks = [[rotate(y, j * n2, n) for j in range(code.n1)] for y in ys]
+    _, xp_rows = circulant_block_compose(X, Pinv).packed_rows()
+    rows = []
+    for g1row in code.G1.rows:
+        for yr in blocks:
+            acc = 0
+            for v, yj in zip(g1row, yr):
+                acc ^= scal(yj, v)
+            rows.append(fold(acc) ^ xp_rows[len(rows)])
+    return pk, rows
 
 
 def encrypt(message, pk: PublicKey, p: ParamSet, rng) -> Ciphertext:

@@ -1,15 +1,18 @@
-"""Full-scale round trips at the larger repaired sets, off by default.
+"""Full-scale tests at the larger repaired sets, off by default.
 
-Set GABKRON_FULLSCALE=1 to run them; each takes minutes:
+Set GABKRON_FULLSCALE=1 to run them; together they take a few minutes:
 
     GABKRON_FULLSCALE=1 PYTHONPATH=src python -m pytest tests/test_fullscale.py -v -s
 
 Keys, ciphertexts and plaintexts pass through the key-file formats, as in a
-command-line round trip, and each test prints its stage timings.  A second
-test checks the inner code's parity vector h against the Moore solve that
-is its referee, and prints both timings.
+command-line round trip, and the round-trip test prints its stage timings:
+keygen, and a first decrypt whose parse factors S.  The other tests check
+fast paths against their referees and print both timings: keygen's
+(G + X) P^-1 from alpha's orbit against the dense product, and the inner
+code's parity vector h against the Moore solve.
 """
 
+import functools
 import os
 import time
 
@@ -20,7 +23,7 @@ from gabkron.gabcodes import from_orbit, moore_matrix
 from gabkron.gf2m import FieldCtx
 from gabkron.params import setup
 from gabkron.prng import SeededRng
-from gabkron.ranklinalg import RankVector
+from gabkron.ranklinalg import RankVector, circulant_block_invert
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("GABKRON_FULLSCALE") != "1",
@@ -28,12 +31,18 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-@pytest.mark.parametrize("name", ["rep-gabkron-192", "rep-gabkron-256"])
-def test_repaired_full_scale_round_trip(name):
+@functools.lru_cache(maxsize=None)
+def _keypair(name):
+    """(params, key pair, keygen seconds), generated once per set."""
     p = setup(name)
     t0 = time.perf_counter()
     kp = sc.keygen(p, SeededRng(b"fullscale-" + name.encode()))
-    keygen_s = time.perf_counter() - t0
+    return p, kp, time.perf_counter() - t0
+
+
+@pytest.mark.parametrize("name", ["rep-gabkron-192", "rep-gabkron-256"])
+def test_repaired_full_scale_round_trip(name):
+    p, kp, keygen_s = _keypair(name)
     pk = keyio.parse_public_key(keyio.serialize_public_key(kp.pk))
     sk_bytes = keyio.serialize_secret_key(kp.sk)
     ctx = FieldCtx(p.m, p.modulus)
@@ -50,8 +59,23 @@ def test_repaired_full_scale_round_trip(name):
     assert sc.decrypt(keyio.parse_ciphertext(cts[1]), sk, p) == messages[1]
     next_s = time.perf_counter() - t0
     print(f"\n{name}: keygen {keygen_s:.1f} s, first decrypt {first_s:.2f} s "
-          f"(parse with decrypter build {parse_s:.2f} s, then the decode that "
-          f"builds h), next decrypt {next_s:.2f} s")
+          f"(parse with decrypter build, which factors S, {parse_s:.2f} s, then "
+          f"the decode that builds h), next decrypt {next_s:.2f} s")
+
+
+@pytest.mark.parametrize("name", ["rep-gabkron-192", "rep-gabkron-256"])
+def test_repaired_m0_full_scale(name):
+    # keygen's (G + X) P^-1 from alpha's orbit against the dense product
+    p, kp, _ = _keypair(name)
+    Pinv = circulant_block_invert(kp.sk.P)
+    t0 = time.perf_counter()
+    pk, rows = sc._repaired_m0_rows(kp.code, kp.x_witness.X, Pinv)
+    orbit_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    M0 = kp.code.G.add(kp.x_witness.X.dense()).mul(Pinv.dense())
+    dense_s = time.perf_counter() - t0
+    assert [pk.unpack(row) for row in rows] == M0.rows
+    print(f"\n{name}: M0 {orbit_s:.2f} s from alpha's orbit, {dense_s:.1f} s by the dense product")
 
 
 @pytest.mark.parametrize("name", ["rep-gabkron-192", "rep-gabkron-256"])

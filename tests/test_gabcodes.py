@@ -503,7 +503,7 @@ def test_subcode_membership(ctx6):
             y = RankVector(ctx6, vals)
         blocks = [y.values[j * K.n2 : (j + 1) * K.n2] for j in range(K.n1)]
         expected = all(
-            C2.encode(C2._lead_inv.left_mul_values(b[: C2.k])).values == b for b in blocks
+            C2.encode(C2._lead_solver.solve(b[: C2.k])).values == b for b in blocks
         )
         assert K.subcode_membership(y) == expected
 

@@ -32,6 +32,26 @@ def test_bad_modulus_rejected_at_construction():
         FieldCtx(4, modulus=0b10101)
 
 
+def test_registry_modulus_is_not_retested(monkeypatch):
+    # every key and ciphertext parse builds a FieldCtx on the registry
+    # modulus, which test_moduli_table_matches_search proves irreducible
+    calls = []
+    is_irreducible = gf2m.is_irreducible
+
+    def recording(poly, m):
+        calls.append((poly, m))
+        return is_irreducible(poly, m)
+
+    monkeypatch.setattr(gf2m, "is_irreducible", recording)
+    FieldCtx(211)
+    FieldCtx(90, gf2m.modulus_for_degree(90))
+    assert calls == []
+    FieldCtx(4, modulus=0b11111)  # irreducible, but not the registry modulus
+    assert calls == [(0b11111, 4)]
+    with pytest.raises(ValueError):
+        FieldCtx(4, modulus=0b10101)
+
+
 def test_gf16_known_values(ctx4):
     assert ctx4.modulus == 0b10011
     assert ctx4.mul(0x9, 0x2) == 0x1    # (x^3+1)*x = x^4+x = 1 mod x^4+x+1

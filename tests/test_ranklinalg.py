@@ -120,6 +120,48 @@ def test_singular_matrix_error_carries_rank(ctx4):
     assert exc.value.rank == 1
 
 
+@pytest.mark.parametrize("m,k", [(4, 6), (90, 12), (211, 9)])
+def test_left_solver_matches_inverse(m, k):
+    # x·A = b solved from the factored [A^T | I] against b·A^-1
+    ctx = FieldCtx(m)
+    rng = fresh_rng(b"left-solver-%d" % m)
+    done = 0
+    while done < 4:
+        rows = RankMatrix.random(ctx, k, k, rng).rows
+        if m == 4 and done % 2:
+            rows[0][0] = 0  # a zero leading entry makes the factoring swap rows
+        A = RankMatrix(ctx, rows)
+        try:
+            Ainv = A.invert()
+        except SingularMatrixError:
+            continue
+        solver = rl.LeftSolver(A)
+        for _ in range(3):
+            b = RankVector.random(ctx, k, rng).values
+            x = solver.solve(b)
+            assert x == Ainv.left_mul_values(b)
+            assert A.left_mul_values(x) == b
+        assert solver.solve([0] * k) == [0] * k
+        done += 1
+
+
+@pytest.mark.parametrize("rank", [0, 1, 3, 4])
+def test_left_solver_rejects_singular_with_rank(ctx8, rank):
+    rng = fresh_rng(b"left-solver-singular-%d" % rank)
+    k = 5
+    while True:
+        B = RankMatrix.random(ctx8, k, rank, rng) if rank else RankMatrix.zero(ctx8, k, 1)
+        C = RankMatrix.random(ctx8, rank, k, rng) if rank else RankMatrix.zero(ctx8, 1, k)
+        A = B.mul(C)  # rank at most `rank`
+        if A.rank() == rank:
+            break
+    with pytest.raises(SingularMatrixError) as exc:
+        rl.LeftSolver(A)
+    assert exc.value.rank == rank
+    with pytest.raises(SingularMatrixError):
+        rl.LeftSolver(RankMatrix.random(ctx8, 3, 4, rng))  # not square
+
+
 def test_rref_pivots_and_rank(ctx4):
     M = RankMatrix(ctx4, [[0, 1, 2], [0, 2, 5]])
     R, pivots = M.rref()

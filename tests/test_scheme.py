@@ -6,14 +6,16 @@ import pytest
 from gabkron.gf2m import FieldCtx, _bit_rank
 from gabkron import scheme as sc
 from gabkron import keyio
-from gabkron.gabcodes import GabidulinCode
+from gabkron.gabcodes import GabidulinCode, KroneckerCode
 from gabkron.params import setup
 from gabkron.prng import SeededRng
 from gabkron.ranklinalg import (
     BitMatrix,
     CirculantGrid,
+    LeftSolver,
     RankMatrix,
     RankVector,
+    circulant_block_invert,
     column_rank_q,
     is_circulant,
     is_circulant_block,
@@ -205,8 +207,6 @@ def test_construct_p_improved_structure(toy_kp):
     P = kp.sk.P.dense()
     spec = kp.subspace
     assert is_circulant_block(P, p.n1, p.n2)
-    from gabkron.ranklinalg import circulant_block_invert
-
     Pinv = circulant_block_invert(kp.sk.P).dense()
     assert is_circulant_block(Pinv, p.n1, p.n2)
     assert P.mul(Pinv) == RankMatrix.identity(P.ctx, p.n)
@@ -445,19 +445,20 @@ def test_wide_outer_matrix_round_trip():
 
 @pytest.mark.parametrize("pair", ["toy_kp", "toy_rep_kp"])
 def test_decrypter_inverts_inner_code_once(pair, request, monkeypatch):
-    # the inner code is inverted once, for its message inverse, on the first
-    # decrypt; the decrypter build itself inverts no k2 x k2 matrix
+    # the inner code's leading block is factored once, for reading messages
+    # off codewords, on the first decrypt; the decrypter build itself
+    # factors no k2 x k2 matrix
     p, kp = request.getfixturevalue(pair)
     ctx = kp.pk.matrix.ctx
     blob = keyio.serialize_secret_key(kp.sk)
     shapes = []
-    invert = RankMatrix.invert
+    init = LeftSolver.__init__
 
-    def recording_invert(self):
-        shapes.append((self.nrows, self.ncols))
-        return invert(self)
+    def recording_init(self, A):
+        shapes.append((A.nrows, A.ncols))
+        init(self, A)
 
-    monkeypatch.setattr(RankMatrix, "invert", recording_invert)
+    monkeypatch.setattr(LeftSolver, "__init__", recording_init)
     sk = keyio.parse_secret_key(blob)  # the parse builds the decrypter
     assert sk._dec is not None
     assert (p.k2, p.k2) not in shapes
@@ -492,8 +493,9 @@ def test_keygen_computes_no_dual_vector(params, request, monkeypatch):
 
 @pytest.mark.parametrize("params", ["toy_improved", "toy_repaired"])
 def test_keygen_makes_no_inverse_or_dense_product(params, request, monkeypatch):
-    # X P^-1 and G_pub's generators come from the circulant ring, and the
-    # repaired G_pub and S from one echelon form of [M0 | I_k]
+    # X P^-1 and G_pub's generators come from the circulant ring, the repaired
+    # G P^-1 from alpha's orbit without the dense G, and the repaired G_pub
+    # and S from one echelon form of [M0 | I_k]
     p = request.getfixturevalue(params)
     calls = []
     for cls, name in ((RankMatrix, "invert"), (RankMatrix, "mul"), (CirculantGrid, "dense")):
@@ -504,8 +506,21 @@ def test_keygen_makes_no_inverse_or_dense_product(params, request, monkeypatch):
             return _orig(self, *args)
 
         monkeypatch.setattr(cls, name, recording)
+    monkeypatch.setattr(KroneckerCode, "G", property(lambda self: calls.append("G")))
     sc.keygen(p, SeededRng(b"no-dense-keygen"))
     assert calls == []
+
+
+@pytest.mark.parametrize("params", ["toy_repaired", "rep-gabkron-128"])
+def test_repaired_m0_by_structure_matches_dense_product(params, request):
+    # the referee is the dense (G + X) P^-1 of the paper's definition
+    p = request.getfixturevalue(params) if params.startswith("toy") else setup(params)
+    kp = sc.keygen(p, SeededRng(b"m0-" + params.encode()))
+    Pinv = circulant_block_invert(kp.sk.P)
+    pk, rows = sc._repaired_m0_rows(kp.code, kp.x_witness.X, Pinv)
+    M0 = kp.code.G.add(kp.x_witness.X.dense()).mul(Pinv.dense())
+    assert [pk.unpack(row) for row in rows] == M0.rows
+    assert kp.sk.S.mul(M0.submatrix(0, 0, p.k, p.k)) == RankMatrix.identity(M0.ctx, p.k)
 
 
 def test_improved_decrypter_squares_one_orbit_of_alpha(monkeypatch):
