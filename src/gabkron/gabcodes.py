@@ -34,9 +34,9 @@ variants come from the Frobenius orbit of one element alpha:
   h_j = beta^[j] for the trace dual beta of alpha (one GF(2) solve), and
   row r of the parity check is h rotated left by r;
 - the repaired variant's has g = (alpha^[n-1], ..., alpha) with n <= m
-  (from_orbit), and h holds the coefficients of the subspace polynomial
-  of n - 1 consecutive Frobenius powers of alpha, built in O(n^2) field
-  operations.
+  (from_orbit): its Moore matrix is a set of windows of alpha's m-orbit,
+  and h holds the coefficients of the subspace polynomial of n - 1
+  consecutive Frobenius powers of alpha, built in O(n^2) field operations.
 
 The public methods take a RankVector or a list of ints and pass it through
 checked_values, which checks its length and every entry once.
@@ -349,17 +349,24 @@ def from_normal_orbit(ctx: FieldCtx, alpha: int, k2: int) -> GabidulinCode:
 class _OrbitCode(GabidulinCode):
     """Gab_k(g) with g_j = alpha^[n-1-j], n <= m, presented by its Moore matrix.
 
-    With H(x) = sum_r h_{n-1-r} x^[r], sum_j h_j g_j^[d] = H(alpha^[d]), so
-    H vanishes on W = <alpha^[lo+i] : i < n-1>, lo = -(n-k-1) mod m, and is
-    a multiple of W's subspace polynomial.  That polynomial is built one
-    basis element v at a time, L <- L^2 + L(v) L, with v^[r] read off the
-    m-orbit of alpha; scaled to h_{n-1} = 1 it is _dual_vector() entry for
-    entry (Lidl & Niederreiter, Finite Fields, 3.4).
+    Moore entry (i, j) is alpha^[n-1-j+i], read off alpha's m-orbit with no
+    squaring.  With H(x) = sum_r h_{n-1-r} x^[r], sum_j h_j g_j^[d] =
+    H(alpha^[d]), so H vanishes on W = <alpha^[lo+i] : i < n-1>,
+    lo = -(n-k-1) mod m, and is a multiple of W's subspace polynomial.  That
+    polynomial is built one basis element v at a time, L <- L^2 + L(v) L,
+    with v^[r] read off the orbit too; scaled to h_{n-1} = 1 it is
+    _dual_vector() entry for entry (Lidl & Niederreiter, Finite Fields, 3.4).
     """
 
     def __init__(self, g: RankVector, k: int, orbit):
-        super().__init__(g, k)
-        self.orbit = orbit  # frobenius_orbit(alpha, m): alpha^[e] at index -1-e mod m
+        self.orbit = orbit  # frobenius_orbit(alpha, m)
+        n = len(g)
+        moore = [[self.frob(n - 1 - j + i) for j in range(n)] for i in range(k)]
+        super().__init__(g, k, RankMatrix(g.ctx, moore))
+
+    def frob(self, e: int) -> int:
+        """alpha^[e], read off the m-orbit, which holds it at index -1-e mod m."""
+        return self.orbit[(-1 - e) % len(self.orbit)]
 
     @cached_property
     def h(self) -> RankVector:
@@ -369,7 +376,7 @@ class _OrbitCode(GabidulinCode):
         mul, sqr = ctx.mul, ctx.sqr
         lo = -(n - k - 1) % m
         # pw[e] = alpha^[lo+e]: basis element i of W is pw[i], and its [r] is pw[i+r]
-        pw = [self.orbit[(-1 - lo - e) % m] for e in range(2 * n - 2)]
+        pw = [self.frob(lo + e) for e in range(2 * n - 2)]
         L = [1]  # L[r] is the coefficient of x^[r]; monic
         for i in range(n - 1):
             c = 0
@@ -389,9 +396,9 @@ def from_orbit(ctx: FieldCtx, g2: RankVector, k2: int) -> GabidulinCode:
     """Gab_k2(g2) presented by its Moore matrix, for g2 = frobenius_orbit(alpha, n2).
 
     Raises ValueError unless g2[j] == g2[j+1]^2 for every j, which the
-    m-orbit of alpha = g2[-1] shows as it is computed; h then comes from
-    that orbit (_OrbitCode) instead of a Moore solve.  This is the repaired
-    variant's inner code.
+    m-orbit of alpha = g2[-1] shows as it is computed; the presentation and
+    h then come from that orbit (_OrbitCode) instead of squarings and a
+    Moore solve.  This is the repaired variant's inner code.
     """
     m, n = ctx.m, len(g2)
     orbit = ctx.frobenius_orbit(g2.values[-1], m)

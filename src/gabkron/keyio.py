@@ -14,11 +14,12 @@ The improved variant's G_pub and P are partial-circulant-block matrices
 and travel as the first row of every block, blocks in row-major order.
 Row 0 of Cir_k(a) is reflect(a) = (a_0, a_{n-1}, ..., a_1), an involution,
 so parsing and serializing map those rows to and from the in-memory
-CirculantGrid of generators by slicing alone.  The repaired secret key
-stores b itself, the generator of its one-block grid P = Cir(b).  Parsing
-rejects a singular P in either variant, then builds the key's decrypter,
-which the key caches, so that every other inconsistent secret tuple is a
-FormatError too.
+CirculantGrid of generators by slicing alone.  The repaired public key is
+held as the k x (n - k) matrix its file stores, row by row.  The repaired
+secret key stores b itself, the generator of its one-block grid P = Cir(b).
+Parsing rejects a singular P in either variant, then builds the key's
+decrypter, which the key caches, so that every other inconsistent secret
+tuple is a FormatError too.
 
 Messages for encryption are arbitrary byte strings up to the capacity
 floor(k*m/8) - 4; a 4-byte big-endian length prefix travels inside the
@@ -140,8 +141,7 @@ def serialize_public_key(pk: PublicKey) -> bytes:
     if p.variant == "improved":
         vals = _first_rows(pk.matrix)
     else:
-        # systematic form: only the non-identity part N
-        vals = [v for row in pk.matrix.rows for v in row[p.k :]]
+        vals = [v for row in pk.matrix.rows for v in row]
     return _header(p) + pack_elements(vals, p.m)
 
 
@@ -150,15 +150,9 @@ def parse_public_key(data: bytes) -> PublicKey:
     if p.variant == "improved":
         vals = unpack_elements(payload, p.m, p.k1 * p.n1 * p.n2)
         return PublicKey(p, _grid(_ctx(p), vals, p.k1, p.n1, p.n2, p.k2))
-    count = p.k * (p.n - p.k)
-    vals = unpack_elements(payload, p.m, count)
-    ctx = _ctx(p)
-    rows = []
     w = p.n - p.k
-    for i in range(p.k):
-        row = [1 if j == i else 0 for j in range(p.k)] + vals[i * w : (i + 1) * w]
-        rows.append(row)
-    return PublicKey(p, RankMatrix(ctx, rows))
+    vals = unpack_elements(payload, p.m, p.k * w)
+    return PublicKey(p, RankMatrix(_ctx(p), [vals[i * w : (i + 1) * w] for i in range(p.k)]))
 
 
 # ---------------------------------------------------------------------------

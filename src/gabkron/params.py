@@ -39,7 +39,6 @@ class ParamSet:
     t2: int
     lam: int
     lam_p: int | None = None
-    q: int = 2
     name: str = ""
     security: int = 0
 

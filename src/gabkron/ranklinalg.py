@@ -677,7 +677,8 @@ def column_rank_q(M: RankMatrix) -> int:
 
 def information_set(G: RankMatrix):
     """Lexicographically first column set whose submatrix is invertible."""
-    R, pivots = G.rref()
+    pk = _packed(G.ctx, G.ncols)
+    pivots = _echelon_packed(G.ctx, [pk.pack(r) for r in G.rows], G.ncols)
     if len(pivots) != G.nrows:
         raise SingularMatrixError(
             f"matrix has rank {len(pivots)} < {G.nrows}", rank=len(pivots)

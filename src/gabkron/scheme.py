@@ -15,20 +15,21 @@ G_pub's generators come from one product in the circulant ring, and the
 dense matrices are never built.  The repaired variant never builds the
 dense G either: G P^{-1} comes row by row from alpha's orbit, since
 G = G1 (x) Moore(g2) and a rotation commutes with the circulant P^{-1}
-(_repaired_m0_rows).  It adds X P^{-1}, taken in the ring, and reads G_pub
-and S off one reduced echelon form of [(G + X) P^{-1} | I_k].  The
-repaired decrypter factors S once (ranklinalg.LeftSolver) and solves
-x S = mu on each decrypt; it never inverts S.
+(_repaired_m0_rows).  It adds X P^{-1}, taken in the ring, and reads N and
+S off [I_k | N | S], the reduced echelon form of [(G + X) P^{-1} | I_k].
+The public key holds N, as its file does; no other module knows that
+G_pub = [I_k | N].  The repaired decrypter factors S once
+(ranklinalg.LeftSolver) and solves x S = mu on each decrypt.
 
 The inner Gabidulin code carries its own presentation, and block messages
 are written in it: Cir_k2 of the normal orbit of alpha in the improved
 variant (gabcodes.from_normal_orbit), the Moore matrix of
-g2 = (alpha^[n2-1], ..., alpha) in the repaired one (gabcodes.from_orbit,
-which rejects a g2 that is not such an orbit).  Both take the parity
-vector h from alpha's orbit, so no decrypt solves a Moore system.  Key
-generation never builds the decoder; a decrypter build makes the codes and
-P's packed rows, and the inner code's parity check and factored leading
-block are built on the first decrypt.
+g2 = (alpha^[n2-1], ..., alpha) in the repaired one, read off alpha's
+m-orbit (gabcodes.from_orbit, which rejects a g2 that is not such an
+orbit).  Both take the parity vector h from alpha's orbit, so no decrypt
+solves a Moore system.  Key generation never builds the decoder; a
+decrypter build makes the codes and P's packed rows, and the inner code's
+parity check and factored leading block are built on the first decrypt.
 
 X is built so that any message combination of an in-information-set
 column block keeps rank at most t1.  The paper draws y_1 and a shared GF(2)
@@ -195,7 +196,7 @@ def construct_X(p: ParamSet, info_set, rng, ctx: FieldCtx) -> XWitness:
 # construction of P
 
 
-def construct_P(p: ParamSet, spec: SubspaceSpec, info_set, rng, ctx: FieldCtx):
+def construct_P(p: ParamSet, spec: SubspaceSpec, rng, ctx: FieldCtx):
     """Invertible right scrambler as a circulant-block grid; returns (P, P^-1).
 
     Improved: n1 x n1 blocks of size n2, column block i drawn from U_i (i in
@@ -242,7 +243,7 @@ def sample_rank_error(ctx: FieldCtx, n: int, t: int, rng) -> RankVector:
 @dataclass
 class PublicKey:
     params: ParamSet
-    matrix: RankMatrix | CirculantGrid  # G_pub: repaired | improved
+    matrix: RankMatrix | CirculantGrid  # N of G_pub = [I_k | N] (repaired) | G_pub (improved)
     _packed: tuple = field(default=None, repr=False, compare=False)
 
     def packed_rows(self):
@@ -349,7 +350,7 @@ def _keygen_improved(p: ParamSet, rng, ctx) -> KeyPair:
     code = KroneckerCode(G1, from_normal_orbit(ctx, alpha, p.k2))
     xw = construct_X(p, code.I, rng, ctx)
     spec = SubspaceSpec.sample(ctx, p.lam, p.lam_p, code.I, rng)
-    P, Pinv = construct_P(p, spec, code.I, rng, ctx)
+    P, Pinv = construct_P(p, spec, rng, ctx)
     # generators of G + X: block (i, j) of G is Cir_k2(G1[i][j] g2)
     g2 = code.C2.orbit
     GX = [
@@ -370,18 +371,17 @@ def _keygen_repaired(p: ParamSet, rng, ctx) -> KeyPair:
         code = KroneckerCode(G1, from_orbit(ctx, g2, p.k2))
         xw = construct_X(p, code.I, rng, ctx)
         spec = SubspaceSpec.sample(ctx, p.lam, None, code.I, rng)
-        P, Pinv = construct_P(p, spec, code.I, rng, ctx)
-        # the RREF of [M0 | I_k] is [S M0 | S] exactly when its pivots lead,
-        # S = M0[:, :k]^-1
+        P, Pinv = construct_P(p, spec, rng, ctx)
+        # the RREF of [M0 | I_k] is [I_k | N | S] with S M0 = [I_k | N]
+        # exactly when its pivots lead, S = M0[:, :k]^-1
         ops, rows = _repaired_m0_rows(code, xw.X, Pinv)
         rows = [row | 1 << ((p.n + r) * ops.S) for r, row in enumerate(rows)]
         if _rref_packed(ctx, rows, p.n + p.k) != list(range(p.k)):
             continue  # leading minor singular: fresh randomness
         unpack = _packed(ctx, p.n + p.k).unpack
         R = [unpack(row) for row in rows]
-        Gpub = RankMatrix(ctx, [row[: p.n] for row in R])
+        pk = PublicKey(p, RankMatrix(ctx, [row[p.k : p.n] for row in R]))
         S = RankMatrix(ctx, [row[p.n :] for row in R])
-        pk = PublicKey(p, Gpub)
         sk = RepairedSecretKey(p, G1=G1, g2=g2, P=P, S=S)
         return KeyPair(pk=pk, sk=sk, x_witness=xw, subspace=spec, code=code)
     raise GenerationError("could not reach a systematic public key")
@@ -399,12 +399,8 @@ def _repaired_m0_rows(code: KroneckerCode, X: CirculantGrid, Pinv: CirculantGrid
     n2 + 2 k2 + n1 k scal instead of the k n of a dense product.  X P^-1
     comes from the circulant ring.  Returns (packer, rows), rows reduced.
     """
-    ctx, n, n2 = code.ctx, code.n, code.n2
+    n, n2 = code.n, code.n2
     C2 = code.C2
-    m = ctx.m
-
-    def frob(e):  # alpha^[e], read off the m-orbit (alpha^[e] at index -1-e mod m)
-        return C2.orbit[(-1 - e) % m]
 
     pk, pinv_rows = Pinv.packed_rows()
     scal, fold, rotate = pk.scal, pk.fold, pk.rotate
@@ -413,8 +409,8 @@ def _repaired_m0_rows(code: KroneckerCode, X: CirculantGrid, Pinv: CirculantGrid
         y ^= scal(row, v)
     ys = [fold(y)]
     for r in range(code.k2 - 1):
-        ys.append(fold(rotate(ys[-1], 1, n) ^ scal(pinv_rows[0], frob(n2 + r))
-                       ^ scal(pinv_rows[n2 % n], frob(r))))
+        ys.append(fold(rotate(ys[-1], 1, n) ^ scal(pinv_rows[0], C2.frob(n2 + r))
+                       ^ scal(pinv_rows[n2 % n], C2.frob(r))))
     blocks = [[rotate(y, j * n2, n) for j in range(code.n1)] for y in ys]
     _, xp_rows = circulant_block_compose(X, Pinv).packed_rows()
     rows = []
@@ -428,11 +424,13 @@ def _repaired_m0_rows(code: KroneckerCode, X: CirculantGrid, Pinv: CirculantGrid
 
 
 def encrypt(message, pk: PublicKey, p: ParamSet, rng) -> Ciphertext:
-    """c = m G_pub + e with rk(e) = t."""
+    """c = m G_pub + e with rk(e) = t; the repaired m [I_k | N] is m || m N."""
     ctx = pk.matrix.ctx
     vals = checked_values(ctx, message, p.k, "message")
     pko, prows = pk.packed_rows()
     c = pko.lincomb(vals, prows)
+    if p.variant == "repaired":
+        c = vals + c
     e = sample_rank_error(ctx, p.n, p.t, rng)
     return Ciphertext(p, RankVector(ctx, [a ^ b for a, b in zip(c, e.values)]))
 

@@ -9,7 +9,9 @@ command-line round trip, and the round-trip test prints its stage timings:
 keygen, and a first decrypt whose parse factors S.  The other tests check
 fast paths against their referees and print both timings: keygen's
 (G + X) P^-1 from alpha's orbit against the dense product, and the inner
-code's parity vector h against the Moore solve.
+code's parity vector h against the Moore solve.  The parity test also
+checks the inner code's presentation, read off alpha's orbit, against
+the squared-out Moore matrix.
 """
 
 import functools
@@ -80,11 +82,13 @@ def test_repaired_m0_full_scale(name):
 
 @pytest.mark.parametrize("name", ["rep-gabkron-192", "rep-gabkron-256"])
 def test_orbit_parity_vector_full_scale(name):
-    # h from the subspace polynomial of g2's orbit against the Moore solve
+    # the Moore presentation from orbit windows against the squared-out one,
+    # and h from the subspace polynomial of g2's orbit against the Moore solve
     p = setup(name)
     ctx = FieldCtx(p.m, p.modulus)
     alpha = ctx.find_normal_element(SeededRng(b"fullscale-h-" + name.encode()))
     C2 = from_orbit(ctx, RankVector(ctx, ctx.frobenius_orbit(alpha, p.n2)), p.k2)
+    assert C2.generator == moore_matrix(C2.g, p.k2)
     t0 = time.perf_counter()
     h = C2.h
     orbit_s = time.perf_counter() - t0

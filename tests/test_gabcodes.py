@@ -344,7 +344,10 @@ def test_orbit_parity_vector_at_repaired_sets(params, request):
     p = request.getfixturevalue(params) if params.startswith("toy") else setup(params)
     ctx = FieldCtx(p.m, p.modulus)
     alpha = ctx.find_normal_element(fresh_rng(b"orbit-h-" + params.encode()))
-    assert_orbit_h_is_dual_vector(orbit_code(ctx, alpha, p.n2, p.k2))
+    C = orbit_code(ctx, alpha, p.n2, p.k2)
+    # the presentation from orbit windows against the squared-out Moore matrix
+    assert C.generator == gc.moore_matrix(C.g, p.k2)
+    assert_orbit_h_is_dual_vector(C)
 
 
 def test_orbit_parity_vector_of_non_normal_alpha():

@@ -5,7 +5,7 @@ import pytest
 
 from gabkron.gf2m import FieldCtx, _bit_rank
 from gabkron import scheme as sc
-from gabkron import keyio
+from gabkron import gabcodes, keyio
 from gabkron.gabcodes import GabidulinCode, KroneckerCode
 from gabkron.params import setup
 from gabkron.prng import SeededRng
@@ -16,6 +16,7 @@ from gabkron.ranklinalg import (
     RankMatrix,
     RankVector,
     circulant_block_invert,
+    circulant_inverse,
     column_rank_q,
     is_circulant,
     is_circulant_block,
@@ -273,15 +274,31 @@ def test_improved_pk_structure(toy_kp):
     assert is_partial_circulant_block(kp.pk.matrix.dense(), p.k1, p.n1, p.k2, p.n2)
 
 
+def systematic(N):
+    """The dense public generator [I_k | N] of a repaired key's N."""
+    return RankMatrix.from_blocks([[RankMatrix.identity(N.ctx, N.nrows), N]])
+
+
 def test_repaired_pk_systematic(toy_rep_kp):
+    # the key holds N; S undoes the row transform: S (G + X) P^-1 = [I_k | N]
+    p, kp = toy_rep_kp
+    N = kp.pk.matrix
+    assert (N.nrows, N.ncols) == (p.k, p.n - p.k)
+    M0 = kp.code.G.add(kp.x_witness.X.dense()).mul(circulant_inverse(kp.sk.P.dense()))
+    assert kp.sk.S.mul(M0) == systematic(N)
+
+
+def test_repaired_encrypt_matches_dense_product(toy_rep_kp):
+    # c = m || m N + e against the referee m [I_k | N] + e, same error draws
     p, kp = toy_rep_kp
     ctx = kp.pk.matrix.ctx
-    assert kp.pk.matrix.submatrix(0, 0, p.k, p.k) == RankMatrix.identity(ctx, p.k)
-    # S undoes the row transform: S_pub = S (G+X) P^{-1}
-    from gabkron.ranklinalg import circulant_inverse
-
-    M0 = kp.code.G.add(kp.x_witness.X.dense()).mul(circulant_inverse(kp.sk.P.dense()))
-    assert kp.sk.S.mul(M0) == kp.pk.matrix
+    G_pub = systematic(kp.pk.matrix)
+    rng = fresh_rng(b"rep-encrypt-dense")
+    for i in range(20):
+        m = RankVector.random(ctx, p.k, rng)
+        ct = sc.encrypt(m, kp.pk, p, SeededRng(b"rep-encrypt-%d" % i))
+        e = sample_rank_error(ctx, p.n, p.t, SeededRng(b"rep-encrypt-%d" % i))
+        assert ct.values == vec_mat(m, G_pub) + e
 
 
 def test_rank_budget_per_block(toy_kp):
@@ -494,8 +511,8 @@ def test_keygen_computes_no_dual_vector(params, request, monkeypatch):
 @pytest.mark.parametrize("params", ["toy_improved", "toy_repaired"])
 def test_keygen_makes_no_inverse_or_dense_product(params, request, monkeypatch):
     # X P^-1 and G_pub's generators come from the circulant ring, the repaired
-    # G P^-1 from alpha's orbit without the dense G, and the repaired G_pub
-    # and S from one echelon form of [M0 | I_k]
+    # G P^-1 from alpha's orbit without the dense G or Moore(g2), and the
+    # repaired N and S from one echelon form of [M0 | I_k]
     p = request.getfixturevalue(params)
     calls = []
     for cls, name in ((RankMatrix, "invert"), (RankMatrix, "mul"), (CirculantGrid, "dense")):
@@ -507,6 +524,7 @@ def test_keygen_makes_no_inverse_or_dense_product(params, request, monkeypatch):
 
         monkeypatch.setattr(cls, name, recording)
     monkeypatch.setattr(KroneckerCode, "G", property(lambda self: calls.append("G")))
+    monkeypatch.setattr(gabcodes, "moore_matrix", lambda *args: calls.append("moore"))
     sc.keygen(p, SeededRng(b"no-dense-keygen"))
     assert calls == []
 
@@ -545,3 +563,24 @@ def test_improved_decrypter_squares_one_orbit_of_alpha(monkeypatch):
     # the same h as from the trace dual of alpha
     ctx = FieldCtx(p.m, p.modulus)
     assert h == ctx.frobenius_orbit(ctx.trace_dual(sk.alpha), p.n2)[::-1]
+
+
+@pytest.mark.parametrize("params", ["toy_repaired", "rep-gabkron-128"])
+def test_repaired_decrypter_squares_one_orbit_of_alpha(params, request, monkeypatch):
+    # parsing the key, which builds its decrypter, squares alpha's m-orbit
+    # once, for the orbit check; the inner code's Moore presentation is
+    # windows of that orbit
+    p = request.getfixturevalue(params) if params.startswith("toy") else setup(params)
+    kp = sc.keygen(p, SeededRng(b"orbit-count-" + params.encode()))
+    blob = keyio.serialize_secret_key(kp.sk)
+    calls = []
+    sqr = FieldCtx.sqr
+
+    def counting_sqr(self, a):
+        calls.append(a)
+        return sqr(self, a)
+
+    monkeypatch.setattr(FieldCtx, "sqr", counting_sqr)
+    keyio.parse_secret_key(blob)
+    monkeypatch.undo()
+    assert len(calls) == p.m - 1
