@@ -96,16 +96,11 @@ def _emit(report: dict, fmt: str, out_path: str | None):
 
 
 def cmd_keygen(args) -> int:
-    try:
-        p = setup(args.set)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMS
+    p = setup(args.set)  # main turns a ParameterError into EXIT_PARAMS
     kp = scheme.keygen(p, _rng(args))
     _write(args.pk, keyio.serialize_public_key(kp.pk))
     _write(args.sk, keyio.serialize_secret_key(kp.sk))
-    formula = "improved" if p.variant == "improved" else "repaired"
-    rep = audit.key_sizes(p, formula, name=p.name or args.set)
+    rep = audit.key_sizes(p, p.variant, name=p.name or args.set)
     _emit(rep.as_dict(), args.format, None)
     return EXIT_OK
 

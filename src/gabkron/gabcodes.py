@@ -28,13 +28,14 @@ pays for it once.
 
 Only a code built from an arbitrary g, as in the tests and the audit,
 solves a Moore system for h (_dual_vector).  The inner codes of both
-variants come from the Frobenius orbit of one element alpha:
+variants come from one element alpha, whose orbit each builder squares once:
 - the improved variant's has length m and a normal alpha
   (from_normal_orbit), so its parity check is the trace-dual orbit:
   h_j = beta^[j] for the trace dual beta of alpha (one GF(2) solve), and
   row r of the parity check is h rotated left by r;
 - the repaired variant's has g = (alpha^[n-1], ..., alpha) with n <= m
-  (from_orbit): its Moore matrix is a set of windows of alpha's m-orbit,
+  (from_orbit), the tail of alpha's m-orbit, so its Moore matrix is a
+  set of windows of that orbit,
   and h holds the coefficients of the subspace polynomial of n - 1
   consecutive Frobenius powers of alpha, built in O(n^2) field operations.
 
@@ -392,19 +393,17 @@ class _OrbitCode(GabidulinCode):
         return hv
 
 
-def from_orbit(ctx: FieldCtx, g2: RankVector, k2: int) -> GabidulinCode:
-    """Gab_k2(g2) presented by its Moore matrix, for g2 = frobenius_orbit(alpha, n2).
+def from_orbit(ctx: FieldCtx, alpha: int, n2: int, k2: int) -> GabidulinCode:
+    """Gab_k2(g2) for g2 = (alpha^[n2-1], ..., alpha), the tail of alpha's m-orbit.
 
-    Raises ValueError unless g2[j] == g2[j+1]^2 for every j, which the
-    m-orbit of alpha = g2[-1] shows as it is computed; the presentation and
-    h then come from that orbit (_OrbitCode) instead of squarings and a
-    Moore solve.  This is the repaired variant's inner code.
+    The Moore presentation and h come from that orbit (_OrbitCode) instead
+    of squarings and a Moore solve.  This is the repaired variant's inner code.
     """
-    m, n = ctx.m, len(g2)
-    orbit = ctx.frobenius_orbit(g2.values[-1], m)
-    if n > m or orbit[m - n:] != g2.values:
-        raise ValueError("g2 must be a Frobenius orbit (alpha^[n-1], ..., alpha)")
-    return _OrbitCode(g2, k2, orbit)
+    m = ctx.m
+    if n2 > m:
+        raise ValueError(f"length {n2} exceeds extension degree {m}")
+    orbit = ctx.frobenius_orbit(alpha, m)
+    return _OrbitCode(RankVector(ctx, orbit[m - n2:]), k2, orbit)
 
 
 class KroneckerCode:

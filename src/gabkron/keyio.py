@@ -17,9 +17,10 @@ so parsing and serializing map those rows to and from the in-memory
 CirculantGrid of generators by slicing alone.  The repaired public key is
 held as the k x (n - k) matrix its file stores, row by row.  The repaired
 secret key stores b itself, the generator of its one-block grid P = Cir(b).
-Parsing rejects a singular P in either variant, then builds the key's
-decrypter, which the key caches, so that every other inconsistent secret
-tuple is a FormatError too.
+Parsing unpacks the tuple into its key and builds the key's decrypter,
+which the key caches; that build checks the whole tuple (scheme), so a
+singular P or S, a non-normal alpha, a rank-deficient G1 or a g2 that is
+not an orbit is a FormatError.
 
 Messages for encryption are arbitrary byte strings up to the capacity
 floor(k*m/8) - 4; a 4-byte big-endian length prefix travels inside the
@@ -129,6 +130,15 @@ def _first_rows(grid: CirculantGrid) -> list:
     return [v for row in grid.gens for a in row for v in reflect(a)]
 
 
+def _matrix(ctx, vals, nrows, ncols) -> RankMatrix:
+    """nrows x ncols matrix from the leading values, row by row."""
+    return RankMatrix(ctx, [vals[i * ncols : (i + 1) * ncols] for i in range(nrows)])
+
+
+def _entries(M: RankMatrix) -> list:
+    return [v for row in M.rows for v in row]
+
+
 def _grid(ctx, vals, nrows, ncols, n, k) -> CirculantGrid:
     """Grid of nrows x ncols blocks from their consecutive first rows."""
     firsts = [vals[i : i + n] for i in range(0, nrows * ncols * n, n)]
@@ -138,10 +148,7 @@ def _grid(ctx, vals, nrows, ncols, n, k) -> CirculantGrid:
 
 def serialize_public_key(pk: PublicKey) -> bytes:
     p = pk.params
-    if p.variant == "improved":
-        vals = _first_rows(pk.matrix)
-    else:
-        vals = [v for row in pk.matrix.rows for v in row]
+    vals = _first_rows(pk.matrix) if p.variant == "improved" else _entries(pk.matrix)
     return _header(p) + pack_elements(vals, p.m)
 
 
@@ -150,79 +157,49 @@ def parse_public_key(data: bytes) -> PublicKey:
     if p.variant == "improved":
         vals = unpack_elements(payload, p.m, p.k1 * p.n1 * p.n2)
         return PublicKey(p, _grid(_ctx(p), vals, p.k1, p.n1, p.n2, p.k2))
-    w = p.n - p.k
-    vals = unpack_elements(payload, p.m, p.k * w)
-    return PublicKey(p, RankMatrix(_ctx(p), [vals[i * w : (i + 1) * w] for i in range(p.k)]))
+    vals = unpack_elements(payload, p.m, p.k * (p.n - p.k))
+    return PublicKey(p, _matrix(_ctx(p), vals, p.k, p.n - p.k))
 
 
 # ---------------------------------------------------------------------------
 # secret keys
 
 
-def _check_invertible(P: CirculantGrid) -> None:
-    if not P.is_invertible():
-        raise FormatError("P is singular")
-
-
-def _consistent(sk):
-    """sk with its decrypter built, which rejects every other inconsistent
-    part of the tuple: a non-normal alpha, a rank-deficient G1, a g2 that is
-    not a Frobenius orbit or lacks full rank weight, a singular S."""
-    try:
-        sk.decrypter()
-    except ValueError as exc:
-        raise FormatError(f"inconsistent secret key: {exc}") from exc
-    return sk
-
-
 def serialize_secret_key(sk) -> bytes:
     p = sk.params
-    vals = []
     if isinstance(sk, ImprovedSecretKey):
-        vals.append(sk.alpha)
-        vals.extend(_first_rows(sk.P))
-        for row in sk.G1.rows:
-            vals.extend(row)
+        vals = [sk.alpha, *_first_rows(sk.P), *_entries(sk.G1)]
     elif isinstance(sk, RepairedSecretKey):
-        for row in sk.G1.rows:
-            vals.extend(row)
-        vals.extend(sk.g2.values)
-        vals.extend(sk.P.gens[0][0])
-        for row in sk.S.rows:
-            vals.extend(row)
+        vals = [*_entries(sk.G1), *sk.g2.values, *sk.P.gens[0][0], *_entries(sk.S)]
     else:
         raise TypeError(f"not a secret key: {type(sk).__name__}")
     return _header(p) + pack_elements(vals, p.m)
 
 
 def parse_secret_key(data: bytes):
+    """The key with its decrypter built, which rejects an inconsistent tuple."""
     p, payload = _parse_header(data)
     if p.variant == "improved":
-        count = 1 + p.n1 * p.n1 * p.n2 + p.k1 * p.n1
-        vals = unpack_elements(payload, p.m, count)
+        pos = 1 + p.n1 * p.n1 * p.n2
+        vals = unpack_elements(payload, p.m, pos + p.k1 * p.n1)
         ctx = _ctx(p)
         P = _grid(ctx, vals[1:], p.n1, p.n1, p.n2, p.n2)
-        _check_invertible(P)
-        pos = 1 + p.n1 * p.n1 * p.n2
-        G1 = RankMatrix(
-            ctx, [vals[pos + i * p.n1 : pos + (i + 1) * p.n1] for i in range(p.k1)]
+        sk = ImprovedSecretKey(p, alpha=vals[0], P=P, G1=_matrix(ctx, vals[pos:], p.k1, p.n1))
+    else:
+        g2_at = p.k1 * p.n1
+        P_at = g2_at + p.n2
+        S_at = P_at + p.n
+        vals = unpack_elements(payload, p.m, S_at + p.k * p.k)
+        ctx = _ctx(p)
+        sk = RepairedSecretKey(
+            p, G1=_matrix(ctx, vals, p.k1, p.n1), g2=RankVector(ctx, vals[g2_at:P_at]),
+            P=CirculantGrid(ctx, [[vals[P_at:S_at]]], p.n), S=_matrix(ctx, vals[S_at:], p.k, p.k),
         )
-        return _consistent(ImprovedSecretKey(p, alpha=vals[0], P=P, G1=G1))
-    count = p.k1 * p.n1 + p.n2 + p.n + p.k * p.k
-    vals = unpack_elements(payload, p.m, count)
-    ctx = _ctx(p)
-    pos = 0
-    G1 = RankMatrix(ctx, [vals[i * p.n1 : (i + 1) * p.n1] for i in range(p.k1)])
-    pos += p.k1 * p.n1
-    g2 = RankVector(ctx, vals[pos : pos + p.n2])
-    pos += p.n2
-    P = CirculantGrid(ctx, [[vals[pos : pos + p.n]]], p.n)
-    pos += p.n
-    S = RankMatrix(
-        ctx, [vals[pos + i * p.k : pos + (i + 1) * p.k] for i in range(p.k)]
-    )
-    _check_invertible(P)
-    return _consistent(RepairedSecretKey(p, G1=G1, g2=g2, P=P, S=S))
+    try:
+        sk.decrypter()
+    except ValueError as exc:
+        raise FormatError(f"inconsistent secret key: {exc}") from exc
+    return sk
 
 
 # ---------------------------------------------------------------------------

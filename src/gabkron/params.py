@@ -52,15 +52,15 @@ class ParamSet:
 REGISTRY: dict[str, dict] = {
     "gabkron-128-original": dict(
         variant="original", n1=2, k1=2, n2=24, k2=12, m=48, n=48, k=24,
-        t=12, lam=3, security=128, claimed_pk_bytes=288,
+        t=12, lam=3, security=128,
     ),
     "gabkron-192-original": dict(
         variant="original", n1=2, k1=2, n2=38, k2=19, m=76, n=76, k=38,
-        t=16, lam=3, security=192, claimed_pk_bytes=722,
+        t=16, lam=3, security=192,
     ),
     "gabkron-256-original": dict(
         variant="original", n1=2, k1=2, n2=52, k2=26, m=104, n=104, k=52,
-        t=24, lam=3, security=256, claimed_pk_bytes=1352,
+        t=24, lam=3, security=256,
     ),
     "rep-gabkron-128": dict(
         variant="repaired", n1=2, k1=2, n2=105, k2=35, m=211, n=210, k=70,
@@ -181,7 +181,6 @@ def setup(name: str | None = None, variant: str | None = None, **fields) -> Para
     if variant is not None:
         fields["variant"] = variant
     var = fields.get("variant")
-    fields.pop("claimed_pk_bytes", None)
     if var == "repaired":
         f = _validate_repaired(dict(fields))
     elif var == "improved":

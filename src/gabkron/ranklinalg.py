@@ -28,7 +28,7 @@ of such blocks, a single circulant included (a 1 x 1 grid), is held as a
 CirculantGrid of block generators; products and inverses of grids run in
 the ring, and the dense matrix is built only as a test oracle
 (CirculantGrid.dense).  Ring elements live in packed rows, slot i holding
-the coefficient of z^i, so cyc_mul and cyc_inv use the same scal/fold
+the coefficient of z^i, so cyc_mul and cyc_inv use the same window/fold
 kernel as the matrices.
 """
 
@@ -753,8 +753,13 @@ def cyc_mul(ctx, a, b):
     if len(b) != n:
         raise ValueError("length mismatch")
     pk = _packed(ctx, n)
-    pb = pk.pack(b)
-    return pk.lincomb(a, (pk.rotate(pb, r, n) for r in range(n)))
+    # a carry-less product fills under 2m bits of a slot, so the rotation
+    # moves whole products: a_r (b rotated by r) = (a_r b) rotated by r
+    tab = _window_table(pk.pack(b))
+    acc = 0
+    for r, v in enumerate(a):
+        acc ^= pk.rotate(_window_mul(tab, v), r, n)
+    return pk.unpack(pk.fold(acc))
 
 
 def _cyc_euclid(ctx, a, bezout):

@@ -25,11 +25,12 @@ The inner Gabidulin code carries its own presentation, and block messages
 are written in it: Cir_k2 of the normal orbit of alpha in the improved
 variant (gabcodes.from_normal_orbit), the Moore matrix of
 g2 = (alpha^[n2-1], ..., alpha) in the repaired one, read off alpha's
-m-orbit (gabcodes.from_orbit, which rejects a g2 that is not such an
-orbit).  Both take the parity vector h from alpha's orbit, so no decrypt
-solves a Moore system.  Key generation never builds the decoder; a
-decrypter build makes the codes and P's packed rows, and the inner code's
-parity check and factored leading block are built on the first decrypt.
+m-orbit (gabcodes.from_orbit).  Both take the parity vector h from
+alpha's orbit, so no decrypt solves a Moore system.  Key generation hands
+each key the decrypter of the code and P it holds; any other key, parsed
+or in memory, passes _Decrypter.checked, which rejects an inconsistent
+tuple.  P's packed rows and the inner decoder state are built on the
+first decrypt.
 
 X is built so that any message combination of an in-information-set
 column block keeps rank at most t1.  The paper draws y_1 and a shared GF(2)
@@ -54,6 +55,7 @@ or a list of ints, and check the length and every entry once, on entry
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .gf2m import FieldCtx, _bit_rank
 from .gabcodes import DecodeFailure, KroneckerCode, from_normal_orbit, from_orbit
@@ -262,7 +264,7 @@ class ImprovedSecretKey:
 
     def decrypter(self):
         if self._dec is None:
-            self._dec = _Decrypter.for_improved(self)
+            self._dec = _Decrypter.checked(self)
         return self._dec
 
 
@@ -277,7 +279,7 @@ class RepairedSecretKey:
 
     def decrypter(self):
         if self._dec is None:
-            self._dec = _Decrypter.for_repaired(self)
+            self._dec = _Decrypter.checked(self)
         return self._dec
 
 
@@ -285,8 +287,9 @@ class RepairedSecretKey:
 class KeyPair:
     pk: PublicKey
     sk: object
-    # construction evidence, kept in memory for property checks only;
-    # never serialized and never read by decryption
+    # construction evidence, kept in memory for property checks only and
+    # never serialized; code is also the product code of sk's decrypter,
+    # which keygen hands to the key
     x_witness: XWitness | None = None
     subspace: SubspaceSpec | None = None
     code: KroneckerCode | None = None
@@ -299,28 +302,41 @@ class Ciphertext:
 
 
 class _Decrypter:
-    """Decoder state rebuilt from the secret tuple alone."""
+    """Decoder state of a secret tuple; P's packed rows and S's factors are
+    built on first use."""
 
-    def __init__(self, code: KroneckerCode, P: CirculantGrid, S: LeftSolver | None):
+    def __init__(self, code: KroneckerCode, P: CirculantGrid, S: RankMatrix | None = None):
         self.code = code
-        self.P_packed = P.packed_rows()
+        self.P = P
         self.S = S
 
     @classmethod
-    def for_improved(cls, sk: ImprovedSecretKey):
-        p = sk.params
-        ctx = sk.G1.ctx
-        code = KroneckerCode(sk.G1, from_normal_orbit(ctx, sk.alpha, p.k2))
-        return cls(code, sk.P, None)
+    def checked(cls, sk):
+        """The decrypter of a key that keygen did not hand one.  Raises
+        ValueError unless, in order, P is invertible (a gcd), alpha normal or
+        g2 alpha's orbit of full rank weight, G1 of full rank, S invertible."""
+        p, ctx = sk.params, sk.G1.ctx
+        if not sk.P.is_invertible():
+            raise SingularMatrixError("P is singular")
+        if isinstance(sk, ImprovedSecretKey):
+            return cls(KroneckerCode(sk.G1, from_normal_orbit(ctx, sk.alpha, p.k2)), sk.P)
+        C2 = from_orbit(ctx, sk.g2.values[-1], p.n2, p.k2)
+        if C2.g != sk.g2:
+            raise ValueError("g2 must be a Frobenius orbit (alpha^[n2-1], ..., alpha)")
+        dec = cls(KroneckerCode(sk.G1, C2), sk.P, sk.S)
+        dec._S_solver  # raises SingularMatrixError for a singular S
+        return dec
 
-    @classmethod
-    def for_repaired(cls, sk: RepairedSecretKey):
-        p = sk.params
-        code = KroneckerCode(sk.G1, from_orbit(sk.G1.ctx, sk.g2, p.k2))
-        return cls(code, sk.P, LeftSolver(sk.S))
+    @cached_property
+    def _P_packed(self):
+        return self.P.packed_rows()
+
+    @cached_property
+    def _S_solver(self) -> LeftSolver:
+        return LeftSolver(self.S)
 
     def decrypt(self, c_vals):
-        pk, prows = self.P_packed
+        pk, prows = self._P_packed
         c_prime = pk.lincomb(c_vals, prows)
         try:
             mu = self.code.block_decode(c_prime)
@@ -328,7 +344,7 @@ class _Decrypter:
             raise DecryptFailure(str(exc), failed_blocks=exc.failed_blocks) from exc
         if self.S is None:
             return mu
-        return RankVector(mu.ctx, self.S.solve(mu.values))
+        return RankVector(mu.ctx, self._S_solver.solve(mu.values))
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +376,7 @@ def _keygen_improved(p: ParamSet, rng, ctx) -> KeyPair:
     ]
     pk = PublicKey(p, circulant_block_compose(CirculantGrid(ctx, GX, p.k2), Pinv))
     sk = ImprovedSecretKey(p, alpha=alpha, P=P, G1=G1)
+    sk._dec = _Decrypter(code, P)
     return KeyPair(pk=pk, sk=sk, x_witness=xw, subspace=spec, code=code)
 
 
@@ -367,8 +384,7 @@ def _keygen_repaired(p: ParamSet, rng, ctx) -> KeyPair:
     for _ in range(64):
         G1 = RankMatrix.random_full_rank(ctx, p.k1, p.n1, rng)
         alpha = ctx.find_normal_element(rng)
-        g2 = RankVector(ctx, ctx.frobenius_orbit(alpha, p.n2))
-        code = KroneckerCode(G1, from_orbit(ctx, g2, p.k2))
+        code = KroneckerCode(G1, from_orbit(ctx, alpha, p.n2, p.k2))
         xw = construct_X(p, code.I, rng, ctx)
         spec = SubspaceSpec.sample(ctx, p.lam, None, code.I, rng)
         P, Pinv = construct_P(p, spec, rng, ctx)
@@ -382,7 +398,8 @@ def _keygen_repaired(p: ParamSet, rng, ctx) -> KeyPair:
         R = [unpack(row) for row in rows]
         pk = PublicKey(p, RankMatrix(ctx, [row[p.k : p.n] for row in R]))
         S = RankMatrix(ctx, [row[p.n :] for row in R])
-        sk = RepairedSecretKey(p, G1=G1, g2=g2, P=P, S=S)
+        sk = RepairedSecretKey(p, G1=G1, g2=code.C2.g, P=P, S=S)
+        sk._dec = _Decrypter(code, P, S)
         return KeyPair(pk=pk, sk=sk, x_witness=xw, subspace=spec, code=code)
     raise GenerationError("could not reach a systematic public key")
 

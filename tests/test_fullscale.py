@@ -87,7 +87,7 @@ def test_orbit_parity_vector_full_scale(name):
     p = setup(name)
     ctx = FieldCtx(p.m, p.modulus)
     alpha = ctx.find_normal_element(SeededRng(b"fullscale-h-" + name.encode()))
-    C2 = from_orbit(ctx, RankVector(ctx, ctx.frobenius_orbit(alpha, p.n2)), p.k2)
+    C2 = from_orbit(ctx, alpha, p.n2, p.k2)
     assert C2.generator == moore_matrix(C2.g, p.k2)
     t0 = time.perf_counter()
     h = C2.h

@@ -316,7 +316,9 @@ def test_trace_dual_decoder_matches_moore_solve(m, k):
 
 
 def orbit_code(ctx, alpha, n, k):
-    return gc.from_orbit(ctx, RankVector(ctx, ctx.frobenius_orbit(alpha, n)), k)
+    C = gc.from_orbit(ctx, alpha, n, k)
+    assert C.g.values == ctx.frobenius_orbit(alpha, n)
+    return C
 
 
 def assert_orbit_h_is_dual_vector(C):
@@ -365,16 +367,13 @@ def test_orbit_parity_vector_of_non_normal_alpha():
 
 
 def test_from_orbit_rejects_non_orbits(ctx8):
+    # a swapped g2 is rejected where a secret key's decrypter is built
+    # (test_keyio's inconsistent-key tests), since from_orbit takes alpha
     alpha = ctx8.find_normal_element(fresh_rng(b"orbit-reject"))
-    g = ctx8.frobenius_orbit(alpha, 6)
-    swapped = [g[1], g[0]] + g[2:]
-    assert RankVector(ctx8, swapped).rank_weight() == 6  # still a Gabidulin generator
-    with pytest.raises(ValueError, match="Frobenius orbit"):
-        gc.from_orbit(ctx8, RankVector(ctx8, swapped), 2)
-    with pytest.raises(ValueError, match="Frobenius orbit"):
-        gc.from_orbit(ctx8, RankVector(ctx8, ctx8.frobenius_orbit(alpha, 9)), 2)  # n > m
+    with pytest.raises(ValueError, match="exceeds extension degree"):
+        gc.from_orbit(ctx8, alpha, 9, 2)  # n > m
     with pytest.raises(ValueError, match="rank weight"):
-        gc.from_orbit(ctx8, RankVector(ctx8, [1] * 6), 2)  # 1 is its own orbit
+        gc.from_orbit(ctx8, 1, 6, 2)  # 1 is its own orbit
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from gabkron.ranklinalg import (
     LeftSolver,
     RankMatrix,
     RankVector,
+    SingularMatrixError,
     circulant_block_invert,
     circulant_inverse,
     column_rank_q,
@@ -31,7 +32,7 @@ from gabkron.scheme import (
     sample_rank_error,
 )
 
-from conftest import fresh_rng, vec_mat
+from conftest import fresh_rng, inconsistent_secret_key, vec_mat
 
 
 @pytest.fixture(scope="module")
@@ -584,3 +585,63 @@ def test_repaired_decrypter_squares_one_orbit_of_alpha(params, request, monkeypa
     keyio.parse_secret_key(blob)
     monkeypatch.undo()
     assert len(calls) == p.m - 1
+
+
+@pytest.mark.parametrize("pair", ["toy_kp", "toy_rep_kp"])
+def test_in_memory_key_with_singular_p_raises(pair, request):
+    # a key made in memory passes the same gate as a parsed one on its first
+    # decrypt, instead of decrypting every ciphertext to the zero message
+    p, kp = request.getfixturevalue(pair)
+    sk = inconsistent_secret_key(kp.sk, "P")
+    rng = fresh_rng(b"singular-p")
+    ct = sc.encrypt(RankVector.random(kp.pk.matrix.ctx, p.k, rng), kp.pk, p, rng)
+    with pytest.raises(SingularMatrixError, match="P is singular"):
+        sc.decrypt(ct, sk, p)
+    assert issubclass(SingularMatrixError, ValueError)
+
+
+@pytest.mark.parametrize("params", ["toy_improved", "toy_repaired"])
+def test_keygen_hands_its_code_to_the_key(params, request, monkeypatch):
+    # keygen and the first decrypt build the inner code once, and the key's
+    # decrypter is keygen's: no gcd on P, and S is factored on first decrypt
+    p = request.getfixturevalue(params)
+    calls = []
+    for cls, name in ((GabidulinCode, "__init__"), (CirculantGrid, "is_invertible"),
+                      (LeftSolver, "__init__")):
+        orig = getattr(cls, name)
+
+        def recording(self, *args, _key=(cls.__name__, name), _orig=orig):
+            calls.append(_key)
+            return _orig(self, *args)
+
+        monkeypatch.setattr(cls, name, recording)
+    kp = sc.keygen(p, SeededRng(b"hand-over"))
+    assert calls == [("GabidulinCode", "__init__")]
+    rng = fresh_rng(b"hand-over")
+    m = RankVector.random(kp.pk.matrix.ctx, p.k, rng)
+    assert sc.decrypt(sc.encrypt(m, kp.pk, p, rng), kp.sk, p) == m
+    assert calls.count(("GabidulinCode", "__init__")) == 1
+    assert ("CirculantGrid", "is_invertible") not in calls
+    assert kp.sk.decrypter().code is kp.code
+
+
+@pytest.mark.parametrize("params", ["toy_repaired", "rep-gabkron-128"])
+def test_repaired_keygen_squares_alpha_orbit_twice_per_attempt(params, request, monkeypatch):
+    # each attempt squares alpha's m-orbit for the normality test of every
+    # draw and once more for the inner code, which hands g2 to the key
+    p = request.getfixturevalue(params) if params.startswith("toy") else setup(params)
+    counts = {"sqr": 0, "is_normal": 0, "attempts": 0}
+    for name, key in (("sqr", "sqr"), ("is_normal", "is_normal"),
+                      ("find_normal_element", "attempts")):
+        orig = getattr(FieldCtx, name)
+
+        def counting(self, *args, _key=key, _orig=orig):
+            counts[_key] += 1
+            return _orig(self, *args)
+
+        monkeypatch.setattr(FieldCtx, name, counting)
+    kp = sc.keygen(p, SeededRng(b"bench"))
+    monkeypatch.undo()
+    assert counts["sqr"] == (counts["is_normal"] + counts["attempts"]) * (p.m - 1)
+    alpha = kp.sk.g2.values[-1]
+    assert kp.sk.g2.values == FieldCtx(p.m, p.modulus).frobenius_orbit(alpha, p.n2)
