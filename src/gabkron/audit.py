@@ -218,8 +218,7 @@ def _original_pipeline_matrix(p: ParamSet, rng, ctx) -> RankMatrix:
     if p.variant != "repaired":
         raise ValueError("the original pipeline uses repaired-shape parameters")
     while True:
-        alpha = ctx.find_normal_element(rng)
-        g1 = RankVector(ctx, ctx.frobenius_orbit(alpha, p.n1))
+        g1 = RankVector(ctx, ctx.find_normal_element(rng)[p.m - p.n1:])
         G1 = partial_circulant(g1, p.k1)
         if G1.rank() != p.k1:
             continue

@@ -9,14 +9,23 @@ n - k + 1 and unique decoding up to t = floor((n - k) / 2) rank errors.
 Decoding works on syndromes: writing the error as e_i = sum_p E_p Y_{p,i}
 with independent values E_p and GF(2) locations Y_p, the syndromes satisfy
 s_j = sum_p E_p X_p^[j] with X_p = sum_i Y_{p,i} h_i.  The key equation
-for a monic annihilator of q-degree t of the values has rows
+for a monic annihilator Gamma of q-degree t of the values has rows
 (s_j, s_{j-1}^[1], ..., s_{j-t}^[t]), j >= t, each built by squaring the
-previous one; the root space of the annihilator yields the E_p.  Raising
-the first w syndrome equations to powers [w-1-j] gives W_p = X_p^[w-1],
-and as Y is binary, W_p = sum_i Y_{p,i} h_i^[w-1] locates the error
-against row w-1 of the parity-check matrix.  One packed product then
-re-checks every syndrome, so a returned pair is always a valid decoding
-within the radius.
+previous one.  Both decoders solve it (_key_equation) and then part:
+- for n = m and a normal alpha (_NormalOrbitCode, the improved variant's
+  inner code) the syndromes are the first n - k values of the error's
+  q-transform; Gamma extends them to all m values by a recursion, and
+  one packed product inverts the transform (Silva & Kschischang, ISIT
+  2009);
+- for every other code, the repaired variant's inner code (n < m) and
+  codes built from an arbitrary g, the root space of Gamma yields the E_p.
+  Raising the first w syndrome equations to powers [w-1-j] gives
+  W_p = X_p^[w-1], and as Y is binary, W_p = sum_i Y_{p,i} h_i^[w-1]
+  locates the error against row w-1 of the parity-check matrix.  This
+  route is the transform's referee in the tests.
+Either way the error's rank is at most t, and one packed product re-checks
+every syndrome, so a returned pair is always a valid decoding within the
+radius.
 
 Each code owns the presentation its messages are written in: the Moore
 matrix of g by default, the partial circulant of a normal orbit for the
@@ -28,7 +37,8 @@ pays for it once.
 
 Only a code built from an arbitrary g, as in the tests and the audit,
 solves a Moore system for h (_dual_vector).  The inner codes of both
-variants come from one element alpha, whose orbit each builder squares once:
+variants come from alpha's m-orbit, which the normal-element draw or the
+decrypter's check squares once and hands to the builder:
 - the improved variant's has length m and a normal alpha
   (from_normal_orbit), so its parity check is the trace-dual orbit:
   h_j = beta^[j] for the trace dual beta of alpha (one GF(2) solve), and
@@ -48,7 +58,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .gf2m import FieldCtx, _bit_rank
+from .gf2m import FieldCtx, _bit_rank, _window_mul, _window_table
 from .ranklinalg import (
     BitMatrix,
     LeftSolver,
@@ -208,16 +218,28 @@ class GabidulinCode:
 
     def _decode_codeword(self, y_vals):
         """Split y into (codeword, error) with rk(error) <= radius."""
-        ctx, n, k = self.ctx, self.n, self.k
-        if n == k:
+        n = self.n
+        if n == self.k:
             return list(y_vals), [0] * n
         s = self.syndromes(y_vals)
         if not any(s):
             return list(y_vals), [0] * n
-        t = self.radius
-        if t == 0:
+        if self.radius == 0:
             raise DecodeFailure("non-zero syndrome with zero correction radius")
-        E = self._error_value_space(s, t)
+        e_vals = self._error_vector(s)
+        # every syndrome must match, not just the ones solved for.  Same
+        # product as syndromes(), whose calls perfbench counts as received
+        # blocks.
+        pk, cols = self._packed_hcols
+        if pk.lincomb(e_vals, cols) != s:
+            raise DecodeFailure("error values inconsistent with the syndromes")
+        c_vals = [a ^ b for a, b in zip(y_vals, e_vals)]
+        return c_vals, e_vals
+
+    def _error_vector(self, s):
+        """The error of rank <= radius with syndromes s, through its values'
+        root space and its locations; raises DecodeFailure."""
+        E = self._error_value_space(s)
         if E is None:
             raise DecodeFailure("no annihilator of the error values")
         W = self._error_coordinates(s, E)
@@ -226,17 +248,17 @@ class GabidulinCode:
         e_vals = self._locate(E, W)
         if e_vals is None:
             raise DecodeFailure("error support does not lie in the code space")
-        # every syndrome must match, not just the w solved for.  Same product
-        # as syndromes(), whose calls perfbench counts as received blocks.
-        pk, cols = self._packed_hcols
-        if pk.lincomb(e_vals, cols) != s:
-            raise DecodeFailure("error values inconsistent with the syndromes")
-        c_vals = [a ^ b for a, b in zip(y_vals, e_vals)]
-        return c_vals, e_vals
+        return e_vals
 
-    def _error_value_space(self, s, t):
-        """Solve for a monic annihilator of q-degree t; return its root basis."""
-        ctx = self.ctx
+    def _key_equation(self, s):
+        """Solve for a monic annihilator Gamma of q-degree t of the error values.
+
+        Returns (gamma, row): gamma[i] is the coefficient of x^[i], i <= t,
+        or None when the system has no solution (more than t independent
+        error values), and row = (s_j, s_{j-1}^[1], ..., s_{j-t}^[t]) is the
+        key-equation row of the last syndrome index j.
+        """
+        ctx, t = self.ctx, self.radius
         sqr = ctx.sqr
         pk = _packed(ctx, t + 1)
         # row j = (s_j, s_{j-1}^[1], ..., s_{j-t}^[t]); rows j >= t enter the system
@@ -247,9 +269,12 @@ class GabidulinCode:
             if j >= t:
                 rows.append(pk.pack(row))
         _, gamma = _solve_packed(ctx, rows, t + 1)
-        if gamma is None:
-            return None  # inconsistent: more than t independent error values
-        return _root_space(ctx, gamma + [1])
+        return (None if gamma is None else gamma + [1]), row
+
+    def _error_value_space(self, s):
+        """Root basis of the key equation's annihilator, or None."""
+        gamma, _ = self._key_equation(s)
+        return None if gamma is None else _root_space(self.ctx, gamma)
 
     def _error_coordinates(self, s, E):
         """Solve s_j = sum_p E_p X_p^[j], j < w, for W_p = X_p^[w-1]."""
@@ -311,6 +336,12 @@ class _NormalOrbitCode(GabidulinCode):
     exponents d = -(n-k-1), ..., k-1 because d-k is then non-zero mod m.
     It is _dual_vector() up to a scalar, which the decoder's output does
     not depend on, and row r of its Moore matrix is h rotated left by r.
+
+    The syndromes are therefore the first n - k values of the q-transform
+    Y^_r = sum_j y_j beta^[j+r], r < m, whose inverse is
+    y_j = sum_r Y^_r alpha^[r+j], because Tr(alpha^[i] beta^[j]) = 1 if
+    i = j else 0.  The decoder extends the error's transform past the
+    syndromes and inverts it (_error_vector).
     """
 
     def __init__(self, gamma: RankVector, k: int, generator: RankMatrix, orbit):
@@ -327,22 +358,70 @@ class _NormalOrbitCode(GabidulinCode):
         h = self.h.values
         return RankMatrix(self.ctx, [h[r:] + h[:r] for r in range(self.n - self.k)])
 
+    @cached_property
+    def _inverse_rows(self):
+        """Packed row r = (alpha^[r+j])_j, so that e = sum_r E^_r row_r."""
+        orbit, m = self.orbit, self.n
+        pk = _packed(self.ctx, m)
+        # the orbit holds alpha^[e] at index -1-e mod m
+        return pk, [pk.pack([orbit[(-1 - r - j) % m] for j in range(m)]) for r in range(m)]
 
-def from_normal_orbit(ctx: FieldCtx, alpha: int, k2: int) -> GabidulinCode:
+    def _error_vector(self, s):
+        """The error of rank <= radius whose transform starts with s.
+
+        Write e_j = sum_p E_p Y_{p,j} with independent values E_p and binary
+        Y_p.  Its transform is E^_r = sum_p E_p X_p^[r], X_p = sum_j
+        Y_{p,j} beta^[j], so any Gamma that solves the key equation
+        annihilates the E_p when rk(e) <= t, and
+        sum_i Gamma_i E^_{l-i}^[i] = 0 for every l.  Once Gamma_0 != 0 this
+        gives E^_l from the t values before it, so the syndromes extend to
+        all m values (Silva & Kschischang, "Fast encoding and decoding of
+        Gabidulin codes", ISIT 2009).  Gamma_0 = 0 makes Gamma = Gamma'^2
+        with Gamma'_i = sqrt(Gamma_{i+1}), which annihilates the same values.
+        One inverse transform gives e, and rk(e) <= t is checked; raises
+        DecodeFailure otherwise.
+        """
+        ctx = self.ctx
+        gamma, row = self._key_equation(s)
+        if gamma is None:
+            raise DecodeFailure("no annihilator of the error values")
+        while not gamma[0]:
+            gamma = [ctx.sqrt(g) for g in gamma[1:]]
+        # E^_l = sum_{i>=1} (Gamma_i / Gamma_0) E^_{l-i}^[i], one window
+        # table per coefficient and one reduction per value
+        inv0 = ctx.inv(gamma[0])
+        tabs = [_window_table(ctx.mul(inv0, g)) for g in gamma[1:]]
+        reduce, sqr = ctx.reduce, ctx.sqr
+        # prev[i] = E^_{l-1-i}^[i], i < t, from l = n - k on: to begin with,
+        # the last key-equation row; squared once, it holds E^_{l-i}^[i]
+        prev = row[: len(tabs)]
+        E = list(s)
+        for _ in range(self.k):
+            win = [sqr(v) for v in prev]
+            acc = 0
+            for tab, v in zip(tabs, win):
+                acc ^= _window_mul(tab, v)
+            E.append(reduce(acc))
+            prev = [E[-1]] + win[:-1]
+        pk, rows = self._inverse_rows
+        e_vals = pk.lincomb(E, rows)
+        if _bit_rank(e_vals) > self.radius:
+            raise DecodeFailure("error rank exceeds the radius")
+        return e_vals
+
+
+def from_normal_orbit(ctx: FieldCtx, orbit, k2: int) -> GabidulinCode:
     """The length-m Gabidulin code presented by Cir_k2 of alpha's orbit.
 
-    With orbit = (alpha^[m-1], ..., alpha), the code is Gab_k2(gamma) for
-    gamma = row k2-1 of Cir_k2(orbit), and Cir_k2(orbit) is the Moore
-    matrix of gamma with its rows reversed, so the presentation takes no
-    squaring to build.  The parity check comes from the trace-dual orbit
-    (_NormalOrbitCode).  The orbit is computed once, for both its normality
-    check and the code.  This is the improved variant's inner code, whose
-    length n2 = m setup enforces.
+    orbit = (alpha^[m-1], ..., alpha) of a normal alpha, as
+    FieldCtx.find_normal_element and FieldCtx.is_normal return it; the
+    caller has checked it.  The code is Gab_k2(gamma) for gamma = row k2-1
+    of Cir_k2(orbit), and Cir_k2(orbit) is the Moore matrix of gamma with
+    its rows reversed, so the presentation takes no squaring to build.  The
+    parity check comes from the trace-dual orbit (_NormalOrbitCode).  This
+    is the improved variant's inner code, whose length n2 = m setup enforces.
     """
     m = ctx.m
-    orbit = ctx.frobenius_orbit(alpha, m)
-    if _bit_rank(orbit) < m:
-        raise ValueError("alpha must be a normal element")
     gamma = RankVector(ctx, [orbit[(k2 - 1 - j) % m] for j in range(m)])
     return _NormalOrbitCode(gamma, k2, partial_circulant(RankVector(ctx, orbit), k2), orbit)
 
@@ -393,16 +472,17 @@ class _OrbitCode(GabidulinCode):
         return hv
 
 
-def from_orbit(ctx: FieldCtx, alpha: int, n2: int, k2: int) -> GabidulinCode:
+def from_orbit(ctx: FieldCtx, orbit, n2: int, k2: int) -> GabidulinCode:
     """Gab_k2(g2) for g2 = (alpha^[n2-1], ..., alpha), the tail of alpha's m-orbit.
 
-    The Moore presentation and h come from that orbit (_OrbitCode) instead
-    of squarings and a Moore solve.  This is the repaired variant's inner code.
+    orbit = frobenius_orbit(alpha, m).  The Moore presentation and h come
+    from it (_OrbitCode) instead of squarings and a Moore solve; a g2
+    without full rank weight raises ValueError.  This is the repaired
+    variant's inner code.
     """
     m = ctx.m
     if n2 > m:
         raise ValueError(f"length {n2} exceeds extension degree {m}")
-    orbit = ctx.frobenius_orbit(alpha, m)
     return _OrbitCode(RankVector(ctx, orbit[m - n2:]), k2, orbit)
 
 

@@ -48,18 +48,6 @@ MODULI = {
     331: (1 << 331) | (1 << 10) | (1 << 6) | (1 << 2) | 1,
 }
 
-# Byte-indexed table spreading the 8 input bits to even positions; squaring
-# a GF(2) polynomial just interleaves zeros between coefficients.
-_SPREAD = []
-for _v in range(256):
-    _s = 0
-    for _i in range(8):
-        if _v >> _i & 1:
-            _s |= 1 << (2 * _i)
-    _SPREAD.append(_s)
-del _v, _s, _i
-
-
 def _poly_mulmod(a, b, mod, deg):
     """Multiply two GF(2) polynomials modulo mod (degree deg)."""
     r = 0
@@ -128,6 +116,28 @@ def modulus_for_degree(m: int) -> int:
 
 
 _frob_rows_cache: dict = {}  # FieldCtx -> frobenius_power_rows tuple
+_sqr_tables_cache: dict = {}  # (m, modulus) -> _sqr_tables tuple
+
+
+def _sqr_tables(m: int, modulus: int, reduce) -> tuple:
+    """Table p of the reduced squares of every byte at byte position p.
+
+    Squaring is GF(2)-linear, so sqr(a) is the XOR of one entry per byte of
+    a.  Entry v of table p is built from entry v minus its top bit and the
+    reduced square of that bit, x^(2(8p+i)).  Built once per field.
+    """
+    key = (m, modulus)
+    tables = _sqr_tables_cache.get(key)
+    if tables is None:
+        tables = []
+        for pos in range(0, m, 8):
+            tab = [0]
+            for i in range(8):
+                sq = reduce(1 << 2 * (pos + i))
+                tab += [v ^ sq for v in tab]
+            tables.append(tab)
+        tables = _sqr_tables_cache[key] = tuple(tables)
+    return tables
 
 
 class FieldCtx:
@@ -152,6 +162,8 @@ class FieldCtx:
         # bit positions of x^m mod modulus, used to fold products
         red = modulus ^ (1 << m)
         self._red_shifts = tuple(i for i in range(m) if red >> i & 1)
+        self._sqr_tables = _sqr_tables(m, modulus, self.reduce)
+        self._nbytes = len(self._sqr_tables)
 
     def __repr__(self):
         return f"FieldCtx(m={self.m}, modulus={self.modulus:#x})"
@@ -196,13 +208,11 @@ class FieldCtx:
         return self.reduce(_window_mul(_window_table(a), b))
 
     def sqr(self, a: int) -> int:
+        """a^2: one table lookup per byte of a, no reduction (_sqr_tables)."""
         r = 0
-        sh = 0
-        while a:
-            r |= _SPREAD[a & 255] << sh
-            sh += 16
-            a >>= 8
-        return self.reduce(r)
+        for tab, byte in zip(self._sqr_tables, a.to_bytes(self._nbytes, "little")):
+            r ^= tab[byte]
+        return r
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse by the extended Euclidean algorithm."""
@@ -268,9 +278,14 @@ class FieldCtx:
         """Unique square root in characteristic 2: a^[m-1], as a^[m] = a."""
         return self.frobenius(a, self.m - 1)
 
-    def is_normal(self, a: int) -> bool:
-        """True iff the Frobenius orbit of a is an F_2-basis of the field."""
-        return _bit_rank(self.frobenius_orbit(a, self.m)) == self.m
+    def is_normal(self, a: int) -> list[int] | None:
+        """frobenius_orbit(a, m) if it is an F_2-basis of the field, else None.
+
+        Truthy exactly when a is normal, and the orbit is returned so that
+        callers who go on to use it square it once.
+        """
+        orbit = self.frobenius_orbit(a, self.m)
+        return orbit if _bit_rank(orbit) == self.m else None
 
     def trace_vector(self) -> int:
         """Bit i is Tr(x^i) for i < m, so Tr(a) is the parity of a & trace_vector().
@@ -302,8 +317,8 @@ class FieldCtx:
         is invertible exactly when alpha is normal; the orbit of beta is then
         the dual normal basis.  Raises ValueError otherwise.
         """
-        orbit = self.frobenius_orbit(alpha, self.m)
-        if _bit_rank(orbit) < self.m:
+        orbit = self.is_normal(alpha)
+        if orbit is None:
             raise ValueError("alpha is not a normal element")
         return self._trace_dual_of_orbit(orbit)
 
@@ -327,12 +342,13 @@ class FieldCtx:
                 beta ^= a
         return beta
 
-    def find_normal_element(self, rng) -> int:
-        """First normal element drawn from rng; deterministic for seeded rng."""
+    def find_normal_element(self, rng) -> list[int]:
+        """Orbit (alpha^[m-1], ..., alpha) of the first normal alpha drawn from
+        rng; deterministic for seeded rng.  alpha is its last entry."""
         for _ in range(4096):
-            a = rng.element(self.m)
-            if self.is_normal(a):
-                return a
+            orbit = self.is_normal(rng.element(self.m))
+            if orbit:
+                return orbit
         raise RuntimeError("no normal element in 4096 draws (implementation bug)")
 
 

@@ -319,8 +319,11 @@ class _Decrypter:
         if not sk.P.is_invertible():
             raise SingularMatrixError("P is singular")
         if isinstance(sk, ImprovedSecretKey):
-            return cls(KroneckerCode(sk.G1, from_normal_orbit(ctx, sk.alpha, p.k2)), sk.P)
-        C2 = from_orbit(ctx, sk.g2.values[-1], p.n2, p.k2)
+            orbit = ctx.is_normal(sk.alpha)
+            if orbit is None:
+                raise ValueError("alpha must be a normal element")
+            return cls(KroneckerCode(sk.G1, from_normal_orbit(ctx, orbit, p.k2)), sk.P)
+        C2 = from_orbit(ctx, ctx.frobenius_orbit(sk.g2.values[-1], ctx.m), p.n2, p.k2)
         if C2.g != sk.g2:
             raise ValueError("g2 must be a Frobenius orbit (alpha^[n2-1], ..., alpha)")
         dec = cls(KroneckerCode(sk.G1, C2), sk.P, sk.S)
@@ -362,8 +365,8 @@ def keygen(p: ParamSet, rng) -> KeyPair:
 
 def _keygen_improved(p: ParamSet, rng, ctx) -> KeyPair:
     G1 = RankMatrix.random_full_rank(ctx, p.k1, p.n1, rng)
-    alpha = ctx.find_normal_element(rng)
-    code = KroneckerCode(G1, from_normal_orbit(ctx, alpha, p.k2))
+    orbit = ctx.find_normal_element(rng)
+    code = KroneckerCode(G1, from_normal_orbit(ctx, orbit, p.k2))
     xw = construct_X(p, code.I, rng, ctx)
     spec = SubspaceSpec.sample(ctx, p.lam, p.lam_p, code.I, rng)
     P, Pinv = construct_P(p, spec, rng, ctx)
@@ -375,7 +378,7 @@ def _keygen_improved(p: ParamSet, rng, ctx) -> KeyPair:
         for i in range(p.k1)
     ]
     pk = PublicKey(p, circulant_block_compose(CirculantGrid(ctx, GX, p.k2), Pinv))
-    sk = ImprovedSecretKey(p, alpha=alpha, P=P, G1=G1)
+    sk = ImprovedSecretKey(p, alpha=orbit[-1], P=P, G1=G1)
     sk._dec = _Decrypter(code, P)
     return KeyPair(pk=pk, sk=sk, x_witness=xw, subspace=spec, code=code)
 
@@ -383,8 +386,7 @@ def _keygen_improved(p: ParamSet, rng, ctx) -> KeyPair:
 def _keygen_repaired(p: ParamSet, rng, ctx) -> KeyPair:
     for _ in range(64):
         G1 = RankMatrix.random_full_rank(ctx, p.k1, p.n1, rng)
-        alpha = ctx.find_normal_element(rng)
-        code = KroneckerCode(G1, from_orbit(ctx, alpha, p.n2, p.k2))
+        code = KroneckerCode(G1, from_orbit(ctx, ctx.find_normal_element(rng), p.n2, p.k2))
         xw = construct_X(p, code.I, rng, ctx)
         spec = SubspaceSpec.sample(ctx, p.lam, None, code.I, rng)
         P, Pinv = construct_P(p, spec, rng, ctx)

@@ -2,7 +2,7 @@ import pytest
 
 from gabkron.gf2m import FieldCtx, _bit_rank
 from gabkron.params import setup
-from gabkron import audit
+from gabkron import audit, scheme as sc
 from gabkron import gabcodes as gc
 from gabkron.gabcodes import DecodeFailure, GabidulinCode, KroneckerCode
 from gabkron.ranklinalg import RankMatrix, RankVector, SingularMatrixError, partial_circulant
@@ -249,11 +249,11 @@ def test_kernel_basis_spans_every_root(ctx8):
 def test_orbit_circulant_presentation():
     ctx = FieldCtx(8)
     rng = fresh_rng(b"orbit8")
-    alpha = ctx.find_normal_element(rng)
-    C2 = gc.from_normal_orbit(ctx, alpha, 3)
+    orbit = ctx.find_normal_element(rng)
+    C2 = gc.from_normal_orbit(ctx, orbit, 3)
     G2 = C2.generator
     # the presentation is the partial circulant of the orbit vector
-    assert G2 == partial_circulant(RankVector(ctx, ctx.frobenius_orbit(alpha, 8)), 3)
+    assert G2 == partial_circulant(RankVector(ctx, ctx.frobenius_orbit(orbit[-1], 8)), 3)
     # reversed rows form the Moore generator
     assert list(reversed(G2.rows)) == gc.moore_matrix(C2.g, 3).rows
     # successive rows step down one Frobenius power
@@ -275,13 +275,33 @@ def test_trace_dual_parity_vector(params, request):
     else:
         p = setup(params)
     ctx = FieldCtx(p.m)
-    alpha = ctx.find_normal_element(fresh_rng(b"trace-dual-h-" + params.encode()))
-    C2 = gc.from_normal_orbit(ctx, alpha, p.k2)
+    C2 = gc.from_normal_orbit(
+        ctx, ctx.find_normal_element(fresh_rng(b"trace-dual-h-" + params.encode())), p.k2)
     h = C2.h.values
     # the Moore-matrix solve, normalised at h_{n-1} = 1, is the referee
     ref = C2._dual_vector().values
     assert h == [ctx.mul(h[-1], v) for v in ref]
     assert C2.parity_check == gc.moore_matrix(C2.h, p.n2 - p.k2)
+
+
+def decode_or_none(C, y):
+    try:
+        return C.decode(y)
+    except DecodeFailure:
+        return None
+
+
+def assert_same_decoding(C, ref, rng, ranks):
+    """C and ref decode u·G + e at each error rank to the same pair, or both
+    raise DecodeFailure; returns the number of failures."""
+    ctx = C.ctx
+    failures = 0
+    for r in ranks:
+        y = C.encode(RankVector.random(ctx, C.k, rng)).add(sample_rank_error(ctx, C.n, r, rng))
+        got = decode_or_none(C, y)
+        assert got == decode_or_none(ref, y)
+        failures += got is None
+    return failures
 
 
 @pytest.mark.parametrize(
@@ -290,33 +310,100 @@ def test_trace_dual_parity_vector(params, request):
      (8, 2), (8, 4), (9, 3), (10, 4), (11, 3), (12, 4), (12, 6)],
 )
 def test_trace_dual_decoder_matches_moore_solve(m, k):
-    # the same code decoded with h from the trace-dual orbit and with h from
-    # _dual_vector: same pair, or a DecodeFailure from both
+    # the transform decoder with h from the trace-dual orbit against the
+    # generic decoder with h from _dual_vector: same pair, or a
+    # DecodeFailure from both
     ctx = FieldCtx(m)
     rng = fresh_rng(b"trace-dual-decode-%d-%d" % (m, k))
     C = gc.from_normal_orbit(ctx, ctx.find_normal_element(rng), k)
     ref = GabidulinCode(C.g, k, C.generator)
     t = C.radius
-    failures = 0
-    for trial in range(12 * (t + 3)):
-        r = min(trial % (t + 3), m)
-        y = C.encode(RankVector.random(ctx, k, rng)).add(sample_rank_error(ctx, m, r, rng))
+    ranks = [min(trial % (t + 3), m) for trial in range(12 * (t + 3))]
+    assert assert_same_decoding(C, ref, rng, ranks) > 0
+    assert "h" in C.__dict__ and "h" in ref.__dict__ and C.h != ref.h
+
+
+@pytest.mark.parametrize("params", ["new-gabkron-128", "new-gabkron-192", "new-gabkron-256"])
+def test_transform_decoder_matches_generic_at_registry_sets(params):
+    # the inner code of each improved set, decoded by the transform and by
+    # the generic decoder on the same parity check, at ranks 0..t+2
+    p = setup(params)
+    ctx = FieldCtx(p.m, p.modulus)
+    rng = fresh_rng(b"transform-decode-" + params.encode())
+    C = gc.from_normal_orbit(ctx, ctx.find_normal_element(rng), p.k2)
+    ref = GabidulinCode(C.g, p.k2, C.generator)
+    ref.h = C.h  # the cached property, so no Moore solve at full size
+    t = C.radius
+    ranks = [0, 1, 2, t // 2, t - 1, t, t, t + 1, t + 2]
+    assert assert_same_decoding(C, ref, rng, ranks) == 2
+
+
+def test_transform_decoder_square_root_branch(monkeypatch):
+    # a seeded block of rank 2 < t = 3 whose key-equation solution has
+    # Gamma_0 = 0, so the decoder takes Gamma' with Gamma = Gamma'^2
+    ctx = FieldCtx(8)
+    C = gc.from_normal_orbit(ctx, ctx.find_normal_element(fresh_rng(b"gamma0-8-2")), 2)
+    ref = GabidulinCode(C.g, 2, C.generator)
+    rng = fresh_rng(b"gamma0-8-2-2-76")
+    u = RankVector.random(ctx, 2, rng)
+    e = sample_rank_error(ctx, 8, 2, rng)
+    y = C.encode(u).add(e)
+    roots = []
+    sqrt = FieldCtx.sqrt
+    monkeypatch.setattr(FieldCtx, "sqrt", lambda self, a: roots.append(a) or sqrt(self, a))
+    assert C.decode(y) == (u, e)
+    assert len(roots) == C.radius  # one reduction, one root per coefficient
+    monkeypatch.undo()
+    gamma, _ = C._key_equation(C.syndromes(y.values))
+    assert gamma[0] == 0 and len(gamma) == C.radius + 1
+    assert ref.decode(y) == (u, e)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_transform_decoder_exhaustive_against_bruteforce(k):
+    # GF(16)^4 for m = n = 4: the leading k coordinates are an information
+    # set, so the words that vanish there meet every coset of the code once,
+    # and both decoders commute with adding a codeword
+    ctx = FieldCtx(4)
+    C = gc.from_normal_orbit(ctx, ctx.find_normal_element(fresh_rng(b"exhaustive-%d" % k)), k)
+    decoded = 0
+    for idx in range(16 ** (4 - k)):
+        y = [0] * k + [idx >> (4 * i) & 15 for i in range(4 - k)]
         try:
-            got = C.decode(y)
-        except DecodeFailure:
-            got = None
-        try:
-            want = ref.decode(y)
+            want = C.decode_bruteforce(y)
         except DecodeFailure:
             want = None
-        assert got == want
-        failures += got is None
-    assert "h" in C.__dict__ and "h" in ref.__dict__ and C.h != ref.h
-    assert failures > 0
+        assert decode_or_none(C, y) == want
+        decoded += want is not None
+    # one decodable coset per word of rank <= 1: zero, and a nonzero value
+    # times a nonzero binary vector
+    assert decoded == 1 + 15 * 15
+
+
+@pytest.mark.parametrize("params", ["toy_improved", "toy_repaired"])
+def test_block_decode_computes_syndromes_once(params, request, monkeypatch):
+    # perfbench counts received blocks as calls to GabidulinCode.syndromes
+    p = request.getfixturevalue(params)
+    kp = sc.keygen(p, fresh_rng(b"syndromes-once-" + params.encode()))
+    rng = fresh_rng(b"syndromes-once")
+    calls = []
+    syndromes = GabidulinCode.syndromes
+    monkeypatch.setattr(GabidulinCode, "syndromes",
+                        lambda self, y: calls.append(len(y)) or syndromes(self, y))
+    C2 = kp.code.C2
+    for r in range(C2.radius + 3):
+        y = C2.encode(RankVector.random(C2.ctx, C2.k, rng)).add(
+            sample_rank_error(C2.ctx, C2.n, r, rng))
+        decode_or_none(C2, y)
+        assert len(calls) == r + 1
+    calls.clear()
+    m = RankVector.random(kp.pk.matrix.ctx, p.k, rng)
+    assert sc.decrypt(sc.encrypt(m, kp.pk, p, rng), kp.sk, p) == m
+    assert calls == [p.n2] * p.n1
 
 
 def orbit_code(ctx, alpha, n, k):
-    C = gc.from_orbit(ctx, alpha, n, k)
+    C = gc.from_orbit(ctx, ctx.frobenius_orbit(alpha, ctx.m), n, k)
     assert C.g.values == ctx.frobenius_orbit(alpha, n)
     return C
 
@@ -335,7 +422,7 @@ def assert_orbit_h_is_dual_vector(C):
 )
 def test_orbit_parity_vector_matches_moore_solve(m, n, k):
     ctx = FieldCtx(m)
-    alpha = ctx.find_normal_element(fresh_rng(b"orbit-h-%d-%d-%d" % (m, n, k)))
+    alpha = ctx.find_normal_element(fresh_rng(b"orbit-h-%d-%d-%d" % (m, n, k)))[-1]
     C = orbit_code(ctx, alpha, n, k)
     assert C.generator == gc.moore_matrix(C.g, k)
     assert_orbit_h_is_dual_vector(C)
@@ -345,7 +432,7 @@ def test_orbit_parity_vector_matches_moore_solve(m, n, k):
 def test_orbit_parity_vector_at_repaired_sets(params, request):
     p = request.getfixturevalue(params) if params.startswith("toy") else setup(params)
     ctx = FieldCtx(p.m, p.modulus)
-    alpha = ctx.find_normal_element(fresh_rng(b"orbit-h-" + params.encode()))
+    alpha = ctx.find_normal_element(fresh_rng(b"orbit-h-" + params.encode()))[-1]
     C = orbit_code(ctx, alpha, p.n2, p.k2)
     # the presentation from orbit windows against the squared-out Moore matrix
     assert C.generator == gc.moore_matrix(C.g, p.k2)
@@ -369,11 +456,11 @@ def test_orbit_parity_vector_of_non_normal_alpha():
 def test_from_orbit_rejects_non_orbits(ctx8):
     # a swapped g2 is rejected where a secret key's decrypter is built
     # (test_keyio's inconsistent-key tests), since from_orbit takes alpha
-    alpha = ctx8.find_normal_element(fresh_rng(b"orbit-reject"))
+    orbit = ctx8.find_normal_element(fresh_rng(b"orbit-reject"))
     with pytest.raises(ValueError, match="exceeds extension degree"):
-        gc.from_orbit(ctx8, alpha, 9, 2)  # n > m
+        gc.from_orbit(ctx8, orbit, 9, 2)  # n > m
     with pytest.raises(ValueError, match="rank weight"):
-        gc.from_orbit(ctx8, 1, 6, 2)  # 1 is its own orbit
+        gc.from_orbit(ctx8, ctx8.frobenius_orbit(1, 8), 6, 2)  # 1 is its own orbit
 
 
 @pytest.mark.parametrize(
@@ -386,7 +473,7 @@ def test_orbit_decoder_matches_moore_solve(m, n, k):
     # from _dual_vector: same pair, or a DecodeFailure from both
     ctx = FieldCtx(m)
     rng = fresh_rng(b"orbit-decode-%d-%d-%d" % (m, n, k))
-    C = orbit_code(ctx, ctx.find_normal_element(rng), n, k)
+    C = orbit_code(ctx, ctx.find_normal_element(rng)[-1], n, k)
     ref = GabidulinCode(C.g, k, C.generator)
     t = C.radius
     failures = 0

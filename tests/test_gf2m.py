@@ -104,6 +104,27 @@ def test_inverse_and_frobenius_properties(m):
         assert ctx.sqr(ctx.sqrt(a)) == a
 
 
+def spread_and_reduce(ctx, a):
+    """a^2 as a's bits spread to even positions, reduced; the referee for
+    the byte-table squaring."""
+    return ctx.reduce(sum(1 << 2 * i for i in range(a.bit_length()) if a >> i & 1))
+
+
+@pytest.mark.parametrize("m", sorted(gf2m.MODULI))
+def test_sqr_tables_match_spread_and_reduce(m):
+    ctx = FieldCtx(m)
+    assert len(ctx._sqr_tables) == (m + 7) // 8
+    assert all(len(tab) == 256 for tab in ctx._sqr_tables)
+    assert FieldCtx(m)._sqr_tables is ctx._sqr_tables  # built once per field
+    rng = fresh_rng(b"sqr-table%d" % m)
+    # every bit alone, both ends of the range, and random elements
+    randoms = [rng.element(m) for _ in range(100)]
+    for a in [1 << i for i in range(m)] + [0, ctx.mask] + randoms:
+        assert ctx.sqr(a) == spread_and_reduce(ctx, a) == gf2m._poly_mulmod(a, a, ctx.modulus, m)
+    for a in randoms:
+        assert ctx.sqr(ctx.sqrt(a)) == a
+
+
 @pytest.mark.parametrize("m,t", [(4, 4), (12, 12), (90, 6)])
 def test_frobenius_power_rows_match_repeated_squaring(m, t):
     ctx = FieldCtx(m)
@@ -146,28 +167,29 @@ def test_is_normal_edge_cases():
     ctx2 = FieldCtx(2)
     assert not ctx2.is_normal(0)
     assert not ctx2.is_normal(1)
-    # orbit of x in GF(4): {x, x+1} is a basis
-    assert ctx2.is_normal(0b10)
+    # orbit of x in GF(4): {x, x+1} is a basis, returned for reuse
+    assert ctx2.is_normal(0b10) == ctx2.frobenius_orbit(0b10, 2) == [0b11, 0b10]
     ctx4 = FieldCtx(4)
     assert not ctx4.is_normal(1)
 
 
 def test_find_normal_element_deterministic():
     ctx = FieldCtx(4)
-    a1 = ctx.find_normal_element(SeededRng(b"seed-0"))
-    a2 = ctx.find_normal_element(SeededRng(b"seed-0"))
-    assert a1 == a2
-    assert ctx.is_normal(a1)
+    o1 = ctx.find_normal_element(SeededRng(b"seed-0"))
+    o2 = ctx.find_normal_element(SeededRng(b"seed-0"))
+    assert o1 == o2
+    assert ctx.is_normal(o1[-1]) == o1
 
 
 def test_find_normal_element_orbit_rank():
     ctx = FieldCtx(4)
-    a = ctx.find_normal_element(SeededRng(b"orbit"))
+    found = ctx.find_normal_element(SeededRng(b"orbit"))
     orbit = []
-    v = a
+    v = found[-1]
     for _ in range(4):
         orbit.append(v)
         v = ctx.sqr(v)
+    assert found == orbit[::-1]
     assert gf2m._bit_rank(orbit) == 4
 
 
@@ -195,7 +217,7 @@ def test_trace_dual_is_dual_basis(m):
     ctx = FieldCtx(m)
     tv = naive_trace_vector(ctx)
     for label in (b"a", b"b"):
-        alpha = ctx.find_normal_element(fresh_rng(b"trace-dual-%d" % m + label))
+        alpha = ctx.find_normal_element(fresh_rng(b"trace-dual-%d" % m + label))[-1]
         beta = ctx.trace_dual(alpha)
         A = ctx.frobenius_orbit(alpha, m)[::-1]  # A[i] = alpha^[i]
         B = ctx.frobenius_orbit(beta, m)[::-1]
