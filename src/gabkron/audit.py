@@ -245,7 +245,7 @@ def demonstrate_original_flaw(p: ParamSet, rng, trials: int, planted=()) -> Flaw
     The expected count is zero; `planted` matrices (e.g. with a circulant
     leading block) are appended to the tally as positive controls.
     """
-    ctx = FieldCtx(p.m, p.modulus)
+    ctx = FieldCtx(p.m)
     found = 0
     for _ in range(trials):
         M0 = _original_pipeline_matrix(p, rng, ctx)

@@ -30,8 +30,9 @@ radius.
 Each code owns the presentation its messages are written in: the Moore
 matrix of g by default, the partial circulant of a normal orbit for the
 improved variant (from_normal_orbit).  The parity check h, the packed
-generator and parity columns, and the factored leading block that reads
-messages off a codeword (a LeftSolver) are built on first use, so key
+parity columns, the generator's packed rows (which the matrix keeps) and
+the factored leading block that reads messages off a codeword (a
+LeftSolver) are built on first use, so key
 generation and decrypter builds do none of that work and the first decode
 pays for it once.
 
@@ -168,10 +169,6 @@ class GabidulinCode:
         return moore_matrix(self.h, self.n - self.k)
 
     @cached_property
-    def _packed_generator(self):
-        return self.generator.packed_rows()
-
-    @cached_property
     def _packed_hcols(self):
         d1 = self.n - self.k
         pk = _packed(self.ctx, d1)
@@ -186,8 +183,7 @@ class GabidulinCode:
 
     def encode(self, u) -> RankVector:
         vals = checked_values(self.ctx, u, self.k, "message")
-        pk, prows = self._packed_generator
-        return RankVector(self.ctx, pk.lincomb(vals, prows))
+        return RankVector(self.ctx, self.generator.left_mul_values(vals))
 
     def syndromes(self, y_vals):
         pk, cols = self._packed_hcols
@@ -200,8 +196,7 @@ class GabidulinCode:
         not spanned by the presentation.
         """
         u = self._lead_solver.solve(c_vals[: self.k])
-        pk, prows = self._packed_generator
-        if pk.lincomb(u, prows) != list(c_vals):
+        if self.generator.left_mul_values(u) != list(c_vals):
             raise DecodeFailure("codeword is not spanned by the presentation")
         return u
 
@@ -239,9 +234,10 @@ class GabidulinCode:
     def _error_vector(self, s):
         """The error of rank <= radius with syndromes s, through its values'
         root space and its locations; raises DecodeFailure."""
-        E = self._error_value_space(s)
-        if E is None:
+        gamma, _ = self._key_equation(s)
+        if gamma is None:
             raise DecodeFailure("no annihilator of the error values")
+        E = _root_space(self.ctx, gamma)
         W = self._error_coordinates(s, E)
         if W is None:
             raise DecodeFailure("error values inconsistent with the syndromes")
@@ -270,11 +266,6 @@ class GabidulinCode:
                 rows.append(pk.pack(row))
         _, gamma = _solve_packed(ctx, rows, t + 1)
         return (None if gamma is None else gamma + [1]), row
-
-    def _error_value_space(self, s):
-        """Root basis of the key equation's annihilator, or None."""
-        gamma, _ = self._key_equation(s)
-        return None if gamma is None else _root_space(self.ctx, gamma)
 
     def _error_coordinates(self, s, E):
         """Solve s_j = sum_p E_p X_p^[j], j < w, for W_p = X_p^[w-1]."""
@@ -513,14 +504,9 @@ class KroneckerCode:
         """The dense k x n generator G1 (x) C2.generator, built on first use only."""
         return self.G1.kron(self.C2.generator)
 
-    @cached_property
-    def _packed_G(self):
-        return self.G.packed_rows()
-
     def encode(self, m_vals) -> RankVector:
         vals = checked_values(self.ctx, m_vals, self.k, "message")
-        pk, prows = self._packed_G
-        return RankVector(self.ctx, pk.lincomb(vals, prows))
+        return RankVector(self.ctx, self.G.left_mul_values(vals))
 
     def subcode_membership(self, c) -> bool:
         """True iff every block of c is a codeword of the inner code."""

@@ -116,18 +116,17 @@ def modulus_for_degree(m: int) -> int:
 
 
 _frob_rows_cache: dict = {}  # FieldCtx -> frobenius_power_rows tuple
-_sqr_tables_cache: dict = {}  # (m, modulus) -> _sqr_tables tuple
+_sqr_tables_cache: dict = {}  # m -> _sqr_tables tuple
 
 
-def _sqr_tables(m: int, modulus: int, reduce) -> tuple:
+def _sqr_tables(m: int, reduce) -> tuple:
     """Table p of the reduced squares of every byte at byte position p.
 
     Squaring is GF(2)-linear, so sqr(a) is the XOR of one entry per byte of
     a.  Entry v of table p is built from entry v minus its top bit and the
     reduced square of that bit, x^(2(8p+i)).  Built once per field.
     """
-    key = (m, modulus)
-    tables = _sqr_tables_cache.get(key)
+    tables = _sqr_tables_cache.get(m)
     if tables is None:
         tables = []
         for pos in range(0, m, 8):
@@ -136,47 +135,37 @@ def _sqr_tables(m: int, modulus: int, reduce) -> tuple:
                 sq = reduce(1 << 2 * (pos + i))
                 tab += [v ^ sq for v in tab]
             tables.append(tab)
-        tables = _sqr_tables_cache[key] = tuple(tables)
+        tables = _sqr_tables_cache[m] = tuple(tables)
     return tables
 
 
 class FieldCtx:
-    """GF(2^m) with an explicit irreducible modulus.
+    """GF(2^m) modulo the registry polynomial modulus_for_degree(m).
 
     Immutable after construction; safe to share across threads.  All methods
     take and return raw int elements.
     """
 
-    def __init__(self, m: int, modulus: int | None = None):
+    def __init__(self, m: int):
         if not 2 <= m <= 512:
             raise ValueError(f"extension degree {m} out of range [2, 512]")
-        # a registry modulus is proven irreducible once, by test_gf2m for the
-        # MODULI table or by the search that found it; any other is tested
-        if modulus is None:
-            modulus = modulus_for_degree(m)
-        elif modulus != MODULI.get(m) and not is_irreducible(modulus, m):
-            raise ValueError(f"modulus {modulus:#x} is not irreducible of degree {m}")
         self.m = m
-        self.modulus = modulus
+        self.modulus = modulus = modulus_for_degree(m)
         self.mask = (1 << m) - 1
         # bit positions of x^m mod modulus, used to fold products
         red = modulus ^ (1 << m)
         self._red_shifts = tuple(i for i in range(m) if red >> i & 1)
-        self._sqr_tables = _sqr_tables(m, modulus, self.reduce)
+        self._sqr_tables = _sqr_tables(m, self.reduce)
         self._nbytes = len(self._sqr_tables)
 
     def __repr__(self):
         return f"FieldCtx(m={self.m}, modulus={self.modulus:#x})"
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FieldCtx)
-            and self.m == other.m
-            and self.modulus == other.modulus
-        )
+        return isinstance(other, FieldCtx) and self.m == other.m
 
     def __hash__(self):
-        return hash((self.m, self.modulus))
+        return hash(self.m)
 
     # -- core arithmetic on raw ints ------------------------------------
 
@@ -307,23 +296,17 @@ class FieldCtx:
             prev = (prev | p) << 1
         return tv
 
-    def trace_dual(self, alpha: int) -> int:
-        """The beta with Tr(alpha^[i] beta^[j]) = 1 if i = j else 0, for i, j < m.
+    def _trace_dual_of_orbit(self, orbit) -> int:
+        """The trace dual beta of alpha from orbit = frobenius_orbit(alpha, m),
+        alpha normal: Tr(alpha^[i] beta^[j]) = 1 if i = j else 0, i, j < m.
 
         Writing beta = sum_j b_j alpha^[j], the conditions reduce by Frobenius
         invariance of the trace to the circulant GF(2) system
         sum_j b_j c_{j-l} = [l = 0] with c_d = Tr(alpha alpha^[d]).  Its
         matrix is the Gram matrix of the trace form on alpha's orbit, so it
         is invertible exactly when alpha is normal; the orbit of beta is then
-        the dual normal basis.  Raises ValueError otherwise.
+        the dual normal basis.  The caller checks normality (is_normal).
         """
-        orbit = self.is_normal(alpha)
-        if orbit is None:
-            raise ValueError("alpha is not a normal element")
-        return self._trace_dual_of_orbit(orbit)
-
-    def _trace_dual_of_orbit(self, orbit) -> int:
-        """trace_dual(alpha) from frobenius_orbit(alpha, m) of a normal alpha."""
         from .ranklinalg import BitMatrix, solve_gf2  # ranklinalg imports this module
 
         m = self.m

@@ -24,7 +24,9 @@ not an orbit is a FormatError.
 
 Messages for encryption are arbitrary byte strings up to the capacity
 floor(k*m/8) - 4; a 4-byte big-endian length prefix travels inside the
-first field elements so decryption can strip the padding.
+first field elements so decryption can strip the padding.  The message
+bytes are the leading floor(k*m/8) bytes of the k elements packed as a
+payload is.
 """
 
 from __future__ import annotations
@@ -118,10 +120,6 @@ def _parse_header(data: bytes) -> tuple[ParamSet, bytes]:
     return p, data[_HEADER_LEN:]
 
 
-def _ctx(p: ParamSet) -> FieldCtx:
-    return FieldCtx(p.m, p.modulus)
-
-
 # ---------------------------------------------------------------------------
 # public keys
 
@@ -156,9 +154,9 @@ def parse_public_key(data: bytes) -> PublicKey:
     p, payload = _parse_header(data)
     if p.variant == "improved":
         vals = unpack_elements(payload, p.m, p.k1 * p.n1 * p.n2)
-        return PublicKey(p, _grid(_ctx(p), vals, p.k1, p.n1, p.n2, p.k2))
+        return PublicKey(p, _grid(FieldCtx(p.m), vals, p.k1, p.n1, p.n2, p.k2))
     vals = unpack_elements(payload, p.m, p.k * (p.n - p.k))
-    return PublicKey(p, _matrix(_ctx(p), vals, p.k, p.n - p.k))
+    return PublicKey(p, _matrix(FieldCtx(p.m), vals, p.k, p.n - p.k))
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +180,7 @@ def parse_secret_key(data: bytes):
     if p.variant == "improved":
         pos = 1 + p.n1 * p.n1 * p.n2
         vals = unpack_elements(payload, p.m, pos + p.k1 * p.n1)
-        ctx = _ctx(p)
+        ctx = FieldCtx(p.m)
         P = _grid(ctx, vals[1:], p.n1, p.n1, p.n2, p.n2)
         sk = ImprovedSecretKey(p, alpha=vals[0], P=P, G1=_matrix(ctx, vals[pos:], p.k1, p.n1))
     else:
@@ -190,7 +188,7 @@ def parse_secret_key(data: bytes):
         P_at = g2_at + p.n2
         S_at = P_at + p.n
         vals = unpack_elements(payload, p.m, S_at + p.k * p.k)
-        ctx = _ctx(p)
+        ctx = FieldCtx(p.m)
         sk = RepairedSecretKey(
             p, G1=_matrix(ctx, vals, p.k1, p.n1), g2=RankVector(ctx, vals[g2_at:P_at]),
             P=CirculantGrid(ctx, [[vals[P_at:S_at]]], p.n), S=_matrix(ctx, vals[S_at:], p.k, p.k),
@@ -213,7 +211,7 @@ def serialize_ciphertext(ct: Ciphertext) -> bytes:
 def parse_ciphertext(data: bytes) -> Ciphertext:
     p, payload = _parse_header(data)
     vals = unpack_elements(payload, p.m, p.n)
-    return Ciphertext(p, RankVector(_ctx(p), vals))
+    return Ciphertext(p, RankVector(FieldCtx(p.m), vals))
 
 
 # ---------------------------------------------------------------------------
@@ -230,19 +228,14 @@ def pack_message(data: bytes, p: ParamSet) -> list:
     if len(data) > cap:
         raise ValueError(f"message is {len(data)} bytes; capacity is {cap}")
     buf = len(data).to_bytes(4, "big") + data
-    acc = int.from_bytes(buf, "little")
-    mask = (1 << p.m) - 1
-    return [(acc >> (i * p.m)) & mask for i in range(p.k)]
+    return unpack_elements(buf.ljust((p.k * p.m + 7) // 8, b"\0"), p.m, p.k)
 
 
 def unpack_message(vals, p: ParamSet) -> bytes:
     if len(vals) != p.k:
         raise ValueError("expected k field elements")
-    acc = 0
-    for i, v in enumerate(vals):
-        acc |= v << (i * p.m)
     nbytes = (p.k * p.m) // 8
-    buf = acc.to_bytes(nbytes + 1, "little")[:nbytes]
+    buf = pack_elements(vals, p.m)[:nbytes]
     length = int.from_bytes(buf[:4], "big")
     if length > nbytes - 4:
         raise FormatError(f"embedded length {length} exceeds capacity")

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2m import modulus_for_degree
-
 
 class ParameterError(ValueError):
     """A parameter set violates a setup constraint; .constraint names it."""
@@ -41,10 +39,6 @@ class ParamSet:
     lam_p: int | None = None
     name: str = ""
     security: int = 0
-
-    @property
-    def modulus(self) -> int:
-        return modulus_for_degree(self.m)
 
 
 # Named sets.  The "original" entries reproduce the unusable proposal and
@@ -110,6 +104,8 @@ def _validate_repaired(f: dict) -> dict:
     _validate_common(f)
     m, n, k = f["m"], f["n"], f["k"]
     n2, k2, t1, lam = f["n2"], f["k2"], f["t1"], f["lam"]
+    _check(f.get("lam_p") is None, "no lambda' in the repaired variant",
+           f"lambda'={f.get('lam_p')}")
     _check(k < n, "k < n", f"k={k}, n={n}")
     _check(n <= m, "n <= m", f"n={n}, m={m}")
     _check(1 <= k2 < n2, "1 <= k2 < n2", f"k2={k2}, n2={n2}")

@@ -2,7 +2,9 @@
 
 Entries are raw ints (see gf2m); containers carry one shared FieldCtx and
 are treated as immutable after construction, so values can move freely
-between threads.
+between threads.  A matrix keeps its packed rows once built (packed_rows);
+they are assigned whole, so a concurrent reader sees all of them or builds
+them again.
 
 Heavy operations (products, elimination) run on rows packed into single
 big ints, one 2m-bit slot per entry: multiplying a whole row by a scalar
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .gf2m import ContextMismatchError, FieldCtx, _bit_rank, _window_mul, _window_table
 
@@ -519,11 +521,12 @@ def checked_values(ctx: FieldCtx, x, n: int, what: str) -> list:
 class RankMatrix:
     """Rectangular matrix over GF(2^m)."""
 
-    __slots__ = ("ctx", "nrows", "ncols", "rows")
+    __slots__ = ("ctx", "nrows", "ncols", "rows", "_prows")
 
     def __init__(self, ctx: FieldCtx, rows):
         self.ctx = ctx
         self.rows = [[ctx.check(v) for v in row] for row in rows]
+        self._prows = None
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
         for row in self.rows:
@@ -612,12 +615,16 @@ class RankMatrix:
 
     def left_mul_values(self, vals):
         """values (length nrows) times self, returning a plain list."""
-        pk = _packed(self.ctx, self.ncols)
-        return pk.lincomb(vals, map(pk.pack, self.rows))
+        pk, prows = self.packed_rows()
+        return pk.lincomb(vals, prows)
 
     def packed_rows(self):
-        pk = _packed(self.ctx, self.ncols)
-        return pk, [pk.pack(row) for row in self.rows]
+        """(packer, rows), built on first use and kept; callers must not
+        change the rows."""
+        if self._prows is None:
+            pk = _packed(self.ctx, self.ncols)
+            self._prows = pk, [pk.pack(row) for row in self.rows]
+        return self._prows
 
     def mul(self, other: "RankMatrix") -> "RankMatrix":
         self._same_ctx(other)
@@ -829,21 +836,25 @@ class CirculantGrid:
     ctx: FieldCtx
     gens: list  # gens[i][j]: list of n ints
     k: int
+    _prows: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def packed_rows(self):
-        """(packer, rows) exactly as RankMatrix.packed_rows of dense()."""
-        n = len(self.gens[0][0])
-        pk = _packed(self.ctx, n)
-        width = n * pk.S
-        rows = []
-        for grow in self.gens:
-            firsts = [pk.pack(reflect(a)) for a in grow]
-            for r in range(self.k):
-                acc = 0
-                for j, p in enumerate(firsts):
-                    acc |= pk.rotate(p, r, n) << (j * width)
-                rows.append(acc)
-        return _packed(self.ctx, len(grow) * n), rows
+        """(packer, rows) exactly as RankMatrix.packed_rows of dense(), and
+        likewise kept."""
+        if self._prows is None:
+            n = len(self.gens[0][0])
+            pk = _packed(self.ctx, n)
+            width = n * pk.S
+            rows = []
+            for grow in self.gens:
+                firsts = [pk.pack(reflect(a)) for a in grow]
+                for r in range(self.k):
+                    acc = 0
+                    for j, p in enumerate(firsts):
+                        acc |= pk.rotate(p, r, n) << (j * width)
+                    rows.append(acc)
+            self._prows = _packed(self.ctx, len(grow) * n), rows
+        return self._prows
 
     def _det(self):
         return _ring_det(self.ctx, self.gens, len(self.gens), len(self.gens[0][0]))

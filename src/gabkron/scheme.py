@@ -4,6 +4,12 @@ Both variants disguise the product-code generator G as
 G_pub = S (G + X) P^{-1} (repaired; S makes it systematic) or
 G_pub = (G + X) P^{-1} (improved; everything partial-circulant-block).
 
+One key-generation loop serves both variants (keygen).  Each attempt
+draws G1, alpha's orbit, X, the subspaces and P in the same order and
+parts only at its last step: the improved variant takes its public grid
+from one ring product and never retries; the repaired variant takes its
+systematic form and draws again when the leading minor is singular.
+
 Both variants hold P and X as CirculantGrids, one generator per block.
 P has n1 x n1 blocks in the improved variant and the single block Cir(b)
 in the repaired one; its inverse comes from the circulant ring, and the
@@ -30,7 +36,7 @@ alpha's orbit, so no decrypt solves a Moore system.  Key generation hands
 each key the decrypter of the code and P it holds; any other key, parsed
 or in memory, passes _Decrypter.checked, which rejects an inconsistent
 tuple.  P's packed rows and the inner decoder state are built on the
-first decrypt.
+first decrypt, and the matrices that own packed rows keep them.
 
 X is built so that any message combination of an in-information-set
 column block keeps rank at most t1.  The paper draws y_1 and a shared GF(2)
@@ -246,12 +252,6 @@ def sample_rank_error(ctx: FieldCtx, n: int, t: int, rng) -> RankVector:
 class PublicKey:
     params: ParamSet
     matrix: RankMatrix | CirculantGrid  # N of G_pub = [I_k | N] (repaired) | G_pub (improved)
-    _packed: tuple = field(default=None, repr=False, compare=False)
-
-    def packed_rows(self):
-        if self._packed is None:
-            self._packed = self.matrix.packed_rows()
-        return self._packed
 
 
 @dataclass
@@ -302,8 +302,8 @@ class Ciphertext:
 
 
 class _Decrypter:
-    """Decoder state of a secret tuple; P's packed rows and S's factors are
-    built on first use."""
+    """Decoder state of a secret tuple; P's packed rows (which P keeps) and
+    S's factors are built on first use."""
 
     def __init__(self, code: KroneckerCode, P: CirculantGrid, S: RankMatrix | None = None):
         self.code = code
@@ -331,15 +331,11 @@ class _Decrypter:
         return dec
 
     @cached_property
-    def _P_packed(self):
-        return self.P.packed_rows()
-
-    @cached_property
     def _S_solver(self) -> LeftSolver:
         return LeftSolver(self.S)
 
     def decrypt(self, c_vals):
-        pk, prows = self._P_packed
+        pk, prows = self.P.packed_rows()
         c_prime = pk.lincomb(c_vals, prows)
         try:
             mu = self.code.block_decode(c_prime)
@@ -355,52 +351,49 @@ class _Decrypter:
 
 
 def keygen(p: ParamSet, rng) -> KeyPair:
-    ctx = FieldCtx(p.m, p.modulus)
-    if p.variant == "improved":
-        return _keygen_improved(p, rng, ctx)
-    if p.variant == "repaired":
-        return _keygen_repaired(p, rng, ctx)
-    raise ValueError(f"unsupported variant {p.variant!r}")
+    """A key pair; raises GenerationError when 64 attempts fail.
 
-
-def _keygen_improved(p: ParamSet, rng, ctx) -> KeyPair:
-    G1 = RankMatrix.random_full_rank(ctx, p.k1, p.n1, rng)
-    orbit = ctx.find_normal_element(rng)
-    code = KroneckerCode(G1, from_normal_orbit(ctx, orbit, p.k2))
-    xw = construct_X(p, code.I, rng, ctx)
-    spec = SubspaceSpec.sample(ctx, p.lam, p.lam_p, code.I, rng)
-    P, Pinv = construct_P(p, spec, rng, ctx)
-    # generators of G + X: block (i, j) of G is Cir_k2(G1[i][j] g2)
-    g2 = code.C2.orbit
-    GX = [
-        [[ctx.mul(G1.rows[i][j], v) ^ x for v, x in zip(g2, xw.X.gens[i][j])]
-         for j in range(p.n1)]
-        for i in range(p.k1)
-    ]
-    pk = PublicKey(p, circulant_block_compose(CirculantGrid(ctx, GX, p.k2), Pinv))
-    sk = ImprovedSecretKey(p, alpha=orbit[-1], P=P, G1=G1)
-    sk._dec = _Decrypter(code, P)
-    return KeyPair(pk=pk, sk=sk, x_witness=xw, subspace=spec, code=code)
-
-
-def _keygen_repaired(p: ParamSet, rng, ctx) -> KeyPair:
+    Each attempt draws G1, alpha's orbit, X, the subspaces and P, in that
+    order, for both variants.  The improved public key is the grid
+    (G + X) P^-1 and takes one attempt; the repaired one is N of
+    [I_k | N], which fails when the leading minor is singular.
+    """
+    if p.variant not in ("improved", "repaired"):
+        raise ValueError(f"unsupported variant {p.variant!r}")
+    ctx = FieldCtx(p.m)
     for _ in range(64):
         G1 = RankMatrix.random_full_rank(ctx, p.k1, p.n1, rng)
-        code = KroneckerCode(G1, from_orbit(ctx, ctx.find_normal_element(rng), p.n2, p.k2))
+        orbit = ctx.find_normal_element(rng)
+        if p.variant == "improved":
+            C2 = from_normal_orbit(ctx, orbit, p.k2)
+        else:
+            C2 = from_orbit(ctx, orbit, p.n2, p.k2)
+        code = KroneckerCode(G1, C2)
         xw = construct_X(p, code.I, rng, ctx)
-        spec = SubspaceSpec.sample(ctx, p.lam, None, code.I, rng)
+        spec = SubspaceSpec.sample(ctx, p.lam, p.lam_p, code.I, rng)
         P, Pinv = construct_P(p, spec, rng, ctx)
-        # the RREF of [M0 | I_k] is [I_k | N | S] with S M0 = [I_k | N]
-        # exactly when its pivots lead, S = M0[:, :k]^-1
-        ops, rows = _repaired_m0_rows(code, xw.X, Pinv)
-        rows = [row | 1 << ((p.n + r) * ops.S) for r, row in enumerate(rows)]
-        if _rref_packed(ctx, rows, p.n + p.k) != list(range(p.k)):
-            continue  # leading minor singular: fresh randomness
-        unpack = _packed(ctx, p.n + p.k).unpack
-        R = [unpack(row) for row in rows]
-        pk = PublicKey(p, RankMatrix(ctx, [row[p.k : p.n] for row in R]))
-        S = RankMatrix(ctx, [row[p.n :] for row in R])
-        sk = RepairedSecretKey(p, G1=G1, g2=code.C2.g, P=P, S=S)
+        if p.variant == "improved":
+            # generators of G + X: block (i, j) of G is Cir_k2(G1[i][j] orbit)
+            GX = [
+                [[ctx.mul(G1.rows[i][j], v) ^ x for v, x in zip(orbit, xw.X.gens[i][j])]
+                 for j in range(p.n1)]
+                for i in range(p.k1)
+            ]
+            pk = PublicKey(p, circulant_block_compose(CirculantGrid(ctx, GX, p.k2), Pinv))
+            sk = ImprovedSecretKey(p, alpha=orbit[-1], P=P, G1=G1)
+            S = None
+        else:
+            # the RREF of [M0 | I_k] is [I_k | N | S] with S M0 = [I_k | N]
+            # exactly when its pivots lead, S = M0[:, :k]^-1
+            ops, rows = _repaired_m0_rows(code, xw.X, Pinv)
+            rows = [row | 1 << ((p.n + r) * ops.S) for r, row in enumerate(rows)]
+            if _rref_packed(ctx, rows, p.n + p.k) != list(range(p.k)):
+                continue  # leading minor singular: fresh randomness
+            unpack = _packed(ctx, p.n + p.k).unpack
+            R = [unpack(row) for row in rows]
+            pk = PublicKey(p, RankMatrix(ctx, [row[p.k : p.n] for row in R]))
+            S = RankMatrix(ctx, [row[p.n :] for row in R])
+            sk = RepairedSecretKey(p, G1=G1, g2=C2.g, P=P, S=S)
         sk._dec = _Decrypter(code, P, S)
         return KeyPair(pk=pk, sk=sk, x_witness=xw, subspace=spec, code=code)
     raise GenerationError("could not reach a systematic public key")
@@ -446,7 +439,7 @@ def encrypt(message, pk: PublicKey, p: ParamSet, rng) -> Ciphertext:
     """c = m G_pub + e with rk(e) = t; the repaired m [I_k | N] is m || m N."""
     ctx = pk.matrix.ctx
     vals = checked_values(ctx, message, p.k, "message")
-    pko, prows = pk.packed_rows()
+    pko, prows = pk.matrix.packed_rows()
     c = pko.lincomb(vals, prows)
     if p.variant == "repaired":
         c = vals + c

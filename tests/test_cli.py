@@ -183,6 +183,39 @@ def test_inconsistent_repaired_key_is_parse_error(toy_repaired_kp, field, tmp_pa
     _decrypt_with_bad_key(inconsistent_secret_key(kp.sk, field), kp.pk, tmp_path, capsys)
 
 
+def test_repaired_files_with_lambda_prime_are_parse_errors(toy_repaired_kp, tmp_path, capsys):
+    # lambda' = 3 in the header of a repaired public key and of a ciphertext
+    kp = toy_repaired_kp
+    p = kp.pk.params
+    lam_p = slice(6 + 11 * 4, 10 + 11 * 4)
+
+    def patched(blob):
+        blob = bytearray(blob)
+        assert blob[lam_p] == bytes(4)
+        blob[lam_p] = (3).to_bytes(4, "big")
+        return bytes(blob)
+
+    ct = scheme.encrypt([0] * p.k, kp.pk, p, SeededRng(b"cli-lam-p"))
+    for name, blob in (("pk.bin", patched(keyio.serialize_public_key(kp.pk))),
+                       ("sk.bin", keyio.serialize_secret_key(kp.sk)),
+                       ("ct.bin", patched(keyio.serialize_ciphertext(ct))),
+                       ("msg.bin", b"hi")):
+        (tmp_path / name).write_bytes(blob)
+    rc = main([
+        "encrypt", "--pk", str(tmp_path / "pk.bin"),
+        "--in", str(tmp_path / "msg.bin"), "--out", str(tmp_path / "ct2.bin"),
+    ])
+    assert rc == 4
+    assert "bad public key" in capsys.readouterr().err
+    rc = main([
+        "decrypt", "--sk", str(tmp_path / "sk.bin"),
+        "--in", str(tmp_path / "ct.bin"), "--out", str(tmp_path / "out.bin"),
+    ])
+    assert rc == 4
+    assert "bad input file" in capsys.readouterr().err
+    assert not (tmp_path / "ct2.bin").exists() and not (tmp_path / "out.bin").exists()
+
+
 def test_missing_input_file(keydir, tmp_path):
     rc = main([
         "encrypt", "--pk", str(keydir / "pk.bin"),

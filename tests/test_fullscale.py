@@ -47,7 +47,7 @@ def test_repaired_full_scale_round_trip(name):
     p, kp, keygen_s = _keypair(name)
     pk = keyio.parse_public_key(keyio.serialize_public_key(kp.pk))
     sk_bytes = keyio.serialize_secret_key(kp.sk)
-    ctx = FieldCtx(p.m, p.modulus)
+    ctx = FieldCtx(p.m)
     rng = SeededRng(b"fullscale-msg-" + name.encode())
     messages = [RankVector.random(ctx, p.k, rng) for _ in range(2)]
     cts = [keyio.serialize_ciphertext(sc.encrypt(m, pk, p, rng)) for m in messages]
@@ -85,7 +85,7 @@ def test_orbit_parity_vector_full_scale(name):
     # the Moore presentation from orbit windows against the squared-out one,
     # and h from the subspace polynomial of g2's orbit against the Moore solve
     p = setup(name)
-    ctx = FieldCtx(p.m, p.modulus)
+    ctx = FieldCtx(p.m)
     C2 = from_orbit(ctx, ctx.find_normal_element(SeededRng(b"fullscale-h-" + name.encode())),
                     p.n2, p.k2)
     assert C2.generator == moore_matrix(C2.g, p.k2)

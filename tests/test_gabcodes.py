@@ -328,7 +328,7 @@ def test_transform_decoder_matches_generic_at_registry_sets(params):
     # the inner code of each improved set, decoded by the transform and by
     # the generic decoder on the same parity check, at ranks 0..t+2
     p = setup(params)
-    ctx = FieldCtx(p.m, p.modulus)
+    ctx = FieldCtx(p.m)
     rng = fresh_rng(b"transform-decode-" + params.encode())
     C = gc.from_normal_orbit(ctx, ctx.find_normal_element(rng), p.k2)
     ref = GabidulinCode(C.g, p.k2, C.generator)
@@ -431,7 +431,7 @@ def test_orbit_parity_vector_matches_moore_solve(m, n, k):
 @pytest.mark.parametrize("params", ["toy_repaired", "rep-gabkron-128"])
 def test_orbit_parity_vector_at_repaired_sets(params, request):
     p = request.getfixturevalue(params) if params.startswith("toy") else setup(params)
-    ctx = FieldCtx(p.m, p.modulus)
+    ctx = FieldCtx(p.m)
     alpha = ctx.find_normal_element(fresh_rng(b"orbit-h-" + params.encode()))[-1]
     C = orbit_code(ctx, alpha, p.n2, p.k2)
     # the presentation from orbit windows against the squared-out Moore matrix

@@ -164,6 +164,19 @@ def test_header_constraint_validation(improved_pair):
         keyio.parse_public_key(bytes(blob))
 
 
+def test_repaired_header_with_lambda_prime_rejected(repaired_pair):
+    p, kp = repaired_pair
+    ct = sc.encrypt(RankVector.random(FieldCtx(p.m), p.k, fresh_rng(b"lam-p")), kp.pk, p,
+                    fresh_rng(b"lam-p-e"))
+    blob = bytearray(keyio.serialize_ciphertext(ct))
+    # lambda' lives at field index 11 of the header; 0 stands for none
+    off = 6 + 11 * 4
+    assert blob[off : off + 4] == bytes(4)
+    blob[off : off + 4] = (3).to_bytes(4, "big")
+    with pytest.raises(keyio.FormatError, match="lambda'"):
+        keyio.parse_ciphertext(bytes(blob))
+
+
 def test_message_packing(improved_pair):
     p, _ = improved_pair
     cap = keyio.message_capacity(p)
@@ -215,7 +228,7 @@ def test_golden_digests(label):
     fields, pk_sha, sk_sha, ct_sha = GOLDEN[label]
     p = setup(label) if fields is None else setup(**fields)
     kp = sc.keygen(p, SeededRng(b"golden-" + label.encode()))
-    m = RankVector.random(FieldCtx(p.m, p.modulus), p.k, SeededRng(b"golden-m"))
+    m = RankVector.random(FieldCtx(p.m), p.k, SeededRng(b"golden-m"))
     ct = sc.encrypt(m, kp.pk, p, SeededRng(b"golden-e"))
     assert sc.decrypt(ct, kp.sk, p) == m
 

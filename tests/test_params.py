@@ -97,12 +97,17 @@ def test_lambda_prime_forced_to_two_at_registry_sizes():
     assert exc.value.constraint == "lambda'*t + t1 <= t2"
 
 
+def test_lambda_prime_rejected_on_repaired_set():
+    # the repaired P draws every block from V, so a lambda' would be carried
+    # in the header and ignored by key generation
+    for lam_p in (0, 2, 3):
+        with pytest.raises(ParameterError) as exc:
+            setup("rep-gabkron-128", lam_p=lam_p)
+        assert exc.value.constraint == "no lambda' in the repaired variant"
+    assert setup("rep-gabkron-128").lam_p is None
+
+
 def test_variant_required():
     with pytest.raises(ParameterError) as exc:
         setup(m=12, n1=2, k1=2, n2=12, k2=4, t=1, t1=1, lam=3)
     assert "variant" in exc.value.constraint
-
-
-def test_modulus_property():
-    p = setup("new-gabkron-128")
-    assert p.modulus >> p.m == 1

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 
 import pytest
 
@@ -358,7 +360,7 @@ def test_kron_against_entrywise(ctx8):
 
 
 def test_context_mismatch_between_containers(ctx4):
-    other = FieldCtx(4, modulus=0b11001)
+    other = FieldCtx(5)
     A = RankMatrix.identity(ctx4, 2)
     B = RankMatrix.identity(other, 2)
     with pytest.raises(ContextMismatchError):
@@ -525,6 +527,26 @@ def test_circulant_grid_packed_rows_match_dense(m, shape):
     dpk, drows = G.dense().packed_rows()
     assert rows == drows
     assert (pk.L, pk.S) == (dpk.L, dpk.S)
+
+
+def test_packed_rows_are_built_once_and_kept(ctx8, monkeypatch):
+    # a matrix is not changed after construction, so its packed rows are
+    # built on first use and every later product reads the same ones
+    rng = fresh_rng(b"kept-rows")
+    M = RankMatrix.random(ctx8, 3, 5, rng)
+    G = random_grid(ctx8, 2, 2, 3, 4, rng)
+    assert M.packed_rows() is M.packed_rows()
+    assert G.packed_rows() is G.packed_rows()
+    packed = []
+    pack = rl._Packed.pack
+    monkeypatch.setattr(rl._Packed, "pack", lambda self, vals: packed.append(vals) or pack(self, vals))
+    for _ in range(3):
+        u = RankVector.random(ctx8, 3, rng).values
+        assert M.left_mul_values(u) == [
+            functools.reduce(operator.xor, (ctx8.mul(a, row[j]) for a, row in zip(u, M.rows)))
+            for j in range(5)
+        ]
+    assert packed == []
 
 
 def test_circulant_block_invert_closure(ctx4):

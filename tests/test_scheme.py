@@ -5,7 +5,7 @@ import pytest
 
 from gabkron.gf2m import FieldCtx, _bit_rank
 from gabkron import scheme as sc
-from gabkron import gabcodes, keyio
+from gabkron import gabcodes, keyio, ranklinalg
 from gabkron.gabcodes import GabidulinCode, KroneckerCode
 from gabkron.params import setup
 from gabkron.prng import SeededRng
@@ -23,6 +23,7 @@ from gabkron.ranklinalg import (
     is_circulant_block,
     is_partial_circulant,
     is_partial_circulant_block,
+    reflect,
     solve_gf2,
 )
 from gabkron.scheme import (
@@ -562,8 +563,8 @@ def test_improved_decrypter_squares_one_orbit_of_alpha(monkeypatch):
     monkeypatch.undo()
     assert len(calls) == 2 * (p.m - 1)
     # the same h as from the trace dual of alpha
-    ctx = FieldCtx(p.m, p.modulus)
-    assert h == ctx.frobenius_orbit(ctx.trace_dual(sk.alpha), p.n2)[::-1]
+    ctx = FieldCtx(p.m)
+    assert h == ctx.frobenius_orbit(ctx._trace_dual_of_orbit(ctx.is_normal(sk.alpha)), p.n2)[::-1]
 
 
 @pytest.mark.parametrize("params", ["toy_repaired", "rep-gabkron-128"])
@@ -645,4 +646,92 @@ def test_repaired_keygen_squares_alpha_orbit_once_per_attempt(params, request, m
     assert counts["is_normal"] >= counts["attempts"] >= 1
     assert counts["sqr"] == counts["is_normal"] * (p.m - 1)
     alpha = kp.sk.g2.values[-1]
-    assert kp.sk.g2.values == FieldCtx(p.m, p.modulus).frobenius_orbit(alpha, p.n2)
+    assert kp.sk.g2.values == FieldCtx(p.m).frobenius_orbit(alpha, p.n2)
+
+
+def test_repaired_keygen_draws_again_after_a_singular_leading_minor(toy_repaired, monkeypatch):
+    # the first reduced echelon form is made to miss the leading pivots, as
+    # a singular leading minor does: the attempt's draws are dropped and the
+    # key comes from the next one's
+    p = toy_repaired
+    pivots = []
+    rref = sc._rref_packed
+
+    def first_misses(ctx, rows, ncols):
+        pivots.append(rref(ctx, rows, ncols))
+        return [] if len(pivots) == 1 else pivots[-1]
+
+    monkeypatch.setattr(sc, "_rref_packed", first_misses)
+    kp = sc.keygen(p, SeededRng(b"retry"))
+    monkeypatch.undo()
+    assert pivots == [list(range(p.k))] * 2
+    assert kp.sk.G1 != sc.keygen(p, SeededRng(b"retry")).sk.G1  # fresh draws
+    rng = fresh_rng(b"retry")
+    m = RankVector.random(kp.pk.matrix.ctx, p.k, rng)
+    assert sc.decrypt(sc.encrypt(m, kp.pk, p, rng), kp.sk, p) == m
+    sk = keyio.parse_secret_key(keyio.serialize_secret_key(kp.sk))
+    pk = keyio.parse_public_key(keyio.serialize_public_key(kp.pk))
+    assert sc.decrypt(sc.encrypt(m, pk, p, rng), sk, p) == m
+
+
+def test_repaired_keygen_gives_up_after_64_attempts(toy_repaired, monkeypatch):
+    attempts = []
+    monkeypatch.setattr(sc, "_rref_packed", lambda ctx, rows, ncols: attempts.append(ncols) or [])
+    with pytest.raises(sc.GenerationError, match="systematic"):
+        sc.keygen(toy_repaired, SeededRng(b"give-up"))
+    assert len(attempts) == 64
+
+
+@pytest.mark.parametrize("params", ["toy_improved", "new-gabkron-128"])
+def test_improved_keygen_draws_alpha_once(params, request, monkeypatch):
+    # an improved attempt cannot fail, so the loop draws everything once
+    p = request.getfixturevalue(params) if params.startswith("toy") else setup(params)
+    calls = []
+    for owner, name in ((FieldCtx, "find_normal_element"), (sc, "construct_X"),
+                        (sc, "construct_P")):
+        orig = getattr(owner, name)
+
+        def recording(*args, _name=name, _orig=orig):
+            calls.append(_name)
+            return _orig(*args)
+
+        monkeypatch.setattr(owner, name, recording)
+    kp = sc.keygen(p, SeededRng(b"alpha-once"))
+    assert calls == ["find_normal_element", "construct_X", "construct_P"]
+    assert kp.sk.alpha == kp.code.C2.orbit[-1]
+
+
+@pytest.mark.parametrize("params", ["toy_improved", "toy_repaired"])
+def test_second_round_trip_packs_no_kept_rows(params, request, monkeypatch):
+    # the public matrix, P and the inner generator keep their packed rows,
+    # so only the first encrypt and decrypt pack them
+    p = request.getfixturevalue(params)
+    kp = sc.keygen(p, SeededRng(b"kept-rows"))
+    owners = (kp.pk.matrix, kp.sk.P, kp.code.C2.generator)
+    # what packing each owner's rows hands the packer: a grid packs row 0
+    # of each block
+    rows = []
+    for o in owners:
+        if isinstance(o, CirculantGrid):
+            rows += [reflect(a) for grow in o.gens for a in grow]
+        else:
+            rows += o.rows
+    rng = fresh_rng(b"kept-rows")
+    ctx = kp.pk.matrix.ctx
+
+    def round_trip():
+        m = RankVector.random(ctx, p.k, rng)
+        assert sc.decrypt(sc.encrypt(m, kp.pk, p, rng), kp.sk, p) == m
+
+    packed = []
+    pack = ranklinalg._Packed.pack
+    monkeypatch.setattr(ranklinalg._Packed, "pack",
+                        lambda self, vals: packed.append(list(vals)) or pack(self, vals))
+    round_trip()
+    assert any(v in rows for v in packed)  # the first round trip packs them
+    kept = [o._prows for o in owners]
+    packed.clear()
+    round_trip()
+    assert not any(v in rows for v in packed)
+    assert [o._prows for o in owners] == kept
+    assert all(a is b for a, b in zip(kept, (o._prows for o in owners)))
