@@ -147,16 +147,6 @@ def test_is_normal_edge_cases():
     assert ctx2.is_normal(0b10) == ctx2.frobenius_orbit(0b10, 2) == [0b11, 0b10]
     ctx4 = FieldCtx(4)
     assert not ctx4.is_normal(1)
-    # non-normal draws: None, and their orbits span less than the field
-    ctx = FieldCtx(12)
-    rng = fresh_rng(b"trace-dual-non-normal")
-    non_normal = [0, 1]
-    while len(non_normal) < 6:
-        a = rng.element(12)
-        if RankVector(ctx, ctx.frobenius_orbit(a, 12)).rank_weight() < 12:
-            non_normal.append(a)
-    for a in non_normal:
-        assert ctx.is_normal(a) is None
 
 
 def test_find_normal_element_deterministic():
@@ -210,6 +200,26 @@ def test_trace_dual_is_dual_basis(m):
         for i, a in enumerate(A):
             traces = [(ctx.mul(a, b) & tv).bit_count() & 1 for b in B]
             assert traces == [int(i == j) for j in range(m)]
+
+
+def test_trace_dual_rejects_non_normal():
+    # the trace dual exists only for normal alpha: is_normal refuses the
+    # others, and the Gram matrix Tr(alpha^[i] alpha^[j]) that
+    # _trace_dual_of_orbit inverts is singular on their orbits
+    ctx = FieldCtx(12)
+    tv = naive_trace_vector(ctx)
+    rng = fresh_rng(b"trace-dual-non-normal")
+    non_normal = [0, 1]
+    while len(non_normal) < 6:
+        a = rng.element(12)
+        if RankVector(ctx, ctx.frobenius_orbit(a, 12)).rank_weight() < 12:
+            non_normal.append(a)
+    for a in non_normal:
+        assert ctx.is_normal(a) is None
+        orbit = ctx.frobenius_orbit(a, 12)
+        gram = [sum(((ctx.mul(x, y) & tv).bit_count() & 1) << j
+                    for j, y in enumerate(orbit)) for x in orbit]
+        assert gf2m._bit_rank(gram) < 12
 
 
 @pytest.mark.parametrize("m", [4, 8, 90, 211])
