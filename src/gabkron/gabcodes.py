@@ -48,7 +48,8 @@ decrypter's check squares once and hands to the builder:
   (from_orbit), the tail of alpha's m-orbit, so its Moore matrix is a
   set of windows of that orbit,
   and h holds the coefficients of the subspace polynomial of n - 1
-  consecutive Frobenius powers of alpha, built in O(n^2) field operations.
+  consecutive Frobenius powers of alpha, built on packed rows with
+  2(n - 1) scal and O(n^2) table-driven squarings.
 
 The public methods take a RankVector or a list of ints and pass it through
 checked_values, which checks its length and every entry once.
@@ -441,23 +442,36 @@ class _OrbitCode(GabidulinCode):
 
     @cached_property
     def h(self) -> RankVector:
+        """The subspace polynomial's coefficients, reversed and scaled.
+
+        Both the coefficients of L and its values at the basis elements not
+        yet taken are packed rows, slot r the coefficient of x^[r] and slot
+        j the value at the j-th remaining element.  L <- L^2 + c L squares
+        each coefficient and shifts it up one slot, and a value V becomes
+        V^2 + c V, with c the value at the element being taken; each c·
+        is one scal, the squares one sqr per slot.
+        """
         ctx, n, k, m = self.ctx, self.n, self.k, self.ctx.m
         if n == k:
             return RankVector(ctx, [])
-        mul, sqr = ctx.mul, ctx.sqr
+        sqr, mask = ctx.sqr, ctx.mask
+        pk = _packed(ctx, n)
+        S, scal, fold = pk.S, pk.scal, pk.fold
+
+        def squares(p, count):
+            return pk.pack([sqr(p >> (r * S) & mask) for r in range(count)])
+
         lo = -(n - k - 1) % m
-        # pw[e] = alpha^[lo+e]: basis element i of W is pw[i], and its [r] is pw[i+r]
-        pw = [self.frob(lo + e) for e in range(2 * n - 2)]
-        L = [1]  # L[r] is the coefficient of x^[r]; monic
+        L = 1  # monic; slot r is the coefficient of x^[r]
+        # basis element i of W is alpha^[lo+i], and L = x at first
+        V = pk.pack([self.frob(lo + i) for i in range(n - 1)])
         for i in range(n - 1):
-            c = 0
-            for a, v in zip(L, pw[i:]):
-                c ^= mul(a, v)
+            c = V & mask
             if not c:
                 raise SingularMatrixError("degenerate generator vector")
-            L = [mul(c, L[0])] + [sqr(L[r - 1]) ^ mul(c, L[r]) for r in range(1, len(L))] + [1]
-        scale = ctx.inv(L[0])
-        hv = RankVector(ctx, [mul(scale, a) for a in reversed(L)])
+            V = fold(squares(V, n - 1 - i) ^ scal(V, c)) >> S
+            L = fold((squares(L, i + 1) << S) ^ scal(L, c))
+        hv = RankVector(ctx, pk.unpack(fold(scal(L, ctx.inv(L & mask))))[::-1])
         if hv.rank_weight() != n:
             raise SingularMatrixError("parity vector lacks full rank weight")
         return hv

@@ -28,10 +28,11 @@ M[i][j] = a[(i-j) % n].  Circulant n x n matrices multiply like polynomials
 mod z^n - 1, so Cir_k(b) Cir(a) = Cir_k(b a) in that ring.  A matrix made
 of such blocks, a single circulant included (a 1 x 1 grid), is held as a
 CirculantGrid of block generators; products and inverses of grids run in
-the ring, and the dense matrix is built only as a test oracle
-(CirculantGrid.dense).  Ring elements live in packed rows, slot i holding
-the coefficient of z^i, so cyc_mul and cyc_inv use the same window/fold
-kernel as the matrices.
+the ring, a vector times a grid runs on the GF(2) decomposition of its
+generators (CirculantGrid.left_mul_values), and the dense matrix is built
+only as a test oracle (CirculantGrid.dense).  Ring elements live in
+packed rows, slot i holding the coefficient of z^i, so cyc_mul and cyc_inv
+use the same window/fold kernel as the matrices.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def _packed(ctx: FieldCtx, nslots: int) -> _Packed:
     return ops
 
 
-def _echelon_packed(ctx, rows, ncols):
+def _echelon_packed(ctx, rows, ncols, lu=None):
     """In-place row echelon form with unit pivots; returns pivot cols.
 
     On return every row is reduced and in full layout, and rows past the
@@ -149,12 +150,19 @@ def _echelon_packed(ctx, rows, ncols):
     finished slots are 0 mod the field polynomial, and their slots stay
     unreduced below 2m bits until they become pivots (module docstring).
     _rref_packed runs this first, so the two always agree on the pivots.
+
+    With lu a list, the elimination is also recorded there, one record per
+    row, which moves with its row: [original index, the multipliers of the
+    pivot rows subtracted from it, in order, then its own pivot inverse if
+    it became a pivot].  LeftSolver replays these records.
     """
     pk = _packed(ctx, ncols)
     S = pk.S
     smask = pk.slot_mask
     reduce = ctx.reduce
     nrows = len(rows)
+    if lu is not None:
+        lu[:] = [[i] for i in range(nrows)]
     pivots = []
     r = 0
     for col in range(ncols):
@@ -169,10 +177,14 @@ def _echelon_packed(ctx, rows, ncols):
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         prow = pk.fold(rows[r])
-        pv = prow & smask
-        if pv != 1:
-            prow = pk.fold(pk.scal(prow, ctx.inv(pv)))
+        pinv = prow & smask
+        if pinv != 1:
+            pinv = ctx.inv(pinv)
+            prow = pk.fold(pk.scal(prow, pinv))
         rows[r] = prow << (col * S)
+        if lu is not None:
+            lu[r], lu[piv] = lu[piv], lu[r]
+            lu[r].append(pinv)
         # the pivot slot itself is not multiplied: it would only cancel the
         # slot that the shift drops
         tab = _window_table(prow >> S)
@@ -181,6 +193,8 @@ def _echelon_packed(ctx, rows, ncols):
             f = reduce(row & smask)
             row >>= S
             rows[i] = row ^ _window_mul(tab, f) if f else row
+            if lu is not None:
+                lu[i].append(f)
         pivots.append(col)
         r += 1
     return pivots
@@ -264,38 +278,50 @@ def _back_substitute(pk, acc, pivots, cols, nunknowns):
 class LeftSolver:
     """A k x k matrix A factored once to solve x·A = b for many b.
 
-    The build runs one forward elimination of [A^T | I], with no upward
-    pass, which leaves [U | E] with U = E A^T upper triangular with a unit
-    diagonal; x·A = b is then U x^T = E b^T.  Each solve is one packed pass
-    of k scal for E b^T and the back-substitution of _solve_packed.  Raises
-    SingularMatrixError, with the rank of A, when A is singular.
+    The build runs one forward elimination of A^T with its steps recorded
+    (_echelon_packed), a permuted LU factoring: with the rows in their final
+    order Q, Q A^T = L U for U upper triangular with a unit diagonal and L
+    lower triangular, holding the pivots on its diagonal and the
+    multipliers below it.  x·A = b is A^T x^T = b^T, so each solve permutes
+    b by Q, runs the forward pass L z = Q b^T as k scal, one per packed
+    column of L, and the back-substitution U x^T = z of _solve_packed.
+    Raises SingularMatrixError, with the rank of A, when A is singular.
     """
 
     def __init__(self, A: "RankMatrix"):
         if A.nrows != A.ncols:
             raise SingularMatrixError("only square matrices invert")
         ctx, k = A.ctx, A.nrows
-        pk = _packed(ctx, 2 * k)
-        unit = 1 << (k * pk.S)
-        rows = [pk.pack(col) | unit << (j * pk.S) for j, col in enumerate(zip(*A.rows))]
-        pivots = _echelon_packed(ctx, rows, 2 * k)
-        rank = sum(c < k for c in pivots)
-        if rank < k:
+        pk = _packed(ctx, k)
+        rows = [pk.pack(col) for col in zip(*A.rows)]
+        lu = []
+        pivots = _echelon_packed(ctx, rows, k, lu)
+        if len(pivots) < k:
+            rank = len(pivots)
             raise SingularMatrixError(f"matrix is singular (rank {rank})", rank=rank)
-        entry = pk.entry
         self._pk = pk
+        self._order = [rec[0] for rec in lu]
+        self._pinvs = [rec[-1] for rec in lu]
+        # packed column s of L: the multipliers of pivot s in the rows below it
+        self._lcols = [pk.pack([0] * (s + 1) + [lu[i][s + 1] for i in range(s + 1, k)])
+                       for s in range(k)]
         self._pivots = pivots
         self._ucols = _pivot_columns(pk, rows, pivots)
-        self._ecols = [pk.pack([entry(row, k + j) for row in rows]) for j in range(k)]
 
     def solve(self, b) -> list:
         """x with x·A = b, for b a list of k reduced elements."""
         pk = self._pk
-        acc = 0
-        for v, col in zip(b, self._ecols):
+        S, smask = pk.S, pk.slot_mask
+        reduce, mul = pk.ctx.reduce, pk.ctx.mul
+        # slot s of acc holds entry s of Q b^T less the pivots done so far
+        acc = pk.pack([b[i] for i in self._order])
+        z = []
+        for s, (col, pinv) in enumerate(zip(self._lcols, self._pinvs)):
+            v = mul(reduce(acc >> (s * S) & smask), pinv)
+            z.append(v)
             if v:
                 acc ^= pk.scal(col, v)
-        return _back_substitute(pk, acc, self._pivots, self._ucols, len(self._pivots))
+        return _back_substitute(pk, pk.pack(z), self._pivots, self._ucols, len(z))
 
 
 # ---------------------------------------------------------------------------
@@ -825,18 +851,72 @@ def circulant_inverse(M: RankMatrix) -> RankMatrix:
     return circulant(RankVector(M.ctx, inv))
 
 
+def _binary_parts(vals):
+    """vals = sum_q v_q b_q with the v_q a GF(2) basis of its entries and
+    each b_q binary; returns [(v_q, support of b_q)].
+
+    Each v_q is an entry reduced by the v before it, so it is clear at
+    their top bits, and reducing an entry by the v_q in order clears every
+    top bit for good: what is left is 0 or the next basis element.
+    """
+    parts = {}  # v_q -> support of b_q, in the order the v_q were found
+    for u, x in enumerate(vals):
+        for v, supp in parts.items():
+            if x ^ v < x:
+                x ^= v
+                supp.append(u)
+        if x:
+            parts[x] = [u]
+    return list(parts.items())
+
+
 @dataclass
 class CirculantGrid:
     """Block matrix held by its block generators.
 
     Block (i, j) is Cir_k(gens[i][j]): the first k rows of the circulant of
     an n-vector, k the same for every block (k = n for circulant blocks).
+    A grid keeps, once built, its packed rows (packed_rows) and the GF(2)
+    decomposition of each generator that left_mul_values reads.
     """
 
     ctx: FieldCtx
     gens: list  # gens[i][j]: list of n ints
     k: int
     _prows: tuple = field(default=None, init=False, repr=False, compare=False)
+    _parts: list = field(default=None, init=False, repr=False, compare=False)
+
+    def left_mul_values(self, vals):
+        """vals (length rows of blocks times k) times the grid, as a list.
+
+        Write a generator as b = sum_q v_q b_q, b_q binary (_binary_parts).
+        Entry u of c Cir_k(b_q) is the XOR of c_{u+d mod n} over the support
+        of b_q, so c Cir_k(b) = sum_q v_q x_q, x_q the XOR of c's left
+        rotations by that support: rank(b) scal instead of k.  A rotation
+        is a shift of c's packed row doubled end to end.
+        """
+        n = len(self.gens[0][0])
+        k = self.k
+        pk = _packed(self.ctx, n)
+        S = pk.S
+        width = n * S
+        if self._parts is None:
+            self._parts = [[_binary_parts(b) for b in grow] for grow in self.gens]
+        keep = (1 << width) - 1
+        acc = 0
+        for i, grow in enumerate(self._parts):
+            c = pk.pack(vals[i * k : (i + 1) * k])
+            if not c:
+                continue
+            cc = c | c << width
+            for j, parts in enumerate(grow):
+                for v, supp in parts:
+                    x = 0
+                    for d in supp:
+                        x ^= cc >> (d * S)
+                    acc ^= pk.scal(x & keep, v) << (j * width)
+        wide = _packed(self.ctx, len(self.gens[0]) * n)
+        return wide.unpack(wide.fold(acc))
 
     def packed_rows(self):
         """(packer, rows) exactly as RankMatrix.packed_rows of dense(), and

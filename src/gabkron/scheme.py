@@ -13,7 +13,8 @@ systematic form and draws again when the leading minor is singular.
 Both variants hold P and X as CirculantGrids, one generator per block.
 P has n1 x n1 blocks in the improved variant and the single block Cir(b)
 in the repaired one; its inverse comes from the circulant ring, and the
-decrypter reads P's packed rows straight from the grid.  X has k1 x n1
+decrypter forms c P from the GF(2) decomposition of P's generators
+(CirculantGrid.left_mul_values), never from its rows.  X has k1 x n1
 blocks of k2 rows in the improved variant and one block of k rows in the
 repaired one.  In the improved variant G and G_pub are grids too, from key
 generation to the decrypter: block (i, j) of G is Cir_k2(G1[i][j] g2), so
@@ -24,8 +25,8 @@ G = G1 (x) Moore(g2) and a rotation commutes with the circulant P^{-1}
 (_repaired_m0_rows).  It adds X P^{-1}, taken in the ring, and reads N and
 S off [I_k | N | S], the reduced echelon form of [(G + X) P^{-1} | I_k].
 The public key holds N, as its file does; no other module knows that
-G_pub = [I_k | N].  The repaired decrypter factors S once
-(ranklinalg.LeftSolver) and solves x S = mu on each decrypt.
+G_pub = [I_k | N].  The repaired decrypter factors S once, as a permuted
+LU of S^T (ranklinalg.LeftSolver), and solves x S = mu on each decrypt.
 
 The inner Gabidulin code carries its own presentation, and block messages
 are written in it: Cir_k2 of the normal orbit of alpha in the improved
@@ -35,8 +36,8 @@ m-orbit (gabcodes.from_orbit).  Both take the parity vector h from
 alpha's orbit, so no decrypt solves a Moore system.  Key generation hands
 each key the decrypter of the code and P it holds; any other key, parsed
 or in memory, passes _Decrypter.checked, which rejects an inconsistent
-tuple.  P's packed rows and the inner decoder state are built on the
-first decrypt, and the matrices that own packed rows keep them.
+tuple.  P's GF(2) decomposition and the inner decoder state are built on
+the first decrypt, and the grids and matrices that own them keep them.
 
 X is built so that any message combination of an in-information-set
 column block keeps rank at most t1.  The paper draws y_1 and a shared GF(2)
@@ -302,8 +303,8 @@ class Ciphertext:
 
 
 class _Decrypter:
-    """Decoder state of a secret tuple; P's packed rows (which P keeps) and
-    S's factors are built on first use."""
+    """Decoder state of a secret tuple; P's GF(2) decomposition (which P
+    keeps) and S's LU factors are built on first use."""
 
     def __init__(self, code: KroneckerCode, P: CirculantGrid, S: RankMatrix | None = None):
         self.code = code
@@ -335,10 +336,8 @@ class _Decrypter:
         return LeftSolver(self.S)
 
     def decrypt(self, c_vals):
-        pk, prows = self.P.packed_rows()
-        c_prime = pk.lincomb(c_vals, prows)
         try:
-            mu = self.code.block_decode(c_prime)
+            mu = self.code.block_decode(self.P.left_mul_values(c_vals))
         except DecodeFailure as exc:
             raise DecryptFailure(str(exc), failed_blocks=exc.failed_blocks) from exc
         if self.S is None:

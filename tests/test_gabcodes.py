@@ -453,6 +453,20 @@ def test_orbit_parity_vector_of_non_normal_alpha():
                 assert_orbit_h_is_dual_vector(orbit_code(ctx, alpha, r, k))
 
 
+def test_orbit_parity_vector_of_degenerate_window_raises():
+    # the subspace-polynomial recursion meets a zero value when the window
+    # of n - 1 powers it spans is dependent.  Consecutive powers of a real
+    # orbit never are, so the orbit list is doctored outside g's entries:
+    # at m = 8, n = 5, k = 1 the window alpha^[5..8] is orbit[2], [1], [0],
+    # [7], and g is orbit[3:]
+    ctx = FieldCtx(8)
+    orbit = list(ctx.find_normal_element(fresh_rng(b"orbit-h-degenerate")))
+    orbit[0] = orbit[1] ^ orbit[2]
+    C = gc._OrbitCode(RankVector(ctx, orbit[3:]), 1, orbit)
+    with pytest.raises(SingularMatrixError, match="degenerate generator vector"):
+        C.h
+
+
 def test_from_orbit_rejects_non_orbits(ctx8):
     # a swapped g2 is rejected where a secret key's decrypter is built
     # (test_keyio's inconsistent-key tests), since from_orbit takes alpha

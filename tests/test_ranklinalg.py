@@ -164,6 +164,103 @@ def test_left_solver_rejects_singular_with_rank(ctx8, rank):
         rl.LeftSolver(RankMatrix.random(ctx8, 3, 4, rng))  # not square
 
 
+# -- referee for LeftSolver's LU replay ---------------------------------------
+# Factoring with no recorded steps: one forward elimination of [A^T | I] by
+# the referee kernel below, whose identity half E, with U = E A^T, turns
+# x·A = b into U x^T = E b^T; then a back-substitution with one field mul
+# per entry.
+
+
+class OracleLeftSolver:
+    def __init__(self, A):
+        ctx, k = A.ctx, A.nrows
+        self.ctx, self.k = ctx, k
+        pk = rl._packed(ctx, 2 * k)
+        unit = 1 << (k * pk.S)
+        rows = [pk.pack(col) | unit << (j * pk.S) for j, col in enumerate(zip(*A.rows))]
+        pivots = oracle_echelon(ctx, rows, 2 * k)
+        rank = sum(c < k for c in pivots)
+        if rank < k:
+            raise SingularMatrixError(f"matrix is singular (rank {rank})", rank=rank)
+        self.rows = [pk.unpack(r) for r in rows]
+
+    def solve(self, b):
+        ctx, k, mul = self.ctx, self.k, self.ctx.mul
+        x = [0] * k
+        for r in range(k - 1, -1, -1):
+            row = self.rows[r]
+            acc = 0
+            for j in range(k):
+                acc ^= mul(row[k + j], b[j])  # (E b^T)_r
+            for c in range(r + 1, k):
+                acc ^= mul(row[c], x[c])
+            x[r] = acc
+        return x
+
+
+def forced_swap_matrix(ctx, k, s, rng):
+    """A random k x k matrix whose leading s x s minor is singular: column
+    s-1 of its first s rows combines the columns before it, so eliminating
+    A^T finds a zero pivot at step s-1 (or earlier) and swaps rows."""
+    rows = RankMatrix.random(ctx, k, k, rng).rows
+    xs = [rng.element(ctx.m) for _ in range(s - 1)]
+    for i in range(s):
+        acc = 0
+        for j, x in enumerate(xs):
+            acc ^= ctx.mul(x, rows[i][j])
+        rows[i][s - 1] = acc
+    return RankMatrix(ctx, rows)
+
+
+def low_rank_matrix(ctx, k, rank, rng):
+    if rank == 0:
+        return RankMatrix.zero(ctx, k, k)
+    return RankMatrix.random(ctx, k, rank, rng).mul(RankMatrix.random(ctx, rank, k, rng))
+
+
+@pytest.mark.parametrize("m,k", [(4, 7), (90, 10), (211, 8)])
+def test_left_solver_matches_augmented_oracle(m, k):
+    # the LU replay against the [A^T | I] factoring: the same x for every b,
+    # or SingularMatrixError with the same rank from both
+    ctx = FieldCtx(m)
+    rng = fresh_rng(b"left-solver-oracle-%d" % m)
+    cases = [RankMatrix.random(ctx, k, k, rng) for _ in range(4)]
+    cases += [forced_swap_matrix(ctx, k, s, rng) for s in (1, 2, k // 2, k)]
+    cases += [low_rank_matrix(ctx, k, r, rng) for r in (0, 1, k // 2, k - 1)]
+    solved = raised = 0
+    for A in cases:
+        try:
+            want = OracleLeftSolver(A)
+        except SingularMatrixError as exc:
+            with pytest.raises(SingularMatrixError) as got:
+                rl.LeftSolver(A)
+            assert got.value.rank == exc.rank
+            raised += 1
+            continue
+        solver = rl.LeftSolver(A)
+        for _ in range(3):
+            b = RankVector.random(ctx, k, rng).values
+            assert solver.solve(b) == want.solve(b)
+        assert solver.solve([0] * k) == [0] * k
+        solved += 1
+    assert solved >= 5 and raised >= 4
+
+
+def test_echelon_records_its_steps_without_changing_them(ctx8):
+    # the recorded elimination leaves the rows and pivots as they were, and
+    # each record holds its row's original index, multipliers and pivot inverse
+    rng = fresh_rng(b"echelon-lu")
+    A = forced_swap_matrix(ctx8, 6, 2, rng)
+    pk = rl._packed(ctx8, 6)
+    plain, recorded = [pk.pack(r) for r in A.rows], [pk.pack(r) for r in A.rows]
+    lu = []
+    assert rl._echelon_packed(ctx8, recorded, 6, lu) == rl._echelon_packed(ctx8, plain, 6)
+    assert recorded == plain
+    assert sorted(rec[0] for rec in lu) == list(range(6))
+    assert [rec[0] for rec in lu] != list(range(6))  # the zero pivot swapped rows
+    assert [len(rec) for rec in lu] == [r + 2 for r in range(6)]
+
+
 def test_rref_pivots_and_rank(ctx4):
     M = RankMatrix(ctx4, [[0, 1, 2], [0, 2, 5]])
     R, pivots = M.rref()
@@ -527,6 +624,58 @@ def test_circulant_grid_packed_rows_match_dense(m, shape):
     dpk, drows = G.dense().packed_rows()
     assert rows == drows
     assert (pk.L, pk.S) == (dpk.L, dpk.S)
+
+
+def subspace_grid(ctx, nb, k, n, dim, rng):
+    """nb x nb grid of Cir_k blocks whose entries lie in one random
+    dim-dimensional GF(2) subspace, or are unrestricted when dim is None."""
+    basis = [rng.nonzero_element(ctx.m) for _ in range(dim or 0)]
+
+    def entry():
+        if dim is None:
+            return rng.element(ctx.m)
+        bits = rng.bits(dim)
+        return functools.reduce(operator.xor, (b for q, b in enumerate(basis) if bits >> q & 1), 0)
+
+    return rl.CirculantGrid(ctx, [[[entry() for _ in range(n)] for _ in range(nb)]
+                                  for _ in range(nb)], k)
+
+
+# 1 x 1 circulant (repaired P), 2 x 2 circulant (improved P), and partial blocks
+@pytest.mark.parametrize("m,nb,k,n", [(8, 1, 6, 6), (211, 1, 14, 14), (12, 2, 12, 12),
+                                      (90, 2, 9, 9), (8, 1, 3, 7), (12, 2, 4, 9)])
+@pytest.mark.parametrize("dim", [3, None])
+def test_circulant_grid_left_mul_matches_dense(m, nb, k, n, dim):
+    # vals·grid from the generators' GF(2) decomposition against the dense
+    # product and the packed-row lincomb, for entries of a 3-dimensional
+    # subspace (a conforming P) and of full rank (a non-conforming parsed P)
+    ctx = FieldCtx(m)
+    rng = fresh_rng(b"grid-left-mul-%d-%d-%d-%d" % (m, nb, k, n))
+    G = subspace_grid(ctx, nb, k, n, dim, rng)
+    ranks = {_bit_rank(b) for grow in G.gens for b in grow}
+    if dim:
+        assert ranks == {3}
+    else:
+        assert min(ranks) > 3
+    D = G.dense()
+    pk, rows = G.packed_rows()
+    for _ in range(3):
+        vals = RankVector.random(ctx, nb * k, rng).values
+        got = G.left_mul_values(vals)
+        assert got == D.left_mul_values(vals) == pk.lincomb(vals, rows)
+    assert G.left_mul_values([0] * (nb * k)) == [0] * (nb * n)
+    parts = G._parts
+    G.left_mul_values(vals)
+    assert G._parts is parts  # the decomposition is built once and kept
+
+
+def test_circulant_grid_left_mul_with_zero_generator(ctx8):
+    rng = fresh_rng(b"grid-left-mul-zero")
+    G = subspace_grid(ctx8, 2, 5, 5, 2, rng)
+    G.gens[1][0] = [0] * 5
+    vals = RankVector.random(ctx8, 10, rng).values
+    assert G.left_mul_values(vals) == G.dense().left_mul_values(vals)
+    assert rl._binary_parts([0] * 5) == []
 
 
 def test_packed_rows_are_built_once_and_kept(ctx8, monkeypatch):

@@ -703,11 +703,12 @@ def test_improved_keygen_draws_alpha_once(params, request, monkeypatch):
 
 @pytest.mark.parametrize("params", ["toy_improved", "toy_repaired"])
 def test_second_round_trip_packs_no_kept_rows(params, request, monkeypatch):
-    # the public matrix, P and the inner generator keep their packed rows,
-    # so only the first encrypt and decrypt pack them
+    # the public matrix and the inner generator keep their packed rows, and
+    # P its GF(2) decomposition, so only the first encrypt and decrypt build
+    # them
     p = request.getfixturevalue(params)
     kp = sc.keygen(p, SeededRng(b"kept-rows"))
-    owners = (kp.pk.matrix, kp.sk.P, kp.code.C2.generator)
+    owners = (kp.pk.matrix, kp.code.C2.generator)
     # what packing each owner's rows hands the packer: a grid packs row 0
     # of each block
     rows = []
@@ -730,8 +731,32 @@ def test_second_round_trip_packs_no_kept_rows(params, request, monkeypatch):
     round_trip()
     assert any(v in rows for v in packed)  # the first round trip packs them
     kept = [o._prows for o in owners]
+    parts = kp.sk.P._parts
+    assert parts is not None
     packed.clear()
     round_trip()
     assert not any(v in rows for v in packed)
     assert [o._prows for o in owners] == kept
     assert all(a is b for a, b in zip(kept, (o._prows for o in owners)))
+    assert kp.sk.P._parts is parts and kp.sk.P._prows is None
+
+
+@pytest.mark.parametrize("pair", ["toy_kp", "toy_rep_kp"])
+def test_decrypt_builds_no_packed_rows_of_p(pair, request, monkeypatch):
+    # c·P comes from P's GF(2) decomposition (CirculantGrid.left_mul_values),
+    # so neither a parsed key nor a key in memory packs P's rows to decrypt
+    p, kp = request.getfixturevalue(pair)
+    rng = fresh_rng(b"no-p-rows")
+    ctx = kp.pk.matrix.ctx
+    msgs = [RankVector.random(ctx, p.k, rng) for _ in range(2)]
+    cts = [sc.encrypt(m, kp.pk, p, rng) for m in msgs]
+    blob = keyio.serialize_secret_key(kp.sk)
+    grids = []
+    packed_rows = CirculantGrid.packed_rows
+    monkeypatch.setattr(CirculantGrid, "packed_rows",
+                        lambda self: grids.append(self) or packed_rows(self))
+    for sk in (keyio.parse_secret_key(blob), kp.sk):
+        for m, ct in zip(msgs, cts):
+            assert sc.decrypt(ct, sk, p) == m
+        assert sk.P._prows is None
+    assert grids == []
