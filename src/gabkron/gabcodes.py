@@ -63,6 +63,7 @@ from functools import cached_property
 from .gf2m import FieldCtx, _bit_rank, _window_mul, _window_table
 from .ranklinalg import (
     BitMatrix,
+    BitSolver,
     LeftSolver,
     RankMatrix,
     RankVector,
@@ -74,7 +75,6 @@ from .ranklinalg import (
     field_vec_times_bitmatrix,
     information_set,
     partial_circulant,
-    solve_gf2,
 )
 
 
@@ -132,7 +132,7 @@ class GabidulinCode:
         self.k = k
         self.radius = (n - k) // 2
         self.generator = generator
-        self._hbits = {}  # w -> GF(2) expansion of h^[w-1]
+        self._hbits = {}  # w -> the GF(2) expansion of h^[w-1], factored
 
     @cached_property
     def h(self) -> RankVector:
@@ -292,11 +292,11 @@ class GabidulinCode:
     def _locate(self, E, W):
         """Recover GF(2) locations from W_p = sum_i Y_{p,i} h_i^[w-1], then e."""
         w = len(E)
-        hbits = self._hbits.get(w)
-        if hbits is None:
+        solver = self._hbits.get(w)
+        if solver is None:
             hbits = RankVector(self.ctx, self.parity_check.rows[w - 1]).expand_over_base()
-            self._hbits[w] = hbits
-        sols = solve_gf2(hbits, W)
+            solver = self._hbits[w] = BitSolver(hbits)
+        sols = solver.solve(W)
         if any(y is None for y in sols):
             return None
         return field_vec_times_bitmatrix(self.ctx, E, BitMatrix(w, self.n, sols))

@@ -307,7 +307,7 @@ class FieldCtx:
         is invertible exactly when alpha is normal; the orbit of beta is then
         the dual normal basis.  The caller checks normality (is_normal).
         """
-        from .ranklinalg import BitMatrix, solve_gf2  # ranklinalg imports this module
+        from .ranklinalg import BitMatrix, BitSolver  # ranklinalg imports this module
 
         m = self.m
         tv = self.trace_vector()
@@ -318,7 +318,7 @@ class FieldCtx:
             c |= ((self.mul(alpha, a) & tv).bit_count() & 1) << d
         # row l holds c_{j-l} at bit j: c rotated left by l
         rows = [((c << l) | (c >> (m - l))) & self.mask for l in range(m)]
-        (b,) = solve_gf2(BitMatrix(m, m, rows), [1])
+        (b,) = BitSolver(BitMatrix(m, m, rows)).solve([1])
         beta = 0
         for j, a in enumerate(orbit):
             if b >> j & 1:
@@ -358,6 +358,23 @@ def _window_mul(tab, lam):
             r ^= tab[w] << sh
         sh += 4
         lam >>= 4
+    return r
+
+
+def _window_mul_sum(tabs, lams):
+    """XOR of the carry-less products lams[j] times the value of tabs[j].
+
+    The windows of all terms are taken together, from the top one down,
+    so the sum is shifted once per window instead of every term once per
+    window as in separate _window_mul calls.
+    """
+    r = 0
+    for sh in range((max(lams).bit_length() - 1) // 4 * 4, -1, -4):
+        r <<= 4
+        for tab, lam in zip(tabs, lams):
+            w = lam >> sh & 15
+            if w:
+                r ^= tab[w]
     return r
 
 

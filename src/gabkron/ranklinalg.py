@@ -19,7 +19,10 @@ holds an XOR of products of two reduced elements, so it stays below 2m
 bits and fold reduces it exactly; only the slot being read is reduced,
 and a row is folded when it becomes a pivot.  In the forward pass the
 rows below the pivot are held shifted right by one slot per finished
-column, so the work per update shrinks with the remaining width.
+column, so the work per update shrinks with the remaining width.  A
+Toeplitz-like matrix reaches systematic form without elimination of its
+rows, by generalized Schur steps on a few displacement generators
+(_systematic_packed).
 
 Circulant conventions follow the right-shift rule: the k-partial circulant
 of a = (a_0, ..., a_{n-1}) has row 0 = reflect(a) = (a_0, a_{n-1}, ..., a_1)
@@ -41,7 +44,14 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .gf2m import ContextMismatchError, FieldCtx, _bit_rank, _window_mul, _window_table
+from .gf2m import (
+    ContextMismatchError,
+    FieldCtx,
+    _bit_rank,
+    _window_mul,
+    _window_mul_sum,
+    _window_table,
+)
 
 
 class SingularMatrixError(ValueError):
@@ -232,6 +242,150 @@ def _rref_packed(ctx, rows, ncols):
     return pivots
 
 
+def _systematic_packed(ctx, rows, n):
+    """In-place reduced row echelon form of [M | I_k], for M the k x n
+    matrix of the reduced packed rows, k <= n; returns pivot cols, as
+    _rref_packed does.
+
+    When the pivots lead, the result is [I_k | N | S] with S = A^-1 for A
+    the leading k x k block and N = S M[:, k:].  [N | S] is then the Schur
+    complement of A in E = [[M, I_k], [I_k, 0]] (characteristic 2), and E
+    is Toeplitz-like when M is: with Z the down shift of rows and the right
+    shift of columns, E - Z E Z^T has rank alpha, small when the rows of M
+    are shifts of one another up to a low-rank correction (6 for the
+    repaired public matrix).  The generalized Schur algorithm (Kailath,
+    Kung & Morf 1979; Kailath & Sayed, SIAM Review 1995) eliminates on
+    alpha generator pairs instead of k rows: O(alpha k n) work for the
+    O(k^2 n) of the echelon.  A zero Schur pivot is a singular leading
+    principal minor, which the echelon does not need; the echelon of
+    [M | I_k] then decides, so the result is always _rref_packed's.
+    """
+    k = len(rows)
+    pk = _packed(ctx, n)
+    S, smask = pk.S, pk.slot_mask
+    gens = _schur_steps(ctx, rows, n) if 0 < k <= n else None
+    if gens is None:
+        for r in range(k):
+            rows[r] |= 1 << ((n + r) * S)
+        return _rref_packed(ctx, rows, n + k)
+    # C = [N | S] has generators (G, B): C - Z C Z^T = G B^T gives row r of
+    # C as G[r] B^T plus row r - 1 shifted right.  Slot n of B and slot k of
+    # G hold entries shifted past E's edge.
+    gcols, bcols = gens
+    keep = (1 << (n * S)) - 1
+    tabs = [_window_table(b & keep) for b in bcols]
+    prev = 0
+    for r in range(k):
+        f = [g >> r * S & smask for g in gcols]
+        prev = pk.fold(prev << S & keep ^ _window_mul_sum(tabs, f))
+        rows[r] = 1 << (r * S) | prev << (k * S)
+    return list(range(k))
+
+
+def _displacement_generators(ctx, rows, n):
+    """Generators of E - Z E Z^T = G B^T for E = [[M, I_k], [I_k, 0]].
+
+    Its nonzero rows are row 0 of E, row_i(M) - row_{i-1}(M) shifted right
+    (the identity parts cancel, and slot n takes the entry shifted out of
+    M) and row k, e_0 - row_{k-1}(M) shifted; all live in slots 0..n.  They
+    are reduced one by one against an echelon basis of unit-pivot rows:
+    row i of G holds the multipliers, and each basis row is a column of B.
+    Basis row t is 0 at the pivot slots of the rows before it, so the
+    multiplier f_t of a row d is d's entry at t's pivot slot less
+    sum_{s<t} f_s (basis row s at that slot), and the whole combination is
+    subtracted in one product.  Returns (G's columns packed over E's rows,
+    B's columns packed over E's columns).
+    """
+    pk = _packed(ctx, n + 1)
+    S, smask, fold = pk.S, pk.slot_mask, pk.fold
+    mul = ctx.mul
+    k = len(rows)
+    slots, basis, tabs = [], [], []  # pivot slots, unit-pivot rows, their tables
+    coeffs = []
+    for i in range(k + 1):
+        if i == 0:
+            d = rows[0] | 1 << (n * S)
+        else:
+            d = (rows[i] if i < k else 1) ^ rows[i - 1] << S
+        f_row = []
+        for slot in slots:
+            f = d >> slot * S & smask
+            for fs, u in zip(f_row, basis):
+                f ^= mul(fs, u >> slot * S & smask)
+            f_row.append(f)
+        if f_row:
+            d = fold(d ^ _window_mul_sum(tabs, f_row))
+        if d:
+            slot = ((d & -d).bit_length() - 1) // S
+            piv = d >> slot * S & smask
+            u = fold(pk.scal(d, ctx.inv(piv)))
+            slots.append(slot)
+            basis.append(u)
+            tabs.append(_window_table(u))
+            f_row.append(piv)
+        coeffs.append(f_row)
+    gcols = [pk.pack([f[s] if s < len(f) else 0 for f in coeffs]) for s in range(len(basis))]
+    return gcols, basis
+
+
+def _schur_steps(ctx, rows, n):
+    """Generators (G, B) of [N | S] after k generalized Schur steps, or
+    None when a leading principal minor of M is singular
+    (_systematic_packed).
+
+    Each step brings the top rows of G and B to a single nonzero entry in
+    one column p, through column operations on G matched by their inverse
+    transposes on B, so that G B^T is kept (proper form): then column p
+    of G and of B are the pivot column and row of E over its pivot, and
+    the generators of the complement are the others plus these two
+    shifted down.  Columns are packed with slot 0 at the current top row,
+    so dropping the finished row is a shift of every other column, and
+    column p stays as it is.
+    """
+    gcols, bcols = _displacement_generators(ctx, rows, n)
+    pk = _packed(ctx, n + 1)
+    S, smask, fold = pk.S, pk.slot_mask, pk.fold
+    others = range(1, len(gcols))
+    for _ in range(len(rows)):
+        # every column is reduced, so its top slot is its top entry
+        top = [c & smask for c in gcols]
+        p = next((j for j, v in enumerate(top) if v), None)
+        if p is None:
+            return None
+        gcols.insert(0, gcols.pop(p))
+        bcols.insert(0, bcols.pop(p))
+        top.insert(0, top.pop(p))
+        # G[:, j] += c_j G[:, 0] clears G's top row; B[:, 0] += sum c_j B[:, j]
+        bcols[0] = fold(bcols[0] ^ _clear_top(pk, gcols, bcols, top))
+        top = [c & smask for c in bcols]
+        if not top[0]:
+            return None
+        # B[:, j] += c_j B[:, 0] clears B's top row; G[:, 0] += sum c_j G[:, j]
+        gcols[0] = fold(gcols[0] ^ _clear_top(pk, bcols, gcols, top))
+        for j in others:
+            gcols[j] >>= S
+            bcols[j] >>= S
+    return gcols, bcols
+
+
+def _clear_top(pk, xcols, ycols, top):
+    """Half a proper-form step on reduced packed columns: x_j += c_j x_0
+    for each j >= 1, c_j = top[j] / top[0], which clears the top entries
+    top[j] of x_j; returns sum_j c_j y_j, unfolded, which y_0 takes so
+    that x y^T is kept."""
+    ctx = pk.ctx
+    ip = ctx.inv(top[0])
+    tab = _window_table(xcols[0])
+    cs, tabs = [], []
+    for j in range(1, len(xcols)):
+        if top[j]:
+            c = ctx.mul(top[j], ip)
+            xcols[j] = pk.fold(xcols[j] ^ _window_mul(tab, c))
+            cs.append(c)
+            tabs.append(_window_table(ycols[j]))
+    return _window_mul_sum(tabs, cs) if cs else 0
+
+
 def _solve_packed(ctx, rows, ncols):
     """Solve packed augmented rows whose last column is the right-hand side.
 
@@ -413,36 +567,38 @@ def bit_kernel(mat: BitMatrix):
     return basis
 
 
-def solve_gf2(mat: BitMatrix, rhs_cols):
-    """Solve mat · y = b over GF(2) for each b in rhs_cols (bitmask ints).
+class BitSolver:
+    """A GF(2) matrix factored once to solve mat · y = b for many b.
 
-    Returns a list of solution bitmasks, or None in each slot where the
-    system is inconsistent.  Free variables are set to zero.
+    The build runs one Gauss–Jordan elimination of the rows with the
+    identity riding along above ncols (_bit_gauss_jordan), which records
+    the row operations T that bring mat to reduced echelon form.  A
+    right-hand side b, bit i for row i, becomes T b one parity per row:
+    the rows past the last pivot must give 0, and row r gives the unknown
+    at pivots[r].  Free unknowns are zero.
     """
-    n = mat.ncols
-    rows = []
-    for i in range(mat.nrows):
-        ext = mat.rows[i]
-        for t, b in enumerate(rhs_cols):
-            ext |= (b >> i & 1) << (n + t)
-        rows.append(ext)
-    pivots = _bit_gauss_jordan(rows, n)
-    # rows past the last pivot have a zero left side: any rhs bit there is
-    # an inconsistency
-    inconsistent = 0
-    for row in rows[len(pivots):]:
-        inconsistent |= row >> n
-    sols = []
-    for t in range(len(rhs_cols)):
-        if inconsistent >> t & 1:
-            sols.append(None)
-            continue
-        y = 0
-        for ri, col in enumerate(pivots):
-            if rows[ri] >> (n + t) & 1:
-                y |= 1 << col
-        sols.append(y)
-    return sols
+
+    def __init__(self, mat: BitMatrix):
+        n = mat.ncols
+        rows = [row | 1 << (n + i) for i, row in enumerate(mat.rows)]
+        self._pivots = _bit_gauss_jordan(rows, n)
+        rank = len(self._pivots)
+        self._pivot_ops = [row >> n for row in rows[:rank]]
+        self._zero_ops = [row >> n for row in rows[rank:]]
+
+    def solve(self, rhs_cols):
+        """Solution bitmasks, one per b in rhs_cols, or None in each slot
+        where the system is inconsistent."""
+        sols = []
+        for b in rhs_cols:
+            if any((t & b).bit_count() & 1 for t in self._zero_ops):
+                sols.append(None)
+                continue
+            y = 0
+            for t, col in zip(self._pivot_ops, self._pivots):
+                y |= ((t & b).bit_count() & 1) << col
+            sols.append(y)
+        return sols
 
 
 def field_vec_times_bitmatrix(ctx, vals, bm: BitMatrix):

@@ -24,9 +24,14 @@ dense G either: G P^{-1} comes row by row from alpha's orbit, since
 G = G1 (x) Moore(g2) and a rotation commutes with the circulant P^{-1}
 (_repaired_m0_rows).  It adds X P^{-1}, taken in the ring, and reads N and
 S off [I_k | N | S], the reduced echelon form of [(G + X) P^{-1} | I_k].
-The public key holds N, as its file does; no other module knows that
-G_pub = [I_k | N].  The repaired decrypter factors S once, as a permuted
-LU of S^T (ranklinalg.LeftSolver), and solves x S = mu on each decrypt.
+Each row of (G + X) P^{-1} is the one above rotated, plus a combination
+of two rows of P^{-1}, except at the first row of a G1 block, so
+generalized Schur steps on 6 displacement generators give that form
+(ranklinalg._systematic_packed); the echelon runs only when a leading
+principal minor is singular.  The public key holds N, as its file does;
+no other module knows that G_pub = [I_k | N].  The repaired decrypter
+factors S once, as a permuted LU of S^T (ranklinalg.LeftSolver), and
+solves x S = mu on each decrypt.
 
 The inner Gabidulin code carries its own presentation, and block messages
 are written in it: Cir_k2 of the normal orbit of alpha in the improved
@@ -75,7 +80,7 @@ from .ranklinalg import (
     RankVector,
     SingularMatrixError,
     _packed,
-    _rref_packed,
+    _systematic_packed,
     checked_values,
     circulant_block_compose,
     circulant_block_invert,
@@ -383,10 +388,10 @@ def keygen(p: ParamSet, rng) -> KeyPair:
             S = None
         else:
             # the RREF of [M0 | I_k] is [I_k | N | S] with S M0 = [I_k | N]
-            # exactly when its pivots lead, S = M0[:, :k]^-1
-            ops, rows = _repaired_m0_rows(code, xw.X, Pinv)
-            rows = [row | 1 << ((p.n + r) * ops.S) for r, row in enumerate(rows)]
-            if _rref_packed(ctx, rows, p.n + p.k) != list(range(p.k)):
+            # exactly when its pivots lead, S = M0[:, :k]^-1; M0 is
+            # Toeplitz-like, so generalized Schur steps give it
+            _, rows = _repaired_m0_rows(code, xw.X, Pinv)
+            if _systematic_packed(ctx, rows, p.n) != list(range(p.k)):
                 continue  # leading minor singular: fresh randomness
             unpack = _packed(ctx, p.n + p.k).unpack
             R = [unpack(row) for row in rows]

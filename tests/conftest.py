@@ -1,11 +1,13 @@
 import dataclasses
+import time
 
 import pytest
 
+from gabkron import ranklinalg as rl, scheme as sc
 from gabkron.gf2m import FieldCtx
 from gabkron.params import setup
 from gabkron.prng import SeededRng
-from gabkron.ranklinalg import CirculantGrid, RankMatrix, RankVector
+from gabkron.ranklinalg import CirculantGrid, RankMatrix, RankVector, circulant_block_invert
 
 
 @pytest.fixture
@@ -37,6 +39,28 @@ def vec_mat(u, M):
     if len(u) != M.nrows:
         raise ValueError("dimension mismatch")
     return RankVector(M.ctx, M.left_mul_values(u.values))
+
+
+def systematic_form_against_rref(kp):
+    """Keygen's systematic form of a repaired key's M0 = (G + X) P^-1
+    against the reduced echelon form of [M0 | I_k]: the same leading pivots
+    and every row, and S M0 = [I_k | N] for the key's N and S.  Returns the
+    seconds each took."""
+    p = kp.pk.params
+    pk, rows = sc._repaired_m0_rows(kp.code, kp.x_witness.X, circulant_block_invert(kp.sk.P))
+    got = list(rows)
+    t0 = time.perf_counter()
+    pivots = rl._systematic_packed(pk.ctx, got, p.n)
+    schur_s = time.perf_counter() - t0
+    want = [row | 1 << ((p.n + r) * pk.S) for r, row in enumerate(rows)]
+    t0 = time.perf_counter()
+    assert rl._rref_packed(pk.ctx, want, p.n + p.k) == pivots == list(range(p.k))
+    rref_s = time.perf_counter() - t0
+    assert got == want
+    M0 = RankMatrix(pk.ctx, [pk.unpack(row) for row in rows])
+    I = RankMatrix.identity(pk.ctx, p.k)
+    assert kp.sk.S.mul(M0).rows == [e + row for e, row in zip(I.rows, kp.pk.matrix.rows)]
+    return schur_s, rref_s
 
 
 def inconsistent_secret_key(sk, part):

@@ -8,8 +8,9 @@ Keys, ciphertexts and plaintexts pass through the key-file formats, as in a
 command-line round trip, and the round-trip test prints its stage timings:
 keygen, and a first decrypt whose parse factors S.  The other tests check
 fast paths against their referees and print both timings: keygen's
-(G + X) P^-1 from alpha's orbit against the dense product, and the inner
-code's parity vector h against the Moore solve.  The parity test also
+(G + X) P^-1 from alpha's orbit against the dense product, keygen's
+systematic form by Schur steps against the echelon of [M0 | I_k], and the
+inner code's parity vector h against the Moore solve.  The parity test also
 checks the inner code's presentation, read off alpha's orbit, against
 the squared-out Moore matrix.
 """
@@ -26,6 +27,8 @@ from gabkron.gf2m import FieldCtx
 from gabkron.params import setup
 from gabkron.prng import SeededRng
 from gabkron.ranklinalg import RankVector, circulant_block_invert
+
+from conftest import systematic_form_against_rref
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("GABKRON_FULLSCALE") != "1",
@@ -78,6 +81,15 @@ def test_repaired_m0_full_scale(name):
     dense_s = time.perf_counter() - t0
     assert [pk.unpack(row) for row in rows] == M0.rows
     print(f"\n{name}: M0 {orbit_s:.2f} s from alpha's orbit, {dense_s:.1f} s by the dense product")
+
+
+@pytest.mark.parametrize("name", ["rep-gabkron-192", "rep-gabkron-256"])
+def test_systematic_form_full_scale(name):
+    # keygen's Schur steps against the echelon of [M0 | I_k]
+    p, kp, keygen_s = _keypair(name)
+    schur_s, rref_s = systematic_form_against_rref(kp)
+    print(f"\n{name}: keygen {keygen_s:.1f} s; systematic form {schur_s:.2f} s "
+          f"by Schur steps, {rref_s:.1f} s by the echelon of [M0 | I_k]")
 
 
 @pytest.mark.parametrize("name", ["rep-gabkron-192", "rep-gabkron-256"])

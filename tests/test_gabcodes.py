@@ -3,7 +3,7 @@ import pytest
 from gabkron.gf2m import FieldCtx, _bit_rank
 from gabkron.params import setup
 from gabkron import audit, scheme as sc
-from gabkron import gabcodes as gc
+from gabkron import gabcodes as gc, ranklinalg as rl
 from gabkron.gabcodes import DecodeFailure, GabidulinCode, KroneckerCode
 from gabkron.ranklinalg import RankMatrix, RankVector, SingularMatrixError, partial_circulant
 from gabkron.scheme import sample_rank_error
@@ -506,6 +506,32 @@ def test_orbit_decoder_matches_moore_solve(m, n, k):
         failures += got is None
     assert "h" in C.__dict__ and "h" in ref.__dict__ and C.h == ref.h
     assert failures > 0
+
+
+@pytest.mark.parametrize("params", ["toy_repaired", "rep-gabkron-128"])
+def test_orbit_decoder_factors_each_location_matrix_once(params, request, monkeypatch):
+    # _locate factors the GF(2) expansion of h^[w-1], w the dimension of
+    # the annihilator's root space, on the first block with that w; later
+    # blocks with the same w reuse it
+    p = request.getfixturevalue(params) if params.startswith("toy") else setup(params)
+    ctx = FieldCtx(p.m)
+    rng = fresh_rng(b"locate-once-" + params.encode())
+    C = orbit_code(ctx, ctx.find_normal_element(rng)[-1], p.n2, p.k2)
+    C.h  # the parity vector's own solves are not location eliminations
+    widths, ws = [], []
+    gauss_jordan, locate = rl._bit_gauss_jordan, C._locate
+    monkeypatch.setattr(rl, "_bit_gauss_jordan",
+                        lambda rows, ncols: widths.append(ncols) or gauss_jordan(rows, ncols))
+    monkeypatch.setattr(C, "_locate", lambda E, W: ws.append(len(E)) or locate(E, W))
+    for trial in range(8):
+        u = RankVector.random(ctx, C.k, rng)
+        e = sample_rank_error(ctx, C.n, 1 + trial % 2, rng)
+        assert C.decode(C.encode(u).add(e)) == (u, e)
+        # the root space's GF(2) kernels have m columns, the location
+        # matrices n < m
+        assert widths.count(C.n) == len(set(ws))
+    assert len(ws) == 8 and len(set(ws)) < 8
+    assert sorted(C._hbits) == sorted(set(ws))
 
 
 def test_non_moore_presentation_round_trip(ctx8):

@@ -61,6 +61,22 @@ def test_mul_matches_schoolbook(m):
         assert ctx.mul(a, b) == gf2m._poly_mulmod(a, b, ctx.modulus, m)
 
 
+def test_window_mul_sum_matches_separate_products():
+    # multipliers of unequal lengths, zeros among them and all zero, on
+    # single values and on long ints such as packed rows
+    rng = fresh_rng(b"window-sum")
+    for size in (1, 7, 211, 5000):
+        for count in (1, 2, 6):
+            values = [rng.bits(size) for _ in range(count)]
+            for lams in ([rng.bits(1 + rng.randrange(211)) for _ in range(count)],
+                         [0] * count, [0] * (count - 1) + [rng.bits(9)]):
+                tabs = [gf2m._window_table(v) for v in values]
+                want = 0
+                for tab, lam in zip(tabs, lams):
+                    want ^= gf2m._window_mul(tab, lam)
+                assert gf2m._window_mul_sum(tabs, lams) == want
+
+
 @pytest.mark.parametrize("m", [4, 8, 48, 90])
 def test_inverse_and_frobenius_properties(m):
     ctx = FieldCtx(m)

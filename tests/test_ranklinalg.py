@@ -433,6 +433,113 @@ def test_solve_packed_matches_rref():
         assert min(seen.values()) >= 20
 
 
+def toeplitz_like(ctx, k, n, rank, rng):
+    """k x n rows, each the one above shifted right by one slot (its last
+    entry dropped) plus a combination of `rank` fixed rows."""
+    el = functools.partial(rng.element, ctx.m)
+    fixed = [[el() for _ in range(n)] for _ in range(rank)]
+    rows = [[el() for _ in range(n)]]
+    for _ in range(k - 1):
+        row = [0] + rows[-1][:-1]
+        for u in fixed:
+            c = el()
+            row = [a ^ ctx.mul(c, b) for a, b in zip(row, u)]
+        rows.append(row)
+    return rows
+
+
+def assert_systematic_matches_rref(ctx, M, n):
+    """_systematic_packed against the reduced echelon form of [M | I_k]:
+    the same pivots and every row; returns the pivots."""
+    pk = rl._packed(ctx, n)
+    got = [pk.pack(row) for row in M]
+    want = [row | 1 << ((n + r) * pk.S) for r, row in enumerate(got)]
+    pivots = rl._systematic_packed(ctx, got, n)
+    assert pivots == rl._rref_packed(ctx, want, n + len(M)), M
+    assert got == want, M
+    return pivots
+
+
+def displacement(ctx, M, n):
+    """E - Z E Z^T for E = [[M, I_k], [I_k, 0]], densely."""
+    k = len(M)
+    E = [row + [int(i == j) for j in range(k)] for i, row in enumerate(M)]
+    E += [[int(i == j) for j in range(n + k)] for i in range(k)]
+    return [[E[i][j] ^ (E[i - 1][j - 1] if i and j else 0) for j in range(n + k)]
+            for i in range(2 * k)]
+
+
+@pytest.mark.parametrize("m,k,n", [(8, 5, 9), (90, 6, 6), (211, 4, 10)])
+def test_displacement_generators_factor_the_displacement(m, k, n):
+    ctx = FieldCtx(m)
+    rng = fresh_rng(b"displacement-%d" % m)
+    for rank in (0, 2, k):
+        M = toeplitz_like(ctx, k, n, rank, rng)
+        pk = rl._packed(ctx, n)
+        gcols, bcols = rl._displacement_generators(ctx, [pk.pack(row) for row in M], n)
+        # every generator lives in E's rows 0..k and columns 0..n
+        assert len(gcols) <= min(rank + 3, k + 1)
+        G = [rl._packed(ctx, 2 * k).unpack(g) for g in gcols]
+        B = [rl._packed(ctx, n + k).unpack(b) for b in bcols]
+        GB = [[functools.reduce(operator.xor, (ctx.mul(g[i], b[j]) for g, b in zip(G, B)), 0)
+               for j in range(n + k)] for i in range(2 * k)]
+        assert GB == displacement(ctx, M, n)
+
+
+# m = 4, 12 and 90 have trinomial moduli, m = 8 and 211 pentanomials
+@pytest.mark.parametrize("m,trials", [(4, 30), (8, 30), (12, 20), (90, 8), (211, 6)])
+def test_systematic_form_matches_rref(m, trials):
+    # Toeplitz-like matrices of low displacement rank and dense ones (rank
+    # up to k + 1), square and wide, down to one row
+    ctx = FieldCtx(m)
+    rng = fresh_rng(b"systematic-%d" % m)
+    schur = 0
+    for trial in range(trials):
+        k = rng.randrange(8) + 1
+        n = k + rng.randrange(8)
+        rank = (0, 1, 2, k)[trial % 4]
+        M = toeplitz_like(ctx, k, n, rank, rng)
+        pk = rl._packed(ctx, n)
+        ran = rl._schur_steps(ctx, [pk.pack(row) for row in M], n) is not None
+        pivots = assert_systematic_matches_rref(ctx, M, n)
+        # a Schur pass means every leading minor is nonzero, so the pivots lead
+        assert not ran or pivots == list(range(k))
+        schur += ran
+    assert schur >= trials // 2
+
+
+def test_systematic_form_falls_back_on_singular_leading_minor():
+    # the leading k x k block is invertible in the first two cases, but a
+    # leading principal minor is singular (the 1 x 1 one, then the 3 x 3
+    # one), so the Schur steps stop and the echelon decides; in the last
+    # case the block is singular and the pivots do not lead
+    ctx = FieldCtx(8)
+    rng = fresh_rng(b"systematic-fallback")
+    el = functools.partial(rng.element, 8)
+    k, n = 6, 10
+    seen = []
+    while len(seen) < 3:
+        M = [[el() for _ in range(n)] for _ in range(k)]
+        case = len(seen)
+        if case == 0:
+            M[0][0] = 0
+        else:
+            # row 2 (case 1) or row k-1 (case 2) agrees with a combination of
+            # rows 0 and 1 on the leading columns
+            r = 2 if case == 1 else k - 1
+            x, y = el(), el()
+            for j in range(k if case == 2 else 3):
+                M[r][j] = ctx.mul(x, M[0][j]) ^ ctx.mul(y, M[1][j])
+        lead = RankMatrix(ctx, [row[:k] for row in M]).rank()
+        if (case < 2) != (lead == k):
+            continue
+        pk = rl._packed(ctx, n)
+        assert rl._schur_steps(ctx, [pk.pack(row) for row in M], n) is None
+        pivots = assert_systematic_matches_rref(ctx, M, n)
+        assert (pivots == list(range(k))) == (case < 2)
+        seen.append(pivots)
+
+
 def test_matmul_against_schoolbook(ctx8):
     rng = fresh_rng(b"matmul")
     A = RankMatrix.random(ctx8, 3, 4, rng)
@@ -793,14 +900,54 @@ def _bitmat_apply(A: BitMatrix, y: int) -> int:
 def test_solve_gf2_consistency():
     A = BitMatrix(2, 3, [0b101, 0b110])
     targets = [0b11, 0b01]
-    sols = rl.solve_gf2(A, targets)
+    sols = rl.BitSolver(A).solve(targets)
     for b, y in zip(targets, sols):
         assert y is not None
         assert _bitmat_apply(A, y) == b
     # inconsistent target over a singular system
     B = BitMatrix(2, 2, [0b11, 0b11])
-    assert rl.solve_gf2(B, [0b01])[0] is None
-    assert rl.solve_gf2(B, [0b11])[0] is not None
+    assert rl.BitSolver(B).solve([0b01, 0b11]) == [None, 0b01]
+
+
+def oracle_solve_gf2(mat, rhs_cols):
+    """Each right-hand side rides along in one Gauss–Jordan elimination."""
+    n = mat.ncols
+    rows = []
+    for i, row in enumerate(mat.rows):
+        for t, b in enumerate(rhs_cols):
+            row |= (b >> i & 1) << (n + t)
+        rows.append(row)
+    pivots = rl._bit_gauss_jordan(rows, n)
+    bad = 0
+    for row in rows[len(pivots):]:
+        bad |= row >> n
+    return [None if bad >> t & 1 else
+            sum(1 << col for r, col in enumerate(pivots) if rows[r] >> (n + t) & 1)
+            for t in range(len(rhs_cols))]
+
+
+def test_bit_solver_matches_augmented_elimination():
+    # one factoring, many right-hand sides: the same solutions bit for bit,
+    # free unknowns zero, over full-rank, rank-deficient, tall and wide
+    # matrices
+    rng = fresh_rng(b"bit-solver")
+    seen = {"none": 0, "solution": 0}
+    for nrows, ncols in ((6, 6), (12, 5), (5, 12), (30, 14), (24, 24)):
+        for trial in range(8):
+            A = BitMatrix.random(nrows, ncols, rng)
+            if trial % 2:
+                # later rows repeat combinations of the first three
+                A = BitMatrix(nrows, ncols, A.rows[:3] + [
+                    functools.reduce(operator.xor, rng.sample(A.rows[:3], 2)) for _ in range(nrows - 3)])
+            solver = rl.BitSolver(A)
+            for _ in range(3):
+                targets = [rng.bits(nrows) for _ in range(3)]
+                targets.append(_bitmat_apply(A, rng.bits(ncols)))
+                sols = solver.solve(targets)
+                assert sols == oracle_solve_gf2(A, targets)
+                for y in sols:
+                    seen["none" if y is None else "solution"] += 1
+    assert min(seen.values()) >= 20
 
 
 def test_gf2_elimination_against_bruteforce():
@@ -819,7 +966,7 @@ def test_gf2_elimination_against_bruteforce():
                     span |= {x ^ v for x in span}
                 assert span == kernel
                 targets = [rng.bits(nrows) for _ in range(3)] + [images[rng.bits(ncols)]]
-                for b, y in zip(targets, rl.solve_gf2(A, targets)):
+                for b, y in zip(targets, rl.BitSolver(A).solve(targets)):
                     if b in images.values():
                         assert y is not None and images[y] == b
                     else:

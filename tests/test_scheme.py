@@ -11,6 +11,7 @@ from gabkron.params import setup
 from gabkron.prng import SeededRng
 from gabkron.ranklinalg import (
     BitMatrix,
+    BitSolver,
     CirculantGrid,
     LeftSolver,
     RankMatrix,
@@ -24,7 +25,6 @@ from gabkron.ranklinalg import (
     is_partial_circulant,
     is_partial_circulant_block,
     reflect,
-    solve_gf2,
 )
 from gabkron.scheme import (
     DecryptFailure,
@@ -33,7 +33,7 @@ from gabkron.scheme import (
     sample_rank_error,
 )
 
-from conftest import fresh_rng, inconsistent_secret_key, vec_mat
+from conftest import fresh_rng, inconsistent_secret_key, systematic_form_against_rref, vec_mat
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +64,7 @@ def in_span(value, elems):
 def bit_inverse(T):
     """T^-1 over GF(2): column c solves T x = e_c."""
     n = T.nrows
-    cols = solve_gf2(T, [1 << c for c in range(n)])
+    cols = BitSolver(T).solve([1 << c for c in range(n)])
     return BitMatrix(n, n, [sum((x >> i & 1) << c for c, x in enumerate(cols))
                             for i in range(n)])
 
@@ -650,18 +650,18 @@ def test_repaired_keygen_squares_alpha_orbit_once_per_attempt(params, request, m
 
 
 def test_repaired_keygen_draws_again_after_a_singular_leading_minor(toy_repaired, monkeypatch):
-    # the first reduced echelon form is made to miss the leading pivots, as
-    # a singular leading minor does: the attempt's draws are dropped and the
+    # the first systematic form is made to miss the leading pivots, as a
+    # singular leading minor does: the attempt's draws are dropped and the
     # key comes from the next one's
     p = toy_repaired
     pivots = []
-    rref = sc._rref_packed
+    systematic = sc._systematic_packed
 
-    def first_misses(ctx, rows, ncols):
-        pivots.append(rref(ctx, rows, ncols))
+    def first_misses(ctx, rows, n):
+        pivots.append(systematic(ctx, rows, n))
         return [] if len(pivots) == 1 else pivots[-1]
 
-    monkeypatch.setattr(sc, "_rref_packed", first_misses)
+    monkeypatch.setattr(sc, "_systematic_packed", first_misses)
     kp = sc.keygen(p, SeededRng(b"retry"))
     monkeypatch.undo()
     assert pivots == [list(range(p.k))] * 2
@@ -676,10 +676,88 @@ def test_repaired_keygen_draws_again_after_a_singular_leading_minor(toy_repaired
 
 def test_repaired_keygen_gives_up_after_64_attempts(toy_repaired, monkeypatch):
     attempts = []
-    monkeypatch.setattr(sc, "_rref_packed", lambda ctx, rows, ncols: attempts.append(ncols) or [])
+    monkeypatch.setattr(sc, "_systematic_packed", lambda ctx, rows, n: attempts.append(n) or [])
     with pytest.raises(sc.GenerationError, match="systematic"):
         sc.keygen(toy_repaired, SeededRng(b"give-up"))
     assert len(attempts) == 64
+
+
+@pytest.mark.parametrize("params", ["toy_repaired", "rep-gabkron-128"])
+def test_repaired_systematic_form_matches_rref(params, request):
+    p = request.getfixturevalue(params) if params.startswith("toy") else setup(params)
+    systematic_form_against_rref(sc.keygen(p, SeededRng(b"systematic-" + params.encode())))
+
+
+def test_repaired_systematic_form_of_m0_with_a_singular_leading_minor(toy_rep_kp):
+    # row 0 of M0 plus a multiple of row 1 has a zero leading entry: the
+    # leading block stays invertible but its 1 x 1 minor is singular, so the
+    # Schur steps stop and the echelon gives the form, with the key's N
+    p, kp = toy_rep_kp
+    pk, rows = sc._repaired_m0_rows(kp.code, kp.x_witness.X, circulant_block_invert(kp.sk.P))
+    ctx = pk.ctx
+    assert pk.entry(rows[1], 0)
+    c = ctx.mul(pk.entry(rows[0], 0), ctx.inv(pk.entry(rows[1], 0)))
+    rows[0] = pk.fold(rows[0] ^ pk.scal(rows[1], c))
+    assert pk.entry(rows[0], 0) == 0
+    assert ranklinalg._schur_steps(ctx, list(rows), p.n) is None
+    got = list(rows)
+    want = [row | 1 << ((p.n + r) * pk.S) for r, row in enumerate(rows)]
+    assert ranklinalg._systematic_packed(ctx, got, p.n) == list(range(p.k))
+    assert ranklinalg._rref_packed(ctx, want, p.n + p.k) == list(range(p.k))
+    assert got == want
+    out = ranklinalg._packed(ctx, p.n + p.k)
+    assert [out.unpack(row)[p.k : p.n] for row in got] == kp.pk.matrix.rows
+
+
+def test_repaired_keygen_bytes_do_not_depend_on_the_schur_steps(toy_repaired, monkeypatch):
+    # with the Schur steps made to report a singular leading minor, the
+    # echelon of [M0 | I_k] gives the key: the same bytes
+    p = toy_repaired
+
+    def blobs(kp):
+        return keyio.serialize_public_key(kp.pk), keyio.serialize_secret_key(kp.sk)
+
+    fast = blobs(sc.keygen(p, SeededRng(b"fallback")))
+    calls = []
+    monkeypatch.setattr(ranklinalg, "_schur_steps", lambda *args: calls.append(args))
+    assert blobs(sc.keygen(p, SeededRng(b"fallback"))) == fast
+    assert len(calls) == 1
+
+
+def test_repaired_keygen_draws_again_after_a_singular_leading_block(toy_repaired, monkeypatch):
+    # the first attempt's M0 gets two equal rows: the Schur steps stop, the
+    # echelon misses the leading pivots and keygen draws again
+    p = toy_repaired
+    m0_rows, systematic = sc._repaired_m0_rows, sc._systematic_packed
+    schur = ranklinalg._schur_steps
+    pivots, passes = [], []
+
+    def doubled_first(*args):
+        pk, rows = m0_rows(*args)
+        if not pivots:
+            rows[1] = rows[0]
+        return pk, rows
+
+    def recording(ctx, rows, n):
+        pivots.append(systematic(ctx, rows, n))
+        return pivots[-1]
+
+    def schur_recording(*args):
+        out = schur(*args)
+        passes.append(out is not None)
+        return out
+
+    monkeypatch.setattr(sc, "_repaired_m0_rows", doubled_first)
+    monkeypatch.setattr(sc, "_systematic_packed", recording)
+    monkeypatch.setattr(ranklinalg, "_schur_steps", schur_recording)
+    kp = sc.keygen(p, SeededRng(b"retry"))
+    monkeypatch.undo()
+    assert passes == [False, True]
+    assert pivots[0] != list(range(p.k)) and pivots[1:] == [list(range(p.k))]
+    assert kp.sk.G1 != sc.keygen(p, SeededRng(b"retry")).sk.G1  # fresh draws
+    rng = fresh_rng(b"retry-block")
+    m = RankVector.random(kp.pk.matrix.ctx, p.k, rng)
+    assert sc.decrypt(sc.encrypt(m, kp.pk, p, rng), kp.sk, p) == m
 
 
 @pytest.mark.parametrize("params", ["toy_improved", "new-gabkron-128"])
