@@ -23,9 +23,11 @@ previous one.  Both decoders solve it (_key_equation) and then part:
   W_p = X_p^[w-1], and as Y is binary, W_p = sum_i Y_{p,i} h_i^[w-1]
   locates the error against row w-1 of the parity-check matrix.  This
   route is the transform's referee in the tests.
-Either way the error's rank is at most t, and one packed product re-checks
-every syndrome, so a returned pair is always a valid decoding within the
-radius.
+Either way the error's rank is at most t: the transform checks it, and the
+root-space route builds the error from at most t values.  The message is
+read off the corrected word and re-encoded, which must give that word
+back; so the word is a codeword, the error has the received syndromes,
+and a returned pair is always a valid decoding within the radius.
 
 Each code owns the presentation its messages are written in: the Moore
 matrix of g by default, the partial circulant of a normal orbit for the
@@ -60,17 +62,15 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .gf2m import FieldCtx, _bit_rank, _window_mul, _window_table
+from .gf2m import BitSpan, FieldCtx, _bit_rank, _window_mul, _window_table
 from .ranklinalg import (
     BitMatrix,
-    BitSolver,
     LeftSolver,
     RankMatrix,
     RankVector,
     SingularMatrixError,
     _packed,
     _solve_packed,
-    bit_kernel,
     checked_values,
     field_vec_times_bitmatrix,
     information_set,
@@ -89,9 +89,10 @@ class DecodeFailure(Exception):
 def _root_space(ctx: FieldCtx, coeffs):
     """F_2-basis of the roots of sum_i coeffs[i] x^(2^i), as ints."""
     frob = ctx.frobenius_power_rows(len(coeffs) - 1)
-    # column i = the polynomial at x^i: its F_2-linear action on the basis
+    # column i = the polynomial at x^i: its F_2-linear action on the basis.
+    # A dependency among the columns has bit i for x^i, so it is a root.
     cols = _packed(ctx, ctx.m).lincomb(coeffs, frob)
-    return bit_kernel(RankVector(ctx, cols).expand_over_base())
+    return BitSpan(cols).kernel
 
 
 def moore_matrix(g: RankVector, nrows: int) -> RankMatrix:
@@ -132,7 +133,6 @@ class GabidulinCode:
         self.k = k
         self.radius = (n - k) // 2
         self.generator = generator
-        self._hbits = {}  # w -> the GF(2) expansion of h^[w-1], factored
 
     @cached_property
     def h(self) -> RankVector:
@@ -190,17 +190,6 @@ class GabidulinCode:
         pk, cols = self._packed_hcols
         return pk.lincomb(y_vals, cols)
 
-    def _message_of_codeword(self, c_vals):
-        """u with u·generator = c, read off the leading k coordinates.
-
-        Raises DecodeFailure when re-encoding u does not give c back: c is
-        not spanned by the presentation.
-        """
-        u = self._lead_solver.solve(c_vals[: self.k])
-        if self.generator.left_mul_values(u) != list(c_vals):
-            raise DecodeFailure("codeword is not spanned by the presentation")
-        return u
-
     def decode(self, y):
         """Recover (u, e) with y = u·generator + e and rk(e) <= radius.
 
@@ -208,33 +197,35 @@ class GabidulinCode:
         returned pair always satisfies the stated relation exactly.
         """
         ctx = self.ctx
-        c_vals, e_vals = self._decode_codeword(checked_values(ctx, y, self.n, "received"))
-        u = RankVector(ctx, self._message_of_codeword(c_vals))
-        return u, RankVector(ctx, e_vals)
+        u, e_vals = self._decode_values(checked_values(ctx, y, self.n, "received"))
+        return RankVector(ctx, u), RankVector(ctx, e_vals)
 
-    def _decode_codeword(self, y_vals):
-        """Split y into (codeword, error) with rk(error) <= radius."""
-        n = self.n
-        if n == self.k:
-            return list(y_vals), [0] * n
-        s = self.syndromes(y_vals)
-        if not any(s):
-            return list(y_vals), [0] * n
-        if self.radius == 0:
-            raise DecodeFailure("non-zero syndrome with zero correction radius")
-        e_vals = self._error_vector(s)
-        # every syndrome must match, not just the ones solved for.  Same
-        # product as syndromes(), whose calls perfbench counts as received
-        # blocks.
-        pk, cols = self._packed_hcols
-        if pk.lincomb(e_vals, cols) != s:
-            raise DecodeFailure("error values inconsistent with the syndromes")
+    def _decode_values(self, y_vals):
+        """(u, e) as lists with y = u·generator + e and rk(e) <= radius.
+
+        Both error decoders return e of rank at most the radius.  u is read
+        off the leading k coordinates of c = y - e and re-encoded: c must
+        come back, so c is a codeword and e has y's syndromes.  Raises
+        DecodeFailure otherwise.
+        """
+        n, k = self.n, self.k
+        e_vals = [0] * n
+        if n > k:
+            s = self.syndromes(y_vals)
+            if any(s):
+                if self.radius == 0:
+                    raise DecodeFailure("non-zero syndrome with zero correction radius")
+                e_vals = self._error_vector(s)
         c_vals = [a ^ b for a, b in zip(y_vals, e_vals)]
-        return c_vals, e_vals
+        u = self._lead_solver.solve(c_vals[:k])
+        if self.generator.left_mul_values(u) != c_vals:
+            raise DecodeFailure("codeword is not spanned by the presentation")
+        return u, e_vals
 
     def _error_vector(self, s):
-        """The error of rank <= radius with syndromes s, through its values'
-        root space and its locations; raises DecodeFailure."""
+        """The error of rank <= radius that the first syndromes in s give,
+        through its values' root space and its locations; raises
+        DecodeFailure.  _decode_values checks it against all of s."""
         gamma, _ = self._key_equation(s)
         if gamma is None:
             raise DecodeFailure("no annihilator of the error values")
@@ -290,14 +281,15 @@ class GabidulinCode:
         return W
 
     def _locate(self, E, W):
-        """Recover GF(2) locations from W_p = sum_i Y_{p,i} h_i^[w-1], then e."""
+        """Recover GF(2) locations from W_p = sum_i Y_{p,i} h_i^[w-1], then e.
+
+        The n entries h_i^[w-1] are independent, as h has full rank weight,
+        so each W_p has one set of locations or none.
+        """
         w = len(E)
-        solver = self._hbits.get(w)
-        if solver is None:
-            hbits = RankVector(self.ctx, self.parity_check.rows[w - 1]).expand_over_base()
-            solver = self._hbits[w] = BitSolver(hbits)
-        sols = solver.solve(W)
-        if any(y is None for y in sols):
+        span = BitSpan(self.parity_check.rows[w - 1])
+        sols = [span.coordinates(x) for x in W]
+        if None in sols:
             return None
         return field_vec_times_bitmatrix(self.ctx, E, BitMatrix(w, self.n, sols))
 
@@ -546,8 +538,7 @@ class KroneckerCode:
         failed = []
         for j in range(self.n1):
             try:
-                c_vals, _ = C2._decode_codeword(y_vals[j * self.n2 : (j + 1) * self.n2])
-                decoded[j] = C2._message_of_codeword(c_vals)
+                decoded[j], _ = C2._decode_values(y_vals[j * self.n2 : (j + 1) * self.n2])
             except DecodeFailure:
                 failed.append(j)
         for cand in itertools.combinations(decoded, self.k1):

@@ -9,6 +9,12 @@ carry the context and check that operands share it.
 The modulus for each extension degree is the lexicographically smallest
 irreducible polynomial of minimal weight (trinomial if one exists, else
 pentanomial), so that serialized values are portable between runs.
+
+Elements are also vectors over GF(2), and so are the rows of GF(2)
+matrices held as bitmask ints.  One echelon routine (BitSpan) gives the
+rank, the kernel and the coordinates of such vectors: the normality test,
+the trace-dual solve and the Gabidulin decoder's root space and error
+locations all run on it.
 """
 
 from __future__ import annotations
@@ -305,10 +311,11 @@ class FieldCtx:
         sum_j b_j c_{j-l} = [l = 0] with c_d = Tr(alpha alpha^[d]).  Its
         matrix is the Gram matrix of the trace form on alpha's orbit, so it
         is invertible exactly when alpha is normal; the orbit of beta is then
-        the dual normal basis.  The caller checks normality (is_normal).
+        the dual normal basis.  The matrix is symmetric, as c_d =
+        Tr((alpha alpha^[d])^[-d]) = c_{-d}, so the combination of its rows
+        equal to e_0 (BitSpan.coordinates) is b.  The caller checks
+        normality (is_normal).
         """
-        from .ranklinalg import BitMatrix, BitSolver  # ranklinalg imports this module
-
         m = self.m
         tv = self.trace_vector()
         orbit = orbit[::-1]  # orbit[j] = alpha^[j]
@@ -318,7 +325,7 @@ class FieldCtx:
             c |= ((self.mul(alpha, a) & tv).bit_count() & 1) << d
         # row l holds c_{j-l} at bit j: c rotated left by l
         rows = [((c << l) | (c >> (m - l))) & self.mask for l in range(m)]
-        (b,) = BitSolver(BitMatrix(m, m, rows)).solve([1])
+        b = BitSpan(rows).coordinates(1)
         beta = 0
         for j, a in enumerate(orbit):
             if b >> j & 1:
@@ -378,17 +385,50 @@ def _window_mul_sum(tabs, lams):
     return r
 
 
+class BitSpan:
+    """Echelon form over GF(2) of vectors held as ints: rank, kernel and
+    coordinates from one reduction.
+
+    Each pivot is keyed by its top bit and tagged with the inputs XORed
+    into it, bit i of a tag standing for input i.  Input i reduces against
+    the pivots from its top bit down; what is left becomes a pivot, or
+    nothing is left and its tag is a dependency among the inputs.
+    """
+
+    __slots__ = ("pivots", "kernel")
+
+    def __init__(self, vecs):
+        self.pivots = pivots = {}  # top bit -> (vector, tag)
+        self.kernel = kernel = []  # tags that XOR to zero: a basis of the dependencies
+        for i, v in enumerate(vecs):
+            tag = 1 << i
+            while v:
+                top = v.bit_length() - 1
+                piv = pivots.get(top)
+                if piv is None:
+                    pivots[top] = (v, tag)
+                    break
+                v ^= piv[0]
+                tag ^= piv[1]
+            else:
+                kernel.append(tag)
+
+    def coordinates(self, target):
+        """The tag of inputs whose XOR is target, or None outside the span.
+
+        Unique when the inputs are independent.
+        """
+        pivots = self.pivots
+        tag = 0
+        while target:
+            piv = pivots.get(target.bit_length() - 1)
+            if piv is None:
+                return None
+            target ^= piv[0]
+            tag ^= piv[1]
+        return tag
+
+
 def _bit_rank(rows) -> int:
     """Rank over GF(2) of rows given as bitmask ints."""
-    pivots = []
-    rank = 0
-    for r in rows:
-        for p in pivots:
-            nb = r ^ p
-            if nb < r:
-                r = nb
-        if r:
-            pivots.append(r)
-            pivots.sort(reverse=True)
-            rank += 1
-    return rank
+    return len(BitSpan(rows).pivots)

@@ -36,6 +36,10 @@ generators (CirculantGrid.left_mul_values), and the dense matrix is built
 only as a test oracle (CirculantGrid.dense).  Ring elements live in
 packed rows, slot i holding the coefficient of z^i, so cyc_mul and cyc_inv
 use the same window/fold kernel as the matrices.
+
+GF(2) matrices (BitMatrix) keep each row as a bitmask int.  They are
+drawn, shifted and applied to field vectors here; their rank, like every
+other elimination over GF(2), comes from gf2m.BitSpan.
 """
 
 from __future__ import annotations
@@ -527,80 +531,6 @@ class BitMatrix:
         return f"BitMatrix({self.nrows}x{self.ncols})"
 
 
-def _bit_gauss_jordan(rows, ncols):
-    """In-place reduced row echelon form over GF(2) on the low ncols bits.
-
-    Bits above ncols ride along (an augmented right-hand side).  Returns the
-    pivot columns; row r holds the pivot of column pivots[r], and the rows
-    below the last pivot are zero in their low ncols bits.
-    """
-    r = 0
-    pivots = []
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i] >> col & 1), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i] >> col & 1:
-                rows[i] ^= rows[r]
-        pivots.append(col)
-        r += 1
-    return pivots
-
-
-def bit_kernel(mat: BitMatrix):
-    """Basis of the right kernel of a GF(2) matrix, as column bitmasks."""
-    n = mat.ncols
-    rows = list(mat.rows)
-    pivots = _bit_gauss_jordan(rows, n)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        v = 1 << free
-        for ri, col in enumerate(pivots):
-            if rows[ri] >> free & 1:
-                v |= 1 << col
-        basis.append(v)
-    return basis
-
-
-class BitSolver:
-    """A GF(2) matrix factored once to solve mat · y = b for many b.
-
-    The build runs one Gauss–Jordan elimination of the rows with the
-    identity riding along above ncols (_bit_gauss_jordan), which records
-    the row operations T that bring mat to reduced echelon form.  A
-    right-hand side b, bit i for row i, becomes T b one parity per row:
-    the rows past the last pivot must give 0, and row r gives the unknown
-    at pivots[r].  Free unknowns are zero.
-    """
-
-    def __init__(self, mat: BitMatrix):
-        n = mat.ncols
-        rows = [row | 1 << (n + i) for i, row in enumerate(mat.rows)]
-        self._pivots = _bit_gauss_jordan(rows, n)
-        rank = len(self._pivots)
-        self._pivot_ops = [row >> n for row in rows[:rank]]
-        self._zero_ops = [row >> n for row in rows[rank:]]
-
-    def solve(self, rhs_cols):
-        """Solution bitmasks, one per b in rhs_cols, or None in each slot
-        where the system is inconsistent."""
-        sols = []
-        for b in rhs_cols:
-            if any((t & b).bit_count() & 1 for t in self._zero_ops):
-                sols.append(None)
-                continue
-            y = 0
-            for t, col in zip(self._pivot_ops, self._pivots):
-                y |= ((t & b).bit_count() & 1) << col
-            sols.append(y)
-        return sols
-
-
 def field_vec_times_bitmatrix(ctx, vals, bm: BitMatrix):
     """Row vector over GF(2^m) times a GF(2) matrix (entrywise XOR combine)."""
     if len(vals) != bm.nrows:
@@ -665,19 +595,6 @@ class RankVector:
 
     __add__ = add
     __sub__ = add
-
-    def expand_over_base(self) -> BitMatrix:
-        """m x n matrix over GF(2); column j holds the coefficients of entry j."""
-        m = self.ctx.m
-        rows = [0] * m
-        for j, v in enumerate(self.values):
-            i = 0
-            while v:
-                if v & 1:
-                    rows[i] |= 1 << j
-                v >>= 1
-                i += 1
-        return BitMatrix(m, len(self.values), rows)
 
     def rank_weight(self) -> int:
         """rk_q: GF(2)-rank of the base-field expansion."""

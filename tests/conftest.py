@@ -4,10 +4,16 @@ import time
 import pytest
 
 from gabkron import ranklinalg as rl, scheme as sc
-from gabkron.gf2m import FieldCtx
+from gabkron.gf2m import FieldCtx, _bit_rank
 from gabkron.params import setup
 from gabkron.prng import SeededRng
-from gabkron.ranklinalg import CirculantGrid, RankMatrix, RankVector, circulant_block_invert
+from gabkron.ranklinalg import (
+    BitMatrix,
+    CirculantGrid,
+    RankMatrix,
+    RankVector,
+    circulant_block_invert,
+)
 
 
 @pytest.fixture
@@ -39,6 +45,81 @@ def vec_mat(u, M):
     if len(u) != M.nrows:
         raise ValueError("dimension mismatch")
     return RankVector(M.ctx, M.left_mul_values(u.values))
+
+
+# The referee of gf2m.BitSpan: field elements transposed into the columns
+# of a GF(2) matrix, which a Gauss–Jordan elimination brings to reduced
+# echelon form.
+
+
+def expand_over_base(vals, m):
+    """m x n matrix over GF(2); column j holds the coefficients of vals[j]."""
+    rows = [0] * m
+    for j, v in enumerate(vals):
+        for i in range(m):
+            rows[i] |= (v >> i & 1) << j
+    return BitMatrix(m, len(vals), rows)
+
+
+def gauss_jordan_gf2(rows, ncols):
+    """In-place reduced row echelon form over GF(2) on the low ncols bits.
+
+    Bits above ncols ride along (an augmented right-hand side).  Returns the
+    pivot columns; row r holds the pivot of column pivots[r], and the rows
+    below the last pivot are zero in their low ncols bits.
+    """
+    r = 0
+    pivots = []
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i] >> col & 1), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i] >> col & 1:
+                rows[i] ^= rows[r]
+        pivots.append(col)
+        r += 1
+    return pivots
+
+
+def kernel_gf2(mat):
+    """Basis of the right kernel of a BitMatrix, as column bitmasks."""
+    rows = list(mat.rows)
+    pivots = gauss_jordan_gf2(rows, mat.ncols)
+    basis = []
+    for free in sorted(set(range(mat.ncols)) - set(pivots)):
+        v = 1 << free
+        for ri, col in enumerate(pivots):
+            if rows[ri] >> free & 1:
+                v |= 1 << col
+        basis.append(v)
+    return basis
+
+
+def solve_gf2(mat, rhs_cols):
+    """y with mat · y = b for each b in rhs_cols (bit i for row i), free
+    unknowns zero, or None where the system is inconsistent.  Each
+    right-hand side rides along in one Gauss–Jordan elimination."""
+    n = mat.ncols
+    rows = []
+    for i, row in enumerate(mat.rows):
+        for t, b in enumerate(rhs_cols):
+            row |= (b >> i & 1) << (n + t)
+        rows.append(row)
+    pivots = gauss_jordan_gf2(rows, n)
+    bad = 0
+    for row in rows[len(pivots):]:
+        bad |= row >> n
+    return [None if bad >> t & 1 else
+            sum(1 << col for r, col in enumerate(pivots) if rows[r] >> (n + t) & 1)
+            for t in range(len(rhs_cols))]
+
+
+def same_span(a, b):
+    """True when the ints in a and in b are bases of one GF(2) space."""
+    r = _bit_rank(a)
+    return r == len(a) == len(b) == _bit_rank(b) == _bit_rank(list(a) + list(b))
 
 
 def systematic_form_against_rref(kp):

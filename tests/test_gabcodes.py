@@ -1,3 +1,6 @@
+import functools
+import operator
+
 import pytest
 
 from gabkron.gf2m import FieldCtx, _bit_rank
@@ -8,7 +11,7 @@ from gabkron.gabcodes import DecodeFailure, GabidulinCode, KroneckerCode
 from gabkron.ranklinalg import RankMatrix, RankVector, SingularMatrixError, partial_circulant
 from gabkron.scheme import sample_rank_error
 
-from conftest import fresh_rng, vec_mat
+from conftest import expand_over_base, fresh_rng, kernel_gf2, same_span, solve_gf2, vec_mat
 
 
 def full_rank_vector(ctx, n, rng):
@@ -232,6 +235,39 @@ def test_linearized_poly_helpers(ctx8):
         assert evaluate(ctx8, a, v) == 0
 
 
+def subspace_polynomial(ctx, basis):
+    """Monic q-polynomial whose roots are the span of basis: L <- L^2 + L(v) L."""
+    L = [1]
+    for v in basis:
+        c = evaluate(ctx, L, v)
+        # L^2 squares each coefficient and moves it up one place
+        L = [ctx.mul(c, a) ^ ctx.sqr(b) for a, b in zip(L + [0], [0] + L)]
+    return L
+
+
+@pytest.mark.parametrize("m", [12, 24, 211])
+def test_root_space_matches_transposed_kernel(m):
+    # the span's dependency tags against the Gauss–Jordan kernel of the
+    # columns Gamma(x^i) transposed into an m x m GF(2) matrix, on random
+    # Gamma and on subspace polynomials whose root space has a known
+    # dimension
+    ctx = FieldCtx(m)
+    rng = fresh_rng(b"root-space-%d" % m)
+    dims = []
+    for trial in range(6):
+        if trial % 2:
+            r = (1, 3, 7)[trial // 2]
+            gamma = subspace_polynomial(ctx, sample_rank_error(ctx, r, r, rng).values)
+        else:
+            gamma = [rng.element(m) for _ in range(trial // 2 + 2)]
+        cols = [evaluate(ctx, gamma, 1 << i) for i in range(m)]
+        got = gc._root_space(ctx, gamma)
+        assert same_span(got, kernel_gf2(expand_over_base(cols, m)))
+        assert all(evaluate(ctx, gamma, v) == 0 for v in got)
+        dims.append(len(got))
+    assert dims[1::2] == [1, 3, 7]
+
+
 def test_kernel_basis_spans_every_root(ctx8):
     rng = fresh_rng(b"kerroots")
     for deg in range(6):
@@ -262,8 +298,8 @@ def test_orbit_circulant_presentation():
     # same row space: every presentation row is a codeword
     for row in G2.rows:
         assert not any(C2.syndromes(row))
-        u = C2._message_of_codeword(row)
-        assert C2.encode(u).values == row
+        u, e = C2._decode_values(row)
+        assert not any(e) and C2.encode(u).values == row
 
 
 @pytest.mark.parametrize(
@@ -509,29 +545,53 @@ def test_orbit_decoder_matches_moore_solve(m, n, k):
 
 
 @pytest.mark.parametrize("params", ["toy_repaired", "rep-gabkron-128"])
-def test_orbit_decoder_factors_each_location_matrix_once(params, request, monkeypatch):
-    # _locate factors the GF(2) expansion of h^[w-1], w the dimension of
-    # the annihilator's root space, on the first block with that w; later
-    # blocks with the same w reuse it
+def test_locate_matches_transposed_solve(params, request):
+    # _locate against the transposed route: h^[w-1] expanded into an
+    # m x n GF(2) matrix and each W_p solved by Gauss–Jordan elimination,
+    # for W inside the span of h^[w-1] and for random W outside it
     p = request.getfixturevalue(params) if params.startswith("toy") else setup(params)
     ctx = FieldCtx(p.m)
-    rng = fresh_rng(b"locate-once-" + params.encode())
+    rng = fresh_rng(b"locate-" + params.encode())
     C = orbit_code(ctx, ctx.find_normal_element(rng)[-1], p.n2, p.k2)
-    C.h  # the parity vector's own solves are not location eliminations
-    widths, ws = [], []
-    gauss_jordan, locate = rl._bit_gauss_jordan, C._locate
-    monkeypatch.setattr(rl, "_bit_gauss_jordan",
-                        lambda rows, ncols: widths.append(ncols) or gauss_jordan(rows, ncols))
-    monkeypatch.setattr(C, "_locate", lambda E, W: ws.append(len(E)) or locate(E, W))
-    for trial in range(8):
-        u = RankVector.random(ctx, C.k, rng)
-        e = sample_rank_error(ctx, C.n, 1 + trial % 2, rng)
-        assert C.decode(C.encode(u).add(e)) == (u, e)
-        # the root space's GF(2) kernels have m columns, the location
-        # matrices n < m
-        assert widths.count(C.n) == len(set(ws))
-    assert len(ws) == 8 and len(set(ws)) < 8
-    assert sorted(C._hbits) == sorted(set(ws))
+    located = set()
+    for w in (1, 2, 3, C.radius):
+        hrow = C.parity_check.rows[w - 1]
+        hbits = expand_over_base(hrow, p.m)
+        E = sample_rank_error(ctx, w, w, rng).values
+        Y = [rng.bits(p.n2) for _ in range(w)]
+        inside = [functools.reduce(operator.xor, (h for i, h in enumerate(hrow) if y >> i & 1), 0)
+                  for y in Y]
+        for W in (inside, [rng.element(p.m) for _ in range(w)]):
+            sols = solve_gf2(hbits, W)
+            if W is inside:
+                assert sols == Y
+            want = None if None in sols else rl.field_vec_times_bitmatrix(
+                ctx, E, rl.BitMatrix(w, p.n2, sols))
+            assert C._locate(E, W) == want
+            located.add(want is not None)
+    assert located == {True, False}
+
+
+@pytest.mark.parametrize("params", ["toy_improved", "toy_repaired"])
+def test_error_with_wrong_syndromes_fails_its_block(params, request, monkeypatch):
+    # the message's re-encode check is what ties e to the syndromes: an
+    # error within the radius whose syndromes differ from the received
+    # word's makes decode raise and block_decode list the block as failed
+    p = request.getfixturevalue(params)
+    K = sc.keygen(p, fresh_rng(b"wrong-syndromes-" + params.encode())).code
+    C2, ctx = K.C2, K.ctx
+    rng = fresh_rng(b"wrong-syndromes")
+    wrong = sample_rank_error(ctx, C2.n, C2.radius, rng).values
+    e = sample_rank_error(ctx, C2.n, 1, rng).values
+    assert C2.syndromes(wrong) != C2.syndromes(e)
+    monkeypatch.setattr(C2, "_error_vector", lambda s: list(wrong))
+    y = K.encode(RankVector.random(ctx, K.k, rng)).values
+    block = [a ^ b for a, b in zip(y[: C2.n], e)]
+    with pytest.raises(DecodeFailure, match="not spanned by the presentation"):
+        C2.decode(block)
+    with pytest.raises(DecodeFailure) as exc:
+        K.block_decode(block + y[C2.n :])
+    assert exc.value.failed_blocks == [0]
 
 
 def test_non_moore_presentation_round_trip(ctx8):

@@ -3,9 +3,9 @@ import pytest
 from gabkron import gf2m, keyio
 from gabkron.gf2m import FieldCtx
 from gabkron.prng import SeededRng
-from gabkron.ranklinalg import RankVector
+from gabkron.ranklinalg import BitMatrix, RankVector
 
-from conftest import fresh_rng
+from conftest import fresh_rng, solve_gf2
 
 
 def test_moduli_table_matches_search():
@@ -216,6 +216,62 @@ def test_trace_dual_is_dual_basis(m):
         for i, a in enumerate(A):
             traces = [(ctx.mul(a, b) & tv).bit_count() & 1 for b in B]
             assert traces == [int(i == j) for j in range(m)]
+
+
+@pytest.mark.parametrize("m", [12, 90, 120, 128])
+def test_trace_dual_matches_gram_solve(m):
+    # the span's coordinates of e_0 over the Gram matrix's rows against
+    # b solving M b = e_0 by Gauss–Jordan elimination, at the toy and the
+    # registry improved sets
+    ctx = FieldCtx(m)
+    orbit = ctx.find_normal_element(fresh_rng(b"trace-dual-solve-%d" % m))
+    A = orbit[::-1]  # A[j] = alpha^[j]
+    tv = ctx.trace_vector()
+    c = [(ctx.mul(A[0], a) & tv).bit_count() & 1 for a in A]
+    gram = BitMatrix(m, m, [sum(c[(j - l) % m] << j for j in range(m)) for l in range(m)])
+    (b,) = solve_gf2(gram, [1])
+    beta = 0
+    for j, a in enumerate(A):
+        if b >> j & 1:
+            beta ^= a
+    assert ctx._trace_dual_of_orbit(orbit) == beta
+
+
+def test_bit_span_against_bruteforce():
+    # rank, kernel and coordinates of up to 10 vectors, refereed by the
+    # XOR of every one of their 2^n combinations
+    rng = fresh_rng(b"bit-span")
+    for n in range(11):
+        for width in (1, 3, 6, 12):
+            for trial in range(4):
+                vecs = [rng.bits(width) for _ in range(n)]
+                if trial % 2 and n > 3:
+                    # later vectors repeat combinations of the first three
+                    vecs[3:] = [vecs[0] ^ vecs[rng.randrange(3)] ^ vecs[2] for _ in range(n - 3)]
+                xor = [0]  # xor[tag] = XOR of the vectors named by tag
+                for i, v in enumerate(vecs):
+                    xor += [x ^ v for x in xor]
+                combos = {}  # value -> the tags that reach it
+                for tag, x in enumerate(xor):
+                    combos.setdefault(x, []).append(tag)
+                span = gf2m.BitSpan(vecs)
+                rank = len(span.pivots)
+                assert 1 << rank == len(combos) and gf2m._bit_rank(vecs) == rank
+                kspan = {0}
+                for t in span.kernel:
+                    assert t not in kspan
+                    kspan |= {x ^ t for x in kspan}
+                assert kspan == set(combos[0])
+                targets = range(1 << width) if width <= 6 else (
+                    list(combos)[:64] + [rng.bits(width) for _ in range(64)])
+                for target in targets:
+                    tag = span.coordinates(target)
+                    if target not in combos:
+                        assert tag is None
+                    elif rank == n:
+                        assert [tag] == combos[target]
+                    else:
+                        assert tag in combos[target]
 
 
 def test_trace_dual_rejects_non_normal():

@@ -4,7 +4,7 @@ import operator
 
 import pytest
 
-from gabkron.gf2m import ContextMismatchError, FieldCtx, _bit_rank
+from gabkron.gf2m import BitSpan, ContextMismatchError, FieldCtx, _bit_rank
 from gabkron import ranklinalg as rl
 from gabkron.ranklinalg import (
     BitMatrix,
@@ -14,23 +14,16 @@ from gabkron.ranklinalg import (
     StructureError,
 )
 
-from conftest import fresh_rng
-
-
-def test_expand_over_base(ctx4):
-    v = RankVector(ctx4, [0, 0, 0])
-    assert v.expand_over_base().rows == [0, 0, 0, 0]
-    ctx2 = FieldCtx(2)
-    v = RankVector(ctx2, [1, 2])
-    M = v.expand_over_base()
-    assert [bit_column(M, 0), bit_column(M, 1)] == [0b01, 0b10]
+from conftest import expand_over_base, fresh_rng, solve_gf2
 
 
 def test_expand_round_trip(ctx8, rng):
+    # the transposition the BitSpan referees run on: column j of the GF(2)
+    # matrix holds the coefficients of entry j
     v = RankVector.random(ctx8, 5, rng)
-    M = v.expand_over_base()
-    rebuilt = [bit_column(M, j) for j in range(5)]
-    assert rebuilt == v.values
+    M = expand_over_base(v.values, 8)
+    assert (M.nrows, M.ncols) == (8, 5)
+    assert [bit_column(M, j) for j in range(5)] == v.values
 
 
 def test_rank_weight_exhaustive_bruteforce(ctx4):
@@ -873,6 +866,11 @@ def bit_column(M, j):
     return sum((r >> j & 1) << i for i, r in enumerate(M.rows))
 
 
+def column_span(A):
+    """BitSpan of the columns of A, so that coordinates(b) solves A · y = b."""
+    return BitSpan([bit_column(A, j) for j in range(A.ncols)])
+
+
 def test_bit_matrix_helpers(rng):
     # rows are bitmasks: bit j of row i is entry (i, j)
     T = BitMatrix(2, 2, [0b01, 0b11])
@@ -881,7 +879,7 @@ def test_bit_matrix_helpers(rng):
     assert [shifted.rows[0] & 1, shifted.rows[0] >> 1 & 1] == [0, 1]
     # kernel of a rank-1 matrix in GF(2)^2
     K = BitMatrix(2, 2, [0b11, 0b11])
-    basis = rl.bit_kernel(K)
+    basis = column_span(K).kernel
     assert len(basis) == 1 and basis[0] == 0b11
 
 
@@ -900,38 +898,23 @@ def _bitmat_apply(A: BitMatrix, y: int) -> int:
 def test_solve_gf2_consistency():
     A = BitMatrix(2, 3, [0b101, 0b110])
     targets = [0b11, 0b01]
-    sols = rl.BitSolver(A).solve(targets)
-    for b, y in zip(targets, sols):
+    span = column_span(A)
+    for b in targets:
+        y = span.coordinates(b)
         assert y is not None
         assert _bitmat_apply(A, y) == b
     # inconsistent target over a singular system
     B = BitMatrix(2, 2, [0b11, 0b11])
-    assert rl.BitSolver(B).solve([0b01, 0b11]) == [None, 0b01]
+    assert [column_span(B).coordinates(b) for b in (0b01, 0b11)] == [None, 0b01]
 
 
-def oracle_solve_gf2(mat, rhs_cols):
-    """Each right-hand side rides along in one Gauss–Jordan elimination."""
-    n = mat.ncols
-    rows = []
-    for i, row in enumerate(mat.rows):
-        for t, b in enumerate(rhs_cols):
-            row |= (b >> i & 1) << (n + t)
-        rows.append(row)
-    pivots = rl._bit_gauss_jordan(rows, n)
-    bad = 0
-    for row in rows[len(pivots):]:
-        bad |= row >> n
-    return [None if bad >> t & 1 else
-            sum(1 << col for r, col in enumerate(pivots) if rows[r] >> (n + t) & 1)
-            for t in range(len(rhs_cols))]
-
-
-def test_bit_solver_matches_augmented_elimination():
-    # one factoring, many right-hand sides: the same solutions bit for bit,
-    # free unknowns zero, over full-rank, rank-deficient, tall and wide
-    # matrices
+def test_span_coordinates_match_augmented_elimination():
+    # one span, many targets: the same solutions as the augmented
+    # Gauss–Jordan elimination bit for bit when the columns are
+    # independent, and a solution exactly when it finds one, over
+    # full-rank, rank-deficient, tall and wide matrices
     rng = fresh_rng(b"bit-solver")
-    seen = {"none": 0, "solution": 0}
+    seen = {"none": 0, "solution": 0, "unique": 0}
     for nrows, ncols in ((6, 6), (12, 5), (5, 12), (30, 14), (24, 24)):
         for trial in range(8):
             A = BitMatrix.random(nrows, ncols, rng)
@@ -939,20 +922,28 @@ def test_bit_solver_matches_augmented_elimination():
                 # later rows repeat combinations of the first three
                 A = BitMatrix(nrows, ncols, A.rows[:3] + [
                     functools.reduce(operator.xor, rng.sample(A.rows[:3], 2)) for _ in range(nrows - 3)])
-            solver = rl.BitSolver(A)
+            span = column_span(A)
+            unique = len(span.pivots) == ncols
             for _ in range(3):
                 targets = [rng.bits(nrows) for _ in range(3)]
                 targets.append(_bitmat_apply(A, rng.bits(ncols)))
-                sols = solver.solve(targets)
-                assert sols == oracle_solve_gf2(A, targets)
-                for y in sols:
-                    seen["none" if y is None else "solution"] += 1
+                for b, want in zip(targets, solve_gf2(A, targets)):
+                    y = span.coordinates(b)
+                    assert (y is None) == (want is None)
+                    if y is None:
+                        seen["none"] += 1
+                        continue
+                    assert _bitmat_apply(A, y) == b
+                    seen["solution"] += 1
+                    if unique:
+                        assert y == want
+                        seen["unique"] += 1
     assert min(seen.values()) >= 20
 
 
 def test_gf2_elimination_against_bruteforce():
-    # the kernel and solutions from the shared elimination, refereed
-    # by evaluating every vector of GF(2)^ncols
+    # the rank, kernel and solutions from the span of the columns,
+    # refereed by evaluating every vector of GF(2)^ncols
     rng = fresh_rng(b"gf2brute")
     for nrows in range(1, 6):
         for ncols in range(1, 6):
@@ -960,13 +951,16 @@ def test_gf2_elimination_against_bruteforce():
                 A = BitMatrix.random(nrows, ncols, rng)
                 images = {y: _bitmat_apply(A, y) for y in range(1 << ncols)}
                 kernel = {y for y, b in images.items() if b == 0}
+                cols = column_span(A)
+                assert 1 << len(cols.pivots) == len(set(images.values()))
                 span = {0}
-                for v in rl.bit_kernel(A):
+                for v in cols.kernel:
                     assert v not in span
                     span |= {x ^ v for x in span}
                 assert span == kernel
                 targets = [rng.bits(nrows) for _ in range(3)] + [images[rng.bits(ncols)]]
-                for b, y in zip(targets, rl.BitSolver(A).solve(targets)):
+                for b in targets:
+                    y = cols.coordinates(b)
                     if b in images.values():
                         assert y is not None and images[y] == b
                     else:

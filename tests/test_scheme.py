@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from gabkron.gf2m import FieldCtx, _bit_rank
+from gabkron.gf2m import BitSpan, FieldCtx, _bit_rank
 from gabkron import scheme as sc
 from gabkron import gabcodes, keyio, ranklinalg
 from gabkron.gabcodes import GabidulinCode, KroneckerCode
@@ -11,7 +11,6 @@ from gabkron.params import setup
 from gabkron.prng import SeededRng
 from gabkron.ranklinalg import (
     BitMatrix,
-    BitSolver,
     CirculantGrid,
     LeftSolver,
     RankMatrix,
@@ -62,11 +61,9 @@ def in_span(value, elems):
 
 
 def bit_inverse(T):
-    """T^-1 over GF(2): column c solves T x = e_c."""
-    n = T.nrows
-    cols = BitSolver(T).solve([1 << c for c in range(n)])
-    return BitMatrix(n, n, [sum((x >> i & 1) << c for c, x in enumerate(cols))
-                            for i in range(n)])
+    """T^-1 over GF(2): row c is the combination of T's rows equal to e_c."""
+    span = BitSpan(T.rows)
+    return BitMatrix(T.nrows, T.nrows, [span.coordinates(1 << c) for c in range(T.nrows)])
 
 
 def x_block_shape(p):
