@@ -19,10 +19,14 @@ previous one.  Both decoders solve it (_key_equation) and then part:
   2009);
 - for every other code, the repaired variant's inner code (n < m) and
   codes built from an arbitrary g, the root space of Gamma yields the E_p.
-  Raising the first w syndrome equations to powers [w-1-j] gives
-  W_p = X_p^[w-1], and as Y is binary, W_p = sum_i Y_{p,i} h_i^[w-1]
-  locates the error against row w-1 of the parity-check matrix.  This
-  route is the transform's referee in the tests.
+  The first w syndrome equations form a Moore system in the E_p, and
+  eq_j^[1] + E_0 eq_{j+1} is one of the same kind with one unknown fewer,
+  sum_{p>=1} D_p X_p^[j+1] = s_j^2 + E_0 s_{j+1} for D_p = E_p^2 + E_0 E_p
+  (Lidl & Niederreiter, Finite Fields, 3.4).  The last equations of
+  these stages form a triangular system in W_p = X_p^[w-1], and as Y is
+  binary, W_p = sum_i Y_{p,i} h_i^[w-1] locates the error against row
+  w-1 of the parity-check matrix.  This route is the transform's referee
+  in the tests.
 Either way the error's rank is at most t: the transform checks it, and the
 root-space route builds the error from at most t values.  The message is
 read off the corrected word and re-encoded, which must give that word
@@ -260,24 +264,51 @@ class GabidulinCode:
         return (None if gamma is None else gamma + [1]), row
 
     def _error_coordinates(self, s, E):
-        """Solve s_j = sum_p E_p X_p^[j], j < w, for W_p = X_p^[w-1]."""
+        """Solve s_j = sum_p E_p X_p^[j], j < w, for W_p = X_p^[w-1].
+
+        The system is a Moore matrix in E, and one elimination step keeps
+        that shape (Lidl & Niederreiter, Finite Fields, 3.4): eq_j^[1] +
+        E_0 eq_{j+1} reads sum_{p>=1} D_p X_p^[j+1] = s_j^2 + E_0 s_{j+1}
+        with D_p = E_p^2 + E_0 E_p, one unknown fewer and the unknowns
+        twisted once more.  Stage k's last equation has twist w-1, so it
+        reads sum_{p>=k} E^(k)_p W_p = s^(k)_{w-1-k}: row k of an upper
+        triangular system in W.  A stage costs one scal and the
+        back-substitution one per unknown: 2w in all, where an echelon of
+        the w x w system takes about w^2/2.  D_p is E_p under x^2 + E_0 x,
+        whose kernel is {0, E_0}, so a stage pivot is zero exactly when E
+        is dependent.  Returns None then, and when w = 0 or w > radius.
+        """
         ctx = self.ctx
         w = len(E)
         if w == 0 or w > self.radius:
             return None
-        # uniformize unknowns: eq j scaled by [w-1-j] turns X_p^[j] into X_p^[w-1];
-        # filling rows in rising-shift order costs one squaring pass per row
-        rows = [0] * w
-        pk = _packed(ctx, w + 1)
-        efr = list(E)
-        for sh in range(w):
-            j = w - 1 - sh
-            if sh:
-                efr = [ctx.sqr(x) for x in efr]
-            rows[j] = pk.pack(efr + [ctx.frobenius(s[j], sh)])
-        pivots, W = _solve_packed(ctx, rows, w + 1)
-        if pivots != list(range(w)):
-            return None
+        pk = _packed(ctx, 2 * w)
+        S, mask = pk.S, ctx.mask
+        sqr, scal, fold = ctx.sqr, pk.scal, pk.fold
+        # one packed row per stage: slot p holds E_p and slot 2u-1-j holds
+        # s_j, u the unknowns left, so E_0 s_{j+1} lands one slot below s_j
+        row = pk.pack(list(E) + s[:w][::-1])
+        lead = []  # stage k's last equation: E^(k)_k..E^(k)_{w-1}, s^(k)_{w-1-k}
+        for u in range(w, 0, -1):
+            vals = [row >> (i * S) & mask for i in range(2 * u)]
+            if not vals[0]:
+                return None
+            lead.append(vals[: u + 1])
+            if u > 1:
+                # D_p in slot p, which is 0 at p = 0; s_j^2 + E_0 s_{j+1} one
+                # slot below s_j.  Drop E's slot 0 and s's top slot.
+                sq = [sqr(v) for v in vals]
+                row = fold(pk.pack(sq[:u] + sq[u + 1 :]) ^ scal(row, vals[0]))
+                row = row >> S & (1 << (2 * u - 2) * S) - 1
+        # back-substitution on the packed right-hand sides: one scal by each
+        # unknown on its column above the diagonal
+        reduce, mul, inv, smask = ctx.reduce, ctx.mul, ctx.inv, pk.slot_mask
+        acc = pk.pack([eq[-1] for eq in lead])
+        W = [0] * w
+        for p in range(w - 1, -1, -1):
+            v = W[p] = mul(reduce(acc >> (p * S) & smask), inv(lead[p][0]))
+            if v and p:
+                acc ^= scal(pk.pack([lead[k][p - k] for k in range(p)]), v)
         return W
 
     def _locate(self, E, W):

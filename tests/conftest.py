@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import operator
 import time
 
 import pytest
@@ -120,6 +122,45 @@ def same_span(a, b):
     """True when the ints in a and in b are bases of one GF(2) space."""
     r = _bit_rank(a)
     return r == len(a) == len(b) == _bit_rank(b) == _bit_rank(list(a) + list(b))
+
+
+def error_coordinates_echelon(code, s, E):
+    """The referee of GabidulinCode._error_coordinates: the w x w Moore
+    system s_j = sum_p E_p X_p^[j], j < w, with equation j raised to the
+    power [w-1-j] so that every unknown reads W_p = X_p^[w-1], solved by
+    the generic packed echelon.  None when w = 0, w > radius or the system
+    is singular (E dependent)."""
+    ctx = code.ctx
+    w = len(E)
+    if w == 0 or w > code.radius:
+        return None
+    # filling rows in rising-shift order costs one squaring pass per row
+    rows = [0] * w
+    pk = rl._packed(ctx, w + 1)
+    efr = list(E)
+    for sh in range(w):
+        j = w - 1 - sh
+        if sh:
+            efr = [ctx.sqr(x) for x in efr]
+        rows[j] = pk.pack(efr + [ctx.frobenius(s[j], sh)])
+    pivots, W = rl._solve_packed(ctx, rows, w + 1)
+    if pivots != list(range(w)):
+        return None
+    return W
+
+
+def located_error(C, E, rng):
+    """e = sum_p E_p Y_p for the values E and random locations Y of rank
+    w = len(E), and W_p = sum_i Y_{p,i} h_i^[w-1], what the code's
+    _error_coordinates must return for e's syndromes."""
+    w = len(E)
+    while True:
+        Y = [rng.bits(C.n) for _ in range(w)]
+        if _bit_rank(Y) == w:
+            break
+    hrow = C.parity_check.rows[w - 1]
+    W = [functools.reduce(operator.xor, (h for i, h in enumerate(hrow) if y >> i & 1)) for y in Y]
+    return rl.field_vec_times_bitmatrix(C.ctx, E, rl.BitMatrix(w, C.n, Y)), W
 
 
 def systematic_form_against_rref(kp):

@@ -10,13 +10,15 @@ keygen, and a first decrypt whose parse factors S.  The other tests check
 fast paths against their referees and print both timings: keygen's
 (G + X) P^-1 from alpha's orbit against the dense product, keygen's
 systematic form by Schur steps against the echelon of [M0 | I_k], and the
-inner code's parity vector h against the Moore solve.  The parity test also
-checks the inner code's presentation, read off alpha's orbit, against
-the squared-out Moore matrix.
+inner code's parity vector h against the Moore solve, and the decoder's
+error values W by Moore stages against the echelon of the whole Moore
+system.  The parity test also checks the inner code's presentation, read
+off alpha's orbit, against the squared-out Moore matrix.
 """
 
 import functools
 import os
+import statistics
 import time
 
 import pytest
@@ -28,7 +30,7 @@ from gabkron.params import setup
 from gabkron.prng import SeededRng
 from gabkron.ranklinalg import RankVector, circulant_block_invert
 
-from conftest import systematic_form_against_rref
+from conftest import error_coordinates_echelon, located_error, systematic_form_against_rref
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("GABKRON_FULLSCALE") != "1",
@@ -110,3 +112,29 @@ def test_orbit_parity_vector_full_scale(name):
     assert h.values == ref.values
     assert C2.parity_check == moore_matrix(ref, p.n2 - p.k2)
     print(f"\n{name}: h {orbit_s:.2f} s from the orbit, {moore_s:.2f} s by the Moore solve")
+
+
+@pytest.mark.parametrize("name", ["rep-gabkron-192", "rep-gabkron-256"])
+def test_error_coordinates_full_scale(name):
+    # the decoder's W by Moore stages against the echelon of the Moore
+    # system, at w = radius - 1 and radius on independent values with random
+    # locations, where W is also the locations against parity-check row w-1
+    p = setup(name)
+    ctx = FieldCtx(p.m)
+    rng = SeededRng(b"fullscale-stages-" + name.encode())
+    C2 = from_orbit(ctx, ctx.find_normal_element(rng), p.n2, p.k2)
+    stage_s, echelon_s = [], []
+    for w in (C2.radius - 1, C2.radius):
+        for _ in range(2):
+            E = sc.sample_rank_error(ctx, w, w, rng).values
+            e, want = located_error(C2, E, rng)
+            s = C2.syndromes(e)
+            t0 = time.perf_counter()
+            W = C2._error_coordinates(s, E)
+            stage_s.append(time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            assert W == want == error_coordinates_echelon(C2, s, E)
+            echelon_s.append(time.perf_counter() - t0)
+    print(f"\n{name}: W at w = {C2.radius - 1}, {C2.radius}: median "
+          f"{statistics.median(stage_s) * 1e3:.1f} ms by Moore stages, "
+          f"{statistics.median(echelon_s) * 1e3:.1f} ms by the echelon")

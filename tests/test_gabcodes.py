@@ -1,3 +1,4 @@
+import copy
 import functools
 import operator
 
@@ -11,7 +12,16 @@ from gabkron.gabcodes import DecodeFailure, GabidulinCode, KroneckerCode
 from gabkron.ranklinalg import RankMatrix, RankVector, SingularMatrixError, partial_circulant
 from gabkron.scheme import sample_rank_error
 
-from conftest import expand_over_base, fresh_rng, kernel_gf2, same_span, solve_gf2, vec_mat
+from conftest import (
+    error_coordinates_echelon,
+    expand_over_base,
+    fresh_rng,
+    kernel_gf2,
+    located_error,
+    same_span,
+    solve_gf2,
+    vec_mat,
+)
 
 
 def full_rank_vector(ctx, n, rng):
@@ -570,6 +580,129 @@ def test_locate_matches_transposed_solve(params, request):
             assert C._locate(E, W) == want
             located.add(want is not None)
     assert located == {True, False}
+
+
+def stage_code(params, request):
+    """A root-space code: toy_repaired's inner code from a key, the m = 24,
+    n = 12, k = 4 code of an orbit, a moore-m-n-k code from an arbitrary g,
+    or the inner code of a registry set."""
+    if params == "toy_repaired":
+        return sc.keygen(request.getfixturevalue(params), fresh_rng(b"stages-key")).code.C2
+    rng = fresh_rng(b"stages-" + params.encode())
+    if params == "orbit-24-12-4":
+        ctx = FieldCtx(24)
+        return orbit_code(ctx, ctx.find_normal_element(rng)[-1], 12, 4)
+    if params.startswith("moore-"):
+        m, n, k = map(int, params.split("-")[1:])
+        return GabidulinCode(full_rank_vector(FieldCtx(m), n, rng), k)
+    p = setup(params)
+    ctx = FieldCtx(p.m)
+    return orbit_code(ctx, ctx.find_normal_element(rng)[-1], p.n2, p.k2)
+
+
+STAGE_CODES = ["toy_repaired", "orbit-24-12-4", "moore-24-12-4", "rep-gabkron-128"]
+
+
+@pytest.mark.parametrize("params", STAGE_CODES)
+def test_error_coordinates_match_echelon(params, request):
+    # the Moore stages against the packed echelon of the whole system, on
+    # random independent values E with random locations, where W must also
+    # be the locations against row w-1 of the parity check, and on random
+    # syndromes, which an independent E solves as uniquely
+    C = stage_code(params, request)
+    ctx, t = C.ctx, C.radius
+    rng = fresh_rng(b"stages-draws-" + params.encode())
+    for w in sorted({1, 2, t - 1, t}):
+        for _ in range(2):
+            E = sample_rank_error(ctx, w, w, rng).values
+            e, want = located_error(C, E, rng)
+            s = C.syndromes(e)
+            W = C._error_coordinates(s, E)
+            assert W == want == error_coordinates_echelon(C, s, E)
+            s = [rng.element(ctx.m) for _ in s]
+            W = C._error_coordinates(s, E)
+            assert W is not None and W == error_coordinates_echelon(C, s, E)
+
+
+@pytest.mark.parametrize("params", ["orbit-24-12-4", "rep-gabkron-128"])
+def test_error_coordinates_none_cases(params, request):
+    # no values, more values than the radius, and dependent values passed
+    # in directly: a zero pivot at the first stage (E_0 = 0), at a middle
+    # one and at the last one; the stages and the referee both give None
+    C = stage_code(params, request)
+    ctx, t = C.ctx, C.radius
+    rng = fresh_rng(b"stages-none-" + params.encode())
+    s = [rng.element(ctx.m) for _ in range(C.n - C.k)]
+    a, b, c = sample_rank_error(ctx, 3, 3, rng).values
+    full = sample_rank_error(ctx, t + 1, t + 1, rng).values
+    cases = [[], full, [0, a], [a, a], [a, b, a ^ b, c], full[: t - 1] + [full[0] ^ full[t - 2]]]
+    for E in cases:
+        assert C._error_coordinates(s, E) is None
+        assert error_coordinates_echelon(C, s, E) is None
+    # the same shapes with independent values do solve
+    for E in ([a, b], [a, b, c], full[:t]):
+        assert C._error_coordinates(s, E) == error_coordinates_echelon(C, s, E) is not None
+
+
+def test_error_coordinates_with_excess_root_space():
+    # the key equation's annihilator has q-degree t whatever the error's
+    # rank, so its root space can be larger than the error's: here a
+    # rank-2 error gives len(E) = 3.  W still equals the referee's, and the
+    # decode returns the error.
+    C = stage_code("orbit-24-12-4", None)
+    ctx = C.ctx
+    rng = fresh_rng(b"excess-root-space")
+    for _ in range(40):
+        u = RankVector.random(ctx, C.k, rng)
+        e = sample_rank_error(ctx, C.n, 2, rng)
+        s = C.syndromes(e.values)
+        E = gc._root_space(ctx, C._key_equation(s)[0])
+        if len(E) == 3:
+            break
+    else:
+        pytest.fail("no rank-2 error with a 3-dimensional root space in 40 draws")
+    W = C._error_coordinates(s, E)
+    assert W is not None and W == error_coordinates_echelon(C, s, E)
+    assert C._locate(E, W) == e.values
+    assert C.decode(C.encode(u).add(e)) == (u, e)
+
+
+def decode_or_reason(C, y):
+    try:
+        return C.decode(y)
+    except DecodeFailure as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "params", STAGE_CODES + ["moore-16-9-3", "moore-12-11-5", "moore-8-7-3", "moore-12-12-4"]
+)
+def test_decode_matches_echelon_route(params, request):
+    # whole decodes through the Moore stages and through the referee's
+    # echelon, ranks 0 to t + 3: the same (u, e) or the same DecodeFailure
+    # reason.  rep-gabkron-128 takes every fourth rank and the five around
+    # the radius.
+    C = stage_code(params, request)
+    ref = copy.copy(C)
+    ref._error_coordinates = lambda s, E: error_coordinates_echelon(ref, s, E)
+    ctx, t = C.ctx, C.radius
+    rng = fresh_rng(b"stages-decode-" + params.encode())
+    if params.startswith("rep-"):
+        ranks, trials = sorted(set(range(0, t + 4, 4)) | set(range(t - 1, t + 4))), 1
+    else:
+        ranks, trials = range(t + 4), 6
+    outcomes = set()
+    for r in ranks:
+        for _ in range(trials):
+            u = RankVector.random(ctx, C.k, rng)
+            e = sample_rank_error(ctx, C.n, min(r, C.n), rng)
+            y = C.encode(u).add(e)
+            got = decode_or_reason(C, y)
+            assert got == decode_or_reason(ref, y)
+            if r <= t:
+                assert got == (u, e)
+            outcomes.add(got if isinstance(got, str) else "decoded")
+    assert "decoded" in outcomes and len(outcomes) > 1
 
 
 @pytest.mark.parametrize("params", ["toy_improved", "toy_repaired"])
