@@ -66,7 +66,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .gf2m import BitSpan, FieldCtx, _bit_rank, _window_mul, _window_table
+from .gf2m import BitSpan, FieldCtx, _bit_rank, _window_mul_sum, _window_table
 from .ranklinalg import (
     BitMatrix,
     LeftSolver,
@@ -234,6 +234,8 @@ class GabidulinCode:
         if gamma is None:
             raise DecodeFailure("no annihilator of the error values")
         E = _root_space(self.ctx, gamma)
+        if not E:
+            raise DecodeFailure("the annihilator of the error values has no nonzero root")
         W = self._error_coordinates(s, E)
         if W is None:
             raise DecodeFailure("error values inconsistent with the syndromes")
@@ -402,8 +404,11 @@ class _NormalOrbitCode(GabidulinCode):
             raise DecodeFailure("no annihilator of the error values")
         while not gamma[0]:
             gamma = [ctx.sqrt(g) for g in gamma[1:]]
-        # E^_l = sum_{i>=1} (Gamma_i / Gamma_0) E^_{l-i}^[i], one window
-        # table per coefficient and one reduction per value
+        # E^_l = sum_{i>=1} (Gamma_i / Gamma_0) E^_{l-i}^[i]: the window
+        # tables of the t coefficients are built once, and each value is
+        # one window sum over all of them and one reduction.  The terms are
+        # single elements, so the tables are small and held whole, not in
+        # _Packed.sum_products's chunks, which would build them every step.
         inv0 = ctx.inv(gamma[0])
         tabs = [_window_table(ctx.mul(inv0, g)) for g in gamma[1:]]
         reduce, sqr = ctx.reduce, ctx.sqr
@@ -413,10 +418,7 @@ class _NormalOrbitCode(GabidulinCode):
         E = list(s)
         for _ in range(self.k):
             win = [sqr(v) for v in prev]
-            acc = 0
-            for tab, v in zip(tabs, win):
-                acc ^= _window_mul(tab, v)
-            E.append(reduce(acc))
+            E.append(reduce(_window_mul_sum(tabs, win)))
             prev = [E[-1]] + win[:-1]
         pk, rows = self._inverse_rows
         e_vals = pk.lincomb(E, rows)

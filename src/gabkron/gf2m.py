@@ -373,10 +373,10 @@ def _window_mul_sum(tabs, lams):
 
     The windows of all terms are taken together, from the top one down,
     so the sum is shifted once per window instead of every term once per
-    window as in separate _window_mul calls.
+    window as in separate _window_mul calls.  No terms sum to 0.
     """
     r = 0
-    for sh in range((max(lams).bit_length() - 1) // 4 * 4, -1, -4):
+    for sh in range((max(lams, default=0).bit_length() - 1) // 4 * 4, -1, -4):
         r <<= 4
         for tab, lam in zip(tabs, lams):
             w = lam >> sh & 15

@@ -10,7 +10,15 @@ Heavy operations (products, elimination) run on rows packed into single
 big ints, one 2m-bit slot per entry: multiplying a whole row by a scalar
 is then a handful of shift/xor operations on one integer, and carry-less
 products never spill between slots.  The packed form is internal; the
-public API speaks lists of ints.
+public API speaks lists of ints.  Packing merges neighbouring slots
+pairwise, level by level, and unpacking splits halves the same way, so
+each level shifts the whole row once: O(L log L) slot moves for L slots,
+where one shift of the growing row per slot takes O(L^2).  Every sum of
+row products (matrix products, syndromes, c·P, the repaired M0 rows)
+goes through _Packed.sum_products, which hands the terms to
+gf2m._window_mul_sum in chunks of _SUM_CHUNK: the sum is shifted once per
+window and chunk, not once per window and term, and only one chunk's
+window tables are held at a time.
 
 Elimination builds the 4-bit window table of each pivot row once and
 applies it to every row it updates; the window helpers live in gf2m,
@@ -74,6 +82,12 @@ class StructureError(ValueError):
 # packed-row kernel
 
 
+# Terms per _window_mul_sum call in _Packed.sum_products: the window
+# tables of one chunk are all that is held at once (CHANGES.md has the
+# measurements at 8 and 16).
+_SUM_CHUNK = 8
+
+
 class _Packed:
     """Row-packing helper for a fixed context and slot count."""
 
@@ -89,16 +103,32 @@ class _Packed:
         self.lo_mask = lo
 
     def pack(self, vals):
+        """vals[i] in slot i, for any number of values: neighbours merge
+        pairwise, level by level, so each level shifts the row once."""
         S = self.S
-        p = 0
-        for v in reversed(vals):
-            p = (p << S) | v
-        return p
+        while len(vals) > 1:
+            it = iter(vals)
+            vals = [a | b << S for a, b in itertools.zip_longest(it, it, fillvalue=0)]
+            S <<= 1
+        return vals[0] if vals else 0
 
     def unpack(self, p):
-        S = self.S
-        mask = self.elem_mask
-        return [(p >> (i * S)) & mask for i in range(self.L)]
+        """The L reduced-width entries of p: halves split off level by level
+        until a part holds at most four slots, which shifts read.  Bits
+        above m in a slot and past slot L - 1 are dropped."""
+        S, L, mask = self.S, self.L, self.elem_mask
+        w = 4  # slots per part
+        while w < L:
+            w <<= 1
+        parts = [p]
+        while w > 4:
+            w >>= 1
+            sh = w * S
+            lo = (1 << sh) - 1
+            parts = [x for q in parts for x in (q & lo, q >> sh)][: -(-L // w)]
+        S2, S3 = 2 * S, 3 * S
+        vals = [x for q in parts for x in (q & mask, q >> S & mask, q >> S2 & mask, q >> S3 & mask)]
+        return vals[:L]
 
     def entry(self, p, j):
         return (p >> (j * self.S)) & self.elem_mask
@@ -124,14 +154,32 @@ class _Packed:
             hi = (p >> m) & lo_mask
         return p
 
+    def sum_products(self, pairs):
+        """XOR of the slot-wise products lam * p over (lam, p) pairs of a
+        scalar and a reduced row, unfolded.
+
+        The terms go to _window_mul_sum _SUM_CHUNK at a time, with the
+        window tables of their rows, so the sum is shifted once per window
+        and chunk, not once per window and term as in separate scal.
+        """
+        acc = 0
+        tabs, lams = [], []
+        for lam, p in pairs:
+            if lam == 0 or p == 0:
+                continue
+            if lam == 1:
+                acc ^= p
+                continue
+            tabs.append(_window_table(p))
+            lams.append(lam)
+            if len(tabs) == _SUM_CHUNK:
+                acc ^= _window_mul_sum(tabs, lams)
+                tabs, lams = [], []
+        return acc ^ _window_mul_sum(tabs, lams)
+
     def lincomb(self, coeffs, prows):
         """sum_i coeffs[i] * prows[i] over reduced packed rows, unpacked."""
-        scal = self.scal
-        acc = 0
-        for v, p in zip(coeffs, prows):
-            if v:
-                acc ^= scal(p, v)
-        return self.unpack(self.fold(acc))
+        return self.unpack(self.fold(self.sum_products(zip(coeffs, prows))))
 
     def rotate(self, p, r, n):
         """Cyclic slot rotation by r positions (slot u <- slot (u-r) mod n)."""
@@ -387,7 +435,7 @@ def _clear_top(pk, xcols, ycols, top):
             xcols[j] = pk.fold(xcols[j] ^ _window_mul(tab, c))
             cs.append(c)
             tabs.append(_window_table(ycols[j]))
-    return _window_mul_sum(tabs, cs) if cs else 0
+    return _window_mul_sum(tabs, cs)
 
 
 def _solve_packed(ctx, rows, ncols):
@@ -965,8 +1013,9 @@ class CirculantGrid:
         Write a generator as b = sum_q v_q b_q, b_q binary (_binary_parts).
         Entry u of c Cir_k(b_q) is the XOR of c_{u+d mod n} over the support
         of b_q, so c Cir_k(b) = sum_q v_q x_q, x_q the XOR of c's left
-        rotations by that support: rank(b) scal instead of k.  A rotation
-        is a shift of c's packed row doubled end to end.
+        rotations by that support: rank(b) products instead of k, summed
+        per block column by sum_products.  A rotation is a shift of c's
+        packed row doubled end to end.
         """
         n = len(self.gens[0][0])
         k = self.k
@@ -976,18 +1025,23 @@ class CirculantGrid:
         if self._parts is None:
             self._parts = [[_binary_parts(b) for b in grow] for grow in self.gens]
         keep = (1 << width) - 1
-        acc = 0
+        doubled = []  # (c c, that block row's parts) where c is not 0
         for i, grow in enumerate(self._parts):
             c = pk.pack(vals[i * k : (i + 1) * k])
-            if not c:
-                continue
-            cc = c | c << width
-            for j, parts in enumerate(grow):
-                for v, supp in parts:
+            if c:
+                doubled.append((c | c << width, grow))
+
+        def terms(j):
+            for cc, grow in doubled:
+                for v, supp in grow[j]:
                     x = 0
                     for d in supp:
                         x ^= cc >> (d * S)
-                    acc ^= pk.scal(x & keep, v) << (j * width)
+                    yield v, x & keep
+
+        acc = 0
+        for j in range(len(self.gens[0])):
+            acc ^= pk.sum_products(terms(j)) << (j * width)
         wide = _packed(self.ctx, len(self.gens[0]) * n)
         return wide.unpack(wide.fold(acc))
 

@@ -412,30 +412,25 @@ def _repaired_m0_rows(code: KroneckerCode, X: CirculantGrid, Pinv: CirculantGrid
     circulant P^-1, so y_r = [g2^[r] | 0] P^-1 follows
     y_{r+1} = rot(y_r, 1) + alpha^[n2+r] row_0(P^-1) + alpha^[r] row_n2(P^-1),
     and row (i, r) of G P^-1 is sum_j G1[i][j] rot(y_r, j n2): about
-    n2 + 2 k2 + n1 k scal instead of the k n of a dense product.  X P^-1
-    comes from the circulant ring.  Returns (packer, rows), rows reduced.
+    n2 + 2 k2 + n1 k row products, in sums of products, instead of the k n
+    of a dense product.  X P^-1 comes from the circulant ring.  Returns
+    (packer, rows), rows reduced.
     """
     n, n2 = code.n, code.n2
     C2 = code.C2
 
     pk, pinv_rows = Pinv.packed_rows()
-    scal, fold, rotate = pk.scal, pk.fold, pk.rotate
-    y = 0
-    for v, row in zip(C2.g.values, pinv_rows):
-        y ^= scal(row, v)
-    ys = [fold(y)]
+    sum_products, fold, rotate = pk.sum_products, pk.fold, pk.rotate
+    ys = [fold(sum_products(zip(C2.g.values, pinv_rows)))]
     for r in range(code.k2 - 1):
-        ys.append(fold(rotate(ys[-1], 1, n) ^ scal(pinv_rows[0], C2.frob(n2 + r))
-                       ^ scal(pinv_rows[n2 % n], C2.frob(r))))
+        step = ((C2.frob(n2 + r), pinv_rows[0]), (C2.frob(r), pinv_rows[n2 % n]))
+        ys.append(fold(rotate(ys[-1], 1, n) ^ sum_products(step)))
     blocks = [[rotate(y, j * n2, n) for j in range(code.n1)] for y in ys]
     _, xp_rows = circulant_block_compose(X, Pinv).packed_rows()
     rows = []
     for g1row in code.G1.rows:
         for yr in blocks:
-            acc = 0
-            for v, yj in zip(g1row, yr):
-                acc ^= scal(yj, v)
-            rows.append(fold(acc) ^ xp_rows[len(rows)])
+            rows.append(fold(sum_products(zip(g1row, yr))) ^ xp_rows[len(rows)])
     return pk, rows
 
 

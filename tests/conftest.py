@@ -49,6 +49,38 @@ def vec_mat(u, M):
     return RankVector(M.ctx, M.left_mul_values(u.values))
 
 
+# The referees of the packed-row kernel: the shift loops that _Packed.pack
+# and _Packed.unpack replaced, and a sum of products taken one scal per
+# term, as _Packed.lincomb did before _Packed.sum_products.
+
+
+def pack_shift_loop(pk, vals):
+    """vals[i] in slot i of one packed row, shifting the row once per slot."""
+    p = 0
+    for v in reversed(vals):
+        p = (p << pk.S) | v
+    return p
+
+
+def unpack_shift_loop(pk, p):
+    """The pk.L reduced-width entries of a packed row, one shift per slot."""
+    return [(p >> (i * pk.S)) & pk.elem_mask for i in range(pk.L)]
+
+
+def products_per_term(pk, pairs):
+    """XOR of pk.scal(p, lam) over (lam, p) pairs, unfolded."""
+    acc = 0
+    for lam, p in pairs:
+        if lam:
+            acc ^= pk.scal(p, lam)
+    return acc
+
+
+def lincomb_per_term(pk, coeffs, prows):
+    """sum_i coeffs[i] * prows[i] over reduced packed rows, unpacked."""
+    return unpack_shift_loop(pk, pk.fold(products_per_term(pk, zip(coeffs, prows))))
+
+
 # The referee of gf2m.BitSpan: field elements transposed into the columns
 # of a GF(2) matrix, which a Gauss–Jordan elimination brings to reduced
 # echelon form.

@@ -13,7 +13,10 @@ systematic form by Schur steps against the echelon of [M0 | I_k], and the
 inner code's parity vector h against the Moore solve, and the decoder's
 error values W by Moore stages against the echelon of the whole Moore
 system.  The parity test also checks the inner code's presentation, read
-off alpha's orbit, against the squared-out Moore matrix.
+off alpha's orbit, against the squared-out Moore matrix.  The products test
+checks encrypt's m·N, a block's syndromes and the decrypter's c·P, rows
+packed pairwise and summed in chunked window sums, against rows packed by
+the shift loop and summed one scal per term.
 """
 
 import functools
@@ -28,9 +31,15 @@ from gabkron.gabcodes import from_orbit, moore_matrix
 from gabkron.gf2m import FieldCtx
 from gabkron.params import setup
 from gabkron.prng import SeededRng
-from gabkron.ranklinalg import RankVector, circulant_block_invert
+from gabkron.ranklinalg import RankVector, _packed, circulant_block_invert
 
-from conftest import error_coordinates_echelon, located_error, systematic_form_against_rref
+from conftest import (
+    error_coordinates_echelon,
+    lincomb_per_term,
+    located_error,
+    pack_shift_loop,
+    systematic_form_against_rref,
+)
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("GABKRON_FULLSCALE") != "1",
@@ -138,3 +147,36 @@ def test_error_coordinates_full_scale(name):
     print(f"\n{name}: W at w = {C2.radius - 1}, {C2.radius}: median "
           f"{statistics.median(stage_s) * 1e3:.1f} ms by Moore stages, "
           f"{statistics.median(echelon_s) * 1e3:.1f} ms by the echelon")
+
+
+@pytest.mark.parametrize("name", ["rep-gabkron-192", "rep-gabkron-256"])
+def test_products_full_scale(name):
+    # m·N, a block's syndromes and c·P, each packing its rows from the
+    # entries and summing the products, against the shift-loop packing and
+    # one scal per term
+    p, kp, _ = _keypair(name)
+    ctx = FieldCtx(p.m)
+    rng = SeededRng(b"fullscale-products-" + name.encode())
+    msg = RankVector.random(ctx, p.k, rng).values
+    c = sc.encrypt(msg, kp.pk, p, rng).values.values
+    C2 = kp.code.C2
+    H = C2.parity_check.rows
+    P = kp.sk.P
+    cases = [
+        ("m·N", kp.pk.matrix.rows, msg, lambda: kp.pk.matrix.left_mul_values(msg)),
+        ("syndromes", [list(col) for col in zip(*H)], c[: p.n2], lambda: C2.syndromes(c[: p.n2])),
+        ("c·P on P's dense rows", P.dense().rows, c, lambda: P.left_mul_values(c)),
+    ]
+    report = []
+    for label, rows, vals, product in cases:
+        pk = _packed(ctx, len(rows[0]))
+        t0 = time.perf_counter()
+        want = lincomb_per_term(pk, vals, [pack_shift_loop(pk, row) for row in rows])
+        old_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        got = pk.lincomb(vals, [pk.pack(row) for row in rows])
+        new_s = time.perf_counter() - t0
+        assert got == want == product()
+        report.append(f"{label} {old_s * 1e3:.1f} -> {new_s * 1e3:.1f} ms")
+    print(f"\n{name}, packing and product, per term and shift loop -> chunked and "
+          f"pairwise: " + ", ".join(report))

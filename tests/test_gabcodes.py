@@ -705,6 +705,30 @@ def test_decode_matches_echelon_route(params, request):
     assert "decoded" in outcomes and len(outcomes) > 1
 
 
+def test_annihilator_without_nonzero_root_fails_its_block(request, monkeypatch):
+    # a seeded word beyond the radius whose key-equation annihilator has
+    # no nonzero root: decode says so before it solves for coordinates,
+    # and block_decode lists the block as failed
+    C = stage_code("orbit-24-12-4", request)
+    ctx = C.ctx
+    rng = fresh_rng(b"no-nonzero-root")
+    y = [RankVector.random(ctx, C.n, rng) for _ in range(2)][-1]
+    gamma, _ = C._key_equation(C.syndromes(y.values))
+    assert gamma is not None and gc._root_space(ctx, gamma) == []
+
+    def unreachable(s, E):
+        raise AssertionError("_error_coordinates ran without error values")
+
+    monkeypatch.setattr(C, "_error_coordinates", unreachable)
+    with pytest.raises(DecodeFailure, match="annihilator of the error values has no nonzero root"):
+        C.decode(y)
+    K = KroneckerCode(RankMatrix.identity(ctx, 2), C)
+    codeword = C.encode(RankVector.random(ctx, C.k, rng)).values
+    with pytest.raises(DecodeFailure) as exc:
+        K.block_decode(y.values + codeword)
+    assert exc.value.failed_blocks == [0]
+
+
 @pytest.mark.parametrize("params", ["toy_improved", "toy_repaired"])
 def test_error_with_wrong_syndromes_fails_its_block(params, request, monkeypatch):
     # the message's re-encode check is what ties e to the syndromes: an

@@ -63,13 +63,14 @@ def test_mul_matches_schoolbook(m):
 
 def test_window_mul_sum_matches_separate_products():
     # multipliers of unequal lengths, zeros among them and all zero, on
-    # single values and on long ints such as packed rows
+    # single values and on long ints such as packed rows; no terms sum to 0
     rng = fresh_rng(b"window-sum")
+    assert gf2m._window_mul_sum([], []) == 0
     for size in (1, 7, 211, 5000):
-        for count in (1, 2, 6):
+        for count in (0, 1, 2, 6):
             values = [rng.bits(size) for _ in range(count)]
             for lams in ([rng.bits(1 + rng.randrange(211)) for _ in range(count)],
-                         [0] * count, [0] * (count - 1) + [rng.bits(9)]):
+                         [0] * count, ([0] * count + [rng.bits(9)])[1:]):
                 tabs = [gf2m._window_table(v) for v in values]
                 want = 0
                 for tab, lam in zip(tabs, lams):

@@ -14,7 +14,15 @@ from gabkron.ranklinalg import (
     StructureError,
 )
 
-from conftest import expand_over_base, fresh_rng, solve_gf2
+from conftest import (
+    expand_over_base,
+    fresh_rng,
+    lincomb_per_term,
+    pack_shift_loop,
+    products_per_term,
+    solve_gf2,
+    unpack_shift_loop,
+)
 
 
 def test_expand_round_trip(ctx8, rng):
@@ -533,6 +541,57 @@ def test_systematic_form_falls_back_on_singular_leading_minor():
         seen.append(pivots)
 
 
+SLOT_COUNTS = [0, 1, 2, 3, 5, 8, 13, 36, 140, 220]
+
+
+@pytest.mark.parametrize("m", [4, 90, 211])
+@pytest.mark.parametrize("L", SLOT_COUNTS)
+def test_pack_unpack_match_shift_loops(m, L):
+    # pairwise packing and splitting against the shift loops: reduced
+    # values, values filling the whole 2m-bit slot, the all-ones element,
+    # and unfolded rows with bits above m in a slot and past slot L - 1
+    ctx = FieldCtx(m)
+    pk = rl._packed(ctx, L)
+    rng = fresh_rng(b"pack-%d-%d" % (m, L))
+    for vals in ([rng.element(m) for _ in range(L)], [rng.bits(pk.S) for _ in range(L)],
+                 [ctx.mask] * L, [pk.slot_mask] * L, [0] * L):
+        p = pk.pack(vals)
+        assert p == pack_shift_loop(pk, vals)
+        assert pk.unpack(p) == unpack_shift_loop(pk, p)
+        if all(v <= ctx.mask for v in vals):
+            assert pk.unpack(p) == vals
+    for p in (rng.bits(L * pk.S), rng.bits((L + 3) * pk.S), rng.bits(L * pk.S + 5),
+              (1 << (L * pk.S + 2 * m)) - 1):
+        assert pk.unpack(p) == unpack_shift_loop(pk, p)
+    # pack takes any number of values, as the shift loop does
+    short = [rng.element(m) for _ in range(L // 2 + 1)]
+    assert pk.pack(short) == pack_shift_loop(pk, short)
+
+
+@pytest.mark.parametrize("m,L", [(8, 5), (90, 36), (211, 140)])
+def test_sum_products_matches_per_term(m, L):
+    # the chunked window sum against one scal per term, for no terms, one,
+    # one chunk and one either side of it, with zero coefficients, zero
+    # rows and coefficient 1 among the terms
+    ctx = FieldCtx(m)
+    pk = rl._packed(ctx, L)
+    rng = fresh_rng(b"sum-products-%d-%d" % (m, L))
+    chunk = rl._SUM_CHUNK
+    for count in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+        rows = [pk.pack([rng.element(m) for _ in range(L)]) for _ in range(count)]
+        coeffs = [rng.element(m) for _ in range(count)]
+        for q in range(0, count, 3):
+            coeffs[q] = (0, 1, ctx.mask)[q % 9 // 3]
+        if count > 1:
+            rows[1] = 0
+        for cs in (coeffs, [0] * count, [1] * count):
+            pairs = list(zip(cs, rows))
+            assert pk.sum_products(pairs) == products_per_term(pk, pairs)
+            assert pk.lincomb(cs, rows) == lincomb_per_term(pk, cs, rows)
+        # an iterator of pairs is consumed once
+        assert pk.sum_products(iter(pairs)) == products_per_term(pk, pairs)
+
+
 def test_matmul_against_schoolbook(ctx8):
     rng = fresh_rng(b"matmul")
     A = RankMatrix.random(ctx8, 3, 4, rng)
@@ -763,6 +822,8 @@ def test_circulant_grid_left_mul_matches_dense(m, nb, k, n, dim):
         vals = RankVector.random(ctx, nb * k, rng).values
         got = G.left_mul_values(vals)
         assert got == D.left_mul_values(vals) == pk.lincomb(vals, rows)
+        assert got == lincomb_per_term(rl._packed(ctx, D.ncols), vals,
+                                       [pack_shift_loop(pk, row) for row in D.rows])
     assert G.left_mul_values([0] * (nb * k)) == [0] * (nb * n)
     parts = G._parts
     G.left_mul_values(vals)
