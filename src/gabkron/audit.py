@@ -7,13 +7,17 @@ systematic-form criterion and its demonstration on the original key
 pipeline, and randomized suites for the structural lemmas.  Everything
 checks against a frozen table of expected values; a mismatch is a
 mismatch of the implementation, not of the table.
+
+The dense product-code helpers (kron, product_generator and its factors,
+subcode_membership) live here: only the audit and the tests expand a
+product code, and the ciphers never build its generator G.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .gf2m import FieldCtx
+from .gf2m import ContextMismatchError, FieldCtx
 from .gabcodes import GabidulinCode, KroneckerCode
 from .params import REGISTRY, ParamSet, setup
 from .ranklinalg import (
@@ -27,7 +31,6 @@ from .ranklinalg import (
     circulant_inverse,
     cyc_inv,
     is_circulant,
-    is_circulant_block,
     is_partial_circulant_block,
     partial_circulant,
 )
@@ -180,25 +183,6 @@ def systematic_via_circulant(M: RankMatrix) -> CirculantSystematicResult:
     return CirculantSystematicResult(True, S=S)
 
 
-def brute_force_circulant_scrambler(M: RankMatrix):
-    """Enumerate every circulant S over the field; feasible for k, m <= 3.
-
-    Returns an invertible circulant S with S*M systematic, or None.
-    """
-    ctx = M.ctx
-    k = M.nrows
-    if ctx.m * k > 16:
-        raise ValueError("brute force limited to q^(m*k) <= 65536")
-    ident = RankMatrix.identity(ctx, k)
-    for idx in range(1, 1 << (ctx.m * k)):
-        vec = [(idx >> (ctx.m * i)) & ctx.mask for i in range(k)]
-        S = circulant(RankVector(ctx, vec))
-        prod = S.mul(M)
-        if prod.submatrix(0, 0, k, k) == ident:
-            return S
-    return None
-
-
 @dataclass
 class FlawReport:
     trials: int
@@ -223,7 +207,7 @@ def _original_pipeline_matrix(p: ParamSet, rng, ctx) -> RankMatrix:
         if G1.rank() != p.k1:
             continue
         G2 = RankMatrix.random_full_rank(ctx, p.k2, p.n2, rng)
-        G = G1.kron(G2)
+        G = kron(G1, G2)
         xw = construct_X(p, (), rng, ctx)
         basis = sample_subspace_basis(ctx, p.lam, rng)
         spec = SubspaceSpec(basis=basis, selections={})
@@ -233,7 +217,8 @@ def _original_pipeline_matrix(p: ParamSet, rng, ctx) -> RankMatrix:
             Pinv = circulant_inverse(P)
         except SingularMatrixError:
             continue
-        M0 = G.add(xw.X.dense()).mul(Pinv)
+        GX = [[a ^ b for a, b in zip(g, x)] for g, x in zip(G.rows, xw.X.dense().rows)]
+        M0 = RankMatrix(ctx, GX).mul(Pinv)
         if M0.submatrix(0, 0, p.k, p.k).rank() < p.k:
             continue
         return M0
@@ -278,14 +263,45 @@ class LemmaReport:
         }
 
 
+def kron(A: RankMatrix, B: RankMatrix) -> RankMatrix:
+    """Kronecker product: block (i, j) is A[i][j] times B."""
+    if A.ctx != B.ctx:
+        raise ContextMismatchError("matrices from different field contexts")
+    mul = A.ctx.mul
+    return RankMatrix(A.ctx, [[mul(a, b) for a in arow for b in brow]
+                              for arow in A.rows for brow in B.rows])
+
+
+def product_generator(K: KroneckerCode) -> RankMatrix:
+    """The dense k x n generator G = G1 (x) C2.generator of K."""
+    return kron(K.G1, K.C2.generator)
+
+
 def left_factor(K: KroneckerCode) -> RankMatrix:
-    """Gbar1 = G1 (x) I_k2, the left factor of K.G = Gbar1 Gbar2."""
-    return K.G1.kron(RankMatrix.identity(K.ctx, K.k2))
+    """Gbar1 = G1 (x) I_k2, the left factor of G = Gbar1 Gbar2."""
+    return kron(K.G1, RankMatrix.identity(K.ctx, K.k2))
 
 
 def right_factor(K: KroneckerCode) -> RankMatrix:
     """Gbar2 = I_n1 (x) C2.generator, the block-diagonal right factor."""
-    return RankMatrix.identity(K.ctx, K.n1).kron(K.C2.generator)
+    return kron(RankMatrix.identity(K.ctx, K.n1), K.C2.generator)
+
+
+def subcode_membership(K: KroneckerCode, vals) -> bool:
+    """True iff every block of the word vals is a codeword of K's inner code."""
+    n2 = K.n2
+    return not any(any(K.C2.syndromes(vals[j * n2 : (j + 1) * n2])) for j in range(K.n1))
+
+
+def is_circulant_block(M: RankMatrix, n1: int, n2: int) -> bool:
+    """True iff M is an n1 x n1 grid of circulant n2 x n2 blocks."""
+    if M.nrows != n1 * n2 or M.ncols != n1 * n2:
+        return False
+    return all(
+        is_circulant(M.submatrix(i * n2, j * n2, n2, n2))
+        for i in range(n1)
+        for j in range(n1)
+    )
 
 
 def _random_invertible_circulant(ctx, n, rng):
@@ -321,7 +337,7 @@ def _lemma_trials(rng):
         G1 = RankMatrix.random_full_rank(ctx6, 2, 2, rng)
         K = KroneckerCode(G1, GabidulinCode(_random_full_weight(ctx6, 6, rng), 2))
         Gbar1 = left_factor(K)
-        return Gbar1.rank() == K.k and K.G == Gbar1.mul(right_factor(K))
+        return Gbar1.rank() == K.k and product_generator(K) == Gbar1.mul(right_factor(K))
 
     def block_inverse():
         while True:
@@ -350,7 +366,9 @@ def _lemma_trials(rng):
     yield "factor-rank", factor_rank
     g = _random_full_weight(ctx6, 6, rng)
     K = KroneckerCode(RankMatrix.random_full_rank(ctx6, 2, 2, rng), GabidulinCode(g, 2))
-    yield "subcode", lambda: K.subcode_membership(K.encode(RankVector.random(ctx6, K.k, rng)))
+    G = product_generator(K)
+    yield "subcode", lambda: subcode_membership(
+        K, G.left_mul_values(RankVector.random(ctx6, K.k, rng).values))
     yield "block-inverse", block_inverse
     yield "partial-product", lambda: product(1, 2, 6)
     yield "block-product", lambda: product(2, 2, 3)

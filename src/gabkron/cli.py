@@ -13,6 +13,7 @@ import json
 import sys
 
 from . import audit, keyio, scheme
+from .gabcodes import DecodeFailure
 from .params import ParameterError, setup
 from .prng import SeededRng, SystemRng
 
@@ -131,12 +132,12 @@ def cmd_decrypt(args) -> int:
     except (keyio.FormatError, ValueError) as exc:
         print(f"error: bad input file: {exc}", file=sys.stderr)
         return EXIT_IO
-    if ct.params != sk.params:
-        print("error: ciphertext and key parameter sets differ", file=sys.stderr)
-        return EXIT_IO
     try:
         m = scheme.decrypt(ct, sk, sk.params)
-    except scheme.DecryptFailure as exc:
+    except ValueError as exc:  # a parameter set that is not the key's
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except DecodeFailure as exc:
         print(
             f"error: decryption failed (blocks {exc.failed_blocks}): {exc}",
             file=sys.stderr,

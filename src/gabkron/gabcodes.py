@@ -326,24 +326,6 @@ class GabidulinCode:
             return None
         return field_vec_times_bitmatrix(self.ctx, E, BitMatrix(w, self.n, sols))
 
-    def decode_bruteforce(self, y):
-        """Exhaustive nearest-codeword search; the referee for tiny codes."""
-        ctx = self.ctx
-        y_vals = checked_values(ctx, y, self.n, "received")
-        best = None
-        total = 1 << (ctx.m * self.k)
-        for idx in range(total):
-            u = [(idx >> (ctx.m * i)) & ctx.mask for i in range(self.k)]
-            c = self.encode(u)
-            d = RankVector(ctx, [a ^ b for a, b in zip(y_vals, c.values)])
-            w = d.rank_weight()
-            if best is None or w < best[0]:
-                best = (w, RankVector(ctx, u), d)
-        w, u, e = best
-        if w > self.radius:
-            raise DecodeFailure("no codeword within the radius (exhaustive)")
-        return u, e
-
 
 class _NormalOrbitCode(GabidulinCode):
     """Gab_k(gamma) of full length n = m with gamma_j = alpha^[j-k], alpha normal.
@@ -520,8 +502,10 @@ class KroneckerCode:
     """[n1*n2, k1*k2] product code of an outer matrix with a Gabidulin code.
 
     The inner code presents itself: block messages are written in
-    C2.generator, so the product generator is G1 (x) C2.generator.  The
-    inner decoder state is built on the first block decode.
+    C2.generator, so the product generator is G1 (x) C2.generator, which
+    only the audit expands (audit.product_generator).  The code holds what
+    decryption uses; the inner decoder state is built on the first block
+    decode.
     """
 
     def __init__(self, G1: RankMatrix, C2: GabidulinCode):
@@ -537,23 +521,6 @@ class KroneckerCode:
         self.n = self.n1 * self.n2
         # raises SingularMatrixError unless G1 has full row rank
         self.I = information_set(G1)
-
-    @cached_property
-    def G(self) -> RankMatrix:
-        """The dense k x n generator G1 (x) C2.generator, built on first use only."""
-        return self.G1.kron(self.C2.generator)
-
-    def encode(self, m_vals) -> RankVector:
-        vals = checked_values(self.ctx, m_vals, self.k, "message")
-        return RankVector(self.ctx, self.G.left_mul_values(vals))
-
-    def subcode_membership(self, c) -> bool:
-        """True iff every block of c is a codeword of the inner code."""
-        vals = checked_values(self.ctx, c, self.n, "word")
-        n2 = self.n2
-        return not any(
-            any(self.C2.syndromes(vals[j * n2 : (j + 1) * n2])) for j in range(self.n1)
-        )
 
     def block_decode(self, y):
         """Blockwise decoding through the inner code over an information set.

@@ -10,7 +10,7 @@ table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class ParameterError(ValueError):
@@ -37,7 +37,7 @@ class ParamSet:
     t2: int
     lam: int
     lam_p: int | None = None
-    name: str = ""
+    name: str = field(default="", compare=False)  # a label; files do not store it
     security: int = 0
 
 

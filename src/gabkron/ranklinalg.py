@@ -41,7 +41,8 @@ of such blocks, a single circulant included (a 1 x 1 grid), is held as a
 CirculantGrid of block generators; products and inverses of grids run in
 the ring, a vector times a grid runs on the GF(2) decomposition of its
 generators (CirculantGrid.left_mul_values), and the dense matrix is built
-only as a test oracle (CirculantGrid.dense).  Ring elements live in
+only as an oracle for the tests and the audit (CirculantGrid.dense, with
+RankMatrix.from_blocks, identity and invert).  Ring elements live in
 packed rows, slot i holding the coefficient of z^i, so cyc_mul and cyc_inv
 use the same window/fold kernel as the matrices.
 
@@ -567,14 +568,6 @@ class BitMatrix:
             out.append(((r << 1) | (r >> (n - 1))) & ((1 << n) - 1))
         return BitMatrix(self.nrows, n, out)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, BitMatrix)
-            and self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
-
     def __repr__(self):
         return f"BitMatrix({self.nrows}x{self.ncols})"
 
@@ -631,19 +624,6 @@ class RankVector:
     def __repr__(self):
         return f"RankVector(n={len(self.values)}, GF(2^{self.ctx.m}))"
 
-    def _same_ctx(self, other):
-        if self.ctx != other.ctx:
-            raise ContextMismatchError("vectors from different field contexts")
-
-    def add(self, other: "RankVector") -> "RankVector":
-        self._same_ctx(other)
-        if len(self) != len(other):
-            raise ValueError("length mismatch")
-        return RankVector(self.ctx, [a ^ b for a, b in zip(self.values, other.values)])
-
-    __add__ = add
-    __sub__ = add
-
     def rank_weight(self) -> int:
         """rk_q: GF(2)-rank of the base-field expansion."""
         return _bit_rank(self.values)
@@ -681,10 +661,6 @@ class RankMatrix:
                 raise ValueError("ragged rows")
 
     @classmethod
-    def zero(cls, ctx, r, c):
-        return cls(ctx, [[0] * c for _ in range(r)])
-
-    @classmethod
     def identity(cls, ctx, n):
         return cls(ctx, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -716,26 +692,6 @@ class RankMatrix:
 
     def column(self, j):
         return [r[j] for r in self.rows]
-
-    def add(self, other: "RankMatrix") -> "RankMatrix":
-        self._same_ctx(other)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return RankMatrix(
-            self.ctx,
-            [[a ^ b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-        )
-
-    __add__ = add
-    __sub__ = add
-
-    def kron(self, other: "RankMatrix") -> "RankMatrix":
-        """Kronecker product: block (i, j) is self[i][j] times other."""
-        self._same_ctx(other)
-        mul = self.ctx.mul
-        rows = [[mul(a, b) for a in arow for b in brow]
-                for arow in self.rows for brow in other.rows]
-        return RankMatrix(self.ctx, rows)
 
     def submatrix(self, i0, j0, r, c) -> "RankMatrix":
         return RankMatrix(self.ctx, [row[j0 : j0 + c] for row in self.rows[i0 : i0 + r]])
@@ -784,21 +740,14 @@ class RankMatrix:
 
     # -- elimination --------------------------------------------------------
 
-    def rref(self):
-        """Reduced row echelon form; returns (matrix, pivot column tuple)."""
-        pk = _packed(self.ctx, self.ncols)
-        rows = [pk.pack(r) for r in self.rows]
-        pivots = _rref_packed(self.ctx, rows, self.ncols)
-        return RankMatrix(self.ctx, [pk.unpack(r) for r in rows]), tuple(pivots)
-
     def rank(self) -> int:
-        """Rank by forward elimination only; rref has the same pivots."""
+        """Rank by forward elimination only."""
         pk = _packed(self.ctx, self.ncols)
         return len(_echelon_packed(self.ctx, [pk.pack(r) for r in self.rows], self.ncols))
 
     def invert(self) -> "RankMatrix":
         """The dense inverse; the tests' referee for LeftSolver, which every
-        program path uses instead."""
+        program path uses instead.  perfbench/tracer.py wraps it by name."""
         if self.nrows != self.ncols:
             raise SingularMatrixError("only square matrices invert")
         n = self.nrows
@@ -816,6 +765,7 @@ class RankMatrix:
             )
         inv_rows = [pk.unpack(r)[n:] for r in rows[:n]]
         return RankMatrix(self.ctx, inv_rows)
+
 
 def column_rank_q(M: RankMatrix) -> int:
     """colrk_q: GF(2)-dimension of the span of the columns of M."""
@@ -876,16 +826,6 @@ def is_circulant(M: RankMatrix) -> bool:
 def reflect(v):
     """(v_0, v_{n-1}, ..., v_1): row 0 of Cir(v), and v again from that row."""
     return v[:1] + v[:0:-1]
-
-
-def is_circulant_block(M: RankMatrix, n1: int, n2: int) -> bool:
-    if M.nrows != n1 * n2 or M.ncols != n1 * n2:
-        return False
-    return all(
-        is_circulant(M.submatrix(i * n2, j * n2, n2, n2))
-        for i in range(n1)
-        for j in range(n1)
-    )
 
 
 def is_partial_circulant_block(M: RankMatrix, k1: int, n1: int, k2: int, n2: int) -> bool:

@@ -61,7 +61,9 @@ the tests check them.
 
 encrypt and decrypt take messages and ciphertext values as a RankVector
 or a list of ints, and check the length and every entry once, on entry
-(ranklinalg.checked_values).
+(ranklinalg.checked_values).  They refuse a parameter set, passed or on
+the ciphertext, that is not the key's: the error rank t and the shapes
+come from it.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .gf2m import FieldCtx, _bit_rank
-from .gabcodes import DecodeFailure, KroneckerCode, from_normal_orbit, from_orbit
+from .gabcodes import KroneckerCode, from_normal_orbit, from_orbit
 from .params import ParamSet
 from .ranklinalg import (
     BitMatrix,
@@ -92,14 +94,6 @@ from .ranklinalg import (
 
 class GenerationError(RuntimeError):
     """A randomized construction exhausted its retry budget."""
-
-
-class DecryptFailure(Exception):
-    """Decryption could not recover the message; lists undecodable blocks."""
-
-    def __init__(self, message, failed_blocks=None):
-        super().__init__(message)
-        self.failed_blocks = failed_blocks or []
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +335,7 @@ class _Decrypter:
         return LeftSolver(self.S)
 
     def decrypt(self, c_vals):
-        try:
-            mu = self.code.block_decode(self.P.left_mul_values(c_vals))
-        except DecodeFailure as exc:
-            raise DecryptFailure(str(exc), failed_blocks=exc.failed_blocks) from exc
+        mu = self.code.block_decode(self.P.left_mul_values(c_vals))
         if self.S is None:
             return mu
         return RankVector(mu.ctx, self._S_solver.solve(mu.values))
@@ -435,7 +426,12 @@ def _repaired_m0_rows(code: KroneckerCode, X: CirculantGrid, Pinv: CirculantGrid
 
 
 def encrypt(message, pk: PublicKey, p: ParamSet, rng) -> Ciphertext:
-    """c = m G_pub + e with rk(e) = t; the repaired m [I_k | N] is m || m N."""
+    """c = m G_pub + e with rk(e) = t; the repaired m [I_k | N] is m || m N.
+
+    Raises ValueError unless p is the key's parameter set (its name aside).
+    """
+    if p != pk.params:
+        raise ValueError("parameter set differs from the public key's")
     ctx = pk.matrix.ctx
     vals = checked_values(ctx, message, p.k, "message")
     pko, prows = pk.matrix.packed_rows()
@@ -447,6 +443,15 @@ def encrypt(message, pk: PublicKey, p: ParamSet, rng) -> Ciphertext:
 
 
 def decrypt(ct: Ciphertext, sk, p: ParamSet) -> RankVector:
-    """Invert the disguise and block-decode; raises DecryptFailure."""
+    """Invert the disguise and block-decode.
+
+    Raises ValueError unless p and the ciphertext's set are the key's
+    parameter set (names aside), and gabcodes.DecodeFailure, with the
+    failed blocks, when no message is recovered.
+    """
+    if p != sk.params:
+        raise ValueError("parameter set differs from the secret key's")
+    if ct.params != sk.params:
+        raise ValueError("ciphertext and key parameter sets differ")
     vals = checked_values(sk.G1.ctx, ct.values, p.n, "ciphertext")
     return sk.decrypter().decrypt(vals)

@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-from gabkron import ranklinalg as rl, scheme as sc
+from gabkron import audit, ranklinalg as rl, scheme as sc
+from gabkron.gabcodes import DecodeFailure
 from gabkron.gf2m import FieldCtx, _bit_rank
 from gabkron.params import setup
 from gabkron.prng import SeededRng
@@ -14,6 +15,7 @@ from gabkron.ranklinalg import (
     CirculantGrid,
     RankMatrix,
     RankVector,
+    circulant,
     circulant_block_invert,
 )
 
@@ -47,6 +49,77 @@ def vec_mat(u, M):
     if len(u) != M.nrows:
         raise ValueError("dimension mismatch")
     return RankVector(M.ctx, M.left_mul_values(u.values))
+
+
+def vec_add(u, v):
+    """The entrywise sum of two RankVectors of one length and field."""
+    assert u.ctx == v.ctx and len(u) == len(v)
+    return RankVector(u.ctx, [a ^ b for a, b in zip(u.values, v.values)])
+
+
+def zero_matrix(ctx, r, c):
+    return RankMatrix(ctx, [[0] * c for _ in range(r)])
+
+
+# The dense referees of the product code and the disguise: the k x n
+# generator G = G1 (x) C2.generator that decryption never builds, and G + X.
+
+
+def product_encode(K, u):
+    """u·G for the dense generator G of the KroneckerCode K."""
+    return vec_mat(u, audit.product_generator(K))
+
+
+def dense_g_plus_x(kp):
+    """G + X of a key pair, both dense, as the paper defines them."""
+    G, X = audit.product_generator(kp.code), kp.x_witness.X.dense()
+    return RankMatrix(G.ctx, [[a ^ b for a, b in zip(g, x)] for g, x in zip(G.rows, X.rows)])
+
+
+# Exhaustive referees for tiny fields.
+
+
+def decode_bruteforce(code, y):
+    """Nearest codeword of a GabidulinCode by exhaustive search: (u, e) as
+    RankVectors, or DecodeFailure past the radius."""
+    ctx = code.ctx
+    y_vals = rl.checked_values(ctx, y, code.n, "received")
+    best = None
+    for idx in range(1 << (ctx.m * code.k)):
+        u = [(idx >> (ctx.m * i)) & ctx.mask for i in range(code.k)]
+        d = RankVector(ctx, [a ^ b for a, b in zip(y_vals, code.encode(u).values)])
+        w = d.rank_weight()
+        if best is None or w < best[0]:
+            best = (w, RankVector(ctx, u), d)
+    w, u, e = best
+    if w > code.radius:
+        raise DecodeFailure("no codeword within the radius (exhaustive)")
+    return u, e
+
+
+def brute_force_circulant_scrambler(M):
+    """An invertible circulant S with S·M systematic, found by enumerating
+    every circulant over the field, or None; for q^(m k) <= 65536."""
+    ctx = M.ctx
+    k = M.nrows
+    if ctx.m * k > 16:
+        raise ValueError("brute force limited to q^(m*k) <= 65536")
+    ident = RankMatrix.identity(ctx, k)
+    for idx in range(1, 1 << (ctx.m * k)):
+        vec = [(idx >> (ctx.m * i)) & ctx.mask for i in range(k)]
+        S = circulant(RankVector(ctx, vec))
+        if S.mul(M).submatrix(0, 0, k, k) == ident:
+            return S
+    return None
+
+
+def rref(M):
+    """Reduced row echelon form of a RankMatrix by the packed kernel;
+    returns (matrix, pivot column tuple)."""
+    pk = rl._packed(M.ctx, M.ncols)
+    rows = [pk.pack(r) for r in M.rows]
+    pivots = rl._rref_packed(M.ctx, rows, M.ncols)
+    return RankMatrix(M.ctx, [pk.unpack(r) for r in rows]), tuple(pivots)
 
 
 # The referees of the packed-row kernel: the shift loops that _Packed.pack
@@ -221,7 +294,7 @@ def inconsistent_secret_key(sk, part):
     """sk with one part of its secret tuple replaced by a degenerate one."""
     ctx = sk.G1.ctx
     if part == "S":  # singular scrambler
-        return dataclasses.replace(sk, S=RankMatrix.zero(ctx, sk.S.nrows, sk.S.ncols))
+        return dataclasses.replace(sk, S=zero_matrix(ctx, sk.S.nrows, sk.S.ncols))
     if part == "g2":  # rank weight 1, not a Gabidulin generator
         return dataclasses.replace(sk, g2=RankVector(ctx, [1] * len(sk.g2)))
     if part == "g2-orbit":  # two entries swapped: full rank weight, but no orbit
@@ -231,7 +304,7 @@ def inconsistent_secret_key(sk, part):
         gens = [[[0] * len(a) for a in row] for row in sk.P.gens]
         return dataclasses.replace(sk, P=CirculantGrid(ctx, gens, sk.P.k))
     if part == "G1":  # rank-deficient outer matrix
-        return dataclasses.replace(sk, G1=RankMatrix.zero(ctx, sk.G1.nrows, sk.G1.ncols))
+        return dataclasses.replace(sk, G1=zero_matrix(ctx, sk.G1.nrows, sk.G1.ncols))
     if part == "alpha":  # orbit of rank 1, not a normal element
         return dataclasses.replace(sk, alpha=1)
     raise ValueError(part)

@@ -11,7 +11,7 @@ from gabkron.ranklinalg import (
     is_circulant,
 )
 
-from conftest import fresh_rng
+from conftest import brute_force_circulant_scrambler, fresh_rng, zero_matrix
 
 
 def test_key_sizes_original_claimed():
@@ -120,7 +120,7 @@ def test_systematic_via_circulant_rejects_non_circulant(ctx4):
 
 
 def test_systematic_via_circulant_singular_lead(ctx4):
-    Z = RankMatrix.zero(ctx4, 2, 4)
+    Z = zero_matrix(ctx4, 2, 4)
     res = audit.systematic_via_circulant(Z)
     assert not res.found
     assert "singular" in res.reason
@@ -139,7 +139,7 @@ def test_brute_force_agreement(m, k):
             B = RankMatrix.random(ctx, k, 1, rng)
             M = RankMatrix(ctx, [cr + br for cr, br in zip(C.rows, B.rows)])
         fast = audit.systematic_via_circulant(M)
-        slow = audit.brute_force_circulant_scrambler(M)
+        slow = brute_force_circulant_scrambler(M)
         assert fast.found == (slow is not None)
         if fast.found:
             assert fast.S.mul(M).submatrix(0, 0, k, k) == RankMatrix.identity(ctx, k)

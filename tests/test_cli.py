@@ -6,8 +6,10 @@ import pytest
 
 from gabkron import keyio, scheme
 from gabkron.cli import main
+from gabkron.gf2m import FieldCtx
 from gabkron.params import setup
 from gabkron.prng import SeededRng
+from gabkron.ranklinalg import RankVector
 
 from conftest import inconsistent_secret_key
 
@@ -257,6 +259,48 @@ def test_mismatched_secret_key(keydir, tmp_path):
         assert (tmp_path / "o").read_bytes() != msg
     else:
         assert rc == 3
+
+
+def test_ciphertext_of_another_set_is_refused(keydir, tmp_path, capsys):
+    # a ciphertext whose header claims t = 1 under the key's set, and one of
+    # another set: scheme.decrypt refuses both, which the CLI reports as 4
+    (tmp_path / "m").write_bytes(b"weak")
+    assert main([
+        "encrypt", "--pk", str(keydir / "pk.bin"),
+        "--in", str(tmp_path / "m"), "--out", str(tmp_path / "c"), "--seed", SEED,
+    ]) == 0
+    weak = bytearray((tmp_path / "c").read_bytes())
+    weak[6 + 4 * 7 : 10 + 4 * 7] = (1).to_bytes(4, "big")  # header field t
+    p = setup(variant="improved", m=12, n1=2, k1=2, n2=12, k2=4,
+              t=1, t1=1, lam=3, lam_p=2)
+    kp = scheme.keygen(p, SeededRng(b"cli-other-set"))
+    other = scheme.encrypt([0] * p.k, kp.pk, p, SeededRng(b"cli-other-set-enc"))
+    for blob in (bytes(weak), keyio.serialize_ciphertext(other)):
+        (tmp_path / "ct").write_bytes(blob)
+        rc = main([
+            "decrypt", "--sk", str(keydir / "sk.bin"),
+            "--in", str(tmp_path / "ct"), "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 4
+        assert capsys.readouterr().err == "error: ciphertext and key parameter sets differ\n"
+        assert not (tmp_path / "o").exists()
+
+
+def test_undecodable_ciphertext_names_its_failed_blocks(keydir, tmp_path, capsys):
+    # a body of random elements lies past t2 in both blocks: exit 3, and the
+    # message lists the failed blocks
+    p = setup(SET)
+    noise = RankVector.random(FieldCtx(p.m), p.n, SeededRng(b"cli-noise"))
+    (tmp_path / "c").write_bytes(keyio.serialize_ciphertext(scheme.Ciphertext(p, noise)))
+    rc = main([
+        "decrypt", "--sk", str(keydir / "sk.bin"),
+        "--in", str(tmp_path / "c"), "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "error: decryption failed (blocks [0, 1]): no information set of decoded "
+        "blocks agrees with the others (failed blocks: [0, 1])\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_audit_all_passes(capsys):

@@ -34,6 +34,7 @@ from gabkron.prng import SeededRng
 from gabkron.ranklinalg import RankVector, _packed, circulant_block_invert
 
 from conftest import (
+    dense_g_plus_x,
     error_coordinates_echelon,
     lincomb_per_term,
     located_error,
@@ -88,7 +89,7 @@ def test_repaired_m0_full_scale(name):
     pk, rows = sc._repaired_m0_rows(kp.code, kp.x_witness.X, Pinv)
     orbit_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    M0 = kp.code.G.add(kp.x_witness.X.dense()).mul(Pinv.dense())
+    M0 = dense_g_plus_x(kp).mul(Pinv.dense())
     dense_s = time.perf_counter() - t0
     assert [pk.unpack(row) for row in rows] == M0.rows
     print(f"\n{name}: M0 {orbit_s:.2f} s from alpha's orbit, {dense_s:.1f} s by the dense product")

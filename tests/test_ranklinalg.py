@@ -5,7 +5,7 @@ import operator
 import pytest
 
 from gabkron.gf2m import BitSpan, ContextMismatchError, FieldCtx, _bit_rank
-from gabkron import ranklinalg as rl
+from gabkron import audit, ranklinalg as rl
 from gabkron.ranklinalg import (
     BitMatrix,
     RankMatrix,
@@ -20,8 +20,10 @@ from conftest import (
     lincomb_per_term,
     pack_shift_loop,
     products_per_term,
+    rref,
     solve_gf2,
     unpack_shift_loop,
+    zero_matrix,
 )
 
 
@@ -54,7 +56,7 @@ def test_rank_weight_examples(ctx4):
 
 
 def test_column_rank_examples(ctx4):
-    assert rl.column_rank_q(RankMatrix.zero(ctx4, 2, 3)) == 0
+    assert rl.column_rank_q(zero_matrix(ctx4, 2, 3)) == 0
     repeated = RankMatrix(ctx4, [[9, 9, 9], [3, 3, 3]])
     assert rl.column_rank_q(repeated) == 1
 
@@ -153,8 +155,8 @@ def test_left_solver_rejects_singular_with_rank(ctx8, rank):
     rng = fresh_rng(b"left-solver-singular-%d" % rank)
     k = 5
     while True:
-        B = RankMatrix.random(ctx8, k, rank, rng) if rank else RankMatrix.zero(ctx8, k, 1)
-        C = RankMatrix.random(ctx8, rank, k, rng) if rank else RankMatrix.zero(ctx8, 1, k)
+        B = RankMatrix.random(ctx8, k, rank, rng) if rank else zero_matrix(ctx8, k, 1)
+        C = RankMatrix.random(ctx8, rank, k, rng) if rank else zero_matrix(ctx8, 1, k)
         A = B.mul(C)  # rank at most `rank`
         if A.rank() == rank:
             break
@@ -215,7 +217,7 @@ def forced_swap_matrix(ctx, k, s, rng):
 
 def low_rank_matrix(ctx, k, rank, rng):
     if rank == 0:
-        return RankMatrix.zero(ctx, k, k)
+        return zero_matrix(ctx, k, k)
     return RankMatrix.random(ctx, k, rank, rng).mul(RankMatrix.random(ctx, rank, k, rng))
 
 
@@ -264,7 +266,7 @@ def test_echelon_records_its_steps_without_changing_them(ctx8):
 
 def test_rref_pivots_and_rank(ctx4):
     M = RankMatrix(ctx4, [[0, 1, 2], [0, 2, 5]])
-    R, pivots = M.rref()
+    R, pivots = rref(M)
     assert pivots == (1, 2)
     assert M.rank() == 2
     # x * (0, 1, 2) = (0, 2, 4): a dependent pair has rank 1
@@ -609,7 +611,7 @@ def test_kron_against_entrywise(ctx8):
     rng = fresh_rng(b"kron")
     A = RankMatrix.random(ctx8, 2, 3, rng)
     B = RankMatrix.random(ctx8, 3, 4, rng)
-    K = A.kron(B)
+    K = audit.kron(A, B)
     assert (K.nrows, K.ncols) == (6, 12)
     for i, j, r, c in itertools.product(range(2), range(3), range(3), range(4)):
         assert K.rows[3 * i + r][4 * j + c] == ctx8.mul(A.rows[i][j], B.rows[r][c])
@@ -622,9 +624,7 @@ def test_context_mismatch_between_containers(ctx4):
     with pytest.raises(ContextMismatchError):
         A.mul(B)
     with pytest.raises(ContextMismatchError):
-        A.add(B)
-    with pytest.raises(ContextMismatchError):
-        A.kron(B)
+        audit.kron(A, B)
 
 
 # -- circulant structure ------------------------------------------------------
@@ -869,7 +869,7 @@ def test_circulant_block_invert_closure(ctx4):
         except SingularMatrixError:
             continue
         assert Ainv.k == 3
-        assert rl.is_circulant_block(Ainv.dense(), 2, 3)
+        assert audit.is_circulant_block(Ainv.dense(), 2, 3)
         assert A.dense().mul(Ainv.dense()) == RankMatrix.identity(ctx4, 6)
         done += 1
 

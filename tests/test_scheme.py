@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 
@@ -5,8 +6,8 @@ import pytest
 
 from gabkron.gf2m import BitSpan, FieldCtx, _bit_rank
 from gabkron import scheme as sc
-from gabkron import gabcodes, keyio, ranklinalg
-from gabkron.gabcodes import GabidulinCode, KroneckerCode
+from gabkron import audit, gabcodes, keyio, ranklinalg
+from gabkron.gabcodes import DecodeFailure, GabidulinCode
 from gabkron.params import setup
 from gabkron.prng import SeededRng
 from gabkron.ranklinalg import (
@@ -20,19 +21,25 @@ from gabkron.ranklinalg import (
     circulant_inverse,
     column_rank_q,
     is_circulant,
-    is_circulant_block,
     is_partial_circulant,
     is_partial_circulant_block,
     reflect,
 )
 from gabkron.scheme import (
-    DecryptFailure,
     SubspaceSpec,
     construct_X,
     sample_rank_error,
 )
 
-from conftest import fresh_rng, inconsistent_secret_key, systematic_form_against_rref, vec_mat
+from conftest import (
+    dense_g_plus_x,
+    fresh_rng,
+    inconsistent_secret_key,
+    systematic_form_against_rref,
+    vec_add,
+    vec_mat,
+    zero_matrix,
+)
 
 
 @pytest.fixture(scope="module")
@@ -181,7 +188,7 @@ def test_construct_x_zero_t1_edge():
     zeroed = type(p)(**{**p.__dict__, "t1": 0})
     ctx = FieldCtx(12)
     xw = construct_X(zeroed, (0, 1), fresh_rng(b"x0"), ctx)
-    assert xw.X.dense() == RankMatrix.zero(ctx, p.k, p.n)
+    assert xw.X.dense() == zero_matrix(ctx, p.k, p.n)
     assert xw.T == {}
 
 
@@ -206,9 +213,9 @@ def test_construct_p_improved_structure(toy_kp):
     p, kp = toy_kp
     P = kp.sk.P.dense()
     spec = kp.subspace
-    assert is_circulant_block(P, p.n1, p.n2)
+    assert audit.is_circulant_block(P, p.n1, p.n2)
     Pinv = circulant_block_invert(kp.sk.P).dense()
-    assert is_circulant_block(Pinv, p.n1, p.n2)
+    assert audit.is_circulant_block(Pinv, p.n1, p.n2)
     assert P.mul(Pinv) == RankMatrix.identity(P.ctx, p.n)
     for i in range(p.n1):
         elems = spec.span_for_block(i)
@@ -265,7 +272,7 @@ def test_key_equation(toy_kp):
     p, kp = toy_kp
     # the ring product against the dense one: G_pub P = G + X
     G_pub = kp.pk.matrix.dense()
-    assert G_pub.mul(kp.sk.P.dense()) == kp.code.G.add(kp.x_witness.X.dense())
+    assert G_pub.mul(kp.sk.P.dense()) == dense_g_plus_x(kp)
 
 
 def test_improved_pk_structure(toy_kp):
@@ -283,7 +290,7 @@ def test_repaired_pk_systematic(toy_rep_kp):
     p, kp = toy_rep_kp
     N = kp.pk.matrix
     assert (N.nrows, N.ncols) == (p.k, p.n - p.k)
-    M0 = kp.code.G.add(kp.x_witness.X.dense()).mul(circulant_inverse(kp.sk.P.dense()))
+    M0 = dense_g_plus_x(kp).mul(circulant_inverse(kp.sk.P.dense()))
     assert kp.sk.S.mul(M0) == systematic(N)
 
 
@@ -297,7 +304,7 @@ def test_repaired_encrypt_matches_dense_product(toy_rep_kp):
         m = RankVector.random(ctx, p.k, rng)
         ct = sc.encrypt(m, kp.pk, p, SeededRng(b"rep-encrypt-%d" % i))
         e = sample_rank_error(ctx, p.n, p.t, SeededRng(b"rep-encrypt-%d" % i))
-        assert ct.values == vec_mat(m, G_pub) + e
+        assert ct.values == vec_add(vec_mat(m, G_pub), e)
 
 
 def test_rank_budget_per_block(toy_kp):
@@ -310,7 +317,8 @@ def test_rank_budget_per_block(toy_kp):
         m = RankVector.random(ctx, p.k, rng)
         e = sample_rank_error(ctx, p.n, p.t, rng)
         for i in kp.code.I:
-            eff = vec_mat(m, x_column_block(p, X, i)).add(
+            eff = vec_add(
+                vec_mat(m, x_column_block(p, X, i)),
                 vec_mat(e, p_column_block(p, P, i))
             )
             assert eff.rank_weight() <= budget
@@ -364,6 +372,51 @@ def test_encrypt_length_check(toy_kp):
         sc.encrypt(RankVector.zero(ctx, p.k + 1), kp.pk, p, fresh_rng(b"len"))
 
 
+@pytest.fixture(scope="module")
+def new128_kp():
+    p = setup("new-gabkron-128")
+    return p, sc.keygen(p, SeededRng(b"new-128-keys"))
+
+
+def test_encrypt_refuses_another_parameter_set(new128_kp):
+    # the key's set but for t = 1 used to give a ciphertext of error rank 1
+    # whose header said t = 1, and which decrypted
+    p, kp = new128_kp
+    weak = dataclasses.replace(p, t=1)
+    rng = fresh_rng(b"weak-t")
+    m = RankVector.random(kp.pk.matrix.ctx, p.k, rng)
+    with pytest.raises(ValueError, match="parameter set differs from the public key's"):
+        sc.encrypt(m, kp.pk, weak, rng)
+    ct = sc.encrypt(m, kp.pk, p, rng)
+    with pytest.raises(ValueError, match="ciphertext and key parameter sets differ"):
+        sc.decrypt(sc.Ciphertext(weak, ct.values), kp.sk, p)
+    with pytest.raises(ValueError, match="parameter set differs from the secret key's"):
+        sc.decrypt(ct, kp.sk, weak)
+    assert sc.decrypt(ct, kp.sk, p) == m
+
+
+def test_decrypt_refuses_a_ciphertext_of_another_set(toy_kp, toy_rep_kp):
+    p, kp = toy_kp
+    q, kq = toy_rep_kp
+    rng = fresh_rng(b"other-set")
+    ct = sc.encrypt(RankVector.random(kq.pk.matrix.ctx, q.k, rng), kq.pk, q, rng)
+    with pytest.raises(ValueError, match="ciphertext and key parameter sets differ"):
+        sc.decrypt(ct, kp.sk, p)
+
+
+def test_parsed_keys_work_with_the_named_set(new128_kp):
+    # files do not store a set's name, so parsed keys hold an unnamed set;
+    # the name is a label, and sets that differ only there are equal
+    p, kp = new128_kp
+    pk = keyio.parse_public_key(keyio.serialize_public_key(kp.pk))
+    sk = keyio.parse_secret_key(keyio.serialize_secret_key(kp.sk))
+    assert (p.name, pk.params.name, sk.params.name) == ("new-gabkron-128", "", "")
+    rng = fresh_rng(b"parsed-named")
+    m = RankVector.random(pk.matrix.ctx, p.k, rng)
+    ct = sc.encrypt(m, pk, setup("new-gabkron-128"), rng)
+    assert sc.decrypt(ct, sk, setup("new-gabkron-128")) == m
+
+
 @pytest.mark.parametrize("bad", ["top", "huge"])
 def test_entries_outside_the_field_rejected(toy_kp, bad):
     # an entry of degree >= m used to spill into the next packed slot:
@@ -410,7 +463,7 @@ def test_encrypt_error_has_exact_rank(toy_kp):
     rng = fresh_rng(b"erank")
     m = RankVector.random(ctx, p.k, rng)
     ct = sc.encrypt(m, kp.pk, p, rng)
-    e = ct.values.add(vec_mat(m, kp.pk.matrix.dense()))
+    e = vec_add(ct.values, vec_mat(m, kp.pk.matrix.dense()))
     assert e.rank_weight() == p.t
 
 
@@ -437,11 +490,11 @@ def test_decrypt_oversized_error_may_fail_cleanly(toy_kp):
     for _ in range(30):
         m = RankVector.random(ctx, p.k, rng)
         big = sample_rank_error(ctx, p.n, p.t2 + 3, rng)
-        ct = sc.Ciphertext(p, vec_mat(m, G_pub) + big)
+        ct = sc.Ciphertext(p, vec_add(vec_mat(m, G_pub), big))
         try:
             got = sc.decrypt(ct, kp.sk, p)
             outcomes["ok" if got == m else "wrong"] += 1
-        except DecryptFailure:
+        except DecodeFailure:
             outcomes["fail"] += 1
     # out-of-contract input: any split is permitted, but most should fail
     assert outcomes["fail"] >= 15
@@ -522,7 +575,7 @@ def test_keygen_makes_no_inverse_or_dense_product(params, request, monkeypatch):
             return _orig(self, *args)
 
         monkeypatch.setattr(cls, name, recording)
-    monkeypatch.setattr(KroneckerCode, "G", property(lambda self: calls.append("G")))
+    monkeypatch.setattr(audit, "kron", lambda *args: calls.append("kron"))  # the dense G
     monkeypatch.setattr(gabcodes, "moore_matrix", lambda *args: calls.append("moore"))
     sc.keygen(p, SeededRng(b"no-dense-keygen"))
     assert calls == []
@@ -535,7 +588,7 @@ def test_repaired_m0_by_structure_matches_dense_product(params, request):
     kp = sc.keygen(p, SeededRng(b"m0-" + params.encode()))
     Pinv = circulant_block_invert(kp.sk.P)
     pk, rows = sc._repaired_m0_rows(kp.code, kp.x_witness.X, Pinv)
-    M0 = kp.code.G.add(kp.x_witness.X.dense()).mul(Pinv.dense())
+    M0 = dense_g_plus_x(kp).mul(Pinv.dense())
     assert [pk.unpack(row) for row in rows] == M0.rows
     assert kp.sk.S.mul(M0.submatrix(0, 0, p.k, p.k)) == RankMatrix.identity(M0.ctx, p.k)
 
