@@ -63,7 +63,6 @@ checked_values, which checks its length and every entry once.
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property
 
 from .gf2m import BitSpan, FieldCtx, _bit_rank, _window_mul_sum, _window_table
@@ -74,6 +73,7 @@ from .ranklinalg import (
     RankVector,
     SingularMatrixError,
     _packed,
+    _rref_packed,
     _solve_packed,
     checked_values,
     field_vec_times_bitmatrix,
@@ -505,7 +505,9 @@ class KroneckerCode:
     C2.generator, so the product generator is G1 (x) C2.generator, which
     only the audit expands (audit.product_generator).  The code holds what
     decryption uses; the inner decoder state is built on the first block
-    decode.
+    decode.  Decoding takes every block through the inner code and the outer
+    code through one reduced echelon form over the decoded blocks
+    (block_decode).
     """
 
     def __init__(self, G1: RankMatrix, C2: GabidulinCode):
@@ -523,48 +525,33 @@ class KroneckerCode:
         self.I = information_set(G1)
 
     def block_decode(self, y):
-        """Blockwise decoding through the inner code over an information set.
+        """Blockwise decoding: every inner block, then the outer code by one
+        elimination over the decoded blocks.
 
-        Decodes every block, then solves the outer code over the information
-        sets of decoded blocks in lexicographic order; the first is self.I
-        when its blocks decode.  A solved message is returned only if it
-        re-encodes to every decoded block outside its set, so a miscorrected
-        block makes its sets fail the check instead of yielding a wrong
-        message.
+        Decoded block j gives u_j = sum_l G1[l][j] M[l] for the k1 x k2
+        message M, so the rows [G1[0][j], ..., G1[k1-1][j] | u_j] of the
+        decoded blocks stack to [A | U] with A M = U.  Its reduced echelon
+        form has the pivots range(k1) exactly when A has full column rank
+        and one M fits every decoded block, and rows 0..k1-1 are then
+        [I | M].  Otherwise no information set of decoded blocks gives an M
+        that fits the others, so a miscorrected block raises DecodeFailure
+        instead of yielding a wrong message.
         """
-        y_vals = checked_values(self.ctx, y, self.n, "received")
-        C2 = self.C2
-        decoded: dict[int, list] = {}  # j -> message of block j w.r.t. C2.generator
-        failed = []
+        ctx, k1 = self.ctx, self.k1
+        y_vals = checked_values(ctx, y, self.n, "received")
+        pk = _packed(ctx, k1 + self.k2)
+        rows, failed = [], []
         for j in range(self.n1):
             try:
-                decoded[j], _ = C2._decode_values(y_vals[j * self.n2 : (j + 1) * self.n2])
+                u, _ = self.C2._decode_values(y_vals[j * self.n2 : (j + 1) * self.n2])
             except DecodeFailure:
                 failed.append(j)
-        for cand in itertools.combinations(decoded, self.k1):
-            try:
-                M = self._solve_outer(cand, decoded)
-            except SingularMatrixError:
                 continue
-            if all(
-                M.left_mul_values(self.G1.column(j)) == u
-                for j, u in decoded.items()
-                if j not in cand
-            ):
-                return RankVector(self.ctx, [v for row in M.rows for v in row])
+            rows.append(pk.pack([row[j] for row in self.G1.rows] + u))
+        if _rref_packed(ctx, rows, k1 + self.k2) == list(range(k1)):
+            return RankVector(ctx, [v for row in rows[:k1] for v in pk.unpack(row)[k1:]])
         raise DecodeFailure(
             f"no information set of decoded blocks agrees with the others "
             f"(failed blocks: {failed})",
             failed_blocks=failed,
         )
-
-    def _solve_outer(self, cols, decoded):
-        """The k1 x k2 matrix M with u_j = sum_l G1[l][j] M[l] over cols.
-
-        Raises SingularMatrixError when those columns of G1 are dependent.
-        """
-        solver = LeftSolver(RankMatrix(self.ctx, [[row[j] for j in cols] for row in self.G1.rows]))
-        # column c of M solves x·G1[:, cols] = (u_j[c] for j in cols)
-        sols = [solver.solve([decoded[j][c] for j in cols]) for c in range(self.k2)]
-        return RankMatrix(self.ctx, [list(row) for row in zip(*sols)])
-

@@ -19,7 +19,7 @@ locations all run on it.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 
 
 class ContextMismatchError(ValueError):
@@ -113,7 +113,7 @@ def smallest_irreducible(m: int) -> int:
     raise ValueError(f"no low-weight irreducible of degree {m}")
 
 
-@lru_cache(maxsize=None)
+@cache
 def modulus_for_degree(m: int) -> int:
     """Registry modulus for GF(2^m); searched and cached when not tabulated."""
     if m in MODULI:
@@ -122,27 +122,25 @@ def modulus_for_degree(m: int) -> int:
 
 
 _frob_rows_cache: dict = {}  # FieldCtx -> frobenius_power_rows tuple
-_sqr_tables_cache: dict = {}  # m -> _sqr_tables tuple
 
 
-def _sqr_tables(m: int, reduce) -> tuple:
+@cache
+def _sqr_tables(ctx: FieldCtx) -> tuple:
     """Table p of the reduced squares of every byte at byte position p.
 
     Squaring is GF(2)-linear, so sqr(a) is the XOR of one entry per byte of
     a.  Entry v of table p is built from entry v minus its top bit and the
-    reduced square of that bit, x^(2(8p+i)).  Built once per field.
+    reduced square of that bit, x^(2(8p+i)).  Built once per field: equal
+    contexts share the tables.
     """
-    tables = _sqr_tables_cache.get(m)
-    if tables is None:
-        tables = []
-        for pos in range(0, m, 8):
-            tab = [0]
-            for i in range(8):
-                sq = reduce(1 << 2 * (pos + i))
-                tab += [v ^ sq for v in tab]
-            tables.append(tab)
-        tables = _sqr_tables_cache[m] = tuple(tables)
-    return tables
+    tables = []
+    for pos in range(0, ctx.m, 8):
+        tab = [0]
+        for i in range(8):
+            sq = ctx.reduce(1 << 2 * (pos + i))
+            tab += [v ^ sq for v in tab]
+        tables.append(tab)
+    return tuple(tables)
 
 
 class FieldCtx:
@@ -161,7 +159,7 @@ class FieldCtx:
         # bit positions of x^m mod modulus, used to fold products
         red = modulus ^ (1 << m)
         self._red_shifts = tuple(i for i in range(m) if red >> i & 1)
-        self._sqr_tables = _sqr_tables(m, self.reduce)
+        self._sqr_tables = _sqr_tables(self)
         self._nbytes = len(self._sqr_tables)
 
     def __repr__(self):

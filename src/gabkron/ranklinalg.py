@@ -192,16 +192,10 @@ class _Packed:
         return ((p << (r * S)) | (p >> ((n - r) * S))) & keep
 
 
-_packed_cache: dict = {}
-
-
+@functools.cache
 def _packed(ctx: FieldCtx, nslots: int) -> _Packed:
-    key = (ctx, nslots)
-    ops = _packed_cache.get(key)
-    if ops is None:
-        ops = _Packed(ctx, nslots)
-        _packed_cache[key] = ops
-    return ops
+    """The packer of nslots slots, one per equal context and slot count."""
+    return _Packed(ctx, nslots)
 
 
 def _echelon_packed(ctx, rows, ncols, lu=None):
@@ -690,9 +684,6 @@ class RankMatrix:
         if self.ctx != other.ctx:
             raise ContextMismatchError("matrices from different field contexts")
 
-    def column(self, j):
-        return [r[j] for r in self.rows]
-
     def submatrix(self, i0, j0, r, c) -> "RankMatrix":
         return RankMatrix(self.ctx, [row[j0 : j0 + c] for row in self.rows[i0 : i0 + r]])
 
@@ -938,7 +929,8 @@ class CirculantGrid:
     Block (i, j) is Cir_k(gens[i][j]): the first k rows of the circulant of
     an n-vector, k the same for every block (k = n for circulant blocks).
     A grid keeps, once built, its packed rows (packed_rows) and the GF(2)
-    decomposition of each generator that left_mul_values reads.
+    decomposition of each generator that left_mul_values reads.  Raises
+    ValueError unless every generator entry is an element of ctx.
     """
 
     ctx: FieldCtx
@@ -946,6 +938,14 @@ class CirculantGrid:
     k: int
     _prows: tuple = field(default=None, init=False, repr=False, compare=False)
     _parts: list = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # a negative entry would never finish a window product, and one of
+        # degree >= m would spill into the next slot
+        for grow in self.gens:
+            for a in grow:
+                for v in a:
+                    self.ctx.check(v)
 
     def left_mul_values(self, vals):
         """vals (length rows of blocks times k) times the grid, as a list.

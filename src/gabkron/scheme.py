@@ -313,13 +313,15 @@ class _Decrypter:
     @classmethod
     def checked(cls, sk):
         """The decrypter of a key that keygen did not hand one.  Raises
-        ValueError unless, in order, P is invertible (a gcd), alpha normal or
-        g2 alpha's orbit of full rank weight, G1 of full rank, S invertible."""
+        ValueError unless, in order, P is invertible (a gcd), alpha a field
+        element and normal or g2 alpha's orbit of full rank weight, G1 of
+        full rank, S invertible.  P's entries were checked when its grid was
+        built."""
         p, ctx = sk.params, sk.G1.ctx
         if not sk.P.is_invertible():
             raise SingularMatrixError("P is singular")
         if isinstance(sk, ImprovedSecretKey):
-            orbit = ctx.is_normal(sk.alpha)
+            orbit = ctx.is_normal(ctx.check(sk.alpha))
             if orbit is None:
                 raise ValueError("alpha must be a normal element")
             return cls(KroneckerCode(sk.G1, from_normal_orbit(ctx, orbit, p.k2)), sk.P)

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import operator
 import time
 
@@ -15,6 +16,7 @@ from gabkron.ranklinalg import (
     CirculantGrid,
     RankMatrix,
     RankVector,
+    SingularMatrixError,
     circulant,
     circulant_block_invert,
 )
@@ -95,6 +97,36 @@ def decode_bruteforce(code, y):
     if w > code.radius:
         raise DecodeFailure("no codeword within the radius (exhaustive)")
     return u, e
+
+
+def block_decode_by_subsets(K, y):
+    """KroneckerCode.block_decode by a search over information sets: the
+    outer code is solved over each k1-subset of decoded blocks in
+    lexicographic order, and the first message that re-encodes to every
+    decoded block outside its subset is returned."""
+    ctx, G1 = K.ctx, K.G1.rows
+    y_vals = rl.checked_values(ctx, y, K.n, "received")
+    decoded, failed = {}, []  # j -> message of block j w.r.t. C2.generator
+    for j in range(K.n1):
+        try:
+            decoded[j], _ = K.C2._decode_values(y_vals[j * K.n2 : (j + 1) * K.n2])
+        except DecodeFailure:
+            failed.append(j)
+    for cand in itertools.combinations(decoded, K.k1):
+        # row c of A is column cand[c] of G1, so A M = (u_j for j in cand)
+        A = RankMatrix(ctx, [[row[j] for row in G1] for j in cand])
+        try:
+            M = A.invert().mul(RankMatrix(ctx, [decoded[j] for j in cand]))
+        except SingularMatrixError:
+            continue
+        if all(M.left_mul_values([row[j] for row in G1]) == u
+               for j, u in decoded.items() if j not in cand):
+            return RankVector(ctx, [v for row in M.rows for v in row])
+    raise DecodeFailure(
+        f"no information set of decoded blocks agrees with the others "
+        f"(failed blocks: {failed})",
+        failed_blocks=failed,
+    )
 
 
 def brute_force_circulant_scrambler(M):

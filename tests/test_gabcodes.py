@@ -13,6 +13,7 @@ from gabkron.ranklinalg import RankMatrix, RankVector, SingularMatrixError, part
 from gabkron.scheme import sample_rank_error
 
 from conftest import (
+    block_decode_by_subsets,
     decode_bruteforce,
     error_coordinates_echelon,
     expand_over_base,
@@ -933,3 +934,49 @@ def test_block_decode_rejects_miscorrected_block(ctx6):
         with pytest.raises(DecodeFailure) as exc:
             K.block_decode(y)
         assert exc.value.failed_blocks == []
+
+
+def decode_outcome(decode, K, y):
+    try:
+        return decode(K, y).values
+    except DecodeFailure as exc:
+        return str(exc), exc.failed_blocks
+
+
+@pytest.mark.parametrize("n1,k1,dependent", [
+    (2, 1, False), (2, 2, False), (3, 2, False), (4, 2, False), (4, 3, False),
+    (2, 1, True), (3, 2, True), (4, 2, True), (4, 3, True),
+])
+def test_block_decode_matches_subset_search(ctx6, n1, k1, dependent):
+    # one elimination over the decoded blocks against the search over their
+    # information sets, with blocks clean, past the radius or moved onto
+    # another inner codeword, and for a G1 with k1 dependent columns
+    rng = fresh_rng(b"kdiff-%d-%d-%d" % (n1, k1, dependent))
+    K = kron_fixture(ctx6, rng, n1=n1, k1=k1)
+    if dependent:
+        # column n1 - 1 becomes a multiple of column 0 (zero when k1 = 1),
+        # so the k1-subsets holding both are singular; G1 keeps full row rank
+        c = rng.nonzero_element(ctx6.m) if k1 > 1 else 0
+        rows = [row[:-1] + [ctx6.mul(c, row[0])] for row in K.G1.rows]
+        K = KroneckerCode(RankMatrix(ctx6, rows), K.C2)
+    t2 = K.C2.radius
+    outcomes = set()
+    for _ in range(60):
+        m = RankVector.random(ctx6, K.k, rng)
+        y = list(product_encode(K, m).values)
+        for j in range(n1):
+            kind = rng.randrange(4)
+            if kind < 2:  # within the radius
+                e = sample_rank_error(ctx6, K.n2, rng.randrange(t2 + 1), rng).values
+            elif kind == 2:  # past the radius
+                e = sample_rank_error(ctx6, K.n2, t2 + 1 + rng.randrange(K.n2 - t2), rng).values
+            else:  # another inner codeword, within the radius of it
+                wrong = K.C2.encode(RankVector.random(ctx6, K.k2, rng)).values
+                e = [a ^ b for a, b in
+                     zip(wrong, sample_rank_error(ctx6, K.n2, 1, rng).values)]
+            for i, v in enumerate(e):
+                y[j * K.n2 + i] ^= v
+        want = decode_outcome(block_decode_by_subsets, K, y)
+        assert decode_outcome(KroneckerCode.block_decode, K, y) == want
+        outcomes.add(isinstance(want, tuple))
+    assert outcomes == {False, True}

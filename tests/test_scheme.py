@@ -651,6 +651,63 @@ def test_in_memory_key_with_singular_p_raises(pair, request):
     assert issubclass(SingularMatrixError, ValueError)
 
 
+_OUT_OF_RANGE_P = """
+import dataclasses, sys
+from gabkron import scheme as sc
+from gabkron.params import setup
+from gabkron.prng import SeededRng
+from gabkron.ranklinalg import CirculantGrid
+if sys.argv[1] == "improved":
+    p = setup(variant="improved", m=12, n1=2, k1=2, n2=12, k2=4, t=1, t1=1, lam=3, lam_p=2)
+else:
+    p = setup(variant="repaired", m=24, n1=2, k1=2, n2=12, k2=4, t1=2, lam=2)
+kp = sc.keygen(p, SeededRng(b"out-of-range-p"))
+ct = sc.encrypt([0] * p.k, kp.pk, p, SeededRng(b"e"))
+gens = [[list(a) for a in row] for row in kp.sk.P.gens]
+gens[0][0][0] = -1 if sys.argv[2] == "negative" else gens[0][0][0] | 1 << p.m
+try:
+    sk = dataclasses.replace(kp.sk, P=CirculantGrid(kp.sk.P.ctx, gens, kp.sk.P.k))
+    sc.decrypt(ct, sk, p)
+except ValueError:
+    print("rejected")
+"""
+
+
+@pytest.mark.parametrize("variant", ["improved", "repaired"])
+@pytest.mark.parametrize("entry", ["negative", "top"])
+def test_in_memory_key_with_out_of_range_p_raises(variant, entry):
+    # a negative entry of P used to loop forever in the gcd that gates the
+    # decrypter, so the calls run in a child process that a timeout can stop;
+    # an entry of degree >= m ended in a DecodeFailure
+    proc = subprocess.run([sys.executable, "-c", _OUT_OF_RANGE_P, variant, entry],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["rejected"]
+
+
+def test_in_memory_key_with_out_of_range_alpha_raises(toy_kp):
+    # an alpha wider than the field's bytes used to raise OverflowError from
+    # FieldCtx.sqr
+    p, kp = toy_kp
+    rng = fresh_rng(b"alpha-range")
+    ct = sc.encrypt(RankVector.random(kp.pk.matrix.ctx, p.k, rng), kp.pk, p, rng)
+    sk = dataclasses.replace(kp.sk, alpha=kp.sk.alpha | 1 << 2 * p.m)
+    with pytest.raises(ValueError, match="degree >= m"):
+        sc.decrypt(ct, sk, p)
+
+
+def test_public_grid_with_a_negative_entry_raises(toy_kp):
+    # an improved public grid holding a negative entry used to encrypt
+    p, kp = toy_kp
+    grid = kp.pk.matrix
+    gens = [[list(a) for a in row] for row in grid.gens]
+    gens[0][0][0] = -1
+    rng = fresh_rng(b"negative-grid")
+    with pytest.raises(ValueError, match="degree >= m"):
+        pk = sc.PublicKey(p, CirculantGrid(grid.ctx, gens, grid.k))
+        sc.encrypt(RankVector.random(grid.ctx, p.k, rng), pk, p, rng)
+
+
 @pytest.mark.parametrize("params", ["toy_improved", "toy_repaired"])
 def test_keygen_hands_its_code_to_the_key(params, request, monkeypatch):
     # keygen and the first decrypt build the inner code once, and the key's
