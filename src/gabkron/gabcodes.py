@@ -55,7 +55,7 @@ decrypter's check squares once and hands to the builder:
   set of windows of that orbit,
   and h holds the coefficients of the subspace polynomial of n - 1
   consecutive Frobenius powers of alpha, built on packed rows with
-  2(n - 1) scal and O(n^2) table-driven squarings.
+  2(n - 1) scal and 2(n - 1) squarings of whole rows (sqr_all).
 
 The public methods take a RankVector or a list of ints and pass it through
 checked_values, which checks its length and every entry once.
@@ -104,7 +104,7 @@ def moore_matrix(g: RankVector, nrows: int) -> RankMatrix:
     ctx = g.ctx
     rows = [list(g.values)]
     for _ in range(nrows - 1):
-        rows.append([ctx.sqr(v) for v in rows[-1]])
+        rows.append(ctx.sqr_all(rows[-1]))
     return RankMatrix(ctx, rows)
 
 
@@ -153,7 +153,9 @@ class GabidulinCode:
         if n == k:
             return RankVector(ctx, [])
         lo = -(n - k - 1) % ctx.m
-        base = [ctx.frobenius(v, lo) for v in self.g.values]
+        base = self.g.values
+        for _ in range(lo):
+            base = ctx.sqr_all(base)
         A = moore_matrix(RankVector(ctx, base), n - 1)
         pk = _packed(ctx, n)
         # the leading n-1 columns form a square Moore matrix of independent
@@ -253,13 +255,13 @@ class GabidulinCode:
         key-equation row of the last syndrome index j.
         """
         ctx, t = self.ctx, self.radius
-        sqr = ctx.sqr
+        sqr_all = ctx.sqr_all
         pk = _packed(ctx, t + 1)
         # row j = (s_j, s_{j-1}^[1], ..., s_{j-t}^[t]); rows j >= t enter the system
         rows = []
         row = []
         for j, sj in enumerate(s):
-            row = [sj] + [sqr(v) for v in row[:t]]
+            row = [sj] + sqr_all(row[:t])
             if j >= t:
                 rows.append(pk.pack(row))
         _, gamma = _solve_packed(ctx, rows, t + 1)
@@ -286,7 +288,7 @@ class GabidulinCode:
             return None
         pk = _packed(ctx, 2 * w)
         S, mask = pk.S, ctx.mask
-        sqr, scal, fold = ctx.sqr, pk.scal, pk.fold
+        sqr_all, scal, fold = ctx.sqr_all, pk.scal, pk.fold
         # one packed row per stage: slot p holds E_p and slot 2u-1-j holds
         # s_j, u the unknowns left, so E_0 s_{j+1} lands one slot below s_j
         row = pk.pack(list(E) + s[:w][::-1])
@@ -299,7 +301,7 @@ class GabidulinCode:
             if u > 1:
                 # D_p in slot p, which is 0 at p = 0; s_j^2 + E_0 s_{j+1} one
                 # slot below s_j.  Drop E's slot 0 and s's top slot.
-                sq = [sqr(v) for v in vals]
+                sq = sqr_all(vals)
                 row = fold(pk.pack(sq[:u] + sq[u + 1 :]) ^ scal(row, vals[0]))
                 row = row >> S & (1 << (2 * u - 2) * S) - 1
         # back-substitution on the packed right-hand sides: one scal by each
@@ -393,13 +395,13 @@ class _NormalOrbitCode(GabidulinCode):
         # _Packed.sum_products's chunks, which would build them every step.
         inv0 = ctx.inv(gamma[0])
         tabs = [_window_table(ctx.mul(inv0, g)) for g in gamma[1:]]
-        reduce, sqr = ctx.reduce, ctx.sqr
+        reduce, sqr_all = ctx.reduce, ctx.sqr_all
         # prev[i] = E^_{l-1-i}^[i], i < t, from l = n - k on: to begin with,
         # the last key-equation row; squared once, it holds E^_{l-i}^[i]
         prev = row[: len(tabs)]
         E = list(s)
         for _ in range(self.k):
-            win = [sqr(v) for v in prev]
+            win = sqr_all(prev)
             E.append(reduce(_window_mul_sum(tabs, win)))
             prev = [E[-1]] + win[:-1]
         pk, rows = self._inverse_rows
@@ -456,17 +458,17 @@ class _OrbitCode(GabidulinCode):
         j the value at the j-th remaining element.  L <- L^2 + c L squares
         each coefficient and shifts it up one slot, and a value V becomes
         V^2 + c V, with c the value at the element being taken; each c·
-        is one scal, the squares one sqr per slot.
+        is one scal, the squares one sqr_all over the slots.
         """
         ctx, n, k, m = self.ctx, self.n, self.k, self.ctx.m
         if n == k:
             return RankVector(ctx, [])
-        sqr, mask = ctx.sqr, ctx.mask
+        mask = ctx.mask
         pk = _packed(ctx, n)
         S, scal, fold = pk.S, pk.scal, pk.fold
 
         def squares(p, count):
-            return pk.pack([sqr(p >> (r * S) & mask) for r in range(count)])
+            return pk.pack(ctx.sqr_all(pk.unpack(p)[:count]))
 
         lo = -(n - k - 1) % m
         L = 1  # monic; slot r is the coefficient of x^[r]

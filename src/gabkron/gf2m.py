@@ -10,6 +10,13 @@ The modulus for each extension degree is the lexicographically smallest
 irreducible polynomial of minimal weight (trinomial if one exists, else
 pentanomial), so that serialized values are portable between runs.
 
+Products are carry-less multiplies by window tables (_window_table), 4-bit
+by default and 8-bit where ranklinalg's elimination reuses one table for
+many rows.  Squaring is GF(2)-linear and spreads bit i to bit 2i, which
+two bytes.translate tables do on whole byte strings (_spread): sqr spreads
+one element, and sqr_all spreads the bytes of a whole vector at once and
+reduces all of its squares in one fold.
+
 Elements are also vectors over GF(2), and so are the rows of GF(2)
 matrices held as bitmask ints.  One echelon routine (BitSpan) gives the
 rank, the kernel and the coordinates of such vectors: the normality test,
@@ -124,23 +131,21 @@ def modulus_for_degree(m: int) -> int:
 _frob_rows_cache: dict = {}  # FieldCtx -> frobenius_power_rows tuple
 
 
-@cache
-def _sqr_tables(ctx: FieldCtx) -> tuple:
-    """Table p of the reduced squares of every byte at byte position p.
+# bytes.translate tables taking a byte to the bits of its low (high)
+# nibble at the even positions of one byte: spread bit i to bit 2i
+_SPREAD_LO = bytes(sum((b >> i & 1) << 2 * i for i in range(4)) for b in range(256))
+_SPREAD_HI = bytes(_SPREAD_LO[b >> 4] for b in range(256))
 
-    Squaring is GF(2)-linear, so sqr(a) is the XOR of one entry per byte of
-    a.  Entry v of table p is built from entry v minus its top bit and the
-    reduced square of that bit, x^(2(8p+i)).  Built once per field: equal
-    contexts share the tables.
-    """
-    tables = []
-    for pos in range(0, ctx.m, 8):
-        tab = [0]
-        for i in range(8):
-            sq = ctx.reduce(1 << 2 * (pos + i))
-            tab += [v ^ sq for v in tab]
-        tables.append(tab)
-    return tuple(tables)
+
+def _spread(raw: bytes) -> bytearray:
+    """Little-endian bytes of the square, unreduced, of the polynomial whose
+    little-endian bytes are raw: bit i moves to bit 2i, so byte p becomes
+    bytes 2p and 2p + 1, which two translates give and slice assignment
+    interleaves."""
+    sp = bytearray(2 * len(raw))
+    sp[0::2] = raw.translate(_SPREAD_LO)
+    sp[1::2] = raw.translate(_SPREAD_HI)
+    return sp
 
 
 class FieldCtx:
@@ -159,8 +164,9 @@ class FieldCtx:
         # bit positions of x^m mod modulus, used to fold products
         red = modulus ^ (1 << m)
         self._red_shifts = tuple(i for i in range(m) if red >> i & 1)
-        self._sqr_tables = _sqr_tables(self)
-        self._nbytes = len(self._sqr_tables)
+        self._nbytes = nbytes = (m + 7) // 8
+        # a square's slot in sqr_all: its bits from m up, shifted down by m
+        self._sqr_slot_hi = ((1 << 16 * nbytes - m) - 1).to_bytes(2 * nbytes, "little")
 
     def __repr__(self):
         return f"FieldCtx(m={self.m}, modulus={self.modulus:#x})"
@@ -201,11 +207,30 @@ class FieldCtx:
         return self.reduce(_window_mul(_window_table(a), b))
 
     def sqr(self, a: int) -> int:
-        """a^2: one table lookup per byte of a, no reduction (_sqr_tables)."""
-        r = 0
-        for tab, byte in zip(self._sqr_tables, a.to_bytes(self._nbytes, "little")):
-            r ^= tab[byte]
-        return r
+        """a^2, for any a below 2^(8 * ceil(m / 8)): a's bytes spread, reduced."""
+        return self.reduce(int.from_bytes(_spread(a.to_bytes(self._nbytes, "little")), "little"))
+
+    def sqr_all(self, vals) -> list[int]:
+        """[sqr(a) for a in vals] from one spread of all their bytes.
+
+        Each square takes a slot of 2 * ceil(m / 8) bytes of one int.  The
+        part of every slot from bit m up is folded down at once, as
+        ranklinalg's _Packed.fold does on packed rows, and the slots are
+        cut apart.
+        """
+        nbytes, m, shifts = self._nbytes, self.m, self._red_shifts
+        sp = _spread(b"".join([a.to_bytes(nbytes, "little") for a in vals]))
+        v = int.from_bytes(sp, "little")
+        hi_mask = int.from_bytes(self._sqr_slot_hi * len(vals), "little")
+        hi = v >> m & hi_mask
+        while hi:
+            v ^= hi << m
+            for s in shifts:
+                v ^= hi << s
+            hi = v >> m & hi_mask
+        w = 2 * nbytes
+        raw = v.to_bytes(len(sp), "little")
+        return [int.from_bytes(raw[i : i + w], "little") for i in range(0, len(raw), w)]
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse by the extended Euclidean algorithm."""
@@ -262,7 +287,7 @@ class FieldCtx:
                 vals = [1 << i for i in range(self.m)]
             while len(grown) <= t:
                 if grown:
-                    vals = [self.sqr(v) for v in vals]
+                    vals = self.sqr_all(vals)
                 grown.append(sum(v << (slot * i) for i, v in enumerate(vals)))
             rows = _frob_rows_cache[self] = tuple(grown)
         return rows
@@ -340,29 +365,37 @@ class FieldCtx:
         raise RuntimeError("no normal element in 4096 draws (implementation bug)")
 
 
-def _window_table(p):
-    """p times each of the 16 polynomials of degree < 4, for _window_mul.
+def _window_table(p, bits=4):
+    """p times each of the 2^bits polynomials of degree < bits, for _window_mul.
 
     p may be one element or a row of packed slots (ranklinalg): the table
-    is carry-less, so it multiplies every slot at once.
+    is carry-less, so it multiplies every slot at once.  A table of 8-bit
+    windows halves the steps of each product and costs 4-7 of those
+    products to build, so it pays only for a value that many products
+    reuse.
     """
     t2 = p << 1
     t4 = p << 2
-    t8 = p << 3
     tab = [0, p, t2, t2 ^ p, t4, t4 ^ p, t4 ^ t2, t4 ^ t2 ^ p]
-    return tab + [x ^ t8 for x in tab]
+    for i in range(3, bits):
+        top = p << i
+        tab += [x ^ top for x in tab]
+    return tab
 
 
 def _window_mul(tab, lam):
-    """Carry-less product of lam by the value whose _window_table is tab."""
+    """Carry-less product of lam by the value whose _window_table is tab,
+    in windows of the table's width."""
+    mask = len(tab) - 1
+    bits = mask.bit_length()
     r = 0
     sh = 0
     while lam:
-        w = lam & 15
+        w = lam & mask
         if w:
             r ^= tab[w] << sh
-        sh += 4
-        lam >>= 4
+        sh += bits
+        lam >>= bits
     return r
 
 

@@ -20,9 +20,11 @@ gf2m._window_mul_sum in chunks of _SUM_CHUNK: the sum is shifted once per
 window and chunk, not once per window and term, and only one chunk's
 window tables are held at a time.
 
-Elimination builds the 4-bit window table of each pivot row once and
-applies it to every row it updates; the window helpers live in gf2m,
-whose FieldCtx.mul runs them on single elements.  Between folds a slot
+Elimination builds the window table of each pivot row once and applies
+it to every row it updates: 8-bit windows when the pivot updates more
+than _BYTE_WINDOW_ROWS rows, 4-bit ones otherwise and for the single-use
+tables of scal, sum_products and cyc_mul.  The window helpers live in
+gf2m, whose FieldCtx.mul runs them on single elements.  Between folds a slot
 holds an XOR of products of two reduced elements, so it stays below 2m
 bits and fold reduces it exactly; only the slot being read is reduced,
 and a row is folded when it becomes a pivot.  In the forward pass the
@@ -87,6 +89,11 @@ class StructureError(ValueError):
 # tables of one chunk are all that is held at once (CHANGES.md has the
 # measurements at 8 and 16).
 _SUM_CHUNK = 8
+
+# A pivot row that updates more rows than this gets a table of 8-bit
+# windows (gf2m._window_table): it costs 4-7 products to build and makes
+# each product 1.5-2x faster (CHANGES.md has the measurements).
+_BYTE_WINDOW_ROWS = 8
 
 
 class _Packed:
@@ -244,7 +251,7 @@ def _echelon_packed(ctx, rows, ncols, lu=None):
             lu[r].append(pinv)
         # the pivot slot itself is not multiplied: it would only cancel the
         # slot that the shift drops
-        tab = _window_table(prow >> S)
+        tab = _window_table(prow >> S, 8 if nrows - r - 1 > _BYTE_WINDOW_ROWS else 4)
         for i in range(r + 1, nrows):
             row = rows[i]
             f = reduce(row & smask)
@@ -276,7 +283,7 @@ def _rref_packed(ctx, rows, ncols):
         # lowest set bit on; the target's pivot slot is cleared instead
         rest = prow >> (sh + S)
         low = (rest & -rest).bit_length() - 1 if rest else 0
-        tab = _window_table(rest >> low)
+        tab = _window_table(rest >> low, 8 if r > _BYTE_WINDOW_ROWS else 4)
         keep = ~(smask << sh)
         up = sh + S + low
         for i in range(r):

@@ -63,10 +63,16 @@ def test_mul_matches_schoolbook(m):
 
 def test_window_mul_sum_matches_separate_products():
     # multipliers of unequal lengths, zeros among them and all zero, on
-    # single values and on long ints such as packed rows; no terms sum to 0
+    # single values and on long ints such as packed rows; no terms sum to 0.
+    # A table of 8-bit windows gives each product as the 4-bit one does.
     rng = fresh_rng(b"window-sum")
     assert gf2m._window_mul_sum([], []) == 0
     for size in (1, 7, 211, 5000):
+        value = rng.bits(size)
+        tab4, tab8 = gf2m._window_table(value), gf2m._window_table(value, 8)
+        assert len(tab4) == 16 and len(tab8) == 256
+        for lam in [0, 1] + [rng.bits(1 + rng.randrange(331)) for _ in range(20)]:
+            assert gf2m._window_mul(tab8, lam) == gf2m._window_mul(tab4, lam)
         for count in (0, 1, 2, 6):
             values = [rng.bits(size) for _ in range(count)]
             for lams in ([rng.bits(1 + rng.randrange(211)) for _ in range(count)],
@@ -99,21 +105,29 @@ def test_inverse_and_frobenius_properties(m):
 
 def spread_and_reduce(ctx, a):
     """a^2 as a's bits spread to even positions, reduced; the referee for
-    the byte-table squaring."""
+    the byte-spread squaring."""
     return ctx.reduce(sum(1 << 2 * i for i in range(a.bit_length()) if a >> i & 1))
 
 
 @pytest.mark.parametrize("m", sorted(gf2m.MODULI))
 def test_sqr_tables_match_spread_and_reduce(m):
+    # sqr and sqr_all, which share one byte spread, against two referees on
+    # their whole input domain: every int below 2^(8 * ceil(m / 8)), so
+    # unreduced inputs too
     ctx = FieldCtx(m)
-    assert len(ctx._sqr_tables) == (m + 7) // 8
-    assert all(len(tab) == 256 for tab in ctx._sqr_tables)
-    assert FieldCtx(m)._sqr_tables is ctx._sqr_tables  # built once per field
+    top = 8 * ((m + 7) // 8)
     rng = fresh_rng(b"sqr-table%d" % m)
     # every bit alone, both ends of the range, and random elements
     randoms = [rng.element(m) for _ in range(100)]
-    for a in [1 << i for i in range(m)] + [0, ctx.mask] + randoms:
-        assert ctx.sqr(a) == spread_and_reduce(ctx, a) == gf2m._poly_mulmod(a, a, ctx.modulus, m)
+    unreduced = [(1 << top) - 1] + [rng.bits(top) for _ in range(20)]
+    values = [1 << i for i in range(top)] + [0, ctx.mask] + randoms + unreduced
+    want = [spread_and_reduce(ctx, a) for a in values]
+    reduced = [ctx.reduce(a) for a in values]
+    assert want == [gf2m._poly_mulmod(a, a, ctx.modulus, m) for a in reduced]
+    assert [ctx.sqr(a) for a in values] == want
+    for size in (0, 1, 2, 105):
+        for start in range(0, len(values), size or len(values)):
+            assert ctx.sqr_all(values[start : start + size]) == want[start : start + size]
     for a in randoms:
         assert ctx.sqr(ctx.sqrt(a)) == a
 
