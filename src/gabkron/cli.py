@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from . import audit, keyio, scheme
@@ -91,9 +92,15 @@ def _emit(report: dict, fmt: str, out_path: str | None):
 
         flatten("", report)
         text = "\n".join(lines)
-    print(text)
     if out_path:
         _write(out_path, text.encode() + b"\n")
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader is gone; stdout goes to the null device so that the
+        # interpreter's last flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise _CliError(EXIT_IO, "standard output was closed") from None
 
 
 def cmd_keygen(args) -> int:

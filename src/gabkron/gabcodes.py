@@ -55,7 +55,7 @@ decrypter's check squares once and hands to the builder:
   set of windows of that orbit,
   and h holds the coefficients of the subspace polynomial of n - 1
   consecutive Frobenius powers of alpha, built on packed rows with
-  2(n - 1) scal and 2(n - 1) squarings of whole rows (sqr_all).
+  2(n - 1) scal and 2(n - 1) squarings of whole rows (_Packed.sqr).
 
 The public methods take a RankVector or a list of ints and pass it through
 checked_values, which checks its length and every entry once.
@@ -63,7 +63,7 @@ checked_values, which checks its length and every entry once.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 
 from .gf2m import BitSpan, FieldCtx, _bit_rank, _window_mul_sum, _window_table
 from .ranklinalg import (
@@ -90,9 +90,23 @@ class DecodeFailure(Exception):
         self.failed_blocks = failed_blocks or []
 
 
+@cache
+def _frobenius_rows(ctx: FieldCtx, t: int) -> tuple[int, ...]:
+    """Row u = ((x^i)^[u])_i, i < m, packed, for u = 0..t.
+
+    Each row is the one before squared, and the rows are cached per field
+    and t, so equal contexts share them.
+    """
+    pk = _packed(ctx, ctx.m)
+    if t == 0:
+        return (pk.pack([1 << i for i in range(ctx.m)]),)
+    rows = _frobenius_rows(ctx, t - 1)
+    return rows + (pk.sqr(rows[-1]),)
+
+
 def _root_space(ctx: FieldCtx, coeffs):
     """F_2-basis of the roots of sum_i coeffs[i] x^(2^i), as ints."""
-    frob = ctx.frobenius_power_rows(len(coeffs) - 1)
+    frob = _frobenius_rows(ctx, len(coeffs) - 1)
     # column i = the polynomial at x^i: its F_2-linear action on the basis.
     # A dependency among the columns has bit i for x^i, so it is a root.
     cols = _packed(ctx, ctx.m).lincomb(coeffs, frob)
@@ -101,11 +115,13 @@ def _root_space(ctx: FieldCtx, coeffs):
 
 def moore_matrix(g: RankVector, nrows: int) -> RankMatrix:
     """Moore matrix: row i is the coordinate-wise Frobenius power [i] of g."""
-    ctx = g.ctx
-    rows = [list(g.values)]
+    pk = _packed(g.ctx, len(g))
+    row = pk.pack(g.values)
+    rows = [g.values]
     for _ in range(nrows - 1):
-        rows.append(ctx.sqr_all(rows[-1]))
-    return RankMatrix(ctx, rows)
+        row = pk.sqr(row)
+        rows.append(pk.unpack(row))
+    return RankMatrix(g.ctx, rows)
 
 
 class GabidulinCode:
@@ -153,14 +169,16 @@ class GabidulinCode:
         if n == k:
             return RankVector(ctx, [])
         lo = -(n - k - 1) % ctx.m
-        base = self.g.values
-        for _ in range(lo):
-            base = ctx.sqr_all(base)
-        A = moore_matrix(RankVector(ctx, base), n - 1)
         pk = _packed(ctx, n)
+        row = pk.pack(self.g.values)
+        for _ in range(lo):
+            row = pk.sqr(row)
+        rows = [row]  # g^[lo], ..., g^[lo+n-2]
+        for _ in range(n - 2):
+            rows.append(pk.sqr(rows[-1]))
         # the leading n-1 columns form a square Moore matrix of independent
         # values, so they are the pivots and h_{n-1} = 1 fixes the kernel
-        pivots, h = _solve_packed(ctx, [pk.pack(r) for r in A.rows], n)
+        pivots, h = _solve_packed(ctx, rows, n)
         if pivots != list(range(n - 1)):
             raise SingularMatrixError("degenerate generator vector")
         hv = RankVector(ctx, h + [1])
@@ -252,18 +270,19 @@ class GabidulinCode:
         Returns (gamma, row): gamma[i] is the coefficient of x^[i], i <= t,
         or None when the system has no solution (more than t independent
         error values), and row = (s_j, s_{j-1}^[1], ..., s_{j-t}^[t]) is the
-        key-equation row of the last syndrome index j.
+        key-equation row of the last syndrome index j, packed.
         """
         ctx, t = self.ctx, self.radius
-        sqr_all = ctx.sqr_all
         pk = _packed(ctx, t + 1)
-        # row j = (s_j, s_{j-1}^[1], ..., s_{j-t}^[t]); rows j >= t enter the system
+        keep = (1 << (t + 1) * pk.S) - 1
+        # row j = (s_j, s_{j-1}^[1], ..., s_{j-t}^[t]): row j-1 squared and
+        # shifted up one slot, s_j in slot 0; rows j >= t enter the system
         rows = []
-        row = []
+        row = 0
         for j, sj in enumerate(s):
-            row = [sj] + sqr_all(row[:t])
+            row = (pk.sqr(row) << pk.S | sj) & keep
             if j >= t:
-                rows.append(pk.pack(row))
+                rows.append(row)
         _, gamma = _solve_packed(ctx, rows, t + 1)
         return (None if gamma is None else gamma + [1]), row
 
@@ -288,22 +307,24 @@ class GabidulinCode:
             return None
         pk = _packed(ctx, 2 * w)
         S, mask = pk.S, ctx.mask
-        sqr_all, scal, fold = ctx.sqr_all, pk.scal, pk.fold
+        sqr, scal, fold = pk.sqr, pk.scal, pk.fold
         # one packed row per stage: slot p holds E_p and slot 2u-1-j holds
         # s_j, u the unknowns left, so E_0 s_{j+1} lands one slot below s_j
         row = pk.pack(list(E) + s[:w][::-1])
         lead = []  # stage k's last equation: E^(k)_k..E^(k)_{w-1}, s^(k)_{w-1-k}
         for u in range(w, 0, -1):
-            vals = [row >> (i * S) & mask for i in range(2 * u)]
+            vals = [row >> (i * S) & mask for i in range(u + 1)]
             if not vals[0]:
                 return None
-            lead.append(vals[: u + 1])
+            lead.append(vals)
             if u > 1:
                 # D_p in slot p, which is 0 at p = 0; s_j^2 + E_0 s_{j+1} one
-                # slot below s_j.  Drop E's slot 0 and s's top slot.
-                sq = sqr_all(vals)
-                row = fold(pk.pack(sq[:u] + sq[u + 1 :]) ^ scal(row, vals[0]))
-                row = row >> S & (1 << (2 * u - 2) * S) - 1
+                # slot below s_j, so s's squares move down one slot and the
+                # square of slot u drops out.  Then drop E's slot 0 and s's
+                # top slot.
+                sq = sqr(row)
+                sq = sq & (1 << u * S) - 1 | sq >> (u + 1) * S << u * S
+                row = fold(sq ^ scal(row, vals[0])) >> S & (1 << (2 * u - 2) * S) - 1
         # back-substitution on the packed right-hand sides: one scal by each
         # unknown on its column above the diagonal
         reduce, mul, inv, smask = ctx.reduce, ctx.mul, ctx.inv, pk.slot_mask
@@ -395,15 +416,18 @@ class _NormalOrbitCode(GabidulinCode):
         # _Packed.sum_products's chunks, which would build them every step.
         inv0 = ctx.inv(gamma[0])
         tabs = [_window_table(ctx.mul(inv0, g)) for g in gamma[1:]]
-        reduce, sqr_all = ctx.reduce, ctx.sqr_all
-        # prev[i] = E^_{l-1-i}^[i], i < t, from l = n - k on: to begin with,
-        # the last key-equation row; squared once, it holds E^_{l-i}^[i]
-        prev = row[: len(tabs)]
+        reduce = ctx.reduce
+        pk = _packed(ctx, len(tabs))
+        keep = (1 << len(tabs) * pk.S) - 1
+        # slot i of prev is E^_{l-1-i}^[i], i < len(tabs), from l = n - k
+        # on: to begin with, the last key-equation row; squared once, it
+        # holds E^_{l-i}^[i]
+        prev = row & keep
         E = list(s)
         for _ in range(self.k):
-            win = sqr_all(prev)
-            E.append(reduce(_window_mul_sum(tabs, win)))
-            prev = [E[-1]] + win[:-1]
+            win = pk.sqr(prev)
+            E.append(reduce(_window_mul_sum(tabs, pk.unpack(win))))
+            prev = (win << pk.S | E[-1]) & keep
         pk, rows = self._inverse_rows
         e_vals = pk.lincomb(E, rows)
         if _bit_rank(e_vals) > self.radius:
@@ -458,18 +482,14 @@ class _OrbitCode(GabidulinCode):
         j the value at the j-th remaining element.  L <- L^2 + c L squares
         each coefficient and shifts it up one slot, and a value V becomes
         V^2 + c V, with c the value at the element being taken; each c·
-        is one scal, the squares one sqr_all over the slots.
+        is one scal, and the squares one _Packed.sqr of the row.
         """
         ctx, n, k, m = self.ctx, self.n, self.k, self.ctx.m
         if n == k:
             return RankVector(ctx, [])
         mask = ctx.mask
         pk = _packed(ctx, n)
-        S, scal, fold = pk.S, pk.scal, pk.fold
-
-        def squares(p, count):
-            return pk.pack(ctx.sqr_all(pk.unpack(p)[:count]))
-
+        S, sqr, scal, fold = pk.S, pk.sqr, pk.scal, pk.fold
         lo = -(n - k - 1) % m
         L = 1  # monic; slot r is the coefficient of x^[r]
         # basis element i of W is alpha^[lo+i], and L = x at first
@@ -478,8 +498,8 @@ class _OrbitCode(GabidulinCode):
             c = V & mask
             if not c:
                 raise SingularMatrixError("degenerate generator vector")
-            V = fold(squares(V, n - 1 - i) ^ scal(V, c)) >> S
-            L = fold((squares(L, i + 1) << S) ^ scal(L, c))
+            V = fold(sqr(V) ^ scal(V, c)) >> S
+            L = fold((sqr(L) << S) ^ scal(L, c))
         hv = RankVector(ctx, pk.unpack(fold(scal(L, ctx.inv(L & mask))))[::-1])
         if hv.rank_weight() != n:
             raise SingularMatrixError("parity vector lacks full rank weight")

@@ -14,8 +14,7 @@ Products are carry-less multiplies by window tables (_window_table), 4-bit
 by default and 8-bit where ranklinalg's elimination reuses one table for
 many rows.  Squaring is GF(2)-linear and spreads bit i to bit 2i, which
 two bytes.translate tables do on whole byte strings (_spread): sqr spreads
-one element, and sqr_all spreads the bytes of a whole vector at once and
-reduces all of its squares in one fold.
+one element, and ranklinalg's _Packed.sqr the slots of a whole packed row.
 
 Elements are also vectors over GF(2), and so are the rows of GF(2)
 matrices held as bitmask ints.  One echelon routine (BitSpan) gives the
@@ -128,9 +127,6 @@ def modulus_for_degree(m: int) -> int:
     return smallest_irreducible(m)
 
 
-_frob_rows_cache: dict = {}  # FieldCtx -> frobenius_power_rows tuple
-
-
 # bytes.translate tables taking a byte to the bits of its low (high)
 # nibble at the even positions of one byte: spread bit i to bit 2i
 _SPREAD_LO = bytes(sum((b >> i & 1) << 2 * i for i in range(4)) for b in range(256))
@@ -164,9 +160,7 @@ class FieldCtx:
         # bit positions of x^m mod modulus, used to fold products
         red = modulus ^ (1 << m)
         self._red_shifts = tuple(i for i in range(m) if red >> i & 1)
-        self._nbytes = nbytes = (m + 7) // 8
-        # a square's slot in sqr_all: its bits from m up, shifted down by m
-        self._sqr_slot_hi = ((1 << 16 * nbytes - m) - 1).to_bytes(2 * nbytes, "little")
+        self._nbytes = (m + 7) // 8
 
     def __repr__(self):
         return f"FieldCtx(m={self.m}, modulus={self.modulus:#x})"
@@ -210,28 +204,6 @@ class FieldCtx:
         """a^2, for any a below 2^(8 * ceil(m / 8)): a's bytes spread, reduced."""
         return self.reduce(int.from_bytes(_spread(a.to_bytes(self._nbytes, "little")), "little"))
 
-    def sqr_all(self, vals) -> list[int]:
-        """[sqr(a) for a in vals] from one spread of all their bytes.
-
-        Each square takes a slot of 2 * ceil(m / 8) bytes of one int.  The
-        part of every slot from bit m up is folded down at once, as
-        ranklinalg's _Packed.fold does on packed rows, and the slots are
-        cut apart.
-        """
-        nbytes, m, shifts = self._nbytes, self.m, self._red_shifts
-        sp = _spread(b"".join([a.to_bytes(nbytes, "little") for a in vals]))
-        v = int.from_bytes(sp, "little")
-        hi_mask = int.from_bytes(self._sqr_slot_hi * len(vals), "little")
-        hi = v >> m & hi_mask
-        while hi:
-            v ^= hi << m
-            for s in shifts:
-                v ^= hi << s
-            hi = v >> m & hi_mask
-        w = 2 * nbytes
-        raw = v.to_bytes(len(sp), "little")
-        return [int.from_bytes(raw[i : i + w], "little") for i in range(0, len(raw), w)]
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse by the extended Euclidean algorithm."""
         if a == 0:
@@ -269,28 +241,6 @@ class FieldCtx:
         return out[::-1]
 
     # -- base-field structure --------------------------------------------
-
-    def frobenius_power_rows(self, t: int) -> tuple[int, ...]:
-        """Row u = (x^i)^[u] for i < m, u = 0..t, packed as in ranklinalg.
-
-        One 2m-bit slot per entry, slot i at bit 2m*i.  The rows are cached
-        per field, so equal contexts share them; the cache grows by
-        whole-tuple assignment, so concurrent readers see complete rows.
-        """
-        rows = _frob_rows_cache.get(self, ())
-        if len(rows) <= t:
-            slot = 2 * self.m
-            grown = list(rows)
-            if grown:
-                vals = [grown[-1] >> (slot * i) & self.mask for i in range(self.m)]
-            else:
-                vals = [1 << i for i in range(self.m)]
-            while len(grown) <= t:
-                if grown:
-                    vals = self.sqr_all(vals)
-                grown.append(sum(v << (slot * i) for i, v in enumerate(vals)))
-            rows = _frob_rows_cache[self] = tuple(grown)
-        return rows
 
     def sqrt(self, a: int) -> int:
         """Unique square root in characteristic 2: a^[m-1], as a^[m] = a."""

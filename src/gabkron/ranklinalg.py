@@ -7,9 +7,10 @@ they are assigned whole, so a concurrent reader sees all of them or builds
 them again.
 
 Heavy operations (products, elimination) run on rows packed into single
-big ints, one 2m-bit slot per entry: multiplying a whole row by a scalar
-is then a handful of shift/xor operations on one integer, and carry-less
-products never spill between slots.  The packed form is internal; the
+big ints, one slot of 2 * ceil(m / 8) bytes per entry: multiplying a whole
+row by a scalar is then a handful of shift/xor operations on one integer,
+carry-less products never spill between slots, and a row squares in place
+with one byte spread (_Packed.sqr).  The packed form is internal; the
 public API speaks lists of ints.  Packing merges neighbouring slots
 pairwise, level by level, and unpacking splits halves the same way, so
 each level shifts the whole row once: O(L log L) slot moves for L slots,
@@ -63,6 +64,7 @@ from .gf2m import (
     ContextMismatchError,
     FieldCtx,
     _bit_rank,
+    _spread,
     _window_mul,
     _window_mul_sum,
     _window_table,
@@ -102,7 +104,9 @@ class _Packed:
     def __init__(self, ctx: FieldCtx, nslots: int):
         self.ctx = ctx
         self.L = nslots
-        self.S = 2 * ctx.m
+        # twice an element's bytes: a product of two reduced elements fits,
+        # and so does a square spread byte by byte (sqr)
+        self.S = 16 * ctx._nbytes
         self.elem_mask = ctx.mask
         self.slot_mask = (1 << self.S) - 1
         lo = 0
@@ -161,6 +165,21 @@ class _Packed:
                 p ^= hi << s
             hi = (p >> m) & lo_mask
         return p
+
+    def sqr(self, p):
+        """Every slot of a row of reduced slots squared, reduced.
+
+        A reduced slot's upper half is zero, so the lower halves, cut out
+        by one strided slice per byte, are the elements' bytes end to end;
+        their spread (gf2m._spread) fills the slots again, and one fold
+        reduces them.
+        """
+        nb = self.ctx._nbytes
+        raw = p.to_bytes(-(-p.bit_length() // self.S) * 2 * nb, "little")
+        low = bytearray(len(raw) // 2)
+        for b in range(nb):
+            low[b::nb] = raw[b :: 2 * nb]
+        return self.fold(int.from_bytes(_spread(low), "little"))
 
     def sum_products(self, pairs):
         """XOR of the slot-wise products lam * p over (lam, p) pairs of a

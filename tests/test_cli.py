@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -354,3 +355,23 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
+
+
+def test_closed_stdout_is_an_io_error_after_the_report_file(tmp_path):
+    # as in `gabkron audit --all | head -1`, but the reader is gone before
+    # the report is printed: the --out file is written first, and the
+    # closed pipe is one error line and exit 4, not a traceback
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    out = tmp_path / "rep.txt"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gabkron.cli", "audit", "--all", "--out", str(out)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 4
+    assert proc.stderr == "error: standard output was closed\n"
+    report = out.read_text()
+    assert "match=True" in report and "match=False" not in report

@@ -1,9 +1,9 @@
 import pytest
 
-from gabkron import gf2m, keyio
+from gabkron import gabcodes, gf2m, keyio
 from gabkron.gf2m import FieldCtx
 from gabkron.prng import SeededRng
-from gabkron.ranklinalg import BitMatrix, RankVector
+from gabkron.ranklinalg import BitMatrix, RankVector, _packed, _Packed
 
 from conftest import fresh_rng, solve_gf2
 
@@ -111,9 +111,10 @@ def spread_and_reduce(ctx, a):
 
 @pytest.mark.parametrize("m", sorted(gf2m.MODULI))
 def test_sqr_tables_match_spread_and_reduce(m):
-    # sqr and sqr_all, which share one byte spread, against two referees on
-    # their whole input domain: every int below 2^(8 * ceil(m / 8)), so
-    # unreduced inputs too
+    # FieldCtx.sqr and ranklinalg's _Packed.sqr, which share one byte
+    # spread, against two referees: sqr on its whole input domain, every int
+    # below 2^(8 * ceil(m / 8)), so unreduced inputs too, and _Packed.sqr on
+    # packed rows of the reduced values
     ctx = FieldCtx(m)
     top = 8 * ((m + 7) // 8)
     rng = fresh_rng(b"sqr-table%d" % m)
@@ -126,21 +127,24 @@ def test_sqr_tables_match_spread_and_reduce(m):
     assert want == [gf2m._poly_mulmod(a, a, ctx.modulus, m) for a in reduced]
     assert [ctx.sqr(a) for a in values] == want
     for size in (0, 1, 2, 105):
+        pk = _packed(ctx, size)
         for start in range(0, len(values), size or len(values)):
-            assert ctx.sqr_all(values[start : start + size]) == want[start : start + size]
+            row = pk.pack(reduced[start : start + size])
+            assert pk.sqr(row) == pk.pack(want[start : start + size])
     for a in randoms:
         assert ctx.sqr(ctx.sqrt(a)) == a
 
 
 @pytest.mark.parametrize("m,t", [(4, 4), (12, 12), (90, 6)])
 def test_frobenius_power_rows_match_repeated_squaring(m, t):
+    # gabcodes._frobenius_rows, the packed rows of the root-space solve
     ctx = FieldCtx(m)
-    gf2m._frob_rows_cache.pop(ctx, None)  # equal contexts share the rows
-    slot = 2 * m
-    short = ctx.frobenius_power_rows(1)
-    rows = ctx.frobenius_power_rows(t)
+    gabcodes._frobenius_rows.cache_clear()  # equal contexts share the rows
+    slot = _packed(ctx, m).S
+    short = gabcodes._frobenius_rows(ctx, 1)
+    rows = gabcodes._frobenius_rows(ctx, t)
     assert len(rows) == t + 1 and rows[:2] == short
-    assert ctx.frobenius_power_rows(t - 1) is rows
+    assert gabcodes._frobenius_rows(ctx, t - 1) == rows[:t]
     vals = [1 << i for i in range(m)]
     for row in rows:
         assert row >> (slot * m) == 0
@@ -150,11 +154,11 @@ def test_frobenius_power_rows_match_repeated_squaring(m, t):
 
 def test_frobenius_power_rows_shared_by_equal_contexts(monkeypatch):
     # a parsed key builds a new FieldCtx, so the rows must outlive it
-    rows = FieldCtx(11).frobenius_power_rows(5)
+    rows = gabcodes._frobenius_rows(FieldCtx(11), 5)
     squarings = []
-    sqr = FieldCtx.sqr
-    monkeypatch.setattr(FieldCtx, "sqr", lambda self, a: squarings.append(a) or sqr(self, a))
-    assert FieldCtx(11).frobenius_power_rows(5) is rows
+    sqr = _Packed.sqr
+    monkeypatch.setattr(_Packed, "sqr", lambda self, p: squarings.append(p) or sqr(self, p))
+    assert gabcodes._frobenius_rows(FieldCtx(11), 5) is rows
     assert squarings == []
 
 
