@@ -11,27 +11,18 @@ with independent values E_p and GF(2) locations Y_p, the syndromes satisfy
 s_j = sum_p E_p X_p^[j] with X_p = sum_i Y_{p,i} h_i.  The key equation
 for a monic annihilator Gamma of q-degree t of the values has rows
 (s_j, s_{j-1}^[1], ..., s_{j-t}^[t]), j >= t, each built by squaring the
-previous one.  Both decoders solve it (_key_equation) and then part:
-- for n = m and a normal alpha (_NormalOrbitCode, the improved variant's
-  inner code) the syndromes are the first n - k values of the error's
-  q-transform; Gamma extends them to all m values by a recursion, and
-  one packed product inverts the transform (Silva & Kschischang, ISIT
-  2009);
-- for every other code, the repaired variant's inner code (n < m) and
-  codes built from an arbitrary g, the root space of Gamma yields the E_p.
-  The first w syndrome equations form a Moore system in the E_p, and
-  eq_j^[1] + E_0 eq_{j+1} is one of the same kind with one unknown fewer,
-  sum_{p>=1} D_p X_p^[j+1] = s_j^2 + E_0 s_{j+1} for D_p = E_p^2 + E_0 E_p
-  (Lidl & Niederreiter, Finite Fields, 3.4).  The last equations of
-  these stages form a triangular system in W_p = X_p^[w-1], and as Y is
-  binary, W_p = sum_i Y_{p,i} h_i^[w-1] locates the error against row
-  w-1 of the parity-check matrix.  This route is the transform's referee
-  in the tests.
-Either way the error's rank is at most t: the transform checks it, and the
-root-space route builds the error from at most t values.  The message is
-read off the corrected word and re-encoded, which must give that word
-back; so the word is a codeword, the error has the received syndromes,
-and a returned pair is always a valid decoding within the radius.
+previous one.  Every code solves it (_key_equation), and the root space
+of Gamma yields the E_p.  The first w syndrome equations form a Moore
+system in the E_p, and eq_j^[1] + E_0 eq_{j+1} is one of the same kind
+with one unknown fewer, sum_{p>=1} D_p X_p^[j+1] = s_j^2 + E_0 s_{j+1} for
+D_p = E_p^2 + E_0 E_p (Lidl & Niederreiter, Finite Fields, 3.4).  The last
+equations of these stages form a triangular system in W_p = X_p^[w-1],
+and as Y is binary, W_p = sum_i Y_{p,i} h_i^[w-1] locates the error
+against row w-1 of the parity-check matrix.  The error is built from at
+most t values, so its rank is at most t.  The message is read off the
+corrected word and re-encoded, which must give that word back; so the
+word is a codeword, the error has the received syndromes, and a returned
+pair is always a valid decoding within the radius.
 
 Each code owns the presentation its messages are written in: the Moore
 matrix of g by default, the partial circulant of a normal orbit for the
@@ -65,7 +56,7 @@ from __future__ import annotations
 
 from functools import cache, cached_property
 
-from .gf2m import BitSpan, FieldCtx, _bit_rank, _window_mul_sum, _window_table
+from .gf2m import BitSpan, FieldCtx
 from .ranklinalg import (
     BitMatrix,
     LeftSolver,
@@ -227,7 +218,7 @@ class GabidulinCode:
     def _decode_values(self, y_vals):
         """(u, e) as lists with y = u·generator + e and rk(e) <= radius.
 
-        Both error decoders return e of rank at most the radius.  u is read
+        _error_vector returns e of rank at most the radius.  u is read
         off the leading k coordinates of c = y - e and re-encoded: c must
         come back, so c is a codeword and e has y's syndromes.  Raises
         DecodeFailure otherwise.
@@ -250,7 +241,7 @@ class GabidulinCode:
         """The error of rank <= radius that the first syndromes in s give,
         through its values' root space and its locations; raises
         DecodeFailure.  _decode_values checks it against all of s."""
-        gamma, _ = self._key_equation(s)
+        gamma = self._key_equation(s)
         if gamma is None:
             raise DecodeFailure("no annihilator of the error values")
         E = _root_space(self.ctx, gamma)
@@ -267,10 +258,8 @@ class GabidulinCode:
     def _key_equation(self, s):
         """Solve for a monic annihilator Gamma of q-degree t of the error values.
 
-        Returns (gamma, row): gamma[i] is the coefficient of x^[i], i <= t,
-        or None when the system has no solution (more than t independent
-        error values), and row = (s_j, s_{j-1}^[1], ..., s_{j-t}^[t]) is the
-        key-equation row of the last syndrome index j, packed.
+        gamma[i] is the coefficient of x^[i], i <= t; None when the system
+        has no solution (more than t independent error values).
         """
         ctx, t = self.ctx, self.radius
         pk = _packed(ctx, t + 1)
@@ -284,7 +273,7 @@ class GabidulinCode:
             if j >= t:
                 rows.append(row)
         _, gamma = _solve_packed(ctx, rows, t + 1)
-        return (None if gamma is None else gamma + [1]), row
+        return None if gamma is None else gamma + [1]
 
     def _error_coordinates(self, s, E):
         """Solve s_j = sum_p E_p X_p^[j], j < w, for W_p = X_p^[w-1].
@@ -358,12 +347,6 @@ class _NormalOrbitCode(GabidulinCode):
     exponents d = -(n-k-1), ..., k-1 because d-k is then non-zero mod m.
     It is _dual_vector() up to a scalar, which the decoder's output does
     not depend on, and row r of its Moore matrix is h rotated left by r.
-
-    The syndromes are therefore the first n - k values of the q-transform
-    Y^_r = sum_j y_j beta^[j+r], r < m, whose inverse is
-    y_j = sum_r Y^_r alpha^[r+j], because Tr(alpha^[i] beta^[j]) = 1 if
-    i = j else 0.  The decoder extends the error's transform past the
-    syndromes and inverts it (_error_vector).
     """
 
     def __init__(self, gamma: RankVector, k: int, generator: RankMatrix, orbit):
@@ -379,60 +362,6 @@ class _NormalOrbitCode(GabidulinCode):
     def parity_check(self) -> RankMatrix:
         h = self.h.values
         return RankMatrix(self.ctx, [h[r:] + h[:r] for r in range(self.n - self.k)])
-
-    @cached_property
-    def _inverse_rows(self):
-        """Packed row r = (alpha^[r+j])_j, so that e = sum_r E^_r row_r."""
-        orbit, m = self.orbit, self.n
-        pk = _packed(self.ctx, m)
-        # the orbit holds alpha^[e] at index -1-e mod m
-        return pk, [pk.pack([orbit[(-1 - r - j) % m] for j in range(m)]) for r in range(m)]
-
-    def _error_vector(self, s):
-        """The error of rank <= radius whose transform starts with s.
-
-        Write e_j = sum_p E_p Y_{p,j} with independent values E_p and binary
-        Y_p.  Its transform is E^_r = sum_p E_p X_p^[r], X_p = sum_j
-        Y_{p,j} beta^[j], so any Gamma that solves the key equation
-        annihilates the E_p when rk(e) <= t, and
-        sum_i Gamma_i E^_{l-i}^[i] = 0 for every l.  Once Gamma_0 != 0 this
-        gives E^_l from the t values before it, so the syndromes extend to
-        all m values (Silva & Kschischang, "Fast encoding and decoding of
-        Gabidulin codes", ISIT 2009).  Gamma_0 = 0 makes Gamma = Gamma'^2
-        with Gamma'_i = sqrt(Gamma_{i+1}), which annihilates the same values.
-        One inverse transform gives e, and rk(e) <= t is checked; raises
-        DecodeFailure otherwise.
-        """
-        ctx = self.ctx
-        gamma, row = self._key_equation(s)
-        if gamma is None:
-            raise DecodeFailure("no annihilator of the error values")
-        while not gamma[0]:
-            gamma = [ctx.sqrt(g) for g in gamma[1:]]
-        # E^_l = sum_{i>=1} (Gamma_i / Gamma_0) E^_{l-i}^[i]: the window
-        # tables of the t coefficients are built once, and each value is
-        # one window sum over all of them and one reduction.  The terms are
-        # single elements, so the tables are small and held whole, not in
-        # _Packed.sum_products's chunks, which would build them every step.
-        inv0 = ctx.inv(gamma[0])
-        tabs = [_window_table(ctx.mul(inv0, g)) for g in gamma[1:]]
-        reduce = ctx.reduce
-        pk = _packed(ctx, len(tabs))
-        keep = (1 << len(tabs) * pk.S) - 1
-        # slot i of prev is E^_{l-1-i}^[i], i < len(tabs), from l = n - k
-        # on: to begin with, the last key-equation row; squared once, it
-        # holds E^_{l-i}^[i]
-        prev = row & keep
-        E = list(s)
-        for _ in range(self.k):
-            win = pk.sqr(prev)
-            E.append(reduce(_window_mul_sum(tabs, pk.unpack(win))))
-            prev = (win << pk.S | E[-1]) & keep
-        pk, rows = self._inverse_rows
-        e_vals = pk.lincomb(E, rows)
-        if _bit_rank(e_vals) > self.radius:
-            raise DecodeFailure("error rank exceeds the radius")
-        return e_vals
 
 
 def from_normal_orbit(ctx: FieldCtx, orbit, k2: int) -> GabidulinCode:

@@ -243,7 +243,8 @@ class FieldCtx:
     # -- base-field structure --------------------------------------------
 
     def sqrt(self, a: int) -> int:
-        """Unique square root in characteristic 2: a^[m-1], as a^[m] = a."""
+        """Unique square root in characteristic 2: a^[m-1], as a^[m] = a.
+        No program path calls it; perfbench/tracer.py wraps it by name."""
         return self.frobenius(a, self.m - 1)
 
     def is_normal(self, a: int) -> list[int] | None:

@@ -1,4 +1,4 @@
-"""Full-scale tests at the larger repaired sets, off by default.
+"""Full-scale tests at the larger registry sets, off by default.
 
 Set GABKRON_FULLSCALE=1 to run them; together they take a few minutes:
 
@@ -12,7 +12,8 @@ fast paths against their referees and print both timings: keygen's
 systematic form by Schur steps against the echelon of [M0 | I_k], and the
 inner code's parity vector h against the Moore solve, and the decoder's
 error values W by Moore stages against the echelon of the whole Moore
-system.  The parity test also checks the inner code's presentation, read
+system, at the repaired sets and at new-gabkron-192 and -256, whose
+length-m inner codes decode by the same stages.  The parity test also checks the inner code's presentation, read
 off alpha's orbit, against the squared-out Moore matrix.  The products test
 checks encrypt's m·N, a block's syndromes and the decrypter's c·P, rows
 packed pairwise and summed in chunked window sums, against rows packed by
@@ -27,7 +28,7 @@ import time
 import pytest
 
 from gabkron import keyio, scheme as sc
-from gabkron.gabcodes import from_orbit, moore_matrix
+from gabkron.gabcodes import from_normal_orbit, from_orbit, moore_matrix
 from gabkron.gf2m import FieldCtx
 from gabkron.params import setup
 from gabkron.prng import SeededRng
@@ -44,7 +45,7 @@ from conftest import (
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("GABKRON_FULLSCALE") != "1",
-    reason="full-scale repaired round trips run only with GABKRON_FULLSCALE=1",
+    reason="full-scale tests run only with GABKRON_FULLSCALE=1",
 )
 
 
@@ -124,15 +125,22 @@ def test_orbit_parity_vector_full_scale(name):
     print(f"\n{name}: h {orbit_s:.2f} s from the orbit, {moore_s:.2f} s by the Moore solve")
 
 
-@pytest.mark.parametrize("name", ["rep-gabkron-192", "rep-gabkron-256"])
+@pytest.mark.parametrize(
+    "name", ["rep-gabkron-192", "rep-gabkron-256", "new-gabkron-192", "new-gabkron-256"]
+)
 def test_error_coordinates_full_scale(name):
     # the decoder's W by Moore stages against the echelon of the Moore
     # system, at w = radius - 1 and radius on independent values with random
-    # locations, where W is also the locations against parity-check row w-1
+    # locations, where W is also the locations against parity-check row w-1;
+    # at the improved sets on the length-m inner code of a normal orbit
     p = setup(name)
     ctx = FieldCtx(p.m)
     rng = SeededRng(b"fullscale-stages-" + name.encode())
-    C2 = from_orbit(ctx, ctx.find_normal_element(rng), p.n2, p.k2)
+    orbit = ctx.find_normal_element(rng)
+    if name.startswith("rep-"):
+        C2 = from_orbit(ctx, orbit, p.n2, p.k2)
+    else:
+        C2 = from_normal_orbit(ctx, orbit, p.k2)
     stage_s, echelon_s = [], []
     for w in (C2.radius - 1, C2.radius):
         for _ in range(2):

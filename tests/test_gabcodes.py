@@ -362,9 +362,8 @@ def assert_same_decoding(C, ref, rng, ranks):
      (8, 2), (8, 4), (9, 3), (10, 4), (11, 3), (12, 4), (12, 6)],
 )
 def test_trace_dual_decoder_matches_moore_solve(m, k):
-    # the transform decoder with h from the trace-dual orbit against the
-    # generic decoder with h from _dual_vector: same pair, or a
-    # DecodeFailure from both
+    # the decoder with h from the trace-dual orbit against the decoder
+    # with h from _dual_vector: same pair, or a DecodeFailure from both
     ctx = FieldCtx(m)
     rng = fresh_rng(b"trace-dual-decode-%d-%d" % (m, k))
     C = gc.from_normal_orbit(ctx, ctx.find_normal_element(rng), k)
@@ -376,43 +375,48 @@ def test_trace_dual_decoder_matches_moore_solve(m, k):
 
 
 @pytest.mark.parametrize("params", ["new-gabkron-128", "new-gabkron-192", "new-gabkron-256"])
-def test_transform_decoder_matches_generic_at_registry_sets(params):
-    # the inner code of each improved set, decoded by the transform and by
-    # the generic decoder on the same parity check, at ranks 0..t+2
+def test_normal_orbit_decoder_at_registry_sets(params):
+    # the inner code of each improved set: planted pairs at every rank up
+    # to t decode to themselves; at t + 1 and t + 2 decode raises
+    # DecodeFailure or returns a pair that re-encodes within the radius
     p = setup(params)
     ctx = FieldCtx(p.m)
     rng = fresh_rng(b"transform-decode-" + params.encode())
     C = gc.from_normal_orbit(ctx, ctx.find_normal_element(rng), p.k2)
-    ref = GabidulinCode(C.g, p.k2, C.generator)
-    ref.h = C.h  # the cached property, so no Moore solve at full size
     t = C.radius
-    ranks = [0, 1, 2, t // 2, t - 1, t, t, t + 1, t + 2]
-    assert assert_same_decoding(C, ref, rng, ranks) == 2
+    for r in range(t + 3):
+        u = RankVector.random(ctx, C.k, rng)
+        e = sample_rank_error(ctx, C.n, r, rng)
+        y = vec_add(C.encode(u), e)
+        got = decode_or_none(C, y)
+        if r <= t:
+            assert got == (u, e)
+        elif got is not None:
+            assert vec_add(C.encode(got[0]), got[1]) == y and got[1].rank_weight() <= t
 
 
-def test_transform_decoder_square_root_branch(monkeypatch):
+def test_gamma0_zero_block_decodes_without_sqrt(monkeypatch):
     # a seeded block of rank 2 < t = 3 whose key-equation solution has
-    # Gamma_0 = 0, so the decoder takes Gamma' with Gamma = Gamma'^2
+    # Gamma_0 = 0: the root space of Gamma holds the error values whatever
+    # Gamma_0 is, so the decode takes no square root
     ctx = FieldCtx(8)
     C = gc.from_normal_orbit(ctx, ctx.find_normal_element(fresh_rng(b"gamma0-8-2")), 2)
-    ref = GabidulinCode(C.g, 2, C.generator)
     rng = fresh_rng(b"gamma0-8-2-2-76")
     u = RankVector.random(ctx, 2, rng)
     e = sample_rank_error(ctx, 8, 2, rng)
     y = vec_add(C.encode(u), e)
-    roots = []
-    sqrt = FieldCtx.sqrt
-    monkeypatch.setattr(FieldCtx, "sqrt", lambda self, a: roots.append(a) or sqrt(self, a))
-    assert C.decode(y) == (u, e)
-    assert len(roots) == C.radius  # one reduction, one root per coefficient
-    monkeypatch.undo()
-    gamma, _ = C._key_equation(C.syndromes(y.values))
+    gamma = C._key_equation(C.syndromes(y.values))
     assert gamma[0] == 0 and len(gamma) == C.radius + 1
-    assert ref.decode(y) == (u, e)
+
+    def unreachable(self, a):
+        raise AssertionError("FieldCtx.sqrt ran during a decode")
+
+    monkeypatch.setattr(FieldCtx, "sqrt", unreachable)
+    assert C.decode(y) == (u, e)
 
 
 @pytest.mark.parametrize("k", [1, 2])
-def test_transform_decoder_exhaustive_against_bruteforce(k):
+def test_normal_orbit_decoder_exhaustive_against_bruteforce(k):
     # GF(16)^4 for m = n = 4: the leading k coordinates are an information
     # set, so the words that vanish there meet every coset of the code once,
     # and both decoders commute with adding a codeword
@@ -650,27 +654,42 @@ def test_error_coordinates_none_cases(params, request):
         assert C._error_coordinates(s, E) == error_coordinates_echelon(C, s, E) is not None
 
 
-def test_error_coordinates_with_excess_root_space():
-    # the key equation's annihilator has q-degree t whatever the error's
-    # rank, so its root space can be larger than the error's: here a
-    # rank-2 error gives len(E) = 3.  W still equals the referee's, and the
-    # decode returns the error.
-    C = stage_code("orbit-24-12-4", None)
+def assert_excess_root_space_decodes(C, rng):
+    """Search 40 seeded rank-2 errors for one whose key-equation
+    annihilator has a root space E of more than 2 values; W must still
+    equal the referee's and the decode return the planted pair.  Returns E."""
     ctx = C.ctx
-    rng = fresh_rng(b"excess-root-space")
     for _ in range(40):
         u = RankVector.random(ctx, C.k, rng)
         e = sample_rank_error(ctx, C.n, 2, rng)
         s = C.syndromes(e.values)
-        E = gc._root_space(ctx, C._key_equation(s)[0])
-        if len(E) == 3:
+        E = gc._root_space(ctx, C._key_equation(s))
+        if len(E) > 2:
             break
     else:
-        pytest.fail("no rank-2 error with a 3-dimensional root space in 40 draws")
+        pytest.fail("no rank-2 error with a root space of more than 2 values in 40 draws")
     W = C._error_coordinates(s, E)
     assert W is not None and W == error_coordinates_echelon(C, s, E)
     assert C._locate(E, W) == e.values
     assert C.decode(vec_add(C.encode(u), e)) == (u, e)
+    return E
+
+
+def test_error_coordinates_with_excess_root_space():
+    # the key equation's annihilator has q-degree t whatever the error's
+    # rank, so its root space can be larger than the error's: here a
+    # rank-2 error gives len(E) = 3
+    E = assert_excess_root_space_decodes(stage_code("orbit-24-12-4", None),
+                                         fresh_rng(b"excess-root-space"))
+    assert len(E) == 3
+
+
+def test_error_coordinates_with_excess_root_space_at_n_equals_m():
+    # the same at n = m, on a normal-orbit code (m = n = 12, k = 4, t = 4)
+    ctx = FieldCtx(12)
+    rng = fresh_rng(b"excess-root-space-normal")
+    C = gc.from_normal_orbit(ctx, ctx.find_normal_element(rng), 4)
+    assert_excess_root_space_decodes(C, rng)
 
 
 def decode_or_reason(C, y):
@@ -719,7 +738,7 @@ def test_annihilator_without_nonzero_root_fails_its_block(request, monkeypatch):
     ctx = C.ctx
     rng = fresh_rng(b"no-nonzero-root")
     y = [RankVector.random(ctx, C.n, rng) for _ in range(2)][-1]
-    gamma, _ = C._key_equation(C.syndromes(y.values))
+    gamma = C._key_equation(C.syndromes(y.values))
     assert gamma is not None and gc._root_space(ctx, gamma) == []
 
     def unreachable(s, E):
