@@ -29,7 +29,6 @@ from .ranklinalg import (
     circulant_block_compose,
     circulant_block_invert,
     circulant_inverse,
-    cyc_inv,
     is_circulant,
     is_partial_circulant_block,
     partial_circulant,
@@ -307,7 +306,7 @@ def is_circulant_block(M: RankMatrix, n1: int, n2: int) -> bool:
 def _random_invertible_circulant(ctx, n, rng):
     while True:
         gen = RankVector.random(ctx, n, rng)
-        if cyc_inv(ctx, gen.values) is not None:
+        if CirculantGrid(ctx, [[gen.values]], n).is_invertible():
             return circulant(gen)
 
 

@@ -47,7 +47,13 @@ generators (CirculantGrid.left_mul_values), and the dense matrix is built
 only as an oracle for the tests and the audit (CirculantGrid.dense, with
 RankMatrix.from_blocks, identity and invert).  Ring elements live in
 packed rows, slot i holding the coefficient of z^i, so cyc_mul and cyc_inv
-use the same window/fold kernel as the matrices.
+use the same window/fold kernel as the matrices.  Units and inverses are
+found at the odd part a of n = 2^s a, where z^n - 1 = (z^a - 1)^(2^s) in
+characteristic 2: an element folds onto a slots by XOR, splits over the
+binary cyclotomic factors Phi_d of z^a - 1 by XOR again, and one Euclid
+runs per factor, at degree phi(d) instead of n (_factor_euclids).
+cyc_inv recombines the factors' inverses and lifts the result s times by
+Newton's iteration.
 
 GF(2) matrices (BitMatrix) keep each row as a bitmask int.  They are
 drawn, shifted and applied to field vectors here; their rank, like every
@@ -58,12 +64,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from .gf2m import (
     ContextMismatchError,
     FieldCtx,
     _bit_rank,
+    _poly_mulmod,
     _spread,
     _window_mul,
     _window_mul_sum,
@@ -873,19 +881,95 @@ def cyc_mul(ctx, a, b):
     return pk.unpack(pk.fold(acc))
 
 
-def _cyc_euclid(ctx, a, bezout):
-    """Euclid on z^n - 1 and a over packed rows, slot i the coefficient of z^i.
+def _fold_slots(S, p, d):
+    """The packed row p modulo z^d - 1: slot i XORed onto slot i mod d."""
+    width = d * S
+    keep = (1 << width) - 1
+    r = 0
+    while p:
+        r ^= p & keep
+        p >>= width
+    return r
 
-    Each division step clears the leading slot of r0 with one scal of r1.
-    Returns (pk, r, s): r is the constant gcd when a is a unit and 0
-    otherwise.  With bezout set, the same steps run on s, so that
-    r = s a mod z^n - 1 and deg s < n; without it, s is 0.
+
+def _binary_rem(pk, p, poly):
+    """The packed row p of reduced slots modulo the binary polynomial poly,
+    held as an int (bit i the coefficient of z^i): each leading slot c is
+    cleared by XORing c times poly's lower bits, one slot per bit, which a
+    plain int product places because c fits in a slot."""
+    S = pk.S
+    deg = poly.bit_length() - 1
+    low = pk.pack([poly >> i & 1 for i in range(deg)])
+    top = (p.bit_length() - 1) // S
+    while top >= deg:
+        c = p >> (top * S)
+        p ^= c << (top * S) ^ c * low << ((top - deg) * S)
+        top = (p.bit_length() - 1) // S
+    return p
+
+
+def _binary_divmod(num, den):
+    """(q, r) with num = q den + r and deg r < deg den, for binary
+    polynomials held as ints."""
+    q = 0
+    while num.bit_length() >= den.bit_length():
+        sh = num.bit_length() - den.bit_length()
+        q |= 1 << sh
+        num ^= den << sh
+    return q, num
+
+
+def _binary_inverse(a, mod):
+    """The inverse of the binary polynomial a modulo a coprime mod, by
+    Euclid; every quotient has degree below mod's."""
+    deg = mod.bit_length() - 1
+    r0, r1, s0, s1 = mod, _binary_divmod(a, mod)[1], 0, 1
+    while r1 != 1:
+        q, r = _binary_divmod(r0, r1)
+        r0, r1, s0, s1 = r1, r, s1, s0 ^ _poly_mulmod(q, s1, mod, deg)
+    return s1
+
+
+@functools.cache
+def _cyclotomic(a):
+    """((d, Phi_d, e_d) for each d | a), a odd, as binary polynomials held
+    as ints.  Phi_d is z^d - 1 over the Phi of its proper divisors; the
+    Phi_d are pairwise coprime and z^a - 1 is their product (Lidl &
+    Niederreiter, Finite Fields, 2.4).  e_d is the idempotent of the
+    Chinese remainder theorem: 1 mod Phi_d and 0 mod the others, as
+    M (M^-1 mod Phi_d) mod z^a - 1 for M = (z^a - 1) / Phi_d."""
+    phis = {}
+    for d in range(1, a + 1):
+        if a % d == 0:
+            q = 1 | 1 << d
+            for c, phi in phis.items():
+                if d % c == 0:
+                    q = _binary_divmod(q, phi)[0]
+            phis[d] = q
+    za = 1 | 1 << a
+    out = []
+    for d, phi in phis.items():
+        M = _binary_divmod(za, phi)[0]
+        out.append((d, phi, _poly_mulmod(M, _binary_inverse(M, phi), za, a)))
+    return tuple(out)
+
+
+def _cyc_euclid(ctx, modulus, a, bezout):
+    """Euclid on a binary modulus and a over packed rows, slot i the
+    coefficient of z^i.
+
+    modulus is an int of degree n, bit i its coefficient of z^i, and a is a
+    packed row of reduced slots of degree < n.  Each division step clears
+    the leading slot of r0 with one scal of r1.  Returns (pk, r, s): r is
+    the constant gcd when a is a unit modulo modulus and 0 otherwise.  With
+    bezout set, the same steps run on s, so that r = s a mod modulus and
+    deg s < n; without it, s is 0.
     """
-    n = len(a)
+    n = modulus.bit_length() - 1
     pk = _packed(ctx, n + 1)
     S = pk.S
-    # invariant: r_i = s_i a mod z^n - 1; r0 = z^n + 1 and r1 = a to start
-    r0, r1 = 1 | 1 << (n * S), pk.pack(a)
+    # invariant: r_i = s_i a mod modulus; r0 = modulus and r1 = a to start
+    r0, r1 = pk.pack([modulus >> i & 1 for i in range(n + 1)]), a
     s0, s1 = 0, int(bezout)
     while r1 >> S:  # deg r1 > 0
         d1 = (r1.bit_length() - 1) // S
@@ -902,12 +986,63 @@ def _cyc_euclid(ctx, a, bezout):
     return pk, r1, s1
 
 
+def _odd_part(n):
+    return n // (n & -n)
+
+
+def _factor_euclids(ctx, p, a, bezout):
+    """For the packed row p modulo z^a - 1, a odd: (_cyc_euclid's result,
+    e_d) for p mod Phi_d against Phi_d, for each d | a (_cyclotomic), up to
+    the first factor of which p is not a unit.  p mod Phi_d is p folded
+    onto d slots (p mod z^d - 1) and reduced by the binary Phi_d, with XORs
+    alone; the Euclid then runs at degree phi(d), not a."""
+    pk = _packed(ctx, a)
+    for d, phi, e in _cyclotomic(a):
+        res = _cyc_euclid(ctx, phi, _binary_rem(pk, _fold_slots(pk.S, p, d), phi), bezout)
+        yield res, e
+        if not res[1]:
+            return
+
+
 def cyc_inv(ctx, a):
-    """Inverse of a in GF(2^m)[z]/(z^n - 1), or None if a is not a unit."""
-    pk, r, s = _cyc_euclid(ctx, a, True)
-    if not r:
-        return None  # gcd has positive degree: a shares a factor with z^n - 1
-    return pk.unpack(pk.fold(pk.scal(s, ctx.inv(r))))[: len(a)]
+    """Inverse of a in GF(2^m)[z]/(z^n - 1), or None if a is not a unit.
+
+    With n = 2^s c and c odd, z^n - 1 = (z^c - 1)^(2^s) in characteristic
+    2, so a is a unit exactly when b = a mod z^c - 1 is one.  Its inverse
+    modulo z^c - 1 is sum_d x_d e_d over d | c, x_d the inverse of b modulo
+    Phi_d (_factor_euclids); e_d is binary, so each term is an XOR of
+    shifts of x_d.  Each doubling of c lifts the inverse x: x b = 1 mod
+    z^c - 1 gives (b x^2) b = (x b)^2 = 1 mod z^(2c) - 1, for
+    b = a mod z^(2c) - 1 (Newton's iteration x (2 - b x) with 2 = 0; von
+    zur Gathen & Gerhard, Modern Computer Algebra, ch. 9).  x^2 holds x_i^2
+    (_Packed.sqr) at slot 2i, so the product takes c terms.
+    """
+    n = len(a)
+    c = _odd_part(n)
+    pk = _packed(ctx, n)
+    S = pk.S
+    pa = pk.pack(a)
+    acc = 0
+    for (pk, r, s), e in _factor_euclids(ctx, _fold_slots(S, pa, c), c, True):
+        if not r:
+            return None  # a shares a factor with z^n - 1
+        x = pk.fold(pk.scal(s, ctx.inv(r)))
+        for j in range(e.bit_length()):
+            if e >> j & 1:
+                acc ^= x << (j * S)
+    pk = _packed(ctx, c)
+    x = _fold_slots(S, acc, c)
+    while c < n:
+        squares = pk.unpack(pk.sqr(x))
+        c *= 2
+        pk = _packed(ctx, c)
+        tab = _window_table(_fold_slots(S, pa, c))
+        acc = 0
+        for i, v in enumerate(squares):
+            if v:
+                acc ^= pk.rotate(_window_mul(tab, v), 2 * i, c)
+        x = pk.fold(acc)
+    return pk.unpack(x)
 
 
 def _poly_add(a, b):
@@ -1035,9 +1170,20 @@ class CirculantGrid:
     def is_invertible(self) -> bool:
         """True iff a square grid is invertible: gcd(det, z^n - 1) = 1.
 
-        Runs the Euclid loop of det_inverse without its Bezout row.
+        z^n - 1 has the irreducible factors of z^a - 1, a the odd part of
+        n, so det is a unit exactly when det mod z^a - 1 is one; that is
+        the determinant of the generators folded onto a slots, a ring map.
+        It is a unit exactly when it is one modulo every binary cyclotomic
+        factor Phi_d of z^a - 1: one Euclid of degree phi(d) per factor,
+        without its Bezout row (_factor_euclids).  At a = 1 that is
+        det(1) != 0.
         """
-        return bool(_cyc_euclid(self.ctx, self._det(), False)[1])
+        n = len(self.gens[0][0])
+        a = _odd_part(n)
+        folded = [[[functools.reduce(operator.xor, g[i::a]) for i in range(a)] for g in row]
+                  for row in self.gens]
+        det = _packed(self.ctx, a).pack(_ring_det(self.ctx, folded, len(folded), a))
+        return all(res[1] for res, _ in _factor_euclids(self.ctx, det, a, False))
 
     def det_inverse(self):
         """Inverse of the ring determinant of a square grid, or None when the

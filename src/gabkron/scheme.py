@@ -313,7 +313,8 @@ class _Decrypter:
     @classmethod
     def checked(cls, sk):
         """The decrypter of a key that keygen did not hand one.  Raises
-        ValueError unless, in order, P is invertible (a gcd), alpha a field
+        ValueError unless, in order, P is invertible (one gcd per cyclotomic
+        factor of z^a - 1, a the odd part of its block size), alpha a field
         element and normal or g2 alpha's orbit of full rank weight, G1 of
         full rank, S invertible.  P's entries were checked when its grid was
         built."""

@@ -186,6 +186,84 @@ def lincomb_per_term(pk, coeffs, prows):
     return unpack_shift_loop(pk, pk.fold(products_per_term(pk, zip(coeffs, prows))))
 
 
+# The referee of the circulant ring GF(2^m)[z]/(z^n - 1): Euclid on z^n - 1
+# at full n, which cyc_inv and CirculantGrid.is_invertible ran before they
+# moved to the cyclotomic factors of the odd part of n.
+
+
+def cyc_inv_euclid(ctx, a):
+    """Inverse of a modulo z^n - 1, n = len(a), or None if a is not a unit.
+
+    Euclid on z^n - 1 and a over packed rows, slot i the coefficient of
+    z^i: each division step clears the leading slot of r0 with one scal of
+    r1, and the same steps on s keep r_i = s_i a mod z^n - 1.
+    """
+    n = len(a)
+    pk = rl._packed(ctx, n + 1)
+    S = pk.S
+    r0, r1 = 1 | 1 << (n * S), pk.pack(a)
+    s0, s1 = 0, 1
+    while r1 >> S:  # deg r1 > 0
+        d1 = (r1.bit_length() - 1) // S
+        inv_lead = ctx.inv(pk.entry(r1, d1))
+        d0 = (r0.bit_length() - 1) // S
+        while d0 >= d1:  # d0 is -1 once r0 is zero
+            f = ctx.mul(pk.entry(r0, d0), inv_lead)
+            sh = (d0 - d1) * S
+            r0 = pk.fold(r0 ^ pk.scal(r1, f) << sh)
+            s0 = pk.fold(s0 ^ pk.scal(s1, f) << sh)
+            d0 = (r0.bit_length() - 1) // S
+        r0, r1, s0, s1 = r1, r0, s1, s0
+    if not r1:
+        return None  # gcd has positive degree
+    return pk.unpack(pk.fold(pk.scal(s1, ctx.inv(r1))))[:n]
+
+
+def cyclotomic_multiples(ctx, r):
+    """r Phi_d mod z^n - 1, n = len(r), for each binary cyclotomic factor
+    Phi_d of z^a - 1, a the odd part of n: none is a unit, whatever r is,
+    and random inputs need not hit every factor."""
+    n = len(r)
+    out = []
+    for _, phi, _ in rl._cyclotomic(n // (n & -n)):
+        coeffs = [0] * n
+        for i in range(phi.bit_length()):
+            coeffs[i % n] ^= phi >> i & 1
+        out.append(rl.cyc_mul(ctx, r, coeffs))
+    return out
+
+
+def ring_against_euclid(P, rng):
+    """CirculantGrid.is_invertible and cyc_inv against cyc_inv_euclid at the
+    block size n of the key's grid P: on det(P) and a random r, and on each
+    of them times every Phi_d (cyclotomic_multiples); and P's own verdict,
+    also with its first block row times each Phi_d, which makes its
+    determinant a multiple of Phi_d.  Returns the seconds of the program
+    and of the referee."""
+    ctx, det = P.ctx, P._det()
+    n = len(det)
+    r = RankVector.random(ctx, n, rng).values
+    inputs = [det, r] + cyclotomic_multiples(ctx, det) + cyclotomic_multiples(ctx, r)
+    prog_s = ref_s = 0.0
+    units = 0
+    for a in inputs:
+        t0 = time.perf_counter()
+        inv = rl.cyc_inv(ctx, a)
+        unit = CirculantGrid(ctx, [[a]], n).is_invertible()
+        t1 = time.perf_counter()
+        want = cyc_inv_euclid(ctx, a)
+        ref_s += time.perf_counter() - t1
+        prog_s += t1 - t0
+        assert inv == want
+        assert unit == (want is not None)
+        units += unit
+    assert 1 <= units <= 2  # det(P), and r when it is a unit
+    assert P.is_invertible()
+    for row0 in zip(*(cyclotomic_multiples(ctx, g) for g in P.gens[0])):
+        assert not CirculantGrid(ctx, [list(row0)] + P.gens[1:], P.k).is_invertible()
+    return prog_s, ref_s
+
+
 # The referee of gf2m.BitSpan: field elements transposed into the columns
 # of a GF(2) matrix, which a Gauss–Jordan elimination brings to reduced
 # echelon form.

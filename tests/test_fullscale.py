@@ -13,11 +13,14 @@ systematic form by Schur steps against the echelon of [M0 | I_k], and the
 inner code's parity vector h against the Moore solve, and the decoder's
 error values W by Moore stages against the echelon of the whole Moore
 system, at the repaired sets and at new-gabkron-192 and -256, whose
-length-m inner codes decode by the same stages.  The parity test also checks the inner code's presentation, read
-off alpha's orbit, against the squared-out Moore matrix.  The products test
-checks encrypt's m·N, a block's syndromes and the decrypter's c·P, rows
-packed pairwise and summed in chunked window sums, against rows packed by
-the shift loop and summed one scal per term.
+length-m inner codes decode by the same stages.  The parity test also
+checks the inner code's presentation, read off alpha's orbit, against the
+squared-out Moore matrix.  The products test checks encrypt's m·N, a
+block's syndromes and the decrypter's c·P, rows packed pairwise and summed
+in chunked window sums, against rows packed by the shift loop and summed
+one scal per term.  The ring test checks the circulant ring's unit test
+and inverse at n = 300 and 330, by the cyclotomic factors of the odd part
+of n, against the Euclid on z^n - 1 at full n.
 """
 
 import functools
@@ -40,6 +43,7 @@ from conftest import (
     lincomb_per_term,
     located_error,
     pack_shift_loop,
+    ring_against_euclid,
     systematic_form_against_rref,
 )
 
@@ -103,6 +107,16 @@ def test_systematic_form_full_scale(name):
     schur_s, rref_s = systematic_form_against_rref(kp)
     print(f"\n{name}: keygen {keygen_s:.1f} s; systematic form {schur_s:.2f} s "
           f"by Schur steps, {rref_s:.1f} s by the echelon of [M0 | I_k]")
+
+
+@pytest.mark.parametrize("name", ["rep-gabkron-192", "rep-gabkron-256"])
+def test_circulant_ring_full_scale(name):
+    # the unit test and inverse of the circulant ring at n = 300 and 330
+    # (odd parts 75 and 165) against the Euclid on z^n - 1 at full n
+    p, kp, _ = _keypair(name)
+    prog_s, ref_s = ring_against_euclid(kp.sk.P, SeededRng(b"fullscale-ring-" + name.encode()))
+    print(f"\n{name}: cyc_inv and is_invertible {prog_s:.2f} s in all, "
+          f"{ref_s:.2f} s by the Euclid on z^n - 1")
 
 
 @pytest.mark.parametrize("name", ["rep-gabkron-192", "rep-gabkron-256"])

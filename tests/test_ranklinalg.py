@@ -1,11 +1,13 @@
 import functools
 import itertools
+import math
 import operator
 
 import pytest
 
 from gabkron.gf2m import BitSpan, ContextMismatchError, FieldCtx, _bit_rank
-from gabkron import audit, ranklinalg as rl
+from gabkron import audit, ranklinalg as rl, scheme as sc
+from gabkron.params import setup
 from gabkron.ranklinalg import (
     BitMatrix,
     RankMatrix,
@@ -15,11 +17,14 @@ from gabkron.ranklinalg import (
 )
 
 from conftest import (
+    cyc_inv_euclid,
+    cyclotomic_multiples,
     expand_over_base,
     fresh_rng,
     lincomb_per_term,
     pack_shift_loop,
     products_per_term,
+    ring_against_euclid,
     rref,
     solve_gf2,
     unpack_shift_loop,
@@ -722,7 +727,9 @@ def test_circulant_inverse_structure(ctx4):
         done += 1
 
 
-@pytest.mark.parametrize("m,n", [(4, 6), (8, 5)])
+# n = 1, 2 and 8 have odd part 1, so the unit test is a(1) != 0; at 8 and
+# 12 = 4 * 3 the inverse lifts three and two times
+@pytest.mark.parametrize("m,n", [(4, 6), (8, 5), (4, 1), (4, 2), (4, 8), (8, 12)])
 def test_cyc_inv_matches_dense_inverse(m, n):
     ctx = FieldCtx(m)
     rng = fresh_rng(b"cycinv%d" % m)
@@ -733,10 +740,14 @@ def test_cyc_inv_matches_dense_inverse(m, n):
             inputs.append(RankVector.random(ctx, n, rng).values)
         else:
             inputs.append([rng.element(m) if rng.randrange(4) == 0 else 0 for _ in range(n)])
+    # a multiple of each cyclotomic factor of z^a - 1, a the odd part of n
+    inputs += cyclotomic_multiples(ctx, RankVector.random(ctx, n, rng).values)
     units = 0
     for a in inputs:
         inv = rl.cyc_inv(ctx, a)
-        # the parse-time check runs the same Euclid loop without the Bezout row
+        assert inv == cyc_inv_euclid(ctx, a)
+        # the parse-time check splits z^n - 1 as cyc_inv does, without the
+        # Bezout rows and the lift
         assert rl.CirculantGrid(ctx, [[a]], n).is_invertible() == (inv is not None)
         try:
             dense = rl.circulant(RankVector(ctx, a)).invert()
@@ -753,6 +764,33 @@ def test_cyc_inv_full_size():
     a = RankVector.random(ctx, 210, fresh_rng(b"cycinv211")).values
     inv = rl.cyc_inv(ctx, a)
     assert rl.cyc_mul(ctx, a, inv) == [1] + [0] * 209
+
+
+@pytest.mark.parametrize("a", [1, 3, 15, 45, 105, 165])
+def test_cyclotomic_factors_and_idempotents(a):
+    # z^a - 1 is the product of the Phi_d, each of degree phi(d), and e_d is
+    # the idempotent of the CRT: 1 mod Phi_d, 0 mod the others
+    rest = 1 | 1 << a
+    total = 0
+    for d, phi, e in rl._cyclotomic(a):
+        assert phi.bit_length() - 1 == sum(1 for i in range(1, d + 1) if math.gcd(i, d) == 1)
+        rest, r = rl._binary_divmod(rest, phi)
+        assert r == 0
+        for _, other, _ in rl._cyclotomic(a):
+            assert rl._binary_divmod(e, other)[1] == (1 if other == phi else 0)
+        assert e.bit_length() <= a
+        total ^= e
+    assert rest == 1
+    assert total == 1
+
+
+@pytest.mark.parametrize("name", ["new-gabkron-128", "new-gabkron-192", "new-gabkron-256",
+                                  "rep-gabkron-128"])
+def test_circulant_ring_against_full_euclid(name):
+    # every registry block size in tier-1: n = 90, 120, 128 (odd part 1) and
+    # 210; the fullscale tests take 300 and 330
+    kp = sc.keygen(setup(name), fresh_rng(b"ring-" + name.encode()))
+    ring_against_euclid(kp.sk.P, fresh_rng(b"ring-r-" + name.encode()))
 
 
 def random_grid(ctx, nrows, ncols, k, n, rng):
