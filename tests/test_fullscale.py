@@ -20,10 +20,13 @@ block's syndromes and the decrypter's c·P, rows packed pairwise and summed
 in chunked window sums, against rows packed by the shift loop and summed
 one scal per term.  The ring test checks the circulant ring's unit test
 and inverse at n = 300 and 330, by the cyclotomic factors of the odd part
-of n, against the Euclid on z^n - 1 at full n.
+of n, against the Euclid on z^n - 1 at full n.  The key-file test pins the
+SHA-256 of the rep-gabkron-192 and -256 key files of a fixed-seed
+command-line keygen, as the tier-1 workflow does at rep-gabkron-128.
 """
 
 import functools
+import hashlib
 import os
 import statistics
 import time
@@ -31,6 +34,7 @@ import time
 import pytest
 
 from gabkron import keyio, scheme as sc
+from gabkron.cli import main
 from gabkron.gabcodes import from_normal_orbit, from_orbit, moore_matrix
 from gabkron.gf2m import FieldCtx
 from gabkron.params import setup
@@ -203,3 +207,29 @@ def test_products_full_scale(name):
         report.append(f"{label} {old_s * 1e3:.1f} -> {new_s * 1e3:.1f} ms")
     print(f"\n{name}, packing and product, per term and shift loop -> chunked and "
           f"pairwise: " + ", ".join(report))
+
+
+# SHA-256 of pk.bin and sk.bin from `gabkron keygen --seed 5eed...5eed`, the
+# seed of the tier-1 command-line steps
+KEY_FILES = {
+    "rep-gabkron-192": (
+        "f52fb06d17acfb31c62e6946035eeeb0d680707bfcfc5f99164a8189ca8cc4b0",
+        "b1d4146b507cbf28200545dd58c1aa5a05934ce6359878b6a644f8e85ab1da6a",
+    ),
+    "rep-gabkron-256": (
+        "5cb0923561390340397ca42502dfb5c2e3ae75a9a6344af768bfdfe33daab44e",
+        "d63ec3ad5e2b0f8cc1374020d3b52239aaf5589d9725859ef5061a118567df4c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(KEY_FILES))
+def test_repaired_key_files_full_scale(name, tmp_path):
+    pk, sk = tmp_path / "pk.bin", tmp_path / "sk.bin"
+    t0 = time.perf_counter()
+    assert main(["keygen", "--set", name, "--seed", "5eed" * 16,
+                 "--pk", str(pk), "--sk", str(sk)]) == 0
+    keygen_s = time.perf_counter() - t0
+    digests = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in (pk, sk))
+    assert digests == KEY_FILES[name]
+    print(f"\n{name}: command-line keygen {keygen_s:.1f} s")

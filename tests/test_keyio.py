@@ -220,6 +220,19 @@ GOLDEN = {
         "9b29e503dae9df710a4461dc5742452985cdd2eeb2a8cc6fb4adb6a49075e86c",
         "40c1a15208f997eed2ee3df67d41fc67cc6d5e9667cc9770d946cf3bc3afc178",
     ),
+    # n2 = 120 = 8 * 15 and 128 = 2^7: the ring inverse lifts 3 and 7 times
+    "new-gabkron-192": (
+        None,
+        "9efe1286bb2bd5c2554ebcb3421dba9a9454a6c1b8e672e32d5b7ec70f52dfe8",
+        "d2936c3d9910f94308cf9ff64d2521cb3affd9e19878aa71eb1b0a9fddf5065b",
+        "d354c23fc1ecc81ec2a2e56c83c5666b298862408c0a4a581c45de55fccabe75",
+    ),
+    "new-gabkron-256": (
+        None,
+        "1c4922a7f3a17c8a3530e9f98f3eb513cf20a900408ad2a37d608270bb251141",
+        "13c4ea4a077533c706116e8042ae0ed4c4f470c16419b026bf9c5c8974649be6",
+        "d71a8a7a53c4834abc8782aae1cd18638dd620716c9da4d2957c3219d00cd084",
+    ),
 }
 
 
