@@ -10,11 +10,16 @@ mismatch of the implementation, not of the table.
 
 The dense product-code helpers (kron, product_generator and its factors,
 subcode_membership) live here: only the audit and the tests expand a
-product code, and the ciphers never build its generator G.
+product code, and the ciphers never build its generator G.  So does the
+product of two circulant-block grids of full-rank generators
+(circulant_block_compose): key generation multiplies by P and X through
+their GF(2) decompositions instead.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 
 from .gf2m import ContextMismatchError, FieldCtx
@@ -26,9 +31,9 @@ from .ranklinalg import (
     RankVector,
     SingularMatrixError,
     circulant,
-    circulant_block_compose,
     circulant_block_invert,
     circulant_inverse,
+    cyc_mul,
     is_circulant,
     is_partial_circulant_block,
     partial_circulant,
@@ -290,6 +295,24 @@ def subcode_membership(K: KroneckerCode, vals) -> bool:
     """True iff every block of the word vals is a codeword of K's inner code."""
     n2 = K.n2
     return not any(any(K.C2.syndromes(vals[j * n2 : (j + 1) * n2])) for j in range(K.n1))
+
+
+def circulant_block_compose(B: CirculantGrid, A: CirculantGrid) -> CirculantGrid:
+    """Product of a partial-circulant-block B by a circulant-block A.
+
+    Block (i, j) of the product has generator sum_l B[i][l] A[l][j] in the
+    circulant ring, so the result is a grid of B's row count by construction.
+    """
+    if len(B.gens[0]) != len(A.gens):
+        raise ValueError("dimension mismatch")
+    ctx = B.ctx
+    gens = [
+        [[functools.reduce(operator.xor, vals)
+          for vals in zip(*(cyc_mul(ctx, b, a) for b, a in zip(brow, col)))]
+         for col in zip(*A.gens)]
+        for brow in B.gens
+    ]
+    return CirculantGrid(ctx, gens, B.k)
 
 
 def is_circulant_block(M: RankMatrix, n1: int, n2: int) -> bool:

@@ -42,12 +42,20 @@ M[i][j] = a[(i-j) % n].  Circulant n x n matrices multiply like polynomials
 mod z^n - 1, so Cir_k(b) Cir(a) = Cir_k(b a) in that ring.  A matrix made
 of such blocks, a single circulant included (a 1 x 1 grid), is held as a
 CirculantGrid of block generators; products and inverses of grids run in
-the ring, a vector times a grid runs on the GF(2) decomposition of its
-generators (CirculantGrid.left_mul_values), and the dense matrix is built
-only as an oracle for the tests and the audit (CirculantGrid.dense, with
-RankMatrix.from_blocks, identity and invert).  Ring elements live in
-packed rows, slot i holding the coefficient of z^i, so cyc_mul and cyc_inv
-use the same window/fold kernel as the matrices.  Units and inverses are
+the ring, a vector times a grid too (CirculantGrid.left_mul_values), and
+the dense matrix is built only as an oracle for the tests and the audit
+(CirculantGrid.dense, with RankMatrix.from_blocks, identity and invert).
+Ring elements live in packed rows, slot i holding the coefficient of z^i,
+so ring products use the same window/fold kernel as the matrices.  The
+scheme's scramblers have low binary rank by construction: P's entries lie
+in a small GF(2) subspace and X repeats t1 values.  A product with such a
+factor b goes through b's GF(2) decomposition b = sum_q v_q b_q, b_q
+binary (_binary_parts): one XOR of rotations of the other factor per b_q,
+then rank(b) products in one sum (_cyc_sum).  That one routine gives c P
+on decrypt, P's determinant and adjugate (_ring_det,
+CirculantGrid.adjugate), the Newton lift of cyc_inv and key generation's
+products by P^-1 and X; cyc_mul, one product per entry of its first
+factor, is left for two factors of full rank.  Units and inverses are
 found at the odd part a of n = 2^s a, where z^n - 1 = (z^a - 1)^(2^s) in
 characteristic 2: an element folds onto a slots by XOR, splits over the
 binary cyclotomic factors Phi_d of z^a - 1 by XOR again, and one Euclid
@@ -867,7 +875,8 @@ def is_partial_circulant_block(M: RankMatrix, k1: int, n1: int, k2: int, n2: int
 
 
 def cyc_mul(ctx, a, b):
-    """Cyclic convolution: generator of Cir(a) · Cir(b)."""
+    """Cyclic convolution: generator of Cir(a) · Cir(b), for two factors
+    of full binary rank; a factor of low rank goes through _cyc_sum."""
     n = len(a)
     if len(b) != n:
         raise ValueError("length mismatch")
@@ -879,6 +888,39 @@ def cyc_mul(ctx, a, b):
     for r, v in enumerate(a):
         acc ^= pk.rotate(_window_mul(tab, v), r, n)
     return pk.unpack(pk.fold(acc))
+
+
+def _cyc_sum(pk, pairs):
+    """sum of a b over (a, parts) pairs in GF(2^m)[z]/(z^n - 1), n = pk.L,
+    unfolded: a is a packed row of reduced slots and parts the GF(2)
+    decomposition of b (_binary_parts).
+
+    b = sum_q v_q b_q with each b_q binary, so a b = sum_q v_q x_q, x_q the
+    XOR of a rotated right by each d in the support of b_q: rank(b)
+    products instead of n, summed by sum_products.  A rotation is a shift
+    of a's packed row doubled end to end.
+    """
+    n, S = pk.L, pk.S
+    width = n * S
+    keep = (1 << width) - 1
+
+    def terms():
+        for a, parts in pairs:
+            if not a:
+                continue
+            aa = a | a << width
+            for v, supp in parts:
+                x = 0
+                for d in supp:
+                    x ^= aa >> ((n - d) * S)
+                yield v, x & keep
+
+    return pk.sum_products(terms())
+
+
+def _folded(vals, d):
+    """The ring element vals modulo z^d - 1: entry i XORed onto entry i mod d."""
+    return [functools.reduce(operator.xor, vals[i::d]) for i in range(d)]
 
 
 def _fold_slots(S, p, d):
@@ -1015,7 +1057,9 @@ def cyc_inv(ctx, a):
     z^c - 1 gives (b x^2) b = (x b)^2 = 1 mod z^(2c) - 1, for
     b = a mod z^(2c) - 1 (Newton's iteration x (2 - b x) with 2 = 0; von
     zur Gathen & Gerhard, Modern Computer Algebra, ch. 9).  x^2 holds x_i^2
-    (_Packed.sqr) at slot 2i, so the product takes c terms.
+    (_Packed.sqr) at slot 2i, and the product takes b through its GF(2)
+    decomposition (_cyc_sum): rank(b) products, a handful for the
+    determinants of the scheme's low-rank scramblers.
     """
     n = len(a)
     c = _odd_part(n)
@@ -1036,22 +1080,9 @@ def cyc_inv(ctx, a):
         squares = pk.unpack(pk.sqr(x))
         c *= 2
         pk = _packed(ctx, c)
-        tab = _window_table(_fold_slots(S, pa, c))
-        acc = 0
-        for i, v in enumerate(squares):
-            if v:
-                acc ^= pk.rotate(_window_mul(tab, v), 2 * i, c)
-        x = pk.fold(acc)
+        x2 = pk.pack([v for sq in squares for v in (sq, 0)])
+        x = pk.fold(_cyc_sum(pk, [(x2, _binary_parts(_folded(a, c)))]))
     return pk.unpack(x)
-
-
-def _poly_add(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, v in enumerate(b):
-        out[i] ^= v
-    return out
 
 
 def circulant_inverse(M: RankMatrix) -> RankMatrix:
@@ -1089,8 +1120,9 @@ class CirculantGrid:
 
     Block (i, j) is Cir_k(gens[i][j]): the first k rows of the circulant of
     an n-vector, k the same for every block (k = n for circulant blocks).
-    A grid keeps, once built, its packed rows (packed_rows) and the GF(2)
-    decomposition of each generator that left_mul_values reads.  Raises
+    A grid keeps, once built, its packed rows (packed_rows), the GF(2)
+    decomposition of each generator (parts) and, when square and
+    invertible, the inverse of its ring determinant (det_inverse).  Raises
     ValueError unless every generator entry is an element of ctx.
     """
 
@@ -1099,6 +1131,7 @@ class CirculantGrid:
     k: int
     _prows: tuple = field(default=None, init=False, repr=False, compare=False)
     _parts: list = field(default=None, init=False, repr=False, compare=False)
+    _det_inv: list = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # a negative entry would never finish a window product, and one of
@@ -1108,43 +1141,30 @@ class CirculantGrid:
                 for v in a:
                     self.ctx.check(v)
 
+    def parts(self):
+        """_binary_parts of each generator, built on first use and kept."""
+        if self._parts is None:
+            self._parts = [[_binary_parts(b) for b in grow] for grow in self.gens]
+        return self._parts
+
     def left_mul_values(self, vals):
         """vals (length rows of blocks times k) times the grid, as a list.
 
-        Write a generator as b = sum_q v_q b_q, b_q binary (_binary_parts).
-        Entry u of c Cir_k(b_q) is the XOR of c_{u+d mod n} over the support
-        of b_q, so c Cir_k(b) = sum_q v_q x_q, x_q the XOR of c's left
-        rotations by that support: rank(b) products instead of k, summed
-        per block column by sum_products.  A rotation is a shift of c's
-        packed row doubled end to end.
+        Row 0 of Cir(b) is reflect(b), so c Cir_k(b), c padded to n, is
+        c reflect(b) in the ring, which is reflect(reflect(c) b): reflect
+        is the ring automorphism z -> z^-1.  Block column j is thus the
+        reflection of sum_i reflect(c_i) b_ij, one _cyc_sum on the kept
+        decomposition of the generators: rank(b) products instead of k.
         """
         n = len(self.gens[0][0])
         k = self.k
         pk = _packed(self.ctx, n)
-        S = pk.S
-        width = n * S
-        if self._parts is None:
-            self._parts = [[_binary_parts(b) for b in grow] for grow in self.gens]
-        keep = (1 << width) - 1
-        doubled = []  # (c c, that block row's parts) where c is not 0
-        for i, grow in enumerate(self._parts):
-            c = pk.pack(vals[i * k : (i + 1) * k])
-            if c:
-                doubled.append((c | c << width, grow))
-
-        def terms(j):
-            for cc, grow in doubled:
-                for v, supp in grow[j]:
-                    x = 0
-                    for d in supp:
-                        x ^= cc >> (d * S)
-                    yield v, x & keep
-
-        acc = 0
-        for j in range(len(self.gens[0])):
-            acc ^= pk.sum_products(terms(j)) << (j * width)
-        wide = _packed(self.ctx, len(self.gens[0]) * n)
-        return wide.unpack(wide.fold(acc))
+        pad = [0] * (n - k)
+        rcs = [pk.pack(reflect(vals[i * k : (i + 1) * k] + pad)) for i in range(len(self.gens))]
+        out = []
+        for col in zip(*self.parts()):
+            out += reflect(pk.unpack(pk.fold(_cyc_sum(pk, zip(rcs, col)))))
+        return out
 
     def packed_rows(self):
         """(packer, rows) exactly as RankMatrix.packed_rows of dense(), and
@@ -1165,7 +1185,9 @@ class CirculantGrid:
         return self._prows
 
     def _det(self):
-        return _ring_det(self.ctx, self.gens, len(self.gens), len(self.gens[0][0]))
+        pk = _packed(self.ctx, len(self.gens[0][0]))
+        packed = [[pk.pack(b) for b in grow] for grow in self.gens]
+        return pk.unpack(_ring_det(pk, packed, self.parts()))
 
     def is_invertible(self) -> bool:
         """True iff a square grid is invertible: gcd(det, z^n - 1) = 1.
@@ -1180,15 +1202,43 @@ class CirculantGrid:
         """
         n = len(self.gens[0][0])
         a = _odd_part(n)
-        folded = [[[functools.reduce(operator.xor, g[i::a]) for i in range(a)] for g in row]
-                  for row in self.gens]
-        det = _packed(self.ctx, a).pack(_ring_det(self.ctx, folded, len(folded), a))
+        pk = _packed(self.ctx, a)
+        folded = [[_folded(g, a) for g in grow] for grow in self.gens]
+        det = _ring_det(pk, [[pk.pack(g) for g in grow] for grow in folded],
+                        [[_binary_parts(g) for g in grow] for grow in folded])
         return all(res[1] for res, _ in _factor_euclids(self.ctx, det, a, False))
 
     def det_inverse(self):
-        """Inverse of the ring determinant of a square grid, or None when the
-        grid is singular."""
-        return cyc_inv(self.ctx, self._det())
+        """Inverse of the ring determinant of a square grid, kept once
+        found, or None when the grid is singular."""
+        if self._det_inv is None:
+            self._det_inv = cyc_inv(self.ctx, self._det())
+        return self._det_inv
+
+    def adjugate(self):
+        """adj of a square grid over the ring, entry (i, j) the minor
+        without block row j and block column i (signs vanish in
+        characteristic 2), as (packed row, _binary_parts) pairs, so that
+        products take it through its decomposition.  The 1 x 1 minors of a
+        2 x 2 grid are its generators, with their kept decompositions."""
+        n1 = len(self.gens)
+        pk = _packed(self.ctx, len(self.gens[0][0]))
+        if n1 == 1:
+            return [[(1, [(1, [0])])]]
+        packed = [[pk.pack(b) for b in grow] for grow in self.gens]
+        parts = self.parts()
+        adj = []
+        for i in range(n1):
+            row = []
+            for j in range(n1):
+                rows = [r for r in range(n1) if r != j]
+                cols = [c for c in range(n1) if c != i]
+                minor = _ring_det(pk, [[packed[r][c] for c in cols] for r in rows],
+                                  [[parts[r][c] for c in cols] for r in rows])
+                row.append((minor, parts[rows[0]][cols[0]] if n1 == 2
+                            else _binary_parts(pk.unpack(minor))))
+            adj.append(row)
+        return adj
 
     def dense(self) -> RankMatrix:
         """The expanded matrix; an oracle for tests and the audit."""
@@ -1198,59 +1248,37 @@ class CirculantGrid:
         )
 
 
-def circulant_block_compose(B: CirculantGrid, A: CirculantGrid) -> CirculantGrid:
-    """Product of a partial-circulant-block B by a circulant-block A.
+def _ring_det(pk, gens, parts):
+    """Determinant of a square matrix over GF(2^m)[z]/(z^n - 1), n = pk.L,
+    packed and reduced; gens[i][j] is entry (i, j) as a packed row of
+    reduced slots and parts[i][j] its _binary_parts.
 
-    Block (i, j) of the product has generator sum_l B[i][l] A[l][j] in the
-    circulant ring, so the result is a grid of B's row count by construction.
+    Leibniz expansion; signs vanish in characteristic 2.  A term multiplies
+    its later factors in through their decompositions (_cyc_sum), and the
+    last factors of all terms go through one sum.  Fine for the small n1
+    this artifact uses.
     """
-    if len(B.gens[0]) != len(A.gens):
-        raise ValueError("dimension mismatch")
-    ctx = B.ctx
-    cols = list(zip(*A.gens))
-    gens = [
-        [functools.reduce(_poly_add, (cyc_mul(ctx, b, a) for b, a in zip(brow, col)))
-         for col in cols]
-        for brow in B.gens
-    ]
-    return CirculantGrid(ctx, gens, B.k)
-
-
-def _ring_det(ctx, gens, n1, n2):
-    """Determinant of an n1 x n1 matrix over GF(2^m)[z]/(z^n2 - 1).
-
-    Leibniz expansion; signs vanish in characteristic 2.  Fine for the
-    small n1 this artifact uses.
-    """
-    det = [0] * n2
+    n1 = len(gens)
+    if n1 == 1:
+        return gens[0][0]
+    last = []
     for perm in itertools.permutations(range(n1)):
-        term = None
-        for i in range(n1):
-            term = gens[i][perm[i]] if term is None else cyc_mul(ctx, term, gens[i][perm[i]])
-        det = _poly_add(det, term)
-    return det
+        term = gens[0][perm[0]]
+        for i in range(1, n1 - 1):
+            term = pk.fold(_cyc_sum(pk, [(term, parts[i][perm[i]])]))
+        last.append((term, parts[-1][perm[-1]]))
+    return pk.fold(_cyc_sum(pk, last))
 
 
 def circulant_block_invert(A: CirculantGrid) -> CirculantGrid:
-    """Inverse of a circulant-block matrix: adjugate over the determinant."""
+    """Inverse of a circulant-block matrix: adjugate over the determinant,
+    d^-1 times each minor through the minor's decomposition."""
     det_inv = A.det_inverse()
     if det_inv is None:
         raise SingularMatrixError("circulant-block matrix is singular")
-    ctx = A.ctx
-    gens = A.gens
-    n1 = len(gens)
     n2 = len(det_inv)
-    if n1 == 1:
-        return CirculantGrid(ctx, [[det_inv]], n2)
-    grid = []
-    for i in range(n1):
-        row = []
-        for j in range(n1):
-            minor = [
-                [gens[r][c] for c in range(n1) if c != i]
-                for r in range(n1)
-                if r != j
-            ]
-            row.append(cyc_mul(ctx, det_inv, _ring_det(ctx, minor, n1 - 1, n2)))
-        grid.append(row)
-    return CirculantGrid(ctx, grid, n2)
+    pk = _packed(A.ctx, n2)
+    d = pk.pack(det_inv)
+    return CirculantGrid(
+        A.ctx, [[pk.unpack(pk.fold(_cyc_sum(pk, [(d, parts)]))) for _, parts in row]
+                for row in A.adjugate()], n2)

@@ -7,7 +7,7 @@ G_pub = (G + X) P^{-1} (improved; everything partial-circulant-block).
 One key-generation loop serves both variants (keygen).  Each attempt
 draws G1, alpha's orbit, X, the subspaces and P in the same order and
 parts only at its last step: the improved variant takes its public grid
-from one ring product and never retries; the repaired variant takes its
+from the circulant ring and never retries; the repaired variant takes its
 systematic form and draws again when the leading minor is singular.
 
 Both variants hold P and X as CirculantGrids, one generator per block.
@@ -16,22 +16,26 @@ in the repaired one; its inverse comes from the circulant ring, and the
 decrypter forms c P from the GF(2) decomposition of P's generators
 (CirculantGrid.left_mul_values), never from its rows.  X has k1 x n1
 blocks of k2 rows in the improved variant and one block of k rows in the
-repaired one.  In the improved variant G and G_pub are grids too, from key
+repaired one.  Key generation multiplies by P, by the minors of P that
+make up its adjugate and by X through their GF(2) decompositions too
+(ranklinalg._cyc_sum): the improved variant makes one product of two
+full-rank factors, alpha's orbit times det(P)^-1, and the repaired one
+none.  In the improved variant G and G_pub are grids too, from key
 generation to the decrypter: block (i, j) of G is Cir_k2(G1[i][j] g2), so
-G_pub's generators come from one product in the circulant ring, and the
-dense matrices are never built.  The repaired variant never builds the
-dense G either: G P^{-1} comes row by row from alpha's orbit, since
-G = G1 (x) Moore(g2) and a rotation commutes with the circulant P^{-1}
-(_repaired_m0_rows).  It adds X P^{-1}, taken in the ring, and reads N and
-S off [I_k | N | S], the reduced echelon form of [(G + X) P^{-1} | I_k].
-Each row of (G + X) P^{-1} is the one above rotated, plus a combination
-of two rows of P^{-1}, except at the first row of a G1 block, so
-generalized Schur steps on 6 displacement generators give that form
-(ranklinalg._systematic_packed); the echelon runs only when a leading
-principal minor is singular.  The public key holds N, as its file does;
-no other module knows that G_pub = [I_k | N].  The repaired decrypter
-factors S once, as a permuted LU of S^T (ranklinalg.LeftSolver), and
-solves x S = mu on each decrypt.
+G_pub's generators come from products in the circulant ring
+(_improved_public_grid), and the dense matrices are never built.  The
+repaired variant never builds the dense G either: G P^{-1} comes row by
+row from alpha's orbit, since G = G1 (x) Moore(g2) and a rotation
+commutes with the circulant P^{-1} (_repaired_m0_rows).  It adds X P^{-1},
+taken in the ring, and reads N and S off [I_k | N | S], the reduced
+echelon form of [(G + X) P^{-1} | I_k].  Each row of (G + X) P^{-1} is the
+one above rotated, plus a combination of two rows of P^{-1}, except at the
+first row of a G1 block, so generalized Schur steps on 6 displacement
+generators give that form (ranklinalg._systematic_packed); the echelon
+runs only when a leading principal minor is singular.  The public key
+holds N, as its file does; no other module knows that G_pub = [I_k | N].
+The repaired decrypter factors S once, as a permuted LU of S^T
+(ranklinalg.LeftSolver), and solves x S = mu on each decrypt.
 
 The inner Gabidulin code carries its own presentation, and block messages
 are written in it: Cir_k2 of the normal orbit of alpha in the improved
@@ -81,12 +85,13 @@ from .ranklinalg import (
     RankMatrix,
     RankVector,
     SingularMatrixError,
+    _cyc_sum,
     _packed,
     _systematic_packed,
     checked_values,
-    circulant_block_compose,
     circulant_block_invert,
     column_rank_q,
+    cyc_mul,
     field_vec_times_bitmatrix,
     reflect,
 )
@@ -371,13 +376,7 @@ def keygen(p: ParamSet, rng) -> KeyPair:
         spec = SubspaceSpec.sample(ctx, p.lam, p.lam_p, code.I, rng)
         P, Pinv = construct_P(p, spec, rng, ctx)
         if p.variant == "improved":
-            # generators of G + X: block (i, j) of G is Cir_k2(G1[i][j] orbit)
-            GX = [
-                [[ctx.mul(G1.rows[i][j], v) ^ x for v, x in zip(orbit, xw.X.gens[i][j])]
-                 for j in range(p.n1)]
-                for i in range(p.k1)
-            ]
-            pk = PublicKey(p, circulant_block_compose(CirculantGrid(ctx, GX, p.k2), Pinv))
+            pk = PublicKey(p, _improved_public_grid(G1, orbit, xw.X, P, Pinv))
             sk = ImprovedSecretKey(p, alpha=orbit[-1], P=P, G1=G1)
             S = None
         else:
@@ -397,6 +396,31 @@ def keygen(p: ParamSet, rng) -> KeyPair:
     raise GenerationError("could not reach a systematic public key")
 
 
+def _improved_public_grid(G1: RankMatrix, orbit, X: CirculantGrid, P: CirculantGrid,
+                          Pinv: CirculantGrid) -> CirculantGrid:
+    """G_pub = (G + X) P^-1 as a grid, block (i, j) of G being
+    Cir_k2(G1[i][j] orbit).
+
+    P^-1 = d^-1 adj(P) for d = det(P), so block (i, j) of G_pub has the
+    generator sum_l G1[i][l] (w adj_lj) + X_il P^-1_lj in the circulant
+    ring, with w = orbit d^-1.  That is one dense ring product (cyc_mul);
+    every other one takes its factor of low binary rank, a minor of P or a
+    generator of X, through its GF(2) decomposition (ranklinalg._cyc_sum).
+    P keeps d^-1 from construct_P's inversion.
+    """
+    ctx = P.ctx
+    pk = _packed(ctx, len(orbit))
+    w = pk.pack(cyc_mul(ctx, orbit, P.det_inverse()))
+    wadj = [[pk.fold(_cyc_sum(pk, [(w, parts)])) for _, parts in row] for row in P.adjugate()]
+    pinv = [[pk.pack(b) for b in row] for row in Pinv.gens]
+    gens = [
+        [pk.unpack(pk.fold(pk.sum_products(zip(g1row, wcol)) ^ _cyc_sum(pk, zip(pcol, xrow))))
+         for wcol, pcol in zip(zip(*wadj), zip(*pinv))]
+        for g1row, xrow in zip(G1.rows, X.parts())
+    ]
+    return CirculantGrid(ctx, gens, X.k)
+
+
 def _repaired_m0_rows(code: KroneckerCode, X: CirculantGrid, Pinv: CirculantGrid):
     """Packed rows of M0 = (G + X) P^-1 for the repaired G = G1 (x) Moore(g2).
 
@@ -407,8 +431,10 @@ def _repaired_m0_rows(code: KroneckerCode, X: CirculantGrid, Pinv: CirculantGrid
     y_{r+1} = rot(y_r, 1) + alpha^[n2+r] row_0(P^-1) + alpha^[r] row_n2(P^-1),
     and row (i, r) of G P^-1 is sum_j G1[i][j] rot(y_r, j n2): about
     n2 + 2 k2 + n1 k row products, in sums of products, instead of the k n
-    of a dense product.  X P^-1 comes from the circulant ring.  Returns
-    (packer, rows), rows reduced.
+    of a dense product.  X P^-1 is Cir_k(x P^-1) for X = Cir_k(x), its
+    generator a product in the circulant ring that takes x, which repeats
+    t1 values, through its GF(2) decomposition (ranklinalg._cyc_sum).
+    Returns (packer, rows), rows reduced.
     """
     n, n2 = code.n, code.n2
     C2 = code.C2
@@ -420,7 +446,8 @@ def _repaired_m0_rows(code: KroneckerCode, X: CirculantGrid, Pinv: CirculantGrid
         step = ((C2.frob(n2 + r), pinv_rows[0]), (C2.frob(r), pinv_rows[n2 % n]))
         ys.append(fold(rotate(ys[-1], 1, n) ^ sum_products(step)))
     blocks = [[rotate(y, j * n2, n) for j in range(code.n1)] for y in ys]
-    _, xp_rows = circulant_block_compose(X, Pinv).packed_rows()
+    xp = _cyc_sum(pk, [(pk.pack(Pinv.gens[0][0]), X.parts()[0][0])])
+    _, xp_rows = CirculantGrid(code.ctx, [[pk.unpack(fold(xp))]], X.k).packed_rows()
     rows = []
     for g1row in code.G1.rows:
         for yr in blocks:

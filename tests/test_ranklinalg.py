@@ -686,7 +686,7 @@ def test_circulant_mul_closure_oracle(ctx4):
     for _ in range(200):
         P = one_block(ctx4, RankVector.random(ctx4, 3, rng), 2)
         Q = one_block(ctx4, RankVector.random(ctx4, 3, rng), 3)
-        prod = rl.circulant_block_compose(P, Q).dense()
+        prod = audit.circulant_block_compose(P, Q).dense()
         assert prod == P.dense().mul(Q.dense())
         assert rl.is_partial_circulant(prod)
 
@@ -695,7 +695,7 @@ def test_circulant_mul_closure_identity(ctx4):
     rng = fresh_rng(b"lemma4id")
     P = one_block(ctx4, RankVector.random(ctx4, 4, rng), 2)
     e_first = one_block(ctx4, RankVector(ctx4, [1, 0, 0, 0]), 4)
-    assert rl.circulant_block_compose(P, e_first) == P
+    assert audit.circulant_block_compose(P, e_first) == P
 
 
 def test_circulant_mul_closure_rejects_bad_structure(ctx4):
@@ -703,9 +703,9 @@ def test_circulant_mul_closure_rejects_bad_structure(ctx4):
     good = one_block(ctx4, RankVector.random(ctx4, 3, rng), 3)
     wide = rl.CirculantGrid(ctx4, [[[1, 0, 0], [0, 1, 0]]], 3)
     with pytest.raises(ValueError):
-        rl.circulant_block_compose(wide, good)
+        audit.circulant_block_compose(wide, good)
     with pytest.raises(ValueError):
-        rl.circulant_block_compose(good, one_block(ctx4, RankVector.random(ctx4, 4, rng), 4))
+        audit.circulant_block_compose(good, one_block(ctx4, RankVector.random(ctx4, 4, rng), 4))
     with pytest.raises(StructureError):
         rl.circulant_inverse(RankMatrix.random(ctx4, 3, 3, rng))
     with pytest.raises(StructureError):
@@ -764,6 +764,38 @@ def test_cyc_inv_full_size():
     a = RankVector.random(ctx, 210, fresh_rng(b"cycinv211")).values
     inv = rl.cyc_inv(ctx, a)
     assert rl.cyc_mul(ctx, a, inv) == [1] + [0] * 209
+
+
+# the block sizes n of the tier-1 sets (90, 120, 128, 210) at their own m,
+# and small n with odd parts 1 and 3
+@pytest.mark.parametrize("m,n", [(8, 1), (8, 2), (8, 8), (12, 12), (90, 90), (120, 120),
+                                 (128, 128), (211, 210)])
+def test_cyc_sum_matches_cyc_mul(m, n):
+    # a b through b's GF(2) decomposition against the dense convolution, for
+    # b of binary rank 1, 2, t1 = 6 (new-gabkron-128's X) and full, and a
+    # sum of such products against the XOR of the dense ones
+    ctx = FieldCtx(m)
+    pk = rl._packed(ctx, n)
+    rng = fresh_rng(b"cyc-sum-%d" % n)
+    a = RankVector.random(ctx, n, rng).values
+    cases = []
+    for rank in sorted({min(r, n, m) for r in (1, 2, 6, n)}):
+        basis = sc.sample_subspace_basis(ctx, rank, rng)
+        b = list(basis[:n]) + [
+            functools.reduce(operator.xor, (v for q, v in enumerate(basis) if rng.bits(rank) >> q & 1), 0)
+            for _ in range(n - rank)
+        ]
+        assert _bit_rank(b) == rank
+        parts = rl._binary_parts(b)
+        assert len(parts) == rank
+        cases.append((b, parts))
+        for x in (a, [0] * n):
+            got = pk.unpack(pk.fold(rl._cyc_sum(pk, [(pk.pack(x), parts)])))
+            assert got == rl.cyc_mul(ctx, x, b)
+    a2 = RankVector.random(ctx, n, rng).values
+    (b1, parts1), (b2, parts2) = cases[0], cases[-1]
+    got = pk.unpack(pk.fold(rl._cyc_sum(pk, [(pk.pack(a), parts1), (pk.pack(a2), parts2)])))
+    assert got == [x ^ y for x, y in zip(rl.cyc_mul(ctx, a, b1), rl.cyc_mul(ctx, a2, b2))]
 
 
 @pytest.mark.parametrize("a", [1, 3, 15, 45, 105, 165])
@@ -934,7 +966,7 @@ def test_circulant_block_compose_closure(ctx4):
     for _ in range(100):
         B = random_grid(ctx4, 2, 2, 2, 3, rng)
         A = random_grid(ctx4, 2, 2, 3, 3, rng)
-        Q = rl.circulant_block_compose(B, A)
+        Q = audit.circulant_block_compose(B, A)
         assert Q.dense() == B.dense().mul(A.dense())
         assert rl.is_partial_circulant_block(Q.dense(), 2, 2, 2, 3)
 

@@ -733,6 +733,29 @@ def test_keygen_hands_its_code_to_the_key(params, request, monkeypatch):
     assert kp.sk.decrypter().code is kp.code
 
 
+def test_keygen_dense_ring_products(toy_repaired, monkeypatch):
+    # every ring product with a factor drawn of low binary rank (P, its
+    # determinant and minors, X) goes through that factor's GF(2)
+    # decomposition: an improved keygen makes one dense product, w = orbit
+    # det(P)^-1, and a repaired one none
+    calls = []
+    dense = ranklinalg.cyc_mul
+
+    def counting(*args):
+        calls.append(args)
+        return dense(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("gabkron") and getattr(mod, "cyc_mul", None) is dense:
+            monkeypatch.setattr(mod, "cyc_mul", counting)
+    assert ranklinalg.cyc_mul is counting
+    sc.keygen(setup("new-gabkron-128"), SeededRng(b"dense-products"))
+    assert len(calls) == 1
+    calls.clear()
+    sc.keygen(toy_repaired, SeededRng(b"dense-products"))
+    assert calls == []
+
+
 @pytest.mark.parametrize("params", ["toy_repaired", "rep-gabkron-128"])
 def test_repaired_keygen_squares_alpha_orbit_once_per_attempt(params, request, monkeypatch):
     # each attempt squares alpha's m-orbit once per draw, for the normality
