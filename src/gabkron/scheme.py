@@ -45,8 +45,9 @@ m-orbit (gabcodes.from_orbit).  Both take the parity vector h from
 alpha's orbit, so no decrypt solves a Moore system.  Key generation hands
 each key the decrypter of the code and P it holds; any other key, parsed
 or in memory, passes _Decrypter.checked, which rejects an inconsistent
-tuple.  P's GF(2) decomposition and the inner decoder state are built on
-the first decrypt, and the grids and matrices that own them keep them.
+tuple.  P's GF(2) decomposition (which key generation already built for
+its own keys) and the inner decoder state are built on the first
+decrypt, and the grids and matrices that own them keep them.
 
 X is built so that any message combination of an in-information-set
 column block keeps rank at most t1.  The paper draws y_1 and a shared GF(2)
