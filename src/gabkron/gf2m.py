@@ -10,11 +10,12 @@ The modulus for each extension degree is the lexicographically smallest
 irreducible polynomial of minimal weight (trinomial if one exists, else
 pentanomial), so that serialized values are portable between runs.
 
-Products are carry-less multiplies by window tables (_window_table), 4-bit
-by default and 8-bit where ranklinalg's elimination reuses one table for
-many rows.  Squaring is GF(2)-linear and spreads bit i to bit 2i, which
-two bytes.translate tables do on whole byte strings (_spread): sqr spreads
-one element, and ranklinalg's _Packed.sqr the slots of a whole packed row.
+Products are carry-less multiplies by window tables (_window_table), of
+4-bit windows for FieldCtx.mul; ranklinalg's _Packed.table chooses the
+width for packed rows.  Squaring is GF(2)-linear and spreads bit i to bit
+2i, which two bytes.translate tables do on whole byte strings (_spread):
+sqr spreads one element, and ranklinalg's _Packed.sqr the slots of a
+whole packed row.
 
 Elements are also vectors over GF(2), and so are the rows of GF(2)
 matrices held as bitmask ints.  One echelon routine (BitSpan) gives the
@@ -319,11 +320,11 @@ class FieldCtx:
 def _window_table(p, bits=4):
     """p times each of the 2^bits polynomials of degree < bits, for _window_mul.
 
-    p may be one element or a row of packed slots (ranklinalg): the table
-    is carry-less, so it multiplies every slot at once.  A table of 8-bit
-    windows halves the steps of each product and costs 4-7 of those
+    p may be one element or a row of packed slots (ranklinalg._Packed): the
+    table is carry-less, so it multiplies every slot at once.  A table of
+    8-bit windows halves the steps of each product and costs 4-7 of those
     products to build, so it pays only for a value that many products
-    reuse.
+    reuse; _Packed.table applies that rule.
     """
     t2 = p << 1
     t4 = p << 2

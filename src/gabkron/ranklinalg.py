@@ -14,26 +14,27 @@ with one byte spread (_Packed.sqr).  The packed form is internal; the
 public API speaks lists of ints.  Packing merges neighbouring slots
 pairwise, level by level, and unpacking splits halves the same way, so
 each level shifts the whole row once: O(L log L) slot moves for L slots,
-where one shift of the growing row per slot takes O(L^2).  Every sum of
-row products (matrix products, syndromes, c·P, the repaired M0 rows)
-goes through _Packed.sum_products, which hands the terms to
-gf2m._window_mul_sum in chunks of _SUM_CHUNK: the sum is shifted once per
-window and chunk, not once per window and term, and only one chunk's
-window tables are held at a time.
+where one shift of the growing row per slot takes O(L^2).
 
-Elimination builds the window table of each pivot row once and applies
-it to every row it updates: 8-bit windows when the pivot updates more
-than _BYTE_WINDOW_ROWS rows, 4-bit ones otherwise and for the single-use
-tables of scal, sum_products and cyc_mul.  The window helpers live in
-gf2m, whose FieldCtx.mul runs them on single elements.  Between folds a slot
-holds an XOR of products of two reduced elements, so it stays below 2m
-bits and fold reduces it exactly; only the slot being read is reduced,
-and a row is folded when it becomes a pivot.  In the forward pass the
-rows below the pivot are held shifted right by one slot per finished
-column, so the work per update shrinks with the remaining width.  A
-Toeplitz-like matrix reaches systematic form without elimination of its
-rows, by generalized Schur steps on a few displacement generators
-(_systematic_packed).
+Every product of a packed row by a scalar is taken from the row's window
+table through _Packed, the one row-product kernel: table builds it, mul
+takes one product and mul_sum the XOR of several.  The width rule lives
+in _Packed.table alone: 8-bit windows for a table that serves more than
+_BYTE_WINDOW_ROWS products (an elimination pivot over many rows, cyc_mul's
+factor), 4-bit ones otherwise.  Sums whose tables are built as they go
+(matrix products, syndromes, c·P, _cyc_sum, the Schur half-steps) go
+through _Packed.sum_products, which hands the terms to mul_sum in chunks
+of _SUM_CHUNK: the sum is shifted once per window and chunk, not once per
+window and term, and only one chunk's tables are held at a time.  The
+window helpers live in gf2m, whose FieldCtx.mul runs them on single
+elements.  Between folds a slot holds an XOR of products of two reduced
+elements, so it stays below 2m bits and fold reduces it exactly; only the
+slot being read is reduced, and a row is folded when it becomes a pivot.
+In the forward pass the rows below the pivot are held shifted right by
+one slot per finished column, so the work per update shrinks with the
+remaining width.  A Toeplitz-like matrix reaches systematic form without
+elimination of its rows, by generalized Schur steps on a few displacement
+generators (_systematic_packed).
 
 Circulant conventions follow the right-shift rule: the k-partial circulant
 of a = (a_0, ..., a_{n-1}) has row 0 = reflect(a) = (a_0, a_{n-1}, ..., a_1)
@@ -75,16 +76,8 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 
-from .gf2m import (
-    ContextMismatchError,
-    FieldCtx,
-    _bit_rank,
-    _poly_mulmod,
-    _spread,
-    _window_mul,
-    _window_mul_sum,
-    _window_table,
-)
+from . import gf2m
+from .gf2m import ContextMismatchError, FieldCtx, _bit_rank, _poly_mulmod, _spread
 
 
 class SingularMatrixError(ValueError):
@@ -103,19 +96,27 @@ class StructureError(ValueError):
 # packed-row kernel
 
 
-# Terms per _window_mul_sum call in _Packed.sum_products: the window
-# tables of one chunk are all that is held at once (CHANGES.md has the
-# measurements at 8 and 16).
+# Terms per mul_sum call in _Packed.sum_products: the window tables of
+# one chunk are all that is held at once (CHANGES.md has the measurements
+# at 8 and 16).
 _SUM_CHUNK = 8
-
-# A pivot row that updates more rows than this gets a table of 8-bit
-# windows (gf2m._window_table): it costs 4-7 products to build and makes
-# each product 1.5-2x faster (CHANGES.md has the measurements).
-_BYTE_WINDOW_ROWS = 8
 
 
 class _Packed:
-    """Row-packing helper for a fixed context and slot count."""
+    """Row-packing helper for a fixed context and slot count, and the
+    one kernel of row products: every product of a packed row by a scalar
+    is taken from the row's window table (table, mul, mul_sum)."""
+
+    # A table that serves more products than this gets 8-bit windows: it
+    # costs 4-7 products to build and makes each product 1.5-2x faster
+    # (CHANGES.md has the measurements).
+    _BYTE_WINDOW_ROWS = 8
+
+    # the carry-less product of a scalar by the row whose table is given,
+    # and the XOR of such products; mul_sum steps in 4-bit windows, so the
+    # tables it reuses are built at table's default width
+    mul = staticmethod(gf2m._window_mul)
+    mul_sum = staticmethod(gf2m._window_mul_sum)
 
     def __init__(self, ctx: FieldCtx, nslots: int):
         self.ctx = ctx
@@ -161,13 +162,18 @@ class _Packed:
     def entry(self, p, j):
         return (p >> (j * self.S)) & self.elem_mask
 
+    def table(self, p, uses=1):
+        """The window table of row p for uses products by mul; the width
+        rule lives here alone."""
+        return gf2m._window_table(p, 8 if uses > self._BYTE_WINDOW_ROWS else 4)
+
     def scal(self, p, lam):
         """Slot-wise carry-less product of a reduced row by a scalar."""
         if lam == 0 or p == 0:
             return 0
         if lam == 1:
             return p
-        return _window_mul(_window_table(p), lam)
+        return self.mul(self.table(p), lam)
 
     def fold(self, p):
         """Reduce every slot modulo the field polynomial."""
@@ -201,9 +207,9 @@ class _Packed:
         """XOR of the slot-wise products lam * p over (lam, p) pairs of a
         scalar and a reduced row, unfolded.
 
-        The terms go to _window_mul_sum _SUM_CHUNK at a time, with the
-        window tables of their rows, so the sum is shifted once per window
-        and chunk, not once per window and term as in separate scal.
+        The terms go to mul_sum _SUM_CHUNK at a time, with the window
+        tables of their rows, so the sum is shifted once per window and
+        chunk, not once per window and term as in separate scal.
         """
         acc = 0
         tabs, lams = [], []
@@ -213,12 +219,12 @@ class _Packed:
             if lam == 1:
                 acc ^= p
                 continue
-            tabs.append(_window_table(p))
+            tabs.append(self.table(p))
             lams.append(lam)
             if len(tabs) == _SUM_CHUNK:
-                acc ^= _window_mul_sum(tabs, lams)
+                acc ^= self.mul_sum(tabs, lams)
                 tabs, lams = [], []
-        return acc ^ _window_mul_sum(tabs, lams)
+        return acc ^ self.mul_sum(tabs, lams)
 
     def lincomb(self, coeffs, prows):
         """sum_i coeffs[i] * prows[i] over reduced packed rows, unpacked."""
@@ -256,8 +262,7 @@ def _echelon_packed(ctx, rows, ncols, lu=None):
     it became a pivot].  LeftSolver replays these records.
     """
     pk = _packed(ctx, ncols)
-    S = pk.S
-    smask = pk.slot_mask
+    S, smask, mul = pk.S, pk.slot_mask, pk.mul
     reduce = ctx.reduce
     nrows = len(rows)
     if lu is not None:
@@ -286,12 +291,12 @@ def _echelon_packed(ctx, rows, ncols, lu=None):
             lu[r].append(pinv)
         # the pivot slot itself is not multiplied: it would only cancel the
         # slot that the shift drops
-        tab = _window_table(prow >> S, 8 if nrows - r - 1 > _BYTE_WINDOW_ROWS else 4)
+        tab = pk.table(prow >> S, nrows - r - 1)
         for i in range(r + 1, nrows):
             row = rows[i]
             f = reduce(row & smask)
             row >>= S
-            rows[i] = row ^ _window_mul(tab, f) if f else row
+            rows[i] = row ^ mul(tab, f) if f else row
             if lu is not None:
                 lu[i].append(f)
         pivots.append(col)
@@ -307,8 +312,7 @@ def _rref_packed(ctx, rows, ncols):
     folded before it becomes the multiplier, and row 0 at the end.
     """
     pk = _packed(ctx, ncols)
-    S = pk.S
-    smask = pk.slot_mask
+    S, smask, mul = pk.S, pk.slot_mask, pk.mul
     reduce = ctx.reduce
     pivots = _echelon_packed(ctx, rows, ncols)
     for r in range(len(pivots) - 1, 0, -1):
@@ -318,14 +322,14 @@ def _rref_packed(ctx, rows, ncols):
         # lowest set bit on; the target's pivot slot is cleared instead
         rest = prow >> (sh + S)
         low = (rest & -rest).bit_length() - 1 if rest else 0
-        tab = _window_table(rest >> low, 8 if r > _BYTE_WINDOW_ROWS else 4)
+        tab = pk.table(rest >> low, r)
         keep = ~(smask << sh)
         up = sh + S + low
         for i in range(r):
             row = rows[i]
             f = reduce(row >> sh & smask)
             if f:
-                rows[i] = (row & keep) ^ (_window_mul(tab, f) << up)
+                rows[i] = (row & keep) ^ (mul(tab, f) << up)
     if pivots:
         rows[0] = pk.fold(rows[0])
     return pivots
@@ -362,11 +366,11 @@ def _systematic_packed(ctx, rows, n):
     # G hold entries shifted past E's edge.
     gcols, bcols = gens
     keep = (1 << (n * S)) - 1
-    tabs = [_window_table(b & keep) for b in bcols]
+    tabs = [pk.table(b & keep) for b in bcols]
     prev = 0
     for r in range(k):
         f = [g >> r * S & smask for g in gcols]
-        prev = pk.fold(prev << S & keep ^ _window_mul_sum(tabs, f))
+        prev = pk.fold(prev << S & keep ^ pk.mul_sum(tabs, f))
         rows[r] = 1 << (r * S) | prev << (k * S)
     return list(range(k))
 
@@ -403,14 +407,14 @@ def _displacement_generators(ctx, rows, n):
                 f ^= mul(fs, u >> slot * S & smask)
             f_row.append(f)
         if f_row:
-            d = fold(d ^ _window_mul_sum(tabs, f_row))
+            d = fold(d ^ pk.mul_sum(tabs, f_row))
         if d:
             slot = ((d & -d).bit_length() - 1) // S
             piv = d >> slot * S & smask
             u = fold(pk.scal(d, ctx.inv(piv)))
             slots.append(slot)
             basis.append(u)
-            tabs.append(_window_table(u))
+            tabs.append(pk.table(u))
             f_row.append(piv)
         coeffs.append(f_row)
     gcols = [pk.pack([f[s] if s < len(f) else 0 for f in coeffs]) for s in range(len(basis))]
@@ -464,15 +468,14 @@ def _clear_top(pk, xcols, ycols, top):
     that x y^T is kept."""
     ctx = pk.ctx
     ip = ctx.inv(top[0])
-    tab = _window_table(xcols[0])
-    cs, tabs = [], []
+    tab = pk.table(xcols[0], len(top) - 1 - top.count(0))
+    pairs = []
     for j in range(1, len(xcols)):
         if top[j]:
             c = ctx.mul(top[j], ip)
-            xcols[j] = pk.fold(xcols[j] ^ _window_mul(tab, c))
-            cs.append(c)
-            tabs.append(_window_table(ycols[j]))
-    return _window_mul_sum(tabs, cs)
+            xcols[j] = pk.fold(xcols[j] ^ pk.mul(tab, c))
+            pairs.append((c, ycols[j]))
+    return pk.sum_products(pairs)
 
 
 def _solve_packed(ctx, rows, ncols):
@@ -883,10 +886,10 @@ def cyc_mul(ctx, a, b):
     pk = _packed(ctx, n)
     # a carry-less product fills under 2m bits of a slot, so the rotation
     # moves whole products: a_r (b rotated by r) = (a_r b) rotated by r
-    tab = _window_table(pk.pack(b))
+    tab = pk.table(pk.pack(b), n)
     acc = 0
     for r, v in enumerate(a):
-        acc ^= pk.rotate(_window_mul(tab, v), r, n)
+        acc ^= pk.rotate(pk.mul(tab, v), r, n)
     return pk.unpack(pk.fold(acc))
 
 

@@ -1,7 +1,10 @@
 import functools
+import importlib
 import itertools
 import math
 import operator
+import pathlib
+import types
 
 import pytest
 
@@ -599,6 +602,49 @@ def test_sum_products_matches_per_term(m, L):
         assert pk.sum_products(iter(pairs)) == products_per_term(pk, pairs)
 
 
+# the window helpers of the row-product kernel and its width rule
+WINDOW_NAMES = {"_window_table", "_window_mul", "_window_mul_sum", "_BYTE_WINDOW_ROWS"}
+
+
+def code_objects(code, path=()):
+    """(qualified name, code) for a module's code and every code object
+    nested in it, through co_consts."""
+    path += (code.co_name,)
+    yield ".".join(path[1:]), code
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from code_objects(const, path)
+
+
+def module_code(name):
+    source = pathlib.Path(importlib.import_module(f"gabkron.{name}").__file__)
+    return compile(source.read_text(), str(source), "exec")
+
+
+def test_window_helpers_only_in_packed(ctx8):
+    # every windowed product of a packed row goes through _Packed: no other
+    # code names a gf2m window helper or the table-width threshold, and the
+    # width rule is read in _Packed.table alone
+    named = {}
+    for qualname, code in code_objects(module_code("ranklinalg")):
+        for name in WINDOW_NAMES & set(code.co_names):
+            named.setdefault(name, set()).add(qualname)
+    assert named == {
+        "_window_table": {"_Packed.table"},
+        "_window_mul": {"_Packed"},
+        "_window_mul_sum": {"_Packed"},
+        "_BYTE_WINDOW_ROWS": {"_Packed", "_Packed.table"},
+    }
+    for mod in ("gabcodes", "scheme", "keyio", "audit", "cli"):
+        for qualname, code in code_objects(module_code(mod)):
+            assert not WINDOW_NAMES & set(code.co_names), (mod, qualname)
+    # the rule: 8-bit windows for a table that serves more than 8 products
+    pk = rl._packed(ctx8, 3)
+    p = pk.pack([3, 5, 7])
+    assert len(pk.table(p)) == len(pk.table(p, 8)) == 16
+    assert len(pk.table(p, 9)) == 256
+
+
 def test_matmul_against_schoolbook(ctx8):
     rng = fresh_rng(b"matmul")
     A = RankMatrix.random(ctx8, 3, 4, rng)
@@ -668,13 +714,16 @@ def test_circulant_generator_round_trip(ctx8):
 
 
 def test_circulant_product_matches_generic(ctx4):
+    # cyc_mul's table serves n products: 4-bit windows at n = 5, 8-bit ones
+    # at n = 12, where m = 12 spreads each scalar over two such windows
     rng = fresh_rng(b"circprod")
-    for _ in range(25):
-        a = RankVector.random(ctx4, 5, rng)
-        b = RankVector.random(ctx4, 5, rng)
-        Ca, Cb = rl.circulant(a), rl.circulant(b)
-        via_ring = rl.circulant(RankVector(ctx4, rl.cyc_mul(ctx4, a.values, b.values)))
-        assert Ca.mul(Cb) == via_ring
+    for ctx, n in ((ctx4, 5), (FieldCtx(12), 12)):
+        for _ in range(25):
+            a = RankVector.random(ctx, n, rng)
+            b = RankVector.random(ctx, n, rng)
+            Ca, Cb = rl.circulant(a), rl.circulant(b)
+            via_ring = rl.circulant(RankVector(ctx, rl.cyc_mul(ctx, a.values, b.values)))
+            assert Ca.mul(Cb) == via_ring
 
 
 def one_block(ctx, a, k):
