@@ -315,17 +315,6 @@ def circulant_block_compose(B: CirculantGrid, A: CirculantGrid) -> CirculantGrid
     return CirculantGrid(ctx, gens, B.k)
 
 
-def is_circulant_block(M: RankMatrix, n1: int, n2: int) -> bool:
-    """True iff M is an n1 x n1 grid of circulant n2 x n2 blocks."""
-    if M.nrows != n1 * n2 or M.ncols != n1 * n2:
-        return False
-    return all(
-        is_circulant(M.submatrix(i * n2, j * n2, n2, n2))
-        for i in range(n1)
-        for j in range(n1)
-    )
-
-
 def _random_invertible_circulant(ctx, n, rng):
     while True:
         gen = RankVector.random(ctx, n, rng)
@@ -369,7 +358,7 @@ def _lemma_trials(rng):
                 break
             except SingularMatrixError:
                 continue
-        return (is_circulant_block(Ainv, 2, 3)
+        return (is_partial_circulant_block(Ainv, 2, 2, 3, 3)
                 and A.dense().mul(Ainv) == RankMatrix.identity(ctx4, 6))
 
     def product(nb, k, n):

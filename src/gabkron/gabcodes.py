@@ -66,6 +66,7 @@ from .ranklinalg import (
     _packed,
     _rref_packed,
     _solve_packed,
+    _substitute,
     checked_values,
     field_vec_times_bitmatrix,
     information_set,
@@ -284,9 +285,10 @@ class GabidulinCode:
         with D_p = E_p^2 + E_0 E_p, one unknown fewer and the unknowns
         twisted once more.  Stage k's last equation has twist w-1, so it
         reads sum_{p>=k} E^(k)_p W_p = s^(k)_{w-1-k}: row k of an upper
-        triangular system in W.  A stage costs one scal and the
-        back-substitution one per unknown: 2w in all, where an echelon of
-        the w x w system takes about w^2/2.  D_p is E_p under x^2 + E_0 x,
+        triangular system in W, which ranklinalg._substitute solves on
+        packed columns.  Each stage but the last costs one scal, and so
+        does each unknown but W_0: 2(w - 1) in all, where an echelon of the
+        w x w system takes about w^2/2.  D_p is E_p under x^2 + E_0 x,
         whose kernel is {0, E_0}, so a stage pivot is zero exactly when E
         is dependent.  Returns None then, and when w = 0 or w > radius.
         """
@@ -314,16 +316,11 @@ class GabidulinCode:
                 sq = sqr(row)
                 sq = sq & (1 << u * S) - 1 | sq >> (u + 1) * S << u * S
                 row = fold(sq ^ scal(row, vals[0])) >> S & (1 << (2 * u - 2) * S) - 1
-        # back-substitution on the packed right-hand sides: one scal by each
-        # unknown on its column above the diagonal
-        reduce, mul, inv, smask = ctx.reduce, ctx.mul, ctx.inv, pk.slot_mask
-        acc = pk.pack([eq[-1] for eq in lead])
-        W = [0] * w
-        for p in range(w - 1, -1, -1):
-            v = W[p] = mul(reduce(acc >> (p * S) & smask), inv(lead[p][0]))
-            if v and p:
-                acc ^= scal(pk.pack([lead[k][p - k] for k in range(p)]), v)
-        return W
+        # column p holds W_p's coefficients in the stages before p; each
+        # unknown is scaled by the inverse of its own stage's pivot
+        cols = [pk.pack([lead[k][p - k] for k in range(p)]) for p in range(w)]
+        return _substitute(pk, pk.pack([eq[-1] for eq in lead]), cols,
+                           [ctx.inv(eq[0]) for eq in lead], up=True)
 
     def _locate(self, E, W):
         """Recover GF(2) locations from W_p = sum_i Y_{p,i} h_i^[w-1], then e.

@@ -45,7 +45,7 @@ of such blocks, a single circulant included (a 1 x 1 grid), is held as a
 CirculantGrid of block generators; products and inverses of grids run in
 the ring, a vector times a grid too (CirculantGrid.left_mul_values), and
 the dense matrix is built only as an oracle for the tests and the audit
-(CirculantGrid.dense, with RankMatrix.from_blocks, identity and invert).
+(CirculantGrid.dense, with RankMatrix.identity and invert).
 Ring elements live in packed rows, slot i holding the coefficient of z^i,
 so ring products use the same window/fold kernel as the matrices.  The
 scheme's scramblers have low binary rank by construction: P's entries lie
@@ -481,12 +481,10 @@ def _clear_top(pk, xcols, ycols, top):
 def _solve_packed(ctx, rows, ncols):
     """Solve packed augmented rows whose last column is the right-hand side.
 
-    Echelon form, then back-substitution for the last column only: slot r
-    of one packed accumulator holds the right-hand side of row r less the
-    unknowns found so far, unreduced, and each unknown subtracts its
-    packed pivot column with one scal.  Returns the pivots and the
-    ncols - 1 unknowns with free variables zero, or None for the unknowns
-    when the last column is a pivot (no solution).
+    Echelon form, then the upward pass of _substitute for the last column
+    only, whose unknowns go to their pivot columns.  Returns the pivots and
+    the ncols - 1 unknowns with free variables zero, or None for the
+    unknowns when the last column is a pivot (no solution).
     """
     pk = _packed(ctx, ncols)
     pivots = _echelon_packed(ctx, rows, ncols)
@@ -494,7 +492,10 @@ def _solve_packed(ctx, rows, ncols):
     if pivots and pivots[-1] == rhs:
         return pivots, None
     acc = pk.pack([pk.entry(row, rhs) for row in rows[: len(pivots)]])
-    return pivots, _back_substitute(pk, acc, pivots, _pivot_columns(pk, rows, pivots), rhs)
+    x = [0] * rhs
+    for col, v in zip(pivots, _substitute(pk, acc, _pivot_columns(pk, rows, pivots), up=True)):
+        x[col] = v
+    return pivots, x
 
 
 def _pivot_columns(pk, rows, pivots):
@@ -503,20 +504,26 @@ def _pivot_columns(pk, rows, pivots):
     return [pk.pack([entry(row, col) for row in rows[:r]]) for r, col in enumerate(pivots)]
 
 
-def _back_substitute(pk, acc, pivots, cols, nunknowns):
-    """Unknowns of an echelon system with unit pivots; free variables zero.
+def _substitute(pk, acc, cols, pinvs=None, up=False):
+    """The unknowns of a triangular system with packed right-hand sides.
 
-    Slot r of the packed accumulator acc holds the right-hand side of row r,
-    unreduced, and cols[r] is the packed pivot column of row r above it
-    (_pivot_columns); each unknown subtracts its column with one scal.
+    Slot r of the packed accumulator acc holds the right-hand side of row
+    r, unreduced, and cols[r] is the packed column of unknown r in the rows
+    solved after it: those below r for a lower triangular system, those
+    above it (_pivot_columns) when up.  Unknown r is slot r reduced, times
+    the pivot inverse pinvs[r] (unit pivots without pinvs), and subtracts
+    its column with one scal; an empty column is skipped.  Returns the
+    unknowns in slot order.
     """
-    reduce = pk.ctx.reduce
-    S = pk.S
-    smask = pk.slot_mask
-    x = [0] * nunknowns
-    for r in range(len(pivots) - 1, -1, -1):
-        v = x[pivots[r]] = reduce(acc >> (r * S) & smask)
-        if v and r:
+    reduce, mul = pk.ctx.reduce, pk.ctx.mul
+    S, smask = pk.S, pk.slot_mask
+    x = [0] * len(cols)
+    for r in reversed(range(len(cols))) if up else range(len(cols)):
+        v = reduce(acc >> (r * S) & smask)
+        if pinvs is not None:
+            v = mul(v, pinvs[r])
+        x[r] = v
+        if v and cols[r]:
             acc ^= pk.scal(cols[r], v)
     return x
 
@@ -529,8 +536,8 @@ class LeftSolver:
     order Q, Q A^T = L U for U upper triangular with a unit diagonal and L
     lower triangular, holding the pivots on its diagonal and the
     multipliers below it.  x·A = b is A^T x^T = b^T, so each solve permutes
-    b by Q, runs the forward pass L z = Q b^T as k scal, one per packed
-    column of L, and the back-substitution U x^T = z of _solve_packed.
+    b by Q and runs two passes of _substitute: L z = Q b^T down the packed
+    columns of L, then U x^T = z up those of U.
     Raises SingularMatrixError, with the rank of A, when A is singular.
     """
 
@@ -551,23 +558,14 @@ class LeftSolver:
         # packed column s of L: the multipliers of pivot s in the rows below it
         self._lcols = [pk.pack([0] * (s + 1) + [lu[i][s + 1] for i in range(s + 1, k)])
                        for s in range(k)]
-        self._pivots = pivots
+        # A is invertible, so the pivots are columns 0..k-1
         self._ucols = _pivot_columns(pk, rows, pivots)
 
     def solve(self, b) -> list:
         """x with x·A = b, for b a list of k reduced elements."""
         pk = self._pk
-        S, smask = pk.S, pk.slot_mask
-        reduce, mul = pk.ctx.reduce, pk.ctx.mul
-        # slot s of acc holds entry s of Q b^T less the pivots done so far
-        acc = pk.pack([b[i] for i in self._order])
-        z = []
-        for s, (col, pinv) in enumerate(zip(self._lcols, self._pinvs)):
-            v = mul(reduce(acc >> (s * S) & smask), pinv)
-            z.append(v)
-            if v:
-                acc ^= pk.scal(col, v)
-        return _back_substitute(pk, pk.pack(z), self._pivots, self._ucols, len(z))
+        z = _substitute(pk, pk.pack([b[i] for i in self._order]), self._lcols, self._pinvs)
+        return _substitute(pk, pk.pack(z), self._ucols, up=True)
 
 
 # ---------------------------------------------------------------------------
@@ -731,24 +729,6 @@ class RankMatrix:
 
     def submatrix(self, i0, j0, r, c) -> "RankMatrix":
         return RankMatrix(self.ctx, [row[j0 : j0 + c] for row in self.rows[i0 : i0 + r]])
-
-    @classmethod
-    def from_blocks(cls, grid):
-        ctx = grid[0][0].ctx
-        rows = []
-        for blockrow in grid:
-            height = blockrow[0].nrows
-            for b in blockrow:
-                if b.nrows != height:
-                    raise ValueError("block height mismatch")
-                if b.ctx != ctx:
-                    raise ContextMismatchError("blocks from different contexts")
-            for i in range(height):
-                row = []
-                for b in blockrow:
-                    row.extend(b.rows[i])
-                rows.append(row)
-        return cls(ctx, rows)
 
     # -- products ---------------------------------------------------------
 
@@ -1244,11 +1224,12 @@ class CirculantGrid:
         return adj
 
     def dense(self) -> RankMatrix:
-        """The expanded matrix; an oracle for tests and the audit."""
-        return RankMatrix.from_blocks(
-            [[partial_circulant(RankVector(self.ctx, a), self.k) for a in row]
-             for row in self.gens]
-        )
+        """The expanded matrix, M[i][j] = a[(i - j) % n] in each block; an
+        oracle for tests and the audit, built without packed_rows, which
+        the tests check against it."""
+        n = len(self.gens[0][0])
+        return RankMatrix(self.ctx, [[a[(i - j) % n] for a in grow for j in range(n)]
+                                     for grow in self.gens for i in range(self.k)])
 
 
 def _ring_det(pk, gens, parts):

@@ -63,6 +63,15 @@ def zero_matrix(ctx, r, c):
     return RankMatrix(ctx, [[0] * c for _ in range(r)])
 
 
+def block_matrix(grid):
+    """The matrix of a grid of RankMatrix blocks, each block row of one
+    height, over the first block's field."""
+    return RankMatrix(grid[0][0].ctx, [
+        [v for b in brow for v in b.rows[i]]
+        for brow in grid for i in range(brow[0].nrows)
+    ])
+
+
 # The dense referees of the product code and the disguise: the k x n
 # generator G = G1 (x) C2.generator that decryption never builds, and G + X.
 

@@ -14,6 +14,7 @@ from gabkron.scheme import sample_rank_error
 
 from conftest import (
     block_decode_by_subsets,
+    block_matrix,
     decode_bruteforce,
     error_coordinates_echelon,
     expand_over_base,
@@ -834,7 +835,7 @@ def test_kron_identity_outer_factor(ctx6):
     C2 = GabidulinCode(g, 2)
     K = KroneckerCode(RankMatrix.identity(ctx6, 2), C2)
     z = zero_matrix(ctx6, 2, 6)
-    expect = RankMatrix.from_blocks([[C2.generator, z], [z, C2.generator]])
+    expect = block_matrix([[C2.generator, z], [z, C2.generator]])
     assert audit.product_generator(K) == expect
 
 

@@ -9,7 +9,7 @@ import types
 import pytest
 
 from gabkron.gf2m import BitSpan, ContextMismatchError, FieldCtx, _bit_rank
-from gabkron import audit, ranklinalg as rl, scheme as sc
+from gabkron import audit, gabcodes, ranklinalg as rl, scheme as sc
 from gabkron.params import setup
 from gabkron.ranklinalg import (
     BitMatrix,
@@ -442,6 +442,75 @@ def test_solve_packed_matches_rref():
                 assert acc == row[-1]
             seen["free" if len(pivots) < ncols - 1 else "unique"] += 1
         assert min(seen.values()) >= 20
+
+
+def triangular(ctx, n, up, unit, rng):
+    """A random n x n triangular matrix, upper when up, with a unit or a
+    random nonzero diagonal; a third of the entries off it are zero, so
+    some columns of the system are empty."""
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if i == j:
+                row.append(1 if unit else rng.nonzero_element(ctx.m))
+            elif (j > i) == up and rng.randrange(3):
+                row.append(rng.element(ctx.m))
+            else:
+                row.append(0)
+        rows.append(row)
+    return RankMatrix(ctx, rows)
+
+
+@pytest.mark.parametrize("m", [8, 90])
+@pytest.mark.parametrize("n", [1, 2, 17])
+@pytest.mark.parametrize("up", [False, True])
+@pytest.mark.parametrize("unit", [True, False])
+def test_substitute_matches_inverse(m, n, up, unit):
+    # T x^T = b^T for triangular T: x from the packed columns of T below
+    # (or above) its diagonal and the inverses of its pivots, against the
+    # dense inverse times b
+    ctx = FieldCtx(m)
+    rng = fresh_rng(b"substitute-%d-%d-%d-%d" % (m, n, up, unit))
+    pk = rl._packed(ctx, n)
+    for _ in range(4):
+        T = triangular(ctx, n, up, unit, rng)
+        b = [rng.element(m) for _ in range(n)]
+        cols = [pk.pack([T.rows[i][r] if (i < r if up else i > r) else 0 for i in range(n)])
+                for r in range(n)]
+        pinvs = None if unit else [ctx.inv(T.rows[r][r]) for r in range(n)]
+        x = rl._substitute(pk, pk.pack(b), cols, pinvs, up)
+        want = T.invert().mul(RankMatrix(ctx, [[v] for v in b]))
+        assert x == [row[0] for row in want.rows]
+
+
+def test_one_triangular_substitution(ctx8, monkeypatch):
+    # the LU solve runs two passes of _substitute, and the packed solve and
+    # the Moore stages one each: no caller keeps a loop of its own
+    calls = []
+    substitute = rl._substitute
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("up", False))
+        return substitute(*args, **kwargs)
+
+    monkeypatch.setattr(rl, "_substitute", counted)
+    monkeypatch.setattr(gabcodes, "_substitute", counted)
+    rng = fresh_rng(b"substitute-routing")
+    A = RankMatrix.random_full_rank(ctx8, 6, 6, rng)
+    b = [rng.element(8) for _ in range(6)]
+    assert rl.LeftSolver(A).solve(b) == A.invert().left_mul_values(b)
+    assert calls == [False, True]
+    calls.clear()
+    pk = rl._packed(ctx8, 4)
+    pivots, x = rl._solve_packed(ctx8, [pk.pack(row) for row in A.rows[:3]], 4)
+    assert x is not None and calls == [True]
+    calls.clear()
+    C = gabcodes.GabidulinCode(RankVector(ctx8, sc.sample_rank_error(ctx8, 8, 8, rng).values), 2)
+    E = sc.sample_rank_error(ctx8, 2, 2, rng).values
+    s = [rng.element(8) for _ in range(C.n - C.k)]
+    assert C._error_coordinates(s, E) is not None
+    assert calls == [True]
 
 
 def toeplitz_like(ctx, k, n, rank, rng):
@@ -988,7 +1057,7 @@ def test_circulant_block_invert_closure(ctx4):
         except SingularMatrixError:
             continue
         assert Ainv.k == 3
-        assert audit.is_circulant_block(Ainv.dense(), 2, 3)
+        assert rl.is_partial_circulant_block(Ainv.dense(), 2, 2, 3, 3)
         assert A.dense().mul(Ainv.dense()) == RankMatrix.identity(ctx4, 6)
         done += 1
 

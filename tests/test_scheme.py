@@ -32,6 +32,7 @@ from gabkron.scheme import (
 )
 
 from conftest import (
+    block_matrix,
     dense_g_plus_x,
     fresh_rng,
     inconsistent_secret_key,
@@ -213,9 +214,9 @@ def test_construct_p_improved_structure(toy_kp):
     p, kp = toy_kp
     P = kp.sk.P.dense()
     spec = kp.subspace
-    assert audit.is_circulant_block(P, p.n1, p.n2)
+    assert is_partial_circulant_block(P, p.n1, p.n1, p.n2, p.n2)
     Pinv = circulant_block_invert(kp.sk.P).dense()
-    assert audit.is_circulant_block(Pinv, p.n1, p.n2)
+    assert is_partial_circulant_block(Pinv, p.n1, p.n1, p.n2, p.n2)
     assert P.mul(Pinv) == RankMatrix.identity(P.ctx, p.n)
     for i in range(p.n1):
         elems = spec.span_for_block(i)
@@ -282,7 +283,7 @@ def test_improved_pk_structure(toy_kp):
 
 def systematic(N):
     """The dense public generator [I_k | N] of a repaired key's N."""
-    return RankMatrix.from_blocks([[RankMatrix.identity(N.ctx, N.nrows), N]])
+    return block_matrix([[RankMatrix.identity(N.ctx, N.nrows), N]])
 
 
 def test_repaired_pk_systematic(toy_rep_kp):
