@@ -503,7 +503,7 @@ def test_one_triangular_substitution(ctx8, monkeypatch):
     assert calls == [False, True]
     calls.clear()
     pk = rl._packed(ctx8, 4)
-    pivots, x = rl._solve_packed(ctx8, [pk.pack(row) for row in A.rows[:3]], 4)
+    _, x = rl._solve_packed(ctx8, [pk.pack(row) for row in A.rows[:3]], 4)
     assert x is not None and calls == [True]
     calls.clear()
     C = gabcodes.GabidulinCode(RankVector(ctx8, sc.sample_rank_error(ctx8, 8, 8, rng).values), 2)
