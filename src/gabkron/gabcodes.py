@@ -58,7 +58,6 @@ from functools import cache, cached_property
 
 from .gf2m import BitSpan, FieldCtx
 from .ranklinalg import (
-    BitMatrix,
     LeftSolver,
     RankMatrix,
     RankVector,
@@ -68,7 +67,7 @@ from .ranklinalg import (
     _solve_packed,
     _substitute,
     checked_values,
-    field_vec_times_bitmatrix,
+    field_vec_times_bits,
     information_set,
     partial_circulant,
 )
@@ -333,7 +332,7 @@ class GabidulinCode:
         sols = [span.coordinates(x) for x in W]
         if None in sols:
             return None
-        return field_vec_times_bitmatrix(self.ctx, E, BitMatrix(w, self.n, sols))
+        return field_vec_times_bits(E, sols, self.n)
 
 
 class _NormalOrbitCode(GabidulinCode):

@@ -15,13 +15,17 @@ Products are carry-less multiplies by window tables (_window_table), of
 width for packed rows.  Squaring is GF(2)-linear and spreads bit i to bit
 2i, which two bytes.translate tables do on whole byte strings (_spread):
 sqr spreads one element, and ranklinalg's _Packed.sqr the slots of a
-whole packed row.
+whole packed row.  Inverses come from one binary extended Euclid on
+polynomials held as ints (_poly_inv): FieldCtx.inv runs it modulo the
+field polynomial, and ranklinalg's cyclotomic idempotents modulo each
+binary cyclotomic polynomial.
 
 Elements are also vectors over GF(2), and so are the rows of GF(2)
-matrices held as bitmask ints.  One echelon routine (BitSpan) gives the
-rank, the kernel and the coordinates of such vectors: the normality test,
-the trace-dual solve and the Gabidulin decoder's root space and error
-locations all run on it.
+matrices, which the package holds as lists of row bitmask ints.  One
+echelon routine (BitSpan, with _bit_rank) gives the rank, the kernel and
+the coordinates of such vectors: the normality test, the trace-dual
+solve, the Gabidulin decoder's root space and error locations and the
+scheme's random GF(2) matrices all run on it.
 """
 
 from __future__ import annotations
@@ -73,6 +77,27 @@ def _poly_mulmod(a, b, mod, deg):
             a ^= mod
     # a stays reduced each step, so r has degree < deg already
     return r
+
+
+def _poly_inv(a, mod):
+    """The inverse, of degree below mod's, of the GF(2) polynomial a
+    modulo mod by the binary extended Euclid (Hankerson, Menezes &
+    Vanstone, Guide to Elliptic Curve Cryptography, Alg. 2.48).  For a
+    not coprime to mod, u never reaches 1 and the loop does not end."""
+    # invariant: u = s * a (mod mod), v = t * a (mod mod)
+    u, v = a, mod
+    s, t = 1, 0
+    du, dv = u.bit_length(), v.bit_length()
+    while u != 1:
+        if du < dv:
+            u, v = v, u
+            s, t = t, s
+            du, dv = dv, du
+        sh = du - dv
+        u ^= v << sh
+        s ^= t << sh
+        du = u.bit_length()
+    return s
 
 
 def _poly_gcd(a, b):
@@ -206,25 +231,10 @@ class FieldCtx:
         return self.reduce(int.from_bytes(_spread(a.to_bytes(self._nbytes, "little")), "little"))
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse by the extended Euclidean algorithm."""
+        """Multiplicative inverse: _poly_inv of a modulo the field polynomial."""
         if a == 0:
             raise ZeroDivisionError("0 has no inverse in GF(2^m)")
-        if a == 1:
-            return 1
-        # invariant: u = s * a (mod modulus), v = t * a (mod modulus)
-        u, v = a, self.modulus
-        s, t = 1, 0
-        while u != 1:
-            du = u.bit_length()
-            dv = v.bit_length()
-            if du < dv:
-                u, v = v, u
-                s, t = t, s
-                du, dv = dv, du
-            sh = du - dv
-            u ^= v << sh
-            s ^= t << sh
-        return self.reduce(s)
+        return _poly_inv(a, self.modulus)
 
     def frobenius(self, a: int, i: int) -> int:
         """a^(2^i); the bracket power a^[i].  frobenius(a, m) == a."""

@@ -58,26 +58,29 @@ CirculantGrid.adjugate), the Newton lift of cyc_inv and key generation's
 products by P^-1 and X; cyc_mul, one product per entry of its first
 factor, is left for two factors of full rank.  Units and inverses are
 found at the odd part a of n = 2^s a, where z^n - 1 = (z^a - 1)^(2^s) in
-characteristic 2: an element folds onto a slots by XOR, splits over the
-binary cyclotomic factors Phi_d of z^a - 1 by XOR again, and one Euclid
-runs per factor, at degree phi(d) instead of n (_factor_euclids).
-cyc_inv recombines the factors' inverses and lifts the result s times by
-Newton's iteration.
+characteristic 2: an element splits over the binary cyclotomic factors
+Phi_d of z^a - 1 by XOR alone, folded onto d slots and reduced by the
+binary Phi_d, and one Euclid runs per factor, at degree phi(d) instead of
+n (_factor_euclids).  cyc_inv recombines the factors' inverses and lifts
+the result s times by Newton's iteration.  Every reduction mod z^d - 1 is
+that XOR fold of a packed row (_fold_slots): each factor's input, from
+cyc_inv's argument or from the determinant whose unit test is
+CirculantGrid.is_invertible, and each Newton step's a mod z^(2c) - 1.
 
-GF(2) matrices (BitMatrix) keep each row as a bitmask int.  They are
-drawn, shifted and applied to field vectors here; their rank, like every
-other elimination over GF(2), comes from gf2m.BitSpan.
+A GF(2) matrix is a list of row bitmask ints, bit j of row i its entry
+(i, j), drawn row by row with rng.bits.  field_vec_times_bits applies one
+to a field vector; its rank, like every other elimination over GF(2),
+comes from gf2m.BitSpan (_bit_rank).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass, field
 
 from . import gf2m
-from .gf2m import ContextMismatchError, FieldCtx, _bit_rank, _poly_mulmod, _spread
+from .gf2m import ContextMismatchError, FieldCtx, _bit_rank, _poly_inv, _poly_mulmod, _spread
 
 
 class SingularMatrixError(ValueError):
@@ -572,58 +575,17 @@ class LeftSolver:
 # GF(2) matrices
 
 
-class BitMatrix:
-    """Matrix over the base field GF(2); each row is a bitmask int."""
-
-    __slots__ = ("nrows", "ncols", "rows")
-
-    def __init__(self, nrows, ncols, rows=None):
-        self.nrows = nrows
-        self.ncols = ncols
-        if rows is None:
-            rows = [0] * nrows
-        if len(rows) != nrows:
-            raise ValueError("row count mismatch")
-        mask = (1 << ncols) - 1
-        self.rows = [r & mask for r in rows]
-
-    @classmethod
-    def random(cls, nrows, ncols, rng):
-        return cls(nrows, ncols, [rng.bits(ncols) for _ in range(nrows)])
-
-    def rank(self):
-        return _bit_rank(self.rows)
-
-    def is_invertible(self):
-        return self.nrows == self.ncols and self.rank() == self.nrows
-
-    def cyclic_col_shift(self):
-        """Columns shifted right by one position, wrapping the last to front."""
-        n = self.ncols
-        out = []
-        for r in self.rows:
-            out.append(((r << 1) | (r >> (n - 1))) & ((1 << n) - 1))
-        return BitMatrix(self.nrows, n, out)
-
-    def __repr__(self):
-        return f"BitMatrix({self.nrows}x{self.ncols})"
-
-
-def field_vec_times_bitmatrix(ctx, vals, bm: BitMatrix):
-    """Row vector over GF(2^m) times a GF(2) matrix (entrywise XOR combine)."""
-    if len(vals) != bm.nrows:
+def field_vec_times_bits(vals, rows, ncols):
+    """Row vector over GF(2^m) times a GF(2) matrix of ncols columns held
+    as row bitmasks, bit j of rows[i] its entry (i, j): entrywise XOR."""
+    if len(vals) != len(rows):
         raise ValueError("dimension mismatch")
-    out = [0] * bm.ncols
-    for i, v in enumerate(vals):
-        if not v:
-            continue
-        row = bm.rows[i]
-        j = 0
+    out = [0] * ncols
+    for v, row in zip(vals, rows):
         while row:
-            if row & 1:
-                out[j] ^= v
-            row >>= 1
-            j += 1
+            low = row & -row
+            out[low.bit_length() - 1] ^= v
+            row ^= low
     return out
 
 
@@ -901,11 +863,6 @@ def _cyc_sum(pk, pairs):
     return pk.sum_products(terms())
 
 
-def _folded(vals, d):
-    """The ring element vals modulo z^d - 1: entry i XORed onto entry i mod d."""
-    return [functools.reduce(operator.xor, vals[i::d]) for i in range(d)]
-
-
 def _fold_slots(S, p, d):
     """The packed row p modulo z^d - 1: slot i XORed onto slot i mod d."""
     width = d * S
@@ -944,17 +901,6 @@ def _binary_divmod(num, den):
     return q, num
 
 
-def _binary_inverse(a, mod):
-    """The inverse of the binary polynomial a modulo a coprime mod, by
-    Euclid; every quotient has degree below mod's."""
-    deg = mod.bit_length() - 1
-    r0, r1, s0, s1 = mod, _binary_divmod(a, mod)[1], 0, 1
-    while r1 != 1:
-        q, r = _binary_divmod(r0, r1)
-        r0, r1, s0, s1 = r1, r, s1, s0 ^ _poly_mulmod(q, s1, mod, deg)
-    return s1
-
-
 @functools.cache
 def _cyclotomic(a):
     """((d, Phi_d, e_d) for each d | a), a odd, as binary polynomials held
@@ -962,7 +908,8 @@ def _cyclotomic(a):
     Phi_d are pairwise coprime and z^a - 1 is their product (Lidl &
     Niederreiter, Finite Fields, 2.4).  e_d is the idempotent of the
     Chinese remainder theorem: 1 mod Phi_d and 0 mod the others, as
-    M (M^-1 mod Phi_d) mod z^a - 1 for M = (z^a - 1) / Phi_d."""
+    M (M^-1 mod Phi_d) mod z^a - 1 for M = (z^a - 1) / Phi_d, the inverse
+    taken of M mod Phi_d by the binary Euclid of the field (gf2m._poly_inv)."""
     phis = {}
     for d in range(1, a + 1):
         if a % d == 0:
@@ -975,7 +922,7 @@ def _cyclotomic(a):
     out = []
     for d, phi in phis.items():
         M = _binary_divmod(za, phi)[0]
-        out.append((d, phi, _poly_mulmod(M, _binary_inverse(M, phi), za, a)))
+        out.append((d, phi, _poly_mulmod(M, _poly_inv(_binary_divmod(M, phi)[1], phi), za, a)))
     return tuple(out)
 
 
@@ -1016,11 +963,12 @@ def _odd_part(n):
 
 
 def _factor_euclids(ctx, p, a, bezout):
-    """For the packed row p modulo z^a - 1, a odd: (_cyc_euclid's result,
-    e_d) for p mod Phi_d against Phi_d, for each d | a (_cyclotomic), up to
-    the first factor of which p is not a unit.  p mod Phi_d is p folded
-    onto d slots (p mod z^d - 1) and reduced by the binary Phi_d, with XORs
-    alone; the Euclid then runs at degree phi(d), not a."""
+    """For the packed row p modulo z^n - 1, a the odd part of n:
+    (_cyc_euclid's result, e_d) for p mod Phi_d against Phi_d, for each
+    d | a (_cyclotomic), up to the first factor of which p is not a unit.
+    p mod Phi_d is p folded onto d slots (_fold_slots, p mod z^d - 1 as d
+    divides n) and reduced by the binary Phi_d, with XORs alone; the
+    Euclid then runs at degree phi(d), not n."""
     pk = _packed(ctx, a)
     for d, phi, e in _cyclotomic(a):
         res = _cyc_euclid(ctx, phi, _binary_rem(pk, _fold_slots(pk.S, p, d), phi), bezout)
@@ -1038,7 +986,8 @@ def cyc_inv(ctx, a):
     Phi_d (_factor_euclids); e_d is binary, so each term is an XOR of
     shifts of x_d.  Each doubling of c lifts the inverse x: x b = 1 mod
     z^c - 1 gives (b x^2) b = (x b)^2 = 1 mod z^(2c) - 1, for
-    b = a mod z^(2c) - 1 (Newton's iteration x (2 - b x) with 2 = 0; von
+    b = a mod z^(2c) - 1, a's packed row folded onto 2c slots by
+    _fold_slots (Newton's iteration x (2 - b x) with 2 = 0; von
     zur Gathen & Gerhard, Modern Computer Algebra, ch. 9).  x^2 holds x_i^2
     (_Packed.sqr) at slot 2i, and the product takes b through its GF(2)
     decomposition (_cyc_sum): rank(b) products, a handful for the
@@ -1050,7 +999,7 @@ def cyc_inv(ctx, a):
     S = pk.S
     pa = pk.pack(a)
     acc = 0
-    for (pk, r, s), e in _factor_euclids(ctx, _fold_slots(S, pa, c), c, True):
+    for (pk, r, s), e in _factor_euclids(ctx, pa, c, True):
         if not r:
             return None  # a shares a factor with z^n - 1
         x = pk.fold(pk.scal(s, ctx.inv(r)))
@@ -1064,7 +1013,8 @@ def cyc_inv(ctx, a):
         c *= 2
         pk = _packed(ctx, c)
         x2 = pk.pack([v for sq in squares for v in (sq, 0)])
-        x = pk.fold(_cyc_sum(pk, [(x2, _binary_parts(_folded(a, c)))]))
+        b = pk.unpack(_fold_slots(S, pa, c))
+        x = pk.fold(_cyc_sum(pk, [(x2, _binary_parts(b))]))
     return pk.unpack(x)
 
 
@@ -1176,20 +1126,15 @@ class CirculantGrid:
         """True iff a square grid is invertible: gcd(det, z^n - 1) = 1.
 
         z^n - 1 has the irreducible factors of z^a - 1, a the odd part of
-        n, so det is a unit exactly when det mod z^a - 1 is one; that is
-        the determinant of the generators folded onto a slots, a ring map.
-        It is a unit exactly when it is one modulo every binary cyclotomic
-        factor Phi_d of z^a - 1: one Euclid of degree phi(d) per factor,
-        without its Bezout row (_factor_euclids).  At a = 1 that is
-        det(1) != 0.
+        n, so det (_det, on the kept decompositions of the generators) is
+        a unit exactly when it is one modulo every binary cyclotomic
+        factor Phi_d of z^a - 1, det folded onto d slots (_fold_slots) and
+        reduced: one Euclid of degree phi(d) per factor, without its
+        Bezout row (_factor_euclids).  At a = 1 that is det(1) != 0.
         """
-        n = len(self.gens[0][0])
-        a = _odd_part(n)
-        pk = _packed(self.ctx, a)
-        folded = [[_folded(g, a) for g in grow] for grow in self.gens]
-        det = _ring_det(pk, [[pk.pack(g) for g in grow] for grow in folded],
-                        [[_binary_parts(g) for g in grow] for grow in folded])
-        return all(res[1] for res, _ in _factor_euclids(self.ctx, det, a, False))
+        det = self._det()
+        return all(res[1] for res, _ in _factor_euclids(
+            self.ctx, _packed(self.ctx, len(det)).pack(det), _odd_part(len(det)), False))
 
     def det_inverse(self):
         """Inverse of the ring determinant of a square grid, kept once

@@ -80,7 +80,6 @@ from .gf2m import FieldCtx, _bit_rank
 from .gabcodes import KroneckerCode, from_normal_orbit, from_orbit
 from .params import ParamSet
 from .ranklinalg import (
-    BitMatrix,
     CirculantGrid,
     LeftSolver,
     RankMatrix,
@@ -93,7 +92,7 @@ from .ranklinalg import (
     circulant_block_invert,
     column_rank_q,
     cyc_mul,
-    field_vec_times_bitmatrix,
+    field_vec_times_bits,
     reflect,
 )
 
@@ -149,14 +148,16 @@ def sample_subspace_basis(ctx: FieldCtx, lam: int, rng) -> tuple:
 @dataclass
 class XWitness:
     X: CirculantGrid
-    T: dict  # column block index -> shared transform T (in-set blocks only)
+    T: dict  # column block index -> shared transform T as t1 row bitmasks (in-set blocks only)
 
 
-def _sample_shift_pair(t1: int, rng) -> BitMatrix:
-    """Invertible T over GF(2) whose right cyclic column shift is invertible."""
+def _sample_shift_pair(t1: int, rng) -> list:
+    """Rows of an invertible t1 x t1 T over GF(2) whose right cyclic column
+    shift (column t1 - 1 wraps to the front) is invertible."""
+    mask = (1 << t1) - 1
     for _ in range(1024):
-        T = BitMatrix.random(t1, t1, rng)
-        if T.is_invertible() and T.cyclic_col_shift().is_invertible():
+        T = [rng.bits(t1) for _ in range(t1)]
+        if _bit_rank(T) == t1 == _bit_rank([(r << 1 | r >> (t1 - 1)) & mask for r in T]):
             return T
     raise GenerationError("no invertible (T, T') pair found")
 
@@ -173,7 +174,7 @@ def _low_colrank_gens(ctx, nblocks, k, width, t1, rng):
         return [[0] * width for _ in range(nblocks)], None
     for _ in range(64):
         T = _sample_shift_pair(t1, rng)
-        z0s = [field_vec_times_bitmatrix(ctx, [rng.element(ctx.m) for _ in range(t1)], T)
+        z0s = [field_vec_times_bits([rng.element(ctx.m) for _ in range(t1)], T, t1)
                for _ in range(nblocks)]
         rotations = [[z[(j - r) % t1] for j in range(t1)] for z in z0s for r in range(k)]
         if column_rank_q(RankMatrix(ctx, rotations)) == t1:
@@ -245,9 +246,9 @@ def sample_rank_error(ctx: FieldCtx, n: int, t: int, rng) -> RankVector:
         return RankVector.zero(ctx, n)
     betas = sample_subspace_basis(ctx, t, rng)
     while True:
-        loc = BitMatrix.random(t, n, rng)
-        if loc.rank() == t:
-            return RankVector(ctx, field_vec_times_bitmatrix(ctx, betas, loc))
+        loc = [rng.bits(n) for _ in range(t)]
+        if _bit_rank(loc) == t:
+            return RankVector(ctx, field_vec_times_bits(betas, loc, n))
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +261,13 @@ class PublicKey:
     matrix: RankMatrix | CirculantGrid  # N of G_pub = [I_k | N] (repaired) | G_pub (improved)
 
 
+def _decrypter(sk):
+    """The key's decrypter, _Decrypter.checked once; both key classes bind it."""
+    if sk._dec is None:
+        sk._dec = _Decrypter.checked(sk)
+    return sk._dec
+
+
 @dataclass
 class ImprovedSecretKey:
     params: ParamSet
@@ -268,10 +276,7 @@ class ImprovedSecretKey:
     G1: RankMatrix
     _dec: object = field(default=None, init=False, repr=False, compare=False)
 
-    def decrypter(self):
-        if self._dec is None:
-            self._dec = _Decrypter.checked(self)
-        return self._dec
+    decrypter = _decrypter
 
 
 @dataclass
@@ -283,10 +288,7 @@ class RepairedSecretKey:
     S: RankMatrix
     _dec: object = field(default=None, init=False, repr=False, compare=False)
 
-    def decrypter(self):
-        if self._dec is None:
-            self._dec = _Decrypter.checked(self)
-        return self._dec
+    decrypter = _decrypter
 
 
 @dataclass

@@ -12,7 +12,6 @@ from gabkron.gf2m import FieldCtx, _bit_rank
 from gabkron.params import setup
 from gabkron.prng import SeededRng
 from gabkron.ranklinalg import (
-    BitMatrix,
     CirculantGrid,
     RankMatrix,
     RankVector,
@@ -279,12 +278,13 @@ def ring_against_euclid(P, rng):
 
 
 def expand_over_base(vals, m):
-    """m x n matrix over GF(2); column j holds the coefficients of vals[j]."""
+    """m x n matrix over GF(2) as row bitmasks, n = len(vals); column j
+    holds the coefficients of vals[j]."""
     rows = [0] * m
     for j, v in enumerate(vals):
         for i in range(m):
             rows[i] |= (v >> i & 1) << j
-    return BitMatrix(m, len(vals), rows)
+    return rows
 
 
 def gauss_jordan_gf2(rows, ncols):
@@ -309,12 +309,13 @@ def gauss_jordan_gf2(rows, ncols):
     return pivots
 
 
-def kernel_gf2(mat):
-    """Basis of the right kernel of a BitMatrix, as column bitmasks."""
-    rows = list(mat.rows)
-    pivots = gauss_jordan_gf2(rows, mat.ncols)
+def kernel_gf2(rows, ncols):
+    """Basis of the right kernel of a GF(2) matrix of ncols columns held as
+    row bitmasks, as column bitmasks."""
+    rows = list(rows)
+    pivots = gauss_jordan_gf2(rows, ncols)
     basis = []
-    for free in sorted(set(range(mat.ncols)) - set(pivots)):
+    for free in sorted(set(range(ncols)) - set(pivots)):
         v = 1 << free
         for ri, col in enumerate(pivots):
             if rows[ri] >> free & 1:
@@ -323,13 +324,13 @@ def kernel_gf2(mat):
     return basis
 
 
-def solve_gf2(mat, rhs_cols):
+def solve_gf2(mat, n, rhs_cols):
     """y with mat · y = b for each b in rhs_cols (bit i for row i), free
-    unknowns zero, or None where the system is inconsistent.  Each
-    right-hand side rides along in one Gauss–Jordan elimination."""
-    n = mat.ncols
+    unknowns zero, or None where the system is inconsistent; mat has n
+    columns and is held as row bitmasks.  Each right-hand side rides along
+    in one Gauss–Jordan elimination."""
     rows = []
-    for i, row in enumerate(mat.rows):
+    for i, row in enumerate(mat):
         for t, b in enumerate(rhs_cols):
             row |= (b >> i & 1) << (n + t)
         rows.append(row)
@@ -384,7 +385,7 @@ def located_error(C, E, rng):
             break
     hrow = C.parity_check.rows[w - 1]
     W = [functools.reduce(operator.xor, (h for i, h in enumerate(hrow) if y >> i & 1)) for y in Y]
-    return rl.field_vec_times_bitmatrix(C.ctx, E, rl.BitMatrix(w, C.n, Y)), W
+    return rl.field_vec_times_bits(E, Y, C.n), W
 
 
 def systematic_form_against_rref(kp):

@@ -279,7 +279,7 @@ def test_root_space_matches_transposed_kernel(m):
             gamma = [rng.element(m) for _ in range(trial // 2 + 2)]
         cols = [evaluate(ctx, gamma, 1 << i) for i in range(m)]
         got = gc._root_space(ctx, gamma)
-        assert same_span(got, kernel_gf2(expand_over_base(cols, m)))
+        assert same_span(got, kernel_gf2(expand_over_base(cols, m), m))
         assert all(evaluate(ctx, gamma, v) == 0 for v in got)
         dims.append(len(got))
     assert dims[1::2] == [1, 3, 7]
@@ -583,11 +583,10 @@ def test_locate_matches_transposed_solve(params, request):
         inside = [functools.reduce(operator.xor, (h for i, h in enumerate(hrow) if y >> i & 1), 0)
                   for y in Y]
         for W in (inside, [rng.element(p.m) for _ in range(w)]):
-            sols = solve_gf2(hbits, W)
+            sols = solve_gf2(hbits, p.n2, W)
             if W is inside:
                 assert sols == Y
-            want = None if None in sols else rl.field_vec_times_bitmatrix(
-                ctx, E, rl.BitMatrix(w, p.n2, sols))
+            want = None if None in sols else rl.field_vec_times_bits(E, sols, p.n2)
             assert C._locate(E, W) == want
             located.add(want is not None)
     assert located == {True, False}

@@ -1,9 +1,9 @@
 import pytest
 
-from gabkron import gabcodes, gf2m, keyio
+from gabkron import gabcodes, gf2m, keyio, ranklinalg
 from gabkron.gf2m import FieldCtx
 from gabkron.prng import SeededRng
-from gabkron.ranklinalg import BitMatrix, RankVector, _packed, _Packed
+from gabkron.ranklinalg import RankVector, _packed, _Packed
 
 from conftest import fresh_rng, solve_gf2
 
@@ -82,6 +82,34 @@ def test_window_mul_sum_matches_separate_products():
                 for tab, lam in zip(tabs, lams):
                     want ^= gf2m._window_mul(tab, lam)
                 assert gf2m._window_mul_sum(tabs, lams) == want
+
+
+def test_poly_inv_at_cyclotomic_and_field_moduli():
+    # the one binary Euclid, at every binary Phi_d of z^a - 1 for a = 15,
+    # 45 and 105 (z + 1 included) and at the field moduli of m = 8, 90, 211
+    # and 331: x a = 1 mod mod, and deg x < deg mod without a final
+    # reduction.  Inputs are random and coprime to mod; at each Phi_d also
+    # M mod Phi_d, M = (z^a - 1) / Phi_d, the input of the CRT idempotents
+    rng = fresh_rng(b"poly-inv")
+    cases = []  # (modulus, inputs)
+    for a in (15, 45, 105):
+        za = 1 | 1 << a
+        for _, phi, _ in ranklinalg._cyclotomic(a):
+            deg = phi.bit_length() - 1
+            M = ranklinalg._binary_divmod(za, phi)[0]
+            cases.append((phi, [ranklinalg._binary_divmod(M, phi)[1]]
+                          + [rng.bits(deg) for _ in range(40)]))
+    for m in (8, 90, 211, 331):
+        cases.append((gf2m.modulus_for_degree(m), [rng.bits(m) for _ in range(2000)]))
+    assert 0b11 in [mod for mod, _ in cases]  # z + 1
+    for mod, inputs in cases:
+        deg = mod.bit_length() - 1
+        units = [x for x in inputs if x and gf2m._poly_gcd(mod, x) == 1]
+        assert units
+        for x in units:
+            inv = gf2m._poly_inv(x, mod)
+            assert inv.bit_length() <= deg
+            assert gf2m._poly_mulmod(inv, x, mod, deg) == 1
 
 
 @pytest.mark.parametrize("m", [4, 8, 48, 90])
@@ -247,8 +275,8 @@ def test_trace_dual_matches_gram_solve(m):
     A = orbit[::-1]  # A[j] = alpha^[j]
     tv = ctx.trace_vector()
     c = [(ctx.mul(A[0], a) & tv).bit_count() & 1 for a in A]
-    gram = BitMatrix(m, m, [sum(c[(j - l) % m] << j for j in range(m)) for l in range(m)])
-    (b,) = solve_gf2(gram, [1])
+    gram = [sum(c[(j - l) % m] << j for j in range(m)) for l in range(m)]
+    (b,) = solve_gf2(gram, m, [1])
     beta = 0
     for j, a in enumerate(A):
         if b >> j & 1:

@@ -9,10 +9,9 @@ import types
 import pytest
 
 from gabkron.gf2m import BitSpan, ContextMismatchError, FieldCtx, _bit_rank
-from gabkron import audit, gabcodes, ranklinalg as rl, scheme as sc
+from gabkron import audit, gabcodes, gf2m, ranklinalg as rl, scheme as sc
 from gabkron.params import setup
 from gabkron.ranklinalg import (
-    BitMatrix,
     RankMatrix,
     RankVector,
     SingularMatrixError,
@@ -40,7 +39,7 @@ def test_expand_round_trip(ctx8, rng):
     # matrix holds the coefficients of entry j
     v = RankVector.random(ctx8, 5, rng)
     M = expand_over_base(v.values, 8)
-    assert (M.nrows, M.ncols) == (8, 5)
+    assert len(M) == 8 and max(M).bit_length() <= 5
     assert [bit_column(M, j) for j in range(5)] == v.values
 
 
@@ -74,12 +73,10 @@ def test_column_rank_invariant_under_base_change(ctx8):
     for _ in range(50):
         M = RankMatrix.random(ctx8, 3, 5, rng)
         while True:
-            W = BitMatrix.random(5, 5, rng)
-            if W.is_invertible():
+            W = [rng.bits(5) for _ in range(5)]
+            if _bit_rank(W) == 5:
                 break
-        MW = RankMatrix(
-            ctx8, [rl.field_vec_times_bitmatrix(ctx8, row, W) for row in M.rows]
-        )
+        MW = RankMatrix(ctx8, [rl.field_vec_times_bits(row, W, 5) for row in M.rows])
         assert rl.column_rank_q(MW) == rl.column_rank_q(M)
 
 
@@ -90,13 +87,11 @@ def test_column_rank_of_padded_factorization(ctx8):
     for _ in range(25):
         Y = RankMatrix.random(ctx8, k, t1, rng)
         while True:
-            W = BitMatrix.random(n, n, rng)
-            if W.is_invertible():
+            W = [rng.bits(n) for _ in range(n)]
+            if _bit_rank(W) == n:
                 break
         padded = [row + [0] * (n - t1) for row in Y.rows]
-        X = RankMatrix(
-            ctx8, [rl.field_vec_times_bitmatrix(ctx8, row, W) for row in padded]
-        )
+        X = RankMatrix(ctx8, [rl.field_vec_times_bits(row, W, n) for row in padded])
         assert rl.column_rank_q(X) <= t1
 
 
@@ -934,6 +929,64 @@ def test_cyclotomic_factors_and_idempotents(a):
     assert total == 1
 
 
+def test_one_binary_euclid(monkeypatch):
+    # field inverses and the cyclotomic idempotents run the same binary
+    # Euclid, gf2m._poly_inv: no caller keeps a loop of its own
+    moduli = []
+    poly_inv = gf2m._poly_inv
+
+    def counted(a, mod):
+        moduli.append(mod)
+        return poly_inv(a, mod)
+
+    monkeypatch.setattr(gf2m, "_poly_inv", counted)
+    monkeypatch.setattr(rl, "_poly_inv", counted)
+    ctx = FieldCtx(90)
+    assert ctx.mul(ctx.inv(0x1234), 0x1234) == 1
+    assert moduli == [ctx.modulus]
+    moduli.clear()
+    rl._cyclotomic.cache_clear()
+    try:
+        factors = rl._cyclotomic(15)
+    finally:
+        rl._cyclotomic.cache_clear()
+    assert moduli == [phi for _, phi, _ in factors]
+
+
+def test_is_invertible_on_3x3_grids(toy_improved_wide):
+    # 3 x 3 grids of block size 12, the shape of the n1 = 3 improved toy
+    # set: odd part 3, where z^3 - 1 = (z + 1)(z^2 + z + 1).  is_invertible
+    # against the inverse of the ring determinant and the rank of the dense
+    # matrix, on keygen's P, random grids, grids with entries in a GF(2)
+    # plane, one with two equal block rows, and P with its first block row
+    # times each Phi_d, whose determinant is a nonzero multiple of Phi_d
+    p = toy_improved_wide
+    ctx = FieldCtx(p.m)
+    rng = fresh_rng(b"grid-3x3")
+    n = p.n2
+    P = sc.keygen(p, rng).sk.P
+    assert len(P.gens) == 3 and len(P.gens[0][0]) == n
+    grids = [P] + [random_grid(ctx, 3, 3, n, n, rng) for _ in range(3)]
+    for _ in range(4):
+        plane = (0, rng.element(p.m), rng.element(p.m))
+        plane += (plane[1] ^ plane[2],)
+        grids.append(rl.CirculantGrid(
+            ctx, [[[plane[rng.randrange(4)] for _ in range(n)] for _ in range(3)]
+                  for _ in range(3)], n))
+    grids.append(rl.CirculantGrid(ctx, [P.gens[0], P.gens[0], P.gens[2]], n))
+    phi_multiples = [rl.CirculantGrid(ctx, [list(row0)] + P.gens[1:], n)
+                     for row0 in zip(*(cyclotomic_multiples(ctx, g) for g in P.gens[0]))]
+    assert len(phi_multiples) == 2 and all(any(G._det()) for G in phi_multiples)
+    verdicts = []
+    for G in grids + phi_multiples:
+        unit = G.is_invertible()
+        assert unit == (G.det_inverse() is not None)
+        assert unit == (G.dense().rank() == 3 * n)
+        verdicts.append(unit)
+    assert verdicts[0] and not any(verdicts[-3:])
+    assert True in verdicts[1:-3] and False in verdicts[1:-3]
+
+
 @pytest.mark.parametrize("name", ["new-gabkron-128", "new-gabkron-192", "new-gabkron-256",
                                   "rep-gabkron-128"])
 def test_circulant_ring_against_full_euclid(name):
@@ -1107,54 +1160,45 @@ def test_information_set_rank_deficient(ctx4):
         rl.information_set(G)
 
 
-def bit_identity(n):
-    return BitMatrix(n, n, [1 << i for i in range(n)])
+# GF(2) matrices are lists of row bitmasks: bit j of row i is entry (i, j)
 
 
-def bit_column(M, j):
-    return sum((r >> j & 1) << i for i, r in enumerate(M.rows))
+def bit_column(rows, j):
+    return sum((r >> j & 1) << i for i, r in enumerate(rows))
 
 
-def column_span(A):
-    """BitSpan of the columns of A, so that coordinates(b) solves A · y = b."""
-    return BitSpan([bit_column(A, j) for j in range(A.ncols)])
+def column_span(rows, ncols):
+    """BitSpan of the ncols columns of A = rows, so that coordinates(b)
+    solves A · y = b."""
+    return BitSpan([bit_column(rows, j) for j in range(ncols)])
 
 
 def test_bit_matrix_helpers(rng):
-    # rows are bitmasks: bit j of row i is entry (i, j)
-    T = BitMatrix(2, 2, [0b01, 0b11])
-    assert T.is_invertible()
-    shifted = T.cyclic_col_shift()
-    assert [shifted.rows[0] & 1, shifted.rows[0] >> 1 & 1] == [0, 1]
+    assert _bit_rank([0b01, 0b11]) == 2
     # kernel of a rank-1 matrix in GF(2)^2
-    K = BitMatrix(2, 2, [0b11, 0b11])
-    basis = column_span(K).kernel
+    basis = column_span([0b11, 0b11], 2).kernel
     assert len(basis) == 1 and basis[0] == 0b11
+    # a field vector times the rows: row i's support gets vals[i]
+    assert rl.field_vec_times_bits([5, 6], [0b011, 0b110], 3) == [5, 5 ^ 6, 6]
+    with pytest.raises(ValueError):
+        rl.field_vec_times_bits([5], [0b011, 0b110], 3)
 
 
-def _bitmat_apply(A: BitMatrix, y: int) -> int:
-    out = 0
-    for i in range(A.nrows):
-        bit = 0
-        v = A.rows[i] & y
-        while v:
-            bit ^= v & 1
-            v >>= 1
-        out |= bit << i
-    return out
+def _bitmat_apply(rows, y: int) -> int:
+    return sum(((r & y).bit_count() & 1) << i for i, r in enumerate(rows))
 
 
 def test_solve_gf2_consistency():
-    A = BitMatrix(2, 3, [0b101, 0b110])
+    A = [0b101, 0b110]
     targets = [0b11, 0b01]
-    span = column_span(A)
+    span = column_span(A, 3)
     for b in targets:
         y = span.coordinates(b)
         assert y is not None
         assert _bitmat_apply(A, y) == b
     # inconsistent target over a singular system
-    B = BitMatrix(2, 2, [0b11, 0b11])
-    assert [column_span(B).coordinates(b) for b in (0b01, 0b11)] == [None, 0b01]
+    B = [0b11, 0b11]
+    assert [column_span(B, 2).coordinates(b) for b in (0b01, 0b11)] == [None, 0b01]
 
 
 def test_span_coordinates_match_augmented_elimination():
@@ -1166,17 +1210,17 @@ def test_span_coordinates_match_augmented_elimination():
     seen = {"none": 0, "solution": 0, "unique": 0}
     for nrows, ncols in ((6, 6), (12, 5), (5, 12), (30, 14), (24, 24)):
         for trial in range(8):
-            A = BitMatrix.random(nrows, ncols, rng)
+            A = [rng.bits(ncols) for _ in range(nrows)]
             if trial % 2:
                 # later rows repeat combinations of the first three
-                A = BitMatrix(nrows, ncols, A.rows[:3] + [
-                    functools.reduce(operator.xor, rng.sample(A.rows[:3], 2)) for _ in range(nrows - 3)])
-            span = column_span(A)
+                A = A[:3] + [functools.reduce(operator.xor, rng.sample(A[:3], 2))
+                             for _ in range(nrows - 3)]
+            span = column_span(A, ncols)
             unique = len(span.pivots) == ncols
             for _ in range(3):
                 targets = [rng.bits(nrows) for _ in range(3)]
                 targets.append(_bitmat_apply(A, rng.bits(ncols)))
-                for b, want in zip(targets, solve_gf2(A, targets)):
+                for b, want in zip(targets, solve_gf2(A, ncols, targets)):
                     y = span.coordinates(b)
                     assert (y is None) == (want is None)
                     if y is None:
@@ -1197,10 +1241,10 @@ def test_gf2_elimination_against_bruteforce():
     for nrows in range(1, 6):
         for ncols in range(1, 6):
             for _ in range(12):
-                A = BitMatrix.random(nrows, ncols, rng)
+                A = [rng.bits(ncols) for _ in range(nrows)]
                 images = {y: _bitmat_apply(A, y) for y in range(1 << ncols)}
                 kernel = {y for y, b in images.items() if b == 0}
-                cols = column_span(A)
+                cols = column_span(A, ncols)
                 assert 1 << len(cols.pivots) == len(set(images.values()))
                 span = {0}
                 for v in cols.kernel:
@@ -1215,4 +1259,4 @@ def test_gf2_elimination_against_bruteforce():
                     else:
                         assert y is None
                 if nrows == ncols:
-                    assert A.is_invertible() == (len(kernel) == 1)
+                    assert (_bit_rank(A) == nrows) == (len(kernel) == 1)

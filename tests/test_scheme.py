@@ -11,7 +11,6 @@ from gabkron.gabcodes import DecodeFailure, GabidulinCode
 from gabkron.params import setup
 from gabkron.prng import SeededRng
 from gabkron.ranklinalg import (
-    BitMatrix,
     CirculantGrid,
     LeftSolver,
     RankMatrix,
@@ -69,9 +68,17 @@ def in_span(value, elems):
 
 
 def bit_inverse(T):
-    """T^-1 over GF(2): row c is the combination of T's rows equal to e_c."""
-    span = BitSpan(T.rows)
-    return BitMatrix(T.nrows, T.nrows, [span.coordinates(1 << c) for c in range(T.nrows)])
+    """T^-1 over GF(2), both as row bitmasks: row c is the combination of
+    T's rows equal to e_c."""
+    span = BitSpan(T)
+    return [span.coordinates(1 << c) for c in range(len(T))]
+
+
+def col_shift(T):
+    """T' of square T held as row bitmasks: the columns shifted right by
+    one, the last wrapping to the front."""
+    t1 = len(T)
+    return [(r << 1 | r >> (t1 - 1)) & ((1 << t1) - 1) for r in T]
 
 
 def x_block_shape(p):
@@ -160,17 +167,33 @@ def test_construct_x_rows_follow_the_recursion(pair, request):
         if j not in xw.T:
             continue
         T = xw.T[j]
-        Ts = T.cyclic_col_shift()
-        assert T.is_invertible() and Ts.is_invertible()
+        Ts = col_shift(T)
+        assert len(T) == p.t1 and _bit_rank(T) == _bit_rank(Ts) == p.t1
         Tinv = bit_inverse(T)
         assert column_rank_q(column) == p.t1
         for blk in blocks:
-            Y = [sc.field_vec_times_bitmatrix(ctx, row[: p.t1], Tinv) for row in blk.rows]
+            Y = [sc.field_vec_times_bits(row[: p.t1], Tinv, p.t1) for row in blk.rows]
             for y, row in zip(Y, blk.rows):
-                assert row == sc.field_vec_times_bitmatrix(ctx, y, T) * (width // p.t1)
+                assert row == sc.field_vec_times_bits(y, T, p.t1) * (width // p.t1)
             for y, y_next in zip(Y, Y[1:]):
-                y_shift = sc.field_vec_times_bitmatrix(ctx, y, Ts)
-                assert y_next == sc.field_vec_times_bitmatrix(ctx, y_shift, Tinv)
+                y_shift = sc.field_vec_times_bits(y, Ts, p.t1)
+                assert y_next == sc.field_vec_times_bits(y_shift, Tinv, p.t1)
+
+
+def test_sample_shift_pair_rows():
+    # T is t1 rows of rng.bits(t1), the first invertible draw, and its right
+    # cyclic column shift, which moves bit j of a row to bit j + 1 and the
+    # top bit to bit 0, is invertible too
+    assert col_shift([0b01, 0b11]) == [0b10, 0b11]
+    for t1 in (1, 2, 3, 5, 8):
+        rng, twin = fresh_rng(b"shift-pair"), fresh_rng(b"shift-pair")
+        T = sc._sample_shift_pair(t1, rng)
+        while True:
+            want = [twin.bits(t1) for _ in range(t1)]
+            if _bit_rank(want) == t1:
+                break
+        assert T == want and rng.u64() == twin.u64()
+        assert _bit_rank(col_shift(T)) == t1
 
 
 def test_construct_x_out_of_set_blocks_are_partial_circulant(toy_kp):
