@@ -8,21 +8,26 @@ n - k + 1 and unique decoding up to t = floor((n - k) / 2) rank errors.
 
 Decoding works on syndromes: writing the error as e_i = sum_p E_p Y_{p,i}
 with independent values E_p and GF(2) locations Y_p, the syndromes satisfy
-s_j = sum_p E_p X_p^[j] with X_p = sum_i Y_{p,i} h_i.  The key equation
-for a monic annihilator Gamma of q-degree t of the values has rows
-(s_j, s_{j-1}^[1], ..., s_{j-t}^[t]), j >= t, each built by squaring the
-previous one.  Every code solves it (_key_equation), and the root space
-of Gamma yields the E_p.  The first w syndrome equations form a Moore
-system in the E_p, and eq_j^[1] + E_0 eq_{j+1} is one of the same kind
-with one unknown fewer, sum_{p>=1} D_p X_p^[j+1] = s_j^2 + E_0 s_{j+1} for
-D_p = E_p^2 + E_0 E_p (Lidl & Niederreiter, Finite Fields, 3.4).  The last
-equations of these stages form a triangular system in W_p = X_p^[w-1],
-and as Y is binary, W_p = sum_i Y_{p,i} h_i^[w-1] locates the error
-against row w-1 of the parity-check matrix.  The error is built from at
-most t values, so its rank is at most t.  The message is read off the
-corrected word and re-encoded, which must give that word back; so the
-word is a codeword, the error has the received syndromes, and a returned
-pair is always a valid decoding within the radius.
+s_j = sum_p E_p X_p^[j] with X_p = sum_i Y_{p,i} h_i.  So the syndromes
+obey sum_i Lambda_i s_{j-i}^[i] = 0, j >= L, for every annihilator
+Lambda = sum_i Lambda_i x^[i] of the values with q-degree L and
+Lambda_0 = 1.  Every code finds the shortest such recurrence by
+linearized Berlekamp-Massey (_key_equation; Sidorenko, Richter and
+Bossert, IEEE Trans. IT 57(9), 2011), one packed row update per
+syndrome.  For an error of rank w <= t, L = w and the root space of
+Lambda is the span of the E_p, so it has dimension exactly L; a block
+whose root space has any other dimension fails.  The first w syndrome
+equations form a Moore system in the E_p, and eq_j^[1] + E_0 eq_{j+1} is
+one of the same kind with one unknown fewer,
+sum_{p>=1} D_p X_p^[j+1] = s_j^2 + E_0 s_{j+1} for D_p = E_p^2 + E_0 E_p
+(Lidl & Niederreiter, Finite Fields, 3.4).  The last equations of these
+stages form a triangular system in W_p = X_p^[w-1], and as Y is binary,
+W_p = sum_i Y_{p,i} h_i^[w-1] locates the error against row w-1 of the
+parity-check matrix.  The error is built from at most t values, so its
+rank is at most t.  The message is read off the corrected word and
+re-encoded, which must give that word back; so the word is a codeword,
+the error has the received syndromes, and a returned pair is always a
+valid decoding within the radius.
 
 Each code owns the presentation its messages are written in: the Moore
 matrix of g by default, the partial circulant of a normal orbit for the
@@ -241,12 +246,14 @@ class GabidulinCode:
         """The error of rank <= radius that the first syndromes in s give,
         through its values' root space and its locations; raises
         DecodeFailure.  _decode_values checks it against all of s."""
-        gamma = self._key_equation(s)
-        if gamma is None:
+        lam = self._key_equation(s)
+        if lam is None:
             raise DecodeFailure("no annihilator of the error values")
-        E = _root_space(self.ctx, gamma)
+        E = _root_space(self.ctx, lam)
         if not E:
             raise DecodeFailure("the annihilator of the error values has no nonzero root")
+        if len(E) != len(lam) - 1:
+            raise DecodeFailure("the annihilator's root space is smaller than its q-degree")
         W = self._error_coordinates(s, E)
         if W is None:
             raise DecodeFailure("error values inconsistent with the syndromes")
@@ -256,24 +263,50 @@ class GabidulinCode:
         return e_vals
 
     def _key_equation(self, s):
-        """Solve for a monic annihilator Gamma of q-degree t of the error values.
+        """The minimal annihilator Lambda of the error values, by linearized
+        Berlekamp-Massey; None when its q-degree L exceeds the radius t.
 
-        gamma[i] is the coefficient of x^[i], i <= t; None when the system
-        has no solution (more than t independent error values).
+        lam[i] is the coefficient of x^[i], lam[0] = 1 and len(lam) = L + 1.
+        Lambda and the correction B each share one packed row with their
+        discrepancy sequences D_j(P) = sum_i P_i s_{j-i}^[i]: coefficients
+        in slots 0..t, D_n, D_{n+1}, ... from slot t + 1.  Step n first sets
+        B <- x^[1] o B: one squaring of B's row with its coefficients moved
+        up one slot, as D_j(x^[1] o B) = D_{j-1}(B)^2 keeps its sequence in
+        place.  It reads Delta = D_n(Lambda) and sets Lambda += Delta b B,
+        where b scales B to D_n(B) = 1.  At a length change (2L <= n) B
+        becomes the old Lambda and b its 1/Delta, which each step squares
+        with B.  Then Lambda drops D_n and both rows are cut to the slots
+        still read.  A coefficient of B pushed past slot t would make the
+        next nonzero Delta raise L past t, so dropping it loses nothing.
         """
         ctx, t = self.ctx, self.radius
-        pk = _packed(ctx, t + 1)
-        keep = (1 << (t + 1) * pk.S) - 1
-        # row j = (s_j, s_{j-1}^[1], ..., s_{j-t}^[t]): row j-1 squared and
-        # shifted up one slot, s_j in slot 0; rows j >= t enter the system
-        rows = []
-        row = 0
-        for j, sj in enumerate(s):
-            row = (pk.sqr(row) << pk.S | sj) & keep
-            if j >= t:
-                rows.append(row)
-        _, gamma = _solve_packed(ctx, rows, t + 1)
-        return None if gamma is None else gamma + [1]
+        d = len(s)
+        pk = _packed(ctx, t + 1 + d)
+        S, mask = pk.S, ctx.mask
+        sqr, scal, fold = pk.sqr, pk.scal, pk.fold
+        c = (t + 1) * S  # the sequence part starts at bit c
+        coef = (1 << c) - 1
+        lam = 1 | pk.pack(s) << c
+        B = 1 | pk.pack(s[: d - 1]) << c + S  # D_{-1} = 0, s_0, ..., s_{d-2}
+        b = 1
+        L = 0
+        for n in range(d):
+            sq = sqr(B)
+            B = (sq & coef) << S & coef | sq >> c << c
+            b = ctx.sqr(b)
+            delta = lam >> c & mask
+            if delta:
+                new = fold(lam ^ scal(B, ctx.mul(delta, b)))
+                if 2 * L <= n:
+                    L = n + 1 - L
+                    if L > t:
+                        return None
+                    B, b = lam, ctx.inv(delta)
+                lam = new
+            live = (1 << c + (d - 1 - n) * S) - 1
+            lam = (lam & coef | lam >> c + S << c) & live
+            B &= live
+        return [lam >> i * S & mask for i in range(L + 1)]
 
     def _error_coordinates(self, s, E):
         """Solve s_j = sum_p E_p X_p^[j], j < w, for W_p = X_p^[w-1].

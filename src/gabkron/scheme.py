@@ -51,7 +51,8 @@ decrypt, and the grids and matrices that own them keep them.
 
 X is built so that any message combination of an in-information-set
 column block keeps rank at most t1.  The paper draws y_1 and a shared GF(2)
-transform T whose right cyclic column shift T' is invertible, and sets
+transform T whose right cyclic column shift T' is invertible (T' permutes
+T's columns, so any invertible T will do), and sets
 row r to z_r = y_r T repeated with period t1, y_{r+1} = y_r T' T^{-1}.
 As z_{r+1} = y_r T' is z_r rotated right by one, the block is the partial
 circulant whose row 0 repeats z_0 = y_1 T; the k x t1 stack of z_0's
@@ -152,14 +153,14 @@ class XWitness:
 
 
 def _sample_shift_pair(t1: int, rng) -> list:
-    """Rows of an invertible t1 x t1 T over GF(2) whose right cyclic column
-    shift (column t1 - 1 wraps to the front) is invertible."""
-    mask = (1 << t1) - 1
+    """Rows of an invertible t1 x t1 T over GF(2).  Its right cyclic column
+    shift T' (column t1 - 1 wraps to the front) is a column permutation of
+    T, so it is invertible exactly when T is."""
     for _ in range(1024):
         T = [rng.bits(t1) for _ in range(t1)]
-        if _bit_rank(T) == t1 == _bit_rank([(r << 1 | r >> (t1 - 1)) & mask for r in T]):
+        if _bit_rank(T) == t1:
             return T
-    raise GenerationError("no invertible (T, T') pair found")
+    raise GenerationError("no invertible T found")
 
 
 def _low_colrank_gens(ctx, nblocks, k, width, t1, rng):

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 import itertools
@@ -6,7 +7,7 @@ import time
 
 import pytest
 
-from gabkron import audit, ranklinalg as rl, scheme as sc
+from gabkron import audit, gabcodes as gc, ranklinalg as rl, scheme as sc
 from gabkron.gabcodes import DecodeFailure
 from gabkron.gf2m import FieldCtx, _bit_rank
 from gabkron.params import setup
@@ -347,6 +348,75 @@ def same_span(a, b):
     """True when the ints in a and in b are bases of one GF(2) space."""
     r = _bit_rank(a)
     return r == len(a) == len(b) == _bit_rank(b) == _bit_rank(list(a) + list(b))
+
+
+def key_equation_echelon(code, s):
+    """The referee of GabidulinCode._key_equation: a monic annihilator
+    Gamma of q-degree t of the error values, from the rows
+    (s_j, s_{j-1}^[1], ..., s_{j-t}^[t]), j >= t, each the one before
+    squared and shifted up one slot, solved by the generic packed echelon.
+    gamma[i] is the coefficient of x^[i], i <= t; None when the system has
+    no solution.  Its root space holds the error values but can be larger
+    than the error's rank, and need not hold any nonzero value."""
+    ctx, t = code.ctx, code.radius
+    pk = rl._packed(ctx, t + 1)
+    keep = (1 << (t + 1) * pk.S) - 1
+    rows = []
+    row = 0
+    for j, sj in enumerate(s):
+        row = (pk.sqr(row) << pk.S | sj) & keep
+        if j >= t:
+            rows.append(row)
+    _, gamma = rl._solve_packed(ctx, rows, t + 1)
+    return None if gamma is None else gamma + [1]
+
+
+def decode_echelon(code, y):
+    """code.decode(y) with its error values taken from the whole root space
+    of key_equation_echelon's annihilator, then through the code's own
+    _error_coordinates and _locate and decode's re-encode check."""
+    def error_vector(s):
+        gamma = key_equation_echelon(code, s)
+        E = [] if gamma is None else gc._root_space(code.ctx, gamma)
+        W = code._error_coordinates(s, E)  # None when E is empty
+        e_vals = None if W is None else code._locate(E, W)
+        if e_vals is None:
+            raise DecodeFailure("no error through the echelon key equation")
+        return e_vals
+
+    ref = copy.copy(code)
+    ref._error_vector = error_vector
+    return ref.decode(y)
+
+
+def assert_decode_matches_echelon(C, rng, planted, trials=1, words=2):
+    """C.decode against decode_echelon.  Codewords plus errors of each rank
+    in planted, trials times: up to the radius t both routes return the
+    planted pair.  Past t, and on `words` random words, both raise
+    DecodeFailure or both return one pair, which re-encodes to the word
+    within the radius."""
+    ctx, t = C.ctx, C.radius
+
+    def outcome(decode, y):
+        try:
+            return decode(y)
+        except DecodeFailure:
+            return None
+
+    ys = []
+    for r in planted:
+        for _ in range(trials):
+            u = RankVector.random(ctx, C.k, rng)
+            e = sc.sample_rank_error(ctx, C.n, min(r, C.n), rng)
+            ys.append((r, (u, e), vec_add(C.encode(u), e)))
+    ys += [(None, None, RankVector.random(ctx, C.n, rng)) for _ in range(words)]
+    for r, planted_pair, y in ys:
+        got = outcome(C.decode, y)
+        assert got == outcome(functools.partial(decode_echelon, C), y)
+        if r is not None and r <= t:
+            assert got == planted_pair
+        elif got is not None:
+            assert vec_add(C.encode(got[0]), got[1]) == y and got[1].rank_weight() <= t
 
 
 def error_coordinates_echelon(code, s, E):

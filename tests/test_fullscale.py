@@ -13,7 +13,10 @@ systematic form by Schur steps against the echelon of [M0 | I_k], and the
 inner code's parity vector h against the Moore solve, and the decoder's
 error values W by Moore stages against the echelon of the whole Moore
 system, at the repaired sets and at new-gabkron-192 and -256, whose
-length-m inner codes decode by the same stages.  The parity test also
+length-m inner codes decode by the same stages.  At the same four sets
+whole block decodes, whose key equation takes the minimal annihilator by
+linearized Berlekamp-Massey, are checked against decodes through the
+echelon key equation, planted and past the radius.  The parity test also
 checks the inner code's presentation, read off alpha's orbit, against the
 squared-out Moore matrix.  The products test checks encrypt's m·N, a
 block's syndromes and the decrypter's c·P, rows packed pairwise and summed
@@ -42,6 +45,7 @@ from gabkron.prng import SeededRng
 from gabkron.ranklinalg import RankVector, _packed, circulant_block_invert
 
 from conftest import (
+    assert_decode_matches_echelon,
     dense_g_plus_x,
     error_coordinates_echelon,
     lincomb_per_term,
@@ -174,6 +178,29 @@ def test_error_coordinates_full_scale(name):
     print(f"\n{name}: W at w = {C2.radius - 1}, {C2.radius}: median "
           f"{statistics.median(stage_s) * 1e3:.1f} ms by Moore stages, "
           f"{statistics.median(echelon_s) * 1e3:.1f} ms by the echelon")
+
+
+@pytest.mark.parametrize(
+    "name", ["rep-gabkron-192", "rep-gabkron-256", "new-gabkron-192", "new-gabkron-256"]
+)
+def test_decode_matches_echelon_full_scale(name):
+    # whole decodes by the minimal annihilator against the referee's
+    # echelon key equation, at every fourth rank and the five around the
+    # radius, and on two random words: the planted pair up to the radius,
+    # past it the same failure or the same pair on both routes
+    p = setup(name)
+    ctx = FieldCtx(p.m)
+    rng = SeededRng(b"fullscale-bm-" + name.encode())
+    orbit = ctx.find_normal_element(rng)
+    if name.startswith("rep-"):
+        C2 = from_orbit(ctx, orbit, p.n2, p.k2)
+    else:
+        C2 = from_normal_orbit(ctx, orbit, p.k2)
+    t = C2.radius
+    ranks = sorted(set(range(0, t + 4, 4)) | set(range(t - 1, t + 4)))
+    t0 = time.perf_counter()
+    assert_decode_matches_echelon(C2, rng, ranks)
+    print(f"\n{name}: {len(ranks) + 2} words on both routes in {time.perf_counter() - t0:.1f} s")
 
 
 @pytest.mark.parametrize("name", ["rep-gabkron-192", "rep-gabkron-256"])

@@ -13,6 +13,7 @@ from gabkron.ranklinalg import RankMatrix, RankVector, SingularMatrixError, part
 from gabkron.scheme import sample_rank_error
 
 from conftest import (
+    assert_decode_matches_echelon,
     block_decode_by_subsets,
     block_matrix,
     decode_bruteforce,
@@ -20,6 +21,7 @@ from conftest import (
     expand_over_base,
     fresh_rng,
     kernel_gf2,
+    key_equation_echelon,
     located_error,
     product_encode,
     rref,
@@ -397,16 +399,16 @@ def test_normal_orbit_decoder_at_registry_sets(params):
 
 
 def test_gamma0_zero_block_decodes_without_sqrt(monkeypatch):
-    # a seeded block of rank 2 < t = 3 whose key-equation solution has
-    # Gamma_0 = 0: the root space of Gamma holds the error values whatever
-    # Gamma_0 is, so the decode takes no square root
+    # a seeded block of rank 2 < t = 3 whose echelon key-equation solution
+    # (the referee's, of q-degree t) has Gamma_0 = 0: the decode of such a
+    # block takes no square root
     ctx = FieldCtx(8)
     C = gc.from_normal_orbit(ctx, ctx.find_normal_element(fresh_rng(b"gamma0-8-2")), 2)
     rng = fresh_rng(b"gamma0-8-2-2-76")
     u = RankVector.random(ctx, 2, rng)
     e = sample_rank_error(ctx, 8, 2, rng)
     y = vec_add(C.encode(u), e)
-    gamma = C._key_equation(C.syndromes(y.values))
+    gamma = key_equation_echelon(C, C.syndromes(y.values))
     assert gamma[0] == 0 and len(gamma) == C.radius + 1
 
     def unreachable(self, a):
@@ -607,10 +609,76 @@ def stage_code(params, request):
         return GabidulinCode(full_rank_vector(FieldCtx(m), n, rng), k)
     p = setup(params)
     ctx = FieldCtx(p.m)
+    if p.variant == "improved":
+        return gc.from_normal_orbit(ctx, ctx.find_normal_element(rng), p.k2)
     return orbit_code(ctx, ctx.find_normal_element(rng)[-1], p.n2, p.k2)
 
 
 STAGE_CODES = ["toy_repaired", "orbit-24-12-4", "moore-24-12-4", "rep-gabkron-128"]
+KEY_EQUATION_CODES = STAGE_CODES + ["new-gabkron-128"]
+
+
+def planted_ranks(C):
+    """Every rank up to the radius t and three past it; four draws each
+    at the toy codes, one at the registry sets."""
+    return range(C.radius + 4), 1 if C.ctx.m > 24 else 4
+
+
+@pytest.mark.parametrize("params", KEY_EQUATION_CODES)
+def test_decode_matches_echelon_key_equation(params, request):
+    # the minimal annihilator against the referee's echelon key equation,
+    # whose whole root space goes to the same later stages: both give the
+    # planted pair up to t, and past t and on random words both fail or
+    # both give one pair that re-encodes within the radius
+    C = stage_code(params, request)
+    ranks, trials = planted_ranks(C)
+    assert_decode_matches_echelon(C, fresh_rng(b"bm-decode-" + params.encode()), ranks,
+                                  trials, words=4)
+
+
+@pytest.mark.parametrize("params", KEY_EQUATION_CODES)
+def test_minimal_annihilator_root_space_is_the_error_rank(params, request):
+    # on every planted block of rank w <= t the key equation's q-degree L
+    # and the dimension of its root space E are w, so the later stages
+    # solve for exactly the error's values
+    C = stage_code(params, request)
+    ctx = C.ctx
+    rng = fresh_rng(b"bm-rank-" + params.encode())
+    ranks, trials = planted_ranks(C)
+    for w in ranks[1 : C.radius + 1]:
+        for _ in range(trials):
+            e = sample_rank_error(ctx, C.n, w, rng)
+            lam = C._key_equation(C.syndromes(e.values))
+            assert lam[0] == 1 and lam[-1] != 0
+            assert len(gc._root_space(ctx, lam)) == w == len(lam) - 1
+
+
+def test_root_space_smaller_than_q_degree_fails_its_block(request, monkeypatch):
+    # a seeded word beyond the radius whose minimal annihilator has q-degree
+    # L <= t but a nonzero root space of dimension below L: decode says so
+    # before it solves for coordinates, and block_decode lists the block
+    C = stage_code("orbit-24-12-4", request)
+    ctx = C.ctx
+    rng = fresh_rng(b"small-root-space")
+    for _ in range(40):
+        y = RankVector.random(ctx, C.n, rng)
+        lam = C._key_equation(C.syndromes(y.values))
+        if lam is not None and 0 < len(gc._root_space(ctx, lam)) < len(lam) - 1:
+            break
+    else:
+        pytest.fail("no word with a root space below the q-degree in 40 draws")
+
+    def unreachable(s, E):
+        raise AssertionError("_error_coordinates ran on a root space below the q-degree")
+
+    monkeypatch.setattr(C, "_error_coordinates", unreachable)
+    with pytest.raises(DecodeFailure, match="root space is smaller than its q-degree"):
+        C.decode(y)
+    K = KroneckerCode(RankMatrix.identity(ctx, 2), C)
+    codeword = C.encode(RankVector.random(ctx, C.k, rng)).values
+    with pytest.raises(DecodeFailure) as exc:
+        K.block_decode(y.values + codeword)
+    assert exc.value.failed_blocks == [0]
 
 
 @pytest.mark.parametrize("params", STAGE_CODES)
@@ -655,15 +723,16 @@ def test_error_coordinates_none_cases(params, request):
 
 
 def assert_excess_root_space_decodes(C, rng):
-    """Search 40 seeded rank-2 errors for one whose key-equation
-    annihilator has a root space E of more than 2 values; W must still
-    equal the referee's and the decode return the planted pair.  Returns E."""
+    """Search 40 seeded rank-2 errors for one whose echelon key-equation
+    annihilator (the referee's) has a root space E of more than 2 values;
+    the program's W on that E must still equal the referee's and its
+    decode return the planted pair.  Returns E."""
     ctx = C.ctx
     for _ in range(40):
         u = RankVector.random(ctx, C.k, rng)
         e = sample_rank_error(ctx, C.n, 2, rng)
         s = C.syndromes(e.values)
-        E = gc._root_space(ctx, C._key_equation(s))
+        E = gc._root_space(ctx, key_equation_echelon(C, s))
         if len(E) > 2:
             break
     else:
@@ -676,9 +745,9 @@ def assert_excess_root_space_decodes(C, rng):
 
 
 def test_error_coordinates_with_excess_root_space():
-    # the key equation's annihilator has q-degree t whatever the error's
-    # rank, so its root space can be larger than the error's: here a
-    # rank-2 error gives len(E) = 3
+    # the echelon key equation's annihilator has q-degree t whatever the
+    # error's rank, so its root space can be larger than the error's: here
+    # a rank-2 error gives len(E) = 3
     E = assert_excess_root_space_decodes(stage_code("orbit-24-12-4", None),
                                          fresh_rng(b"excess-root-space"))
     assert len(E) == 3
@@ -731,14 +800,15 @@ def test_decode_matches_echelon_route(params, request):
 
 
 def test_annihilator_without_nonzero_root_fails_its_block(request, monkeypatch):
-    # a seeded word beyond the radius whose key-equation annihilator has
-    # no nonzero root: decode says so before it solves for coordinates,
-    # and block_decode lists the block as failed
+    # a seeded word beyond the radius whose echelon key-equation
+    # annihilator (the referee's) has no nonzero root, nor has the
+    # program's: decode says so before it solves for coordinates, and
+    # block_decode lists the block as failed
     C = stage_code("orbit-24-12-4", request)
     ctx = C.ctx
     rng = fresh_rng(b"no-nonzero-root")
     y = [RankVector.random(ctx, C.n, rng) for _ in range(2)][-1]
-    gamma = C._key_equation(C.syndromes(y.values))
+    gamma = key_equation_echelon(C, C.syndromes(y.values))
     assert gamma is not None and gc._root_space(ctx, gamma) == []
 
     def unreachable(s, E):

@@ -292,7 +292,7 @@ def test_keygen_deterministic(toy_kp):
     assert keyio.serialize_secret_key(kp.sk) == keyio.serialize_secret_key(kp2.sk)
 
 
-def test_key_equation(toy_kp):
+def test_public_grid_times_P_is_G_plus_X(toy_kp):
     p, kp = toy_kp
     # the ring product against the dense one: G_pub P = G + X
     G_pub = kp.pk.matrix.dense()
