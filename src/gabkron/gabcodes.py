@@ -32,26 +32,27 @@ valid decoding within the radius.
 Each code owns the presentation its messages are written in: the Moore
 matrix of g by default, the partial circulant of a normal orbit for the
 improved variant (from_normal_orbit).  The parity check h, the packed
-parity columns, the generator's packed rows (which the matrix keeps) and
-the factored leading block that reads messages off a codeword (a
-LeftSolver) are built on first use, so key
-generation and decrypter builds do none of that work and the first decode
-pays for it once.
+parity columns and the Newton form of the leading block (_lead_solve) are
+built on first use, so key generation and decrypter builds do none of
+that work and the first decode pays for it once.
 
-Only a code built from an arbitrary g, as in the tests and the audit,
-solves a Moore system for h (_dual_vector).  The inner codes of both
-variants come from alpha's m-orbit, which the normal-element draw or the
-decrypter's check squares once and hands to the builder:
+Every Moore system here is solved in the Newton basis of linearized
+interpolation at points v_i, P_0 = x and P_{i+1} = P_i^2 + P_i(v_i) P_i
+(_newton; Lidl & Niederreiter, Finite Fields, 3.4): the leading block,
+whose message polynomial sum_i a_i P_i at the g_j is lower triangular in
+the a_i (_lead_solve); h of a code built from an arbitrary g, as in the
+tests and the audit (GabidulinCode.h); and h of the repaired variant's
+inner code, the last P at n - 1 consecutive Frobenius powers of alpha
+(_OrbitCode.h).  The inner codes of both variants come from alpha's
+m-orbit, which the normal-element draw or the decrypter's check squares
+once and hands to the builder:
 - the improved variant's has length m and a normal alpha
   (from_normal_orbit), so its parity check is the trace-dual orbit:
   h_j = beta^[j] for the trace dual beta of alpha (one GF(2) solve), and
   row r of the parity check is h rotated left by r;
 - the repaired variant's has g = (alpha^[n-1], ..., alpha) with n <= m
   (from_orbit), the tail of alpha's m-orbit, so its Moore matrix is a
-  set of windows of that orbit,
-  and h holds the coefficients of the subspace polynomial of n - 1
-  consecutive Frobenius powers of alpha, built on packed rows with
-  2(n - 1) scal and 2(n - 1) squarings of whole rows (_Packed.sqr).
+  set of windows of that orbit.
 
 The public methods take a RankVector or a list of ints and pass it through
 checked_values, which checks its length and every entry once.
@@ -63,13 +64,11 @@ from functools import cache, cached_property
 
 from .gf2m import BitSpan, FieldCtx
 from .ranklinalg import (
-    LeftSolver,
     RankMatrix,
     RankVector,
     SingularMatrixError,
     _packed,
     _rref_packed,
-    _solve_packed,
     _substitute,
     checked_values,
     field_vec_times_bits,
@@ -120,17 +119,45 @@ def moore_matrix(g: RankVector, nrows: int) -> RankMatrix:
     return RankMatrix(g.ctx, rows)
 
 
+def _newton(ctx: FieldCtx, points):
+    """Newton basis P_0 = x, P_{i+1} = P_i^2 + P_i(v_i) P_i at the points
+    v_i, i < N: P_i is monic of q-degree i and vanishes on v_0..v_{i-1}.
+
+    Returns (vals, pivots, coefs): for i < N, vals[i] is the packed row of
+    P_i(v_j) in slot j > i (0 elsewhere) and pivots[i] = P_i(v_i); for
+    i <= N, coefs[i] packs P_i's coefficients, so coefs[N] is the subspace
+    polynomial of the points.  A step is one _Packed.sqr and one scal of
+    the values row and of P; a zero pivot, dependent points, raises
+    SingularMatrixError.
+    """
+    pk = _packed(ctx, len(points) + 1)
+    S, mask, sqr, scal, fold = pk.S, ctx.mask, pk.sqr, pk.scal, pk.fold
+    V, P = pk.pack(points), 1  # P_i at v_i, v_{i+1}, ... from slot 0; P_0 = x
+    vals, pivots, coefs = [], [], [P]
+    for i in range(len(points)):
+        c = V & mask
+        if not c:
+            raise SingularMatrixError("degenerate generator vector")
+        V >>= S
+        vals.append(V << (i + 1) * S)
+        pivots.append(c)
+        V = fold(sqr(V) ^ scal(V, c))
+        P = fold((sqr(P) << S) ^ scal(P, c))
+        coefs.append(P)
+    return vals, pivots, coefs
+
+
 class GabidulinCode:
     """[n, k] Gabidulin code over GF(2^m), n <= m.
 
     `generator` is the k x n matrix whose rows present the code: messages
-    are written in it (encode) and read back from it (decode).  It defaults
-    to the Moore matrix of g and must span the same code; decoding checks
-    every message it returns against it.  The parity check and the other
-    decoder state are built on first decode.
+    are written in it (encode) and read back from it (decode).  It is the
+    Moore matrix of g, or the presentation a subclass sets; decoding checks
+    every message it returns against it.  The decoder state is built on
+    first decode.
     """
 
-    def __init__(self, g: RankVector, k: int, generator: RankMatrix | None = None):
+    def __init__(self, g: RankVector, k: int):
         ctx = g.ctx
         n = len(g)
         if n > ctx.m:
@@ -139,45 +166,38 @@ class GabidulinCode:
             raise ValueError("generator vector must have full rank weight")
         if not 1 <= k <= n:
             raise ValueError(f"dimension {k} out of range [1, {n}]")
-        if generator is None:
-            generator = moore_matrix(g, k)
-        elif generator.ctx != ctx or (generator.nrows, generator.ncols) != (k, n):
-            raise ValueError(f"generator must be a {k} x {n} matrix over the code's field")
         self.ctx = ctx
         self.g = g
         self.n = n
         self.k = k
         self.radius = (n - k) // 2
-        self.generator = generator
+        self._spans = {}  # _locate's BitSpan of parity-check row w - 1, by w
+
+    @cached_property
+    def generator(self) -> RankMatrix:
+        return moore_matrix(self.g, self.k)
 
     @cached_property
     def h(self) -> RankVector:
         """Vector h whose Moore matrix is a parity check for this code.
 
-        h must satisfy sum_i h_i g_i^[d] = 0 for the n-1 exponents
-        d = -(n-k-1), ..., k-1; those rows form a Moore matrix of rank n-1,
-        so the kernel is one-dimensional.
+        h must satisfy sum_j h_j v_j^[i] = 0, i < n-1, for v = g^[lo],
+        lo = -(n-k-1) mod m, a Moore system of rank n-1.  In v's Newton
+        basis that is h T = P_{n-1}(v_{n-1}) e_{n-1} with h_{n-1} = 1, for
+        T[j][l] = P_l(v_j) lower triangular: one backward _substitute on
+        _newton's value rows transposed into columns.
         """
-        return self._dual_vector()
-
-    def _dual_vector(self):
         ctx, n, k = self.ctx, self.n, self.k
         if n == k:
             return RankVector(ctx, [])
-        lo = -(n - k - 1) % ctx.m
         pk = _packed(ctx, n)
-        row = pk.pack(self.g.values)
-        for _ in range(lo):
-            row = pk.sqr(row)
-        rows = [row]  # g^[lo], ..., g^[lo+n-2]
-        for _ in range(n - 2):
-            rows.append(pk.sqr(rows[-1]))
-        # the leading n-1 columns form a square Moore matrix of independent
-        # values, so they are the pivots and h_{n-1} = 1 fixes the kernel
-        pivots, h = _solve_packed(ctx, rows, n)
-        if pivots != list(range(n - 1)):
-            raise SingularMatrixError("degenerate generator vector")
-        hv = RankVector(ctx, h + [1])
+        v = pk.pack(self.g.values)
+        for _ in range(-(n - k - 1) % ctx.m):
+            v = pk.sqr(v)
+        vals, pivots, _ = _newton(ctx, pk.unpack(v))
+        cols = [pk.pack(col[:j]) for j, col in enumerate(zip(*map(pk.unpack, vals)))]
+        hv = RankVector(ctx, _substitute(pk, pivots[-1] << (n - 1) * pk.S, cols,
+                                         [ctx.inv(c) for c in pivots], up=True))
         if hv.rank_weight() != n:
             raise SingularMatrixError("parity vector lacks full rank weight")
         return hv
@@ -197,10 +217,18 @@ class GabidulinCode:
         return pk, [pk.pack([H.rows[r][i] for r in range(d1)]) for i in range(self.n)]
 
     @cached_property
-    def _lead_solver(self) -> LeftSolver:
-        # the leading k columns of a generator of an MRD code are an
-        # information set, so this block is invertible for any valid presentation
-        return LeftSolver(self.generator.submatrix(0, 0, self.k, self.k))
+    def _lead_newton(self):
+        vals, pivots, coefs = _newton(self.ctx, self.g.values[: self.k])
+        return vals, [self.ctx.inv(c) for c in pivots], coefs[:-1]
+
+    def _lead_solve(self, c):
+        """u with sum_i u_i g_j^[i] = c_j, j < k.  In the Newton basis of
+        g_0..g_{k-1}, u = sum_i a_i P_i and c_j = sum_{i<=j} a_i P_i(g_j):
+        one forward _substitute, then one lincomb of the coefficient rows.
+        """
+        vals, pinvs, coefs = self._lead_newton
+        pk = _packed(self.ctx, self.k)
+        return pk.lincomb(_substitute(pk, pk.pack(c), vals, pinvs), coefs)
 
     def encode(self, u) -> RankVector:
         vals = checked_values(self.ctx, u, self.k, "message")
@@ -237,7 +265,7 @@ class GabidulinCode:
                     raise DecodeFailure("non-zero syndrome with zero correction radius")
                 e_vals = self._error_vector(s)
         c_vals = [a ^ b for a, b in zip(y_vals, e_vals)]
-        u = self._lead_solver.solve(c_vals[:k])
+        u = self._lead_solve(c_vals[:k])
         if self.generator.left_mul_values(u) != c_vals:
             raise DecodeFailure("codeword is not spanned by the presentation")
         return u, e_vals
@@ -358,10 +386,13 @@ class GabidulinCode:
         """Recover GF(2) locations from W_p = sum_i Y_{p,i} h_i^[w-1], then e.
 
         The n entries h_i^[w-1] are independent, as h has full rank weight,
-        so each W_p has one set of locations or none.
+        so each W_p has one set of locations or none.  Row w-1's span is
+        built on the first block of rank w and kept.
         """
         w = len(E)
-        span = BitSpan(self.parity_check.rows[w - 1])
+        span = self._spans.get(w)
+        if span is None:
+            span = self._spans[w] = BitSpan(self.parity_check.rows[w - 1])
         sols = [span.coordinates(x) for x in W]
         if None in sols:
             return None
@@ -374,13 +405,19 @@ class _NormalOrbitCode(GabidulinCode):
     With beta the trace dual of alpha, h_j = beta^[j] is a parity vector:
     sum_j h_j gamma_j^[d] = Tr(beta alpha^[d-k]), which vanishes for the
     exponents d = -(n-k-1), ..., k-1 because d-k is then non-zero mod m.
-    It is _dual_vector() up to a scalar, which the decoder's output does
+    It is GabidulinCode.h up to a scalar, which the decoder's output does
     not depend on, and row r of its Moore matrix is h rotated left by r.
+    Its presentation Cir_k(orbit) reverses the rows of gamma's Moore
+    matrix, so _lead_solve reverses the Moore solve.
     """
 
-    def __init__(self, gamma: RankVector, k: int, generator: RankMatrix, orbit):
-        super().__init__(gamma, k, generator)
+    def __init__(self, gamma: RankVector, k: int, orbit):
+        super().__init__(gamma, k)
         self.orbit = orbit  # frobenius_orbit(alpha, m), checked normal by the caller
+        self.generator = partial_circulant(RankVector(self.ctx, orbit), k)
+
+    def _lead_solve(self, c):
+        return super()._lead_solve(c)[::-1]
 
     @cached_property
     def h(self) -> RankVector:
@@ -406,7 +443,7 @@ def from_normal_orbit(ctx: FieldCtx, orbit, k2: int) -> GabidulinCode:
     """
     m = ctx.m
     gamma = RankVector(ctx, [orbit[(k2 - 1 - j) % m] for j in range(m)])
-    return _NormalOrbitCode(gamma, k2, partial_circulant(RankVector(ctx, orbit), k2), orbit)
+    return _NormalOrbitCode(gamma, k2, orbit)
 
 
 class _OrbitCode(GabidulinCode):
@@ -415,17 +452,17 @@ class _OrbitCode(GabidulinCode):
     Moore entry (i, j) is alpha^[n-1-j+i], read off alpha's m-orbit with no
     squaring.  With H(x) = sum_r h_{n-1-r} x^[r], sum_j h_j g_j^[d] =
     H(alpha^[d]), so H vanishes on W = <alpha^[lo+i] : i < n-1>,
-    lo = -(n-k-1) mod m, and is a multiple of W's subspace polynomial.  That
-    polynomial is built one basis element v at a time, L <- L^2 + L(v) L,
-    with v^[r] read off the orbit too; scaled to h_{n-1} = 1 it is
-    _dual_vector() entry for entry (Lidl & Niederreiter, Finite Fields, 3.4).
+    lo = -(n-k-1) mod m, and is a multiple of W's subspace polynomial:
+    _newton's last row at the basis read off the orbit.  Scaled to
+    h_{n-1} = 1 it is GabidulinCode.h entry for entry.
     """
 
     def __init__(self, g: RankVector, k: int, orbit):
+        super().__init__(g, k)
         self.orbit = orbit  # frobenius_orbit(alpha, m)
-        n = len(g)
-        moore = [[self.frob(n - 1 - j + i) for j in range(n)] for i in range(k)]
-        super().__init__(g, k, RankMatrix(g.ctx, moore))
+        n = self.n
+        self.generator = RankMatrix(g.ctx, [[self.frob(n - 1 - j + i) for j in range(n)]
+                                            for i in range(k)])
 
     def frob(self, e: int) -> int:
         """alpha^[e], read off the m-orbit, which holds it at index -1-e mod m."""
@@ -433,32 +470,13 @@ class _OrbitCode(GabidulinCode):
 
     @cached_property
     def h(self) -> RankVector:
-        """The subspace polynomial's coefficients, reversed and scaled.
-
-        Both the coefficients of L and its values at the basis elements not
-        yet taken are packed rows, slot r the coefficient of x^[r] and slot
-        j the value at the j-th remaining element.  L <- L^2 + c L squares
-        each coefficient and shifts it up one slot, and a value V becomes
-        V^2 + c V, with c the value at the element being taken; each c·
-        is one scal, and the squares one _Packed.sqr of the row.
-        """
-        ctx, n, k, m = self.ctx, self.n, self.k, self.ctx.m
+        """The subspace polynomial's coefficients, reversed and scaled."""
+        ctx, n, k = self.ctx, self.n, self.k
         if n == k:
             return RankVector(ctx, [])
-        mask = ctx.mask
+        L = _newton(ctx, [self.frob(i - (n - k - 1)) for i in range(n - 1)])[2][-1]  # lo + i
         pk = _packed(ctx, n)
-        S, sqr, scal, fold = pk.S, pk.sqr, pk.scal, pk.fold
-        lo = -(n - k - 1) % m
-        L = 1  # monic; slot r is the coefficient of x^[r]
-        # basis element i of W is alpha^[lo+i], and L = x at first
-        V = pk.pack([self.frob(lo + i) for i in range(n - 1)])
-        for i in range(n - 1):
-            c = V & mask
-            if not c:
-                raise SingularMatrixError("degenerate generator vector")
-            V = fold(sqr(V) ^ scal(V, c)) >> S
-            L = fold((sqr(L) << S) ^ scal(L, c))
-        hv = RankVector(ctx, pk.unpack(fold(scal(L, ctx.inv(L & mask))))[::-1])
+        hv = RankVector(ctx, pk.unpack(pk.fold(pk.scal(L, ctx.inv(L & ctx.mask))))[::-1])
         if hv.rank_weight() != n:
             raise SingularMatrixError("parity vector lacks full rank weight")
         return hv

@@ -481,26 +481,6 @@ def _clear_top(pk, xcols, ycols, top):
     return pk.sum_products(pairs)
 
 
-def _solve_packed(ctx, rows, ncols):
-    """Solve packed augmented rows whose last column is the right-hand side.
-
-    Echelon form, then the upward pass of _substitute for the last column
-    only, whose unknowns go to their pivot columns.  Returns the pivots and
-    the ncols - 1 unknowns with free variables zero, or None for the
-    unknowns when the last column is a pivot (no solution).
-    """
-    pk = _packed(ctx, ncols)
-    pivots = _echelon_packed(ctx, rows, ncols)
-    rhs = ncols - 1
-    if pivots and pivots[-1] == rhs:
-        return pivots, None
-    acc = pk.pack([pk.entry(row, rhs) for row in rows[: len(pivots)]])
-    x = [0] * rhs
-    for col, v in zip(pivots, _substitute(pk, acc, _pivot_columns(pk, rows, pivots), up=True)):
-        x[col] = v
-    return pivots, x
-
-
 def _pivot_columns(pk, rows, pivots):
     """Packed column pivots[r] of the echelon rows above row r, for each r."""
     entry = pk.entry
@@ -1120,7 +1100,8 @@ class CirculantGrid:
     def _det(self):
         pk = _packed(self.ctx, len(self.gens[0][0]))
         packed = [[pk.pack(b) for b in grow] for grow in self.gens]
-        return pk.unpack(_ring_det(pk, packed, self.parts()))
+        parts = self.parts() if len(self.gens) > 1 else None  # 1 x 1: unread
+        return pk.unpack(_ring_det(pk, packed, parts))
 
     def is_invertible(self) -> bool:
         """True iff a square grid is invertible: gcd(det, z^n - 1) = 1.

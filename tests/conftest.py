@@ -350,6 +350,48 @@ def same_span(a, b):
     return r == len(a) == len(b) == _bit_rank(b) == _bit_rank(list(a) + list(b))
 
 
+def solve_packed(ctx, rows, ncols):
+    """Solve packed augmented rows whose last column is the right-hand side,
+    by the generic packed echelon: the referee of the program's Moore solves.
+
+    Echelon form, then the upward pass of _substitute for the last column
+    only, whose unknowns go to their pivot columns.  Returns the pivots and
+    the ncols - 1 unknowns with free variables zero, or None for the
+    unknowns when the last column is a pivot (no solution).
+    """
+    pk = rl._packed(ctx, ncols)
+    pivots = rl._echelon_packed(ctx, rows, ncols)
+    rhs = ncols - 1
+    if pivots and pivots[-1] == rhs:
+        return pivots, None
+    acc = pk.pack([pk.entry(row, rhs) for row in rows[: len(pivots)]])
+    x = [0] * rhs
+    for col, v in zip(pivots, rl._substitute(pk, acc, rl._pivot_columns(pk, rows, pivots),
+                                             up=True)):
+        x[col] = v
+    return pivots, x
+
+
+def dual_vector_echelon(code):
+    """The referee of the parity vector h of a code: the kernel of the
+    n-1 Moore rows (g^[lo], ..., g^[lo+n-2]), lo = -(n-k-1) mod m, by the
+    packed echelon, whose leading n-1 columns are the pivots, with
+    h_{n-1} = 1."""
+    ctx, n, k = code.ctx, code.n, code.k
+    if n == k:
+        return RankVector(ctx, [])
+    pk = rl._packed(ctx, n)
+    row = pk.pack(code.g.values)
+    for _ in range(-(n - k - 1) % ctx.m):
+        row = pk.sqr(row)
+    rows = [row]
+    for _ in range(n - 2):
+        rows.append(pk.sqr(rows[-1]))
+    pivots, h = solve_packed(ctx, rows, n)
+    assert pivots == list(range(n - 1))
+    return RankVector(ctx, h + [1])
+
+
 def key_equation_echelon(code, s):
     """The referee of GabidulinCode._key_equation: a monic annihilator
     Gamma of q-degree t of the error values, from the rows
@@ -367,7 +409,7 @@ def key_equation_echelon(code, s):
         row = (pk.sqr(row) << pk.S | sj) & keep
         if j >= t:
             rows.append(row)
-    _, gamma = rl._solve_packed(ctx, rows, t + 1)
+    _, gamma = solve_packed(ctx, rows, t + 1)
     return None if gamma is None else gamma + [1]
 
 
@@ -438,7 +480,7 @@ def error_coordinates_echelon(code, s, E):
         if sh:
             efr = [ctx.sqr(x) for x in efr]
         rows[j] = pk.pack(efr + [ctx.frobenius(s[j], sh)])
-    pivots, W = rl._solve_packed(ctx, rows, w + 1)
+    pivots, W = solve_packed(ctx, rows, w + 1)
     if pivots != list(range(w)):
         return None
     return W

@@ -18,7 +18,11 @@ whole block decodes, whose key equation takes the minimal annihilator by
 linearized Berlekamp-Massey, are checked against decodes through the
 echelon key equation, planted and past the radius.  The parity test also
 checks the inner code's presentation, read off alpha's orbit, against the
-squared-out Moore matrix.  The products test checks encrypt's m·N, a
+squared-out Moore matrix.  The Newton tests check, at the same four sets,
+the inner code's leading block solved in Newton form against its LU
+factoring (ranklinalg.LeftSolver), and the parity vector h of a code
+built from the inner code's g, by the Newton solve, against the echelon
+of its Moore rows.  The products test checks encrypt's m·N, a
 block's syndromes and the decrypter's c·P, rows packed pairwise and summed
 in chunked window sums, against rows packed by the shift loop and summed
 one scal per term.  The ring test checks the circulant ring's unit test
@@ -38,15 +42,16 @@ import pytest
 
 from gabkron import keyio, scheme as sc
 from gabkron.cli import main
-from gabkron.gabcodes import from_normal_orbit, from_orbit, moore_matrix
+from gabkron.gabcodes import GabidulinCode, from_normal_orbit, from_orbit, moore_matrix
 from gabkron.gf2m import FieldCtx
 from gabkron.params import setup
 from gabkron.prng import SeededRng
-from gabkron.ranklinalg import RankVector, _packed, circulant_block_invert
+from gabkron.ranklinalg import LeftSolver, RankVector, _packed, circulant_block_invert
 
 from conftest import (
     assert_decode_matches_echelon,
     dense_g_plus_x,
+    dual_vector_echelon,
     error_coordinates_echelon,
     lincomb_per_term,
     located_error,
@@ -140,11 +145,60 @@ def test_orbit_parity_vector_full_scale(name):
     h = C2.h
     orbit_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    ref = C2._dual_vector()
+    ref = dual_vector_echelon(C2)
     moore_s = time.perf_counter() - t0
     assert h.values == ref.values
     assert C2.parity_check == moore_matrix(ref, p.n2 - p.k2)
     print(f"\n{name}: h {orbit_s:.2f} s from the orbit, {moore_s:.2f} s by the Moore solve")
+
+
+def _inner_code(name, label):
+    p = setup(name)
+    ctx = FieldCtx(p.m)
+    orbit = ctx.find_normal_element(SeededRng(label + name.encode()))
+    if p.variant == "improved":
+        return from_normal_orbit(ctx, orbit, p.k2)
+    return from_orbit(ctx, orbit, p.n2, p.k2)
+
+
+@pytest.mark.parametrize(
+    "name", ["rep-gabkron-192", "rep-gabkron-256", "new-gabkron-192", "new-gabkron-256"]
+)
+def test_newton_lead_block_full_scale(name):
+    # a message read off a codeword's leading k2 entries by the Newton solve
+    # against the LU factoring of the presentation's leading block
+    C2 = _inner_code(name, b"fullscale-lead-")
+    rng = SeededRng(b"fullscale-lead-rhs-" + name.encode())
+    t0 = time.perf_counter()
+    C2._lead_newton
+    newton_s = time.perf_counter() - t0
+    A = C2.generator.submatrix(0, 0, C2.k, C2.k)
+    t0 = time.perf_counter()
+    lead = LeftSolver(A)
+    lu_s = time.perf_counter() - t0
+    for _ in range(10):
+        b = RankVector.random(C2.ctx, C2.k, rng).values
+        assert C2._lead_solve(b) == lead.solve(b)
+    print(f"\n{name}: leading block {newton_s * 1e3:.1f} ms in Newton form, "
+          f"{lu_s * 1e3:.1f} ms by LU")
+
+
+@pytest.mark.parametrize(
+    "name", ["rep-gabkron-192", "rep-gabkron-256", "new-gabkron-192", "new-gabkron-256"]
+)
+def test_newton_parity_vector_full_scale(name):
+    # h of the inner code's g by one backward substitution on its Newton
+    # rows against the echelon of the n - 1 Moore rows
+    C2 = _inner_code(name, b"fullscale-newton-h-")
+    C = GabidulinCode(C2.g, C2.k)
+    t0 = time.perf_counter()
+    h = C.h
+    newton_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    ref = dual_vector_echelon(C)
+    echelon_s = time.perf_counter() - t0
+    assert h == ref
+    print(f"\n{name}: h {newton_s:.2f} s by Newton, {echelon_s:.2f} s by the echelon")
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from conftest import (
     block_decode_by_subsets,
     block_matrix,
     decode_bruteforce,
+    dual_vector_echelon,
     error_coordinates_echelon,
     expand_over_base,
     fresh_rng,
@@ -89,6 +90,18 @@ def test_dual_vector_matches_full_rref(m, n, k):
         for a, v in zip(row, h):
             acc ^= ctx.mul(a, v)
         assert acc == 0
+
+
+@pytest.mark.parametrize("m,n,k", [(8, 8, 8), (8, 6, 1), (8, 8, 1), (12, 12, 5), (12, 7, 6),
+                                   (24, 17, 4), (90, 90, 18), (211, 105, 35)])
+def test_generic_parity_vector_matches_echelon(m, n, k):
+    # h by one backward substitution on the Newton rows of g^[lo] against
+    # the echelon of the n-1 Moore rows, at n = k (no parity check), k = 1
+    # and n = m among others
+    ctx = FieldCtx(m)
+    code = GabidulinCode(full_rank_vector(ctx, n, fresh_rng(b"newton-h-%d-%d-%d" % (m, n, k))), k)
+    assert code.h == dual_vector_echelon(code)
+    assert len(code.h) == (0 if n == k else n)
 
 
 def test_parity_check_annihilates_generator(small_code):
@@ -334,7 +347,7 @@ def test_trace_dual_parity_vector(params, request):
         ctx, ctx.find_normal_element(fresh_rng(b"trace-dual-h-" + params.encode())), p.k2)
     h = C2.h.values
     # the Moore-matrix solve, normalised at h_{n-1} = 1, is the referee
-    ref = C2._dual_vector().values
+    ref = dual_vector_echelon(C2).values
     assert h == [ctx.mul(h[-1], v) for v in ref]
     assert C2.parity_check == gc.moore_matrix(C2.h, p.n2 - p.k2)
 
@@ -348,13 +361,16 @@ def decode_or_none(C, y):
 
 def assert_same_decoding(C, ref, rng, ranks):
     """C and ref decode u·G + e at each error rank to the same pair, or both
-    raise DecodeFailure; returns the number of failures."""
+    raise DecodeFailure; returns the number of failures.  ref presents the
+    code by the Moore matrix, whose rows C's Cir_k presentation reverses, so
+    ref's message is C's reversed."""
     ctx = C.ctx
     failures = 0
     for r in ranks:
         y = vec_add(C.encode(RankVector.random(ctx, C.k, rng)), sample_rank_error(ctx, C.n, r, rng))
         got = decode_or_none(C, y)
-        assert got == decode_or_none(ref, y)
+        want = decode_or_none(ref, y)
+        assert got == (want and (RankVector(ctx, want[0].values[::-1]), want[1]))
         failures += got is None
     return failures
 
@@ -365,12 +381,12 @@ def assert_same_decoding(C, ref, rng, ranks):
      (8, 2), (8, 4), (9, 3), (10, 4), (11, 3), (12, 4), (12, 6)],
 )
 def test_trace_dual_decoder_matches_moore_solve(m, k):
-    # the decoder with h from the trace-dual orbit against the decoder
-    # with h from _dual_vector: same pair, or a DecodeFailure from both
+    # the decoder with h from the trace-dual orbit against the generic
+    # decoder of the same code: same pair, or a DecodeFailure from both
     ctx = FieldCtx(m)
     rng = fresh_rng(b"trace-dual-decode-%d-%d" % (m, k))
     C = gc.from_normal_orbit(ctx, ctx.find_normal_element(rng), k)
-    ref = GabidulinCode(C.g, k, C.generator)
+    ref = GabidulinCode(C.g, k)
     t = C.radius
     ranks = [min(trial % (t + 3), m) for trial in range(12 * (t + 3))]
     assert assert_same_decoding(C, ref, rng, ranks) > 0
@@ -469,7 +485,7 @@ def orbit_code(ctx, alpha, n, k):
 
 def assert_orbit_h_is_dual_vector(C):
     # the Moore-matrix solve, normalised at h_{n-1} = 1, is the referee
-    ref = C._dual_vector()
+    ref = dual_vector_echelon(C)
     assert C.h.values == ref.values
     assert C.parity_check == gc.moore_matrix(ref, C.n - C.k)
 
@@ -542,12 +558,12 @@ def test_from_orbit_rejects_non_orbits(ctx8):
      (9, 6, 2), (10, 7, 3), (11, 9, 3), (12, 8, 2), (12, 11, 5)],
 )
 def test_orbit_decoder_matches_moore_solve(m, n, k):
-    # the same code decoded with h from the subspace polynomial and with h
-    # from _dual_vector: same pair, or a DecodeFailure from both
+    # the same code decoded with h from the subspace polynomial and with
+    # the generic h: same pair, or a DecodeFailure from both
     ctx = FieldCtx(m)
     rng = fresh_rng(b"orbit-decode-%d-%d-%d" % (m, n, k))
     C = orbit_code(ctx, ctx.find_normal_element(rng)[-1], n, k)
-    ref = GabidulinCode(C.g, k, C.generator)
+    ref = GabidulinCode(C.g, k)
     t = C.radius
     failures = 0
     for trial in range(12 * (t + 3)):
@@ -594,11 +610,34 @@ def test_locate_matches_transposed_solve(params, request):
     assert located == {True, False}
 
 
+def test_locate_keeps_one_span_per_rank(toy_repaired, monkeypatch):
+    # the span of parity-check row w - 1 is built on the first block of
+    # rank w and no earlier, and a second block of that rank reuses it
+    C = sc.keygen(toy_repaired, fresh_rng(b"locate-span-key")).code.C2
+    ctx = C.ctx
+    built = []
+    bitspan = gc.BitSpan
+
+    def recording(vals):
+        built.append(list(vals))
+        return bitspan(vals)
+
+    monkeypatch.setattr(gc, "BitSpan", recording)
+    rng = fresh_rng(b"locate-span")
+    row = C.parity_check.rows[C.radius - 1]
+    for blocks in (1, 2):
+        u = RankVector.random(ctx, C.k, rng)
+        e = sample_rank_error(ctx, C.n, C.radius, rng)
+        assert C.decode(vec_add(C.encode(u), e)) == (u, e)
+        assert built.count(row) == 1
+    assert list(C._spans) == [C.radius]
+
+
 def stage_code(params, request):
-    """A root-space code: toy_repaired's inner code from a key, the m = 24,
+    """A root-space code: a toy set's inner code from a key, the m = 24,
     n = 12, k = 4 code of an orbit, a moore-m-n-k code from an arbitrary g,
     or the inner code of a registry set."""
-    if params == "toy_repaired":
+    if params.startswith("toy"):
         return sc.keygen(request.getfixturevalue(params), fresh_rng(b"stages-key")).code.C2
     rng = fresh_rng(b"stages-" + params.encode())
     if params == "orbit-24-12-4":
@@ -615,6 +654,20 @@ def stage_code(params, request):
 
 
 STAGE_CODES = ["toy_repaired", "orbit-24-12-4", "moore-24-12-4", "rep-gabkron-128"]
+
+
+@pytest.mark.parametrize("params", ["toy_improved", "moore-8-8-1", "moore-12-7-7"]
+                         + STAGE_CODES + ["new-gabkron-128"])
+def test_lead_block_newton_matches_left_solver(params, request):
+    # a message read off a codeword's leading k entries by the Newton solve
+    # against the LU factoring of the presentation's leading block
+    C = stage_code(params, request)
+    lead = rl.LeftSolver(C.generator.submatrix(0, 0, C.k, C.k))
+    rng = fresh_rng(b"newton-lead-" + params.encode())
+    for _ in range(4):
+        b = RankVector.random(C.ctx, C.k, rng).values
+        assert C._lead_solve(b) == lead.solve(b)
+    assert C._lead_solve([0] * C.k) == [0] * C.k
 KEY_EQUATION_CODES = STAGE_CODES + ["new-gabkron-128"]
 
 
@@ -846,37 +899,14 @@ def test_error_with_wrong_syndromes_fails_its_block(params, request, monkeypatch
     assert exc.value.failed_blocks == [0]
 
 
-def test_non_moore_presentation_round_trip(ctx8):
-    rng = fresh_rng(b"present")
-    g = full_rank_vector(ctx8, 8, rng)
-    moore = gc.moore_matrix(g, 3)
-    while True:
-        A = RankMatrix.random(ctx8, 3, 3, rng)
-        if A.rank() == 3:
-            break
-    C = GabidulinCode(g, 3, A.mul(moore))
-    assert C.generator == A.mul(moore)
-    for w in range(C.radius + 1):
-        u = RankVector.random(ctx8, 3, rng)
-        c = C.encode(u)
-        assert c == vec_mat(vec_mat(u, A), moore)
-        e = sample_rank_error(ctx8, 8, w, rng)
-        assert C.decode(vec_add(c, e)) == (u, e)
-
-
 def test_presentation_is_checked(ctx8):
+    # a presentation that spans another code than the one the Newton solve
+    # reads messages off: decoding refuses to write a codeword in it
     rng = fresh_rng(b"presshape")
     g = full_rank_vector(ctx8, 8, rng)
-    with pytest.raises(ValueError):
-        GabidulinCode(g, 3, gc.moore_matrix(g, 4))
-    with pytest.raises(ValueError):
-        GabidulinCode(g, 3, zero_matrix(ctx8, 3, 7))
-    with pytest.raises(ValueError):
-        GabidulinCode(g, 3, zero_matrix(FieldCtx(9), 3, 8))
-    # a matrix of the right shape that spans another code: decoding refuses
-    # to write a codeword in it
-    C = GabidulinCode(g, 3, RankMatrix.random_full_rank(ctx8, 3, 8, rng))
-    with pytest.raises(DecodeFailure):
+    C = GabidulinCode(g, 3)
+    C.generator = RankMatrix.random_full_rank(ctx8, 3, 8, rng)
+    with pytest.raises(DecodeFailure, match="not spanned by the presentation"):
         C.decode(gc.moore_matrix(g, 3).rows[0])
 
 
@@ -944,7 +974,7 @@ def test_subcode_membership(ctx6):
             y = RankVector(ctx6, vals)
         blocks = [y.values[j * K.n2 : (j + 1) * K.n2] for j in range(K.n1)]
         expected = all(
-            C2.encode(C2._lead_solver.solve(b[: C2.k])).values == b for b in blocks
+            C2.encode(C2._lead_solve(b[: C2.k])).values == b for b in blocks
         )
         assert audit.subcode_membership(K, y.values) == expected
 

@@ -29,6 +29,7 @@ from conftest import (
     ring_against_euclid,
     rref,
     solve_gf2,
+    solve_packed,
     unpack_shift_loop,
     zero_matrix,
 )
@@ -370,7 +371,7 @@ def assert_kernel_matches_oracle(ctx, M):
     pk = rl._packed(ctx, ncols)
     for kernel, oracle in ((rl._echelon_packed, oracle_echelon),
                            (rl._rref_packed, oracle_rref),
-                           (rl._solve_packed, oracle_solve)):
+                           (solve_packed, oracle_solve)):
         got, want = [pk.pack(r) for r in M], [pk.pack(r) for r in M]
         result = kernel(ctx, got, ncols)
         assert result == oracle(ctx, want, ncols), (kernel.__name__, M)
@@ -420,7 +421,7 @@ def test_solve_packed_matches_rref():
             pk = rl._packed(ctx, ncols)
             ref = [pk.pack(r) for r in M]
             ref_pivots = rl._rref_packed(ctx, ref, ncols)
-            pivots, x = rl._solve_packed(ctx, [pk.pack(r) for r in M], ncols)
+            pivots, x = solve_packed(ctx, [pk.pack(r) for r in M], ncols)
             assert pivots == ref_pivots
             if ref_pivots and ref_pivots[-1] == ncols - 1:
                 assert x is None
@@ -480,8 +481,9 @@ def test_substitute_matches_inverse(m, n, up, unit):
 
 
 def test_one_triangular_substitution(ctx8, monkeypatch):
-    # the LU solve runs two passes of _substitute, and the packed solve and
-    # the Moore stages one each: no caller keeps a loop of its own
+    # the LU solve runs two passes of _substitute, and the Newton solves
+    # of the leading block (forward) and of h (backward) and the Moore
+    # stages one each: no caller keeps a loop of its own
     calls = []
     substitute = rl._substitute
 
@@ -497,11 +499,12 @@ def test_one_triangular_substitution(ctx8, monkeypatch):
     assert rl.LeftSolver(A).solve(b) == A.invert().left_mul_values(b)
     assert calls == [False, True]
     calls.clear()
-    pk = rl._packed(ctx8, 4)
-    _, x = rl._solve_packed(ctx8, [pk.pack(row) for row in A.rows[:3]], 4)
-    assert x is not None and calls == [True]
-    calls.clear()
     C = gabcodes.GabidulinCode(RankVector(ctx8, sc.sample_rank_error(ctx8, 8, 8, rng).values), 2)
+    assert C._lead_solve(b[:2]) == rl.LeftSolver(C.generator.submatrix(0, 0, 2, 2)).solve(b[:2])
+    assert calls == [False, False, True]
+    calls.clear()
+    assert len(C.h) == 8 and calls == [True]
+    calls.clear()
     E = sc.sample_rank_error(ctx8, 2, 2, rng).values
     s = [rng.element(8) for _ in range(C.n - C.k)]
     assert C._error_coordinates(s, E) is not None
@@ -951,6 +954,23 @@ def test_one_binary_euclid(monkeypatch):
     finally:
         rl._cyclotomic.cache_clear()
     assert moduli == [phi for _, phi, _ in factors]
+
+
+def test_one_by_one_grid_determinant_takes_no_decomposition(ctx8, monkeypatch):
+    # a 1 x 1 grid's determinant is its generator, so its unit test
+    # decomposes nothing
+    a = RankVector.random(ctx8, 6, fresh_rng(b"det-1x1")).values
+    unit = rl.cyc_inv(ctx8, a) is not None
+    calls = []
+    binary_parts = rl._binary_parts
+
+    def recording(vals):
+        calls.append(vals)
+        return binary_parts(vals)
+
+    monkeypatch.setattr(rl, "_binary_parts", recording)
+    assert rl.CirculantGrid(ctx8, [[a]], 6).is_invertible() == unit
+    assert calls == []
 
 
 def test_is_invertible_on_3x3_grids(toy_improved_wide):

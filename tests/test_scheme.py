@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import subprocess
 import sys
 
@@ -538,9 +539,10 @@ def test_wide_outer_matrix_round_trip():
 
 @pytest.mark.parametrize("pair", ["toy_kp", "toy_rep_kp"])
 def test_decrypter_inverts_inner_code_once(pair, request, monkeypatch):
-    # the inner code's leading block is factored once, for reading messages
-    # off codewords, on the first decrypt; the decrypter build itself
-    # factors no k2 x k2 matrix
+    # the inner code's leading block is put in Newton form once, for
+    # reading messages off codewords, on the first decrypt, and never
+    # factored as a k2 x k2 matrix; the one LeftSolver a repaired key
+    # builds is S's
     p, kp = request.getfixturevalue(pair)
     ctx = kp.pk.matrix.ctx
     blob = keyio.serialize_secret_key(kp.sk)
@@ -552,29 +554,41 @@ def test_decrypter_inverts_inner_code_once(pair, request, monkeypatch):
         init(self, A)
 
     monkeypatch.setattr(LeftSolver, "__init__", recording_init)
+    newtons = []
+    lead_newton = gabcodes.GabidulinCode.__dict__["_lead_newton"].func
+
+    def recording_newton(self):
+        newtons.append(self)
+        return lead_newton(self)
+
+    cached = functools.cached_property(recording_newton)
+    cached.__set_name__(gabcodes.GabidulinCode, "_lead_newton")
+    monkeypatch.setattr(gabcodes.GabidulinCode, "_lead_newton", cached)
     sk = keyio.parse_secret_key(blob)  # the parse builds the decrypter
     assert sk._dec is not None
-    assert (p.k2, p.k2) not in shapes
     rng = fresh_rng(b"inner-inverts")
     for _ in range(3):
         m = RankVector.random(ctx, p.k, rng)
         assert sc.decrypt(sc.encrypt(m, kp.pk, p, rng), sk, p) == m
-    assert shapes.count((p.k2, p.k2)) == 1
+    assert (p.k2, p.k2) not in shapes
+    assert shapes == ([(p.k, p.k)] if p.variant == "repaired" else [])
+    assert newtons == [sk._dec.code.C2]
 
 
 @pytest.mark.parametrize("params", ["toy_improved", "toy_repaired"])
 def test_keygen_computes_no_dual_vector(params, request, monkeypatch):
     # both inner codes take h from alpha's orbit (the trace dual when n2 = m,
-    # the subspace polynomial when n2 < m), so no decrypt solves for it either
+    # the subspace polynomial when n2 < m), so no decrypt takes the generic
+    # h, the Moore solve for it
     p = request.getfixturevalue(params)
     calls = []
-    dual_vector = GabidulinCode._dual_vector
+    generic_h = GabidulinCode.__dict__["h"].func
 
-    def recording_dual_vector(self):
+    def recording_h(self):
         calls.append(self)
-        return dual_vector(self)
+        return generic_h(self)
 
-    monkeypatch.setattr(GabidulinCode, "_dual_vector", recording_dual_vector)
+    monkeypatch.setattr(GabidulinCode, "h", property(recording_h))
     kp = sc.keygen(p, SeededRng(b"no-dual-vector"))
     assert calls == []
     rng = fresh_rng(b"no-dual-vector")
