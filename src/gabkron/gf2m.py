@@ -9,6 +9,8 @@ carry the context and check that operands share it.
 The modulus for each extension degree is the lexicographically smallest
 irreducible polynomial of minimal weight (trinomial if one exists, else
 pentanomial), so that serialized values are portable between runs.
+MODULI tabulates it for every m in 2..512, the degrees FieldCtx accepts,
+so building a field never searches for a modulus.
 
 Products are carry-less multiplies by window tables (_window_table), of
 4-bit windows for FieldCtx.mul; ranklinalg's _Packed.table chooses the
@@ -30,40 +32,84 @@ scheme's random GF(2) matrices all run on it.
 
 from __future__ import annotations
 
-from functools import cache
-
 
 class ContextMismatchError(ValueError):
     """Raised when elements from different field contexts are combined."""
 
 
-# Degree-indexed moduli (smallest minimal-weight irreducible, bit i = coeff
-# of x^i).  Regenerated by smallest_irreducible(); test_gf2m cross-checks.
-MODULI = {
-    2: 0b111,
-    3: 0b1011,
-    4: 0b10011,
-    5: 0b100101,
-    6: 0b1000011,
-    7: 0b10000011,
-    8: 0b100011011,
-    9: 0b1000000011,
-    10: 0b10000001001,
-    11: 0b100000000101,
-    12: 0b1000000001001,
-    16: (1 << 16) | (1 << 5) | (1 << 3) | (1 << 1) | 1,
-    20: (1 << 20) | (1 << 3) | 1,
-    24: (1 << 24) | (1 << 4) | (1 << 3) | (1 << 1) | 1,
-    48: (1 << 48) | (1 << 5) | (1 << 3) | (1 << 2) | 1,
-    76: (1 << 76) | (1 << 21) | 1,
-    90: (1 << 90) | (1 << 27) | 1,
-    104: (1 << 104) | (1 << 4) | (1 << 3) | (1 << 1) | 1,
-    120: (1 << 120) | (1 << 4) | (1 << 3) | (1 << 1) | 1,
-    128: (1 << 128) | (1 << 7) | (1 << 2) | (1 << 1) | 1,
-    211: (1 << 211) | (1 << 11) | (1 << 10) | (1 << 8) | 1,
-    307: (1 << 307) | (1 << 8) | (1 << 4) | (1 << 2) | 1,
-    331: (1 << 331) | (1 << 10) | (1 << 6) | (1 << 2) | 1,
-}
+# The middle exponents of the modulus of each degree m in 2..512, ten
+# degrees a line from the m that starts it: "a" is x^m + x^a + 1 and
+# "c,b,a" is x^m + x^c + x^b + x^a + 1.  tests/conftest.py holds the search
+# that finds them (smallest_irreducible), and test_gf2m checks the table
+# against it.
+_MIDDLE_TERMS = """
+  2: 1 1 1 2 1 1 4,3,1 1
+ 10: 3 2 3 4,3,1 5 1 5,3,1 3 3 5,2,1
+ 20: 3 2 1 5 4,3,1 3 4,3,1 5,2,1 1 2
+ 30: 1 3 7,3,2 10 7 2 9 6,4,1 6,5,1 4
+ 40: 5,4,3 3 7 6,4,3 5 4,3,1 1 5 5,3,2 9
+ 50: 4,3,2 6,3,1 3 6,2,1 9 7 7,4,2 4 19 7,4,2
+ 60: 1 5,2,1 29 1 4,3,1 18 3 5,2,1 9 6,5,2
+ 70: 5,3,1 6 10,9,3 25 35 6,3,1 21 6,5,2 6,5,3 9
+ 80: 9,4,2 4 8,3,1 7,4,2 5 8,2,1 21 13 7,6,2 38
+ 90: 27 8,5,1 21 2 21 11 10,9,6 6 11 6,3,1
+100: 15 7,6,1 29 9 4,3,1 4 15 9,7,4 17 5,4,2
+110: 33 10 5,4,3 9 5,3,2 8,7,5 4,2,1 5,2,1 33 8
+120: 4,3,1 18 6,2,1 2 19 7,6,5 21 1 7,2,1 5
+130: 3 8,3,2 17 9,8,2 57 11 5,3,2 21 8,7,1 8,5,3
+140: 15 10,4,1 21 5,3,2 7,4,2 52 71 14 27 10,9,7
+150: 53 3 6,3,2 1 15 62 9 6,5,2 8,6,5 31
+160: 5,3,2 18 27 7,6,3 10,8,7 9,8,3 37 6 15,3,2 34
+170: 11 6,5,2 1 8,5,2 13 6 11,3,2 8 31 4,2,1
+180: 3 7,6,1 81 56 9,8,7 24 11 7,6,5 6,5,2 6,5,2
+190: 8,7,6 9 7,2,1 15 87 8,3,2 3 9,4,2 9 34
+200: 5,3,2 14 55 8,7,1 27 9,5,2 10,9,5 43 9,3,1 6
+210: 7 11,10,8 105 6,5,2 73 23 7,3,1 45 11 8,4,1
+220: 7 8,6,2 5,4,2 33 9,8,3 32 10,7,3 10,9,4 113 10,4,1
+230: 8,7,6 26 9,4,2 74 31 9,6,1 5 7,4,1 73 36
+240: 8,5,3 70 95 8,5,1 111 6,4,1 11,2,1 82 15,14,10 35
+250: 103 7,4,2 15 46 7,2,1 52 10,5,2 12 71 10,6,2
+260: 15 7,6,4 9,8,4 93 9,6,2 42 47 8,6,3 25 7,6,1
+270: 53 58 9,3,2 23 67 11,10,9 63 12,6,3 5 5
+280: 9,5,2 93 35 12,7,5 53 10,7,5 69 71 11,10,1 21
+290: 5,3,2 12,11,5 37 11,6,1 33 48 7,3,2 5 11,8,4 11,6,4
+300: 5 9,5,2 41 1 11,2,1 102 7,3,1 8,4,2 15 10,6,4
+310: 93 7,5,3 9,7,4 79 15 10,9,1 63 7,4,2 45 36
+320: 4,3,1 31 67 10,3,1 51 10,5,2 10,3,1 34 8,3,1 50
+330: 99 10,6,2 89 2 5,2,1 10,7,2 7,4,1 55 4,3,1 16,10,7
+340: 45 10,8,6 125 75 7,2,1 22 63 11,10,3 103 6,5,2
+350: 53 34 13,11,6 69 99 6,5,1 10,9,7 11,10,2 57 68
+360: 5,3,2 7,4,1 63 8,5,3 9 9,6,5 29 21 7,3,2 91
+370: 139 8,3,2 111 8,7,2 8,6,5 16 8,7,5 41 43 10,8,5
+380: 47 5,2,1 81 90 12,3,2 6 83 8,7,1 159 10,9,5
+390: 9 28 13,10,6 7 135 11,6,5 25 12,7,6 7,6,2 26
+400: 5,3,2 152 171 9,8,5 65 13,8,2 141 71 5,3,2 87
+410: 10,4,3 12,10,3 147 10,7,6 13 102 9,5,2 107 199 15,5,4
+420: 7 5,4,2 149 25 9,7,2 12 63 11,6,5 105 10,8,7
+430: 14,6,1 120 13,4,3 33 12,11,5 12,9,5 165 6,2,1 65 49
+440: 4,3,1 7 7,5,2 10,6,1 81 7,6,4 105 73 11,6,4 134
+450: 47 16,10,1 6,5,4 15,6,4 8,6,1 38 18,9,6 16 203 12,5,2
+460: 19 7,6,1 73 93 19,18,13 31 14,11,6 11,6,1 27 9,5,2
+470: 9 1 11,3,2 200 191 9,8,4 9 16,15,7 121 104
+480: 15,9,6 138 9,6,5 9,6,4 105 17,16,6 81 94 4,3,1 83
+490: 219 11,6,3 7 10,5,3 17 76 16,5,2 78 155 11,6,5
+500: 27 5,4,2 8,5,4 3 15,14,6 156 23 13,6,3 9 8,7,3
+510: 69 10 8,5,2
+"""
+
+
+def _moduli(table):
+    moduli = {}
+    for line in table.strip().splitlines():
+        start, terms = line.split(":")
+        for m, term in enumerate(terms.split(), int(start)):
+            moduli[m] = 1 << m | sum(1 << int(e) for e in term.split(",")) | 1
+    return moduli
+
+
+# bit i = coefficient of x^i
+MODULI = _moduli(_MIDDLE_TERMS)
+
 
 def _poly_mulmod(a, b, mod, deg):
     """Multiply two GF(2) polynomials modulo mod (degree deg)."""
@@ -100,59 +146,6 @@ def _poly_inv(a, mod):
     return s
 
 
-def _poly_gcd(a, b):
-    while b:
-        if a.bit_length() < b.bit_length():
-            a, b = b, a
-            continue
-        a ^= b << (a.bit_length() - b.bit_length())
-    return a
-
-
-def is_irreducible(poly: int, m: int) -> bool:
-    """Deterministic irreducibility test for a degree-m polynomial over GF(2).
-
-    Checks that x^(2^i) - x shares no factor with poly for i up to m/2,
-    which rules out irreducible factors of every degree below m.
-    """
-    if poly >> m != 1 or not poly & 1:
-        return False
-    if m == 1:
-        return True
-    r = 2  # the polynomial x
-    for _ in range(m // 2):
-        r = _poly_mulmod(r, r, poly, m)
-        if _poly_gcd(r ^ 2, poly) != 1:
-            return False
-    return True
-
-
-def smallest_irreducible(m: int) -> int:
-    """Lexicographically smallest irreducible of degree m with minimal weight."""
-    if m == 1:
-        return 0b10
-    top = 1 << m
-    for a in range(1, m):
-        cand = top | (1 << a) | 1
-        if is_irreducible(cand, m):
-            return cand
-    for c in range(3, m):
-        for b in range(2, c):
-            for a in range(1, b):
-                cand = top | (1 << c) | (1 << b) | (1 << a) | 1
-                if is_irreducible(cand, m):
-                    return cand
-    raise ValueError(f"no low-weight irreducible of degree {m}")
-
-
-@cache
-def modulus_for_degree(m: int) -> int:
-    """Registry modulus for GF(2^m); searched and cached when not tabulated."""
-    if m in MODULI:
-        return MODULI[m]
-    return smallest_irreducible(m)
-
-
 # bytes.translate tables taking a byte to the bits of its low (high)
 # nibble at the even positions of one byte: spread bit i to bit 2i
 _SPREAD_LO = bytes(sum((b >> i & 1) << 2 * i for i in range(4)) for b in range(256))
@@ -171,7 +164,7 @@ def _spread(raw: bytes) -> bytearray:
 
 
 class FieldCtx:
-    """GF(2^m) modulo the registry polynomial modulus_for_degree(m).
+    """GF(2^m) modulo the registry polynomial MODULI[m].
 
     Immutable after construction; safe to share across threads.  All methods
     take and return raw int elements.
@@ -181,7 +174,7 @@ class FieldCtx:
         if not 2 <= m <= 512:
             raise ValueError(f"extension degree {m} out of range [2, 512]")
         self.m = m
-        self.modulus = modulus = modulus_for_degree(m)
+        self.modulus = modulus = MODULI[m]
         self.mask = (1 << m) - 1
         # bit positions of x^m mod modulus, used to fold products
         red = modulus ^ (1 << m)

@@ -1,14 +1,15 @@
 """GKPC file formats for keys, ciphertexts, and message packing.
 
-Layout: magic "GKPC", one version byte, one variant tag byte, thirteen
-32-bit big-endian parameter fields, then the payload.  Payload values are
+Layout: magic "GKPC", one version byte (2 for secret keys, 1 for public
+keys and ciphertexts), one variant tag byte, thirteen 32-bit big-endian
+parameter fields, then the payload.  Payload values are
 bit-packed at an m-bit stride in little-endian bit order and the whole
 payload is zero-padded to a byte boundary; that is what makes the public
 key for new-GabKron-128 occupy exactly its advertised 4050 payload bytes.
 The modulus is not stored: it is the registry polynomial for the degree m
-in the header.  Parsers check the payload length the header implies before
-they build the field, which at an untabulated m means searching for its
-modulus.
+in the header, read from a table (gf2m.MODULI) that holds every degree a
+header may name, so no parse searches for one.  Parsers check the payload
+length the header implies before they build the field.
 
 The improved variant's G_pub and P are partial-circulant-block matrices
 and travel as the first row of every block, blocks in row-major order.
@@ -16,11 +17,14 @@ Row 0 of Cir_k(a) is reflect(a) = (a_0, a_{n-1}, ..., a_1), an involution,
 so parsing and serializing map those rows to and from the in-memory
 CirculantGrid of generators by slicing alone.  The repaired public key is
 held as the k x (n - k) matrix its file stores, row by row.  The repaired
-secret key stores b itself, the generator of its one-block grid P = Cir(b).
-Parsing unpacks the tuple into its key and builds the key's decrypter,
-which the key caches; that build checks the whole tuple (scheme), so a
-singular P or S, a non-normal alpha, a rank-deficient G1 or a g2 that is
-not an orbit is a FormatError.
+secret key stores G1, g2, b itself, the generator of its one-block grid
+P = Cir(b), and the t1 values z_0 that row 0 of X repeats; the decrypter
+rebuilds M0 = (G + X) P^-1 from them (scheme).  A version-1 secret key,
+which held S in place of z_0, is refused by its version: its length can
+equal the new layout's.  Parsing unpacks the tuple into its key and builds
+the key's decrypter, which the key caches; that build checks the whole
+tuple (scheme), so a singular P, a non-normal alpha, a rank-deficient G1
+or a g2 that is not an orbit is a FormatError.
 
 Messages for encryption are arbitrary byte strings up to the capacity
 floor(k*m/8) - 4; a 4-byte big-endian length prefix travels inside the
@@ -42,7 +46,8 @@ from .scheme import (
 )
 
 MAGIC = b"GKPC"
-VERSION = 1
+VERSION = 1  # public keys and ciphertexts
+SK_VERSION = 2  # secret keys; version 1 held S in place of z_0
 _VARIANT_TAGS = {"repaired": 1, "improved": 2}
 _TAG_VARIANTS = {v: k for k, v in _VARIANT_TAGS.items()}
 
@@ -85,12 +90,12 @@ def unpack_elements(data: bytes, m: int, count: int) -> list:
 # headers
 
 
-def _header(p: ParamSet) -> bytes:
+def _header(p: ParamSet, version: int = VERSION) -> bytes:
     fields = [
         p.m, p.n, p.k, p.n1, p.n2, p.k1, p.k2,
         p.t, p.t1, p.t2, p.lam, p.lam_p or 0, p.security,
     ]
-    out = [MAGIC, bytes([VERSION, _VARIANT_TAGS[p.variant]])]
+    out = [MAGIC, bytes([version, _VARIANT_TAGS[p.variant]])]
     out += [f.to_bytes(4, "big") for f in fields]
     return b"".join(out)
 
@@ -98,13 +103,13 @@ def _header(p: ParamSet) -> bytes:
 _HEADER_LEN = 4 + 2 + 13 * 4
 
 
-def _parse_header(data: bytes) -> tuple[ParamSet, bytes]:
+def _parse_header(data: bytes, version: int = VERSION) -> tuple[ParamSet, bytes]:
     if len(data) < _HEADER_LEN:
         raise FormatError("truncated header")
     if data[:4] != MAGIC:
         raise FormatError("bad magic")
-    if data[4] != VERSION:
-        raise FormatError(f"unsupported version {data[4]}")
+    if data[4] != version:
+        raise FormatError(f"unsupported version {data[4]} (expected {version})")
     variant = _TAG_VARIANTS.get(data[5])
     if variant is None:
         raise FormatError(f"unknown variant tag {data[5]}")
@@ -168,15 +173,15 @@ def serialize_secret_key(sk) -> bytes:
     if isinstance(sk, ImprovedSecretKey):
         vals = [sk.alpha, *_first_rows(sk.P), *_entries(sk.G1)]
     elif isinstance(sk, RepairedSecretKey):
-        vals = [*_entries(sk.G1), *sk.g2.values, *sk.P.gens[0][0], *_entries(sk.S)]
+        vals = [*_entries(sk.G1), *sk.g2.values, *sk.P.gens[0][0], *sk.z0.values]
     else:
         raise TypeError(f"not a secret key: {type(sk).__name__}")
-    return _header(p) + pack_elements(vals, p.m)
+    return _header(p, SK_VERSION) + pack_elements(vals, p.m)
 
 
 def parse_secret_key(data: bytes):
     """The key with its decrypter built, which rejects an inconsistent tuple."""
-    p, payload = _parse_header(data)
+    p, payload = _parse_header(data, SK_VERSION)
     if p.variant == "improved":
         pos = 1 + p.n1 * p.n1 * p.n2
         vals = unpack_elements(payload, p.m, pos + p.k1 * p.n1)
@@ -186,12 +191,12 @@ def parse_secret_key(data: bytes):
     else:
         g2_at = p.k1 * p.n1
         P_at = g2_at + p.n2
-        S_at = P_at + p.n
-        vals = unpack_elements(payload, p.m, S_at + p.k * p.k)
+        z_at = P_at + p.n
+        vals = unpack_elements(payload, p.m, z_at + p.t1)
         ctx = FieldCtx(p.m)
         sk = RepairedSecretKey(
             p, G1=_matrix(ctx, vals, p.k1, p.n1), g2=RankVector(ctx, vals[g2_at:P_at]),
-            P=CirculantGrid(ctx, [[vals[P_at:S_at]]], p.n), S=_matrix(ctx, vals[S_at:], p.k, p.k),
+            P=CirculantGrid(ctx, [[vals[P_at:z_at]]], p.n), z0=RankVector(ctx, vals[z_at:]),
         )
     try:
         sk.decrypter()

@@ -249,7 +249,7 @@ def _packed(ctx: FieldCtx, nslots: int) -> _Packed:
     return _Packed(ctx, nslots)
 
 
-def _echelon_packed(ctx, rows, ncols, lu=None):
+def _echelon_packed(ctx, rows, ncols):
     """In-place row echelon form with unit pivots; returns pivot cols.
 
     On return every row is reduced and in full layout, and rows past the
@@ -258,18 +258,11 @@ def _echelon_packed(ctx, rows, ncols, lu=None):
     finished slots are 0 mod the field polynomial, and their slots stay
     unreduced below 2m bits until they become pivots (module docstring).
     _rref_packed runs this first, so the two always agree on the pivots.
-
-    With lu a list, the elimination is also recorded there, one record per
-    row, which moves with its row: [original index, the multipliers of the
-    pivot rows subtracted from it, in order, then its own pivot inverse if
-    it became a pivot].  LeftSolver replays these records.
     """
     pk = _packed(ctx, ncols)
     S, smask, mul = pk.S, pk.slot_mask, pk.mul
     reduce = ctx.reduce
     nrows = len(rows)
-    if lu is not None:
-        lu[:] = [[i] for i in range(nrows)]
     pivots = []
     r = 0
     for col in range(ncols):
@@ -284,14 +277,10 @@ def _echelon_packed(ctx, rows, ncols, lu=None):
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         prow = pk.fold(rows[r])
-        pinv = prow & smask
-        if pinv != 1:
-            pinv = ctx.inv(pinv)
-            prow = pk.fold(pk.scal(prow, pinv))
+        lead = prow & smask
+        if lead != 1:
+            prow = pk.fold(pk.scal(prow, ctx.inv(lead)))
         rows[r] = prow << (col * S)
-        if lu is not None:
-            lu[r], lu[piv] = lu[piv], lu[r]
-            lu[r].append(pinv)
         # the pivot slot itself is not multiplied: it would only cancel the
         # slot that the shift drops
         tab = pk.table(prow >> S, nrows - r - 1)
@@ -300,8 +289,6 @@ def _echelon_packed(ctx, rows, ncols, lu=None):
             f = reduce(row & smask)
             row >>= S
             rows[i] = row ^ mul(tab, f) if f else row
-            if lu is not None:
-                lu[i].append(f)
         pivots.append(col)
         r += 1
     return pivots
@@ -481,19 +468,13 @@ def _clear_top(pk, xcols, ycols, top):
     return pk.sum_products(pairs)
 
 
-def _pivot_columns(pk, rows, pivots):
-    """Packed column pivots[r] of the echelon rows above row r, for each r."""
-    entry = pk.entry
-    return [pk.pack([entry(row, col) for row in rows[:r]]) for r, col in enumerate(pivots)]
-
-
 def _substitute(pk, acc, cols, pinvs=None, up=False):
     """The unknowns of a triangular system with packed right-hand sides.
 
     Slot r of the packed accumulator acc holds the right-hand side of row
     r, unreduced, and cols[r] is the packed column of unknown r in the rows
     solved after it: those below r for a lower triangular system, those
-    above it (_pivot_columns) when up.  Unknown r is slot r reduced, times
+    above it when up.  Unknown r is slot r reduced, times
     the pivot inverse pinvs[r] (unit pivots without pinvs), and subtracts
     its column with one scal; an empty column is skipped.  Returns the
     unknowns in slot order.
@@ -509,46 +490,6 @@ def _substitute(pk, acc, cols, pinvs=None, up=False):
         if v and cols[r]:
             acc ^= pk.scal(cols[r], v)
     return x
-
-
-class LeftSolver:
-    """A k x k matrix A factored once to solve x·A = b for many b.
-
-    The build runs one forward elimination of A^T with its steps recorded
-    (_echelon_packed), a permuted LU factoring: with the rows in their final
-    order Q, Q A^T = L U for U upper triangular with a unit diagonal and L
-    lower triangular, holding the pivots on its diagonal and the
-    multipliers below it.  x·A = b is A^T x^T = b^T, so each solve permutes
-    b by Q and runs two passes of _substitute: L z = Q b^T down the packed
-    columns of L, then U x^T = z up those of U.
-    Raises SingularMatrixError, with the rank of A, when A is singular.
-    """
-
-    def __init__(self, A: "RankMatrix"):
-        if A.nrows != A.ncols:
-            raise SingularMatrixError("only square matrices invert")
-        ctx, k = A.ctx, A.nrows
-        pk = _packed(ctx, k)
-        rows = [pk.pack(col) for col in zip(*A.rows)]
-        lu = []
-        pivots = _echelon_packed(ctx, rows, k, lu)
-        if len(pivots) < k:
-            rank = len(pivots)
-            raise SingularMatrixError(f"matrix is singular (rank {rank})", rank=rank)
-        self._pk = pk
-        self._order = [rec[0] for rec in lu]
-        self._pinvs = [rec[-1] for rec in lu]
-        # packed column s of L: the multipliers of pivot s in the rows below it
-        self._lcols = [pk.pack([0] * (s + 1) + [lu[i][s + 1] for i in range(s + 1, k)])
-                       for s in range(k)]
-        # A is invertible, so the pivots are columns 0..k-1
-        self._ucols = _pivot_columns(pk, rows, pivots)
-
-    def solve(self, b) -> list:
-        """x with x·A = b, for b a list of k reduced elements."""
-        pk = self._pk
-        z = _substitute(pk, pk.pack([b[i] for i in self._order]), self._lcols, self._pinvs)
-        return _substitute(pk, pk.pack(z), self._ucols, up=True)
 
 
 # ---------------------------------------------------------------------------
@@ -704,8 +645,8 @@ class RankMatrix:
         return len(_echelon_packed(self.ctx, [pk.pack(r) for r in self.rows], self.ncols))
 
     def invert(self) -> "RankMatrix":
-        """The dense inverse; the tests' referee for LeftSolver, which every
-        program path uses instead.  perfbench/tracer.py wraps it by name."""
+        """The dense inverse, which no program path takes; a referee for
+        the tests.  perfbench/tracer.py wraps it by name."""
         if self.nrows != self.ncols:
             raise SingularMatrixError("only square matrices invert")
         n = self.nrows

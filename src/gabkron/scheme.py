@@ -27,15 +27,20 @@ G_pub's generators come from products in the circulant ring
 repaired variant never builds the dense G either: G P^{-1} comes row by
 row from alpha's orbit, since G = G1 (x) Moore(g2) and a rotation
 commutes with the circulant P^{-1} (_repaired_m0_rows).  It adds X P^{-1},
-taken in the ring, and reads N and S off [I_k | N | S], the reduced
-echelon form of [(G + X) P^{-1} | I_k].  Each row of (G + X) P^{-1} is the
-one above rotated, plus a combination of two rows of P^{-1}, except at the
+taken in the ring, and reads N off [I_k | N | S], the reduced echelon
+form of [M0 | I_k] for M0 = (G + X) P^{-1}.  Each row of M0 is the one
+above rotated, plus a combination of two rows of P^{-1}, except at the
 first row of a G1 block, so generalized Schur steps on 6 displacement
 generators give that form (ranklinalg._systematic_packed); the echelon
 runs only when a leading principal minor is singular.  The public key
 holds N, as its file does; no other module knows that G_pub = [I_k | N].
-The repaired decrypter factors S once, as a permuted LU of S^T
-(ranklinalg.LeftSolver), and solves x S = mu on each decrypt.
+The repaired secret key holds z_0, the t1 values that row 0 of X repeats,
+and not S: S^-1 = M0[:, :k], so a decrypter rebuilds X, P^{-1} and M0's
+rows from the key's generators (keygen hands over the rows it has) and
+reads m off w = mu M0, which is m G_pub = m || m N for the right key: one
+lincomb, and no decrypt factors or inverts a k x k matrix.  It returns
+w[:k] only when c - w has rank at most t, so a damaged key or an error of
+rank above t is a DecodeFailure, not a plaintext.
 
 The inner Gabidulin code carries its own presentation, and block messages
 are written in it: Cir_k2 of the normal orbit of alpha in the improved
@@ -75,14 +80,12 @@ come from it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .gf2m import FieldCtx, _bit_rank
-from .gabcodes import KroneckerCode, from_normal_orbit, from_orbit
+from .gabcodes import DecodeFailure, KroneckerCode, from_normal_orbit, from_orbit
 from .params import ParamSet
 from .ranklinalg import (
     CirculantGrid,
-    LeftSolver,
     RankMatrix,
     RankVector,
     SingularMatrixError,
@@ -286,7 +289,7 @@ class RepairedSecretKey:
     G1: RankMatrix
     g2: RankVector
     P: CirculantGrid  # one block, Cir_n(b)
-    S: RankMatrix
+    z0: RankVector  # the t1 values that row 0 of X repeats
     _dec: object = field(default=None, init=False, repr=False, compare=False)
 
     decrypter = _decrypter
@@ -312,45 +315,56 @@ class Ciphertext:
 
 class _Decrypter:
     """Decoder state of a secret tuple; P's GF(2) decomposition (which P
-    keeps) and S's LU factors are built on first use."""
+    keeps) is built on first use.  A repaired decrypter also holds the
+    packed rows of M0 = (G + X) P^-1 and the error rank t."""
 
-    def __init__(self, code: KroneckerCode, P: CirculantGrid, S: RankMatrix | None = None):
+    def __init__(self, code: KroneckerCode, P: CirculantGrid, m0=None, t=None):
         self.code = code
         self.P = P
-        self.S = S
+        self.m0 = m0  # (packer, rows) of M0, repaired only
+        self.t = t
 
     @classmethod
     def checked(cls, sk):
         """The decrypter of a key that keygen did not hand one.  Raises
-        ValueError unless, in order, P is invertible (one gcd per cyclotomic
-        factor of z^a - 1, a the odd part of its block size), alpha a field
-        element and normal or g2 alpha's orbit of full rank weight, G1 of
-        full rank, S invertible.  P's entries were checked when its grid was
+        ValueError unless, in order, P is invertible (improved: one gcd per
+        cyclotomic factor of z^a - 1, a the odd part of its block size;
+        repaired: its ring inverse, which M0 needs), alpha a field element
+        and normal or g2 alpha's orbit of full rank weight, G1 of full
+        rank, z0 of t1 values.  P's entries were checked when its grid was
         built."""
         p, ctx = sk.params, sk.G1.ctx
-        if not sk.P.is_invertible():
-            raise SingularMatrixError("P is singular")
         if isinstance(sk, ImprovedSecretKey):
+            if not sk.P.is_invertible():
+                raise SingularMatrixError("P is singular")
             orbit = ctx.is_normal(ctx.check(sk.alpha))
             if orbit is None:
                 raise ValueError("alpha must be a normal element")
             return cls(KroneckerCode(sk.G1, from_normal_orbit(ctx, orbit, p.k2)), sk.P)
+        if sk.P.det_inverse() is None:
+            raise SingularMatrixError("P is singular")
         C2 = from_orbit(ctx, ctx.frobenius_orbit(sk.g2.values[-1], ctx.m), p.n2, p.k2)
         if C2.g != sk.g2:
             raise ValueError("g2 must be a Frobenius orbit (alpha^[n2-1], ..., alpha)")
-        dec = cls(KroneckerCode(sk.G1, C2), sk.P, sk.S)
-        dec._S_solver  # raises SingularMatrixError for a singular S
-        return dec
-
-    @cached_property
-    def _S_solver(self) -> LeftSolver:
-        return LeftSolver(self.S)
+        code = KroneckerCode(sk.G1, C2)
+        if len(sk.z0) != p.t1:
+            raise ValueError(f"z0 must hold t1 = {p.t1} values")
+        X = CirculantGrid(ctx, [[reflect(sk.z0.values * (p.n // p.t1))]], p.k)
+        return cls(code, sk.P, _repaired_m0_rows(code, X, circulant_block_invert(sk.P)), p.t)
 
     def decrypt(self, c_vals):
+        """The message; a repaired key reads it off w = mu M0, which is
+        m G_pub = m || m N for the right key, and returns it only when
+        c - w has rank at most t."""
         mu = self.code.block_decode(self.P.left_mul_values(c_vals))
-        if self.S is None:
+        if self.m0 is None:
             return mu
-        return RankVector(mu.ctx, self._S_solver.solve(mu.values))
+        pk, rows = self.m0
+        w = pk.lincomb(mu.values, rows)
+        r = _bit_rank([a ^ b for a, b in zip(c_vals, w)])
+        if r > self.t:
+            raise DecodeFailure(f"c - m G_pub has rank {r} > t = {self.t}")
+        return RankVector(mu.ctx, w[: self.code.k])
 
 
 # ---------------------------------------------------------------------------
@@ -382,20 +396,21 @@ def keygen(p: ParamSet, rng) -> KeyPair:
         if p.variant == "improved":
             pk = PublicKey(p, _improved_public_grid(G1, orbit, xw.X, P, Pinv))
             sk = ImprovedSecretKey(p, alpha=orbit[-1], P=P, G1=G1)
-            S = None
+            m0 = None
         else:
             # the RREF of [M0 | I_k] is [I_k | N | S] with S M0 = [I_k | N]
             # exactly when its pivots lead, S = M0[:, :k]^-1; M0 is
-            # Toeplitz-like, so generalized Schur steps give it
-            _, rows = _repaired_m0_rows(code, xw.X, Pinv)
+            # Toeplitz-like, so generalized Schur steps give it.  They
+            # overwrite their rows, and the decrypter keeps M0's.
+            m0 = _repaired_m0_rows(code, xw.X, Pinv)
+            rows = list(m0[1])
             if _systematic_packed(ctx, rows, p.n) != list(range(p.k)):
                 continue  # leading minor singular: fresh randomness
-            unpack = _packed(ctx, p.n + p.k).unpack
-            R = [unpack(row) for row in rows]
-            pk = PublicKey(p, RankMatrix(ctx, [row[p.k : p.n] for row in R]))
-            S = RankMatrix(ctx, [row[p.n :] for row in R])
-            sk = RepairedSecretKey(p, G1=G1, g2=C2.g, P=P, S=S)
-        sk._dec = _Decrypter(code, P, S)
+            unpack = _packed(ctx, p.n).unpack
+            pk = PublicKey(p, RankMatrix(ctx, [unpack(row)[p.k :] for row in rows]))
+            z0 = RankVector(ctx, reflect(xw.X.gens[0][0])[: p.t1])
+            sk = RepairedSecretKey(p, G1=G1, g2=C2.g, P=P, z0=z0)
+        sk._dec = _Decrypter(code, P, m0, p.t)
         return KeyPair(pk=pk, sk=sk, x_witness=xw, subspace=spec, code=code)
     raise GenerationError("could not reach a systematic public key")
 
@@ -481,7 +496,8 @@ def decrypt(ct: Ciphertext, sk, p: ParamSet) -> RankVector:
 
     Raises ValueError unless p and the ciphertext's set are the key's
     parameter set (names aside), and gabcodes.DecodeFailure, with the
-    failed blocks, when no message is recovered.
+    failed blocks, when no message is recovered, or, for a repaired key,
+    when c - m G_pub has rank above t.
     """
     if p != sk.params:
         raise ValueError("parameter set differs from the secret key's")

@@ -7,9 +7,9 @@ import time
 
 import pytest
 
-from gabkron import audit, gabcodes as gc, ranklinalg as rl, scheme as sc
+from gabkron import audit, gabcodes as gc, keyio, ranklinalg as rl, scheme as sc
 from gabkron.gabcodes import DecodeFailure
-from gabkron.gf2m import FieldCtx, _bit_rank
+from gabkron.gf2m import FieldCtx, _bit_rank, _poly_mulmod
 from gabkron.params import setup
 from gabkron.prng import SeededRng
 from gabkron.ranklinalg import (
@@ -44,6 +44,56 @@ def rng():
 
 def fresh_rng(label: bytes) -> SeededRng:
     return SeededRng(b"gabkron-tests/" + label)
+
+
+# The referee of gf2m.MODULI: the search for the lexicographically smallest
+# irreducible polynomial of minimal weight that built the table.
+
+
+def poly_gcd(a, b):
+    """gcd of two GF(2) polynomials held as ints."""
+    while b:
+        if a.bit_length() < b.bit_length():
+            a, b = b, a
+            continue
+        a ^= b << (a.bit_length() - b.bit_length())
+    return a
+
+
+def is_irreducible(poly: int, m: int) -> bool:
+    """Deterministic irreducibility test for a degree-m polynomial over GF(2).
+
+    Checks that x^(2^i) - x shares no factor with poly for i up to m/2,
+    which rules out irreducible factors of every degree below m.
+    """
+    if poly >> m != 1 or not poly & 1:
+        return False
+    if m == 1:
+        return True
+    r = 2  # the polynomial x
+    for _ in range(m // 2):
+        r = _poly_mulmod(r, r, poly, m)
+        if poly_gcd(r ^ 2, poly) != 1:
+            return False
+    return True
+
+
+def smallest_irreducible(m: int) -> int:
+    """Lexicographically smallest irreducible of degree m with minimal weight."""
+    if m == 1:
+        return 0b10
+    top = 1 << m
+    for a in range(1, m):
+        cand = top | (1 << a) | 1
+        if is_irreducible(cand, m):
+            return cand
+    for c in range(3, m):
+        for b in range(2, c):
+            for a in range(1, b):
+                cand = top | (1 << c) | (1 << b) | (1 << a) | 1
+                if is_irreducible(cand, m):
+                    return cand
+    raise ValueError(f"no low-weight irreducible of degree {m}")
 
 
 def vec_mat(u, M):
@@ -350,6 +400,99 @@ def same_span(a, b):
     return r == len(a) == len(b) == _bit_rank(b) == _bit_rank(list(a) + list(b))
 
 
+# The factor-once solve of x·A = b by a recorded LU, which the program ran
+# for the inner code's leading block and the repaired S before the Newton
+# solve and M0's rows replaced it: the referee of both.
+
+
+def echelon_recorded(ctx, rows, ncols):
+    """ranklinalg._echelon_packed with its steps recorded; returns (pivots,
+    lu), one record per row, which moves with its row: [original index, the
+    multipliers of the pivot rows subtracted from it, in order, then its own
+    pivot inverse if it became a pivot].  LeftSolver replays the records."""
+    pk = rl._packed(ctx, ncols)
+    S, smask, mul = pk.S, pk.slot_mask, pk.mul
+    reduce = ctx.reduce
+    nrows = len(rows)
+    lu = [[i] for i in range(nrows)]
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        if r == nrows:
+            break
+        piv = r
+        while piv < nrows and not reduce(rows[piv] & smask):
+            piv += 1
+        if piv == nrows:
+            for i in range(r, nrows):
+                rows[i] >>= S
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        lu[r], lu[piv] = lu[piv], lu[r]
+        prow = pk.fold(rows[r])
+        pinv = prow & smask
+        if pinv != 1:
+            pinv = ctx.inv(pinv)
+            prow = pk.fold(pk.scal(prow, pinv))
+        rows[r] = prow << (col * S)
+        lu[r].append(pinv)
+        tab = pk.table(prow >> S, nrows - r - 1)
+        for i in range(r + 1, nrows):
+            row = rows[i]
+            f = reduce(row & smask)
+            row >>= S
+            rows[i] = row ^ mul(tab, f) if f else row
+            lu[i].append(f)
+        pivots.append(col)
+        r += 1
+    return pivots, lu
+
+
+def pivot_columns(pk, rows, pivots):
+    """Packed column pivots[r] of the echelon rows above row r, for each r."""
+    entry = pk.entry
+    return [pk.pack([entry(row, col) for row in rows[:r]]) for r, col in enumerate(pivots)]
+
+
+class LeftSolver:
+    """A k x k matrix A factored once to solve x·A = b for many b.
+
+    The build runs one forward elimination of A^T with its steps recorded
+    (echelon_recorded), a permuted LU factoring: with the rows in their
+    final order Q, Q A^T = L U for U upper triangular with a unit diagonal
+    and L lower triangular, holding the pivots on its diagonal and the
+    multipliers below it.  x·A = b is A^T x^T = b^T, so each solve permutes
+    b by Q and runs two passes of ranklinalg._substitute: L z = Q b^T down
+    the packed columns of L, then U x^T = z up those of U.
+    Raises SingularMatrixError, with the rank of A, when A is singular.
+    """
+
+    def __init__(self, A):
+        if A.nrows != A.ncols:
+            raise SingularMatrixError("only square matrices invert")
+        ctx, k = A.ctx, A.nrows
+        pk = rl._packed(ctx, k)
+        rows = [pk.pack(col) for col in zip(*A.rows)]
+        pivots, lu = echelon_recorded(ctx, rows, k)
+        if len(pivots) < k:
+            rank = len(pivots)
+            raise SingularMatrixError(f"matrix is singular (rank {rank})", rank=rank)
+        self._pk = pk
+        self._order = [rec[0] for rec in lu]
+        self._pinvs = [rec[-1] for rec in lu]
+        # packed column s of L: the multipliers of pivot s in the rows below it
+        self._lcols = [pk.pack([0] * (s + 1) + [lu[i][s + 1] for i in range(s + 1, k)])
+                       for s in range(k)]
+        # A is invertible, so the pivots are columns 0..k-1
+        self._ucols = pivot_columns(pk, rows, pivots)
+
+    def solve(self, b) -> list:
+        """x with x·A = b, for b a list of k reduced elements."""
+        pk = self._pk
+        z = rl._substitute(pk, pk.pack([b[i] for i in self._order]), self._lcols, self._pinvs)
+        return rl._substitute(pk, pk.pack(z), self._ucols, up=True)
+
+
 def solve_packed(ctx, rows, ncols):
     """Solve packed augmented rows whose last column is the right-hand side,
     by the generic packed echelon: the referee of the program's Moore solves.
@@ -366,8 +509,7 @@ def solve_packed(ctx, rows, ncols):
         return pivots, None
     acc = pk.pack([pk.entry(row, rhs) for row in rows[: len(pivots)]])
     x = [0] * rhs
-    for col, v in zip(pivots, rl._substitute(pk, acc, rl._pivot_columns(pk, rows, pivots),
-                                             up=True)):
+    for col, v in zip(pivots, rl._substitute(pk, acc, pivot_columns(pk, rows, pivots), up=True)):
         x[col] = v
     return pivots, x
 
@@ -503,8 +645,8 @@ def located_error(C, E, rng):
 def systematic_form_against_rref(kp):
     """Keygen's systematic form of a repaired key's M0 = (G + X) P^-1
     against the reduced echelon form of [M0 | I_k]: the same leading pivots
-    and every row, and S M0 = [I_k | N] for the key's N and S.  Returns the
-    seconds each took."""
+    and every row, and M0[:, :k] [I_k | N] = M0 for the key's N.  Returns
+    the seconds each took."""
     p = kp.pk.params
     pk, rows = sc._repaired_m0_rows(kp.code, kp.x_witness.X, circulant_block_invert(kp.sk.P))
     got = list(rows)
@@ -517,16 +659,61 @@ def systematic_form_against_rref(kp):
     rref_s = time.perf_counter() - t0
     assert got == want
     M0 = RankMatrix(pk.ctx, [pk.unpack(row) for row in rows])
-    I = RankMatrix.identity(pk.ctx, p.k)
-    assert kp.sk.S.mul(M0).rows == [e + row for e, row in zip(I.rows, kp.pk.matrix.rows)]
+    assert M0.submatrix(0, 0, p.k, p.k).mul(systematic(kp.pk.matrix)) == M0
     return schur_s, rref_s
+
+
+def systematic(N):
+    """The dense public generator [I_k | N] of a repaired key's N."""
+    return block_matrix([[RankMatrix.identity(N.ctx, N.nrows), N]])
+
+
+def secret_s(sk):
+    """S = M0[:, :k]^-1 of a repaired key, read off [I_k | N | S], the
+    systematic form of a copy of its decrypter's M0 rows, as keygen took it
+    when the key held S in place of z_0."""
+    p = sk.params
+    pk, rows = sk.decrypter().m0
+    got = list(rows)
+    assert rl._systematic_packed(pk.ctx, got, p.n) == list(range(p.k))
+    unpack = rl._packed(pk.ctx, p.n + p.k).unpack
+    return RankMatrix(pk.ctx, [unpack(row)[p.n :] for row in got])
+
+
+def secret_key_v1(sk):
+    """The version-1 file of a repaired key: G1, g2, b and then S, row by
+    row, where version 2 holds z_0."""
+    p = sk.params
+    vals = [v for row in sk.G1.rows for v in row] + sk.g2.values + sk.P.gens[0][0]
+    vals += [v for row in secret_s(sk).rows for v in row]
+    return keyio._header(p, 1) + keyio.pack_elements(vals, p.m)
+
+
+def m0_read_against_s_solve(sk, rng, trials=4):
+    """The repaired decrypter's (u M0)[:k] against LeftSolver(S).solve(u),
+    S = secret_s(sk).  Returns the seconds of the rows' product and of the
+    solve, summed over the trials."""
+    p = sk.params
+    pk, rows = sk.decrypter().m0
+    solver = LeftSolver(secret_s(sk))
+    read_s = solve_s = 0.0
+    for _ in range(trials):
+        u = [rng.element(p.m) for _ in range(p.k)]
+        t0 = time.perf_counter()
+        w = pk.lincomb(u, rows)
+        t1 = time.perf_counter()
+        x = solver.solve(u)
+        solve_s += time.perf_counter() - t1
+        read_s += t1 - t0
+        assert w[: p.k] == x
+    return read_s, solve_s
 
 
 def inconsistent_secret_key(sk, part):
     """sk with one part of its secret tuple replaced by a degenerate one."""
     ctx = sk.G1.ctx
-    if part == "S":  # singular scrambler
-        return dataclasses.replace(sk, S=zero_matrix(ctx, sk.S.nrows, sk.S.ncols))
+    if part == "z0":  # one value too many for X's row 0
+        return dataclasses.replace(sk, z0=RankVector(ctx, sk.z0.values + [1]))
     if part == "g2":  # rank weight 1, not a Gabidulin generator
         return dataclasses.replace(sk, g2=RankVector(ctx, [1] * len(sk.g2)))
     if part == "g2-orbit":  # two entries swapped: full rank weight, but no orbit

@@ -12,7 +12,7 @@ from gabkron.params import setup
 from gabkron.prng import SeededRng
 from gabkron.ranklinalg import RankVector
 
-from conftest import inconsistent_secret_key
+from conftest import inconsistent_secret_key, secret_key_v1
 
 SEED = "ab" * 32
 SET = "new-gabkron-128"
@@ -180,10 +180,33 @@ def toy_repaired_kp():
     return scheme.keygen(p, SeededRng(b"cli-repaired"))
 
 
-@pytest.mark.parametrize("field", ["S", "g2", "g2-orbit", "G1", "P"])
+@pytest.mark.parametrize("field", ["z0", "g2", "g2-orbit", "G1", "P"])
 def test_inconsistent_repaired_key_is_parse_error(toy_repaired_kp, field, tmp_path, capsys):
     kp = toy_repaired_kp
     _decrypt_with_bad_key(inconsistent_secret_key(kp.sk, field), kp.pk, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(m=24, n1=2, k1=2, n2=12, k2=4, t1=2, lam=2),
+    # k^2 = t1: S and z_0 have one length, so only the version tells them apart
+    dict(m=32, n1=2, k1=2, n2=16, k2=1, t1=4, lam=2),
+])
+def test_version_1_repaired_secret_key_is_exit_4(fields, tmp_path, capsys):
+    # a key file that holds S in place of z_0 is refused by its version
+    p = setup(variant="repaired", **fields)
+    kp = scheme.keygen(p, SeededRng(b"cli-version-1"))
+    v1 = secret_key_v1(kp.sk)
+    assert (len(v1) == len(keyio.serialize_secret_key(kp.sk))) == (p.k ** 2 == p.t1)
+    ct = scheme.encrypt(keyio.pack_message(b"v1", p), kp.pk, p, SeededRng(b"cli-v1-e"))
+    (tmp_path / "sk.bin").write_bytes(v1)
+    (tmp_path / "ct.bin").write_bytes(keyio.serialize_ciphertext(ct))
+    rc = main([
+        "decrypt", "--sk", str(tmp_path / "sk.bin"),
+        "--in", str(tmp_path / "ct.bin"), "--out", str(tmp_path / "out.bin"),
+    ])
+    assert rc == 4
+    assert "unsupported version 1 (expected 2)" in capsys.readouterr().err
+    assert not (tmp_path / "out.bin").exists()
 
 
 def test_repaired_files_with_lambda_prime_are_parse_errors(toy_repaired_kp, tmp_path, capsys):

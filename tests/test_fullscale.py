@@ -6,7 +6,10 @@ Set GABKRON_FULLSCALE=1 to run them; together they take a few minutes:
 
 Keys, ciphertexts and plaintexts pass through the key-file formats, as in a
 command-line round trip, and the round-trip test prints its stage timings:
-keygen, and a first decrypt whose parse factors S.  The other tests check
+keygen, and a first decrypt whose parse rebuilds M0 = (G + X) P^-1 from
+the key's generators.  The M0 test checks the decrypter's message, read
+off u M0, against the solve by S = M0[:, :k]^-1 that the version-1 key
+file held.  The other tests check
 fast paths against their referees and print both timings: keygen's
 (G + X) P^-1 from alpha's orbit against the dense product, keygen's
 systematic form by Schur steps against the echelon of [M0 | I_k], and the
@@ -20,7 +23,7 @@ echelon key equation, planted and past the radius.  The parity test also
 checks the inner code's presentation, read off alpha's orbit, against the
 squared-out Moore matrix.  The Newton tests check, at the same four sets,
 the inner code's leading block solved in Newton form against its LU
-factoring (ranklinalg.LeftSolver), and the parity vector h of a code
+factoring (conftest.LeftSolver), and the parity vector h of a code
 built from the inner code's g, by the Newton solve, against the echelon
 of its Moore rows.  The products test checks encrypt's m·N, a
 block's syndromes and the decrypter's c·P, rows packed pairwise and summed
@@ -29,7 +32,9 @@ one scal per term.  The ring test checks the circulant ring's unit test
 and inverse at n = 300 and 330, by the cyclotomic factors of the odd part
 of n, against the Euclid on z^n - 1 at full n.  The key-file test pins the
 SHA-256 of the rep-gabkron-192 and -256 key files of a fixed-seed
-command-line keygen, as the tier-1 workflow does at rep-gabkron-128.
+command-line keygen, as the tier-1 workflow does at rep-gabkron-128.  The
+moduli test checks every entry of gf2m.MODULI against the search that
+found it (70-95 s); tier-1 checks a sample.
 """
 
 import functools
@@ -40,23 +45,26 @@ import time
 
 import pytest
 
-from gabkron import keyio, scheme as sc
+from gabkron import gf2m, keyio, scheme as sc
 from gabkron.cli import main
 from gabkron.gabcodes import GabidulinCode, from_normal_orbit, from_orbit, moore_matrix
 from gabkron.gf2m import FieldCtx
 from gabkron.params import setup
 from gabkron.prng import SeededRng
-from gabkron.ranklinalg import LeftSolver, RankVector, _packed, circulant_block_invert
+from gabkron.ranklinalg import RankVector, _packed, circulant_block_invert
 
 from conftest import (
+    LeftSolver,
     assert_decode_matches_echelon,
     dense_g_plus_x,
     dual_vector_echelon,
     error_coordinates_echelon,
     lincomb_per_term,
     located_error,
+    m0_read_against_s_solve,
     pack_shift_loop,
     ring_against_euclid,
+    smallest_irreducible,
     systematic_form_against_rref,
 )
 
@@ -94,7 +102,7 @@ def test_repaired_full_scale_round_trip(name):
     assert sc.decrypt(keyio.parse_ciphertext(cts[1]), sk, p) == messages[1]
     next_s = time.perf_counter() - t0
     print(f"\n{name}: keygen {keygen_s:.1f} s, first decrypt {first_s:.2f} s "
-          f"(parse with decrypter build, which factors S, {parse_s:.2f} s, then "
+          f"(parse with decrypter build, which rebuilds M0, {parse_s:.2f} s, then "
           f"the decode that builds h), next decrypt {next_s:.2f} s")
 
 
@@ -111,6 +119,18 @@ def test_repaired_m0_full_scale(name):
     dense_s = time.perf_counter() - t0
     assert [pk.unpack(row) for row in rows] == M0.rows
     print(f"\n{name}: M0 {orbit_s:.2f} s from alpha's orbit, {dense_s:.1f} s by the dense product")
+
+
+@pytest.mark.parametrize("name", ["rep-gabkron-192", "rep-gabkron-256"])
+def test_m0_read_matches_s_solve_full_scale(name):
+    # the decrypter's (u M0)[:k], of a parsed key and of keygen's, against
+    # the solve by S = M0[:, :k]^-1 read off the systematic form of M0
+    p, kp, _ = _keypair(name)
+    sk = keyio.parse_secret_key(keyio.serialize_secret_key(kp.sk))
+    assert sk.decrypter().m0[1] == kp.sk.decrypter().m0[1]
+    read_s, solve_s = m0_read_against_s_solve(sk, SeededRng(b"fullscale-m0-read-" + name.encode()))
+    print(f"\n{name}: 4 messages {read_s * 1e3:.1f} ms read off u M0, "
+          f"{solve_s * 1e3:.1f} ms solved by S")
 
 
 @pytest.mark.parametrize("name", ["rep-gabkron-192", "rep-gabkron-256"])
@@ -295,11 +315,11 @@ def test_products_full_scale(name):
 KEY_FILES = {
     "rep-gabkron-192": (
         "f52fb06d17acfb31c62e6946035eeeb0d680707bfcfc5f99164a8189ca8cc4b0",
-        "b1d4146b507cbf28200545dd58c1aa5a05934ce6359878b6a644f8e85ab1da6a",
+        "6e4e81352d9a8d00f787b8e416ccefbec5ef288bab806fb4f6d0289892b63f6f",
     ),
     "rep-gabkron-256": (
         "5cb0923561390340397ca42502dfb5c2e3ae75a9a6344af768bfdfe33daab44e",
-        "d63ec3ad5e2b0f8cc1374020d3b52239aaf5589d9725859ef5061a118567df4c",
+        "fcec21eae3973f7b558d70c59e690f41b9a7033b7d5e79978bc70e19e415aa6c",
     ),
 }
 
@@ -314,3 +334,11 @@ def test_repaired_key_files_full_scale(name, tmp_path):
     digests = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in (pk, sk))
     assert digests == KEY_FILES[name]
     print(f"\n{name}: command-line keygen {keygen_s:.1f} s")
+
+
+def test_moduli_table_full_scale():
+    # every degree FieldCtx accepts against the search that built the table
+    t0 = time.perf_counter()
+    for m in range(2, 513):
+        assert gf2m.MODULI[m] == smallest_irreducible(m), f"m={m}"
+    print(f"\nmoduli: 511 searches in {time.perf_counter() - t0:.1f} s")

@@ -13,6 +13,7 @@ from gabkron.ranklinalg import RankMatrix, RankVector, SingularMatrixError, part
 from gabkron.scheme import sample_rank_error
 
 from conftest import (
+    LeftSolver,
     assert_decode_matches_echelon,
     block_decode_by_subsets,
     block_matrix,
@@ -662,7 +663,7 @@ def test_lead_block_newton_matches_left_solver(params, request):
     # a message read off a codeword's leading k entries by the Newton solve
     # against the LU factoring of the presentation's leading block
     C = stage_code(params, request)
-    lead = rl.LeftSolver(C.generator.submatrix(0, 0, C.k, C.k))
+    lead = LeftSolver(C.generator.submatrix(0, 0, C.k, C.k))
     rng = fresh_rng(b"newton-lead-" + params.encode())
     for _ in range(4):
         b = RankVector.random(C.ctx, C.k, rng).values

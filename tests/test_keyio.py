@@ -1,10 +1,14 @@
+import collections
 import hashlib
+import subprocess
+import sys
 import time
 
 import pytest
 
 from gabkron import keyio, scheme as sc
-from gabkron.gf2m import FieldCtx, modulus_for_degree
+from gabkron.gabcodes import DecodeFailure
+from gabkron.gf2m import FieldCtx
 from gabkron.params import setup
 from gabkron.prng import SeededRng
 from gabkron.ranklinalg import RankVector
@@ -83,12 +87,12 @@ def test_secret_key_round_trip_repaired(repaired_pair):
     assert again.G1 == kp.sk.G1
     assert again.g2 == kp.sk.g2
     assert again.P.dense() == kp.sk.P.dense()
-    assert again.S == kp.sk.S
+    assert again.z0 == kp.sk.z0
     assert again._dec is not None
 
 
 @pytest.mark.parametrize("variant, part", [
-    ("repaired", "S"), ("repaired", "g2"), ("repaired", "g2-orbit"), ("repaired", "G1"),
+    ("repaired", "z0"), ("repaired", "g2"), ("repaired", "g2-orbit"), ("repaired", "G1"),
     ("repaired", "P"),
     ("improved", "G1"), ("improved", "alpha"),
 ])
@@ -98,6 +102,36 @@ def test_parse_rejects_inconsistent_secret_key(request, variant, part):
     blob = keyio.serialize_secret_key(inconsistent_secret_key(kp.sk, part))
     with pytest.raises(keyio.FormatError):
         keyio.parse_secret_key(blob)
+
+
+def test_no_single_bit_flip_of_a_repaired_secret_key_decrypts_wrongly(repaired_pair):
+    # every payload bit of the toy repaired key flipped in turn: the file
+    # fails to parse (P singular, g2 no orbit, G1 rank-deficient, padding),
+    # or decryption raises DecodeFailure, because c - m G_pub has rank above
+    # t for the flipped key's m, or returns the right message; never a
+    # wrong one
+    p, kp = repaired_pair
+    rng = fresh_rng(b"sk-flips")
+    m = RankVector.random(FieldCtx(p.m), p.k, rng)
+    ct = sc.encrypt(m, kp.pk, p, rng)
+    blob = keyio.serialize_secret_key(kp.sk)
+    outcomes = collections.Counter()
+    for bit in range(8 * keyio._HEADER_LEN, 8 * len(blob)):
+        data = bytearray(blob)
+        data[bit // 8] ^= 1 << bit % 8
+        try:
+            sk = keyio.parse_secret_key(bytes(data))
+        except keyio.FormatError:
+            outcomes["parse"] += 1
+            continue
+        try:
+            got = sc.decrypt(ct, sk, p)
+        except DecodeFailure:
+            outcomes["decode"] += 1
+            continue
+        assert got == m, f"payload bit {bit - 8 * keyio._HEADER_LEN}"
+        outcomes["right"] += 1
+    assert outcomes["parse"] and outcomes["decode"]
 
 
 def test_ciphertext_round_trip(improved_pair):
@@ -137,21 +171,46 @@ def test_parse_rejects_malformed(improved_pair):
 @pytest.mark.parametrize("m", [509, 512])
 @pytest.mark.parametrize("variant", ["improved", "repaired"])
 def test_wrong_length_rejected_before_field_search(variant, m):
-    # neither degree is tabulated, so building its field searches for the
-    # modulus (about a second); a short payload must fail before that
+    # a short payload fails on its length, before the field is built
     if variant == "improved":
         p = setup(variant="improved", m=m, n1=2, k1=2, n2=m, k2=m - 8,
                   t=1, t1=1, lam=3, lam_p=2)
     else:
         p = setup(variant="repaired", m=m, n1=2, k1=2, n2=12, k2=4, t1=2, lam=2)
-    data = keyio._header(p) + bytes(64)
-    assert len(data) == 122
-    for parse in (keyio.parse_public_key, keyio.parse_secret_key, keyio.parse_ciphertext):
-        modulus_for_degree.cache_clear()
+    for parse, version in ((keyio.parse_public_key, keyio.VERSION),
+                           (keyio.parse_secret_key, keyio.SK_VERSION),
+                           (keyio.parse_ciphertext, keyio.VERSION)):
+        data = keyio._header(p, version) + bytes(64)
+        assert len(data) == 122
         start = time.perf_counter()
-        with pytest.raises(keyio.FormatError):
+        with pytest.raises(keyio.FormatError, match="payload is 64 bytes"):
             parse(data)
         assert time.perf_counter() - start < 0.2, parse.__name__
+
+
+_PARSE_M504 = """
+import sys, time
+from gabkron import keyio
+data = sys.stdin.buffer.read()
+t0 = time.perf_counter()
+ct = keyio.parse_ciphertext(data)
+print(time.perf_counter() - t0, ct.params.m, len(ct.values))
+"""
+
+
+def test_m504_ciphertext_parses_in_a_fresh_process_under_10ms():
+    # n = 7 <= m = 504 passes setup, so a 499-byte ciphertext can name
+    # GF(2^504), whose modulus a search took about 2 s to find; the table
+    # holds every degree, so a fresh process builds the field at once
+    p = setup(variant="repaired", m=504, n1=1, k1=1, n2=7, k2=1, t1=1, lam=2)
+    rng = fresh_rng(b"m504")
+    data = keyio._header(p) + keyio.pack_elements([rng.element(504) for _ in range(7)], 504)
+    assert len(data) == 499
+    proc = subprocess.run([sys.executable, "-c", _PARSE_M504], input=data,
+                          capture_output=True, timeout=60, check=True)
+    seconds, m, n = proc.stdout.split()
+    assert (int(m), int(n)) == (504, 7)
+    assert float(seconds) < 0.01
 
 
 def test_header_constraint_validation(improved_pair):
@@ -205,32 +264,32 @@ GOLDEN = {
     "toy-improved": (
         dict(variant="improved", m=12, n1=2, k1=2, n2=12, k2=4, t=1, t1=1, lam=3, lam_p=2),
         "96920e72d9fa4ad0ff95f7edf3fbec8e9c0d53627f30a5d123341866d5ee612c",
-        "3d9caccf3d09bb7861b158af88cbf1d6926109eb72628bacd171a3121aed315d",
+        "7bfe6218530afb2561d98a625b7ca8d030cfe9144e885148b25bc632b2cd6144",
         "b42fa969213ca766320289e37cdc3a326966d5e15fb01a596490f08aded82a6c",
     ),
     "toy-repaired": (
         dict(variant="repaired", m=24, n1=2, k1=2, n2=12, k2=4, t1=2, lam=2),
         "abe1e3ea86aaf78d9e70fa79ecfdaec80f5fd9891b3066c819229c4e62cd9ac5",
-        "9db0a399fe3532edb91e4dc495ca8a44b97c91724dc501fd72bf799f1e9e6843",
+        "edd278e0f5fd10244921d70a8ff3a937533a44323460fc8e7da257ad617989e9",
         "b925d236ef28413e01c789a21edcee12a581d87658bbbd84a1a8cef09b9ffe7c",
     ),
     "new-gabkron-128": (
         None,
         "f5d59e02c302f87fad7dac195ce40c32189af838d11fb2b5ded2e79199add417",
-        "9b29e503dae9df710a4461dc5742452985cdd2eeb2a8cc6fb4adb6a49075e86c",
+        "9fa9686ba6c67611cf85dafa7c0d96f07d34c2188c597543d2eb32fc57cfbee6",
         "40c1a15208f997eed2ee3df67d41fc67cc6d5e9667cc9770d946cf3bc3afc178",
     ),
     # n2 = 120 = 8 * 15 and 128 = 2^7: the ring inverse lifts 3 and 7 times
     "new-gabkron-192": (
         None,
         "9efe1286bb2bd5c2554ebcb3421dba9a9454a6c1b8e672e32d5b7ec70f52dfe8",
-        "d2936c3d9910f94308cf9ff64d2521cb3affd9e19878aa71eb1b0a9fddf5065b",
+        "6de016aac6d8c7aa6877322f7e08368b013684d83fd73312a2236b88d083a465",
         "d354c23fc1ecc81ec2a2e56c83c5666b298862408c0a4a581c45de55fccabe75",
     ),
     "new-gabkron-256": (
         None,
         "1c4922a7f3a17c8a3530e9f98f3eb513cf20a900408ad2a37d608270bb251141",
-        "13c4ea4a077533c706116e8042ae0ed4c4f470c16419b026bf9c5c8974649be6",
+        "a110dd07b693880471ea82790f68c13b6612dc40fdeefe497801b5b3be935fea",
         "d71a8a7a53c4834abc8782aae1cd18638dd620716c9da4d2957c3219d00cd084",
     ),
 }

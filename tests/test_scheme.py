@@ -13,7 +13,6 @@ from gabkron.params import setup
 from gabkron.prng import SeededRng
 from gabkron.ranklinalg import (
     CirculantGrid,
-    LeftSolver,
     RankMatrix,
     RankVector,
     SingularMatrixError,
@@ -32,10 +31,11 @@ from gabkron.scheme import (
 )
 
 from conftest import (
-    block_matrix,
     dense_g_plus_x,
     fresh_rng,
     inconsistent_secret_key,
+    m0_read_against_s_solve,
+    systematic,
     systematic_form_against_rref,
     vec_add,
     vec_mat,
@@ -305,18 +305,14 @@ def test_improved_pk_structure(toy_kp):
     assert is_partial_circulant_block(kp.pk.matrix.dense(), p.k1, p.n1, p.k2, p.n2)
 
 
-def systematic(N):
-    """The dense public generator [I_k | N] of a repaired key's N."""
-    return block_matrix([[RankMatrix.identity(N.ctx, N.nrows), N]])
-
-
 def test_repaired_pk_systematic(toy_rep_kp):
-    # the key holds N; S undoes the row transform: S (G + X) P^-1 = [I_k | N]
+    # the key holds N; M0 = (G + X) P^-1 is its leading block times
+    # [I_k | N], so m [I_k | N] is (m M0[:, :k]^-1) M0
     p, kp = toy_rep_kp
     N = kp.pk.matrix
     assert (N.nrows, N.ncols) == (p.k, p.n - p.k)
     M0 = dense_g_plus_x(kp).mul(circulant_inverse(kp.sk.P.dense()))
-    assert kp.sk.S.mul(M0) == systematic(N)
+    assert M0.submatrix(0, 0, p.k, p.k).mul(systematic(N)) == M0
 
 
 def test_repaired_encrypt_matches_dense_product(toy_rep_kp):
@@ -540,20 +536,21 @@ def test_wide_outer_matrix_round_trip():
 @pytest.mark.parametrize("pair", ["toy_kp", "toy_rep_kp"])
 def test_decrypter_inverts_inner_code_once(pair, request, monkeypatch):
     # the inner code's leading block is put in Newton form once, for
-    # reading messages off codewords, on the first decrypt, and never
-    # factored as a k2 x k2 matrix; the one LeftSolver a repaired key
-    # builds is S's
+    # reading messages off codewords, on the first decrypt; neither it nor
+    # a repaired key's M0[:, :k] is factored or inverted: the parse and the
+    # decrypts eliminate only over the k1 x n1 G1 and the decoded blocks
     p, kp = request.getfixturevalue(pair)
     ctx = kp.pk.matrix.ctx
     blob = keyio.serialize_secret_key(kp.sk)
     shapes = []
-    init = LeftSolver.__init__
+    echelon = ranklinalg._echelon_packed
 
-    def recording_init(self, A):
-        shapes.append((A.nrows, A.ncols))
-        init(self, A)
+    def recording_echelon(ctx, rows, ncols):
+        shapes.append(len(rows))
+        return echelon(ctx, rows, ncols)
 
-    monkeypatch.setattr(LeftSolver, "__init__", recording_init)
+    monkeypatch.setattr(ranklinalg, "_echelon_packed", recording_echelon)
+    monkeypatch.setattr(RankMatrix, "invert", lambda self: shapes.append(self.nrows))
     newtons = []
     lead_newton = gabcodes.GabidulinCode.__dict__["_lead_newton"].func
 
@@ -570,8 +567,7 @@ def test_decrypter_inverts_inner_code_once(pair, request, monkeypatch):
     for _ in range(3):
         m = RankVector.random(ctx, p.k, rng)
         assert sc.decrypt(sc.encrypt(m, kp.pk, p, rng), sk, p) == m
-    assert (p.k2, p.k2) not in shapes
-    assert shapes == ([(p.k, p.k)] if p.variant == "repaired" else [])
+    assert shapes and max(shapes) <= p.n1
     assert newtons == [sk._dec.code.C2]
 
 
@@ -620,6 +616,39 @@ def test_keygen_makes_no_inverse_or_dense_product(params, request, monkeypatch):
 
 
 @pytest.mark.parametrize("params", ["toy_repaired", "rep-gabkron-128"])
+def test_repaired_m0_read_matches_s_solve(params, request):
+    # the message read off u M0 by a parsed key's decrypter and by keygen's
+    # against the solve by S = M0[:, :k]^-1, which the key held before z_0
+    p = request.getfixturevalue(params) if params.startswith("toy") else setup(params)
+    for seed in (b"m0-read-1", b"m0-read-2"):
+        kp = sc.keygen(p, SeededRng(seed + params.encode()))
+        sk = keyio.parse_secret_key(keyio.serialize_secret_key(kp.sk))
+        assert sk.decrypter().m0[1] == kp.sk.decrypter().m0[1]
+        m0_read_against_s_solve(sk, fresh_rng(seed))
+
+
+@pytest.mark.parametrize("params", ["toy_repaired", "rep-gabkron-128"])
+def test_repaired_decrypt_refuses_an_error_of_rank_above_t(params, request):
+    # with m = 0 the blocks carry no part of X, so an error of rank t + 1
+    # adds rank at most lam (t + 1) <= t2 to them and decodes; only the
+    # check rk(c - m G_pub) <= t refuses it, and rank t still decrypts
+    p = request.getfixturevalue(params) if params.startswith("toy") else setup(params)
+    kp = sc.keygen(p, SeededRng(b"rank-above-t-" + params.encode()))
+    assert p.lam * (p.t + 1) <= p.t2
+    ctx = kp.pk.matrix.ctx
+    rng = fresh_rng(b"rank-above-t")
+    for t in (p.t, p.t + 1):
+        ct = sc.Ciphertext(p, sample_rank_error(ctx, p.n, t, rng))
+        if t == p.t:
+            assert sc.decrypt(ct, kp.sk, p) == RankVector.zero(ctx, p.k)
+            continue
+        with pytest.raises(DecodeFailure, match=f"rank {t} > t"):
+            sc.decrypt(ct, kp.sk, p)
+        assert kp.code.block_decode(kp.sk.P.left_mul_values(ct.values.values)) == \
+            RankVector.zero(ctx, p.k)
+
+
+@pytest.mark.parametrize("params", ["toy_repaired", "rep-gabkron-128"])
 def test_repaired_m0_by_structure_matches_dense_product(params, request):
     # the referee is the dense (G + X) P^-1 of the paper's definition
     p = request.getfixturevalue(params) if params.startswith("toy") else setup(params)
@@ -628,7 +657,7 @@ def test_repaired_m0_by_structure_matches_dense_product(params, request):
     pk, rows = sc._repaired_m0_rows(kp.code, kp.x_witness.X, Pinv)
     M0 = dense_g_plus_x(kp).mul(Pinv.dense())
     assert [pk.unpack(row) for row in rows] == M0.rows
-    assert kp.sk.S.mul(M0.submatrix(0, 0, p.k, p.k)) == RankMatrix.identity(M0.ctx, p.k)
+    assert M0.submatrix(0, 0, p.k, p.k).mul(systematic(kp.pk.matrix)) == M0
 
 
 def test_improved_decrypter_squares_one_orbit_of_alpha(monkeypatch):
@@ -749,25 +778,26 @@ def test_public_grid_with_a_negative_entry_raises(toy_kp):
 @pytest.mark.parametrize("params", ["toy_improved", "toy_repaired"])
 def test_keygen_hands_its_code_to_the_key(params, request, monkeypatch):
     # keygen and the first decrypt build the inner code once, and the key's
-    # decrypter is keygen's: no gcd on P, and S is factored on first decrypt
+    # decrypter is keygen's: no gcd on P, and a repaired key's M0 rows are
+    # keygen's, not built again
     p = request.getfixturevalue(params)
     calls = []
     for cls, name in ((GabidulinCode, "__init__"), (CirculantGrid, "is_invertible"),
-                      (LeftSolver, "__init__")):
+                      (sc, "_repaired_m0_rows")):
         orig = getattr(cls, name)
 
-        def recording(self, *args, _key=(cls.__name__, name), _orig=orig):
+        def recording(*args, _key=(cls.__name__, name), _orig=orig):
             calls.append(_key)
-            return _orig(self, *args)
+            return _orig(*args)
 
         monkeypatch.setattr(cls, name, recording)
     kp = sc.keygen(p, SeededRng(b"hand-over"))
-    assert calls == [("GabidulinCode", "__init__")]
+    m0 = [("gabkron.scheme", "_repaired_m0_rows")] if p.variant == "repaired" else []
+    assert calls == [("GabidulinCode", "__init__")] + m0
     rng = fresh_rng(b"hand-over")
     m = RankVector.random(kp.pk.matrix.ctx, p.k, rng)
     assert sc.decrypt(sc.encrypt(m, kp.pk, p, rng), kp.sk, p) == m
-    assert calls.count(("GabidulinCode", "__init__")) == 1
-    assert ("CirculantGrid", "is_invertible") not in calls
+    assert calls == [("GabidulinCode", "__init__")] + m0
     assert kp.sk.decrypter().code is kp.code
 
 
@@ -990,7 +1020,8 @@ def test_second_round_trip_packs_no_kept_rows(params, request, monkeypatch):
 @pytest.mark.parametrize("pair", ["toy_kp", "toy_rep_kp"])
 def test_decrypt_builds_no_packed_rows_of_p(pair, request, monkeypatch):
     # c·P comes from P's GF(2) decomposition (CirculantGrid.left_mul_values),
-    # so neither a parsed key nor a key in memory packs P's rows to decrypt
+    # so neither a parsed key nor a key in memory packs P's rows to decrypt;
+    # a parsed repaired key packs those of P^-1 and X P^-1 once, for M0's rows
     p, kp = request.getfixturevalue(pair)
     rng = fresh_rng(b"no-p-rows")
     ctx = kp.pk.matrix.ctx
@@ -1005,4 +1036,5 @@ def test_decrypt_builds_no_packed_rows_of_p(pair, request, monkeypatch):
         for m, ct in zip(msgs, cts):
             assert sc.decrypt(ct, sk, p) == m
         assert sk.P._prows is None
-    assert grids == []
+    assert len(grids) == (2 if p.variant == "repaired" else 0)
+    assert all(g.gens != kp.sk.P.gens for g in grids)
