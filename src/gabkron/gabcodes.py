@@ -49,7 +49,7 @@ once and hands to the builder:
 - the improved variant's has length m and a normal alpha
   (from_normal_orbit), so its parity check is the trace-dual orbit:
   h_j = beta^[j] for the trace dual beta of alpha (one GF(2) solve), and
-  row r of the parity check is h rotated left by r;
+  each column of the parity check is a window of h, taken cyclically;
 - the repaired variant's has g = (alpha^[n-1], ..., alpha) with n <= m
   (from_orbit), the tail of alpha's m-orbit, so its Moore matrix is a
   set of windows of that orbit.
@@ -211,10 +211,8 @@ class GabidulinCode:
 
     @cached_property
     def _packed_hcols(self):
-        d1 = self.n - self.k
-        pk = _packed(self.ctx, d1)
-        H = self.parity_check
-        return pk, [pk.pack([H.rows[r][i] for r in range(d1)]) for i in range(self.n)]
+        pk = _packed(self.ctx, self.n - self.k)
+        return pk, [pk.pack(col) for col in zip(*self.parity_check.rows)]
 
     @cached_property
     def _lead_newton(self):
@@ -392,7 +390,8 @@ class GabidulinCode:
         w = len(E)
         span = self._spans.get(w)
         if span is None:
-            span = self._spans[w] = BitSpan(self.parity_check.rows[w - 1])
+            pk, cols = self._packed_hcols
+            span = self._spans[w] = BitSpan([pk.entry(col, w - 1) for col in cols])
         sols = [span.coordinates(x) for x in W]
         if None in sols:
             return None
@@ -425,9 +424,13 @@ class _NormalOrbitCode(GabidulinCode):
         return RankVector(self.ctx, self.ctx.frobenius_orbit(beta, self.n)[::-1])
 
     @cached_property
-    def parity_check(self) -> RankMatrix:
-        h = self.h.values
-        return RankMatrix(self.ctx, [h[r:] + h[:r] for r in range(self.n - self.k)])
+    def _packed_hcols(self):
+        """Column i of the parity check, h_i, ..., h_{i+n-k-1} cyclically, is
+        a window of one packed row of h || h[:n-k]."""
+        d1, h = self.n - self.k, self.h.values
+        pk = _packed(self.ctx, d1)
+        row, keep = pk.pack(h + h[:d1]), (1 << d1 * pk.S) - 1
+        return pk, [row >> i * pk.S & keep for i in range(self.n)]
 
 
 def from_normal_orbit(ctx: FieldCtx, orbit, k2: int) -> GabidulinCode:

@@ -26,7 +26,7 @@ G_pub's generators come from products in the circulant ring
 (_improved_public_grid), and the dense matrices are never built.  The
 repaired variant never builds the dense G either: G P^{-1} comes row by
 row from alpha's orbit, since G = G1 (x) Moore(g2) and a rotation
-commutes with the circulant P^{-1} (_repaired_m0_rows).  It adds X P^{-1},
+commutes with the circulant P^{-1} (_repaired_m0_gens).  It adds X P^{-1},
 taken in the ring, and reads N off [I_k | N | S], the reduced echelon
 form of [M0 | I_k] for M0 = (G + X) P^{-1}.  Each row of M0 is the one
 above rotated, plus a combination of two rows of P^{-1}, except at the
@@ -35,10 +35,11 @@ generators give that form (ranklinalg._systematic_packed); the echelon
 runs only when a leading principal minor is singular.  The public key
 holds N, as its file does; no other module knows that G_pub = [I_k | N].
 The repaired secret key holds z_0, the t1 values that row 0 of X repeats,
-and not S: S^-1 = M0[:, :k], so a decrypter rebuilds X, P^{-1} and M0's
-rows from the key's generators (keygen hands over the rows it has) and
-reads m off w = mu M0, which is m G_pub = m || m N for the right key: one
-lincomb, and no decrypt factors or inverts a k x k matrix.  It returns
+and not S: S^-1 = M0[:, :k].  A decrypter holds M0 by its generators,
+the k2 rows [g2^[r] | 0] P^{-1} and the t1 values X P^{-1}'s generator
+repeats (keygen hands over its own, and only keygen expands them to rows),
+and reads m off w = mu M0 = m || m N for the right key: k row products,
+and no decrypt factors or inverts a k x k matrix.  It returns
 w[:k] only when c - w has rank at most t, so a damaged key or an error of
 rank above t is a DecodeFailure, not a plaintext.
 
@@ -89,7 +90,10 @@ from .ranklinalg import (
     RankMatrix,
     RankVector,
     SingularMatrixError,
+    _SUM_CHUNK,
+    _binary_parts,
     _cyc_sum,
+    _fold_slots,
     _packed,
     _systematic_packed,
     checked_values,
@@ -315,13 +319,13 @@ class Ciphertext:
 
 class _Decrypter:
     """Decoder state of a secret tuple; P's GF(2) decomposition (which P
-    keeps) is built on first use.  A repaired decrypter also holds the
-    packed rows of M0 = (G + X) P^-1 and the error rank t."""
+    keeps) is built on first use.  A repaired decrypter also holds M0 =
+    (G + X) P^-1 by its generators (_repaired_m0_gens) and the error rank t."""
 
     def __init__(self, code: KroneckerCode, P: CirculantGrid, m0=None, t=None):
         self.code = code
         self.P = P
-        self.m0 = m0  # (packer, rows) of M0, repaired only
+        self.m0 = m0  # (packer, ys, xp) of M0, repaired only
         self.t = t
 
     @classmethod
@@ -349,8 +353,26 @@ class _Decrypter:
         code = KroneckerCode(sk.G1, C2)
         if len(sk.z0) != p.t1:
             raise ValueError(f"z0 must hold t1 = {p.t1} values")
-        X = CirculantGrid(ctx, [[reflect(sk.z0.values * (p.n // p.t1))]], p.k)
-        return cls(code, sk.P, _repaired_m0_rows(code, X, circulant_block_invert(sk.P)), p.t)
+        Pinv = circulant_block_invert(sk.P)
+        return cls(code, sk.P, _repaired_m0_gens(code, sk.z0.values, Pinv), p.t)
+
+    def times_m0(self, u):
+        """u M0 from M0's generators: u G P^-1 = sum_j rot(sum_r u_{j,r} y_r,
+        j n2) for u_j = sum_i G1[i][j] u_i, u_i the k2-value parts of u, and
+        u X P^-1 repeats s Cir_t1(xp), s_r the sum of the u_rho, rho = r mod t1."""
+        code, (pk, ys, xp) = self.code, self.m0
+        n, k2, t1 = code.n, code.k2, len(xp)
+        p2 = _packed(pk.ctx, k2)
+        parts = [p2.pack(u[i : i + k2]) for i in range(0, code.k, k2)]
+        us = [p2.unpack(p2.fold(p2.sum_products(zip(col, parts)))) for col in zip(*code.G1.rows)]
+        acc = 0
+        for c in range(0, k2, _SUM_CHUNK):  # one window table of y_r for every u_j
+            tabs = [pk.table(y) for y in ys[c : c + _SUM_CHUNK]]
+            for j, uj in enumerate(us):
+                acc ^= pk.rotate(pk.mul_sum(tabs, uj[c : c + _SUM_CHUNK]), j * code.n2, n)
+        s = _packed(pk.ctx, t1).unpack(_fold_slots(pk.S, pk.pack(u), t1))
+        ux = CirculantGrid(pk.ctx, [[xp]], t1).left_mul_values(s)
+        return [a ^ b for a, b in zip(pk.unpack(pk.fold(acc)), ux * (n // t1))]
 
     def decrypt(self, c_vals):
         """The message; a repaired key reads it off w = mu M0, which is
@@ -359,8 +381,7 @@ class _Decrypter:
         mu = self.code.block_decode(self.P.left_mul_values(c_vals))
         if self.m0 is None:
             return mu
-        pk, rows = self.m0
-        w = pk.lincomb(mu.values, rows)
+        w = self.times_m0(mu.values)
         r = _bit_rank([a ^ b for a, b in zip(c_vals, w)])
         if r > self.t:
             raise DecodeFailure(f"c - m G_pub has rank {r} > t = {self.t}")
@@ -400,15 +421,14 @@ def keygen(p: ParamSet, rng) -> KeyPair:
         else:
             # the RREF of [M0 | I_k] is [I_k | N | S] with S M0 = [I_k | N]
             # exactly when its pivots lead, S = M0[:, :k]^-1; M0 is
-            # Toeplitz-like, so generalized Schur steps give it.  They
-            # overwrite their rows, and the decrypter keeps M0's.
-            m0 = _repaired_m0_rows(code, xw.X, Pinv)
-            rows = list(m0[1])
+            # Toeplitz-like, so generalized Schur steps give it
+            z0 = RankVector(ctx, reflect(xw.X.gens[0][0])[: p.t1])
+            m0 = _repaired_m0_gens(code, z0.values, Pinv)
+            _, rows = _repaired_m0_rows(code, m0)
             if _systematic_packed(ctx, rows, p.n) != list(range(p.k)):
                 continue  # leading minor singular: fresh randomness
             unpack = _packed(ctx, p.n).unpack
             pk = PublicKey(p, RankMatrix(ctx, [unpack(row)[p.k :] for row in rows]))
-            z0 = RankVector(ctx, reflect(xw.X.gens[0][0])[: p.t1])
             sk = RepairedSecretKey(p, G1=G1, g2=C2.g, P=P, z0=z0)
         sk._dec = _Decrypter(code, P, m0, p.t)
         return KeyPair(pk=pk, sk=sk, x_witness=xw, subspace=spec, code=code)
@@ -440,38 +460,43 @@ def _improved_public_grid(G1: RankMatrix, orbit, X: CirculantGrid, P: CirculantG
     return CirculantGrid(ctx, gens, X.k)
 
 
-def _repaired_m0_rows(code: KroneckerCode, X: CirculantGrid, Pinv: CirculantGrid):
-    """Packed rows of M0 = (G + X) P^-1 for the repaired G = G1 (x) Moore(g2).
+def _repaired_m0_gens(code: KroneckerCode, z0, Pinv: CirculantGrid):
+    """Generators (packer, ys, xp) of M0 = (G + X) P^-1 for the repaired
+    G = G1 (x) Moore(g2) and X = Cir_k(x), x = reflect(z0 repeated).
 
     g2 = (alpha^[n2-1], ..., alpha), so [g2^[r+1] | 0] is [g2^[r] | 0]
     rotated right by one slot, plus alpha^[n2+r] at slot 0 and minus the
     alpha^[r] rotated into slot n2.  A rotation commutes with the
-    circulant P^-1, so y_r = [g2^[r] | 0] P^-1 follows
+    circulant P^-1, so y_r = [g2^[r] | 0] P^-1, r < k2, packed, follows
     y_{r+1} = rot(y_r, 1) + alpha^[n2+r] row_0(P^-1) + alpha^[r] row_n2(P^-1),
-    and row (i, r) of G P^-1 is sum_j G1[i][j] rot(y_r, j n2): about
-    n2 + 2 k2 + n1 k row products, in sums of products, instead of the k n
-    of a dense product.  X P^-1 is Cir_k(x P^-1) for X = Cir_k(x), its
-    generator a product in the circulant ring that takes x, which repeats
-    t1 values, through its GF(2) decomposition (ranklinalg._cyc_sum).
-    Returns (packer, rows), rows reduced.
+    and row (i, r) of G P^-1 is sum_j G1[i][j] rot(y_r, j n2).  X P^-1 is
+    Cir_k(x b) for P^-1 = Cir(b), and x b repeats its first t1 = len(z0)
+    values, xp, as x does: reflect(z0) times b folded onto t1 slots
+    (ranklinalg._fold_slots), through reflect(z0)'s GF(2) decomposition.
     """
-    n, n2 = code.n, code.n2
-    C2 = code.C2
-
-    pk, pinv_rows = Pinv.packed_rows()
+    n, n2, t1, C2 = code.n, code.n2, len(z0), code.C2
+    pk, p1 = _packed(code.ctx, n), _packed(code.ctx, t1)
+    row0 = pk.pack(reflect(Pinv.gens[0][0]))
+    pinv_rows = [pk.rotate(row0, r, n) for r in range(n2 + 1)]
     sum_products, fold, rotate = pk.sum_products, pk.fold, pk.rotate
     ys = [fold(sum_products(zip(C2.g.values, pinv_rows)))]
     for r in range(code.k2 - 1):
-        step = ((C2.frob(n2 + r), pinv_rows[0]), (C2.frob(r), pinv_rows[n2 % n]))
+        step = ((C2.frob(n2 + r), pinv_rows[0]), (C2.frob(r), pinv_rows[n2]))
         ys.append(fold(rotate(ys[-1], 1, n) ^ sum_products(step)))
-    blocks = [[rotate(y, j * n2, n) for j in range(code.n1)] for y in ys]
-    xp = _cyc_sum(pk, [(pk.pack(Pinv.gens[0][0]), X.parts()[0][0])])
-    _, xp_rows = CirculantGrid(code.ctx, [[pk.unpack(fold(xp))]], X.k).packed_rows()
-    rows = []
-    for g1row in code.G1.rows:
-        for yr in blocks:
-            rows.append(fold(sum_products(zip(g1row, yr))) ^ xp_rows[len(rows)])
-    return pk, rows
+    bt = _fold_slots(pk.S, pk.pack(Pinv.gens[0][0]), t1)
+    xp = p1.unpack(p1.fold(_cyc_sum(p1, [(bt, _binary_parts(reflect(z0)))])))
+    return pk, ys, xp
+
+
+def _repaired_m0_rows(code: KroneckerCode, gens):
+    """(packer, M0's k packed rows, reduced) from its generators, for
+    keygen's systematic form: row (i, r) is sum_j G1[i][j] rot(y_r, j n2)
+    plus row i k2 + r of Cir_k(xp), row 0 rotated right i k2 + r slots."""
+    (pk, ys, xp), n = gens, code.n
+    x0 = pk.pack(reflect(xp * (n // len(xp))))
+    return pk, [pk.fold(pk.sum_products((g, pk.rotate(y, j * code.n2, n)) for j, g in enumerate(g1))
+                        ^ pk.rotate(x0, i * code.k2 + r, n))
+                for i, g1 in enumerate(code.G1.rows) for r, y in enumerate(ys)]
 
 
 def encrypt(message, pk: PublicKey, p: ParamSet, rng) -> Ciphertext:

@@ -648,7 +648,7 @@ def systematic_form_against_rref(kp):
     and every row, and M0[:, :k] [I_k | N] = M0 for the key's N.  Returns
     the seconds each took."""
     p = kp.pk.params
-    pk, rows = sc._repaired_m0_rows(kp.code, kp.x_witness.X, circulant_block_invert(kp.sk.P))
+    pk, rows = m0_rows(kp, circulant_block_invert(kp.sk.P))
     got = list(rows)
     t0 = time.perf_counter()
     pivots = rl._systematic_packed(pk.ctx, got, p.n)
@@ -663,6 +663,23 @@ def systematic_form_against_rref(kp):
     return schur_s, rref_s
 
 
+def m0_rows(kp, Pinv):
+    """(packer, rows) of a repaired key pair's M0 = (G + X) P^-1: the
+    generators of its code, z_0 and P^-1 expanded by _repaired_m0_rows."""
+    return sc._repaired_m0_rows(kp.code, sc._repaired_m0_gens(kp.code, kp.sk.z0.values, Pinv))
+
+
+def m0_read_against_rows_and_dense(kp, M0, rng, trials=4):
+    """The key's decrypter's u M0, read off M0's generators, against u times
+    M0's rows expanded by _repaired_m0_rows and u times the dense M0, for
+    random u."""
+    dec = kp.sk.decrypter()
+    pk, rows = sc._repaired_m0_rows(dec.code, dec.m0)
+    for _ in range(trials):
+        u = [rng.element(M0.ctx.m) for _ in range(M0.nrows)]
+        assert dec.times_m0(u) == pk.lincomb(u, rows) == M0.left_mul_values(u)
+
+
 def systematic(N):
     """The dense public generator [I_k | N] of a repaired key's N."""
     return block_matrix([[RankMatrix.identity(N.ctx, N.nrows), N]])
@@ -670,11 +687,11 @@ def systematic(N):
 
 def secret_s(sk):
     """S = M0[:, :k]^-1 of a repaired key, read off [I_k | N | S], the
-    systematic form of a copy of its decrypter's M0 rows, as keygen took it
-    when the key held S in place of z_0."""
+    systematic form of M0's rows expanded from its decrypter's generators,
+    as keygen took it when the key held S in place of z_0."""
     p = sk.params
-    pk, rows = sk.decrypter().m0
-    got = list(rows)
+    dec = sk.decrypter()
+    pk, got = sc._repaired_m0_rows(dec.code, dec.m0)
     assert rl._systematic_packed(pk.ctx, got, p.n) == list(range(p.k))
     unpack = rl._packed(pk.ctx, p.n + p.k).unpack
     return RankMatrix(pk.ctx, [unpack(row)[p.n :] for row in got])
@@ -690,17 +707,17 @@ def secret_key_v1(sk):
 
 
 def m0_read_against_s_solve(sk, rng, trials=4):
-    """The repaired decrypter's (u M0)[:k] against LeftSolver(S).solve(u),
-    S = secret_s(sk).  Returns the seconds of the rows' product and of the
-    solve, summed over the trials."""
+    """The repaired decrypter's (u M0)[:k], read off M0's generators,
+    against LeftSolver(S).solve(u), S = secret_s(sk).  Returns the seconds
+    of the read and of the solve, summed over the trials."""
     p = sk.params
-    pk, rows = sk.decrypter().m0
+    dec = sk.decrypter()
     solver = LeftSolver(secret_s(sk))
     read_s = solve_s = 0.0
     for _ in range(trials):
         u = [rng.element(p.m) for _ in range(p.k)]
         t0 = time.perf_counter()
-        w = pk.lincomb(u, rows)
+        w = dec.times_m0(u)
         t1 = time.perf_counter()
         x = solver.solve(u)
         solve_s += time.perf_counter() - t1

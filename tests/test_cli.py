@@ -327,6 +327,26 @@ def test_undecodable_ciphertext_names_its_failed_blocks(keydir, tmp_path, capsys
     assert not (tmp_path / "o").exists()
 
 
+def test_rank_check_refusal_names_no_blocks(toy_repaired_kp, tmp_path, capsys):
+    # an error of rank t + 1 on m = 0 decodes in every block, within
+    # lam (t + 1) <= t2, and only the check rk(c - m G_pub) <= t refuses it:
+    # no block failed, so the message lists none
+    kp = toy_repaired_kp
+    p = kp.pk.params
+    assert p.lam * (p.t + 1) <= p.t2
+    e = scheme.sample_rank_error(FieldCtx(p.m), p.n, p.t + 1, SeededRng(b"cli-rank-above-t"))
+    (tmp_path / "sk").write_bytes(keyio.serialize_secret_key(kp.sk))
+    (tmp_path / "c").write_bytes(keyio.serialize_ciphertext(scheme.Ciphertext(p, e)))
+    rc = main([
+        "decrypt", "--sk", str(tmp_path / "sk"),
+        "--in", str(tmp_path / "c"), "--out", str(tmp_path / "o"),
+    ])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        f"error: decryption failed: c - m G_pub has rank {p.t + 1} > t = {p.t}\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_audit_all_passes(capsys):
     assert main(["audit", "--all"]) == 0
     out = capsys.readouterr().out

@@ -6,12 +6,13 @@ Set GABKRON_FULLSCALE=1 to run them; together they take a few minutes:
 
 Keys, ciphertexts and plaintexts pass through the key-file formats, as in a
 command-line round trip, and the round-trip test prints its stage timings:
-keygen, and a first decrypt whose parse rebuilds M0 = (G + X) P^-1 from
-the key's generators.  The M0 test checks the decrypter's message, read
-off u M0, against the solve by S = M0[:, :k]^-1 that the version-1 key
-file held.  The other tests check
+keygen, and a first decrypt whose parse builds the generators of
+M0 = (G + X) P^-1 from the key's.  The M0 read test checks the
+decrypter's message, read off u M0 by those generators, against the solve
+by S = M0[:, :k]^-1 that the version-1 key file held.  The other tests check
 fast paths against their referees and print both timings: keygen's
-(G + X) P^-1 from alpha's orbit against the dense product, keygen's
+(G + X) P^-1 from alpha's orbit against the dense product, with the
+decrypter's u M0 against u times both, keygen's
 systematic form by Schur steps against the echelon of [M0 | I_k], and the
 inner code's parity vector h against the Moore solve, and the decoder's
 error values W by Moore stages against the echelon of the whole Moore
@@ -61,6 +62,7 @@ from conftest import (
     error_coordinates_echelon,
     lincomb_per_term,
     located_error,
+    m0_read_against_rows_and_dense,
     m0_read_against_s_solve,
     pack_shift_loop,
     ring_against_euclid,
@@ -102,32 +104,39 @@ def test_repaired_full_scale_round_trip(name):
     assert sc.decrypt(keyio.parse_ciphertext(cts[1]), sk, p) == messages[1]
     next_s = time.perf_counter() - t0
     print(f"\n{name}: keygen {keygen_s:.1f} s, first decrypt {first_s:.2f} s "
-          f"(parse with decrypter build, which rebuilds M0, {parse_s:.2f} s, then "
+          f"(parse with decrypter build, which builds M0's generators, {parse_s:.2f} s, then "
           f"the decode that builds h), next decrypt {next_s:.2f} s")
 
 
 @pytest.mark.parametrize("name", ["rep-gabkron-192", "rep-gabkron-256"])
 def test_repaired_m0_full_scale(name):
-    # keygen's (G + X) P^-1 from alpha's orbit against the dense product
+    # keygen's (G + X) P^-1 from alpha's orbit against the dense product,
+    # and the decrypter's u M0, read off M0's generators, against u times
+    # the rows and the dense product
     p, kp, _ = _keypair(name)
     Pinv = circulant_block_invert(kp.sk.P)
     t0 = time.perf_counter()
-    pk, rows = sc._repaired_m0_rows(kp.code, kp.x_witness.X, Pinv)
+    gens = sc._repaired_m0_gens(kp.code, kp.sk.z0.values, Pinv)
+    gens_s = time.perf_counter() - t0
+    pk, rows = sc._repaired_m0_rows(kp.code, gens)
     orbit_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     M0 = dense_g_plus_x(kp).mul(Pinv.dense())
     dense_s = time.perf_counter() - t0
     assert [pk.unpack(row) for row in rows] == M0.rows
-    print(f"\n{name}: M0 {orbit_s:.2f} s from alpha's orbit, {dense_s:.1f} s by the dense product")
+    m0_read_against_rows_and_dense(kp, M0, SeededRng(b"fullscale-m0-gens-" + name.encode()))
+    print(f"\n{name}: M0 {orbit_s:.2f} s from alpha's orbit ({gens_s:.2f} s its "
+          f"generators), {dense_s:.1f} s by the dense product")
 
 
 @pytest.mark.parametrize("name", ["rep-gabkron-192", "rep-gabkron-256"])
 def test_m0_read_matches_s_solve_full_scale(name):
-    # the decrypter's (u M0)[:k], of a parsed key and of keygen's, against
-    # the solve by S = M0[:, :k]^-1 read off the systematic form of M0
+    # the decrypter's (u M0)[:k], read off M0's generators, of a parsed key
+    # and of keygen's, against the solve by S = M0[:, :k]^-1 read off the
+    # systematic form of M0
     p, kp, _ = _keypair(name)
     sk = keyio.parse_secret_key(keyio.serialize_secret_key(kp.sk))
-    assert sk.decrypter().m0[1] == kp.sk.decrypter().m0[1]
+    assert sk.decrypter().m0[1:] == kp.sk.decrypter().m0[1:]
     read_s, solve_s = m0_read_against_s_solve(sk, SeededRng(b"fullscale-m0-read-" + name.encode()))
     print(f"\n{name}: 4 messages {read_s * 1e3:.1f} ms read off u M0, "
           f"{solve_s * 1e3:.1f} ms solved by S")

@@ -353,6 +353,27 @@ def test_trace_dual_parity_vector(params, request):
     assert C2.parity_check == gc.moore_matrix(C2.h, p.n2 - p.k2)
 
 
+@pytest.mark.parametrize("params", ["toy_improved", "new-gabkron-128"])
+def test_normal_orbit_parity_columns_are_windows_of_h(params, request):
+    # column i of the parity check is h_i, ..., h_{i+n-k-1}, cyclic: the
+    # windows of one packed row of h || h[:n-k] are the columns of h's Moore
+    # matrix, transposed, and a decode that locates an error builds no
+    # parity-check matrix
+    p = request.getfixturevalue(params) if params.startswith("toy") else setup(params)
+    ctx = FieldCtx(p.m)
+    C = gc.from_normal_orbit(
+        ctx, ctx.find_normal_element(fresh_rng(b"h-windows-" + params.encode())), p.k2)
+    rng = fresh_rng(b"h-windows")
+    u = RankVector.random(ctx, p.k2, rng)
+    e = sample_rank_error(ctx, p.n2, C.radius, rng)
+    y = [a ^ b for a, b in zip(C.encode(u).values, e.values)]
+    assert C.decode(y) == (u, e)
+    assert "parity_check" not in C.__dict__
+    pk, cols = C._packed_hcols
+    H = gc.moore_matrix(C.h, p.n2 - p.k2)
+    assert [pk.unpack(col) for col in cols] == [list(col) for col in zip(*H.rows)]
+
+
 def decode_or_none(C, y):
     try:
         return C.decode(y)

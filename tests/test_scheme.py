@@ -34,7 +34,9 @@ from conftest import (
     dense_g_plus_x,
     fresh_rng,
     inconsistent_secret_key,
+    m0_read_against_rows_and_dense,
     m0_read_against_s_solve,
+    m0_rows,
     systematic,
     systematic_form_against_rref,
     vec_add,
@@ -623,7 +625,7 @@ def test_repaired_m0_read_matches_s_solve(params, request):
     for seed in (b"m0-read-1", b"m0-read-2"):
         kp = sc.keygen(p, SeededRng(seed + params.encode()))
         sk = keyio.parse_secret_key(keyio.serialize_secret_key(kp.sk))
-        assert sk.decrypter().m0[1] == kp.sk.decrypter().m0[1]
+        assert sk.decrypter().m0[1:] == kp.sk.decrypter().m0[1:]
         m0_read_against_s_solve(sk, fresh_rng(seed))
 
 
@@ -654,10 +656,47 @@ def test_repaired_m0_by_structure_matches_dense_product(params, request):
     p = request.getfixturevalue(params) if params.startswith("toy") else setup(params)
     kp = sc.keygen(p, SeededRng(b"m0-" + params.encode()))
     Pinv = circulant_block_invert(kp.sk.P)
-    pk, rows = sc._repaired_m0_rows(kp.code, kp.x_witness.X, Pinv)
+    pk, rows = m0_rows(kp, Pinv)
     M0 = dense_g_plus_x(kp).mul(Pinv.dense())
     assert [pk.unpack(row) for row in rows] == M0.rows
     assert M0.submatrix(0, 0, p.k, p.k).mul(systematic(kp.pk.matrix)) == M0
+    m0_read_against_rows_and_dense(kp, M0, fresh_rng(b"m0-read-" + params.encode()))
+
+
+@pytest.mark.parametrize("params", ["toy_repaired", "rep-gabkron-128"])
+def test_repaired_x_p_inverse_repeats_t1_values(params, request):
+    # X P^-1 = Cir_k(x b) for X = Cir_k(x) and P^-1 = Cir(b): x b, taken in
+    # the ring at full length and as row 0 of the dense product, repeats
+    # the t1 values the decrypter holds
+    p = request.getfixturevalue(params) if params.startswith("toy") else setup(params)
+    kp = sc.keygen(p, SeededRng(b"xp-" + params.encode()))
+    Pinv = circulant_block_invert(kp.sk.P)
+    xp = kp.sk.decrypter().m0[2]
+    X = kp.x_witness.X
+    full = ranklinalg.cyc_mul(X.ctx, X.gens[0][0], Pinv.gens[0][0])
+    assert len(xp) == p.t1 and full == xp * (p.n // p.t1)
+    assert all(full[i] == full[i - p.t1] for i in range(p.t1, p.n))
+    assert Pinv.dense().left_mul_values(X.dense().rows[0]) == reflect(full)
+    assert sc._repaired_m0_gens(kp.code, kp.sk.z0.values, Pinv)[2] == xp
+
+
+@pytest.mark.parametrize("params", ["toy_repaired", "rep-gabkron-128"])
+def test_parsed_repaired_key_never_expands_m0_rows(params, request, monkeypatch):
+    # parsing a key builds its decrypter from M0's generators, and the
+    # first decrypt reads u M0 off them: neither expands M0's k rows
+    p = request.getfixturevalue(params) if params.startswith("toy") else setup(params)
+    kp = sc.keygen(p, SeededRng(b"no-rows-" + params.encode()))
+    rng = fresh_rng(b"no-rows")
+    m = RankVector.random(kp.pk.matrix.ctx, p.k, rng)
+    ct = sc.encrypt(m, kp.pk, p, rng)
+    blob = keyio.serialize_secret_key(kp.sk)
+
+    def refuse(*args):
+        raise AssertionError("M0's rows expanded")
+
+    monkeypatch.setattr(sc, "_repaired_m0_rows", refuse)
+    sk = keyio.parse_secret_key(blob)
+    assert sc.decrypt(ct, sk, p) == m
 
 
 def test_improved_decrypter_squares_one_orbit_of_alpha(monkeypatch):
@@ -778,12 +817,12 @@ def test_public_grid_with_a_negative_entry_raises(toy_kp):
 @pytest.mark.parametrize("params", ["toy_improved", "toy_repaired"])
 def test_keygen_hands_its_code_to_the_key(params, request, monkeypatch):
     # keygen and the first decrypt build the inner code once, and the key's
-    # decrypter is keygen's: no gcd on P, and a repaired key's M0 rows are
-    # keygen's, not built again
+    # decrypter is keygen's: no gcd on P, and a repaired key's M0
+    # generators are keygen's, not built again, nor expanded to rows
     p = request.getfixturevalue(params)
     calls = []
     for cls, name in ((GabidulinCode, "__init__"), (CirculantGrid, "is_invertible"),
-                      (sc, "_repaired_m0_rows")):
+                      (sc, "_repaired_m0_gens"), (sc, "_repaired_m0_rows")):
         orig = getattr(cls, name)
 
         def recording(*args, _key=(cls.__name__, name), _orig=orig):
@@ -792,7 +831,8 @@ def test_keygen_hands_its_code_to_the_key(params, request, monkeypatch):
 
         monkeypatch.setattr(cls, name, recording)
     kp = sc.keygen(p, SeededRng(b"hand-over"))
-    m0 = [("gabkron.scheme", "_repaired_m0_rows")] if p.variant == "repaired" else []
+    m0 = [("gabkron.scheme", "_repaired_m0_gens"), ("gabkron.scheme", "_repaired_m0_rows")]
+    m0 = m0 if p.variant == "repaired" else []
     assert calls == [("GabidulinCode", "__init__")] + m0
     rng = fresh_rng(b"hand-over")
     m = RankVector.random(kp.pk.matrix.ctx, p.k, rng)
@@ -891,7 +931,7 @@ def test_repaired_systematic_form_of_m0_with_a_singular_leading_minor(toy_rep_kp
     # leading block stays invertible but its 1 x 1 minor is singular, so the
     # Schur steps stop and the echelon gives the form, with the key's N
     p, kp = toy_rep_kp
-    pk, rows = sc._repaired_m0_rows(kp.code, kp.x_witness.X, circulant_block_invert(kp.sk.P))
+    pk, rows = m0_rows(kp, circulant_block_invert(kp.sk.P))
     ctx = pk.ctx
     assert pk.entry(rows[1], 0)
     c = ctx.mul(pk.entry(rows[0], 0), ctx.inv(pk.entry(rows[1], 0)))
@@ -1021,7 +1061,8 @@ def test_second_round_trip_packs_no_kept_rows(params, request, monkeypatch):
 def test_decrypt_builds_no_packed_rows_of_p(pair, request, monkeypatch):
     # c·P comes from P's GF(2) decomposition (CirculantGrid.left_mul_values),
     # so neither a parsed key nor a key in memory packs P's rows to decrypt;
-    # a parsed repaired key packs those of P^-1 and X P^-1 once, for M0's rows
+    # a parsed repaired key builds M0's generators from row 0 of P^-1 and
+    # packs no grid's rows either
     p, kp = request.getfixturevalue(pair)
     rng = fresh_rng(b"no-p-rows")
     ctx = kp.pk.matrix.ctx
@@ -1036,5 +1077,4 @@ def test_decrypt_builds_no_packed_rows_of_p(pair, request, monkeypatch):
         for m, ct in zip(msgs, cts):
             assert sc.decrypt(ct, sk, p) == m
         assert sk.P._prows is None
-    assert len(grids) == (2 if p.variant == "repaired" else 0)
-    assert all(g.gens != kp.sk.P.gens for g in grids)
+    assert grids == []
