@@ -15,8 +15,13 @@ The improved variant's G_pub and P are partial-circulant-block matrices
 and travel as the first row of every block, blocks in row-major order.
 Row 0 of Cir_k(a) is reflect(a) = (a_0, a_{n-1}, ..., a_1), an involution,
 so parsing and serializing map those rows to and from the in-memory
-CirculantGrid of generators by slicing alone.  The repaired public key is
-held as the k x (n - k) matrix its file stores, row by row.  The repaired
+CirculantGrid of generators by slicing alone.  The repaired public key N,
+k x (n - k), travels row by row, and eight rows fill (n - k) m bytes: a
+parse takes each row's bits off the payload and spreads them into slots
+(ranklinalg._Packed.spread), so the key is held as N's packed rows
+(ranklinalg.PackedRows) from its file to encrypt's m N, its entries
+checked by the payload's length, padding and m-bit masks alone; a
+serialize gathers the rows back (_Packed.gather).  The repaired
 secret key stores G1, g2, b itself, the generator of its one-block grid
 P = Cir(b), and the t1 values z_0 that row 0 of X repeats; the decrypter
 rebuilds M0 = (G + X) P^-1 from them (scheme).  A version-1 secret key,
@@ -37,7 +42,7 @@ from __future__ import annotations
 
 from .gf2m import FieldCtx
 from .params import ParamSet, ParameterError, setup
-from .ranklinalg import CirculantGrid, RankMatrix, RankVector, reflect
+from .ranklinalg import CirculantGrid, PackedRows, RankMatrix, RankVector, _packed, reflect
 from .scheme import (
     Ciphertext,
     ImprovedSecretKey,
@@ -151,8 +156,10 @@ def _grid(ctx, vals, nrows, ncols, n, k) -> CirculantGrid:
 
 def serialize_public_key(pk: PublicKey) -> bytes:
     p = pk.params
-    vals = _first_rows(pk.matrix) if p.variant == "improved" else _entries(pk.matrix)
-    return _header(p) + pack_elements(vals, p.m)
+    if p.variant == "improved":
+        return _header(p) + pack_elements(_first_rows(pk.matrix), p.m)
+    packer, rows = pk.matrix.packed_rows()
+    return _header(p) + pack_elements([packer.gather(r) for r in rows], (p.n - p.k) * p.m)
 
 
 def parse_public_key(data: bytes) -> PublicKey:
@@ -160,8 +167,13 @@ def parse_public_key(data: bytes) -> PublicKey:
     if p.variant == "improved":
         vals = unpack_elements(payload, p.m, p.k1 * p.n1 * p.n2)
         return PublicKey(p, _grid(FieldCtx(p.m), vals, p.k1, p.n1, p.n2, p.k2))
-    vals = unpack_elements(payload, p.m, p.k * (p.n - p.k))
-    return PublicKey(p, _matrix(FieldCtx(p.m), vals, p.k, p.n - p.k))
+    # a row of N is (n - k) m bits of the payload, whose m-bit masks are
+    # its entries' only check: eight rows fill (n - k) m bytes
+    width = p.n - p.k
+    rows = unpack_elements(payload, width * p.m, p.k)
+    ctx = FieldCtx(p.m)
+    spread = _packed(ctx, width).spread
+    return PublicKey(p, PackedRows(ctx, width, [spread(r) for r in rows]))
 
 
 # ---------------------------------------------------------------------------

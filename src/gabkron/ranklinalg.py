@@ -14,7 +14,11 @@ with one byte spread (_Packed.sqr).  The packed form is internal; the
 public API speaks lists of ints.  Packing merges neighbouring slots
 pairwise, level by level, and unpacking splits halves the same way, so
 each level shifts the whole row once: O(L log L) slot moves for L slots,
-where one shift of the growing row per slot takes O(L^2).
+where one shift of the growing row per slot takes O(L^2).  A row whose
+m-bit fields lie end to end, as a key file stores one, moves into slots
+and back the same way (_Packed.spread and gather), by one plan of masks
+per packer.  A matrix that only ever multiplies, as a repaired public
+key does, is held by its packed rows alone (PackedRows).
 
 Every product of a packed row by a scalar is taken from the row's window
 table through _Packed, the one row-product kernel: table builds it, mul
@@ -161,6 +165,35 @@ class _Packed:
         S2, S3 = 2 * S, 3 * S
         vals = [x for q in parts for x in (q & mask, q >> S & mask, q >> S2 & mask, q >> S3 & mask)]
         return vals[:L]
+
+    @functools.cached_property
+    def _spread_plan(self):
+        """(low mask, high mask, shift) per level of spread, widest first.
+        At half-width h, blocks of 2h fields sit 2h slots apart with their
+        fields m bits apart; the upper h of each move up h (S - m) bits."""
+        m, S, L = self.ctx.m, self.S, self.L
+        plan = []
+        h = 1
+        while h < L:
+            block = ((1 << h * m) - 1).to_bytes(h * S // 4, "little")  # 2h slots
+            lo = int.from_bytes(block * -(-L // (2 * h)), "little")
+            plan.append((lo, lo << h * m, h * (S - m)))
+            h <<= 1
+        return plan[::-1]
+
+    def spread(self, x):
+        """The packed row of L m-bit fields held end to end in x, field i
+        at bit i m: halves move apart level by level, one shift a level."""
+        for lo, hi, sh in self._spread_plan:
+            x = x & lo | (x & hi) << sh
+        return x
+
+    def gather(self, p):
+        """The L reduced slots of p end to end, m bits each: spread undone
+        level by level."""
+        for lo, hi, sh in reversed(self._spread_plan):
+            p = p & lo | p >> sh & hi
+        return p
 
     def entry(self, p, j):
         return (p >> (j * self.S)) & self.elem_mask
@@ -664,6 +697,36 @@ class RankMatrix:
             )
         inv_rows = [pk.unpack(r)[n:] for r in rows[:n]]
         return RankMatrix(self.ctx, inv_rows)
+
+
+class PackedRows:
+    """Matrix held by its reduced packed rows alone, as a repaired public
+    key's N is from its file or key generation to m N.  Its maker checked
+    the entries where they entered; dense() expands it, an oracle for the
+    tests."""
+
+    __slots__ = ("ctx", "_prows")
+
+    def __init__(self, ctx: FieldCtx, ncols: int, rows):
+        self.ctx = ctx
+        self._prows = _packed(ctx, ncols), rows
+
+    def packed_rows(self):
+        """(packer, rows), as RankMatrix.packed_rows; callers must not
+        change the rows."""
+        return self._prows
+
+    def dense(self) -> RankMatrix:
+        pk, rows = self._prows
+        return RankMatrix(self.ctx, [pk.unpack(row) for row in rows])
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, PackedRows)
+            and self.ctx == other.ctx
+            and self._prows[0].L == other._prows[0].L
+            and self._prows[1] == other._prows[1]
+        )
 
 
 def column_rank_q(M: RankMatrix) -> int:

@@ -33,7 +33,10 @@ above rotated, plus a combination of two rows of P^{-1}, except at the
 first row of a G1 block, so generalized Schur steps on 6 displacement
 generators give that form (ranklinalg._systematic_packed); the echelon
 runs only when a leading principal minor is singular.  The public key
-holds N, as its file does; no other module knows that G_pub = [I_k | N].
+holds N as packed rows (ranklinalg.PackedRows): keygen hands over slots
+k..n - 1 of that form's reduced rows, as a parse spreads them from the
+file, and encrypt takes m N on them; no other module knows that
+G_pub = [I_k | N].
 The repaired secret key holds z_0, the t1 values that row 0 of X repeats,
 and not S: S^-1 = M0[:, :k].  A decrypter holds M0 by its generators,
 the k2 rows [g2^[r] | 0] P^{-1} and the t1 values X P^{-1}'s generator
@@ -87,6 +90,7 @@ from .gabcodes import DecodeFailure, KroneckerCode, from_normal_orbit, from_orbi
 from .params import ParamSet
 from .ranklinalg import (
     CirculantGrid,
+    PackedRows,
     RankMatrix,
     RankVector,
     SingularMatrixError,
@@ -266,7 +270,7 @@ def sample_rank_error(ctx: FieldCtx, n: int, t: int, rng) -> RankVector:
 @dataclass
 class PublicKey:
     params: ParamSet
-    matrix: RankMatrix | CirculantGrid  # N of G_pub = [I_k | N] (repaired) | G_pub (improved)
+    matrix: PackedRows | CirculantGrid  # N of G_pub = [I_k | N] (repaired) | G_pub (improved)
 
 
 def _decrypter(sk):
@@ -424,11 +428,12 @@ def keygen(p: ParamSet, rng) -> KeyPair:
             # Toeplitz-like, so generalized Schur steps give it
             z0 = RankVector(ctx, reflect(xw.X.gens[0][0])[: p.t1])
             m0 = _repaired_m0_gens(code, z0.values, Pinv)
-            _, rows = _repaired_m0_rows(code, m0)
+            packer, rows = _repaired_m0_rows(code, m0)
             if _systematic_packed(ctx, rows, p.n) != list(range(p.k)):
                 continue  # leading minor singular: fresh randomness
-            unpack = _packed(ctx, p.n).unpack
-            pk = PublicKey(p, RankMatrix(ctx, [unpack(row)[p.k :] for row in rows]))
+            # N is slots k..n - 1 of the reduced rows, handed over packed
+            low, keep = p.k * packer.S, (1 << (p.n - p.k) * packer.S) - 1
+            pk = PublicKey(p, PackedRows(ctx, p.n - p.k, [row >> low & keep for row in rows]))
             sk = RepairedSecretKey(p, G1=G1, g2=C2.g, P=P, z0=z0)
         sk._dec = _Decrypter(code, P, m0, p.t)
         return KeyPair(pk=pk, sk=sk, x_witness=xw, subspace=spec, code=code)

@@ -681,8 +681,50 @@ def m0_read_against_rows_and_dense(kp, M0, rng, trials=4):
 
 
 def systematic(N):
-    """The dense public generator [I_k | N] of a repaired key's N."""
+    """The dense public generator [I_k | N] of a repaired key's N, which
+    the key holds as packed rows."""
+    N = N.dense()
     return block_matrix([[RankMatrix.identity(N.ctx, N.nrows), N]])
+
+
+def packed_parse_against_entries(blob):
+    """A repaired public key file parsed into N's packed rows against its
+    entries unpacked one by one and packed row by row, and each row
+    gathered back against pack_elements of its entries; the file one byte
+    short, and with a padding bit set where the payload has any, raises
+    the FormatError of the entry-wise unpack.  Returns the seconds that
+    the parse and the entry-wise unpack and pack took."""
+    t0 = time.perf_counter()
+    pk = keyio.parse_public_key(blob)
+    parse_s = time.perf_counter() - t0
+    p = pk.params
+    w, payload = p.n - p.k, blob[keyio._HEADER_LEN :]
+    t0 = time.perf_counter()
+    vals = keyio.unpack_elements(payload, p.m, p.k * w)
+    packer, rows = pk.matrix.packed_rows()
+    want = [packer.pack(vals[i * w : (i + 1) * w]) for i in range(p.k)]
+    entries_s = time.perf_counter() - t0
+    assert packer.L == w
+    assert rows == want
+    assert [packer.gather(row) for row in rows] == [
+        int.from_bytes(keyio.pack_elements(vals[i * w : (i + 1) * w], p.m), "little")
+        for i in range(p.k)]
+    assert keyio.serialize_public_key(pk) == blob
+
+    def refusal(parse, data):
+        with pytest.raises(keyio.FormatError) as exc:
+            parse(data)
+        return str(exc.value)
+
+    def unpack(data):
+        return keyio.unpack_elements(data[keyio._HEADER_LEN :], p.m, p.k * w)
+
+    damaged = [blob[:-1]]
+    if p.k * w * p.m % 8:
+        damaged.append(blob[:-1] + bytes([blob[-1] | 0x80]))
+    for data in damaged:
+        assert refusal(keyio.parse_public_key, data) == refusal(unpack, data)
+    return parse_s, entries_s
 
 
 def secret_s(sk):

@@ -29,7 +29,10 @@ built from the inner code's g, by the Newton solve, against the echelon
 of its Moore rows.  The products test checks encrypt's m·N, a
 block's syndromes and the decrypter's c·P, rows packed pairwise and summed
 in chunked window sums, against rows packed by the shift loop and summed
-one scal per term.  The ring test checks the circulant ring's unit test
+one scal per term.  The packed-parse test checks the public key file's
+rows of N, spread into packed rows, against its entries unpacked and
+packed row by row, and the rows gathered back to the file's bytes.  The
+ring test checks the circulant ring's unit test
 and inverse at n = 300 and 330, by the cyclotomic factors of the odd part
 of n, against the Euclid on z^n - 1 at full n.  The key-file test pins the
 SHA-256 of the rep-gabkron-192 and -256 key files of a fixed-seed
@@ -65,6 +68,7 @@ from conftest import (
     m0_read_against_rows_and_dense,
     m0_read_against_s_solve,
     pack_shift_loop,
+    packed_parse_against_entries,
     ring_against_euclid,
     smallest_irreducible,
     systematic_form_against_rref,
@@ -299,8 +303,9 @@ def test_products_full_scale(name):
     C2 = kp.code.C2
     H = C2.parity_check.rows
     P = kp.sk.P
+    npk, nrows = kp.pk.matrix.packed_rows()
     cases = [
-        ("m·N", kp.pk.matrix.rows, msg, lambda: kp.pk.matrix.left_mul_values(msg)),
+        ("m·N", kp.pk.matrix.dense().rows, msg, lambda: npk.lincomb(msg, nrows)),
         ("syndromes", [list(col) for col in zip(*H)], c[: p.n2], lambda: C2.syndromes(c[: p.n2])),
         ("c·P on P's dense rows", P.dense().rows, c, lambda: P.left_mul_values(c)),
     ]
@@ -317,6 +322,17 @@ def test_products_full_scale(name):
         report.append(f"{label} {old_s * 1e3:.1f} -> {new_s * 1e3:.1f} ms")
     print(f"\n{name}, packing and product, per term and shift loop -> chunked and "
           f"pairwise: " + ", ".join(report))
+
+
+@pytest.mark.parametrize("name", ["rep-gabkron-192", "rep-gabkron-256"])
+def test_packed_row_parse_full_scale(name):
+    # N's rows spread from the key file against its entries packed row by
+    # row and gathered back; a file one byte short is refused as by the
+    # entry-wise unpack
+    p, kp, _ = _keypair(name)
+    parse_s, entries_s = packed_parse_against_entries(keyio.serialize_public_key(kp.pk))
+    print(f"\n{name}: public key parsed into packed rows in {parse_s * 1e3:.1f} ms; "
+          f"its entries unpacked and packed row by row in {entries_s * 1e3:.1f} ms")
 
 
 # SHA-256 of pk.bin and sk.bin from `gabkron keygen --seed 5eed...5eed`, the

@@ -13,7 +13,7 @@ from gabkron.params import setup
 from gabkron.prng import SeededRng
 from gabkron.ranklinalg import RankVector
 
-from conftest import fresh_rng, inconsistent_secret_key
+from conftest import fresh_rng, inconsistent_secret_key, packed_parse_against_entries
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +27,19 @@ def improved_pair():
 def repaired_pair():
     p = setup(variant="repaired", m=24, n1=2, k1=2, n2=12, k2=4, t1=2, lam=2)
     return p, sc.keygen(p, SeededRng(b"io-repaired"))
+
+
+@pytest.fixture(scope="module")
+def repaired_odd_pair():
+    # rows of (n - k) m = 350 bits, and four padding bits after k = 10 rows
+    p = setup(variant="repaired", m=25, n1=2, k1=2, n2=12, k2=5, t1=1, lam=2)
+    return p, sc.keygen(p, SeededRng(b"io-repaired-odd"))
+
+
+@pytest.fixture(scope="module")
+def rep128_pair():
+    p = setup("rep-gabkron-128")
+    return p, sc.keygen(p, SeededRng(b"io-rep128"))
 
 
 def test_element_stream_round_trip():
@@ -356,3 +369,43 @@ def test_improved_key_handling_builds_no_full_width_matrix(improved_pair, monkey
     assert keyio.serialize_public_key(kp2.pk) == pk_blob
     assert shapes and all(ncols < p.n for _, ncols in shapes)
     assert max(ncols for _, ncols in shapes) == p.n2
+
+
+@pytest.mark.parametrize("pair", ["repaired_pair", "repaired_odd_pair", "rep128_pair"])
+def test_packed_row_parse_matches_entries(pair, request):
+    # N's rows spread from the payload, eight rows at a time, against its
+    # entries packed row by row: rows of whole bytes (384 bits), of 350 bits
+    # with padding after the last, and of 29,540 bits at rep-gabkron-128
+    p, kp = request.getfixturevalue(pair)
+    packed_parse_against_entries(keyio.serialize_public_key(kp.pk))
+
+
+@pytest.mark.parametrize("pair, seed", [("repaired_pair", b"io-repaired"),
+                                        ("rep128_pair", b"io-rep128")])
+def test_repaired_key_handling_builds_no_rank_matrix(pair, seed, request, monkeypatch):
+    # N stays packed rows from the file or keygen's Schur rows to m N: a
+    # parse, an encrypt and a serialize build no RankMatrix, and keygen
+    # builds none of N's n - k columns
+    from gabkron.ranklinalg import RankMatrix
+
+    p, kp = request.getfixturevalue(pair)
+    pk_blob = keyio.serialize_public_key(kp.pk)
+    msg = list(range(p.k))
+    shapes = []
+    init = RankMatrix.__init__
+
+    def recording_init(self, ctx, rows):
+        init(self, ctx, rows)
+        shapes.append((self.nrows, self.ncols))
+
+    monkeypatch.setattr(RankMatrix, "__init__", recording_init)
+    pk = keyio.parse_public_key(pk_blob)
+    ct = sc.encrypt(msg, pk, p, SeededRng(b"no-rank-matrix"))
+    blob = keyio.serialize_public_key(pk)
+    assert shapes == []
+    kp2 = sc.keygen(p, SeededRng(seed))
+    monkeypatch.undo()
+    assert blob == pk_blob
+    assert keyio.serialize_public_key(kp2.pk) == pk_blob
+    assert ct == sc.encrypt(msg, kp.pk, p, SeededRng(b"no-rank-matrix"))
+    assert shapes and all(ncols != p.n - p.k for _, ncols in shapes)

@@ -13,6 +13,7 @@ from gabkron.params import setup
 from gabkron.prng import SeededRng
 from gabkron.ranklinalg import (
     CirculantGrid,
+    PackedRows,
     RankMatrix,
     RankVector,
     SingularMatrixError,
@@ -312,7 +313,7 @@ def test_repaired_pk_systematic(toy_rep_kp):
     # [I_k | N], so m [I_k | N] is (m M0[:, :k]^-1) M0
     p, kp = toy_rep_kp
     N = kp.pk.matrix
-    assert (N.nrows, N.ncols) == (p.k, p.n - p.k)
+    assert (N.dense().nrows, N.dense().ncols) == (p.k, p.n - p.k)
     M0 = dense_g_plus_x(kp).mul(circulant_inverse(kp.sk.P.dense()))
     assert M0.submatrix(0, 0, p.k, p.k).mul(systematic(N)) == M0
 
@@ -944,7 +945,7 @@ def test_repaired_systematic_form_of_m0_with_a_singular_leading_minor(toy_rep_kp
     assert ranklinalg._rref_packed(ctx, want, p.n + p.k) == list(range(p.k))
     assert got == want
     out = ranklinalg._packed(ctx, p.n + p.k)
-    assert [out.unpack(row)[p.k : p.n] for row in got] == kp.pk.matrix.rows
+    assert [out.unpack(row)[p.k : p.n] for row in got] == kp.pk.matrix.dense().rows
 
 
 def test_repaired_keygen_bytes_do_not_depend_on_the_schur_steps(toy_repaired, monkeypatch):
@@ -1021,7 +1022,7 @@ def test_improved_keygen_draws_alpha_once(params, request, monkeypatch):
 def test_second_round_trip_packs_no_kept_rows(params, request, monkeypatch):
     # the public matrix and the inner generator keep their packed rows, and
     # P its GF(2) decomposition, so only the first encrypt and decrypt build
-    # them
+    # them (a repaired N is held packed from keygen on and never packed)
     p = request.getfixturevalue(params)
     kp = sc.keygen(p, SeededRng(b"kept-rows"))
     owners = (kp.pk.matrix, kp.code.C2.generator)
@@ -1031,6 +1032,8 @@ def test_second_round_trip_packs_no_kept_rows(params, request, monkeypatch):
     for o in owners:
         if isinstance(o, CirculantGrid):
             rows += [reflect(a) for grow in o.gens for a in grow]
+        elif isinstance(o, PackedRows):
+            rows += o.dense().rows
         else:
             rows += o.rows
     rng = fresh_rng(b"kept-rows")
