@@ -145,8 +145,7 @@ def cmd_decrypt(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except DecodeFailure as exc:
-        blocks = f" (blocks {exc.failed_blocks})" if exc.failed_blocks else ""
-        print(f"error: decryption failed{blocks}: {exc}", file=sys.stderr)
+        print(f"error: decryption failed: {exc}", file=sys.stderr)
         return EXIT_DECODE
     try:
         data = keyio.unpack_message(m.values, sk.params)

@@ -27,7 +27,10 @@ parity-check matrix.  The error is built from at most t values, so its
 rank is at most t.  The message is read off the corrected word and
 re-encoded, which must give that word back; so the word is a codeword,
 the error has the received syndromes, and a returned pair is always a
-valid decoding within the radius.
+valid decoding within the radius.  Given a basis E of the error values,
+which the repaired variant's blocks share (KroneckerCode.block_decode), a
+block skips the key equation and the root space.  On any failure it
+decodes in full; a codeword within the radius is unique, so the two agree.
 
 Each code owns the presentation its messages are written in: the Moore
 matrix of g by default, the partial circulant of a normal orbit for the
@@ -60,6 +63,7 @@ checked_values, which checks its length and every entry once.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from functools import cache, cached_property
 
 from .gf2m import BitSpan, FieldCtx
@@ -246,24 +250,32 @@ class GabidulinCode:
         u, e_vals = self._decode_values(checked_values(ctx, y, self.n, "received"))
         return RankVector(ctx, u), RankVector(ctx, e_vals)
 
-    def _decode_values(self, y_vals):
+    def _decode_values(self, y_vals, E=None):
         """(u, e) as lists with y = u·generator + e and rk(e) <= radius.
 
         _error_vector returns e of rank at most the radius.  u is read
         off the leading k coordinates of c = y - e and re-encoded: c must
         come back, so c is a codeword and e has y's syndromes.  Raises
-        DecodeFailure otherwise.
+        DecodeFailure otherwise.  Given a basis E, an error with values in
+        its span is tried first (_error_in), then the full decode of the
+        same syndromes.
         """
-        n, k = self.n, self.k
-        e_vals = [0] * n
-        if n > k:
+        e_vals = [0] * self.n
+        if self.n > self.k:
             s = self.syndromes(y_vals)
             if any(s):
                 if self.radius == 0:
                     raise DecodeFailure("non-zero syndrome with zero correction radius")
+                if E:
+                    with suppress(DecodeFailure):
+                        return self._reencoded(y_vals, self._error_in(s, E))
                 e_vals = self._error_vector(s)
+        return self._reencoded(y_vals, e_vals)
+
+    def _reencoded(self, y_vals, e_vals):
+        """(u, e) for c = y - e, u read off c and re-encoded to c."""
         c_vals = [a ^ b for a, b in zip(y_vals, e_vals)]
-        u = self._lead_solve(c_vals[:k])
+        u = self._lead_solve(c_vals[: self.k])
         if self.generator.left_mul_values(u) != c_vals:
             raise DecodeFailure("codeword is not spanned by the presentation")
         return u, e_vals
@@ -280,6 +292,10 @@ class GabidulinCode:
             raise DecodeFailure("the annihilator of the error values has no nonzero root")
         if len(E) != len(lam) - 1:
             raise DecodeFailure("the annihilator's root space is smaller than its q-degree")
+        return self._error_in(s, E)
+
+    def _error_in(self, s, E):
+        """The error with values in E's span that s gives; raises DecodeFailure."""
         W = self._error_coordinates(s, E)
         if W is None:
             raise DecodeFailure("error values inconsistent with the syndromes")
@@ -525,9 +541,15 @@ class KroneckerCode:
         # raises SingularMatrixError unless G1 has full row rank
         self.I = information_set(G1)
 
-    def block_decode(self, y):
+    def block_decode(self, y, shared=False):
         """Blockwise decoding: every inner block, then the outer code by one
         elimination over the decoded blocks.
+
+        With shared (the repaired variant: its whole error has rank at
+        most lam t + t1 <= t2, so every block's error has values in one
+        such space), each later block is tried first in the value space of
+        the first decoded nonzero error, then in full.  A codeword within
+        t2 is unique, so the outcome is the same.
 
         Decoded block j gives u_j = sum_l G1[l][j] M[l] for the k1 x k2
         message M, so the rows [G1[0][j], ..., G1[k1-1][j] | u_j] of the
@@ -541,13 +563,15 @@ class KroneckerCode:
         ctx, k1 = self.ctx, self.k1
         y_vals = checked_values(ctx, y, self.n, "received")
         pk = _packed(ctx, k1 + self.k2)
-        rows, failed = [], []
+        rows, failed, E = [], [], None
         for j in range(self.n1):
             try:
-                u, _ = self.C2._decode_values(y_vals[j * self.n2 : (j + 1) * self.n2])
+                u, e = self.C2._decode_values(y_vals[j * self.n2 : (j + 1) * self.n2], E)
             except DecodeFailure:
                 failed.append(j)
                 continue
+            if shared and not E:
+                E = [v for v, _ in BitSpan(e).pivots.values()]
             rows.append(pk.pack([row[j] for row in self.G1.rows] + u))
         if _rref_packed(ctx, rows, k1 + self.k2) == list(range(k1)):
             return RankVector(ctx, [v for row in rows[:k1] for v in pk.unpack(row)[k1:]])

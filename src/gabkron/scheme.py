@@ -36,15 +36,16 @@ runs only when a leading principal minor is singular.  The public key
 holds N as packed rows (ranklinalg.PackedRows): keygen hands over slots
 k..n - 1 of that form's reduced rows, as a parse spreads them from the
 file, and encrypt takes m N on them; no other module knows that
-G_pub = [I_k | N].
-The repaired secret key holds z_0, the t1 values that row 0 of X repeats,
-and not S: S^-1 = M0[:, :k].  A decrypter holds M0 by its generators,
-the k2 rows [g2^[r] | 0] P^{-1} and the t1 values X P^{-1}'s generator
-repeats (keygen hands over its own, and only keygen expands them to rows),
-and reads m off w = mu M0 = m || m N for the right key: k row products,
-and no decrypt factors or inverts a k x k matrix.  It returns
-w[:k] only when c - w has rank at most t, so a damaged key or an error of
-rank above t is a DecodeFailure, not a plaintext.
+G_pub = [I_k | N].  The repaired secret key holds z_0, the t1 values that
+row 0 of X repeats, and not S: S^-1 = M0[:, :k].  A decrypter holds M0 by
+its generators, the k2 rows [g2^[r] | 0] P^{-1} and the t1 values
+X P^{-1}'s generator repeats (keygen hands over its own, and only keygen
+expands them to rows).  The error e P + mu X of c P has rank at most
+lam t + t1 <= t2, so the decrypter decodes the later blocks in the first
+one's error value space (block_decode with shared).  It reads m off
+w = mu M0 = m || m N for the right key: k row products, and no decrypt
+factors or inverts a k x k matrix.  It returns w[:k] only when
+rk(c - w) <= t, so a damaged key or an error of rank > t is a DecodeFailure.
 
 The inner Gabidulin code carries its own presentation, and block messages
 are written in it: Cir_k2 of the normal orbit of alpha in the improved
@@ -379,10 +380,11 @@ class _Decrypter:
         return [a ^ b for a, b in zip(pk.unpack(pk.fold(acc)), ux * (n // t1))]
 
     def decrypt(self, c_vals):
-        """The message; a repaired key reads it off w = mu M0, which is
-        m G_pub = m || m N for the right key, and returns it only when
+        """The message; a repaired key decodes its blocks in one error
+        value space (block_decode with shared), reads the message off
+        w = mu M0 = m G_pub for the right key, and returns it only when
         c - w has rank at most t."""
-        mu = self.code.block_decode(self.P.left_mul_values(c_vals))
+        mu = self.code.block_decode(self.P.left_mul_values(c_vals), shared=self.m0 is not None)
         if self.m0 is None:
             return mu
         w = self.times_m0(mu.values)

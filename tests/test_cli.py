@@ -322,8 +322,8 @@ def test_undecodable_ciphertext_names_its_failed_blocks(keydir, tmp_path, capsys
     ])
     assert rc == 3
     assert capsys.readouterr().err == (
-        "error: decryption failed (blocks [0, 1]): no information set of decoded "
-        "blocks agrees with the others (failed blocks: [0, 1])\n")
+        "error: decryption failed: no information set of decoded blocks agrees "
+        "with the others (failed blocks: [0, 1])\n")
     assert not (tmp_path / "o").exists()
 
 

@@ -20,7 +20,10 @@ system, at the repaired sets and at new-gabkron-192 and -256, whose
 length-m inner codes decode by the same stages.  At the same four sets
 whole block decodes, whose key equation takes the minimal annihilator by
 linearized Berlekamp-Massey, are checked against decodes through the
-echelon key equation, planted and past the radius.  The parity test also
+echelon key equation, planted and past the radius.  At the repaired sets
+a decrypt's blocks, decoded in one error value space with one key
+equation, are checked against the per-block decode of the search over
+information sets, which runs one per block.  The parity test also
 checks the inner code's presentation, read off alpha's orbit, against the
 squared-out Moore matrix.  The Newton tests check, at the same four sets,
 the inner code's leading block solved in Newton form against its LU
@@ -60,6 +63,7 @@ from gabkron.ranklinalg import RankVector, _packed, circulant_block_invert
 from conftest import (
     LeftSolver,
     assert_decode_matches_echelon,
+    block_decode_by_subsets,
     dense_g_plus_x,
     dual_vector_echelon,
     error_coordinates_echelon,
@@ -288,6 +292,40 @@ def test_decode_matches_echelon_full_scale(name):
     t0 = time.perf_counter()
     assert_decode_matches_echelon(C2, rng, ranks)
     print(f"\n{name}: {len(ranks) + 2} words on both routes in {time.perf_counter() - t0:.1f} s")
+
+
+@pytest.mark.parametrize("name", ["rep-gabkron-192", "rep-gabkron-256"])
+def test_shared_block_decode_full_scale(name, monkeypatch):
+    # a repaired decrypt decodes its second block in the first one's error
+    # value space: one key equation in all, where the per-block decode of
+    # the search over information sets runs one per block, and the same
+    # block messages and plaintexts
+    p, kp, _ = _keypair(name)
+    code, ctx = kp.code, FieldCtx(p.m)
+    rng = SeededRng(b"fullscale-shared-" + name.encode())
+    m = RankVector.random(ctx, p.k, rng)
+    assert sc.decrypt(sc.encrypt(m, kp.pk, p, rng), kp.sk, p) == m  # builds the decoder
+    calls = []
+    key_equation = GabidulinCode._key_equation
+    monkeypatch.setattr(GabidulinCode, "_key_equation",
+                        lambda self, s: calls.append(s) or key_equation(self, s))
+    for _ in range(2):
+        m = RankVector.random(ctx, p.k, rng)
+        ct = sc.encrypt(m, kp.pk, p, rng)
+        cP = kp.sk.P.left_mul_values(ct.values.values)
+        calls.clear()
+        t0 = time.perf_counter()
+        mu = code.block_decode(cP, shared=True)
+        shared_s = time.perf_counter() - t0
+        assert len(calls) == 1
+        calls.clear()
+        t0 = time.perf_counter()
+        assert block_decode_by_subsets(code, cP) == mu
+        per_block_s = time.perf_counter() - t0
+        assert len(calls) == p.n1
+        assert sc.decrypt(ct, kp.sk, p) == m
+        print(f"\n{name}: blocks in one value space {shared_s * 1e3:.0f} ms, "
+              f"each on its own {per_block_s * 1e3:.0f} ms")
 
 
 @pytest.mark.parametrize("name", ["rep-gabkron-192", "rep-gabkron-256"])

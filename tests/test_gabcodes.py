@@ -499,6 +499,31 @@ def test_block_decode_computes_syndromes_once(params, request, monkeypatch):
     assert calls == [p.n2] * p.n1
 
 
+@pytest.mark.parametrize("params,runs", [
+    ("toy_repaired", 1), ("rep-gabkron-128", 1), ("toy_improved", 2), ("new-gabkron-128", 2),
+])
+def test_decrypt_key_equation_runs(params, runs, request, monkeypatch):
+    # a repaired decrypt decodes its second block in the first one's error
+    # value space, with no key equation or root space; the improved blocks'
+    # value spaces differ, so each runs both
+    p = request.getfixturevalue(params) if params.startswith("toy") else setup(params)
+    kp = sc.keygen(p, fresh_rng(b"key-equation-runs-" + params.encode()))
+    rng = fresh_rng(b"key-equation-runs")
+    ctx = kp.pk.matrix.ctx
+    m = RankVector.random(ctx, p.k, rng)
+    assert sc.decrypt(sc.encrypt(m, kp.pk, p, rng), kp.sk, p) == m  # builds the decoder
+    calls = []
+    key_equation, root_space = GabidulinCode._key_equation, gc._root_space
+    monkeypatch.setattr(GabidulinCode, "_key_equation",
+                        lambda self, s: calls.append("key") or key_equation(self, s))
+    monkeypatch.setattr(gc, "_root_space", lambda *a: calls.append("root") or root_space(*a))
+    for _ in range(2):
+        calls.clear()
+        m = RankVector.random(ctx, p.k, rng)
+        assert sc.decrypt(sc.encrypt(m, kp.pk, p, rng), kp.sk, p) == m
+        assert calls == ["key", "root"] * runs
+
+
 def orbit_code(ctx, alpha, n, k):
     C = gc.from_orbit(ctx, ctx.frobenius_orbit(alpha, ctx.m), n, k)
     assert C.g.values == ctx.frobenius_orbit(alpha, n)
@@ -1121,3 +1146,77 @@ def test_block_decode_matches_subset_search(ctx6, n1, k1, dependent):
         assert decode_outcome(KroneckerCode.block_decode, K, y) == want
         outcomes.add(isinstance(want, tuple))
     assert outcomes == {False, True}
+
+
+def error_in_span(basis, n, rank, rng):
+    """An error of the given rank whose values lie in the span of basis:
+    rank independent combinations of it at independent locations."""
+    while True:
+        values = rl.field_vec_times_bits(basis, [rng.bits(rank) for _ in basis], rank)
+        locations = [rng.bits(n) for _ in range(rank)]
+        if _bit_rank(values) == _bit_rank(locations) == rank:
+            return rl.field_vec_times_bits(values, locations, n)
+
+
+@pytest.mark.parametrize("n1,k1,dependent", [
+    (2, 1, False), (2, 2, False), (3, 2, False), (4, 2, False), (4, 3, False),
+    (2, 1, True), (3, 2, True), (4, 2, True), (4, 3, True),
+])
+def test_shared_block_decode_matches_subset_search(ctx6, n1, k1, dependent):
+    # block_decode with shared against the search over information sets,
+    # with block errors drawn from one shared value space, from a subspace
+    # of it, from an independent space, past the radius, or onto another
+    # inner codeword.  Counting the key equations of each block decoded
+    # with a known value space tells the shared path from the fallback,
+    # and both must run.
+    rng = fresh_rng(b"kshared-%d-%d-%d" % (n1, k1, dependent))
+    K = kron_fixture(ctx6, rng, n1=n1, k1=k1)
+    if dependent:
+        c = rng.nonzero_element(ctx6.m) if k1 > 1 else 0
+        rows = [row[:-1] + [ctx6.mul(c, row[0])] for row in K.G1.rows]
+        K = KroneckerCode(RankMatrix(ctx6, rows), K.C2)
+    C2, t2 = K.C2, K.C2.radius
+    calls, paths = [], {"shared": 0, "fallback": 0}
+    key_equation, error_in, decode_values = C2._key_equation, C2._error_in, C2._decode_values
+
+    def counted_error_in(s, E):
+        calls.append("error_in")
+        return error_in(s, E)
+
+    def classified(y_vals, E=None):
+        calls.clear()
+        try:
+            return decode_values(y_vals, E)
+        finally:
+            if E and "error_in" in calls:  # a nonzero syndrome met a known E
+                paths["fallback" if "key_equation" in calls else "shared"] += 1
+
+    C2._key_equation = lambda s: calls.append("key_equation") or key_equation(s)
+    C2._error_in = counted_error_in
+    C2._decode_values = classified
+    shared_decode = functools.partial(KroneckerCode.block_decode, shared=True)
+    outcomes = set()
+    for _ in range(60):
+        m = RankVector.random(ctx6, K.k, rng)
+        y = list(product_encode(K, m).values)
+        V = sc.sample_subspace_basis(ctx6, t2, rng)
+        for j in range(n1):
+            kind = rng.randrange(5)
+            if kind == 0:  # the shared space
+                e = error_in_span(V, K.n2, t2, rng)
+            elif kind == 1:  # a subspace of it
+                e = error_in_span(V, K.n2, rng.randrange(t2), rng)
+            elif kind == 2:  # an independent space
+                e = sample_rank_error(ctx6, K.n2, 1 + rng.randrange(t2), rng).values
+            elif kind == 3:  # past the radius
+                e = sample_rank_error(ctx6, K.n2, t2 + 1 + rng.randrange(K.n2 - t2), rng).values
+            else:  # another inner codeword, within the radius of it
+                wrong = C2.encode(RankVector.random(ctx6, K.k2, rng)).values
+                e = [a ^ b for a, b in zip(wrong, sample_rank_error(ctx6, K.n2, 1, rng).values)]
+            for i, v in enumerate(e):
+                y[j * K.n2 + i] ^= v
+        want = decode_outcome(block_decode_by_subsets, K, y)
+        assert decode_outcome(shared_decode, K, y) == want
+        outcomes.add(isinstance(want, tuple))
+    assert outcomes == {False, True}
+    assert paths["shared"] > 0 and paths["fallback"] > 0
