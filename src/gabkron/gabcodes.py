@@ -541,7 +541,7 @@ class KroneckerCode:
         # raises SingularMatrixError unless G1 has full row rank
         self.I = information_set(G1)
 
-    def block_decode(self, y, shared=False):
+    def block_decode(self, y, shared=False, errors=False):
         """Blockwise decoding: every inner block, then the outer code by one
         elimination over the decoded blocks.
 
@@ -549,7 +549,9 @@ class KroneckerCode:
         most lam t + t1 <= t2, so every block's error has values in one
         such space), each later block is tried first in the value space of
         the first decoded nonzero error, then in full.  A codeword within
-        t2 is unique, so the outcome is the same.
+        t2 is unique, so the outcome is the same.  With errors, returns
+        (mu, y - mu G) as a RankVector and a list: a decoded block's error
+        is its decoder's, and only a failed block is encoded again.
 
         Decoded block j gives u_j = sum_l G1[l][j] M[l] for the k1 x k2
         message M, so the rows [G1[0][j], ..., G1[k1-1][j] | u_j] of the
@@ -560,23 +562,31 @@ class KroneckerCode:
         that fits the others, so a miscorrected block raises DecodeFailure
         instead of yielding a wrong message.
         """
-        ctx, k1 = self.ctx, self.k1
+        ctx, k1, n2 = self.ctx, self.k1, self.n2
         y_vals = checked_values(ctx, y, self.n, "received")
         pk = _packed(ctx, k1 + self.k2)
-        rows, failed, E = [], [], None
+        rows, failed, errs, E = [], [], [], None
         for j in range(self.n1):
             try:
-                u, e = self.C2._decode_values(y_vals[j * self.n2 : (j + 1) * self.n2], E)
+                u, e = self.C2._decode_values(y_vals[j * n2 : (j + 1) * n2], E)
             except DecodeFailure:
                 failed.append(j)
                 continue
             if shared and not E:
                 E = [v for v, _ in BitSpan(e).pivots.values()]
             rows.append(pk.pack([row[j] for row in self.G1.rows] + u))
-        if _rref_packed(ctx, rows, k1 + self.k2) == list(range(k1)):
-            return RankVector(ctx, [v for row in rows[:k1] for v in pk.unpack(row)[k1:]])
-        raise DecodeFailure(
-            f"no information set of decoded blocks agrees with the others "
-            f"(failed blocks: {failed})",
-            failed_blocks=failed,
-        )
+            errs += e
+        if _rref_packed(ctx, rows, k1 + self.k2) != list(range(k1)):
+            raise DecodeFailure(
+                f"no information set of decoded blocks agrees with the others "
+                f"(failed blocks: {failed})",
+                failed_blocks=failed,
+            )
+        mu = RankVector(ctx, [v for row in rows[:k1] for v in pk.unpack(row)[k1:]])
+        if not errors:
+            return mu
+        for j in failed:
+            u = pk.lincomb([row[j] for row in self.G1.rows], rows[:k1])[k1:]
+            c = self.C2.generator.left_mul_values(u)
+            errs[j * n2 : j * n2] = [a ^ b for a, b in zip(y_vals[j * n2 : (j + 1) * n2], c)]
+        return mu, errs

@@ -70,6 +70,9 @@ the result s times by Newton's iteration.  Every reduction mod z^d - 1 is
 that XOR fold of a packed row (_fold_slots): each factor's input, from
 cyc_inv's argument or from the determinant whose unit test is
 CirculantGrid.is_invertible, and each Newton step's a mod z^(2c) - 1.
+Over GF(2) alone, the Bezout row of P's binary parts and z^n - 1, with
+which a repaired decrypt reads an error off e P, comes from one binary
+extended Euclid per part (_binary_bezout).
 
 A GF(2) matrix is a list of row bitmask ints, bit j of row i its entry
 (i, j), drawn row by row with rng.bits.  field_vec_times_bits applies one
@@ -133,10 +136,8 @@ class _Packed:
         self.S = 16 * ctx._nbytes
         self.elem_mask = ctx.mask
         self.slot_mask = (1 << self.S) - 1
-        lo = 0
-        for i in range(nslots):
-            lo |= ctx.mask << (i * self.S)
-        self.lo_mask = lo
+        # the element mask in every slot, from one repeated slot of bytes
+        self.lo_mask = int.from_bytes(ctx.mask.to_bytes(self.S // 8, "little") * nslots, "little")
 
     def pack(self, vals):
         """vals[i] in slot i, for any number of values: neighbours merge
@@ -883,6 +884,35 @@ def _binary_divmod(num, den):
         q |= 1 << sh
         num ^= den << sh
     return q, num
+
+
+def _binary_bezout(polys, n):
+    """Binary a_q with sum_q a_q b_q = 1 mod z^n - 1 for the binary b_q in
+    polys, or None when they share a factor with z^n - 1; polynomials are
+    ints, bit i the coefficient of z^i, and each a_q has degree < n.
+
+    g starts as z^n - 1 and stays sum_q a_q b_q mod z^n - 1: each b_q is
+    folded into it by one binary extended Euclid, subtracting shifts as
+    gf2m._poly_inv does, whose cofactors reduce mod z^n - 1 by XOR folds
+    (_fold_slots at one bit a slot).
+    """
+    mod = 1 << n | 1
+    g, rows = mod, [0] * len(polys)
+    for q, b in enumerate(polys):
+        # u = xu g + yu b and v = xv g + yv b, mod z^n - 1
+        (u, xu, yu), (v, xv, yv) = (g, 1, 0), (b, 0, 1)
+        while v:
+            sh = u.bit_length() - v.bit_length()
+            if sh < 0:
+                (u, xu, yu), (v, xv, yv) = (v, xv, yv), (u, xu, yu)
+                continue
+            u ^= v << sh
+            xu = _fold_slots(1, xu ^ xv << sh, n)
+            yu = _fold_slots(1, yu ^ yv << sh, n)
+        g = u
+        rows = [_poly_mulmod(xu, a, mod, n) for a in rows]
+        rows[q] ^= yu
+    return rows if g == 1 else None
 
 
 @functools.cache

@@ -37,15 +37,18 @@ holds N as packed rows (ranklinalg.PackedRows): keygen hands over slots
 k..n - 1 of that form's reduced rows, as a parse spreads them from the
 file, and encrypt takes m N on them; no other module knows that
 G_pub = [I_k | N].  The repaired secret key holds z_0, the t1 values that
-row 0 of X repeats, and not S: S^-1 = M0[:, :k].  A decrypter holds M0 by
-its generators, the k2 rows [g2^[r] | 0] P^{-1} and the t1 values
-X P^{-1}'s generator repeats (keygen hands over its own, and only keygen
-expands them to rows).  The error e P + mu X of c P has rank at most
-lam t + t1 <= t2, so the decrypter decodes the later blocks in the first
-one's error value space (block_decode with shared).  It reads m off
-w = mu M0 = m || m N for the right key: k row products, and no decrypt
-factors or inverts a k x k matrix.  It returns w[:k] only when
-rk(c - w) <= t, so a damaged key or an error of rank > t is a DecodeFailure.
+row 0 of X repeats, and not S: S^-1 = M0[:, :k].  Only keygen builds M0,
+by its generators and then its rows.  The error e P + mu X of c P has rank
+at most lam t + t1 <= t2, so the decrypter decodes the later blocks in the
+first one's error value space (block_decode with shared), which also
+hands back that error.  Taking off mu X, t1 values repeated, leaves e P,
+whose values lie in E V for E the values of e and V P's subspace; the
+decrypter reads e off it through P's GF(2) parts, as LRPC decoding
+recovers a support (_Decrypter._read_error), so a parsed key takes no
+ring inverse of P and builds no M0.  c - e = mu M0 = m || m N for the
+right key, and the decrypter returns (c - e)[:k] only when rk(e) <= t, so
+a damaged key or an error of rank > t is a DecodeFailure.  When the read
+fails, e = (e P) P^-1, with P^-1 built then, and the outcome is the same.
 
 The inner Gabidulin code carries its own presentation, and block messages
 are written in it: Cir_k2 of the normal orbit of alpha in the improved
@@ -84,9 +87,11 @@ come from it.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 
-from .gf2m import FieldCtx, _bit_rank
+from .gf2m import BitSpan, FieldCtx, _bit_rank
 from .gabcodes import DecodeFailure, KroneckerCode, from_normal_orbit, from_orbit
 from .params import ParamSet
 from .ranklinalg import (
@@ -95,7 +100,7 @@ from .ranklinalg import (
     RankMatrix,
     RankVector,
     SingularMatrixError,
-    _SUM_CHUNK,
+    _binary_bezout,
     _binary_parts,
     _cyc_sum,
     _fold_slots,
@@ -324,74 +329,132 @@ class Ciphertext:
 
 class _Decrypter:
     """Decoder state of a secret tuple; P's GF(2) decomposition (which P
-    keeps) is built on first use.  A repaired decrypter also holds M0 =
-    (G + X) P^-1 by its generators (_repaired_m0_gens) and the error rank t."""
+    keeps) is built on first use, or with a repaired decrypter.  That one
+    also holds the error rank t, X's t1 values as the circulant whose row 0
+    they are, and what reads e off e P (_read_error): the inverses of the
+    basis v_q of P's entries and the binary Bezout row of P's binary parts
+    b_q.  It builds P^-1 only when that read fails, and keeps it."""
 
-    def __init__(self, code: KroneckerCode, P: CirculantGrid, m0=None, t=None):
+    def __init__(self, code: KroneckerCode, P: CirculantGrid, t=None, z0=None, Pinv=None):
         self.code = code
         self.P = P
-        self.m0 = m0  # (packer, ys, xp) of M0, repaired only
         self.t = t
+        self.X = None  # Cir_t1 with row 0 z0, repaired only
+        if z0 is not None:
+            ctx = code.ctx
+            self.X = CirculantGrid(ctx, [[reflect(z0)]], len(z0))
+            parts = P.parts()[0][0]
+            self._vinv = [ctx.inv(v) for v, _ in parts]
+            # window tables of the Bezout row and of the b_q, for _read_error;
+            # the row exists because P is invertible
+            bs = [sum(1 << d for d in supp) for _, supp in parts]
+            table = _packed(ctx, ctx.m).table
+            self._tabs = [table(a) for a in _binary_bezout(bs, code.n)], [table(b) for b in bs]
+            self._Pinv = Pinv
 
     @classmethod
     def checked(cls, sk):
         """The decrypter of a key that keygen did not hand one.  Raises
-        ValueError unless, in order, P is invertible (improved: one gcd per
-        cyclotomic factor of z^a - 1, a the odd part of its block size;
-        repaired: its ring inverse, which M0 needs), alpha a field element
-        and normal or g2 alpha's orbit of full rank weight, G1 of full
-        rank, z0 of t1 values.  P's entries were checked when its grid was
-        built."""
+        ValueError unless, in order, P is invertible (one gcd per
+        cyclotomic factor of z^a - 1, a the odd part of its block size),
+        alpha a field element and normal or g2 alpha's orbit of full rank
+        weight, G1 of full rank, z0 of t1 values.  P's entries were
+        checked when its grid was built.  No ring inverse is taken: a
+        repaired decrypt reads e off e P through P's GF(2) parts, whose
+        Bezout row exists because P is invertible."""
         p, ctx = sk.params, sk.G1.ctx
+        if not sk.P.is_invertible():
+            raise SingularMatrixError("P is singular")
         if isinstance(sk, ImprovedSecretKey):
-            if not sk.P.is_invertible():
-                raise SingularMatrixError("P is singular")
             orbit = ctx.is_normal(ctx.check(sk.alpha))
             if orbit is None:
                 raise ValueError("alpha must be a normal element")
             return cls(KroneckerCode(sk.G1, from_normal_orbit(ctx, orbit, p.k2)), sk.P)
-        if sk.P.det_inverse() is None:
-            raise SingularMatrixError("P is singular")
         C2 = from_orbit(ctx, ctx.frobenius_orbit(sk.g2.values[-1], ctx.m), p.n2, p.k2)
         if C2.g != sk.g2:
             raise ValueError("g2 must be a Frobenius orbit (alpha^[n2-1], ..., alpha)")
         code = KroneckerCode(sk.G1, C2)
         if len(sk.z0) != p.t1:
             raise ValueError(f"z0 must hold t1 = {p.t1} values")
-        Pinv = circulant_block_invert(sk.P)
-        return cls(code, sk.P, _repaired_m0_gens(code, sk.z0.values, Pinv), p.t)
+        return cls(code, sk.P, p.t, sk.z0.values)
 
-    def times_m0(self, u):
-        """u M0 from M0's generators: u G P^-1 = sum_j rot(sum_r u_{j,r} y_r,
-        j n2) for u_j = sum_i G1[i][j] u_i, u_i the k2-value parts of u, and
-        u X P^-1 repeats s Cir_t1(xp), s_r the sum of the u_rho, rho = r mod t1."""
-        code, (pk, ys, xp) = self.code, self.m0
-        n, k2, t1 = code.n, code.k2, len(xp)
-        p2 = _packed(pk.ctx, k2)
-        parts = [p2.pack(u[i : i + k2]) for i in range(0, code.k, k2)]
-        us = [p2.unpack(p2.fold(p2.sum_products(zip(col, parts)))) for col in zip(*code.G1.rows)]
-        acc = 0
-        for c in range(0, k2, _SUM_CHUNK):  # one window table of y_r for every u_j
-            tabs = [pk.table(y) for y in ys[c : c + _SUM_CHUNK]]
-            for j, uj in enumerate(us):
-                acc ^= pk.rotate(pk.mul_sum(tabs, uj[c : c + _SUM_CHUNK]), j * code.n2, n)
-        s = _packed(pk.ctx, t1).unpack(_fold_slots(pk.S, pk.pack(u), t1))
-        ux = CirculantGrid(pk.ctx, [[xp]], t1).left_mul_values(s)
-        return [a ^ b for a, b in zip(pk.unpack(pk.fold(acc)), ux * (n // t1))]
+    def _read_error(self, e1):
+        """e with e P = e1, or None when the read fails.
+
+        reflect(e) b = reflect(e1) in the ring, b = P's generator.  With
+        b = sum_q v_q b_q (P's GF(2) parts) and reflect(e) = sum_p E_p R_p,
+        R_p binary, reflect(e1) = sum_{p,q} E_p v_q Z_pq, Z_pq = R_p b_q.  So
+        e1's values span E V, and E is the intersection of the spaces
+        E V v_q^-1 (the support recovery of LRPC decoding; Gaborit, Murat,
+        Ruatta & Zemor, WCC 2013).  e1's coordinates on the products
+        E_p v_q give the binary Z_pq, and R_p = sum_q a_q Z_pq for the
+        Bezout row sum_q a_q b_q = 1.  The read holds only when
+        R_p b_q = Z_pq for every p and q, which makes e P = e1 exactly; a
+        degenerate span fails somewhere on the way.  Past the intersection
+        every product is of binary polynomials, by window tables of the a_q
+        and b_q that the decrypter keeps.
+        """
+        ctx, n, parts = self.code.ctx, self.code.n, self.P.parts()[0][0]
+        pm = _packed(ctx, ctx.m)  # a basis of a subspace has at most m elements
+
+        def times(xs, v):
+            return pm.unpack(pm.fold(pm.scal(pm.pack(xs), v)))[: len(xs)]
+
+        f1 = reflect(e1)
+        span = [v for v, _ in BitSpan(f1).pivots.values()]
+        E = times(span, self._vinv[0])
+        for w in self._vinv[1:]:
+            meet = BitSpan(E + times(span, w)).kernel
+            E = [functools.reduce(operator.xor, (x for i, x in enumerate(E) if tag >> i & 1), 0)
+                 for tag in meet]
+        r, d = len(E), len(E) * len(parts)
+        if d > ctx.m:
+            return None
+        basis = BitSpan([x for v, _ in parts for x in times(E, v)])  # E_p v_q is input q r + p
+        if len(basis.pivots) < d:
+            return None
+        tags = [basis.coordinates(x) for x in f1]
+        if None in tags:
+            return None
+        # bit j of Z[q r + p] is bit q r + p of entry j's tag
+        bits = "".join(format(tag, f"0{d}b") for tag in tags)
+        Z = [int(bits[d - 1 - i :: d][::-1], 2) for i in range(d)]
+        atabs, btabs = self._tabs
+        R = [_fold_slots(1, pm.mul_sum(atabs, Z[p::r]), n) for p in range(r)]
+        for q, tab in enumerate(btabs):
+            if any(_fold_slots(1, pm.mul(tab, Rp), n) != z for Rp, z in zip(R, Z[q * r :])):
+                return None
+        return reflect(field_vec_times_bits(E, R, n))
+
+    def _error(self, e1):
+        """e with e P = e1: _read_error, or e1 P^-1 when that fails, P^-1
+        built then and kept."""
+        e = self._read_error(e1)
+        if e is None:
+            if self._Pinv is None:
+                self._Pinv = circulant_block_invert(self.P)
+            e = self._Pinv.left_mul_values(e1)
+        return e
 
     def decrypt(self, c_vals):
         """The message; a repaired key decodes its blocks in one error
-        value space (block_decode with shared), reads the message off
-        w = mu M0 = m G_pub for the right key, and returns it only when
-        c - w has rank at most t."""
-        mu = self.code.block_decode(self.P.left_mul_values(c_vals), shared=self.m0 is not None)
-        if self.m0 is None:
-            return mu
-        w = self.times_m0(mu.values)
-        r = _bit_rank([a ^ b for a, b in zip(c_vals, w)])
+        value space (block_decode with shared), takes mu X off their error
+        e P + mu X, reads e off e P (_error), and returns m = (c - e)[:k]
+        only when e has rank at most t: c - e = mu (G + X) P^-1 = m G_pub
+        for the right key."""
+        y = self.P.left_mul_values(c_vals)
+        if self.X is None:
+            return self.code.block_decode(y)
+        mu, e1 = self.code.block_decode(y, shared=True, errors=True)
+        t1, n = self.X.k, self.code.n
+        # mu X repeats sum_r s_r z0[j - r], s_r the sum of the mu_i, i = r mod t1
+        ux = self.X.left_mul_values([functools.reduce(operator.xor, mu.values[r::t1], 0)
+                                     for r in range(t1)])
+        e = self._error([a ^ b for a, b in zip(e1, ux * (n // t1))])
+        r = _bit_rank(e)
         if r > self.t:
             raise DecodeFailure(f"c - m G_pub has rank {r} > t = {self.t}")
-        return RankVector(mu.ctx, w[: self.code.k])
+        return RankVector(mu.ctx, [a ^ b for a, b in zip(c_vals[: self.code.k], e)])
 
 
 # ---------------------------------------------------------------------------
@@ -423,21 +486,20 @@ def keygen(p: ParamSet, rng) -> KeyPair:
         if p.variant == "improved":
             pk = PublicKey(p, _improved_public_grid(G1, orbit, xw.X, P, Pinv))
             sk = ImprovedSecretKey(p, alpha=orbit[-1], P=P, G1=G1)
-            m0 = None
+            sk._dec = _Decrypter(code, P)
         else:
             # the RREF of [M0 | I_k] is [I_k | N | S] with S M0 = [I_k | N]
             # exactly when its pivots lead, S = M0[:, :k]^-1; M0 is
             # Toeplitz-like, so generalized Schur steps give it
             z0 = RankVector(ctx, reflect(xw.X.gens[0][0])[: p.t1])
-            m0 = _repaired_m0_gens(code, z0.values, Pinv)
-            packer, rows = _repaired_m0_rows(code, m0)
+            packer, rows = _repaired_m0_rows(code, _repaired_m0_gens(code, z0.values, Pinv))
             if _systematic_packed(ctx, rows, p.n) != list(range(p.k)):
                 continue  # leading minor singular: fresh randomness
             # N is slots k..n - 1 of the reduced rows, handed over packed
             low, keep = p.k * packer.S, (1 << (p.n - p.k) * packer.S) - 1
             pk = PublicKey(p, PackedRows(ctx, p.n - p.k, [row >> low & keep for row in rows]))
             sk = RepairedSecretKey(p, G1=G1, g2=C2.g, P=P, z0=z0)
-        sk._dec = _Decrypter(code, P, m0, p.t)
+            sk._dec = _Decrypter(code, P, p.t, z0.values, Pinv)
         return KeyPair(pk=pk, sk=sk, x_witness=xw, subspace=spec, code=code)
     raise GenerationError("could not reach a systematic public key")
 

@@ -669,15 +669,98 @@ def m0_rows(kp, Pinv):
     return sc._repaired_m0_rows(kp.code, sc._repaired_m0_gens(kp.code, kp.sk.z0.values, Pinv))
 
 
+def m0_gens(sk):
+    """Generators (packer, ys, xp) of a repaired key's M0 = (G + X) P^-1,
+    built by keygen's _repaired_m0_gens from P^-1, which no decrypter
+    takes."""
+    return sc._repaired_m0_gens(sk.decrypter().code, sk.z0.values, circulant_block_invert(sk.P))
+
+
+def times_m0(code, gens, u):
+    """u M0 from M0's generators, as a repaired decrypter read it before it
+    read e off e P: u G P^-1 = sum_j rot(sum_r u_{j,r} y_r, j n2) for
+    u_j = sum_i G1[i][j] u_i, u_i the k2-value parts of u, and u X P^-1
+    repeats s Cir_t1(xp), s_r the sum of the u_rho, rho = r mod t1."""
+    pk, ys, xp = gens
+    n, k2, t1 = code.n, code.k2, len(xp)
+    p2 = rl._packed(pk.ctx, k2)
+    parts = [p2.pack(u[i : i + k2]) for i in range(0, code.k, k2)]
+    us = [p2.unpack(p2.fold(p2.sum_products(zip(col, parts)))) for col in zip(*code.G1.rows)]
+    acc = 0
+    for c in range(0, k2, rl._SUM_CHUNK):  # one window table of y_r for every u_j
+        tabs = [pk.table(y) for y in ys[c : c + rl._SUM_CHUNK]]
+        for j, uj in enumerate(us):
+            acc ^= pk.rotate(pk.mul_sum(tabs, uj[c : c + rl._SUM_CHUNK]), j * code.n2, n)
+    s = rl._packed(pk.ctx, t1).unpack(rl._fold_slots(pk.S, pk.pack(u), t1))
+    ux = CirculantGrid(pk.ctx, [[xp]], t1).left_mul_values(s)
+    return [a ^ b for a, b in zip(pk.unpack(pk.fold(acc)), ux * (n // t1))]
+
+
+def decrypt_by_m0(sk, c_vals, gens=None):
+    """The referee of a repaired decrypt: w = mu M0 for the decoded blocks
+    mu (times_m0), and w[:k] only when rk(c - w) <= t, else the
+    DecodeFailure that the decrypter raises."""
+    p, dec = sk.params, sk.decrypter()
+    mu = dec.code.block_decode(sk.P.left_mul_values(c_vals))
+    w = times_m0(dec.code, gens or m0_gens(sk), mu.values)
+    r = _bit_rank([a ^ b for a, b in zip(c_vals, w)])
+    if r > p.t:
+        raise DecodeFailure(f"c - m G_pub has rank {r} > t = {p.t}")
+    return RankVector(mu.ctx, w[: p.k])
+
+
+def read_against_m0(sk, words):
+    """Every word of c values decrypted by sk's decrypter, whose read of e
+    off e P falls back to P^-1 only when it fails, against decrypt_by_m0:
+    the same message or the same DecodeFailure text and blocks.  Returns
+    how many reads fell back."""
+    dec, gens = sk.decrypter(), m0_gens(sk)
+    fallbacks = []
+    read = dec._read_error
+
+    def outcome(decrypt, *args):
+        try:
+            return decrypt(*args).values
+        except DecodeFailure as exc:
+            return str(exc), exc.failed_blocks
+
+    def counting(e1):
+        e = read(e1)
+        fallbacks.append(e is None)
+        return e
+
+    dec._read_error = counting
+    try:
+        for c in words:
+            assert outcome(dec.decrypt, c) == outcome(decrypt_by_m0, sk, c, gens)
+    finally:
+        del dec._read_error
+    return sum(fallbacks)
+
+
+def words_of_rank(kp, rng, ranks, draws):
+    """c values m G_pub + e of a repaired key pair for rk(e) in ranks, draws
+    each: m = 0 first, whose blocks carry no part of X, then random m."""
+    p, ctx = kp.pk.params, kp.pk.matrix.ctx
+    pko, prows = kp.pk.matrix.packed_rows()
+    words = []
+    for r in ranks:
+        for i in range(draws):
+            m = [0] * p.k if i == 0 else RankVector.random(ctx, p.k, rng).values
+            e = sc.sample_rank_error(ctx, p.n, r, rng).values
+            words.append([a ^ b for a, b in zip(m + pko.lincomb(m, prows), e)])
+    return words
+
+
 def m0_read_against_rows_and_dense(kp, M0, rng, trials=4):
-    """The key's decrypter's u M0, read off M0's generators, against u times
-    M0's rows expanded by _repaired_m0_rows and u times the dense M0, for
-    random u."""
-    dec = kp.sk.decrypter()
-    pk, rows = sc._repaired_m0_rows(dec.code, dec.m0)
+    """The referee's u M0, read off M0's generators (times_m0), against u
+    times M0's rows expanded by _repaired_m0_rows and u times the dense
+    M0, for random u."""
+    gens = m0_gens(kp.sk)
+    pk, rows = sc._repaired_m0_rows(kp.code, gens)
     for _ in range(trials):
         u = [rng.element(M0.ctx.m) for _ in range(M0.nrows)]
-        assert dec.times_m0(u) == pk.lincomb(u, rows) == M0.left_mul_values(u)
+        assert times_m0(kp.code, gens, u) == pk.lincomb(u, rows) == M0.left_mul_values(u)
 
 
 def systematic(N):
@@ -729,11 +812,10 @@ def packed_parse_against_entries(blob):
 
 def secret_s(sk):
     """S = M0[:, :k]^-1 of a repaired key, read off [I_k | N | S], the
-    systematic form of M0's rows expanded from its decrypter's generators,
+    systematic form of M0's rows expanded from its generators (m0_gens),
     as keygen took it when the key held S in place of z_0."""
     p = sk.params
-    dec = sk.decrypter()
-    pk, got = sc._repaired_m0_rows(dec.code, dec.m0)
+    pk, got = sc._repaired_m0_rows(sk.decrypter().code, m0_gens(sk))
     assert rl._systematic_packed(pk.ctx, got, p.n) == list(range(p.k))
     unpack = rl._packed(pk.ctx, p.n + p.k).unpack
     return RankMatrix(pk.ctx, [unpack(row)[p.n :] for row in got])
@@ -749,17 +831,17 @@ def secret_key_v1(sk):
 
 
 def m0_read_against_s_solve(sk, rng, trials=4):
-    """The repaired decrypter's (u M0)[:k], read off M0's generators,
+    """The referee's (u M0)[:k], read off M0's generators (times_m0),
     against LeftSolver(S).solve(u), S = secret_s(sk).  Returns the seconds
     of the read and of the solve, summed over the trials."""
     p = sk.params
-    dec = sk.decrypter()
+    code, gens = sk.decrypter().code, m0_gens(sk)
     solver = LeftSolver(secret_s(sk))
     read_s = solve_s = 0.0
     for _ in range(trials):
         u = [rng.element(p.m) for _ in range(p.k)]
         t0 = time.perf_counter()
-        w = dec.times_m0(u)
+        w = times_m0(code, gens, u)
         t1 = time.perf_counter()
         x = solver.solve(u)
         solve_s += time.perf_counter() - t1

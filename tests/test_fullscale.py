@@ -6,13 +6,16 @@ Set GABKRON_FULLSCALE=1 to run them; together they take a few minutes:
 
 Keys, ciphertexts and plaintexts pass through the key-file formats, as in a
 command-line round trip, and the round-trip test prints its stage timings:
-keygen, and a first decrypt whose parse builds the generators of
-M0 = (G + X) P^-1 from the key's.  The M0 read test checks the
-decrypter's message, read off u M0 by those generators, against the solve
+keygen, and a first decrypt whose parse checks P by the gcd and takes
+no ring inverse.  The read test checks the decrypter, which reads the
+error e off e P through P's GF(2) parts, against the referee c - u M0 on
+valid ciphertexts, errors of rank 0 to t + 1 and a forced fallback to
+P^-1: the same messages and failure texts.  The M0 read test checks the
+referee's message, read off u M0 by M0's generators, against the solve
 by S = M0[:, :k]^-1 that the version-1 key file held.  The other tests check
 fast paths against their referees and print both timings: keygen's
 (G + X) P^-1 from alpha's orbit against the dense product, with the
-decrypter's u M0 against u times both, keygen's
+referee's u M0 against u times both, keygen's
 systematic form by Schur steps against the echelon of [M0 | I_k], and the
 inner code's parity vector h against the Moore solve, and the decoder's
 error values W by Moore stages against the echelon of the whole Moore
@@ -69,13 +72,16 @@ from conftest import (
     error_coordinates_echelon,
     lincomb_per_term,
     located_error,
+    m0_gens,
     m0_read_against_rows_and_dense,
     m0_read_against_s_solve,
     pack_shift_loop,
     packed_parse_against_entries,
+    read_against_m0,
     ring_against_euclid,
     smallest_irreducible,
     systematic_form_against_rref,
+    words_of_rank,
 )
 
 pytestmark = pytest.mark.skipif(
@@ -112,14 +118,14 @@ def test_repaired_full_scale_round_trip(name):
     assert sc.decrypt(keyio.parse_ciphertext(cts[1]), sk, p) == messages[1]
     next_s = time.perf_counter() - t0
     print(f"\n{name}: keygen {keygen_s:.1f} s, first decrypt {first_s:.2f} s "
-          f"(parse with decrypter build, which builds M0's generators, {parse_s:.2f} s, then "
+          f"(parse with decrypter build, which checks P by the gcd, {parse_s:.2f} s, then "
           f"the decode that builds h), next decrypt {next_s:.2f} s")
 
 
 @pytest.mark.parametrize("name", ["rep-gabkron-192", "rep-gabkron-256"])
 def test_repaired_m0_full_scale(name):
     # keygen's (G + X) P^-1 from alpha's orbit against the dense product,
-    # and the decrypter's u M0, read off M0's generators, against u times
+    # and the referee's u M0, read off M0's generators, against u times
     # the rows and the dense product
     p, kp, _ = _keypair(name)
     Pinv = circulant_block_invert(kp.sk.P)
@@ -139,15 +145,37 @@ def test_repaired_m0_full_scale(name):
 
 @pytest.mark.parametrize("name", ["rep-gabkron-192", "rep-gabkron-256"])
 def test_m0_read_matches_s_solve_full_scale(name):
-    # the decrypter's (u M0)[:k], read off M0's generators, of a parsed key
-    # and of keygen's, against the solve by S = M0[:, :k]^-1 read off the
-    # systematic form of M0
+    # the referee's (u M0)[:k], read off M0's generators, of a parsed key
+    # (the same generators as keygen's key gives) against the solve by
+    # S = M0[:, :k]^-1 read off the systematic form of M0
     p, kp, _ = _keypair(name)
     sk = keyio.parse_secret_key(keyio.serialize_secret_key(kp.sk))
-    assert sk.decrypter().m0[1:] == kp.sk.decrypter().m0[1:]
+    assert m0_gens(sk)[1:] == m0_gens(kp.sk)[1:]
     read_s, solve_s = m0_read_against_s_solve(sk, SeededRng(b"fullscale-m0-read-" + name.encode()))
     print(f"\n{name}: 4 messages {read_s * 1e3:.1f} ms read off u M0, "
           f"{solve_s * 1e3:.1f} ms solved by S")
+
+
+@pytest.mark.parametrize("name", ["rep-gabkron-192", "rep-gabkron-256"])
+def test_read_matches_m0_referee_full_scale(name, monkeypatch):
+    # a parsed key's decrypter, which reads e off e P, against the referee
+    # c - u M0: valid ciphertexts and errors of rank 0 to t + 1, with no
+    # fallback to P^-1, then a read forced to fail, which falls back; the
+    # same messages and failure texts throughout
+    p, kp, _ = _keypair(name)
+    rng = SeededRng(b"fullscale-read-" + name.encode())
+    words = words_of_rank(kp, rng, range(p.t + 2), 2)
+    words += [sc.encrypt(RankVector.random(FieldCtx(p.m), p.k, rng), kp.pk, p, rng).values.values
+              for _ in range(2)]
+    sk = keyio.parse_secret_key(keyio.serialize_secret_key(kp.sk))
+    t0 = time.perf_counter()
+    assert read_against_m0(sk, words) == 0
+    read_s = time.perf_counter() - t0
+    assert sk.decrypter()._Pinv is None
+    monkeypatch.setattr(sc._Decrypter, "_read_error", lambda self, e1: None)
+    assert read_against_m0(sk, words_of_rank(kp, rng, (0, p.t, p.t + 1), 1)) >= 2
+    assert sk.decrypter()._Pinv is not None
+    print(f"\n{name}: {len(words)} words against the referee in {read_s:.1f} s")
 
 
 @pytest.mark.parametrize("name", ["rep-gabkron-192", "rep-gabkron-256"])

@@ -1,3 +1,4 @@
+import re
 import copy
 import functools
 import operator
@@ -1220,3 +1221,37 @@ def test_shared_block_decode_matches_subset_search(ctx6, n1, k1, dependent):
         outcomes.add(isinstance(want, tuple))
     assert outcomes == {False, True}
     assert paths["shared"] > 0 and paths["fallback"] > 0
+
+
+@pytest.mark.parametrize("n1,k1,shared", [(2, 2, False), (2, 2, True), (3, 2, True)])
+def test_block_decode_returns_its_error(ctx6, n1, k1, shared):
+    # with errors, block_decode also returns y - mu G against the dense
+    # generator, from the decoded blocks' errors and, for a block that
+    # failed while the others decoded, from its message encoded again;
+    # the message is the one block_decode returns alone
+    rng = fresh_rng(b"block-errors")
+    K = kron_fixture(ctx6, rng, n1=n1, k1=k1)
+    wrecked = 0
+    for trial in range(30):
+        m = RankVector.random(ctx6, K.k, rng)
+        y = list(product_encode(K, m).values)
+        for j in range(K.n1):
+            e = sample_rank_error(ctx6, K.n2, rng.randrange(K.C2.radius + 1), rng)
+            for i, v in enumerate(e.values):
+                y[j * K.n2 + i] ^= v
+        if n1 > k1 and trial % 2:
+            for i in range(K.n2):  # block 0 far past the radius
+                y[i] ^= rng.element(ctx6.m)
+        try:
+            mu, e = K.block_decode(y, shared=shared, errors=True)
+        except DecodeFailure as exc:
+            with pytest.raises(DecodeFailure, match=re.escape(str(exc))):
+                K.block_decode(y, shared=shared)
+            continue
+        assert mu == K.block_decode(y, shared=shared) == m
+        assert e == [a ^ b for a, b in zip(y, product_encode(K, mu).values)]
+        try:
+            K.C2._decode_values(y[: K.n2])
+        except DecodeFailure:
+            wrecked += 1
+    assert wrecked if n1 > k1 else not wrecked

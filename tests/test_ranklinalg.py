@@ -27,6 +27,7 @@ from conftest import (
     fresh_rng,
     lincomb_per_term,
     pack_shift_loop,
+    poly_gcd,
     products_per_term,
     ring_against_euclid,
     rref,
@@ -1283,3 +1284,40 @@ def test_gf2_elimination_against_bruteforce():
                         assert y is None
                 if nrows == ncols:
                     assert (_bit_rank(A) == nrows) == (len(kernel) == 1)
+
+
+@pytest.mark.parametrize("m", [3, 8, 12, 25, 90, 211])
+def test_packer_lo_mask_matches_slot_loop(m):
+    # the element mask in every slot, from one repeated block of bytes,
+    # against the loop that set it one slot at a time
+    ctx = FieldCtx(m)
+    for L in (0, 1, 2, 7, 70, 211):
+        pk = rl._Packed(ctx, L)
+        want = 0
+        for i in range(L):
+            want |= ctx.mask << (i * pk.S)
+        assert pk.lo_mask == want
+
+
+def test_binary_bezout_against_gcd():
+    # sum_q a_q b_q = 1 mod z^n - 1 with every a_q of degree < n, or None
+    # exactly when the b_q and z^n - 1 have a common factor, refereed by the
+    # binary Euclid of the tests
+    rng = fresh_rng(b"binary-bezout")
+    seen = set()
+    for n in (1, 2, 3, 6, 7, 12, 15, 24, 210):
+        mod = 1 << n | 1
+        for _ in range(40):
+            bs = [rng.bits(n) for _ in range(1 + rng.randrange(3))]
+            got = rl._binary_bezout(bs, n)
+            g = functools.reduce(poly_gcd, bs, mod)
+            seen.add(got is None)
+            if g != 1:
+                assert got is None
+                continue
+            assert len(got) == len(bs) and all(a < 1 << n for a in got)
+            acc = 0
+            for a, b in zip(got, bs):
+                acc ^= gf2m._poly_mulmod(a, b, mod, n)
+            assert acc == 1
+    assert seen == {True, False}

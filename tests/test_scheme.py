@@ -35,13 +35,16 @@ from conftest import (
     dense_g_plus_x,
     fresh_rng,
     inconsistent_secret_key,
+    m0_gens,
     m0_read_against_rows_and_dense,
     m0_read_against_s_solve,
     m0_rows,
+    read_against_m0,
     systematic,
     systematic_form_against_rref,
     vec_add,
     vec_mat,
+    words_of_rank,
     zero_matrix,
 )
 
@@ -620,14 +623,20 @@ def test_keygen_makes_no_inverse_or_dense_product(params, request, monkeypatch):
 
 @pytest.mark.parametrize("params", ["toy_repaired", "rep-gabkron-128"])
 def test_repaired_m0_read_matches_s_solve(params, request):
-    # the message read off u M0 by a parsed key's decrypter and by keygen's
-    # against the solve by S = M0[:, :k]^-1, which the key held before z_0
+    # the referee's message read off u M0, from a parsed key's generators,
+    # against the solve by S = M0[:, :k]^-1, which the key held before z_0;
+    # the parsed key's generators are keygen's, and both keys' decrypters
+    # agree with the referee on a valid ciphertext
     p = request.getfixturevalue(params) if params.startswith("toy") else setup(params)
     for seed in (b"m0-read-1", b"m0-read-2"):
         kp = sc.keygen(p, SeededRng(seed + params.encode()))
         sk = keyio.parse_secret_key(keyio.serialize_secret_key(kp.sk))
-        assert sk.decrypter().m0[1:] == kp.sk.decrypter().m0[1:]
+        assert m0_gens(sk)[1:] == m0_gens(kp.sk)[1:]
         m0_read_against_s_solve(sk, fresh_rng(seed))
+        rng = fresh_rng(seed)
+        ct = sc.encrypt(RankVector.random(kp.pk.matrix.ctx, p.k, rng), kp.pk, p, rng)
+        assert read_against_m0(sk, [ct.values.values]) == 0
+        assert read_against_m0(kp.sk, [ct.values.values]) == 0
 
 
 @pytest.mark.parametrize("params", ["toy_repaired", "rep-gabkron-128"])
@@ -668,17 +677,21 @@ def test_repaired_m0_by_structure_matches_dense_product(params, request):
 def test_repaired_x_p_inverse_repeats_t1_values(params, request):
     # X P^-1 = Cir_k(x b) for X = Cir_k(x) and P^-1 = Cir(b): x b, taken in
     # the ring at full length and as row 0 of the dense product, repeats
-    # the t1 values the decrypter holds
+    # the t1 values of M0's generators; the decrypter's t1 x t1 circulant,
+    # which takes mu X off the blocks' error, is X's leading block, whose
+    # row 0 is z_0
     p = request.getfixturevalue(params) if params.startswith("toy") else setup(params)
     kp = sc.keygen(p, SeededRng(b"xp-" + params.encode()))
     Pinv = circulant_block_invert(kp.sk.P)
-    xp = kp.sk.decrypter().m0[2]
+    xp = sc._repaired_m0_gens(kp.code, kp.sk.z0.values, Pinv)[2]
     X = kp.x_witness.X
     full = ranklinalg.cyc_mul(X.ctx, X.gens[0][0], Pinv.gens[0][0])
     assert len(xp) == p.t1 and full == xp * (p.n // p.t1)
     assert all(full[i] == full[i - p.t1] for i in range(p.t1, p.n))
     assert Pinv.dense().left_mul_values(X.dense().rows[0]) == reflect(full)
-    assert sc._repaired_m0_gens(kp.code, kp.sk.z0.values, Pinv)[2] == xp
+    for dec in (kp.sk.decrypter(), sc._Decrypter.checked(kp.sk)):
+        assert dec.X.dense().rows == [row[: p.t1] for row in X.dense().rows[: p.t1]]
+        assert dec.X.dense().rows[0] == kp.sk.z0.values
 
 
 @pytest.mark.parametrize("params", ["toy_repaired", "rep-gabkron-128"])
@@ -698,6 +711,99 @@ def test_parsed_repaired_key_never_expands_m0_rows(params, request, monkeypatch)
     monkeypatch.setattr(sc, "_repaired_m0_rows", refuse)
     sk = keyio.parse_secret_key(blob)
     assert sc.decrypt(ct, sk, p) == m
+
+
+@pytest.mark.parametrize("params, draws", [("toy_repaired", 12), ("rep-gabkron-128", 2)])
+def test_repaired_read_matches_m0_referee(params, draws, request):
+    # a repaired decrypt reads e off e P, where it read u M0: against the
+    # referee c - u M0, on errors of rank 0 to t + 1, the same message or the
+    # same DecodeFailure text, for a parsed key and keygen's; every read
+    # reached holds, so none falls back to P^-1, and rank t + 1 is refused
+    p = request.getfixturevalue(params) if params.startswith("toy") else setup(params)
+    kp = sc.keygen(p, SeededRng(b"read-e-" + params.encode()))
+    rng = fresh_rng(b"read-e-" + params.encode())
+    words = words_of_rank(kp, rng, range(p.t + 2), draws)
+    words += [sc.encrypt(RankVector.random(kp.pk.matrix.ctx, p.k, rng), kp.pk, p, rng).values.values
+              for _ in range(draws)]
+    sk = keyio.parse_secret_key(keyio.serialize_secret_key(kp.sk))
+    for key in (sk, kp.sk):
+        assert read_against_m0(key, words) == 0
+    assert sk.decrypter()._Pinv is None
+    above = words[(p.t + 1) * draws]  # m = 0 and an error of rank t + 1
+    with pytest.raises(DecodeFailure, match=rf"rank {p.t + 1} > t = {p.t}"):
+        sc.decrypt(sc.Ciphertext(p, RankVector(kp.pk.matrix.ctx, above)), sk, p)
+
+
+@pytest.mark.parametrize("params", ["toy_repaired", "rep-gabkron-128"])
+def test_repaired_read_falls_back_to_p_inverse(params, request, monkeypatch):
+    # an error of rank above m / lam spans too much for the read, which
+    # returns None, and e P P^-1 gives e; a read forced to fail falls back on
+    # every decrypt, with the referee's messages and failure texts, and the
+    # decrypter builds P^-1 once and keeps it
+    p = request.getfixturevalue(params) if params.startswith("toy") else setup(params)
+    kp = sc.keygen(p, SeededRng(b"fallback-" + params.encode()))
+    rng = fresh_rng(b"fallback-" + params.encode())
+    dec = keyio.parse_secret_key(keyio.serialize_secret_key(kp.sk)).decrypter()
+    assert len(kp.sk.P.parts()[0][0]) == p.lam
+    e = sample_rank_error(kp.pk.matrix.ctx, p.n, p.m // p.lam + 1, rng).values
+    e1 = kp.sk.P.left_mul_values(e)
+    assert dec._read_error(e1) is None
+    assert dec._Pinv is None
+    assert dec._error(e1) == e
+    assert dec._Pinv is not None
+    words = words_of_rank(kp, rng, (0, p.t, p.t + 1), 2)
+    sk = keyio.parse_secret_key(keyio.serialize_secret_key(kp.sk))
+    monkeypatch.setattr(sc._Decrypter, "_read_error", lambda self, e1: None)
+    builds = []
+    invert = sc.circulant_block_invert
+    monkeypatch.setattr(sc, "circulant_block_invert", lambda P: builds.append(P) or invert(P))
+    assert read_against_m0(sk, words) >= 4  # ranks 0 and t always reach the read
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("params", ["toy_repaired", "rep-gabkron-128"])
+def test_repaired_read_checks_every_binary_product(params, request):
+    # values sum_{p,q} E_p v_q Z_pq with random binary Z_pq lie in E V and
+    # pass the intersection and the coordinates, but no error with values
+    # in E gives them, as Z_pq != R_p b_q: the read refuses them, and e P^-1
+    # of the fallback is the referee's
+    p = request.getfixturevalue(params) if params.startswith("toy") else setup(params)
+    kp = sc.keygen(p, SeededRng(b"binary-check-" + params.encode()))
+    ctx, rng = kp.pk.matrix.ctx, fresh_rng(b"binary-check")
+    dec = keyio.parse_secret_key(keyio.serialize_secret_key(kp.sk)).decrypter()
+    E = sc.sample_subspace_basis(ctx, p.t, rng)
+    f1 = [0] * p.n
+    for v, _ in kp.sk.P.parts()[0][0]:
+        Z = [rng.bits(p.n) for _ in E]
+        part = ranklinalg.field_vec_times_bits([ctx.mul(x, v) for x in E], Z, p.n)
+        f1 = [a ^ b for a, b in zip(f1, part)]
+    e1 = reflect(f1)
+    assert dec._read_error(e1) is None
+    e = dec._error(e1)
+    assert e == circulant_block_invert(kp.sk.P).left_mul_values(e1)
+    assert _bit_rank(e) > p.t
+
+
+@pytest.mark.parametrize("params", ["toy_repaired", "rep-gabkron-128"])
+def test_parsed_repaired_key_skips_the_inverse(params, request, monkeypatch):
+    # a parsed repaired key checks P by the gcd and reads e off e P: its
+    # decrypter build and decrypts of valid ciphertexts take no ring
+    # inverse, no determinant inverse and no generators of M0
+    p = request.getfixturevalue(params) if params.startswith("toy") else setup(params)
+    kp = sc.keygen(p, SeededRng(b"no-inverse-" + params.encode()))
+    rng = fresh_rng(b"no-inverse")
+    ms = [RankVector.random(kp.pk.matrix.ctx, p.k, rng) for _ in range(3)]
+    cts = [sc.encrypt(m, kp.pk, p, rng) for m in ms]
+    blob = keyio.serialize_secret_key(kp.sk)
+
+    def refuse(*args):
+        raise AssertionError("inverse taken")
+
+    monkeypatch.setattr(ranklinalg, "cyc_inv", refuse)
+    monkeypatch.setattr(CirculantGrid, "det_inverse", refuse)
+    monkeypatch.setattr(sc, "_repaired_m0_gens", refuse)
+    sk = keyio.parse_secret_key(blob)
+    assert [sc.decrypt(ct, sk, p) for ct in cts] == ms
 
 
 def test_improved_decrypter_squares_one_orbit_of_alpha(monkeypatch):
@@ -818,8 +924,10 @@ def test_public_grid_with_a_negative_entry_raises(toy_kp):
 @pytest.mark.parametrize("params", ["toy_improved", "toy_repaired"])
 def test_keygen_hands_its_code_to_the_key(params, request, monkeypatch):
     # keygen and the first decrypt build the inner code once, and the key's
-    # decrypter is keygen's: no gcd on P, and a repaired key's M0
-    # generators are keygen's, not built again, nor expanded to rows
+    # decrypter is keygen's: no gcd on P; a repaired keygen builds M0's
+    # generators and rows for its public key, and the decrypt neither, as
+    # it reads the error off e P (and keygen hands over P^-1 for the
+    # fallback of that read)
     p = request.getfixturevalue(params)
     calls = []
     for cls, name in ((GabidulinCode, "__init__"), (CirculantGrid, "is_invertible"),
@@ -840,6 +948,8 @@ def test_keygen_hands_its_code_to_the_key(params, request, monkeypatch):
     assert sc.decrypt(sc.encrypt(m, kp.pk, p, rng), kp.sk, p) == m
     assert calls == [("GabidulinCode", "__init__")] + m0
     assert kp.sk.decrypter().code is kp.code
+    if p.variant == "repaired":
+        assert kp.sk.decrypter()._Pinv.gens == circulant_block_invert(kp.sk.P).gens
 
 
 def test_keygen_dense_ring_products(toy_repaired, monkeypatch):
